@@ -17,7 +17,13 @@ differs from the digest recorded in reference.json (see record.py), or
 when a verify/gdd report does not say `"pass": true`.
 
 With --trace 0 the run repeats passes for --seconds and prints the
-end-to-end metrics (medians over passes).  With --trace 1 it makes one
+end-to-end metrics.  `wall_s` is the mean time of one set of the
+workload's commands: the run's timed seconds over its timed sets (a
+worker that runs the set more than once warms up on its first set, which
+is left out).  The host switches between a fast and a slow speed every
+few seconds, so the median of sets flips between the two from run to
+run, while the mean follows the share of time in each.  `peak_rss_mib`
+and `setup_s` are medians over workers.  With --trace 1 it makes one
 untraced and one traced pass and prints the per-layer metrics (see
 spans.py).  The last line of stdout is the JSON result; the lines before
 it name every metric with its unit, plus the machine record.
@@ -154,8 +160,11 @@ class Bench:
             setup, result = self.worker(commands, trace, d)
             ref = self.references.get(workload, {}).get(str(seed % SHIPPED_SEEDS), {})
             checked = []
-            for (cid, argv), (_, rc, secs) in zip(commands, result["commands"]):
+            for (cid, argv), (_, rc, secs, _) in zip(commands, result["commands"]):
                 checked.append(self._check(cid, Path(argv[-1]), rc, secs, ref.get(cid)))
+            per_set = len(commands) // (reps or repeats(workload))
+            sets = [result["commands"][i : i + per_set] for i in range(0, len(commands), per_set)]
+            result["set_walls"] = [s[-1][3] + s[-1][2] - s[0][3] for s in sets]
             spans = json.loads((d / "spans.json").read_text()) if trace else None
         finally:
             shutil.rmtree(d, ignore_errors=True)
@@ -188,8 +197,14 @@ class Bench:
         return c
 
 
-def _samples(values: list[float]) -> str:
-    return f"median of {len(values)}: " + " ".join(f"{v:.4g}" for v in sorted(values))
+def _samples(values: list[float], stat: str = "median") -> str:
+    if len(values) > 12:
+        q = statistics.quantiles(values, n=10)
+        return (
+            f"{stat} of {len(values)}; min {min(values):.4g} median {statistics.median(values):.4g}"
+            f" p90 {q[8]:.4g} max {max(values):.4g}"
+        )
+    return f"{stat} of {len(values)}: " + " ".join(f"{v:.4g}" for v in sorted(values))
 
 
 def _print_metric(name: str, value, unit: str, note: str = "") -> None:
@@ -225,7 +240,7 @@ def _failures(passes: list[dict]) -> tuple[int, int]:
 
 
 def measure(bench: Bench, workload: str, seed: int, seconds: float) -> dict:
-    """Timed passes for `seconds`; the end-to-end metrics as medians."""
+    """Timed passes for `seconds`; the end-to-end metrics."""
     start = time.perf_counter()
     passes = []
     longest = 0.0
@@ -245,17 +260,22 @@ def measure(bench: Bench, workload: str, seed: int, seconds: float) -> dict:
             shutil.rmtree(d, ignore_errors=True)
 
     attempted, failed = _failures(passes)
-    walls = [p["wall_s"] for p in passes]
+    # A worker that runs the command set more than once warms up on its
+    # first set, which is left out.
+    walls = [w for p in passes for w in p["set_walls"][1:] or p["set_walls"]]
     rss = [p["peak_rss_mib"] for p in passes]
     metrics = {
-        "wall_s": statistics.median(walls),
+        "wall_s": statistics.fmean(walls),
         "peak_rss_mib": statistics.median(rss),
         "setup_s": statistics.median(setups),
     }
     print("machine " + json.dumps(machine_record(passes[0], seed)))
-    print(f"workload {workload}: {len(passes)} passes of {len(passes[0]['checked'])} commands")
-    for (name, unit, _), values in zip(END_TO_END, (walls, rss, setups)):
-        _print_metric(name, f"{metrics[name]:.6g}", unit, _samples(values))
+    print(
+        f"workload {workload}: {len(passes)} passes of {len(passes[0]['set_walls'])} sets"
+        f" of {len(command_set(workload, seed))} commands"
+    )
+    for (name, unit, _), values, stat in zip(END_TO_END, (walls, rss, setups), ("mean", "median", "median")):
+        _print_metric(name, f"{metrics[name]:.6g}", unit, _samples(values, stat))
     _print_metric("fail_frac", f"{failed / attempted:.6g}", "fraction", f"{failed} of {attempted} commands")
     rates = []
     for p in passes:

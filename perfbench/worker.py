@@ -6,7 +6,8 @@ SPEC holds the commands of the pass, each as [id, argv], with argv
 complete down to `--out`, and whether to trace.  The worker imports
 `qdf`, prints `ready` on stdout (the parent times set-up up to that
 line), runs every command through `qdf.cli.main` in order, one after the
-other, and writes its timings to the `result` path named in SPEC.  With
+other, and writes its timings (each command's seconds and start offset)
+to the `result` path named in SPEC.  With
 tracing on, the spans go to the `spans` path at exit.  The worker writes
 nothing else; the parent hashes the artifacts.
 """
@@ -43,7 +44,7 @@ def _run(spec: dict) -> dict:
         except Exception:  # one failing command must not stop the pass
             traceback.print_exc()
             rc = None
-        done.append([cid, rc, time.perf_counter() - t0])
+        done.append([cid, rc, time.perf_counter() - t0, t0 - first])
     wall = time.perf_counter() - first
 
     if tracer is not None:

@@ -24,10 +24,11 @@ WHY = {
     "tiny": "n <= 5 smoke workload for the benchmark's own tests",
 }
 
-# The set of sweep-small commands is repeated so a pass lasts about as long
-# as one verify at n = 13 (~10 s on a 2-core Xeon); a single set takes
-# ~0.3 s and its run-to-run spread is ~15 %.
-SWEEP_REPEATS = 32
+# A sweep-small worker runs its set of commands 16 times (~5 s on a 2-core
+# Xeon; one set takes ~0.3 s), so a run holds several workers and ends
+# close to --seconds.  Each set is timed on its own; the first set of a
+# worker is its warm-up.
+SWEEP_REPEATS = 16
 
 
 def _poly_mod(a: int, m: int) -> int:
