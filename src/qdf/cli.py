@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
+import numpy as np
+
 from . import __version__
-from .design import develop, check_qanalog, check_simple, verify_2design
+from .design import (
+    COUNTER_DTYPE,
+    check_qanalog,
+    check_simple,
+    counter_shape,
+    develop,
+    verify_2design,
+)
 from .errors import QdfError
 from .family import build_family, equation_certificate, multiplicity_profile
 from .gdd import build_relative_family, desarguesian_spread, develop_and_verify_gdd, verify_relative
@@ -34,13 +43,6 @@ DEFAULT_N_CEILING = 13
 HARD_N_CEILING = 25
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QDF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _add_common(p: argparse.ArgumentParser, with_n: bool = True) -> None:
     if with_n:
         p.add_argument("--n", type=int, required=True, help="extension degree (odd)")
@@ -57,12 +59,6 @@ def _add_common(p: argparse.ArgumentParser, with_n: bool = True) -> None:
         )
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker threads for pair counting (env QDF_THREADS)",
-    )
     p.add_argument(
         "--seed-system",
         choices=["min", "max"],
@@ -81,10 +77,11 @@ def _make_ctx(args) -> GF2n:
         )
     if n > DEFAULT_N_CEILING:
         table_mb = (3 * 4 * (1 << n)) / 2**20
-        pairs_mb = (4 * ((1 << n) - 1) * ((1 << n) - 2) / 2) / 2**20
+        counter = counter_shape((1 << n) - 1)
+        pairs_mb = math.prod(counter) * np.dtype(COUNTER_DTYPE).itemsize / 2**20
         print(
-            f"warning: n={n} is desk-scale-plus; expect ~{table_mb:.0f} MiB of "
-            f"field tables and ~{pairs_mb:.0f} MiB for exhaustive pair counts",
+            f"warning: n={n} is desk-scale-plus; expect ~{table_mb:.1f} MiB of "
+            f"field tables and ~{pairs_mb:.1f} MiB for exhaustive pair counts",
             file=sys.stderr,
         )
     return GF2n(n, args.modulus)
@@ -111,7 +108,7 @@ def _cmd_verify(args) -> int:
     fam = build_family(ctx, system=args.seed_system)
     profile_ok = multiplicity_profile(fam).is_constant(fam.lambda_claim)
     design = develop(fam)
-    report = verify_2design(design, threads=args.threads)
+    report = verify_2design(design)
     out = {
         "n": ctx.n,
         "modulus": ctx.modulus,
@@ -150,7 +147,7 @@ def _cmd_gdd(args) -> int:
     fam = build_family(ctx, system=args.seed_system)
     relative = build_relative_family(fam)
     rel_report = verify_relative(relative)
-    gdd_report = develop_and_verify_gdd(relative, threads=args.threads)
+    gdd_report = develop_and_verify_gdd(relative)
     spread = desarguesian_spread(ctx)
     design = develop(relative)
     out = gdd_to_dict(spread, design)

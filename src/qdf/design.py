@@ -7,18 +7,19 @@ replication factor |stab|.  Materializing every developed block would be
 feasible but wasteful (about 11.2M blocks at n = 13).
 
 verify_2design counts, for every unordered pair of distinct points, the
-number of developed blocks containing both, into a flat triangular array
-of 32-bit counters (about 33.5M entries at n = 13).  The count is
-exhaustive, never sampled.  Scalings t*b are read off exp-table slices,
-which makes the inner loop a handful of vectorized numpy operations per
-(orbit, block pair).
+number of developed blocks containing both.  Pairs are indexed by log
+coordinates: {g^a, g^(a+d)} sits at row d-1, column a of a
+((v-1)/2, v) array of 8-bit counters (32 MiB at n = 13).  Developing an
+orbit shifts every log by the same amount, so each (orbit, slot pair)
+adds to one cyclic run of a single row.  The count is exhaustive, never
+sampled; a pass is declared only when the counts modulo 256 and the
+exact incidence total together prove it, and anything else is recounted
+with 32-bit counters.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,122 +92,127 @@ def develop(fam: DifferenceFamily) -> Design:
 
 # -- pair counting kernel -----------------------------------------------------
 
-def _row_offset(a: int, npts: int) -> int:
-    # first triangular index of row a (pairs (a, b) with a < b, 0-based)
-    return a * (2 * npts - a - 1) // 2
+# One byte per point pair; check_pair_coverage proves when it is exact.
+COUNTER_DTYPE = np.uint8
+
+# Counters per band of rows in the final checks; bounds their temporaries.
+_BAND_CELLS = 1 << 20
 
 
-def _pair_from_index(key: int, npts: int) -> tuple[int, int]:
-    """Invert the triangular pair index; returns 0-based (a, b), a < b."""
-    w = 2 * npts - 1
-    a = (w - math.isqrt(w * w - 8 * key)) // 2
-    while _row_offset(a + 1, npts) <= key:
-        a += 1
-    while _row_offset(a, npts) > key:
-        a -= 1
-    b = key - _row_offset(a, npts) + a + 1
-    return a, b
-
-
-# Keys from several orbits are pooled before sorting; bigger pools
-# amortize the sort, this cap bounds the temporary at ~32 MiB.
-_KEY_BATCH = 4_000_000
-
-
-def _orbit_pair_keys(ctx: GF2n, orbit: Orbit, npts: int) -> np.ndarray:
-    """Triangular pair index of every (developed block, point pair) of one
-    orbit: 21 pair slots times the orbit length."""
-    exp2, logs = ctx.exp2, ctx.logs
-    L = orbit.length
-    cols = [exp2[logs[e] : logs[e] + L].astype(np.int64) for e in orbit.rep.elements]
-    keys = np.empty(len(_PAIR_INDICES) * L, dtype=np.int64)
-    pos = 0
-    for i, j in _PAIR_INDICES:
-        lo = np.minimum(cols[i], cols[j]) - 1
-        hi = np.maximum(cols[i], cols[j]) - 1
-        np.add(lo * (2 * npts - lo - 1) // 2, hi - lo - 1, out=keys[pos : pos + L])
-        pos += L
-    return keys
-
-
-def _flush_keys(counts: np.ndarray, pool: list[np.ndarray], weight: int) -> None:
-    # sort + run-length-encode: the resulting indices are unique, so a
-    # fancy-indexed += is race-free and much faster than ufunc.at
-    if not pool:
-        return
-    keys = pool[0] if len(pool) == 1 else np.concatenate(pool)
-    pool.clear()
-    keys.sort()
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    runs = np.diff(np.append(starts, len(keys)))
-    counts[keys[starts]] += (runs * weight).astype(counts.dtype)
-
-
-def _accumulate(ctx: GF2n, orbits, counts: np.ndarray, npts: int) -> None:
-    pool: list[np.ndarray] = []
-    pooled = 0
-    weight = None
-    for o in orbits:
-        if weight != o.replication:
-            _flush_keys(counts, pool, weight)
-            pooled, weight = 0, o.replication
-        pool.append(_orbit_pair_keys(ctx, o, npts))
-        pooled += len(pool[-1])
-        if pooled >= _KEY_BATCH:
-            _flush_keys(counts, pool, weight)
-            pooled = 0
-    _flush_keys(counts, pool, weight)
+def counter_shape(v: int) -> tuple[int, int]:
+    """Shape of the pair counter over the v = 2^n - 1 points: the pair
+    {g^a, g^(a+d)}, 1 <= d <= (v-1)/2, sits at row d-1, column a."""
+    return (v - 1) // 2, v
 
 
 def pair_coverage_counts(
-    ctx: GF2n, orbits: tuple[Orbit, ...], threads: int = 1
+    ctx: GF2n, orbits: tuple[Orbit, ...], dtype=COUNTER_DTYPE
 ) -> np.ndarray:
-    """Triangular array of exact pair coverage counts over all points.
+    """Pair coverage counts in log coordinates, shape counter_shape(v).
 
-    Entry for points u < v (encodings, 1-based) sits at the row-major
-    triangular index of (u-1, v-1).  With threads > 1 the orbits are split
-    into per-worker partial arrays and summed, so the result is identical
-    for every thread count (at the price of one counter array per worker).
+    Developing slot pair (i, j) of an orbit shifts both logs together, so
+    it covers one cyclic run of `length` columns in a single row: a slice
+    add, no keys and no sort.  A counter holds its count modulo the range
+    of `dtype`; check_pair_coverage says when uint8 counts are exact.
     """
-    npts = ctx.order - 1
-    size = npts * (npts - 1) // 2
-    if threads <= 1 or len(orbits) < 2:
-        counts = np.zeros(size, dtype=np.uint32)
-        _accumulate(ctx, orbits, counts, npts)
-        return counts
-
-    chunks = [orbits[i::threads] for i in range(threads)]
-
-    def worker(chunk):
-        part = np.zeros(size, dtype=np.uint32)
-        _accumulate(ctx, chunk, part, npts)
-        return part
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(worker, chunks))
-    counts = parts[0]
-    for p in parts[1:]:
-        counts += p
+    v = ctx.order - 1
+    half = (v - 1) // 2
+    counts = np.zeros(counter_shape(v), dtype=dtype)
+    for o in orbits:
+        w = np.int64(o.replication).astype(dtype)
+        logs = [int(ctx.logs[e]) for e in o.rep.elements]
+        for i, j in _PAIR_INDICES:
+            d = (logs[j] - logs[i]) % v
+            row, start = (d - 1, logs[i]) if d <= half else (v - d - 1, logs[j])
+            stop = start + o.length
+            counts[row, start : min(stop, v)] += w
+            if stop > v:
+                counts[row, : stop - v] += w
     return counts
 
 
-def verify_2design(d: Design, threads: int = 1) -> VerificationReport:
+def _bands(counts: np.ndarray, rows: np.ndarray):
+    """(first row, view) over the rows selected by the boolean mask
+    `rows`, at most _BAND_CELLS counters per view."""
+    step = max(1, _BAND_CELLS // counts.shape[1])
+    edges = np.flatnonzero(np.diff(rows, prepend=False, append=False))
+    for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        for r in range(lo, hi, step):
+            yield r, counts[r : min(r + step, hi)]
+
+
+def _row_range(counts: np.ndarray, rows: np.ndarray) -> tuple[int, int] | None:
+    lo = hi = None
+    for _, band in _bands(counts, rows):
+        b_lo, b_hi = int(band.min()), int(band.max())
+        lo = b_lo if lo is None else min(lo, b_lo)
+        hi = b_hi if hi is None else max(hi, b_hi)
+    return None if lo is None else (lo, hi)
+
+
+def _first_offenders(ctx: GF2n, counts: np.ndarray, groups, limit: int = 10) -> tuple:
+    """The first `limit` pairs whose count differs from their group's, as
+    ((u, w), count) with encodings u < w, ordered by u, then group, then w."""
+    v, q, ng = counts.shape[1], ctx.order, len(groups)
+    keys = np.empty(0, dtype=np.int64)
+    found = np.empty(0, dtype=counts.dtype)
+    for g, (rows, lam) in enumerate(groups):
+        for r0, band in _bands(counts, rows):
+            r, c = np.nonzero(band != lam)
+            if not r.size:
+                continue
+            x = ctx.exp2[c].astype(np.int64)
+            y = ctx.exp2[c + r + r0 + 1].astype(np.int64)
+            k = (np.minimum(x, y) * ng + g) * q + np.maximum(x, y)
+            keys = np.concatenate([keys, k])
+            found = np.concatenate([found, band[r, c]])
+            top = np.argsort(keys)[:limit]
+            keys, found = keys[top], found[top]
+    return tuple(
+        ((k // q // ng, k % q), c) for k, c in zip(keys.tolist(), found.tolist())
+    )
+
+
+def check_pair_coverage(ctx: GF2n, orbits: tuple[Orbit, ...], groups) -> tuple:
+    """Exact pair coverage against the expected count of each row group.
+
+    groups is a sequence of (row mask, expected count) whose masks
+    partition the rows of counter_shape(v).  Returns the exact (min, max)
+    count of each group (None for a group without rows) and the first ten
+    offenders.
+
+    The uint8 counts are exact whenever they prove a pass: every true
+    count is >= 0, so if each equals its group's count c (0 <= c < 256)
+    modulo 256, each is at least c; and if the true total, 21 incidences
+    per developed block, equals the sum of the expected counts, none is
+    more.  Anything else is recounted with uint32 counters.
+    """
+    counts = pair_coverage_counts(ctx, orbits)
+    ranges = [_row_range(counts, rows) for rows, _ in groups]
+    del counts  # frees the memory of the modular counter for a recount
+    incidences = len(_PAIR_INDICES) * sum(o.length * o.replication for o in orbits)
+    expected = sum(lam * int(rows.sum()) for rows, lam in groups) * (ctx.order - 1)
+    if incidences == expected and all(
+        r is None or r == (lam, lam) for r, (_, lam) in zip(ranges, groups)
+    ):
+        return ranges, ()
+    counts = pair_coverage_counts(ctx, orbits, np.uint32)
+    ranges = [_row_range(counts, rows) for rows, _ in groups]
+    return ranges, _first_offenders(ctx, counts, groups)
+
+
+def verify_2design(d: Design) -> VerificationReport:
     """Exhaustively check that every point pair lies in exactly
     lambda_claim developed blocks."""
     t0 = time.perf_counter()
-    counts = pair_coverage_counts(d.ctx, d.orbits, threads=threads)
-    mn, mx = int(counts.min()), int(counts.max())
     lam = d.lambda_claim
-    offenders = []
-    if mn != lam or mx != lam:
-        for key in np.flatnonzero(counts != lam)[:10]:
-            a, b = _pair_from_index(int(key), d.v)
-            offenders.append(((a + 1, b + 1), int(counts[key])))
+    every_row = np.ones(counter_shape(d.v)[0], dtype=bool)
+    [(mn, mx)], offenders = check_pair_coverage(d.ctx, d.orbits, [(every_row, lam)])
     return VerificationReport(
         passed=(mn == lam and mx == lam),
         pair_coverage_min=mn,
         pair_coverage_max=mx,
-        offending_pairs=tuple(offenders),
+        offending_pairs=offenders,
         timing=time.perf_counter() - t0,
     )
 

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Block, canonical_orbit_label
+from .blocks import Block
 from .design import (
     Design,
     VerificationReport,
+    check_pair_coverage,
+    check_simple,
+    counter_shape,
     develop,
-    pair_coverage_counts,
 )
 from .errors import WrongResidueError
 from .family import DifferenceFamily, delta
@@ -131,7 +133,7 @@ def verify_relative(fam: RelativeFamily) -> VerificationReport:
     )
 
 
-def develop_and_verify_gdd(fam: RelativeFamily, threads: int = 1) -> VerificationReport:
+def develop_and_verify_gdd(fam: RelativeFamily) -> VerificationReport:
     """Develop the relative family and exhaustively check the four GDD
     properties:
 
@@ -146,62 +148,35 @@ def develop_and_verify_gdd(fam: RelativeFamily, threads: int = 1) -> Verificatio
     ctx, lam = fam.ctx, fam.lambda_claim
     spread = desarguesian_spread(ctx)
     design: Design = develop(fam)
-    npts = ctx.order - 1
 
     gid = spread.point_groop
     meet_ok = all(
         len({int(gid[e]) for e in o.rep.elements}) == 7 for o in design.orbits
     )
 
-    counts = pair_coverage_counts(ctx, design.orbits, threads=threads)
-    g_arr = gid[1:]  # groop index by 0-based point
-    cross_min, cross_max = None, None
-    within_bad = 0
-    offenders = []
-    off = 0
-    for a in range(npts - 1):
-        row = counts[off : off + npts - a - 1]
-        off += npts - a - 1
-        within = g_arr[a + 1 :] == g_arr[a]
-        cross = row[~within]
-        if cross.size:
-            lo, hi = int(cross.min()), int(cross.max())
-            cross_min = lo if cross_min is None else min(cross_min, lo)
-            cross_max = hi if cross_max is None else max(cross_max, hi)
-        bad_within = np.flatnonzero(within & (row != 0))
-        within_bad += len(bad_within)
-        if len(offenders) < 10:
-            for b in bad_within[:10]:
-                offenders.append(((a + 1, a + 2 + int(b)), int(row[b])))
-            for b in np.flatnonzero(~within & (row != lam))[:10]:
-                offenders.append(((a + 1, a + 2 + int(b)), int(row[b])))
-                if len(offenders) >= 10:
-                    break
+    # g^a and g^(a+d) share a coset of K* = <g^(v/7)> iff v/7 divides d
+    rows = counter_shape(design.v)[0]
+    within = np.arange(1, rows + 1) % (design.v // 7) == 0
+    (within_range, cross_range), offenders = check_pair_coverage(
+        ctx, design.orbits, [(within, 0), (~within, lam)]
+    )
 
     notes = ""
-    if cross_min is None:
-        cross_min = cross_max = lam
+    if cross_range is None:
+        cross_range = (lam, lam)
         notes = "degenerate: single groop, no cross-groop pairs"
-    cross_ok = cross_min == lam and cross_max == lam
-    within_ok = within_bad == 0
-
-    if any(o.replication != 1 for o in design.orbits):
-        simple_ok = False
-    else:
-        labels = {canonical_orbit_label(ctx, o.rep) for o in design.orbits}
-        simple_ok = len(labels) == len(design.orbits)
-
+    cross_min, cross_max = cross_range
     checks = {
         "block_groop_meet": meet_ok,
-        "cross_pair_coverage": cross_ok,
-        "within_pair_coverage": within_ok,
-        "simple": simple_ok,
+        "cross_pair_coverage": cross_min == lam and cross_max == lam,
+        "within_pair_coverage": within_range is None or within_range[1] == 0,
+        "simple": check_simple(design),
     }
     return VerificationReport(
         passed=all(checks.values()),
         pair_coverage_min=cross_min,
         pair_coverage_max=cross_max,
-        offending_pairs=tuple(offenders[:10]),
+        offending_pairs=offenders,
         timing=time.perf_counter() - t0,
         checks=checks,
         notes=notes,

@@ -1,11 +1,12 @@
 """Development and exhaustive 2-design verification tests.
 
-The triangular-array pair counter is cross-checked against a fully
-materialized Counter-based count at desk scale (n <= 7).
+The log-coordinate pair counter is cross-checked against a fully
+materialized Counter-based count at desk scale (n <= 9).
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from qdf import (
@@ -20,7 +21,7 @@ from qdf import (
     pair_coverage_counts,
     verify_2design,
 )
-from qdf.design import _pair_from_index, _row_offset
+from qdf.design import counter_shape
 from oracles import cached_field, materialized_pair_counts
 
 
@@ -62,17 +63,26 @@ def test_verify_2design_passes(n):
     assert d.block_count() * 42 == 7 * d.v * (d.v - 1)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_pair_counts_match_materialized_counter(n):
-    f = cached_field(n)
+def _pair_at(f, row, col):
+    """The encoding pair (u, w), u < w, counted at (row, col)."""
+    x, y = int(f.exp2[col]), int(f.exp2[col + row + 1])
+    return min(x, y), max(x, y)
+
+
+@pytest.mark.parametrize(
+    "n,modulus",
+    [(3, None), (5, None), (7, None), (9, None), (7, 0b10001001)],
+    ids=["3", "5", "7", "9", "7-0x89"],
+)
+def test_pair_counts_match_materialized_counter(n, modulus):
+    f = cached_field(n, modulus)
     d = develop(build_family(f))
     counts = pair_coverage_counts(f, d.orbits)
+    assert counts.shape == counter_shape(d.v)
     oracle = materialized_pair_counts(materialize(d))
-    npts = f.order - 1
-    for a in range(npts - 1):
-        for b in range(a + 1, npts):
-            key = _row_offset(a, npts) + (b - a - 1)
-            assert int(counts[key]) == oracle[(a + 1, b + 1)]
+    got = {_pair_at(f, r, c): int(counts[r, c]) for r, c in np.ndindex(counts.shape)}
+    assert got == {p: oracle[p] for p in got}
+    assert set(oracle) <= set(got)
 
 
 def test_materialize_counts_and_multiplicity():
@@ -95,6 +105,31 @@ def test_deleted_base_block_fails_verification():
     for (u, v), c in rep.offending_pairs:
         assert 1 <= u < v <= f.order - 1
         assert c != 7
+    # the first offenders in (u, v) order
+    assert (rep.pair_coverage_min, rep.pair_coverage_max) == (4, 6)
+    assert rep.offending_pairs == (
+        ((1, 2), 4), ((1, 3), 4), ((1, 4), 6), ((1, 5), 6), ((1, 6), 6),
+        ((1, 7), 6), ((1, 8), 6), ((1, 9), 6), ((1, 10), 6), ((1, 11), 6),
+    )
+
+
+def test_counts_past_uint8_are_exact():
+    # 256 extra copies of an orbit leave every uint8 counter at 7 mod 256;
+    # only the incidence total shows the pass is false
+    f = cached_field(5)
+    d = develop(build_family(f))
+    o = d.orbits[0]
+    d2 = type(d)(
+        ctx=f, orbits=d.orbits + (Orbit(o.rep, o.length, 256),), v=d.v, k=7, lambda_claim=7
+    )
+    rep = verify_2design(d2)
+    assert not rep.passed
+    assert (rep.pair_coverage_min, rep.pair_coverage_max) == (263, 775)
+    oracle = materialized_pair_counts(materialize(d2))
+    assert rep.offending_pairs == tuple(
+        sorted((p, c) for p, c in oracle.items() if c != 7)[:10]
+    )
+    assert rep.offending_pairs[:3] == (((1, 2), 775), ((1, 3), 775), ((1, 4), 263))
 
 
 def test_verification_invariant_under_orbit_representatives():
@@ -159,25 +194,15 @@ def test_check_simple(n, expected):
     assert check_simple(develop(build_family(cached_field(n)))) is expected
 
 
-def test_pair_index_roundtrip():
-    for npts in (7, 31, 127):
-        size = npts * (npts - 1) // 2
-        seen = set()
-        for a in range(npts - 1):
-            for b in range(a + 1, npts):
-                key = _row_offset(a, npts) + (b - a - 1)
-                assert 0 <= key < size
-                assert _pair_from_index(key, npts) == (a, b)
-                seen.add(key)
-        assert len(seen) == size
-
-
-@pytest.mark.parametrize("n", [5, 9])
-def test_threaded_counts_bit_identical(n):
-    import numpy as np
-
-    f = cached_field(n)
-    d = develop(build_family(f))
-    base = pair_coverage_counts(f, d.orbits, threads=1)
-    for threads in (2, 4):
-        assert np.array_equal(base, pair_coverage_counts(f, d.orbits, threads=threads))
+def test_log_coordinate_pair_map_is_bijective():
+    for n in (3, 5, 7):
+        f = cached_field(n)
+        v = f.order - 1
+        rows, cols = counter_shape(v)
+        cells = {_pair_at(f, r, c): (r, c) for r in range(rows) for c in range(cols)}
+        assert len(cells) == rows * cols == v * (v - 1) // 2
+        for u in range(1, v + 1):
+            for w in range(u + 1, v + 1):
+                d = (int(f.logs[w]) - int(f.logs[u])) % v
+                cell = (d - 1, int(f.logs[u])) if d <= rows else (v - d - 1, int(f.logs[w]))
+                assert cells[(u, w)] == cell

@@ -175,3 +175,39 @@ def test_gdd_detects_within_groop_coverage():
     assert rep.checks is not None
     assert not rep.checks["within_pair_coverage"]
     assert not rep.checks["simple"]  # the subfield orbit has replication 7
+    assert rep.checks["cross_pair_coverage"]
+    assert rep.offending_pairs == (
+        ((1, 252), 7), ((1, 253), 7), ((1, 302), 7), ((1, 303), 7), ((1, 466), 7),
+        ((1, 467), 7), ((2, 93), 7), ((2, 95), 7), ((2, 421), 7), ((2, 423), 7),
+    )
+
+
+def test_gdd_detects_missing_cross_coverage():
+    f = cached_field(9)
+    rf = build_relative_family(build_family(f))
+    bad = RelativeFamily(f, rf.base_blocks[1:], forbidden=rf.forbidden)
+    rep = develop_and_verify_gdd(bad)
+    assert not rep.passed
+    assert not rep.checks["cross_pair_coverage"]
+    assert rep.checks["within_pair_coverage"] and rep.checks["simple"]
+    assert (rep.pair_coverage_min, rep.pair_coverage_max) == (4, 7)
+    assert rep.offending_pairs == (
+        ((1, 2), 4), ((1, 3), 4), ((1, 4), 6), ((1, 5), 6), ((1, 6), 6),
+        ((1, 7), 6), ((1, 128), 6), ((1, 129), 6), ((1, 170), 6), ((1, 171), 6),
+    )
+
+
+def test_gdd_offenders_list_within_groop_pairs_first():
+    # both violations at point 1: within-groop pairs come before cross ones
+    f = cached_field(9)
+    fam = build_family(f)
+    rf = build_relative_family(fam)
+    kblock = tuple(b for b in fam.base_blocks if b.as_set() == rf.forbidden)
+    both = RelativeFamily(f, rf.base_blocks[1:] + kblock, forbidden=rf.forbidden)
+    rep = develop_and_verify_gdd(both)
+    assert not rep.checks["within_pair_coverage"]
+    assert not rep.checks["cross_pair_coverage"]
+    assert rep.offending_pairs == (
+        ((1, 252), 7), ((1, 253), 7), ((1, 302), 7), ((1, 303), 7), ((1, 466), 7),
+        ((1, 467), 7), ((1, 2), 4), ((1, 3), 4), ((1, 4), 6), ((1, 5), 6),
+    )
