@@ -40,12 +40,14 @@ from .blocks import (
 )
 from .family import (
     DifferenceFamily,
+    CertificateTable,
     EquationCertificate,
     MultiplicityProfile,
     MATCHED_PAIRS,
     QUADRATIC_PAIRS,
     SINGLE_SOLUTION_PAIRS,
     build_family,
+    certificate_table,
     delta,
     delta_table,
     equation_certificate,
@@ -72,6 +74,7 @@ from .gdd import (
     build_relative_family,
     desarguesian_spread,
     develop_and_verify_gdd,
+    verify_gdd,
     verify_relative,
 )
 
@@ -96,6 +99,7 @@ __all__ = [
     "DifferenceFamily",
     "MultiplicityProfile",
     "EquationCertificate",
+    "CertificateTable",
     "MATCHED_PAIRS",
     "QUADRATIC_PAIRS",
     "SINGLE_SOLUTION_PAIRS",
@@ -103,6 +107,7 @@ __all__ = [
     "delta_table",
     "multiplicity_profile",
     "equation_certificate",
+    "certificate_table",
     "pair_equation",
     "pair_solution_count",
     "predicted_multiplicity",
@@ -123,6 +128,7 @@ __all__ = [
     "desarguesian_spread",
     "verify_relative",
     "develop_and_verify_gdd",
+    "verify_gdd",
     "QdfError",
     "EvenDegreeError",
     "ReduciblePolynomialError",

@@ -25,14 +25,14 @@ from .design import (
     verify_2design,
 )
 from .errors import QdfError
-from .family import build_family, equation_certificate, multiplicity_profile
-from .gdd import build_relative_family, desarguesian_spread, develop_and_verify_gdd, verify_relative
-from .gf2n import GF2n
+from .family import build_family, certificate_table, multiplicity_profile
+from .gdd import build_relative_family, desarguesian_spread, verify_gdd, verify_relative
+from .gf2n import GF2n, table_bytes
 from .serialize import (
-    certificate_to_dict,
+    certificates_to_json,
     design_to_dict,
     family_from_dict,
-    family_to_dict,
+    family_to_json,
     gdd_to_dict,
     profile_to_csv,
     report_to_dict,
@@ -76,14 +76,15 @@ def _make_ctx(args) -> GF2n:
             f"n={n} exceeds the default ceiling {DEFAULT_N_CEILING}; pass --force"
         )
     if n > DEFAULT_N_CEILING:
-        table_mb = (3 * 4 * (1 << n)) / 2**20
-        counter = counter_shape((1 << n) - 1)
-        pairs_mb = math.prod(counter) * np.dtype(COUNTER_DTYPE).itemsize / 2**20
-        print(
-            f"warning: n={n} is desk-scale-plus; expect ~{table_mb:.1f} MiB of "
-            f"field tables and ~{pairs_mb:.1f} MiB for exhaustive pair counts",
-            file=sys.stderr,
+        warning = (
+            f"warning: n={n} is desk-scale-plus; expect "
+            f"~{table_bytes(n) / 2**20:.1f} MiB of field tables"
         )
+        if args.command in ("verify", "gdd"):
+            counter = counter_shape((1 << n) - 1)
+            pairs_mb = math.prod(counter) * np.dtype(COUNTER_DTYPE).itemsize / 2**20
+            warning += f" and ~{pairs_mb:.1f} MiB for exhaustive pair counts"
+        print(warning, file=sys.stderr)
     return GF2n(n, args.modulus)
 
 
@@ -99,7 +100,7 @@ def _cmd_construct(args) -> int:
     ctx = _make_ctx(args)
     fam = build_family(ctx, system=args.seed_system)
     ok = multiplicity_profile(fam).is_constant(fam.lambda_claim)
-    _emit(args, to_json_bytes(family_to_dict(fam)))
+    _emit(args, family_to_json(fam))
     return 0 if ok else 1
 
 
@@ -128,17 +129,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_certify(args) -> int:
     ctx = _make_ctx(args)
-    certs = [equation_certificate(ctx, t) for t in ctx.seeds()]
-    ok = all(c.r == 9 and c.matching_ok for c in certs)
-    out = {
-        "n": ctx.n,
-        "modulus": ctx.modulus,
-        "r_min": min(c.r for c in certs),
-        "r_max": max(c.r for c in certs),
-        "all_matched": all(c.matching_ok for c in certs),
-        "certificates": [certificate_to_dict(c, ctx.n) for c in certs],
-    }
-    _emit(args, to_json_bytes(out))
+    tab = certificate_table(ctx, ctx.seeds())
+    ok = bool((tab.r == 9).all() and tab.matching_ok.all())
+    _emit(args, certificates_to_json(ctx, tab))
     return 0 if ok else 1
 
 
@@ -147,9 +140,9 @@ def _cmd_gdd(args) -> int:
     fam = build_family(ctx, system=args.seed_system)
     relative = build_relative_family(fam)
     rel_report = verify_relative(relative)
-    gdd_report = develop_and_verify_gdd(relative)
     spread = desarguesian_spread(ctx)
     design = develop(relative)
+    gdd_report = verify_gdd(spread, design)
     out = gdd_to_dict(spread, design)
     out["relative_profile"] = report_to_dict(rel_report, ctx.n)
     out["report"] = report_to_dict(gdd_report, ctx.n)
@@ -166,7 +159,7 @@ def _cmd_export(args) -> int:
         if args.format == "csv":
             _emit(args, profile_to_csv(multiplicity_profile(fam), fam.ctx.n).encode("ascii"))
         else:
-            _emit(args, to_json_bytes(family_to_dict(fam)))
+            _emit(args, family_to_json(fam))
         return 0
     if "orbits" in data:
         if args.format == "csv":

@@ -7,11 +7,13 @@ times in the union of the quotient lists of its base blocks.
 
 Two independent routes compute the multiplicity m(t):
 
-  * multiplicity_profile: brute-force accumulation over every base block
-    (the production verifier and the oracle);
-  * equation_certificate: per-t solution counting of the 18 genuinely
-    quadratic quotient equations plus the 24 degenerate ones, which
-    predicts m(t) = 24 + 2*r(t) for the all-seeds family.
+  * multiplicity_profile: brute-force accumulation over every base block,
+    as one histogram of the 42 slot log differences of each block (the
+    production verifier and the oracle);
+  * certificate_table: solvability of the 18 genuinely quadratic quotient
+    equations at every t, read off the trace table, plus the 24
+    degenerate ones, which predicts m(t) = 24 + 2*r(t) for the all-seeds
+    family.
 
 Keeping both routes alive catches transcription slips in either one.
 """
@@ -24,7 +26,7 @@ import numpy as np
 
 from .blocks import SLOT_MASKS, Block, block_of, hexagon_partition
 from .errors import DegenerateTError
-from .gf2n import GF2n, QuadraticOutcome, poly_divmod, poly_gcd
+from .gf2n import GF2n, poly_divmod, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -87,13 +89,33 @@ def delta_table(ctx: GF2n, x: int):
     ]
 
 
-def multiplicity_profile(fam: DifferenceFamily) -> MultiplicityProfile:
-    """Exact m(t) for every t, by direct accumulation over base blocks."""
-    counts = [0] * fam.ctx.order
-    for b in fam.base_blocks:
-        for q in delta(fam.ctx, b):
-            counts[q] += 1
-    return MultiplicityProfile(np.asarray(counts, dtype=np.int64), fam.ctx.order)
+# Slot positions (i, j) of the 42 ordered pairs i != j, in delta's order.
+_DELTA_I, _DELTA_J = np.array([(i, j) for i in range(7) for j in range(7) if i != j]).T
+
+# Blocks per histogram pass of multiplicity_profile; bounds its temporaries.
+_PROFILE_BLOCKS = 1 << 14
+
+
+def multiplicity_profile(fam) -> MultiplicityProfile:
+    """Exact m(t) for every t, by direct accumulation over base blocks.
+
+    b_i/b_j = g^(log b_i - log b_j), so the histogram of the 42 slot log
+    differences mod v = 2^n - 1 of every block, mapped to encodings
+    through exp2, is the multiset union of the blocks' delta lists.
+    Accepts any family with ctx and base_blocks (relative ones too).
+    """
+    ctx = fam.ctx
+    v = ctx.order - 1
+    slots = np.array([b.elements for b in fam.base_blocks], dtype=np.int32)
+    logs = ctx.logs[slots.reshape(-1, 7)]  # an empty family too has 7 columns
+    hist = np.zeros(v, dtype=np.int64)
+    for lo in range(0, len(logs), _PROFILE_BLOCKS):
+        part = logs[lo : lo + _PROFILE_BLOCKS]
+        diffs = (part[:, _DELTA_I] - part[:, _DELTA_J]) % v
+        hist += np.bincount(diffs.ravel(), minlength=v)
+    counts = np.zeros(ctx.order, dtype=np.int64)
+    counts[ctx.exp2[:v]] = hist
+    return MultiplicityProfile(counts, ctx.order)
 
 
 # -- quotient equations -------------------------------------------------------
@@ -178,6 +200,14 @@ ALL_ORDERED_PAIRS = tuple((i, j) for i in range(1, 8) for j in range(1, 8) if i 
 SINGLE_SOLUTION_PAIRS = tuple(p for p in ALL_ORDERED_PAIRS if p not in QUADRATIC_PAIRS)
 
 
+# The two columns of each match in a certificate table, whose columns
+# follow EQUATION_FORMS.
+_COLUMN = {p: k for k, p in enumerate(EQUATION_FORMS)}
+_MATCH_LEFT, _MATCH_RIGHT = np.array(
+    [(_COLUMN[p], _COLUMN[q]) for p, q in MATCHED_PAIRS]
+).T
+
+
 @dataclass(frozen=True)
 class EquationEntry:
     i: int
@@ -194,34 +224,66 @@ class EquationCertificate:
 
     t: int
     equations: tuple[EquationEntry, ...]
-    r: int = field(init=False)
-    matching_ok: bool = field(init=False)
+    r: int
+    matching_ok: bool
+
+
+@dataclass(frozen=True)
+class CertificateTable:
+    """Solvability of the 18 quadratic quotient equations at many t.
+
+    solvable[k, c] says whether equation c (in EQUATION_FORMS order) has
+    two roots at t = ts[k]; r is the number of solvable equations per t
+    and matching_ok whether each of the 9 matches has exactly one.
+    """
+
+    ts: np.ndarray
+    solvable: np.ndarray
+    r: np.ndarray = field(init=False)
+    matching_ok: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        counts = {(e.i, e.j): e.count for e in self.equations}
-        r = sum(1 for c in counts.values() if c == 2)
-        ok = all(
-            (counts[p] == 2) != (counts[q] == 2) for p, q in MATCHED_PAIRS
+        s = self.solvable
+        object.__setattr__(self, "r", s.sum(axis=1))
+        object.__setattr__(
+            self, "matching_ok", (s[:, _MATCH_LEFT] != s[:, _MATCH_RIGHT]).all(axis=1)
         )
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "matching_ok", ok)
+
+
+def certificate_table(ctx: GF2n, ts) -> CertificateTable:
+    """Solve the 18 verbatim quadratic forms at every t in ts at once.
+
+    Every coefficient is 1, t or t+1, all nonzero for t outside {0, 1},
+    so each equation has 0 or 2 roots, two exactly when Tr(a*c/b^2) = 0
+    (the criterion of GF2n.solve_quadratic); log(a*c/b^2) is
+    log a + log c - 2 log b mod 2^n - 1.
+    """
+    ts = np.asarray(ts, dtype=np.int64).reshape(-1)
+    if ts.size and ts.min() < 2:
+        bad = int(ts[ts < 2][0])
+        raise DegenerateTError(f"certificate requires t outside {{0, 1}}, got {bad}")
+    v = ctx.order - 1
+    logs = {"1": 0, "t": ctx.logs[ts].astype(np.int64), "t1": ctx.logs[ts ^ 1].astype(np.int64)}
+    solvable = np.empty((ts.size, len(EQUATION_FORMS)), dtype=bool)
+    for c, (fa, fb, fc) in enumerate(EQUATION_FORMS.values()):
+        u = ctx.exp2[(logs[fa] + logs[fc] - 2 * logs[fb]) % v]
+        solvable[:, c] = ctx.traces[u] == 0
+    return CertificateTable(ts, solvable)
 
 
 def equation_certificate(ctx: GF2n, t: int) -> EquationCertificate:
-    """Solve the 18 verbatim quadratic forms at t and record the outcome.
+    """The certificate_table row of a single t, with its coefficients.
 
     Every equation here has a nonzero linear coefficient, so each count is
     0 or 2; r is the number of solvable ones and matching_ok says whether
     each of the 9 matches contains exactly one solvable equation.
     """
-    if t in (0, 1):
-        raise DegenerateTError(f"certificate requires t outside {{0, 1}}, got {t}")
-    entries = []
-    for (i, j), (fa, fb, fc) in EQUATION_FORMS.items():
-        a, b, c = _FORMS[fa](t), _FORMS[fb](t), _FORMS[fc](t)
-        out: QuadraticOutcome = ctx.solve_quadratic(a, b, c)
-        entries.append(EquationEntry(i, j, a, b, c, out.count))
-    return EquationCertificate(t, tuple(entries))
+    tab = certificate_table(ctx, [t])
+    entries = tuple(
+        EquationEntry(i, j, _FORMS[fa](t), _FORMS[fb](t), _FORMS[fc](t), 2 if ok else 0)
+        for ((i, j), (fa, fb, fc)), ok in zip(EQUATION_FORMS.items(), tab.solvable[0].tolist())
+    )
+    return EquationCertificate(t, entries, int(tab.r[0]), bool(tab.matching_ok[0]))
 
 
 def predicted_multiplicity(ctx: GF2n, t: int) -> int:

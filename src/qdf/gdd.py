@@ -25,7 +25,7 @@ from .design import (
     develop,
 )
 from .errors import WrongResidueError
-from .family import DifferenceFamily, delta
+from .family import DifferenceFamily, multiplicity_profile
 from .gf2n import GF2n
 
 
@@ -98,44 +98,42 @@ def build_relative_family(fam: DifferenceFamily) -> RelativeFamily:
 
 
 def verify_relative(fam: RelativeFamily) -> VerificationReport:
-    """Brute-force quotient profile check: multiplicity 0 on G minus {1}
-    and lambda everywhere outside G."""
+    """Quotient profile check: multiplicity 0 on G minus {1} and lambda
+    everywhere outside G, read off multiplicity_profile through a mask of
+    the forbidden subgroup."""
     t0 = time.perf_counter()
-    ctx, lam = fam.ctx, fam.lambda_claim
-    counts = [0] * ctx.order
-    for b in fam.base_blocks:
-        for q in delta(ctx, b):
-            counts[q] += 1
-    offenders = []
-    outside = []
-    for t in range(2, ctx.order):
-        if t in fam.forbidden:
-            if counts[t] != 0:
-                offenders.append((t, counts[t]))
-        else:
-            outside.append(counts[t])
-            if counts[t] != lam:
-                offenders.append((t, counts[t]))
+    lam = fam.lambda_claim
+    counts = multiplicity_profile(fam).counts[2:]
+    forbidden = np.zeros(fam.ctx.order, dtype=bool)
+    forbidden[list(fam.forbidden)] = True
+    forbidden = forbidden[2:]
+    bad = np.flatnonzero(counts != np.where(forbidden, 0, lam))[:10]
+    offenders = tuple(zip((bad + 2).tolist(), counts[bad].tolist()))
+    outside = counts[~forbidden]
     notes = ""
-    if outside:
-        mn, mx = min(outside), max(outside)
+    if outside.size:
+        mn, mx = int(outside.min()), int(outside.max())
     else:
         mn = mx = lam
         notes = "degenerate: no points outside the forbidden subgroup"
-    passed = not offenders and mn == lam and mx == lam
     return VerificationReport(
-        passed=passed,
+        passed=not offenders and mn == lam and mx == lam,
         pair_coverage_min=mn,
         pair_coverage_max=mx,
-        offending_pairs=tuple(offenders[:10]),
+        offending_pairs=offenders,
         timing=time.perf_counter() - t0,
         notes=notes,
     )
 
 
 def develop_and_verify_gdd(fam: RelativeFamily) -> VerificationReport:
-    """Develop the relative family and exhaustively check the four GDD
-    properties:
+    """Develop the relative family against the spread and verify_gdd."""
+    return verify_gdd(desarguesian_spread(fam.ctx), develop(fam))
+
+
+def verify_gdd(spread: Spread, design: Design) -> VerificationReport:
+    """Exhaustively check the four GDD properties of a developed relative
+    family over the spread:
 
       a. every developed block meets every groop in at most one point --
          checked once per orbit representative, since scaling permutes
@@ -145,9 +143,7 @@ def develop_and_verify_gdd(fam: RelativeFamily) -> VerificationReport:
       d. simplicity: trivial stabilizers and pairwise distinct orbits.
     """
     t0 = time.perf_counter()
-    ctx, lam = fam.ctx, fam.lambda_claim
-    spread = desarguesian_spread(ctx)
-    design: Design = develop(fam)
+    ctx, lam = design.ctx, design.lambda_claim
 
     gid = spread.point_groop
     meet_ok = all(

@@ -31,6 +31,27 @@ from .errors import (
 # python lists; everything still works, just with more lookup overhead.
 _LIST_TABLE_MAX_N = 16
 
+# A python list entry: its 8-byte slot plus the int object it points at
+# (28 bytes, rounded up to 32 by the allocator).
+_LIST_ENTRY_BYTES = 8 + 32
+
+
+def table_bytes(n: int) -> int:
+    """Peak bytes of the tables GF2n(n) builds, for preflight estimates.
+
+    The generator search holds exp and log as python lists while the
+    int32 arrays and their temporaries are built, 11 int32 words per
+    element at the peak; for n <= _LIST_TABLE_MAX_N the list copies of
+    exp2 (two entries per element), logs and sqrt follow, and that of
+    the {0, 1}-valued trace, whose ints are shared.  Within 15 % of the
+    peak RSS growth measured for n = 13..19.
+    """
+    q = 1 << n
+    peak = 2 * q * _LIST_ENTRY_BYTES + 11 * q * 4
+    if n <= _LIST_TABLE_MAX_N:
+        peak += 4 * q * _LIST_ENTRY_BYTES + 8 * q
+    return peak
+
 
 def poly_degree(p: int) -> int:
     """Degree of a GF(2)[z] polynomial given as a bitmask (-1 for 0)."""
@@ -188,6 +209,7 @@ class GF2n:
         sqrt[sq] = np.arange(q, dtype=np.int32)
 
         self._sq_np = sq
+        self.traces = acc
         if self.n <= _LIST_TABLE_MAX_N:
             self._exp = self.exp2.tolist()
             self._log = self.logs.tolist()

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .blocks import Block, block_of
 from .design import Design, Orbit, VerificationReport
-from .family import DifferenceFamily, EquationCertificate, MultiplicityProfile
+from .family import EQUATION_FORMS, CertificateTable, DifferenceFamily, MultiplicityProfile
 from .gdd import Spread
 from .gf2n import GF2n
+
+
+_JSON_BOOL = {False: "false", True: "true"}
 
 
 def hex_width(n: int) -> int:
@@ -45,14 +50,27 @@ def hexagon_to_list(h, n: int) -> list[str]:
 
 # -- difference families ------------------------------------------------------
 
-def family_to_dict(fam: DifferenceFamily) -> dict:
+def _json_list(items: list[str], indent: str) -> str:
+    """Rendered JSON items, each already indented one level deeper than
+    `indent`, as the list json.dumps(indent=2) writes on a line at `indent`."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def family_to_json(fam: DifferenceFamily) -> bytes:
+    """{"n", "modulus", "lambda", "blocks": [[7 hex strings], ...]} as JSON.
+
+    Written row by row from one %-template, byte for byte what
+    to_json_bytes gives for the same dict.
+    """
     n = fam.ctx.n
-    return {
-        "n": n,
-        "modulus": fam.ctx.modulus,
-        "lambda": fam.lambda_claim,
-        "blocks": [_block_hex(b.elements, n) for b in fam.base_blocks],
-    }
+    row = _json_list([f'      "%0{hex_width(n)}x"'] * 7, "    ")
+    blocks = _json_list([f"    {row}" % b.elements for b in fam.base_blocks], "  ")
+    return (
+        f'{{\n  "n": {n},\n  "modulus": {fam.ctx.modulus},\n'
+        f'  "lambda": {fam.lambda_claim},\n  "blocks": {blocks}\n}}\n'
+    ).encode("ascii")
 
 
 def family_from_dict(d: dict) -> DifferenceFamily:
@@ -126,13 +144,42 @@ def report_to_dict(r: VerificationReport, n: int) -> dict:
     return out
 
 
-def certificate_to_dict(cert: EquationCertificate, n: int) -> dict:
-    return {
-        "t": element_hex(cert.t, n),
-        "r": cert.r,
-        "matching_ok": cert.matching_ok,
-        "solvable": [[e.i, e.j] for e in cert.equations if e.count == 2],
-    }
+def certificates_to_json(ctx: GF2n, tab: CertificateTable) -> bytes:
+    """The certify report {"n", "modulus", "r_min", "r_max", "all_matched",
+    "certificates": [{"t", "r", "matching_ok", "solvable"}, ...]} as JSON.
+
+    Written like to_json_bytes would write that dict; each distinct
+    solvable list (at most 2^9 of them) is rendered once.
+    """
+    pairs = list(EQUATION_FORMS)
+    keys = tab.solvable @ (1 << np.arange(len(pairs)))
+    solvable = {}
+    for key in np.unique(keys).tolist():
+        items = [
+            f"        [\n          {i},\n          {j}\n        ]"
+            for c, (i, j) in enumerate(pairs)
+            if key >> c & 1
+        ]
+        solvable[key] = _json_list(items, "      ")
+    cert = (
+        f'    {{\n      "t": "%0{hex_width(ctx.n)}x",\n      "r": %d,\n'
+        f'      "matching_ok": %s,\n      "solvable": %s\n    }}'
+    )
+    certs = _json_list(
+        [
+            cert % (t, r, _JSON_BOOL[ok], solvable[key])
+            for t, r, ok, key in zip(
+                tab.ts.tolist(), tab.r.tolist(), tab.matching_ok.tolist(), keys.tolist()
+            )
+        ],
+        "  ",
+    )
+    return (
+        f'{{\n  "n": {ctx.n},\n  "modulus": {ctx.modulus},\n'
+        f'  "r_min": {int(tab.r.min())},\n  "r_max": {int(tab.r.max())},\n'
+        f'  "all_matched": {_JSON_BOOL[bool(tab.matching_ok.all())]},\n'
+        f'  "certificates": {certs}\n}}\n'
+    ).encode("ascii")
 
 
 def profile_to_csv(p: MultiplicityProfile, n: int) -> str:

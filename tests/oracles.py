@@ -83,3 +83,44 @@ def materialized_pair_counts(blocks) -> Counter:
             for j in range(i + 1, len(pts)):
                 counts[(pts[i], pts[j])] += 1
     return counts
+
+
+# -- plain-dict forms of the bulk artifacts, for json.dumps(indent=2) --------
+
+def _hex(v: int, n: int) -> str:
+    return format(int(v), f"0{(n + 3) // 4}x")
+
+
+def family_dict(fam) -> dict:
+    """The construct/export artifact of a family as a plain dict."""
+    n = fam.ctx.n
+    return {
+        "n": n,
+        "modulus": fam.ctx.modulus,
+        "lambda": fam.lambda_claim,
+        "blocks": [[_hex(e, n) for e in b.elements] for b in fam.base_blocks],
+    }
+
+
+def certify_dict(n: int, modulus: int, rows, matched_pairs) -> dict:
+    """The certify artifact as a plain dict; rows holds (t, list of the
+    solvable (i, j) pairs) per certificate and matched_pairs the 9 matches."""
+    certs = []
+    for t, pairs in rows:
+        solvable = set(pairs)
+        certs.append(
+            {
+                "t": _hex(t, n),
+                "r": len(pairs),
+                "matching_ok": all((p in solvable) != (q in solvable) for p, q in matched_pairs),
+                "solvable": [[i, j] for i, j in pairs],
+            }
+        )
+    return {
+        "n": n,
+        "modulus": modulus,
+        "r_min": min(c["r"] for c in certs),
+        "r_max": max(c["r"] for c in certs),
+        "all_matched": all(c["matching_ok"] for c in certs),
+        "certificates": certs,
+    }

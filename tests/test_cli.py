@@ -1,10 +1,14 @@
 """CLI behavior: artifacts, exit codes, determinism, error JSON."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from qdf.cli import main
+from qdf.gf2n import table_bytes
 
 
 def run_cli(capsys, *argv):
@@ -58,14 +62,43 @@ def test_ceiling_requires_force(capsys):
 def test_preflight_estimate_matches_counter(capsys):
     # warned before the (reducible) modulus is rejected, so nothing is built
     code, stdout, stderr = run_cli(
-        capsys, "construct", "--n", "15", "--force", "--modulus", "0x8000"
+        capsys, "verify", "--n", "15", "--force", "--modulus", "0x8000"
     )
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
-    # 0.375 MiB of tables; 16383 x 32767 one-byte counters
-    assert "~0.4 MiB of field tables" in warning
+    # table_bytes(15) = 292 * 2^15 bytes; 16383 x 32767 one-byte counters
+    assert "~9.1 MiB of field tables" in warning
     assert "~512.0 MiB for exhaustive pair counts" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
+
+
+@pytest.mark.parametrize("command", ["construct", "certify"])
+def test_preflight_counts_no_pairs_without_pair_counting(capsys, command):
+    code, _, stderr = run_cli(capsys, command, "--n", "15", "--force", "--modulus", "0x8000")
+    assert code == 2
+    warning = stderr.strip().split("\n")[0]
+    assert "~9.1 MiB of field tables" in warning
+    assert "pair counts" not in warning
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+@pytest.mark.parametrize("n", [15, 17])
+def test_preflight_table_estimate_matches_measured_rss(n):
+    # peak RSS growth of building GF2n(n) in a fresh process, against the
+    # figure the preflight prints; list copies are kept for n = 15 only.
+    # VmHWM, unlike ru_maxrss, does not carry the parent's peak over exec.
+    probe = (
+        "import re, qdf;"
+        "hwm = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1]);"
+        f"r0 = hwm(); qdf.GF2n({n}); print((hwm() - r0) * 1024)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, check=True,
+    )
+    measured = int(out.stdout)
+    assert 0.75 * table_bytes(n) < measured < 1.25 * table_bytes(n)
 
 
 def test_verify_small_field(capsys):

@@ -11,11 +11,13 @@ import pytest
 
 from qdf import (
     DegenerateTError,
+    DifferenceFamily,
     MATCHED_PAIRS,
     QUADRATIC_PAIRS,
     SINGLE_SOLUTION_PAIRS,
     block_of,
     build_family,
+    certificate_table,
     delta,
     delta_table,
     equation_certificate,
@@ -28,6 +30,9 @@ from qdf import (
 )
 from qdf.family import EQUATION_FORMS, _FORMS
 from oracles import cached_field
+
+# (n, modulus): n = 3..11 with the default modulus, and a second one at n = 7
+FIELDS = [(3, None), (5, None), (7, None), (7, 0x89), (9, None), (11, None)]
 
 # The 18 ordered index pairs whose quotient equation is quadratic with a
 # nonzero linear term.
@@ -214,3 +219,72 @@ def test_representative_systems_differ_but_cover_same_hexagons():
         assert bmax.seed == max(h.vertices)
     with pytest.raises(ValueError):
         build_family(f, system="median")
+
+
+def _delta_counts(fam) -> Counter:
+    counts = Counter()
+    for b in fam.base_blocks:
+        counts.update(delta(fam.ctx, b))
+    return counts
+
+
+def _mutants(fam):
+    """The family with its middle block dropped, and with it duplicated."""
+    blocks = fam.base_blocks
+    k = len(blocks) // 2
+    return [
+        DifferenceFamily(fam.ctx, blocks[:k] + blocks[k + 1 :], fam.lambda_claim),
+        DifferenceFamily(fam.ctx, blocks + blocks[k : k + 1], fam.lambda_claim),
+    ]
+
+
+@pytest.mark.parametrize("n,modulus", FIELDS)
+def test_profile_matches_delta_counter(n, modulus):
+    # the histogram of slot log differences against a Counter over delta
+    f = cached_field(n, modulus)
+    good = [build_family(f), build_family(f, system="max"), full_family(f)]
+    for fam in good + _mutants(good[0]):
+        counts = _delta_counts(fam)
+        profile = multiplicity_profile(fam)
+        assert profile.counts.tolist() == [counts[t] for t in range(f.order)]
+    for fam in _mutants(good[0]):
+        profile = multiplicity_profile(fam)
+        counts = _delta_counts(fam)
+        offending = [t for t in f.seeds() if profile.count_of(t) != 7]
+        assert offending and offending == [t for t in f.seeds() if counts[t] != 7]
+        assert not profile.is_constant(7)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 20])
+def test_profile_independent_of_histogram_chunking(monkeypatch, chunk):
+    from qdf import family
+
+    fam = full_family(cached_field(7))
+    whole = multiplicity_profile(fam).counts
+    monkeypatch.setattr(family, "_PROFILE_BLOCKS", chunk)
+    assert multiplicity_profile(fam).counts.tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("n,modulus", FIELDS)
+def test_certificate_table_matches_solve_quadratic(n, modulus):
+    # every t and all 18 forms against the scalar trace criterion
+    f = cached_field(n, modulus)
+    tab = certificate_table(f, f.seeds())
+    assert tab.ts.tolist() == list(f.seeds())
+    expected = [
+        [
+            f.solve_quadratic(_FORMS[fa](t), _FORMS[fb](t), _FORMS[fc](t)).count == 2
+            for fa, fb, fc in EQUATION_FORMS.values()
+        ]
+        for t in f.seeds()
+    ]
+    assert tab.solvable.tolist() == expected
+    assert tab.r.tolist() == [sum(row) for row in expected]
+    columns = list(EQUATION_FORMS)
+    assert tab.matching_ok.tolist() == [
+        all(row[columns.index(p)] != row[columns.index(q)] for p, q in MATCHED_PAIRS)
+        for row in expected
+    ]
+    for t in list(f.seeds())[:: max(1, f.order // 64)]:
+        cert = equation_certificate(f, t)
+        assert [e.count == 2 for e in cert.equations] == expected[t - 2]

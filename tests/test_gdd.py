@@ -15,6 +15,7 @@ from qdf import (
     develop_and_verify_gdd,
     is_subspace_block,
     materialize,
+    verify_gdd,
     verify_relative,
 )
 from oracles import cached_field, materialized_pair_counts
@@ -210,4 +211,53 @@ def test_gdd_offenders_list_within_groop_pairs_first():
     assert rep.offending_pairs == (
         ((1, 252), 7), ((1, 253), 7), ((1, 302), 7), ((1, 303), 7), ((1, 466), 7),
         ((1, 467), 7), ((1, 2), 4), ((1, 3), 4), ((1, 4), 6), ((1, 5), 6),
+    )
+
+
+def _relative_by_delta(rf):
+    """(min, max outside the forbidden subgroup, first ten offenders) of a
+    relative family, from a Counter over delta: the reference route."""
+    counts = Counter()
+    for b in rf.base_blocks:
+        counts.update(delta(rf.ctx, b))
+    outside = [counts[t] for t in rf.ctx.seeds() if t not in rf.forbidden]
+    offenders = [
+        (t, counts[t])
+        for t in rf.ctx.seeds()
+        if counts[t] != (0 if t in rf.forbidden else rf.lambda_claim)
+    ]
+    return min(outside), max(outside), tuple(offenders[:10])
+
+
+@pytest.mark.parametrize(
+    "variant", ["relative", "doubled", "dropped", "duplicated", "with_subfield"]
+)
+def test_verify_relative_matches_delta_counter(variant):
+    f = cached_field(9)
+    fam = build_family(f)
+    rf = build_relative_family(fam)
+    blocks, lam = {
+        "relative": (rf.base_blocks, 7),
+        "doubled": (rf.base_blocks * 2, 14),
+        "dropped": (rf.base_blocks[:40] + rf.base_blocks[41:], 7),
+        "duplicated": (rf.base_blocks + rf.base_blocks[40:41], 7),
+        "with_subfield": (fam.base_blocks, 7),
+    }[variant]
+    mutant = RelativeFamily(f, blocks, forbidden=rf.forbidden, lambda_claim=lam)
+    rep = verify_relative(mutant)
+    mn, mx, offenders = _relative_by_delta(mutant)
+    assert (rep.pair_coverage_min, rep.pair_coverage_max) == (mn, mx)
+    assert rep.offending_pairs == offenders
+    assert rep.passed == (variant in ("relative", "doubled")) == (not offenders)
+
+
+def test_verify_gdd_on_prebuilt_spread_and_design():
+    # the CLI builds the spread and the development once and passes them in
+    f = cached_field(9)
+    rf = build_relative_family(build_family(f))
+    rep = verify_gdd(desarguesian_spread(f), develop(rf))
+    ref = develop_and_verify_gdd(rf)
+    assert rep.passed and rep.checks == ref.checks
+    assert (rep.pair_coverage_min, rep.pair_coverage_max, rep.offending_pairs) == (
+        ref.pair_coverage_min, ref.pair_coverage_max, ref.offending_pairs
     )

@@ -2,15 +2,32 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from qdf import block_of, build_family, develop, desarguesian_spread, build_relative_family, hexagon_of, multiplicity_profile, verify_2design
+from qdf import (
+    MATCHED_PAIRS,
+    CertificateTable,
+    DifferenceFamily,
+    block_of,
+    build_family,
+    build_relative_family,
+    certificate_table,
+    desarguesian_spread,
+    develop,
+    full_family,
+    hexagon_of,
+    multiplicity_profile,
+    verify_2design,
+)
+from qdf.family import EQUATION_FORMS
 from qdf.serialize import (
     block_to_dict,
+    certificates_to_json,
     design_to_dict,
     element_hex,
     family_from_dict,
-    family_to_dict,
+    family_to_json,
     gdd_to_dict,
     hex_width,
     hexagon_to_list,
@@ -18,7 +35,10 @@ from qdf.serialize import (
     report_to_dict,
     to_json_bytes,
 )
-from oracles import cached_field
+from oracles import cached_field, certify_dict, family_dict
+
+# (n, modulus): n = 3..11 with the default modulus, and a second one at n = 7
+FIELDS = [(3, None), (5, None), (7, None), (7, 0x89), (9, None), (11, None)]
 
 
 def test_hex_width_and_padding():
@@ -43,11 +63,11 @@ def test_block_and_hexagon_serialization():
 def test_family_round_trip():
     f = cached_field(5)
     fam = build_family(f)
-    d = family_to_dict(fam)
+    d = json.loads(family_to_json(fam))
     assert list(d.keys()) == ["n", "modulus", "lambda", "blocks"]
     assert d["n"] == 5 and d["modulus"] == f.modulus and d["lambda"] == 7
     assert len(d["blocks"]) == 5 and all(len(row) == 7 for row in d["blocks"])
-    back = family_from_dict(json.loads(to_json_bytes(d)))
+    back = family_from_dict(d)
     assert back.ctx == f
     assert back.lambda_claim == 7
     assert [b.elements for b in back.base_blocks] == [b.elements for b in fam.base_blocks]
@@ -55,7 +75,7 @@ def test_family_round_trip():
 
 def test_family_from_dict_rejects_malformed_blocks():
     f = cached_field(5)
-    d = family_to_dict(build_family(f))
+    d = json.loads(family_to_json(build_family(f)))
     short = {**d, "blocks": [d["blocks"][0][:6]]}
     with pytest.raises(ValueError):
         family_from_dict(short)
@@ -100,5 +120,50 @@ def test_profile_csv_shape():
 def test_json_bytes_deterministic():
     f = cached_field(5)
     fam = build_family(f)
-    assert to_json_bytes(family_to_dict(fam)) == to_json_bytes(family_to_dict(build_family(cached_field(5))))
-    assert to_json_bytes(family_to_dict(fam)).endswith(b"\n")
+    assert family_to_json(fam) == family_to_json(build_family(cached_field(5)))
+    assert family_to_json(fam).endswith(b"\n")
+
+
+def _json_dumps(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("n,modulus", FIELDS)
+def test_family_writer_matches_json_dumps(n, modulus):
+    f = cached_field(n, modulus)
+    fams = [build_family(f), build_family(f, system="max")]
+    if n <= 9:
+        fams.append(full_family(f))
+    fams.append(DifferenceFamily(f, (), lambda_claim=7))  # no blocks: "blocks": []
+    for fam in fams:
+        assert family_to_json(fam) == _json_dumps(family_dict(fam))
+
+
+def _certify_oracle(f, tab):
+    pairs = list(EQUATION_FORMS)
+    rows = [
+        (t, [p for p, ok in zip(pairs, row) if ok])
+        for t, row in zip(tab.ts.tolist(), tab.solvable.tolist())
+    ]
+    return _json_dumps(certify_dict(f.n, f.modulus, rows, MATCHED_PAIRS))
+
+
+@pytest.mark.parametrize("n,modulus", FIELDS)
+def test_certify_writer_matches_json_dumps(n, modulus):
+    f = cached_field(n, modulus)
+    tab = certificate_table(f, f.seeds())
+    assert certificates_to_json(f, tab) == _certify_oracle(f, tab)
+
+
+def test_certify_writer_on_failing_patterns():
+    # rows with no, one, every and random solvable equations: "solvable": [],
+    # r below 9 and matching_ok false must render as json.dumps would
+    f = cached_field(7)
+    rng = np.random.default_rng(7)
+    solvable = rng.random((40, 18)) < 0.5
+    solvable[0] = False
+    solvable[1] = True
+    solvable[2, 1:] = False
+    tab = CertificateTable(np.arange(2, 42), solvable)
+    assert certificates_to_json(f, tab) == _certify_oracle(f, tab)
+    assert tab.r.min() == 0 and not tab.matching_ok.all()
