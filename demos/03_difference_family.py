@@ -24,12 +24,12 @@ f = make_field(7)
 
 fam_all = full_family(f)
 prof_all = multiplicity_profile(fam_all)
-print(f"all-seeds family: {len(fam_all.base_blocks)} blocks, "
+print(f"all-seeds family: {len(fam_all.slots)} blocks, "
       f"m(t) range {prof_all.extremes()}")
 
 fam = build_family(f)
 prof = multiplicity_profile(fam)
-print(f"index-7 family:   {len(fam.base_blocks)} blocks, "
+print(f"index-7 family:   {len(fam.slots)} blocks, "
       f"m(t) range {prof.extremes()}")
 
 t = 87

@@ -28,7 +28,7 @@ print("first groop:", spread.groops[0])
 
 family = build_family(f)
 relative = build_relative_family(family)
-print(f"\nrelative family: {len(relative.base_blocks)} blocks "
+print(f"\nrelative family: {len(relative.slots)} blocks "
       f"(subfield block removed), forbidden subgroup {sorted(relative.forbidden)}")
 
 profile = verify_relative(relative)

@@ -31,9 +31,11 @@ from .blocks import (
     Hexagon,
     StabilizerReport,
     block_of,
+    block_slots,
     canonical_orbit_label,
     hexagon_of,
     hexagon_partition,
+    hexagon_rows,
     is_subspace_block,
     same_orbit,
     stabilizer_of,
@@ -69,7 +71,6 @@ from .design import (
     verify_2design,
 )
 from .gdd import (
-    RelativeFamily,
     Spread,
     build_relative_family,
     desarguesian_spread,
@@ -90,8 +91,10 @@ __all__ = [
     "Hexagon",
     "StabilizerReport",
     "block_of",
+    "block_slots",
     "hexagon_of",
     "hexagon_partition",
+    "hexagon_rows",
     "is_subspace_block",
     "stabilizer_of",
     "same_orbit",
@@ -123,7 +126,6 @@ __all__ = [
     "materialize",
     "pair_coverage_counts",
     "Spread",
-    "RelativeFamily",
     "build_relative_family",
     "desarguesian_spread",
     "verify_relative",

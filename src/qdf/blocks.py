@@ -14,6 +14,9 @@ in the 2-regular graph on F* \\ {1} whose moves are v -> v+1 and v -> 1/v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+
+import numpy as np
 
 from .errors import ForbiddenSeedError
 from .gf2n import GF2n
@@ -82,23 +85,43 @@ def hexagon_of(ctx: GF2n, x: int) -> Hexagon:
     return Hexagon((x, v1, v2, v3, v4, v5))
 
 
+def hexagon_rows(ctx: GF2n) -> np.ndarray:
+    """The hexagons of F* \\ {1} as a ((2^n - 2)/6, 6) int32 array.
+
+    Row k is hexagon_of(r) for the k-th smallest canonical representative
+    r, in the same vertex order.  The six vertices of every seed are
+    taken at once, with the moves v -> v+1 and v -> 1/v as table lookups;
+    a seed is a representative when it is the minimum of its row.
+    """
+    m = ctx.order - 1
+    x = np.arange(2, ctx.order, dtype=np.int32)
+    v1 = x ^ 1
+    v2 = ctx.exp2[m - ctx.logs[v1]]
+    v3 = v2 ^ 1
+    v4 = ctx.exp2[m - ctx.logs[v3]]
+    v5 = v4 ^ 1
+    walk = (x, v1, v2, v3, v4, v5)
+    rep = x < reduce(np.minimum, walk[1:])  # the six vertices are distinct
+    return np.stack([v[rep] for v in walk], axis=1)
+
+
 def hexagon_partition(ctx: GF2n) -> list[Hexagon]:
     """Partition of F* \\ {1} into (2^n - 2)/6 hexagons.
 
-    Listed by increasing canonical representative; scanning seeds upward
-    guarantees each hexagon is first entered at its minimal vertex, so the
-    list of canonical_reps is the default representative system.
+    Listed by increasing canonical representative, so the list of
+    canonical_reps is the default representative system.
     """
-    seen = bytearray(ctx.order)
-    out = []
-    for x in range(2, ctx.order):
-        if seen[x]:
-            continue
-        h = hexagon_of(ctx, x)
-        for v in h.vertices:
-            seen[v] = 1
-        out.append(h)
-    return out
+    return [Hexagon(tuple(row)) for row in hexagon_rows(ctx).tolist()]
+
+
+def block_slots(ctx: GF2n, seeds) -> np.ndarray:
+    """The blocks of the given seeds as an (N, 7) int32 array, one row
+    per seed in the slot order of block_of."""
+    x = np.asarray(seeds, dtype=np.int32).reshape(-1)
+    if x.size and (x.min() < 2 or x.max() >= ctx.order):
+        _check_seed(int(x[(x < 2) | (x >= ctx.order)][0]), ctx)
+    x2 = ctx.exp2[2 * ctx.logs[x]]
+    return np.stack([np.ones_like(x), x, x2, x ^ 1, x2 ^ 1, x2 ^ x, x2 ^ x ^ 1], axis=1)
 
 
 def is_subspace_block(ctx: GF2n, s) -> bool:

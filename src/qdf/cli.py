@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .family import build_family, certificate_table, multiplicity_profile
 from .gdd import build_relative_family, desarguesian_spread, verify_gdd, verify_relative
 from .gf2n import GF2n, table_bytes
 from .serialize import (
-    certificates_to_json,
+    certificates_json_chunks,
     design_to_dict,
     family_from_dict,
     family_to_json,
@@ -88,12 +89,16 @@ def _make_ctx(args) -> GF2n:
     return GF2n(n, args.modulus)
 
 
-def _emit(args, data: bytes) -> None:
+def _emit(args, data: bytes | Iterable[bytes]) -> None:
+    """Write an artifact, whole or as an iterable of chunks, to --out or stdout."""
+    chunks = (data,) if isinstance(data, bytes) else data
     if args.out:
         with open(args.out, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
     else:
-        sys.stdout.write(data.decode("ascii"))
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode("ascii"))
 
 
 def _cmd_construct(args) -> int:
@@ -131,7 +136,7 @@ def _cmd_certify(args) -> int:
     ctx = _make_ctx(args)
     tab = certificate_table(ctx, ctx.seeds())
     ok = bool((tab.r == 9).all() and tab.matching_ok.all())
-    _emit(args, certificates_to_json(ctx, tab))
+    _emit(args, certificates_json_chunks(ctx, tab))
     return 0 if ok else 1
 
 

@@ -21,23 +21,40 @@ Keeping both routes alive catches transcription slips in either one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .blocks import SLOT_MASKS, Block, block_of, hexagon_partition
+from .blocks import SLOT_MASKS, Block, block_of, block_slots, hexagon_rows
 from .errors import DegenerateTError
 from .gf2n import GF2n, poly_divmod, poly_gcd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DifferenceFamily:
     """Base blocks plus the claimed index; forbidden is empty for ordinary
-    families and holds the avoided subgroup for relative ones."""
+    families and holds the avoided subgroup for relative ones.
+
+    The base blocks are the rows of the (N, 7) int32 array `slots`, each
+    in the slot order of block_of; they may also be given as a sequence
+    of Blocks or of 7-element rows.
+    """
 
     ctx: GF2n
-    base_blocks: tuple[Block, ...]
+    slots: np.ndarray
     lambda_claim: int
     forbidden: frozenset[int] = frozenset()
+
+    def __post_init__(self) -> None:
+        rows = self.slots
+        if not isinstance(rows, np.ndarray):
+            rows = [getattr(b, "elements", b) for b in rows]
+        object.__setattr__(self, "slots", np.asarray(rows, dtype=np.int32).reshape(-1, 7))
+
+    @cached_property
+    def base_blocks(self) -> tuple[Block, ...]:
+        """The rows of slots as Blocks; slot 1 is the seed."""
+        return tuple(Block(tuple(row), seed=row[1]) for row in self.slots.tolist())
 
 
 @dataclass(frozen=True)
@@ -102,12 +119,10 @@ def multiplicity_profile(fam) -> MultiplicityProfile:
     b_i/b_j = g^(log b_i - log b_j), so the histogram of the 42 slot log
     differences mod v = 2^n - 1 of every block, mapped to encodings
     through exp2, is the multiset union of the blocks' delta lists.
-    Accepts any family with ctx and base_blocks (relative ones too).
     """
     ctx = fam.ctx
     v = ctx.order - 1
-    slots = np.array([b.elements for b in fam.base_blocks], dtype=np.int32)
-    logs = ctx.logs[slots.reshape(-1, 7)]  # an empty family too has 7 columns
+    logs = ctx.logs[fam.slots]
     hist = np.zeros(v, dtype=np.int64)
     for lo in range(0, len(logs), _PROFILE_BLOCKS):
         part = logs[lo : lo + _PROFILE_BLOCKS]
@@ -301,16 +316,14 @@ def build_family(ctx: GF2n, system: str = "min") -> DifferenceFamily:
     developed design does not depend on this choice.
     """
     if system == "min":
-        seeds = (h.canonical_rep for h in hexagon_partition(ctx))
+        seeds = hexagon_rows(ctx)[:, 0]
     elif system == "max":
-        seeds = (max(h.vertices) for h in hexagon_partition(ctx))
+        seeds = hexagon_rows(ctx).max(axis=1)
     else:
         raise ValueError(f"unknown representative system {system!r}")
-    blocks = tuple(block_of(ctx, x) for x in seeds)
-    return DifferenceFamily(ctx, blocks, lambda_claim=7)
+    return DifferenceFamily(ctx, block_slots(ctx, seeds), lambda_claim=7)
 
 
 def full_family(ctx: GF2n) -> DifferenceFamily:
     """Every seed's block: a difference family of index 42."""
-    blocks = tuple(block_of(ctx, x) for x in ctx.seeds())
-    return DifferenceFamily(ctx, blocks, lambda_claim=42)
+    return DifferenceFamily(ctx, block_slots(ctx, ctx.seeds()), lambda_claim=42)

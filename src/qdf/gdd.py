@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Block
 from .design import (
     Design,
     VerificationReport,
@@ -40,16 +39,6 @@ class Spread:
 
     def groop_of(self, point: int) -> int:
         return int(self.point_groop[point])
-
-
-@dataclass(frozen=True)
-class RelativeFamily:
-    """Base blocks whose quotient list avoids the subgroup `forbidden`."""
-
-    ctx: GF2n
-    base_blocks: tuple[Block, ...]
-    forbidden: frozenset[int]
-    lambda_claim: int = 7
 
 
 def _require_subfield(ctx: GF2n) -> list[int]:
@@ -79,8 +68,9 @@ def desarguesian_spread(ctx: GF2n) -> Spread:
     return Spread(ctx=ctx, groops=tuple(groops), point_groop=point_groop)
 
 
-def build_relative_family(fam: DifferenceFamily) -> RelativeFamily:
-    """Drop the unique base block equal to K* from an index-7 family.
+def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
+    """Drop the unique base block equal to K* from an index-7 family; the
+    result has K* as its forbidden subgroup.
 
     Degenerate n = 3: the only base block is K* itself, leaving an empty
     relative family over a single groop; that is reported, not rejected.
@@ -90,14 +80,16 @@ def build_relative_family(fam: DifferenceFamily) -> RelativeFamily:
         raise WrongResidueError(
             f"relative family needs n = 3 (mod 6), got n={ctx.n}"
         )
-    kstar = frozenset(_require_subfield(ctx))
-    keep = tuple(b for b in fam.base_blocks if b.as_set() != kstar)
-    if len(keep) != len(fam.base_blocks) - 1:
+    kstar = _require_subfield(ctx)
+    is_kstar = (np.sort(fam.slots, axis=1) == kstar).all(axis=1)
+    if is_kstar.sum() != 1:
         raise ValueError("family does not contain exactly one subfield block")
-    return RelativeFamily(ctx=ctx, base_blocks=keep, forbidden=kstar)
+    return DifferenceFamily(
+        ctx, fam.slots[~is_kstar], fam.lambda_claim, forbidden=frozenset(kstar)
+    )
 
 
-def verify_relative(fam: RelativeFamily) -> VerificationReport:
+def verify_relative(fam: DifferenceFamily) -> VerificationReport:
     """Quotient profile check: multiplicity 0 on G minus {1} and lambda
     everywhere outside G, read off multiplicity_profile through a mask of
     the forbidden subgroup."""
@@ -126,7 +118,7 @@ def verify_relative(fam: RelativeFamily) -> VerificationReport:
     )
 
 
-def develop_and_verify_gdd(fam: RelativeFamily) -> VerificationReport:
+def develop_and_verify_gdd(fam: DifferenceFamily) -> VerificationReport:
     """Develop the relative family against the spread and verify_gdd."""
     return verify_gdd(desarguesian_spread(fam.ctx), develop(fam))
 

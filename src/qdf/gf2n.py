@@ -7,9 +7,11 @@ irreducible modulus and precomputes exp/log/trace/sqrt tables once, after
 which every scalar operation is a table lookup.  Instances are immutable
 (lazy caches aside) and safe to share across threads.
 
-Multiplicative structure: exp/log tables are built on a generator of the
-cyclic group GF(2^n)*, found by trying small elements until one has full
-period.  The doubled exp table makes mul/div/inv modulo-free.
+Multiplicative structure: exp/log tables are built on the smallest
+generator of the cyclic group GF(2^n)*, the first g with g^((2^n-1)/p) != 1
+for every prime p dividing 2^n - 1.  The exp table is filled as arrays, a
+block of powers at a time; the doubled exp table makes mul/div/inv
+modulo-free.
 """
 
 from __future__ import annotations
@@ -39,15 +41,16 @@ _LIST_ENTRY_BYTES = 8 + 32
 def table_bytes(n: int) -> int:
     """Peak bytes of the tables GF2n(n) builds, for preflight estimates.
 
-    The generator search holds exp and log as python lists while the
-    int32 arrays and their temporaries are built, 11 int32 words per
-    element at the peak; for n <= _LIST_TABLE_MAX_N the list copies of
-    exp2 (two entries per element), logs and sqrt follow, and that of
-    the {0, 1}-valued trace, whose ints are shared.  Within 15 % of the
-    peak RSS growth measured for n = 13..19.
+    Eight int32 words per element at the peak: exp2 (two words), logs,
+    the squaring, trace and sqrt tables and two temporaries; for
+    n <= _LIST_TABLE_MAX_N the list copies of exp2 (two entries per
+    element), logs and sqrt follow, and that of the {0, 1}-valued trace,
+    whose ints are shared.  Within 5 % of the peak RSS growth measured
+    for n = 15..21; at n = 13 about a fifth of the list copies land in
+    heap pages already resident, so the growth reads lower.
     """
     q = 1 << n
-    peak = 2 * q * _LIST_ENTRY_BYTES + 11 * q * 4
+    peak = 8 * q * 4
     if n <= _LIST_TABLE_MAX_N:
         peak += 4 * q * _LIST_ENTRY_BYTES + 8 * q
     return peak
@@ -85,6 +88,98 @@ def poly_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, poly_mod(a, b)
     return a
+
+
+def poly_mulmod(a: int, b: int, m: int) -> int:
+    """Carry-less product of a and b, reduced modulo m."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+    return poly_mod(r, m)
+
+
+def poly_powmod(a: int, e: int, m: int) -> int:
+    """a^e modulo m, by square-and-multiply."""
+    r = 1
+    while e:
+        if e & 1:
+            r = poly_mulmod(r, a, m)
+        e >>= 1
+        a = poly_mulmod(a, a, m)
+    return r
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime divisors of m >= 2, by trial division."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _times_table(c: int, m: int) -> np.ndarray:
+    """t[x] = c * x modulo m for every x of degree below deg(m), as int32.
+
+    Multiplying by c is GF(2)-linear, so the table doubles once per
+    basis image z^i * c: t[x + 2^i] = t[x] ^ z^i * c for x < 2^i.
+    """
+    n = poly_degree(m)
+    t = np.zeros(1, dtype=np.int32)
+    for _ in range(n):
+        t = np.concatenate([t, t ^ c])
+        c <<= 1
+        if c >> n:
+            c ^= m
+    return t
+
+
+def _exp_table(g: int, m: int) -> np.ndarray:
+    """The doubled exp table of g modulo m: exp2[i] = g^(i mod (2^n - 1))
+    for 0 <= i < 2(2^n - 1), n = deg(m), as int32.
+
+    The first K = 2^ceil(n/2) powers walk x -> g*x; then block by block
+    exp[i+K] = g^K * exp[i], one lookup in the table of x -> g^K * x per
+    block of K.
+    """
+    n = poly_degree(m)
+    units = (1 << n) - 1
+    K = 1 << (n + 1) // 2
+    exp2 = np.empty(2 * units, dtype=np.int32)
+    times = _times_table(g, m)
+    v = 1
+    for i in range(K):
+        exp2[i] = v
+        v = int(times[v])
+    times = _times_table(v, m)
+    for lo in range(K, units, K):
+        hi = min(lo + K, units)
+        exp2[lo:hi] = times.take(exp2[lo - K : hi - K])
+    exp2[units:] = exp2[:units]
+    return exp2
+
+
+def log_table(exp: np.ndarray, order: int) -> np.ndarray:
+    """Discrete logs from the exp table of a field of `order` elements,
+    with -1 at 0.
+
+    Raises unless exp is a permutation of the units, i.e. unless every
+    nonzero element gets exactly one log.
+    """
+    logs = np.full(order, -1, dtype=np.int32)
+    logs[exp] = np.arange(len(exp), dtype=np.int32)
+    if len(exp) != order - 1 or logs[1:].min() < 0:
+        raise AssertionError("exp table is not a permutation of the units; tables corrupt")
+    return logs
 
 
 def is_irreducible(p: int) -> bool:
@@ -154,55 +249,28 @@ class GF2n:
 
     # -- table construction -------------------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        # carry-less multiply with interleaved reduction; used only before
-        # the exp/log tables exist
-        n, mod = self.n, self.modulus
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a >> n:
-                a ^= mod
-        return r
-
     def _build_tables(self) -> None:
-        q = self.order
+        q, mod = self.order, self.modulus
         m = q - 1
-        for g in range(2, q):
-            exp = [0] * m
-            log = [-1] * q
-            v = 1
-            ok = True
-            for i in range(m):
-                if log[v] >= 0:  # period of g is shorter than q-1
-                    ok = False
-                    break
-                exp[i] = v
-                log[v] = i
-                v = self._mul_raw(v, g)
-            if ok and v == 1:
-                break
-        else:  # pragma: no cover - a cyclic group always has a generator
-            raise AssertionError("no generator found")
+        # g generates F* iff g^(m/p) != 1 for every prime p dividing m
+        cofactors = [m // p for p in _prime_factors(m)]
+        g = next(
+            x for x in range(2, q) if all(poly_powmod(x, c, mod) != 1 for c in cofactors)
+        )
 
+        exp2 = _exp_table(g, mod)
         self.generator = g
-        exp_np = np.asarray(exp, dtype=np.int32)
-        # doubled table: exp2[i] = g^(i mod (q-1)) for 0 <= i < 2(q-1)
-        self.exp2 = np.concatenate([exp_np, exp_np])
-        self.logs = np.asarray(log, dtype=np.int32)
+        self.exp2 = exp2
+        self.logs = log_table(exp2[:m], q)
 
         # Frobenius permutation x -> x^2, then trace and sqrt tables
         sq = np.zeros(q, dtype=np.int32)
-        nz = np.arange(1, q, dtype=np.int64)
-        sq[1:] = self.exp2[2 * self.logs[nz]]
+        sq[1:] = exp2[2 * self.logs[1:]]
         acc = np.arange(q, dtype=np.int32)
         cur = acc.copy()
         for _ in range(self.n - 1):
             cur = sq[cur]
-            acc = acc ^ cur
+            acc ^= cur
         if acc.max() > 1:  # pragma: no cover - guards table construction
             raise AssertionError("trace is not {0,1}-valued; tables corrupt")
         sqrt = np.empty(q, dtype=np.int32)

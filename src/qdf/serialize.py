@@ -9,10 +9,11 @@ identical inputs always produce identical artifacts.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 
 import numpy as np
 
-from .blocks import Block, block_of
+from .blocks import Block, block_of, block_slots
 from .design import Design, Orbit, VerificationReport
 from .family import EQUATION_FORMS, CertificateTable, DifferenceFamily, MultiplicityProfile
 from .gdd import Spread
@@ -20,6 +21,8 @@ from .gf2n import GF2n
 
 
 _JSON_BOOL = {False: "false", True: "true"}
+
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
 def hex_width(n: int) -> int:
@@ -61,30 +64,46 @@ def _json_list(items: list[str], indent: str) -> str:
 def family_to_json(fam: DifferenceFamily) -> bytes:
     """{"n", "modulus", "lambda", "blocks": [[7 hex strings], ...]} as JSON.
 
-    Written row by row from one %-template, byte for byte what
-    to_json_bytes gives for the same dict.
+    Every block row has the same length, so the rows are one byte
+    template tiled with numpy and its digit fields filled from the slots:
+    byte for byte what to_json_bytes gives for the same dict.
     """
     n = fam.ctx.n
-    row = _json_list([f'      "%0{hex_width(n)}x"'] * 7, "    ")
-    blocks = _json_list([f"    {row}" % b.elements for b in fam.base_blocks], "  ")
-    return (
+    w = hex_width(n)
+    row = "    " + _json_list([f'      "{"#" * w}"'] * 7, "    ") + ",\n"
+    template = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
+    digits = np.flatnonzero(template == ord("#")).reshape(7, w)
+    rows = np.tile(template, (len(fam.slots), 1))
+    for j in range(w):
+        rows[:, digits[:, j]] = _HEX_DIGITS[fam.slots >> 4 * (w - 1 - j) & 15]
+    head = (
         f'{{\n  "n": {n},\n  "modulus": {fam.ctx.modulus},\n'
-        f'  "lambda": {fam.lambda_claim},\n  "blocks": {blocks}\n}}\n'
+        f'  "lambda": {fam.lambda_claim},\n  "blocks": '
     ).encode("ascii")
+    if not len(rows):
+        return head + b"[]\n}\n"
+    # the last row takes no comma
+    return b"".join((head, b"[\n", rows.ravel()[:-2], b"\n  ]\n}\n"))
 
 
 def family_from_dict(d: dict) -> DifferenceFamily:
+    """The family of a construct artifact.  Rows must be in canonical slot
+    order, (1, x, x^2, x+1, x^2+1, x^2+x, x^2+x+1) for the seed x in slot
+    1; all rows are checked at once and the first bad one is named."""
     ctx = GF2n(int(d["n"]), int(d["modulus"]))
-    blocks = []
-    for row in d["blocks"]:
-        elements = tuple(int(s, 16) for s in row)
-        if len(elements) != 7:
-            raise ValueError("block rows must have exactly 7 elements")
-        b = block_of(ctx, elements[1])  # slot 1 is the seed by construction
-        if b.elements != elements:
-            raise ValueError(f"block row {row} is not in canonical slot order")
-        blocks.append(b)
-    return DifferenceFamily(ctx, tuple(blocks), lambda_claim=int(d["lambda"]))
+    rows = d["blocks"]
+    if any(len(row) != 7 for row in rows):
+        raise ValueError("block rows must have exactly 7 elements")
+    slots = np.array([[int(s, 16) for s in row] for row in rows], dtype=np.int64)
+    slots = slots.reshape(-1, 7)
+    seeds = slots[:, 1]
+    valid = (seeds >= 2) & (seeds < ctx.order)
+    bad = ~valid | (block_slots(ctx, np.where(valid, seeds, 2)) != slots).any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        block_of(ctx, int(seeds[k]))  # a seed outside F* minus {1} raises here
+        raise ValueError(f"block row {rows[k]} is not in canonical slot order")
+    return DifferenceFamily(ctx, slots, lambda_claim=int(d["lambda"]))
 
 
 # -- designs and spreads --------------------------------------------------------
@@ -144,15 +163,22 @@ def report_to_dict(r: VerificationReport, n: int) -> dict:
     return out
 
 
-def certificates_to_json(ctx: GF2n, tab: CertificateTable) -> bytes:
+# Certificates per chunk of certificates_json_chunks; bounds its memory.
+_CERT_CHUNK = 1 << 12
+
+
+def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes]:
     """The certify report {"n", "modulus", "r_min", "r_max", "all_matched",
-    "certificates": [{"t", "r", "matching_ok", "solvable"}, ...]} as JSON.
+    "certificates": [{"t", "r", "matching_ok", "solvable"}, ...]} as JSON,
+    in chunks of at most _CERT_CHUNK certificates.
 
     Written like to_json_bytes would write that dict; each distinct
     solvable list (at most 2^9 of them) is rendered once.
     """
     pairs = list(EQUATION_FORMS)
-    keys = tab.solvable @ (1 << np.arange(len(pairs)))
+    keys = np.zeros(len(tab.ts), dtype=np.int64)  # bit c: equation c solvable
+    for c in range(len(pairs)):
+        keys[tab.solvable[:, c]] |= 1 << c
     solvable = {}
     for key in np.unique(keys).tolist():
         items = [
@@ -165,21 +191,31 @@ def certificates_to_json(ctx: GF2n, tab: CertificateTable) -> bytes:
         f'    {{\n      "t": "%0{hex_width(ctx.n)}x",\n      "r": %d,\n'
         f'      "matching_ok": %s,\n      "solvable": %s\n    }}'
     )
-    certs = _json_list(
-        [
-            cert % (t, r, _JSON_BOOL[ok], solvable[key])
-            for t, r, ok, key in zip(
-                tab.ts.tolist(), tab.r.tolist(), tab.matching_ok.tolist(), keys.tolist()
-            )
-        ],
-        "  ",
-    )
-    return (
+    yield (
         f'{{\n  "n": {ctx.n},\n  "modulus": {ctx.modulus},\n'
         f'  "r_min": {int(tab.r.min())},\n  "r_max": {int(tab.r.max())},\n'
         f'  "all_matched": {_JSON_BOOL[bool(tab.matching_ok.all())]},\n'
-        f'  "certificates": {certs}\n}}\n'
+        f'  "certificates": ['
     ).encode("ascii")
+    for lo in range(0, len(keys), _CERT_CHUNK):
+        part = slice(lo, lo + _CERT_CHUNK)
+        rows = ",\n".join(
+            cert % (t, r, _JSON_BOOL[ok], solvable[key])
+            for t, r, ok, key in zip(
+                tab.ts[part].tolist(),
+                tab.r[part].tolist(),
+                tab.matching_ok[part].tolist(),
+                keys[part].tolist(),
+            )
+        )
+        yield b"\n" if lo == 0 else b",\n"
+        yield rows.encode("ascii")
+    yield b"\n  ]\n}\n"
+
+
+def certificates_to_json(ctx: GF2n, tab: CertificateTable) -> bytes:
+    """The whole certify report of certificates_json_chunks as one bytes."""
+    return b"".join(certificates_json_chunks(ctx, tab))
 
 
 def profile_to_csv(p: MultiplicityProfile, n: int) -> str:

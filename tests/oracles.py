@@ -3,13 +3,15 @@
 Nothing here touches the package's exp/log tables: multiplication is
 schoolbook shift-and-xor, inverses are found by exhaustive search,
 irreducibility comes from enumerating products of lower-degree
-polynomials, and pair coverage is counted from materialized block sets.
+polynomials, the exp/log tables come from a scalar power walk, and pair
+coverage is counted from materialized block sets.  The hexagon oracle
+walks hexagon_of seed by seed.
 """
 
 from collections import Counter
 from functools import lru_cache
 
-from qdf import GF2n
+from qdf import GF2n, hexagon_of
 
 
 @lru_cache(maxsize=None)
@@ -72,6 +74,54 @@ def smallest_irreducible_by_products(n: int) -> int:
         if p not in reducible:
             return p
     raise AssertionError
+
+
+def mul_interleaved(a: int, b: int, n: int, modulus: int) -> int:
+    """Carry-less multiply with the reduction interleaved, no tables."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> n:
+            a ^= modulus
+    return r
+
+
+def power_walk(n: int, modulus: int) -> tuple[int, list[int], list[int]]:
+    """(generator, exp, log) by walking the powers of g = 2, 3, ... one
+    scalar multiply at a time; the first g whose powers do not repeat
+    before 2^n - 1 steps generates F*.  log[0] is -1."""
+    q = 1 << n
+    m = q - 1
+    for g in range(2, q):
+        exp = [0] * m
+        log = [-1] * q
+        v = 1
+        for i in range(m):
+            if log[v] >= 0:  # period of g is shorter than q-1
+                break
+            exp[i] = v
+            log[v] = i
+            v = mul_interleaved(v, g, n, modulus)
+        else:
+            if v == 1:
+                return g, exp, log
+    raise AssertionError("no generator found")
+
+
+def hexagons_by_scan(ctx) -> list[tuple[int, ...]]:
+    """Hexagon vertex tuples, walked with hexagon_of from every seed not
+    yet covered, scanning seeds upward."""
+    seen = set()
+    out = []
+    for x in ctx.seeds():
+        if x not in seen:
+            h = hexagon_of(ctx, x).vertices
+            seen.update(h)
+            out.append(h)
+    return out
 
 
 def materialized_pair_counts(blocks) -> Counter:

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qdf import (
@@ -11,11 +12,12 @@ from qdf import (
     delta,
     hexagon_of,
     hexagon_partition,
+    hexagon_rows,
     is_subspace_block,
     same_orbit,
     stabilizer_of,
 )
-from oracles import cached_field
+from oracles import cached_field, hexagons_by_scan
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
@@ -188,3 +190,13 @@ def test_hexagon_mates_have_equal_difference_lists(n):
         base = Counter(delta(f, block_of(f, h.canonical_rep)))
         for y in h.vertices:
             assert Counter(delta(f, block_of(f, y))) == base
+
+
+@pytest.mark.parametrize("n,modulus", [(3, None), (5, None), (7, None), (7, 0x89), (9, None), (11, None)])
+def test_hexagon_rows_match_hexagon_of_scan(n, modulus):
+    f = cached_field(n, modulus)
+    expected = hexagons_by_scan(f)
+    rows = hexagon_rows(f)
+    assert rows.dtype == np.int32 and rows.shape == (len(expected), 6)
+    assert [tuple(r) for r in rows.tolist()] == expected
+    assert [h.vertices for h in hexagon_partition(f)] == expected

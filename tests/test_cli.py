@@ -66,8 +66,8 @@ def test_preflight_estimate_matches_counter(capsys):
     )
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
-    # table_bytes(15) = 292 * 2^15 bytes; 16383 x 32767 one-byte counters
-    assert "~9.1 MiB of field tables" in warning
+    # table_bytes(15) = 200 * 2^15 bytes; 16383 x 32767 one-byte counters
+    assert "~6.2 MiB of field tables" in warning
     assert "~512.0 MiB for exhaustive pair counts" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
@@ -77,7 +77,7 @@ def test_preflight_counts_no_pairs_without_pair_counting(capsys, command):
     code, _, stderr = run_cli(capsys, command, "--n", "15", "--force", "--modulus", "0x8000")
     assert code == 2
     warning = stderr.strip().split("\n")[0]
-    assert "~9.1 MiB of field tables" in warning
+    assert "~6.2 MiB of field tables" in warning
     assert "pair counts" not in warning
 
 

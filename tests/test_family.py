@@ -7,6 +7,7 @@ the certificate's 24 + 2*r(t) prediction.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qdf import (
@@ -29,7 +30,7 @@ from qdf import (
     predicted_multiplicity,
 )
 from qdf.family import EQUATION_FORMS, _FORMS
-from oracles import cached_field
+from oracles import cached_field, hexagons_by_scan
 
 # (n, modulus): n = 3..11 with the default modulus, and a second one at n = 7
 FIELDS = [(3, None), (5, None), (7, None), (7, 0x89), (9, None), (11, None)]
@@ -288,3 +289,18 @@ def test_certificate_table_matches_solve_quadratic(n, modulus):
     for t in list(f.seeds())[:: max(1, f.order // 64)]:
         cert = equation_certificate(f, t)
         assert [e.count == 2 for e in cert.equations] == expected[t - 2]
+
+
+@pytest.mark.parametrize("n,modulus", FIELDS)
+def test_family_slots_match_block_of(n, modulus):
+    f = cached_field(n, modulus)
+    hexes = hexagons_by_scan(f)
+    for system, pick in (("min", min), ("max", max)):
+        fam = build_family(f, system)
+        expected = [block_of(f, pick(h)) for h in hexes]
+        assert fam.slots.dtype == np.int32
+        assert fam.slots.tolist() == [list(b.elements) for b in expected]
+        assert fam.base_blocks == tuple(expected)
+    if n <= 9:
+        fam = full_family(f)
+        assert fam.slots.tolist() == [list(block_of(f, x).elements) for x in f.seeds()]

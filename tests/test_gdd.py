@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from qdf import (
-    RelativeFamily,
+    DifferenceFamily,
     WrongResidueError,
     build_family,
     build_relative_family,
@@ -91,7 +91,7 @@ def test_verify_relative_fails_with_subfield_block_present():
     f = cached_field(9)
     fam = build_family(f)
     kstar = frozenset(t for t in f.subfield(3) if t)
-    bogus = RelativeFamily(f, fam.base_blocks, forbidden=kstar)
+    bogus = DifferenceFamily(f, fam.base_blocks, 7, forbidden=kstar)
     rep = verify_relative(bogus)
     assert not rep.passed
     bad = dict(rep.offending_pairs)
@@ -170,7 +170,7 @@ def test_gdd_detects_within_groop_coverage():
     f = cached_field(9)
     fam = build_family(f)
     kstar = frozenset(t for t in f.subfield(3) if t)
-    bogus = RelativeFamily(f, fam.base_blocks, forbidden=kstar)
+    bogus = DifferenceFamily(f, fam.base_blocks, 7, forbidden=kstar)
     rep = develop_and_verify_gdd(bogus)
     assert not rep.passed
     assert rep.checks is not None
@@ -186,7 +186,7 @@ def test_gdd_detects_within_groop_coverage():
 def test_gdd_detects_missing_cross_coverage():
     f = cached_field(9)
     rf = build_relative_family(build_family(f))
-    bad = RelativeFamily(f, rf.base_blocks[1:], forbidden=rf.forbidden)
+    bad = DifferenceFamily(f, rf.base_blocks[1:], 7, forbidden=rf.forbidden)
     rep = develop_and_verify_gdd(bad)
     assert not rep.passed
     assert not rep.checks["cross_pair_coverage"]
@@ -204,7 +204,7 @@ def test_gdd_offenders_list_within_groop_pairs_first():
     fam = build_family(f)
     rf = build_relative_family(fam)
     kblock = tuple(b for b in fam.base_blocks if b.as_set() == rf.forbidden)
-    both = RelativeFamily(f, rf.base_blocks[1:] + kblock, forbidden=rf.forbidden)
+    both = DifferenceFamily(f, rf.base_blocks[1:] + kblock, 7, forbidden=rf.forbidden)
     rep = develop_and_verify_gdd(both)
     assert not rep.checks["within_pair_coverage"]
     assert not rep.checks["cross_pair_coverage"]
@@ -243,7 +243,7 @@ def test_verify_relative_matches_delta_counter(variant):
         "duplicated": (rf.base_blocks + rf.base_blocks[40:41], 7),
         "with_subfield": (fam.base_blocks, 7),
     }[variant]
-    mutant = RelativeFamily(f, blocks, forbidden=rf.forbidden, lambda_claim=lam)
+    mutant = DifferenceFamily(f, blocks, lam, forbidden=rf.forbidden)
     rep = verify_relative(mutant)
     mn, mx, offenders = _relative_by_delta(mutant)
     assert (rep.pair_coverage_min, rep.pair_coverage_max) == (mn, mx)

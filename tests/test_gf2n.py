@@ -17,9 +17,12 @@ from qdf import (
     make_field,
     smallest_irreducible,
 )
+from qdf import gf2n
+from qdf.gf2n import log_table
 from oracles import (
     brute_inverse,
     cached_field,
+    power_walk,
     schoolbook_mul,
     smallest_irreducible_by_products,
     trace_by_power_sum,
@@ -287,3 +290,42 @@ def test_field_equality_and_repr():
     assert cached_field(5) == GF2n(5) and hash(cached_field(5)) == hash(GF2n(5))
     assert cached_field(5) != GF2n(5, 0b101001)
     assert "GF2n" in repr(cached_field(5))
+
+
+def _moduli(n: int, count: int) -> list[int]:
+    return [p for p in range((1 << n) | 1, 1 << (n + 1), 2) if is_irreducible(p)][:count]
+
+
+# z has order 23 = 2047/89 modulo 0xae3 and order 1057 = 32767/31 modulo
+# 0x81d5: the generator search must test every prime factor of 2^n - 1,
+# not only the smallest.
+@pytest.mark.parametrize(
+    "n,modulus",
+    [(n, p) for n in (3, 5, 7, 9, 11, 13, 15) for p in _moduli(n, 3)]
+    + [(11, 0xAE3), (15, 0x81D5), (17, None), (19, None)],
+)
+def test_tables_match_scalar_power_walk(n, modulus):
+    f = GF2n(n, modulus)
+    g, exp, log = power_walk(n, f.modulus)
+    assert f.generator == g
+    assert f.exp2.tolist() == exp + exp
+    assert f.logs.tolist() == log
+
+
+def test_corrupted_exp_table_is_rejected(monkeypatch):
+    f = cached_field(7)
+    exp = f.exp2[: f.order - 1]
+    assert (log_table(exp, f.order) == f.logs).all()
+    repeated = exp.copy()
+    repeated[5] = repeated[6]  # one unit twice, another never
+    with_zero = exp.copy()
+    with_zero[3] = 0
+    for bad in (repeated, with_zero, exp[:-1]):
+        with pytest.raises(AssertionError, match="permutation"):
+            log_table(bad, f.order)
+
+    # multiply-by-constant tables that are two-to-one repeat powers
+    times_table = gf2n._times_table
+    monkeypatch.setattr(gf2n, "_times_table", lambda c, m: times_table(c, m) & ~1)
+    with pytest.raises(AssertionError, match="permutation"):
+        GF2n(7)

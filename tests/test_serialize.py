@@ -9,6 +9,7 @@ from qdf import (
     MATCHED_PAIRS,
     CertificateTable,
     DifferenceFamily,
+    ForbiddenSeedError,
     block_of,
     build_family,
     build_relative_family,
@@ -82,6 +83,27 @@ def test_family_from_dict_rejects_malformed_blocks():
     shuffled = {**d, "blocks": [list(reversed(d["blocks"][0]))]}
     with pytest.raises(ValueError):
         family_from_dict(shuffled)
+
+
+def test_family_from_dict_checks_every_row_and_names_the_first_bad_one():
+    f = cached_field(7)
+    d = json.loads(family_to_json(build_family(f)))
+    back = family_from_dict(d)
+    assert back.slots.dtype == np.int32
+    assert back.slots.tolist() == build_family(f).slots.tolist()
+    rows = [list(r) for r in d["blocks"]]
+    rows[3][4], rows[3][5] = rows[3][5], rows[3][4]
+    rows[9] = list(reversed(rows[9]))
+    with pytest.raises(ValueError) as exc:
+        family_from_dict({**d, "blocks": rows})
+    assert str(exc.value) == f"block row {rows[3]} is not in canonical slot order"
+    # a seed outside F* minus {1} is named by block_of's check
+    rows[2][1] = "01"
+    with pytest.raises(ForbiddenSeedError):
+        family_from_dict({**d, "blocks": rows})
+    rows[2][1] = "ff"
+    with pytest.raises(ForbiddenSeedError):
+        family_from_dict({**d, "blocks": rows})
 
 
 def test_design_and_gdd_dict_shapes():
@@ -167,3 +189,16 @@ def test_certify_writer_on_failing_patterns():
     tab = CertificateTable(np.arange(2, 42), solvable)
     assert certificates_to_json(f, tab) == _certify_oracle(f, tab)
     assert tab.r.min() == 0 and not tab.matching_ok.all()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_certify_writer_independent_of_chunking(monkeypatch, chunk):
+    from qdf import serialize
+
+    f = cached_field(9)
+    tab = certificate_table(f, f.seeds())
+    whole = certificates_to_json(f, tab)
+    monkeypatch.setattr(serialize, "_CERT_CHUNK", chunk)
+    chunks = list(serialize.certificates_json_chunks(f, tab))
+    assert len(chunks) == 2 + 2 * -(-len(tab.ts) // chunk)
+    assert b"".join(chunks) == whole == _certify_oracle(f, tab)
