@@ -19,6 +19,7 @@ from .errors import (
     DegenerateTError,
     EvenDegreeError,
     ForbiddenSeedError,
+    MalformedFamilyError,
     NotADivisorError,
     QdfError,
     ReduciblePolynomialError,
@@ -140,4 +141,5 @@ __all__ = [
     "ForbiddenSeedError",
     "DegenerateTError",
     "WrongResidueError",
+    "MalformedFamilyError",
 ]

@@ -10,19 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Iterable
 
-import numpy as np
-
 from . import __version__
 from .design import (
-    COUNTER_DTYPE,
     check_qanalog,
     check_simple,
-    counter_shape,
     develop,
+    pair_count_bytes,
     verify_2design,
 )
 from .errors import QdfError
@@ -82,9 +78,12 @@ def _make_ctx(args) -> GF2n:
             f"~{table_bytes(n) / 2**20:.1f} MiB of field tables"
         )
         if args.command in ("verify", "gdd"):
-            counter = counter_shape((1 << n) - 1)
-            pairs_mb = math.prod(counter) * np.dtype(COUNTER_DTYPE).itemsize / 2**20
-            warning += f" and ~{pairs_mb:.1f} MiB for exhaustive pair counts"
+            v = (1 << n) - 1
+            pairs = pair_count_bytes(v, (v - 1) // 6)  # at most (v - 1)/6 base blocks
+            warning += (
+                f" and ~{pairs / 2**20:.1f} MiB for banded pair counts,"
+                f" ~{(table_bytes(n) + pairs) / 2**20:.1f} MiB in all"
+            )
         print(warning, file=sys.stderr)
     return GF2n(n, args.modulus)
 

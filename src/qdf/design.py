@@ -9,12 +9,17 @@ feasible but wasteful (about 11.2M blocks at n = 13).
 verify_2design counts, for every unordered pair of distinct points, the
 number of developed blocks containing both.  Pairs are indexed by log
 coordinates: {g^a, g^(a+d)} sits at row d-1, column a of a
-((v-1)/2, v) array of 8-bit counters (32 MiB at n = 13).  Developing an
-orbit shifts every log by the same amount, so each (orbit, slot pair)
-adds to one cyclic run of a single row.  The count is exhaustive, never
-sampled; a pass is declared only when the counts modulo 256 and the
-exact incidence total together prove it, and anything else is recounted
-with 32-bit counters.
+((v-1)/2, v) counter.  Developing an orbit shifts every log by the same
+amount, so each (orbit, slot pair) adds to one cyclic run of a single
+row, which at most three +-w difference events describe.  The kernel
+sorts the events by column and sweeps the columns in bands of about
+4 MiB of counters, prefix-summing each band down its columns and
+carrying the last column into the next band; no full-size counter is
+ever held (it would be 32 MiB of 8-bit counters at n = 13, 8 GiB at
+n = 17).  The count is exhaustive, never sampled: every counter is
+computed and compared.  A pass is declared only when the counts modulo
+256 and the exact incidence total together prove it; anything else is
+recounted by the same stream with 32-bit counters.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Block, canonical_orbit_label, is_subspace_block, stabilizer_of
+from .blocks import Block, stabilizer_of
 from .family import DifferenceFamily
 from .gf2n import GF2n
 
-_PAIR_INDICES = tuple((i, j) for i in range(7) for j in range(i + 1, 7))
+# Slot positions (i, j), i < j, of the 21 pairs of a block.
+_PAIR_I, _PAIR_J = np.array([(i, j) for i in range(7) for j in range(i + 1, 7)]).T
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,8 @@ def develop(fam: DifferenceFamily) -> Design:
 # One byte per point pair; check_pair_coverage proves when it is exact.
 COUNTER_DTYPE = np.uint8
 
-# Counters per band of rows in the final checks; bounds their temporaries.
-_BAND_CELLS = 1 << 20
+# Bytes of counters per band of columns (a band holds at least one column).
+_BAND_BYTES = 1 << 22
 
 
 def counter_shape(v: int) -> tuple[int, int]:
@@ -105,69 +111,150 @@ def counter_shape(v: int) -> tuple[int, int]:
     return (v - 1) // 2, v
 
 
+def band_columns(v: int, dtype=COUNTER_DTYPE) -> int:
+    """Columns per band: _BAND_BYTES of counters, at least 1 and at most v."""
+    rows = counter_shape(v)[0]
+    return min(v, max(1, _BAND_BYTES // (max(rows, 1) * np.dtype(dtype).itemsize)))
+
+
+def pair_count_bytes(v: int, orbits: int, dtype=COUNTER_DTYPE) -> int:
+    """Bytes count_bands allocates for `orbits` orbits over v points: the
+    band buffer and its carry, and 72 bytes per run (21 runs per orbit)
+    for the run and event arrays at their peak in _events."""
+    rows = counter_shape(v)[0]
+    band = (band_columns(v, dtype) + 1) * rows * np.dtype(dtype).itemsize
+    return band + 72 * len(_PAIR_I) * orbits
+
+
+def _rep_elements(orbits) -> np.ndarray:
+    """The orbit representatives as an (N, 7) int64 array."""
+    return np.array([o.rep.elements for o in orbits], dtype=np.int64).reshape(-1, 7)
+
+
+def _events(ctx: GF2n, orbits: tuple[Orbit, ...], dtype) -> list[tuple[np.generic, np.ndarray]]:
+    """Difference events of every (orbit, slot pair) run, as (weight, keys)
+    pairs: the sorted flat keys column * rows + row of the events that add
+    `weight`, a `dtype` scalar (the weight modulo the range of `dtype`).
+
+    Developing slot pair (i, j) of an orbit shifts both logs together, so
+    it covers one cyclic run of `length` columns in a single row: +w at its
+    first column and -w past its last, w being the orbit's replication.  A
+    run past column v - 1 wraps: it also adds +w at column 0 and -w past
+    its end there.  A run over all v columns starts at column 0 and needs
+    no -w.
+    """
+    v = ctx.order - 1
+    rows = counter_shape(v)[0]
+    logs = ctx.logs[_rep_elements(orbits)]
+    li, lj = logs[:, _PAIR_I], logs[:, _PAIR_J]
+    d = (lj - li) % v
+    low = d <= rows
+    row = np.where(low, d - 1, v - d - 1).ravel()
+    length = np.repeat(np.array([o.length for o in orbits], dtype=np.int64), len(_PAIR_I))
+    w = np.repeat(np.array([o.replication for o in orbits], dtype=np.int64), len(_PAIR_I))
+    # key of the run's first column (column 0 for a run over all v columns)
+    first = np.where(low, li, lj).ravel() * np.where(length < v, rows, 0) + row
+    stop = first + length * rows  # key of the column past the run, unwrapped
+    inside, wraps = stop < v * rows, stop >= (v + 1) * rows
+    scalar, modulus = np.dtype(dtype).type, 1 << 8 * np.dtype(dtype).itemsize
+    events = []
+    for r in sorted({o.replication for o in orbits}):
+        run = w == r
+        up = np.concatenate([first[run], row[run & wraps]])
+        down = np.concatenate([stop[run & inside], stop[run & wraps] - v * rows])
+        events += [(scalar(r % modulus), np.sort(up)), (scalar(-r % modulus), np.sort(down))]
+    return events
+
+
+def count_bands(ctx: GF2n, orbits: tuple[Orbit, ...], dtype=COUNTER_DTYPE):
+    """Yield the pair coverage counts band by band as (first column a0,
+    band), where band[c, r] counts the pair at row r, column a0 + c of
+    counter_shape(v), modulo the range of `dtype`.
+
+    Each band's events are added into a zeroed (columns, rows) buffer and
+    prefix-summed down the columns, one contiguous row vector at a time;
+    the last column carries into the next band.  Modular prefix sums of
+    modular events are the counts modulo the range of `dtype`.  The
+    buffer is reused: a band is valid until the next one is requested.
+    """
+    v = ctx.order - 1
+    rows = counter_shape(v)[0]
+    step = band_columns(v, dtype)
+    starts = np.arange(0, v + step, step) * rows
+    events = [
+        (w, keys, np.searchsorted(keys, starts).tolist())
+        for w, keys in _events(ctx, orbits, dtype)
+    ]
+    buf = np.empty((step, rows), dtype=dtype)
+    columns = list(buf)  # one view per column of the buffer, made once
+    carry = np.zeros(rows, dtype=dtype)
+    for k, a0 in enumerate(range(0, v, step)):
+        band = buf[: min(step, v - a0)]
+        band.fill(0)
+        for w, keys, edges in events:
+            np.add.at(band.reshape(-1), keys[edges[k] : edges[k + 1]] - a0 * rows, w)
+        prev = carry
+        for col in columns[: len(band)]:
+            np.add(col, prev, out=col)
+            prev = col
+        carry[:] = prev
+        yield a0, band
+
+
 def pair_coverage_counts(
     ctx: GF2n, orbits: tuple[Orbit, ...], dtype=COUNTER_DTYPE
 ) -> np.ndarray:
-    """Pair coverage counts in log coordinates, shape counter_shape(v).
-
-    Developing slot pair (i, j) of an orbit shifts both logs together, so
-    it covers one cyclic run of `length` columns in a single row: a slice
-    add, no keys and no sort.  A counter holds its count modulo the range
-    of `dtype`; check_pair_coverage says when uint8 counts are exact.
+    """Per-row extremes of the pair coverage counts: a (2, rows) array of
+    `dtype` holding the minimum and the maximum over the columns of each
+    row of counter_shape(v), counted by count_bands.  A counter holds its
+    count modulo the range of `dtype`; check_pair_coverage says when
+    uint8 counts are exact.
     """
-    v = ctx.order - 1
-    half = (v - 1) // 2
-    counts = np.zeros(counter_shape(v), dtype=dtype)
-    for o in orbits:
-        w = np.int64(o.replication).astype(dtype)
-        logs = [int(ctx.logs[e]) for e in o.rep.elements]
-        for i, j in _PAIR_INDICES:
-            d = (logs[j] - logs[i]) % v
-            row, start = (d - 1, logs[i]) if d <= half else (v - d - 1, logs[j])
-            stop = start + o.length
-            counts[row, start : min(stop, v)] += w
-            if stop > v:
-                counts[row, : stop - v] += w
-    return counts
+    rows = counter_shape(ctx.order - 1)[0]
+    lo = np.full(rows, np.iinfo(dtype).max, dtype=dtype)
+    hi = np.zeros(rows, dtype=dtype)
+    for _, band in count_bands(ctx, orbits, dtype):
+        np.minimum(lo, band.min(axis=0), out=lo)
+        np.maximum(hi, band.max(axis=0), out=hi)
+    return np.stack([lo, hi])
 
 
-def _bands(counts: np.ndarray, rows: np.ndarray):
-    """(first row, view) over the rows selected by the boolean mask
-    `rows`, at most _BAND_CELLS counters per view."""
-    step = max(1, _BAND_CELLS // counts.shape[1])
-    edges = np.flatnonzero(np.diff(rows, prepend=False, append=False))
-    for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
-        for r in range(lo, hi, step):
-            yield r, counts[r : min(r + step, hi)]
+def _group_ranges(extremes: np.ndarray, groups) -> list:
+    return [
+        (int(extremes[0, rows].min()), int(extremes[1, rows].max())) if rows.any() else None
+        for rows, _ in groups
+    ]
 
 
-def _row_range(counts: np.ndarray, rows: np.ndarray) -> tuple[int, int] | None:
-    lo = hi = None
-    for _, band in _bands(counts, rows):
-        b_lo, b_hi = int(band.min()), int(band.max())
-        lo = b_lo if lo is None else min(lo, b_lo)
-        hi = b_hi if hi is None else max(hi, b_hi)
-    return None if lo is None else (lo, hi)
-
-
-def _first_offenders(ctx: GF2n, counts: np.ndarray, groups, limit: int = 10) -> tuple:
-    """The first `limit` pairs whose count differs from their group's, as
-    ((u, w), count) with encodings u < w, ordered by u, then group, then w."""
-    v, q, ng = counts.shape[1], ctx.order, len(groups)
+def _first_offenders(
+    ctx: GF2n, orbits: tuple[Orbit, ...], groups, extremes: np.ndarray, limit: int = 10
+) -> tuple:
+    """The first `limit` pairs whose exact count differs from their group's,
+    as ((u, w), count) with encodings u < w, ordered by u, then group,
+    then w; found band by band in a uint32 count, on the rows whose exact
+    `extremes` show an offender."""
+    q, ng = ctx.order, len(groups)
+    rows = counter_shape(q - 1)[0]
+    group = np.zeros(rows, dtype=np.int64)
+    expect = np.zeros(rows, dtype=np.uint32)
+    for g, (mask, lam) in enumerate(groups):
+        group[mask], expect[mask] = g, lam
+    bad = np.flatnonzero((extremes != expect).any(axis=0))
+    if not bad.size:
+        return ()
     keys = np.empty(0, dtype=np.int64)
-    found = np.empty(0, dtype=counts.dtype)
-    for g, (rows, lam) in enumerate(groups):
-        for r0, band in _bands(counts, rows):
-            r, c = np.nonzero(band != lam)
-            if not r.size:
-                continue
-            x = ctx.exp2[c].astype(np.int64)
-            y = ctx.exp2[c + r + r0 + 1].astype(np.int64)
-            k = (np.minimum(x, y) * ng + g) * q + np.maximum(x, y)
-            keys = np.concatenate([keys, k])
-            found = np.concatenate([found, band[r, c]])
-            top = np.argsort(keys)[:limit]
-            keys, found = keys[top], found[top]
+    found = np.empty(0, dtype=np.uint32)
+    for a0, band in count_bands(ctx, orbits, np.uint32):
+        sub = band[:, bad]
+        c, i = np.nonzero(sub != expect[bad])
+        r = bad[i]
+        x = ctx.exp2[a0 + c].astype(np.int64)
+        y = ctx.exp2[a0 + c + r + 1].astype(np.int64)
+        k = (np.minimum(x, y) * ng + group[r]) * q + np.maximum(x, y)
+        keys = np.concatenate([keys, k])
+        found = np.concatenate([found, sub[c, i]])
+        top = np.argsort(keys)[:limit]
+        keys, found = keys[top], found[top]
     return tuple(
         ((k // q // ng, k % q), c) for k, c in zip(keys.tolist(), found.tolist())
     )
@@ -185,20 +272,18 @@ def check_pair_coverage(ctx: GF2n, orbits: tuple[Orbit, ...], groups) -> tuple:
     count is >= 0, so if each equals its group's count c (0 <= c < 256)
     modulo 256, each is at least c; and if the true total, 21 incidences
     per developed block, equals the sum of the expected counts, none is
-    more.  Anything else is recounted with uint32 counters.
+    more.  Anything else is recounted with uint32 counters, band by band
+    like the first count.
     """
-    counts = pair_coverage_counts(ctx, orbits)
-    ranges = [_row_range(counts, rows) for rows, _ in groups]
-    del counts  # frees the memory of the modular counter for a recount
-    incidences = len(_PAIR_INDICES) * sum(o.length * o.replication for o in orbits)
+    ranges = _group_ranges(pair_coverage_counts(ctx, orbits, COUNTER_DTYPE), groups)
+    incidences = len(_PAIR_I) * sum(o.length * o.replication for o in orbits)
     expected = sum(lam * int(rows.sum()) for rows, lam in groups) * (ctx.order - 1)
     if incidences == expected and all(
         r is None or r == (lam, lam) for r, (_, lam) in zip(ranges, groups)
     ):
         return ranges, ()
-    counts = pair_coverage_counts(ctx, orbits, np.uint32)
-    ranges = [_row_range(counts, rows) for rows, _ in groups]
-    return ranges, _first_offenders(ctx, counts, groups)
+    extremes = pair_coverage_counts(ctx, orbits, np.uint32)
+    return _group_ranges(extremes, groups), _first_offenders(ctx, orbits, groups, extremes)
 
 
 def verify_2design(d: Design) -> VerificationReport:
@@ -223,19 +308,38 @@ def check_qanalog(d: Design) -> bool:
     """Whether every developed block, with 0 added, is add-closed.
 
     One representative per orbit suffices: t*S is a subspace whenever S
-    is, because scaling is GF(2)-linear.
+    is, because scaling is GF(2)-linear.  Seven distinct nonzero elements
+    span a subspace with 0 iff the sum of each of their 21 pairs is one
+    of them; all representatives are checked at once.
     """
-    return all(is_subspace_block(d.ctx, o.rep.elements) for o in d.orbits)
+    els = _rep_elements(d.orbits)
+    s = np.sort(els, axis=1)
+    distinct = (s[:, 0] > 0) & (np.diff(s, axis=1) > 0).all(axis=1)
+    sums = els[:, _PAIR_I] ^ els[:, _PAIR_J]
+    closed = (sums[:, :, None] == els[:, None, :]).any(axis=2).all(axis=1)
+    return bool((distinct & closed).all())
 
 
 def check_simple(d: Design) -> bool:
     """Whether the developed design has no repeated blocks: every orbit
     has trivial stabilizer and orbit representatives are pairwise
-    inequivalent under scaling."""
+    inequivalent under scaling.
+
+    Scaling by g^c translates a block's logs by c, so the lexicographically
+    smallest of its 7 sorted translates that contain 0 labels the orbit;
+    the labels of all representatives are found at once and counted.
+    """
     if any(o.replication != 1 for o in d.orbits):
         return False
-    labels = {canonical_orbit_label(d.ctx, o.rep) for o in d.orbits}
-    return len(labels) == len(d.orbits)
+    logs = d.ctx.logs[_rep_elements(d.orbits)]
+    # translates[b, k] is block b's log set translated by -logs[b, k], sorted
+    translates = np.sort((logs[:, None, :] - logs[:, :, None]) % d.v, axis=2)
+    smallest = np.ones(translates.shape[:2], dtype=bool)
+    for p in range(1, 7):
+        col = np.where(smallest, translates[:, :, p], d.v)
+        smallest &= col == col.min(axis=1, keepdims=True)
+    labels = translates[np.arange(len(logs)), smallest.argmax(axis=1)]
+    return len(set(map(tuple, labels.tolist()))) == len(labels)
 
 
 def materialize(d: Design) -> list[frozenset[int]]:

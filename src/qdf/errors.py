@@ -40,3 +40,7 @@ class DegenerateTError(QdfError):
 
 class WrongResidueError(QdfError):
     """Operation requires n divisible by 3 (equivalently n = 3 mod 6 for odd n)."""
+
+
+class MalformedFamilyError(QdfError):
+    """A family file's block row is not 7 hex elements in canonical slot order."""

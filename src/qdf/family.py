@@ -8,7 +8,7 @@ times in the union of the quotient lists of its base blocks.
 Two independent routes compute the multiplicity m(t):
 
   * multiplicity_profile: brute-force accumulation over every base block,
-    as one histogram of the 42 slot log differences of each block (the
+    as one histogram of the slot log differences of each block (the
     production verifier and the oracle);
   * certificate_table: solvability of the 18 genuinely quadratic quotient
     equations at every t, read off the trace table, plus the 24
@@ -106,8 +106,8 @@ def delta_table(ctx: GF2n, x: int):
     ]
 
 
-# Slot positions (i, j) of the 42 ordered pairs i != j, in delta's order.
-_DELTA_I, _DELTA_J = np.array([(i, j) for i in range(7) for j in range(7) if i != j]).T
+# Slot positions (i, j), i < j, of the 21 unordered pairs of a block.
+_DELTA_I, _DELTA_J = np.array([(i, j) for i in range(7) for j in range(i + 1, 7)]).T
 
 # Blocks per histogram pass of multiplicity_profile; bounds its temporaries.
 _PROFILE_BLOCKS = 1 << 14
@@ -118,7 +118,9 @@ def multiplicity_profile(fam) -> MultiplicityProfile:
 
     b_i/b_j = g^(log b_i - log b_j), so the histogram of the 42 slot log
     differences mod v = 2^n - 1 of every block, mapped to encodings
-    through exp2, is the multiset union of the blocks' delta lists.
+    through exp2, is the multiset union of the blocks' delta lists.  The
+    21 differences with i < j are histogrammed; the other 21 are their
+    negatives, counted by adding the histogram read at -t.
     """
     ctx = fam.ctx
     v = ctx.order - 1
@@ -128,6 +130,7 @@ def multiplicity_profile(fam) -> MultiplicityProfile:
         part = logs[lo : lo + _PROFILE_BLOCKS]
         diffs = (part[:, _DELTA_I] - part[:, _DELTA_J]) % v
         hist += np.bincount(diffs.ravel(), minlength=v)
+    hist += np.roll(hist[::-1], 1)  # hist[(-t) % v]
     counts = np.zeros(ctx.order, dtype=np.int64)
     counts[ctx.exp2[:v]] = hist
     return MultiplicityProfile(counts, ctx.order)

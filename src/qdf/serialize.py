@@ -15,6 +15,7 @@ import numpy as np
 
 from .blocks import Block, block_of, block_slots
 from .design import Design, Orbit, VerificationReport
+from .errors import MalformedFamilyError
 from .family import EQUATION_FORMS, CertificateTable, DifferenceFamily, MultiplicityProfile
 from .gdd import Spread
 from .gf2n import GF2n
@@ -89,12 +90,20 @@ def family_to_json(fam: DifferenceFamily) -> bytes:
 def family_from_dict(d: dict) -> DifferenceFamily:
     """The family of a construct artifact.  Rows must be in canonical slot
     order, (1, x, x^2, x+1, x^2+1, x^2+x, x^2+x+1) for the seed x in slot
-    1; all rows are checked at once and the first bad one is named."""
+    1; all rows are checked at once and the first bad one is named in a
+    MalformedFamilyError (ForbiddenSeedError for a seed outside F* \\ {1})."""
     ctx = GF2n(int(d["n"]), int(d["modulus"]))
     rows = d["blocks"]
-    if any(len(row) != 7 for row in rows):
-        raise ValueError("block rows must have exactly 7 elements")
-    slots = np.array([[int(s, 16) for s in row] for row in rows], dtype=np.int64)
+    short = next((row for row in rows if len(row) != 7), None)
+    if short is not None:
+        raise MalformedFamilyError(f"block row {short} does not have exactly 7 elements")
+    parsed = []
+    for row in rows:
+        try:
+            parsed.append([int(s, 16) for s in row])
+        except (TypeError, ValueError):
+            raise MalformedFamilyError(f"block row {row} has an element that is not hex") from None
+    slots = np.array(parsed, dtype=np.int64)
     slots = slots.reshape(-1, 7)
     seeds = slots[:, 1]
     valid = (seeds >= 2) & (seeds < ctx.order)
@@ -102,7 +111,7 @@ def family_from_dict(d: dict) -> DifferenceFamily:
     if bad.any():
         k = int(np.argmax(bad))
         block_of(ctx, int(seeds[k]))  # a seed outside F* minus {1} raises here
-        raise ValueError(f"block row {rows[k]} is not in canonical slot order")
+        raise MalformedFamilyError(f"block row {rows[k]} is not in canonical slot order")
     return DifferenceFamily(ctx, slots, lambda_claim=int(d["lambda"]))
 
 

@@ -2,8 +2,9 @@
 
 Replays the `tiny` and `sweep-small` command sets of `perfbench/` (every
 command at n <= 9: construct, export to JSON and CSV, verify, certify and
-gdd) and the `build-19` set (construct at n = 19, certify at n = 15) for
-seeds 0 and 1 through `qdf.cli.main`, and compares each exit code and
+gdd), the `build-19` set (construct at n = 19, certify at n = 15) and the
+`verify-13` set (verify at n = 13) for seeds 0 and 1 through
+`qdf.cli.main`, and compares each exit code and
 artifact sha256 with `perfbench/reference.json`.  The files under
 `perfbench/` are only read.
 """
@@ -33,7 +34,7 @@ def reference():
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("workload", ["tiny", "sweep-small", "build-19"])
+@pytest.mark.parametrize("workload", ["tiny", "sweep-small", "build-19", "verify-13"])
 def test_artifacts_match_reference_digests(workload, seed, reference, tmp_path, capsys):
     paths = {}
     for cid, argv in _workloads().command_set(workload, seed):

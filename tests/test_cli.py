@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -66,9 +67,10 @@ def test_preflight_estimate_matches_counter(capsys):
     )
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
-    # table_bytes(15) = 200 * 2^15 bytes; 16383 x 32767 one-byte counters
+    # table_bytes(15) = 200 * 2^15 bytes; a 256 x 16383 one-byte band and
+    # its carry, and 72 bytes for each of the 21 runs of 5461 orbits
     assert "~6.2 MiB of field tables" in warning
-    assert "~512.0 MiB for exhaustive pair counts" in warning
+    assert "~11.9 MiB for banded pair counts, ~18.1 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
 
@@ -99,6 +101,28 @@ def test_preflight_table_estimate_matches_measured_rss(n):
     )
     measured = int(out.stdout)
     assert 0.75 * table_bytes(n) < measured < 1.25 * table_bytes(n)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_preflight_total_matches_measured_rss_of_verify():
+    # peak RSS growth of a whole `verify --n 15 --force` in a fresh
+    # process, against the total the preflight prints
+    probe = (
+        "import os, re, qdf.cli;"
+        "hwm = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1]);"
+        "r0 = hwm();"
+        "rc = qdf.cli.main(['verify', '--n', '15', '--force', '--out', os.devnull]);"
+        "print(rc, (hwm() - r0) * 1024)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, check=True,
+    )
+    rc, measured = map(int, out.stdout.split())
+    total = float(re.search(r"~([0-9.]+) MiB in all", out.stderr)[1]) * 2**20
+    assert rc == 0
+    assert 0.75 * total < measured < 1.25 * total
 
 
 def test_verify_small_field(capsys):
@@ -189,3 +213,19 @@ def test_export_unrecognized_input(capsys, tmp_path):
     code, _, stderr = run_cli(capsys, "export", str(bogus))
     assert code == 2
 
+
+
+@pytest.mark.parametrize("defect", ["reversed", "short", "not-hex"])
+def test_export_malformed_family_exits_2_naming_the_row(capsys, tmp_path, defect):
+    fam = tmp_path / "fam.json"
+    run_cli(capsys, "construct", "--n", "5", "--out", str(fam))
+    data = json.loads(fam.read_text())
+    row = data["blocks"][2]
+    bad = {"reversed": row[::-1], "short": row[:6], "not-hex": row[:3] + ["zz"] + row[4:]}[defect]
+    data["blocks"][2] = bad
+    fam.write_text(json.dumps(data))
+    code, stdout, stderr = run_cli(capsys, "export", str(fam))
+    assert code == 2 and stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "MalformedFamily"
+    assert str(bad) in err["message"]

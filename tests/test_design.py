@@ -1,7 +1,8 @@
 """Development and exhaustive 2-design verification tests.
 
-The log-coordinate pair counter is cross-checked against a fully
-materialized Counter-based count at desk scale (n <= 9).
+The log-coordinate pair counter, assembled from its bands, is
+cross-checked against a fully materialized Counter-based count at desk
+scale (n <= 9), with bands of a few columns as well as the default.
 """
 
 import random
@@ -21,7 +22,9 @@ from qdf import (
     pair_coverage_counts,
     verify_2design,
 )
-from qdf.design import counter_shape
+from qdf import design
+from qdf.blocks import canonical_orbit_label, is_subspace_block
+from qdf.design import count_bands, counter_shape
 from oracles import cached_field, materialized_pair_counts
 
 
@@ -63,6 +66,14 @@ def test_verify_2design_passes(n):
     assert d.block_count() * 42 == 7 * d.v * (d.v - 1)
 
 
+def _full_counter(f, orbits, dtype=np.uint8):
+    """The whole pair counter, assembled from the bands of count_bands."""
+    counts = np.zeros(counter_shape(f.order - 1), dtype=dtype)
+    for a0, band in count_bands(f, orbits, dtype):
+        counts[:, a0 : a0 + len(band)] = band.T
+    return counts
+
+
 def _pair_at(f, row, col):
     """The encoding pair (u, w), u < w, counted at (row, col)."""
     x, y = int(f.exp2[col]), int(f.exp2[col + row + 1])
@@ -77,7 +88,7 @@ def _pair_at(f, row, col):
 def test_pair_counts_match_materialized_counter(n, modulus):
     f = cached_field(n, modulus)
     d = develop(build_family(f))
-    counts = pair_coverage_counts(f, d.orbits)
+    counts = _full_counter(f, d.orbits)
     assert counts.shape == counter_shape(d.v)
     oracle = materialized_pair_counts(materialize(d))
     got = {_pair_at(f, r, c): int(counts[r, c]) for r, c in np.ndindex(counts.shape)}
@@ -206,3 +217,155 @@ def test_log_coordinate_pair_map_is_bijective():
                 d = (int(f.logs[w]) - int(f.logs[u])) % v
                 cell = (d - 1, int(f.logs[u])) if d <= rows else (v - d - 1, int(f.logs[w]))
                 assert cells[(u, w)] == cell
+
+
+# -- banded kernel ------------------------------------------------------------
+
+def _band_of(monkeypatch, f, columns, dtype=np.uint8):
+    """Shrink the band to `columns` columns of `dtype` counters."""
+    rows = counter_shape(f.order - 1)[0]
+    monkeypatch.setattr(design, "_BAND_BYTES", columns * rows * np.dtype(dtype).itemsize)
+    assert design.band_columns(f.order - 1, dtype) == columns
+
+
+def _partial_orbits(f, seed):
+    """Orbits of the index-7 family cut to random lengths below v, with
+    random replications: most of their runs wrap past column v - 1."""
+    rng = random.Random(seed)
+    v = f.order - 1
+    return tuple(
+        Orbit(o.rep, rng.randrange(1, v), rng.randrange(1, 4))
+        for o in develop(build_family(f)).orbits
+    )
+
+
+def _wrapped_runs(f, orbits):
+    """Number of (orbit, slot pair) runs that wrap past column v - 1."""
+    v = f.order - 1
+    rows = counter_shape(v)[0]
+    wrapped = 0
+    for o in orbits:
+        logs = [int(f.logs[e]) for e in o.rep.elements]
+        for i in range(7):
+            for j in range(i + 1, 7):
+                d = (logs[j] - logs[i]) % v
+                start = logs[i] if d <= rows else logs[j]
+                wrapped += o.length < v and start + o.length > v
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "n,modulus",
+    [(3, None), (5, None), (7, None), (9, None), (7, 0b10001001)],
+    ids=["3", "5", "7", "9", "7-0x89"],
+)
+@pytest.mark.parametrize("partial", [False, True], ids=["family", "partial-orbits"])
+def test_small_bands_match_materialized_counter(monkeypatch, n, modulus, partial):
+    # 3-column bands: many band edges, a carry into every band
+    f = cached_field(n, modulus)
+    d = develop(build_family(f))
+    if partial:
+        d = type(d)(ctx=f, orbits=_partial_orbits(f, n), v=d.v, k=7, lambda_claim=7)
+        assert _wrapped_runs(f, d.orbits) > 0
+    _band_of(monkeypatch, f, 3)
+    counts = _full_counter(f, d.orbits)
+    oracle = materialized_pair_counts(materialize(d))
+    got = {_pair_at(f, r, c): int(counts[r, c]) for r, c in np.ndindex(counts.shape)}
+    assert got == {p: oracle[p] % 256 for p in got}
+    assert set(oracle) <= set(got)
+
+
+def _designs_n9():
+    f = cached_field(9)
+    d = develop(build_family(f))
+    o = d.orbits[0]
+    return f, {
+        "family": d,
+        "dropped": type(d)(ctx=f, orbits=d.orbits[1:], v=d.v, k=7, lambda_claim=7),
+        "partial": type(d)(ctx=f, orbits=_partial_orbits(f, 1), v=d.v, k=7, lambda_claim=7),
+        "past-uint8": type(d)(
+            ctx=f, orbits=d.orbits + (Orbit(o.rep, o.length, 256),), v=d.v, k=7, lambda_claim=7
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["family", "dropped", "partial", "past-uint8"])
+def test_results_independent_of_band_size(monkeypatch, name):
+    f, designs = _designs_n9()
+    d = designs[name]
+    seen = set()
+    for columns in (1, 2, 7, 100, d.v):
+        for dtype in (np.uint8, np.uint32):
+            _band_of(monkeypatch, f, columns, dtype)
+            ext = pair_coverage_counts(f, d.orbits, dtype)
+            assert ext.dtype == dtype and ext.shape == (2, counter_shape(d.v)[0])
+            counts = _full_counter(f, d.orbits, dtype)
+            assert (ext == [counts.min(axis=1), counts.max(axis=1)]).all()
+            rep = verify_2design(d)
+            seen.add((dtype, ext.tobytes(), rep.passed, rep.pair_coverage_min,
+                      rep.pair_coverage_max, rep.offending_pairs))
+    assert len(seen) == 2  # one outcome per counter dtype
+
+
+def _scalar_simple(d):
+    if any(o.replication != 1 for o in d.orbits):
+        return False
+    return len({canonical_orbit_label(d.ctx, o.rep) for o in d.orbits}) == len(d.orbits)
+
+
+def _scalar_qanalog(d):
+    return all(is_subspace_block(d.ctx, o.rep.elements) for o in d.orbits)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_array_orbit_checks_match_scalar_checks(n):
+    f = cached_field(n)
+    d = develop(build_family(f))
+    assert check_simple(d) is _scalar_simple(d) is (n % 3 != 0)
+    assert check_qanalog(d) is _scalar_qanalog(d) is True
+    rng = random.Random(n)
+    for o in rng.sample(d.orbits, min(3, len(d.orbits))):
+        # an orbit again, as a scaled copy in another slot order: the
+        # design repeats blocks
+        t = rng.randrange(2, f.order)
+        els = tuple(rng.sample([f.mul(t, e) for e in o.rep.elements], 7))
+        twice = type(d)(
+            ctx=f, orbits=d.orbits + (Orbit(Block(els, els[1]), o.length, 1),),
+            v=d.v, k=7, lambda_claim=7,
+        )
+        assert check_simple(twice) is _scalar_simple(twice) is False
+        # one element perturbed, staying nonzero: the representative is no subspace
+        k = rng.randrange(7)
+        flip = rng.choice([1 << b for b in range(n) if 1 << b != o.rep.elements[k]])
+        bad_els = tuple(e ^ flip if i == k else e for i, e in enumerate(o.rep.elements))
+        bad = type(d)(
+            ctx=f,
+            orbits=tuple(Orbit(Block(bad_els, bad_els[1]), o.length, o.replication)
+                         if p is o else p for p in d.orbits),
+            v=d.v, k=7, lambda_claim=7,
+        )
+        assert check_qanalog(bad) is _scalar_qanalog(bad) is False
+        assert check_simple(bad) is _scalar_simple(bad)
+    # every orbit next to a scaled copy of itself in another slot order
+    for o in d.orbits:
+        t = rng.randrange(2, f.order)
+        els = tuple(rng.sample([f.mul(t, e) for e in o.rep.elements], 7))
+        pair = type(d)(
+            ctx=f, orbits=(Orbit(o.rep, o.length, 1), Orbit(Block(els, els[1]), o.length, 1)),
+            v=d.v, k=7, lambda_claim=7,
+        )
+        assert check_simple(pair) is _scalar_simple(pair) is False
+
+
+def test_dropped_block_offenders_match_full_uint32_recount():
+    f = cached_field(11)
+    d = develop(build_family(f))
+    crippled = type(d)(ctx=f, orbits=d.orbits[1:], v=d.v, k=7, lambda_claim=7)
+    rep = verify_2design(crippled)
+    counts = _full_counter(f, crippled.orbits, np.uint32)
+    r, c = np.nonzero(counts != 7)
+    pairs = sorted((_pair_at(f, int(i), int(j)), int(counts[i, j])) for i, j in zip(r, c))
+    assert not rep.passed
+    assert (rep.pair_coverage_min, rep.pair_coverage_max) == (int(counts.min()), int(counts.max()))
+    assert rep.offending_pairs == tuple(pairs[:10])
+    assert len(pairs) > 10
