@@ -25,6 +25,9 @@ from .gf2n import GF2n
 # of B_x is this polynomial evaluated at x.
 SLOT_MASKS = (0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
 
+# Slot positions (i, j), i < j, of the 21 unordered pairs of a block.
+PAIR_I, PAIR_J = np.array([(i, j) for i in range(7) for j in range(i + 1, 7)]).T
+
 
 @dataclass(frozen=True)
 class Block:

@@ -29,12 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Block, stabilizer_of
+from .blocks import PAIR_I, PAIR_J, Block, stabilizer_of
 from .family import DifferenceFamily
 from .gf2n import GF2n
-
-# Slot positions (i, j), i < j, of the 21 pairs of a block.
-_PAIR_I, _PAIR_J = np.array([(i, j) for i in range(7) for j in range(i + 1, 7)]).T
 
 
 @dataclass(frozen=True)
@@ -117,13 +114,13 @@ def band_columns(v: int, dtype=COUNTER_DTYPE) -> int:
     return min(v, max(1, _BAND_BYTES // (max(rows, 1) * np.dtype(dtype).itemsize)))
 
 
-def pair_count_bytes(v: int, orbits: int, dtype=COUNTER_DTYPE) -> int:
+def pair_count_bytes(v: int, orbits: int) -> int:
     """Bytes count_bands allocates for `orbits` orbits over v points: the
     band buffer and its carry, and 72 bytes per run (21 runs per orbit)
     for the run and event arrays at their peak in _events."""
     rows = counter_shape(v)[0]
-    band = (band_columns(v, dtype) + 1) * rows * np.dtype(dtype).itemsize
-    return band + 72 * len(_PAIR_I) * orbits
+    band = (band_columns(v) + 1) * rows * np.dtype(COUNTER_DTYPE).itemsize
+    return band + 72 * len(PAIR_I) * orbits
 
 
 def _rep_elements(orbits) -> np.ndarray:
@@ -146,12 +143,12 @@ def _events(ctx: GF2n, orbits: tuple[Orbit, ...], dtype) -> list[tuple[np.generi
     v = ctx.order - 1
     rows = counter_shape(v)[0]
     logs = ctx.logs[_rep_elements(orbits)]
-    li, lj = logs[:, _PAIR_I], logs[:, _PAIR_J]
+    li, lj = logs[:, PAIR_I], logs[:, PAIR_J]
     d = (lj - li) % v
     low = d <= rows
     row = np.where(low, d - 1, v - d - 1).ravel()
-    length = np.repeat(np.array([o.length for o in orbits], dtype=np.int64), len(_PAIR_I))
-    w = np.repeat(np.array([o.replication for o in orbits], dtype=np.int64), len(_PAIR_I))
+    length = np.repeat(np.array([o.length for o in orbits], dtype=np.int64), len(PAIR_I))
+    w = np.repeat(np.array([o.replication for o in orbits], dtype=np.int64), len(PAIR_I))
     # key of the run's first column (column 0 for a run over all v columns)
     first = np.where(low, li, lj).ravel() * np.where(length < v, rows, 0) + row
     stop = first + length * rows  # key of the column past the run, unwrapped
@@ -276,7 +273,7 @@ def check_pair_coverage(ctx: GF2n, orbits: tuple[Orbit, ...], groups) -> tuple:
     like the first count.
     """
     ranges = _group_ranges(pair_coverage_counts(ctx, orbits, COUNTER_DTYPE), groups)
-    incidences = len(_PAIR_I) * sum(o.length * o.replication for o in orbits)
+    incidences = len(PAIR_I) * sum(o.length * o.replication for o in orbits)
     expected = sum(lam * int(rows.sum()) for rows, lam in groups) * (ctx.order - 1)
     if incidences == expected and all(
         r is None or r == (lam, lam) for r, (_, lam) in zip(ranges, groups)
@@ -315,7 +312,7 @@ def check_qanalog(d: Design) -> bool:
     els = _rep_elements(d.orbits)
     s = np.sort(els, axis=1)
     distinct = (s[:, 0] > 0) & (np.diff(s, axis=1) > 0).all(axis=1)
-    sums = els[:, _PAIR_I] ^ els[:, _PAIR_J]
+    sums = els[:, PAIR_I] ^ els[:, PAIR_J]
     closed = (sums[:, :, None] == els[:, None, :]).any(axis=2).all(axis=1)
     return bool((distinct & closed).all())
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import SLOT_MASKS, Block, block_of, block_slots, hexagon_rows
+from .blocks import PAIR_I, PAIR_J, SLOT_MASKS, Block, block_of, block_slots, hexagon_rows
 from .errors import DegenerateTError
 from .gf2n import GF2n, poly_divmod, poly_gcd
 
@@ -106,9 +106,6 @@ def delta_table(ctx: GF2n, x: int):
     ]
 
 
-# Slot positions (i, j), i < j, of the 21 unordered pairs of a block.
-_DELTA_I, _DELTA_J = np.array([(i, j) for i in range(7) for j in range(i + 1, 7)]).T
-
 # Blocks per histogram pass of multiplicity_profile; bounds its temporaries.
 _PROFILE_BLOCKS = 1 << 14
 
@@ -128,7 +125,7 @@ def multiplicity_profile(fam) -> MultiplicityProfile:
     hist = np.zeros(v, dtype=np.int64)
     for lo in range(0, len(logs), _PROFILE_BLOCKS):
         part = logs[lo : lo + _PROFILE_BLOCKS]
-        diffs = (part[:, _DELTA_I] - part[:, _DELTA_J]) % v
+        diffs = (part[:, PAIR_I] - part[:, PAIR_J]) % v
         hist += np.bincount(diffs.ravel(), minlength=v)
     hist += np.roll(hist[::-1], 1)  # hist[(-t) % v]
     counts = np.zeros(ctx.order, dtype=np.int64)

@@ -94,23 +94,25 @@ def family_from_dict(d: dict) -> DifferenceFamily:
     MalformedFamilyError (ForbiddenSeedError for a seed outside F* \\ {1})."""
     ctx = GF2n(int(d["n"]), int(d["modulus"]))
     rows = d["blocks"]
-    short = next((row for row in rows if len(row) != 7), None)
-    if short is not None:
-        raise MalformedFamilyError(f"block row {short} does not have exactly 7 elements")
     parsed = []
     for row in rows:
+        if not isinstance(row, list) or len(row) != 7 or not all(isinstance(s, str) for s in row):
+            raise MalformedFamilyError(f"block row {row} is not a list of exactly 7 hex strings")
         try:
             parsed.append([int(s, 16) for s in row])
-        except (TypeError, ValueError):
+        except ValueError:
             raise MalformedFamilyError(f"block row {row} has an element that is not hex") from None
-    slots = np.array(parsed, dtype=np.int64)
+    # an element outside the field becomes -1, which no canonical row holds
+    slots = np.array([[e if 0 <= e < ctx.order else -1 for e in r] for r in parsed], dtype=np.int64)
     slots = slots.reshape(-1, 7)
     seeds = slots[:, 1]
     valid = (seeds >= 2) & (seeds < ctx.order)
     bad = ~valid | (block_slots(ctx, np.where(valid, seeds, 2)) != slots).any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        block_of(ctx, int(seeds[k]))  # a seed outside F* minus {1} raises here
+        block_of(ctx, parsed[k][1])  # a seed outside F* minus {1} raises here
+        if (slots[k] < 0).any():
+            raise MalformedFamilyError(f"block row {rows[k]} has an element outside GF(2^{ctx.n})")
         raise MalformedFamilyError(f"block row {rows[k]} is not in canonical slot order")
     return DifferenceFamily(ctx, slots, lambda_claim=int(d["lambda"]))
 

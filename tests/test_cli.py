@@ -215,13 +215,23 @@ def test_export_unrecognized_input(capsys, tmp_path):
 
 
 
-@pytest.mark.parametrize("defect", ["reversed", "short", "not-hex"])
+@pytest.mark.parametrize(
+    "defect", ["reversed", "short", "not-hex", "not-a-list", "not-strings", "too-wide", "outside-field"]
+)
 def test_export_malformed_family_exits_2_naming_the_row(capsys, tmp_path, defect):
     fam = tmp_path / "fam.json"
     run_cli(capsys, "construct", "--n", "5", "--out", str(fam))
     data = json.loads(fam.read_text())
     row = data["blocks"][2]
-    bad = {"reversed": row[::-1], "short": row[:6], "not-hex": row[:3] + ["zz"] + row[4:]}[defect]
+    bad = {
+        "reversed": row[::-1],
+        "short": row[:6],
+        "not-hex": row[:3] + ["zz"] + row[4:],
+        "not-a-list": 5,
+        "not-strings": [int(s, 16) for s in row],
+        "too-wide": row[:3] + ["f" * 20] + row[4:],
+        "outside-field": row[:3] + ["20"] + row[4:],
+    }[defect]
     data["blocks"][2] = bad
     fam.write_text(json.dumps(data))
     code, stdout, stderr = run_cli(capsys, "export", str(fam))
