@@ -18,6 +18,7 @@ from .design import (
     check_qanalog,
     check_simple,
     develop,
+    develop_bytes,
     pair_count_bytes,
     verify_2design,
 )
@@ -78,11 +79,12 @@ def _make_ctx(args) -> GF2n:
             f"~{table_bytes(n) / 2**20:.1f} MiB of field tables"
         )
         if args.command in ("verify", "gdd"):
-            v = (1 << n) - 1
-            pairs = pair_count_bytes(v, (v - 1) // 6)  # at most (v - 1)/6 base blocks
+            orbits = ((1 << n) - 2) // 6  # at most (2^n - 2)/6 base blocks
+            dev, pairs = develop_bytes(orbits), pair_count_bytes(orbits)
             warning += (
-                f" and ~{pairs / 2**20:.1f} MiB for banded pair counts,"
-                f" ~{(table_bytes(n) + pairs) / 2**20:.1f} MiB in all"
+                f", ~{dev / 2**20:.1f} MiB for the development"
+                f" and ~{pairs / 2**20:.1f} MiB for pair counts,"
+                f" ~{(table_bytes(n) + dev + pairs) / 2**20:.1f} MiB in all"
             )
         print(warning, file=sys.stderr)
     return GF2n(n, args.modulus)

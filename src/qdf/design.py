@@ -10,16 +10,20 @@ verify_2design counts, for every unordered pair of distinct points, the
 number of developed blocks containing both.  Pairs are indexed by log
 coordinates: {g^a, g^(a+d)} sits at row d-1, column a of a
 ((v-1)/2, v) counter.  Developing an orbit shifts every log by the same
-amount, so each (orbit, slot pair) adds to one cyclic run of a single
-row, which at most three +-w difference events describe.  The kernel
-sorts the events by column and sweeps the columns in bands of about
-4 MiB of counters, prefix-summing each band down its columns and
-carrying the last column into the next band; no full-size counter is
-ever held (it would be 32 MiB of 8-bit counters at n = 13, 8 GiB at
-n = 17).  The count is exhaustive, never sampled: every counter is
-computed and compared.  A pass is declared only when the counts modulo
-256 and the exact incidence total together prove it; anything else is
-recounted by the same stream with 32-bit counters.
+amount, so each (orbit, slot pair) adds its orbit's replication w to one
+cyclic run of columns of a single row, which at most three +-w
+difference events describe.  A row of the counter is therefore a step
+function of the column: the count of the pair at column a is the sum of
+the weights of the row's events at columns <= a, and it changes only at
+an event.  The kernel sorts all events by (row, column) once and sums
+them cumulatively in int64; between two consecutive event columns of a
+row no event adds or removes anything, so the running sum of the row
+there is the exact count of every pair in those columns; before a row's
+first event the count is 0.  No full-size counter is held (it would be
+8 GiB of one-byte counters at n = 17), yet every pair's count is
+determined and compared: the check is exhaustive, never sampled.  The
+sums are exact 64-bit integers, not counts modulo a small range, so no
+extra argument is needed to show that a pass is not a wrap-around.
 """
 
 from __future__ import annotations
@@ -95,11 +99,8 @@ def develop(fam: DifferenceFamily) -> Design:
 
 # -- pair counting kernel -----------------------------------------------------
 
-# One byte per point pair; check_pair_coverage proves when it is exact.
-COUNTER_DTYPE = np.uint8
-
-# Bytes of counters per band of columns (a band holds at least one column).
-_BAND_BYTES = 1 << 22
+# Pairs expanded per chunk while looking for offenders; bounds its memory.
+_OFFENDER_CHUNK = 1 << 16
 
 
 def counter_shape(v: int) -> tuple[int, int]:
@@ -108,19 +109,20 @@ def counter_shape(v: int) -> tuple[int, int]:
     return (v - 1) // 2, v
 
 
-def band_columns(v: int, dtype=COUNTER_DTYPE) -> int:
-    """Columns per band: _BAND_BYTES of counters, at least 1 and at most v."""
-    rows = counter_shape(v)[0]
-    return min(v, max(1, _BAND_BYTES // (max(rows, 1) * np.dtype(dtype).itemsize)))
+def develop_bytes(orbits: int) -> int:
+    """Resident bytes that building and developing a family of `orbits`
+    base blocks adds, for preflight estimates: ~550 per orbit for the
+    Orbit and Block objects develop keeps, the rest left resident by the
+    construction.  Measured RSS growth: 825 at n = 15, 725 at n = 17."""
+    return 800 * orbits
 
 
-def pair_count_bytes(v: int, orbits: int) -> int:
-    """Bytes count_bands allocates for `orbits` orbits over v points: the
-    band buffer and its carry, and 72 bytes per run (21 runs per orbit)
-    for the run and event arrays at their peak in _events."""
-    rows = counter_shape(v)[0]
-    band = (band_columns(v) + 1) * rows * np.dtype(COUNTER_DTYPE).itemsize
-    return band + 72 * len(PAIR_I) * orbits
+def pair_count_bytes(orbits: int) -> int:
+    """Bytes the pair count allocates at its peak for `orbits` full-length
+    orbits: 40 per run, 21 runs per orbit.  The peak is the cumulative sum
+    in _steps, with one event per run: the event keys and weights, their
+    sort order, the sorted weights and their sums, 8 bytes each."""
+    return 40 * len(PAIR_I) * orbits
 
 
 def _rep_elements(orbits) -> np.ndarray:
@@ -128,132 +130,134 @@ def _rep_elements(orbits) -> np.ndarray:
     return np.array([o.rep.elements for o in orbits], dtype=np.int64).reshape(-1, 7)
 
 
-def _events(ctx: GF2n, orbits: tuple[Orbit, ...], dtype) -> list[tuple[np.generic, np.ndarray]]:
-    """Difference events of every (orbit, slot pair) run, as (weight, keys)
-    pairs: the sorted flat keys column * rows + row of the events that add
-    `weight`, a `dtype` scalar (the weight modulo the range of `dtype`).
+def _events(ctx: GF2n, orbits: tuple[Orbit, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Difference events of every (orbit, slot pair) run, unsorted: their
+    flat keys row * v + column and their int64 weights.
 
     Developing slot pair (i, j) of an orbit shifts both logs together, so
     it covers one cyclic run of `length` columns in a single row: +w at its
     first column and -w past its last, w being the orbit's replication.  A
     run past column v - 1 wraps: it also adds +w at column 0 and -w past
-    its end there.  A run over all v columns starts at column 0 and needs
-    no -w.
+    its end there.  A run over all v columns starts at column 0; a run
+    that ends at column v - 1 needs no -w.
     """
     v = ctx.order - 1
     rows = counter_shape(v)[0]
     logs = ctx.logs[_rep_elements(orbits)]
-    li, lj = logs[:, PAIR_I], logs[:, PAIR_J]
+    li, lj = logs[:, PAIR_I], logs[:, PAIR_J]  # (N, 21): one run per orbit and slot pair
     d = (lj - li) % v
     low = d <= rows
-    row = np.where(low, d - 1, v - d - 1).ravel()
-    length = np.repeat(np.array([o.length for o in orbits], dtype=np.int64), len(PAIR_I))
-    w = np.repeat(np.array([o.replication for o in orbits], dtype=np.int64), len(PAIR_I))
-    # key of the run's first column (column 0 for a run over all v columns)
-    first = np.where(low, li, lj).ravel() * np.where(length < v, rows, 0) + row
-    stop = first + length * rows  # key of the column past the run, unwrapped
-    inside, wraps = stop < v * rows, stop >= (v + 1) * rows
-    scalar, modulus = np.dtype(dtype).type, 1 << 8 * np.dtype(dtype).itemsize
-    events = []
-    for r in sorted({o.replication for o in orbits}):
-        run = w == r
-        up = np.concatenate([first[run], row[run & wraps]])
-        down = np.concatenate([stop[run & inside], stop[run & wraps] - v * rows])
-        events += [(scalar(r % modulus), np.sort(up)), (scalar(-r % modulus), np.sort(down))]
-    return events
+    row0 = np.where(low, d - 1, v - d - 1).astype(np.int64) * v  # key of the row's column 0
+    length = np.array([o.length for o in orbits], dtype=np.int64).reshape(-1, 1)
+    first = np.where(length < v, np.where(low, li, lj), 0)
+    del li, lj, d, low
+    stop = first + length  # the column past the run, unwrapped
+    inside, wraps = stop < v, stop > v
+    keys = np.concatenate([
+        (row0 + first).ravel(),
+        row0[inside] + stop[inside],
+        row0[wraps],
+        row0[wraps] + (stop[wraps] - v),
+    ])
+    del row0, first, stop
+    w = np.broadcast_to(
+        np.array([o.replication for o in orbits], dtype=np.int64).reshape(-1, 1), inside.shape
+    )
+    weights = np.concatenate([w.ravel(), -w[inside], w[wraps], -w[wraps]])
+    return keys, weights
 
 
-def count_bands(ctx: GF2n, orbits: tuple[Orbit, ...], dtype=COUNTER_DTYPE):
-    """Yield the pair coverage counts band by band as (first column a0,
-    band), where band[c, r] counts the pair at row r, column a0 + c of
-    counter_shape(v), modulo the range of `dtype`.
+def _steps(ctx: GF2n, orbits: tuple[Orbit, ...]):
+    """Every step of the pair counter: arrays (row, start, stop, count),
+    ordered by row and then start, such that the pairs at columns
+    start..stop-1 of that row of counter_shape(v) are each counted
+    exactly `count` times.  The steps of a row partition its v columns,
+    and every row has at least one.
 
-    Each band's events are added into a zeroed (columns, rows) buffer and
-    prefix-summed down the columns, one contiguous row vector at a time;
-    the last column carries into the next band.  Modular prefix sums of
-    modular events are the counts modulo the range of `dtype`.  The
-    buffer is reused: a band is valid until the next one is requested.
+    The events are sorted by key and summed cumulatively in int64; the
+    sum after the last event at a column, less the sum before the row's
+    first event, is the count from that column up to the row's next
+    event column (or its end).  The columns before a row's first event,
+    or a row without events, are counted 0.
     """
     v = ctx.order - 1
     rows = counter_shape(v)[0]
-    step = band_columns(v, dtype)
-    starts = np.arange(0, v + step, step) * rows
-    events = [
-        (w, keys, np.searchsorted(keys, starts).tolist())
-        for w, keys in _events(ctx, orbits, dtype)
-    ]
-    buf = np.empty((step, rows), dtype=dtype)
-    columns = list(buf)  # one view per column of the buffer, made once
-    carry = np.zeros(rows, dtype=dtype)
-    for k, a0 in enumerate(range(0, v, step)):
-        band = buf[: min(step, v - a0)]
-        band.fill(0)
-        for w, keys, edges in events:
-            np.add.at(band.reshape(-1), keys[edges[k] : edges[k + 1]] - a0 * rows, w)
-        prev = carry
-        for col in columns[: len(band)]:
-            np.add(col, prev, out=col)
-            prev = col
-        carry[:] = prev
-        yield a0, band
+    keys, weights = _events(ctx, orbits)
+    order = np.argsort(keys)
+    count = np.cumsum(weights[order])
+    del weights
+    keys = keys[order]
+    del order
+    last = np.flatnonzero(np.diff(keys, append=keys[-1:] + 1))  # the last event at each key
+    row, start = np.divmod(keys[last], v)
+    count = count[last]
+    del keys, last
+    head = _heads(row)
+    # rebase each row on the sum before its first event
+    count -= np.repeat(np.where(head > 0, count[head - 1], 0), np.diff(head, append=len(row)))
+    stop = np.empty_like(start)
+    stop[:-1] = start[1:]
+    stop[head - 1] = v  # each row's last step; head[0] - 1 is the very last
+    # the zero step before each row's first event, and of each row without events
+    opening = np.full(rows, v, dtype=np.int64)
+    opening[row[head]] = start[head]
+    zero = np.flatnonzero(opening)
+    at = np.searchsorted(row, zero)
+    return (
+        np.insert(row, at, zero),
+        np.insert(start, at, 0),
+        np.insert(stop, at, opening[zero]),
+        np.insert(count, at, 0),
+    )
 
 
-def pair_coverage_counts(
-    ctx: GF2n, orbits: tuple[Orbit, ...], dtype=COUNTER_DTYPE
-) -> np.ndarray:
-    """Per-row extremes of the pair coverage counts: a (2, rows) array of
-    `dtype` holding the minimum and the maximum over the columns of each
-    row of counter_shape(v), counted by count_bands.  A counter holds its
-    count modulo the range of `dtype`; check_pair_coverage says when
-    uint8 counts are exact.
-    """
-    rows = counter_shape(ctx.order - 1)[0]
-    lo = np.full(rows, np.iinfo(dtype).max, dtype=dtype)
-    hi = np.zeros(rows, dtype=dtype)
-    for _, band in count_bands(ctx, orbits, dtype):
-        np.minimum(lo, band.min(axis=0), out=lo)
-        np.maximum(hi, band.max(axis=0), out=hi)
-    return np.stack([lo, hi])
+def _heads(row: np.ndarray) -> np.ndarray:
+    """Indices of the first entry of each run of equal values in `row`."""
+    return np.flatnonzero(np.diff(row, prepend=row[:1] - 1))
 
 
-def _group_ranges(extremes: np.ndarray, groups) -> list:
-    return [
-        (int(extremes[0, rows].min()), int(extremes[1, rows].max())) if rows.any() else None
-        for rows, _ in groups
-    ]
+def pair_coverage_counts(ctx: GF2n, orbits: tuple[Orbit, ...]) -> np.ndarray:
+    """Per-row extremes of the exact pair coverage counts: a (2, rows)
+    int64 array holding the minimum and the maximum over the columns of
+    each row of counter_shape(v), read off the steps of _steps."""
+    row, _, _, count = _steps(ctx, orbits)
+    head = _heads(row)
+    return np.stack([np.minimum.reduceat(count, head), np.maximum.reduceat(count, head)])
 
 
-def _first_offenders(
-    ctx: GF2n, orbits: tuple[Orbit, ...], groups, extremes: np.ndarray, limit: int = 10
-) -> tuple:
+def _first_offenders(ctx: GF2n, orbits: tuple[Orbit, ...], groups, limit: int = 10) -> tuple:
     """The first `limit` pairs whose exact count differs from their group's,
     as ((u, w), count) with encodings u < w, ordered by u, then group,
-    then w; found band by band in a uint32 count, on the rows whose exact
-    `extremes` show an offender."""
+    then w.  Only the steps whose count is wrong are expanded, pair by
+    pair, at most _OFFENDER_CHUNK pairs at a time."""
     q, ng = ctx.order, len(groups)
     rows = counter_shape(q - 1)[0]
     group = np.zeros(rows, dtype=np.int64)
-    expect = np.zeros(rows, dtype=np.uint32)
+    expect = np.zeros(rows, dtype=np.int64)
     for g, (mask, lam) in enumerate(groups):
         group[mask], expect[mask] = g, lam
-    bad = np.flatnonzero((extremes != expect).any(axis=0))
-    if not bad.size:
-        return ()
+    row, start, stop, count = _steps(ctx, orbits)
+    bad = count != expect[row]
+    row, count, size = row[bad], count[bad], stop[bad] - start[bad]
+    ends = np.cumsum(size)  # pairs in the bad steps up to each one's end
+    origin = ends - size - start[bad]  # pair index minus column, per step
+    total = int(ends[-1]) if ends.size else 0
     keys = np.empty(0, dtype=np.int64)
-    found = np.empty(0, dtype=np.uint32)
-    for a0, band in count_bands(ctx, orbits, np.uint32):
-        sub = band[:, bad]
-        c, i = np.nonzero(sub != expect[bad])
-        r = bad[i]
-        x = ctx.exp2[a0 + c].astype(np.int64)
-        y = ctx.exp2[a0 + c + r + 1].astype(np.int64)
-        k = (np.minimum(x, y) * ng + group[r]) * q + np.maximum(x, y)
-        keys = np.concatenate([keys, k])
-        found = np.concatenate([found, sub[c, i]])
-        top = np.argsort(keys)[:limit]
-        keys, found = keys[top], found[top]
+    found = np.empty(0, dtype=np.int64)
+    for p0 in range(0, total, _OFFENDER_CHUNK):
+        p = np.arange(p0, min(p0 + _OFFENDER_CHUNK, total))
+        s = np.searchsorted(ends, p, side="right")
+        c, r = p - origin[s], row[s]
+        x = ctx.exp2[c].astype(np.int64)
+        y = ctx.exp2[c + r + 1].astype(np.int64)
+        keys = np.concatenate([keys, (np.minimum(x, y) * ng + group[r]) * q + np.maximum(x, y)])
+        found = np.concatenate([found, count[s]])
+        if len(keys) > limit:
+            top = np.argpartition(keys, limit - 1)[:limit]
+            keys, found = keys[top], found[top]
+    top = np.argsort(keys)
     return tuple(
-        ((k // q // ng, k % q), c) for k, c in zip(keys.tolist(), found.tolist())
+        ((k // q // ng, k % q), c) for k, c in zip(keys[top].tolist(), found[top].tolist())
     )
 
 
@@ -263,24 +267,13 @@ def check_pair_coverage(ctx: GF2n, orbits: tuple[Orbit, ...], groups) -> tuple:
     groups is a sequence of (row mask, expected count) whose masks
     partition the rows of counter_shape(v).  Returns the exact (min, max)
     count of each group (None for a group without rows) and the first ten
-    offenders.
-
-    The uint8 counts are exact whenever they prove a pass: every true
-    count is >= 0, so if each equals its group's count c (0 <= c < 256)
-    modulo 256, each is at least c; and if the true total, 21 incidences
-    per developed block, equals the sum of the expected counts, none is
-    more.  Anything else is recounted with uint32 counters, band by band
-    like the first count.
+    offenders, looked up only when a group's range shows one.
     """
-    ranges = _group_ranges(pair_coverage_counts(ctx, orbits, COUNTER_DTYPE), groups)
-    incidences = len(PAIR_I) * sum(o.length * o.replication for o in orbits)
-    expected = sum(lam * int(rows.sum()) for rows, lam in groups) * (ctx.order - 1)
-    if incidences == expected and all(
-        r is None or r == (lam, lam) for r, (_, lam) in zip(ranges, groups)
-    ):
+    lo, hi = pair_coverage_counts(ctx, orbits)
+    ranges = [(int(lo[m].min()), int(hi[m].max())) if m.any() else None for m, _ in groups]
+    if all(r is None or r == (lam, lam) for r, (_, lam) in zip(ranges, groups)):
         return ranges, ()
-    extremes = pair_coverage_counts(ctx, orbits, np.uint32)
-    return _group_ranges(extremes, groups), _first_offenders(ctx, orbits, groups, extremes)
+    return ranges, _first_offenders(ctx, orbits, groups)
 
 
 def verify_2design(d: Design) -> VerificationReport:

@@ -18,6 +18,7 @@ import numpy as np
 from .design import (
     Design,
     VerificationReport,
+    _rep_elements,
     check_pair_coverage,
     check_simple,
     counter_shape,
@@ -50,22 +51,22 @@ def _require_subfield(ctx: GF2n) -> list[int]:
 
 
 def desarguesian_spread(ctx: GF2n) -> Spread:
-    """The (2^n - 1)/7 multiplicative cosets of K*, ordered by smallest
-    member; membership lookups go through a point -> groop index table
-    rather than any discrete-log computation."""
-    kstar = _require_subfield(ctx)
+    """The (2^n - 1)/7 multiplicative cosets of K*, each sorted, ordered by
+    smallest member; membership lookups go through a point -> groop index
+    table rather than any discrete-log computation.
+
+    K* is the subgroup of order 7 of the cyclic group F* = <g>, so it is
+    <g^(v/7)> and the coset of g^a, {g^(a + k v/7)}, depends only on
+    a mod v/7: the exp table lists every coset at once.
+    """
+    _require_subfield(ctx)
+    m = (ctx.order - 1) // 7
+    cosets = np.sort(ctx.exp2[np.arange(m)[:, None] + m * np.arange(7)], axis=1)
+    cosets = cosets[np.argsort(cosets[:, 0])]
     point_groop = np.full(ctx.order, -1, dtype=np.int32)
-    groops = []
-    mul = ctx.mul
-    for e in range(1, ctx.order):
-        if point_groop[e] >= 0:
-            continue
-        coset = tuple(sorted(mul(e, k) for k in kstar))
-        idx = len(groops)
-        for p in coset:
-            point_groop[p] = idx
-        groops.append(coset)
-    return Spread(ctx=ctx, groops=tuple(groops), point_groop=point_groop)
+    point_groop[cosets] = np.arange(m, dtype=np.int32)[:, None]
+    groops = tuple(zip(*cosets.T.tolist()))  # from the 7 columns: no list per groop
+    return Spread(ctx=ctx, groops=groops, point_groop=point_groop)
 
 
 def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
@@ -137,10 +138,8 @@ def verify_gdd(spread: Spread, design: Design) -> VerificationReport:
     t0 = time.perf_counter()
     ctx, lam = design.ctx, design.lambda_claim
 
-    gid = spread.point_groop
-    meet_ok = all(
-        len({int(gid[e]) for e in o.rep.elements}) == 7 for o in design.orbits
-    )
+    groops = np.sort(spread.point_groop[_rep_elements(design.orbits)], axis=1)
+    meet_ok = bool((np.diff(groops, axis=1) > 0).all())
 
     # g^a and g^(a+d) share a coset of K* = <g^(v/7)> iff v/7 divides d
     rows = counter_shape(design.v)[0]

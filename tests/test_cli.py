@@ -67,10 +67,13 @@ def test_preflight_estimate_matches_counter(capsys):
     )
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
-    # table_bytes(15) = 200 * 2^15 bytes; a 256 x 16383 one-byte band and
-    # its carry, and 72 bytes for each of the 21 runs of 5461 orbits
+    # table_bytes(15) = 200 * 2^15 = 6,553,600 bytes (6.25 MiB); for 5461
+    # orbits, develop_bytes = 800 * 5461 = 4,368,800 (4.17 MiB) and
+    # pair_count_bytes = 40 * 21 * 5461 = 4,587,240 (4.37 MiB): 15,509,640
+    # bytes (14.79 MiB) in all
     assert "~6.2 MiB of field tables" in warning
-    assert "~11.9 MiB for banded pair counts, ~18.1 MiB in all" in warning
+    assert "~4.2 MiB for the development and ~4.4 MiB for pair counts" in warning
+    assert "~14.8 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
 

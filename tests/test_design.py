@@ -1,8 +1,9 @@
 """Development and exhaustive 2-design verification tests.
 
-The log-coordinate pair counter, assembled from its bands, is
-cross-checked against a fully materialized Counter-based count at desk
-scale (n <= 9), with bands of a few columns as well as the default.
+The log-coordinate pair counter, rebuilt from the steps of the kernel, is
+cross-checked exactly against a fully materialized Counter-based count
+at desk scale (n <= 9), for the family and for orbits cut short so that
+their runs wrap.
 """
 
 import random
@@ -24,7 +25,7 @@ from qdf import (
 )
 from qdf import design
 from qdf.blocks import canonical_orbit_label, is_subspace_block
-from qdf.design import count_bands, counter_shape
+from qdf.design import counter_shape
 from oracles import cached_field, materialized_pair_counts
 
 
@@ -56,7 +57,8 @@ def test_develop_counts_n3_degenerate():
     assert d.block_count() == 7
 
 
-@pytest.mark.parametrize("n", [5, 7, 9])
+# n = 17: flat counter keys row * v + column pass 2^31
+@pytest.mark.parametrize("n", [5, 7, 9, 17])
 def test_verify_2design_passes(n):
     d = develop(build_family(cached_field(n)))
     rep = verify_2design(d)
@@ -66,11 +68,17 @@ def test_verify_2design_passes(n):
     assert d.block_count() * 42 == 7 * d.v * (d.v - 1)
 
 
-def _full_counter(f, orbits, dtype=np.uint8):
-    """The whole pair counter, assembled from the bands of count_bands."""
-    counts = np.zeros(counter_shape(f.order - 1), dtype=dtype)
-    for a0, band in count_bands(f, orbits, dtype):
-        counts[:, a0 : a0 + len(band)] = band.T
+def _full_counter(f, orbits):
+    """The whole pair counter, rebuilt from the steps of the kernel, which
+    must tile every row: each starts where the one before it stops."""
+    v = f.order - 1
+    counts = np.zeros(counter_shape(v), dtype=np.int64)
+    expected_start = np.zeros(counter_shape(v)[0], dtype=np.int64)
+    for r, a, b, c in zip(*(x.tolist() for x in design._steps(f, orbits))):
+        assert a == expected_start[r] < b <= v
+        counts[r, a:b] = c
+        expected_start[r] = b
+    assert (expected_start == v).all()
     return counts
 
 
@@ -88,6 +96,10 @@ def _pair_at(f, row, col):
 def test_pair_counts_match_materialized_counter(n, modulus):
     f = cached_field(n, modulus)
     d = develop(build_family(f))
+    _assert_counter_matches_oracle(f, d)
+
+
+def _assert_counter_matches_oracle(f, d):
     counts = _full_counter(f, d.orbits)
     assert counts.shape == counter_shape(d.v)
     oracle = materialized_pair_counts(materialize(d))
@@ -125,8 +137,8 @@ def test_deleted_base_block_fails_verification():
 
 
 def test_counts_past_uint8_are_exact():
-    # 256 extra copies of an orbit leave every uint8 counter at 7 mod 256;
-    # only the incidence total shows the pass is false
+    # 256 extra copies of an orbit leave every count at 7 mod 256: a
+    # counter that wraps at 256 would see a pass
     f = cached_field(5)
     d = develop(build_family(f))
     o = d.orbits[0]
@@ -219,14 +231,7 @@ def test_log_coordinate_pair_map_is_bijective():
                 assert cells[(u, w)] == cell
 
 
-# -- banded kernel ------------------------------------------------------------
-
-def _band_of(monkeypatch, f, columns, dtype=np.uint8):
-    """Shrink the band to `columns` columns of `dtype` counters."""
-    rows = counter_shape(f.order - 1)[0]
-    monkeypatch.setattr(design, "_BAND_BYTES", columns * rows * np.dtype(dtype).itemsize)
-    assert design.band_columns(f.order - 1, dtype) == columns
-
+# -- step-function kernel -----------------------------------------------------
 
 def _partial_orbits(f, seed):
     """Orbits of the index-7 family cut to random lengths below v, with
@@ -259,20 +264,12 @@ def _wrapped_runs(f, orbits):
     [(3, None), (5, None), (7, None), (9, None), (7, 0b10001001)],
     ids=["3", "5", "7", "9", "7-0x89"],
 )
-@pytest.mark.parametrize("partial", [False, True], ids=["family", "partial-orbits"])
-def test_small_bands_match_materialized_counter(monkeypatch, n, modulus, partial):
-    # 3-column bands: many band edges, a carry into every band
+def test_wrapping_runs_match_materialized_counter(n, modulus):
     f = cached_field(n, modulus)
     d = develop(build_family(f))
-    if partial:
-        d = type(d)(ctx=f, orbits=_partial_orbits(f, n), v=d.v, k=7, lambda_claim=7)
-        assert _wrapped_runs(f, d.orbits) > 0
-    _band_of(monkeypatch, f, 3)
-    counts = _full_counter(f, d.orbits)
-    oracle = materialized_pair_counts(materialize(d))
-    got = {_pair_at(f, r, c): int(counts[r, c]) for r, c in np.ndindex(counts.shape)}
-    assert got == {p: oracle[p] % 256 for p in got}
-    assert set(oracle) <= set(got)
+    d = type(d)(ctx=f, orbits=_partial_orbits(f, n), v=d.v, k=7, lambda_claim=7)
+    assert _wrapped_runs(f, d.orbits) > 0
+    _assert_counter_matches_oracle(f, d)
 
 
 def _designs_n9():
@@ -290,21 +287,30 @@ def _designs_n9():
 
 
 @pytest.mark.parametrize("name", ["family", "dropped", "partial", "past-uint8"])
-def test_results_independent_of_band_size(monkeypatch, name):
+def test_exact_extremes_match_full_counter(name):
     f, designs = _designs_n9()
     d = designs[name]
-    seen = set()
-    for columns in (1, 2, 7, 100, d.v):
-        for dtype in (np.uint8, np.uint32):
-            _band_of(monkeypatch, f, columns, dtype)
-            ext = pair_coverage_counts(f, d.orbits, dtype)
-            assert ext.dtype == dtype and ext.shape == (2, counter_shape(d.v)[0])
-            counts = _full_counter(f, d.orbits, dtype)
-            assert (ext == [counts.min(axis=1), counts.max(axis=1)]).all()
-            rep = verify_2design(d)
-            seen.add((dtype, ext.tobytes(), rep.passed, rep.pair_coverage_min,
-                      rep.pair_coverage_max, rep.offending_pairs))
-    assert len(seen) == 2  # one outcome per counter dtype
+    ext = pair_coverage_counts(f, d.orbits)
+    assert ext.dtype == np.int64 and ext.shape == (2, counter_shape(d.v)[0])
+    counts = _full_counter(f, d.orbits)
+    assert (ext == [counts.min(axis=1), counts.max(axis=1)]).all()
+    rep = verify_2design(d)
+    assert (rep.pair_coverage_min, rep.pair_coverage_max) == (counts.min(), counts.max())
+    assert rep.passed is (name == "family")
+    r, c = np.nonzero(counts != 7)
+    pairs = sorted((_pair_at(f, int(i), int(j)), int(counts[i, j])) for i, j in zip(r, c))
+    assert rep.offending_pairs == tuple(pairs[:10])
+
+
+@pytest.mark.parametrize("name", ["dropped", "partial", "past-uint8"])
+def test_offenders_independent_of_chunk_size(monkeypatch, name):
+    # chunks of 7 pairs: many steps split between chunks
+    f, designs = _designs_n9()
+    d = designs[name]
+    whole = verify_2design(d).offending_pairs
+    monkeypatch.setattr(design, "_OFFENDER_CHUNK", 7)
+    assert verify_2design(d).offending_pairs == whole
+    assert len(whole) == 10
 
 
 def _scalar_simple(d):
@@ -362,10 +368,24 @@ def test_dropped_block_offenders_match_full_uint32_recount():
     d = develop(build_family(f))
     crippled = type(d)(ctx=f, orbits=d.orbits[1:], v=d.v, k=7, lambda_claim=7)
     rep = verify_2design(crippled)
-    counts = _full_counter(f, crippled.orbits, np.uint32)
+    counts = _full_counter(f, crippled.orbits)
     r, c = np.nonzero(counts != 7)
     pairs = sorted((_pair_at(f, int(i), int(j)), int(counts[i, j])) for i, j in zip(r, c))
     assert not rep.passed
     assert (rep.pair_coverage_min, rep.pair_coverage_max) == (int(counts.min()), int(counts.max()))
     assert rep.offending_pairs == tuple(pairs[:10])
     assert len(pairs) > 10
+
+
+def test_dropped_block_report_pinned_n15():
+    # min, max and first ten offenders as recorded from the banded counter
+    # this kernel replaced: pins the offender order above n = 11
+    f = cached_field(15)
+    d = develop(build_family(f))
+    rep = verify_2design(type(d)(ctx=f, orbits=d.orbits[1:], v=d.v, k=7, lambda_claim=7))
+    assert not rep.passed
+    assert (rep.pair_coverage_min, rep.pair_coverage_max) == (4, 7)
+    assert rep.offending_pairs == (
+        ((1, 2), 4), ((1, 3), 4), ((1, 4), 6), ((1, 5), 6), ((1, 6), 6),
+        ((1, 7), 6), ((1, 8192), 6), ((1, 8193), 6), ((1, 10922), 6), ((1, 10923), 6),
+    )

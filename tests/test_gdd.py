@@ -36,12 +36,20 @@ def test_spread_partitions_units(n, groops):
 
 
 def test_spread_groops_are_kstar_cosets():
-    f = cached_field(9)
-    kstar = [t for t in f.subfield(3) if t]
-    sp = desarguesian_spread(f)
-    for g in sp.groops:
-        rep = g[0]
-        assert set(g) == {f.mul(rep, k) for k in kstar}
+    for n in (9, 15):
+        f = cached_field(n)
+        kstar = [t for t in f.subfield(3) if t]
+        sp = desarguesian_spread(f)
+        # the cosets e K* by scalar multiplication, ordered by smallest member
+        groops, point_groop = [], [-1] * f.order
+        for e in range(1, f.order):
+            if point_groop[e] < 0:
+                coset = tuple(sorted(f.mul(e, k) for k in kstar))
+                for p in coset:
+                    point_groop[p] = len(groops)
+                groops.append(coset)
+        assert sp.groops == tuple(groops)
+        assert sp.point_groop.tolist() == point_groop
 
 
 def test_spread_requires_divisibility():
@@ -175,6 +183,7 @@ def test_gdd_detects_within_groop_coverage():
     assert not rep.passed
     assert rep.checks is not None
     assert not rep.checks["within_pair_coverage"]
+    assert not rep.checks["block_groop_meet"]  # the K* orbit meets one groop 7 times
     assert not rep.checks["simple"]  # the subfield orbit has replication 7
     assert rep.checks["cross_pair_coverage"]
     assert rep.offending_pairs == (
