@@ -272,6 +272,44 @@ def test_wrapping_runs_match_materialized_counter(n, modulus):
     _assert_counter_matches_oracle(f, d)
 
 
+def _small_bands(f, orbits, width=3):
+    """Each orbit cut into consecutive bands of `width` blocks: orbits whose
+    representatives are the orbit's rep scaled by g^s, s = 0, width, ....
+    One band's -w and the next one's +w fall on the same key."""
+    exp2 = f.exp2
+    return tuple(
+        Orbit(
+            Block(tuple(f.mul(int(exp2[s]), e) for e in o.rep.elements), o.rep.seed),
+            min(width, o.length - s),
+            o.replication,
+        )
+        for o in orbits
+        for s in range(0, o.length, width)
+    )
+
+
+@pytest.mark.parametrize(
+    "n,modulus",
+    [(3, None), (5, None), (7, None), (9, None), (7, 0b10001001)],
+    ids=["family-3", "family-5", "family-7", "family-9", "family-7-0x89"],
+)
+def test_small_bands_match_materialized_counter(n, modulus):
+    # the family developed in 3-block bands: many runs, most of them
+    # meeting the next at a shared key, several wrapping past column v - 1
+    f = cached_field(n, modulus)
+    d = develop(build_family(f))
+    bands = _small_bands(f, d.orbits)
+    assert len(bands) > len(d.orbits) or n == 3
+    banded = type(d)(ctx=f, orbits=bands, v=d.v, k=7, lambda_claim=7)
+    assert sorted(map(sorted, materialize(banded))) == sorted(map(sorted, materialize(d)))
+    counts = _full_counter(f, bands)
+    oracle = materialized_pair_counts(materialize(d))
+    got = {_pair_at(f, r, c): int(counts[r, c]) for r, c in np.ndindex(counts.shape)}
+    assert got == {p: oracle[p] for p in got}
+    assert set(oracle) <= set(got)
+    assert verify_2design(banded).passed
+
+
 def _designs_n9():
     f = cached_field(9)
     d = develop(build_family(f))
