@@ -141,7 +141,8 @@ def stabilizer_of(ctx: GF2n, b: Block) -> StabilizerReport:
 
     The stabilizer order divides gcd(2^n - 1, 7), so candidates are the
     solutions of t^7 = 1: the nonzero elements of the order-8 subfield
-    when 3 | n, just {1} otherwise.
+    when 3 | n, just {1} otherwise.  develop finds the same orders for
+    all base blocks at once by an array test; this is the scalar route.
     """
     if ctx.n % 3 == 0:
         candidates = [t for t in ctx.subfield(3) if t]

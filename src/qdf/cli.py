@@ -28,9 +28,9 @@ from .gdd import build_relative_family, desarguesian_spread, verify_gdd, verify_
 from .gf2n import GF2n, table_bytes
 from .serialize import (
     certificates_json_chunks,
-    design_to_dict,
     family_from_dict,
     family_to_json,
+    gdd_json_bytes,
     gdd_to_dict,
     profile_to_csv,
     report_to_dict,
@@ -80,11 +80,16 @@ def _make_ctx(args) -> GF2n:
         )
         if args.command in ("verify", "gdd"):
             orbits = ((1 << n) - 2) // 6  # at most (2^n - 2)/6 base blocks
-            dev, pairs = develop_bytes(orbits), pair_count_bytes(orbits)
+            parts = [
+                ("the development", develop_bytes(orbits)),
+                ("pair counts", pair_count_bytes(orbits)),
+            ]
+            if args.command == "gdd":
+                parts.append(("the GDD artifact", gdd_json_bytes(orbits, ((1 << n) - 1) // 7)))
+            terms = [f"~{size / 2**20:.1f} MiB for {what}" for what, size in parts]
+            total = table_bytes(n) + sum(size for _, size in parts)
             warning += (
-                f", ~{dev / 2**20:.1f} MiB for the development"
-                f" and ~{pairs / 2**20:.1f} MiB for pair counts,"
-                f" ~{(table_bytes(n) + dev + pairs) / 2**20:.1f} MiB in all"
+                f", {', '.join(terms[:-1])} and {terms[-1]}, ~{total / 2**20:.1f} MiB in all"
             )
         print(warning, file=sys.stderr)
     return GF2n(n, args.modulus)

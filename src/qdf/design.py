@@ -1,10 +1,10 @@
 """Development of difference families into cyclic 2-designs and their
 exhaustive verification.
 
-Developments are stored orbit-compressed: one representative block per
-base block together with the orbit length (2^n - 1)/|stab| and the
-replication factor |stab|.  Materializing every developed block would be
-feasible but wasteful (about 11.2M blocks at n = 13).
+Developments are stored orbit-compressed, as arrays: an (N, 7) slot
+array of orbit representatives, and each orbit's length (2^n - 1)/|stab|
+and replication factor |stab|.  Materializing every developed block
+would be feasible but wasteful (about 11.2M blocks at n = 13).
 
 verify_2design counts, for every unordered pair of distinct points, the
 number of developed blocks containing both.  Pairs are indexed by log
@@ -30,35 +30,56 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .blocks import PAIR_I, PAIR_J, Block, stabilizer_of
+from .blocks import PAIR_I, PAIR_J, Block
 from .family import DifferenceFamily
 from .gf2n import GF2n
 
 
 @dataclass(frozen=True)
 class Orbit:
-    """One developed base block: dev B = orbit of length `length`, each
-    block repeated `replication` times."""
+    """One developed base block: `length` blocks, each repeated `replication` times."""
 
     rep: Block
     length: int
     replication: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
+    """Row i of the (N, 7) int32 `slots` represents orbit i, of length
+    length[i], each block repeated replication[i] times (int64 arrays).
+    Iterating a design yields its `orbits`, built only when asked."""
+
     ctx: GF2n
-    orbits: tuple[Orbit, ...]
-    v: int
-    k: int
+    slots: np.ndarray
+    length: np.ndarray
+    replication: np.ndarray
     lambda_claim: int
+    k = 7
+
+    @property
+    def v(self) -> int:
+        return self.ctx.order - 1
+
+    def orbit_rows(self):
+        """(representative, length, replication) of each orbit, as Python values."""
+        return zip(self.slots.tolist(), self.length.tolist(), self.replication.tolist())
+
+    @cached_property
+    def orbits(self) -> tuple[Orbit, ...]:
+        return tuple(Orbit(Block(tuple(r), seed=r[1]), m, w) for r, m, w in self.orbit_rows())
+
+    def __iter__(self):
+        # perfbench's tracer counts the kernel's incidences over its orbits
+        return iter(self.orbits)
 
     def block_count(self) -> int:
         """Total number of developed blocks, with multiplicity."""
-        return sum(o.length * o.replication for o in self.orbits)
+        return int((self.length * self.replication).sum())
 
 
 @dataclass(frozen=True)
@@ -81,20 +102,16 @@ class VerificationReport:
 
 
 def develop(fam: DifferenceFamily) -> Design:
-    """Orbit-compressed development of a (relative) difference family."""
+    """Orbit-compressed development of a (relative) difference family.  A
+    block's stabilizer is trivial or, only when 3 | n, K* = <g^(v/7)>,
+    which fixes it iff +v/7 fixes its log set."""
     ctx = fam.ctx
-    units = ctx.order - 1
-    orbits = []
-    for b in fam.base_blocks:
-        stab = stabilizer_of(ctx, b)
-        orbits.append(Orbit(rep=b, length=units // stab.order, replication=stab.order))
-    return Design(
-        ctx=ctx,
-        orbits=tuple(orbits),
-        v=units,
-        k=7,
-        lambda_claim=fam.lambda_claim,
-    )
+    v = ctx.order - 1
+    replication = np.ones(len(fam.slots), dtype=np.int64)
+    if ctx.n % 3 == 0:
+        logs = np.sort(ctx.logs[fam.slots], axis=1)
+        replication[(logs == np.sort((logs + v // 7) % v, axis=1)).all(axis=1)] = 7
+    return Design(ctx, fam.slots, v // replication, replication, fam.lambda_claim)
 
 
 # -- pair counting kernel -----------------------------------------------------
@@ -111,10 +128,14 @@ def counter_shape(v: int) -> tuple[int, int]:
 
 def develop_bytes(orbits: int) -> int:
     """Resident bytes that building and developing a family of `orbits`
-    base blocks adds, for preflight estimates: ~550 per orbit for the
-    Orbit and Block objects develop keeps, the rest left resident by the
-    construction.  Measured RSS growth: 825 at n = 15, 725 at n = 17."""
-    return 800 * orbits
+    base blocks adds, for preflight estimates: 64 per orbit (its 28-byte
+    slot row, 16 bytes of length and replication, and what the
+    construction leaves resident per block) over 2 MiB of heap the
+    construction leaves resident at any n.  Fitted to the VmHWM growth
+    of `verify` in fresh processes: 13.3, 24.8, 92.7 and 365.7 MiB at
+    n = 15, 17, 19 and 21 against preflight totals of 13.0, 24.8, 93.3
+    and 367.3 MiB."""
+    return 2 * 2**20 + 64 * orbits
 
 
 def pair_count_bytes(orbits: int) -> int:
@@ -125,12 +146,7 @@ def pair_count_bytes(orbits: int) -> int:
     return 40 * len(PAIR_I) * orbits
 
 
-def _rep_elements(orbits) -> np.ndarray:
-    """The orbit representatives as an (N, 7) int64 array."""
-    return np.array([o.rep.elements for o in orbits], dtype=np.int64).reshape(-1, 7)
-
-
-def _events(ctx: GF2n, orbits: tuple[Orbit, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _events(ctx: GF2n, d: Design) -> tuple[np.ndarray, np.ndarray]:
     """Difference events of every (orbit, slot pair) run, unsorted: their
     flat keys row * v + column and their int64 weights.
 
@@ -143,14 +159,14 @@ def _events(ctx: GF2n, orbits: tuple[Orbit, ...]) -> tuple[np.ndarray, np.ndarra
     """
     v = ctx.order - 1
     rows = counter_shape(v)[0]
-    logs = ctx.logs[_rep_elements(orbits)]
+    logs = ctx.logs[d.slots]
     li, lj = logs[:, PAIR_I], logs[:, PAIR_J]  # (N, 21): one run per orbit and slot pair
-    d = (lj - li) % v
-    low = d <= rows
-    row0 = np.where(low, d - 1, v - d - 1).astype(np.int64) * v  # key of the row's column 0
-    length = np.array([o.length for o in orbits], dtype=np.int64).reshape(-1, 1)
+    gap = (lj - li) % v
+    low = gap <= rows
+    row0 = np.where(low, gap - 1, v - gap - 1).astype(np.int64) * v  # key of the row's column 0
+    length = d.length.reshape(-1, 1)
     first = np.where(length < v, np.where(low, li, lj), 0)
-    del li, lj, d, low
+    del li, lj, gap, low
     stop = first + length  # the column past the run, unwrapped
     inside, wraps = stop < v, stop > v
     keys = np.concatenate([
@@ -160,14 +176,12 @@ def _events(ctx: GF2n, orbits: tuple[Orbit, ...]) -> tuple[np.ndarray, np.ndarra
         row0[wraps] + (stop[wraps] - v),
     ])
     del row0, first, stop
-    w = np.broadcast_to(
-        np.array([o.replication for o in orbits], dtype=np.int64).reshape(-1, 1), inside.shape
-    )
+    w = np.broadcast_to(d.replication.reshape(-1, 1), inside.shape)
     weights = np.concatenate([w.ravel(), -w[inside], w[wraps], -w[wraps]])
     return keys, weights
 
 
-def _steps(ctx: GF2n, orbits: tuple[Orbit, ...]):
+def _steps(ctx: GF2n, d: Design):
     """Every step of the pair counter: arrays (row, start, stop, count),
     ordered by row and then start, such that the pairs at columns
     start..stop-1 of that row of counter_shape(v) are each counted
@@ -182,7 +196,7 @@ def _steps(ctx: GF2n, orbits: tuple[Orbit, ...]):
     """
     v = ctx.order - 1
     rows = counter_shape(v)[0]
-    keys, weights = _events(ctx, orbits)
+    keys, weights = _events(ctx, d)
     order = np.argsort(keys)
     count = np.cumsum(weights[order])
     del weights
@@ -216,16 +230,16 @@ def _heads(row: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(row, prepend=row[:1] - 1))
 
 
-def pair_coverage_counts(ctx: GF2n, orbits: tuple[Orbit, ...]) -> np.ndarray:
+def pair_coverage_counts(ctx: GF2n, d: Design) -> np.ndarray:
     """Per-row extremes of the exact pair coverage counts: a (2, rows)
     int64 array holding the minimum and the maximum over the columns of
     each row of counter_shape(v), read off the steps of _steps."""
-    row, _, _, count = _steps(ctx, orbits)
+    row, _, _, count = _steps(ctx, d)
     head = _heads(row)
     return np.stack([np.minimum.reduceat(count, head), np.maximum.reduceat(count, head)])
 
 
-def _first_offenders(ctx: GF2n, orbits: tuple[Orbit, ...], groups, limit: int = 10) -> tuple:
+def _first_offenders(ctx: GF2n, d: Design, groups, limit: int = 10) -> tuple:
     """The first `limit` pairs whose exact count differs from their group's,
     as ((u, w), count) with encodings u < w, ordered by u, then group,
     then w.  Only the steps whose count is wrong are expanded, pair by
@@ -236,7 +250,7 @@ def _first_offenders(ctx: GF2n, orbits: tuple[Orbit, ...], groups, limit: int = 
     expect = np.zeros(rows, dtype=np.int64)
     for g, (mask, lam) in enumerate(groups):
         group[mask], expect[mask] = g, lam
-    row, start, stop, count = _steps(ctx, orbits)
+    row, start, stop, count = _steps(ctx, d)
     bad = count != expect[row]
     row, count, size = row[bad], count[bad], stop[bad] - start[bad]
     ends = np.cumsum(size)  # pairs in the bad steps up to each one's end
@@ -261,7 +275,7 @@ def _first_offenders(ctx: GF2n, orbits: tuple[Orbit, ...], groups, limit: int = 
     )
 
 
-def check_pair_coverage(ctx: GF2n, orbits: tuple[Orbit, ...], groups) -> tuple:
+def check_pair_coverage(ctx: GF2n, d: Design, groups) -> tuple:
     """Exact pair coverage against the expected count of each row group.
 
     groups is a sequence of (row mask, expected count) whose masks
@@ -269,11 +283,11 @@ def check_pair_coverage(ctx: GF2n, orbits: tuple[Orbit, ...], groups) -> tuple:
     count of each group (None for a group without rows) and the first ten
     offenders, looked up only when a group's range shows one.
     """
-    lo, hi = pair_coverage_counts(ctx, orbits)
+    lo, hi = pair_coverage_counts(ctx, d)
     ranges = [(int(lo[m].min()), int(hi[m].max())) if m.any() else None for m, _ in groups]
     if all(r is None or r == (lam, lam) for r, (_, lam) in zip(ranges, groups)):
         return ranges, ()
-    return ranges, _first_offenders(ctx, orbits, groups)
+    return ranges, _first_offenders(ctx, d, groups)
 
 
 def verify_2design(d: Design) -> VerificationReport:
@@ -282,7 +296,7 @@ def verify_2design(d: Design) -> VerificationReport:
     t0 = time.perf_counter()
     lam = d.lambda_claim
     every_row = np.ones(counter_shape(d.v)[0], dtype=bool)
-    [(mn, mx)], offenders = check_pair_coverage(d.ctx, d.orbits, [(every_row, lam)])
+    [(mn, mx)], offenders = check_pair_coverage(d.ctx, d, [(every_row, lam)])
     return VerificationReport(
         passed=(mn == lam and mx == lam),
         pair_coverage_min=mn,
@@ -302,11 +316,10 @@ def check_qanalog(d: Design) -> bool:
     span a subspace with 0 iff the sum of each of their 21 pairs is one
     of them; all representatives are checked at once.
     """
-    els = _rep_elements(d.orbits)
-    s = np.sort(els, axis=1)
+    s = np.sort(d.slots, axis=1)
     distinct = (s[:, 0] > 0) & (np.diff(s, axis=1) > 0).all(axis=1)
-    sums = els[:, PAIR_I] ^ els[:, PAIR_J]
-    closed = (sums[:, :, None] == els[:, None, :]).any(axis=2).all(axis=1)
+    sums = d.slots[:, PAIR_I] ^ d.slots[:, PAIR_J]
+    closed = (sums[:, :, None] == d.slots[:, None, :]).any(axis=2).all(axis=1)
     return bool((distinct & closed).all())
 
 
@@ -319,9 +332,9 @@ def check_simple(d: Design) -> bool:
     smallest of its 7 sorted translates that contain 0 labels the orbit;
     the labels of all representatives are found at once and counted.
     """
-    if any(o.replication != 1 for o in d.orbits):
+    if (d.replication != 1).any():
         return False
-    logs = d.ctx.logs[_rep_elements(d.orbits)]
+    logs = d.ctx.logs[d.slots]
     # translates[b, k] is block b's log set translated by -logs[b, k], sorted
     translates = np.sort((logs[:, None, :] - logs[:, :, None]) % d.v, axis=2)
     smallest = np.ones(translates.shape[:2], dtype=bool)
@@ -338,12 +351,11 @@ def materialize(d: Design) -> list[frozenset[int]]:
     Intended for desk-scale cross-checks (n <= 9); the orbit-compressed
     representation is authoritative above that.
     """
-    ctx = d.ctx
-    exp2, logs = ctx.exp2, ctx.logs
+    exp2, logs = d.ctx.exp2, d.ctx.logs
     out = []
-    for o in d.orbits:
-        base_logs = [int(logs[e]) for e in o.rep.elements]
-        for s in range(o.length):
+    for rep, length, replication in d.orbit_rows():
+        base_logs = [int(logs[e]) for e in rep]
+        for s in range(length):
             blk = frozenset(int(exp2[l + s]) for l in base_logs)
-            out.extend([blk] * o.replication)
+            out.extend([blk] * replication)
     return out

@@ -18,7 +18,6 @@ import numpy as np
 from .design import (
     Design,
     VerificationReport,
-    _rep_elements,
     check_pair_coverage,
     check_simple,
     counter_shape,
@@ -138,14 +137,14 @@ def verify_gdd(spread: Spread, design: Design) -> VerificationReport:
     t0 = time.perf_counter()
     ctx, lam = design.ctx, design.lambda_claim
 
-    groops = np.sort(spread.point_groop[_rep_elements(design.orbits)], axis=1)
+    groops = np.sort(spread.point_groop[design.slots], axis=1)
     meet_ok = bool((np.diff(groops, axis=1) > 0).all())
 
     # g^a and g^(a+d) share a coset of K* = <g^(v/7)> iff v/7 divides d
     rows = counter_shape(design.v)[0]
     within = np.arange(1, rows + 1) % (design.v // 7) == 0
     (within_range, cross_range), offenders = check_pair_coverage(
-        ctx, design.orbits, [(within, 0), (~within, lam)]
+        ctx, design, [(within, 0), (~within, lam)]
     )
 
     notes = ""

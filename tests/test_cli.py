@@ -68,12 +68,12 @@ def test_preflight_estimate_matches_counter(capsys):
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
     # table_bytes(15) = 200 * 2^15 = 6,553,600 bytes (6.25 MiB); for 5461
-    # orbits, develop_bytes = 800 * 5461 = 4,368,800 (4.17 MiB) and
-    # pair_count_bytes = 40 * 21 * 5461 = 4,587,240 (4.37 MiB): 15,509,640
-    # bytes (14.79 MiB) in all
+    # orbits, develop_bytes = 2 * 2^20 + 64 * 5461 = 2,446,656 (2.33 MiB)
+    # and pair_count_bytes = 40 * 21 * 5461 = 4,587,240 (4.37 MiB):
+    # 13,587,496 bytes (12.96 MiB) in all
     assert "~6.2 MiB of field tables" in warning
-    assert "~4.2 MiB for the development and ~4.4 MiB for pair counts" in warning
-    assert "~14.8 MiB in all" in warning
+    assert "~2.3 MiB for the development and ~4.4 MiB for pair counts" in warning
+    assert "~13.0 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
 
@@ -106,15 +106,14 @@ def test_preflight_table_estimate_matches_measured_rss(n):
     assert 0.75 * table_bytes(n) < measured < 1.25 * table_bytes(n)
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
-def test_preflight_total_matches_measured_rss_of_verify():
-    # peak RSS growth of a whole `verify --n 15 --force` in a fresh
-    # process, against the total the preflight prints
+def _measured_and_printed(command, n):
+    """Peak RSS growth of a whole `command --n n --force` in a fresh
+    process, and the total the preflight prints for it."""
     probe = (
         "import os, re, qdf.cli;"
         "hwm = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1]);"
         "r0 = hwm();"
-        "rc = qdf.cli.main(['verify', '--n', '15', '--force', '--out', os.devnull]);"
+        f"rc = qdf.cli.main(['{command}', '--n', '{n}', '--force', '--out', os.devnull]);"
         "print(rc, (hwm() - r0) * 1024)"
     )
     out = subprocess.run(
@@ -123,8 +122,21 @@ def test_preflight_total_matches_measured_rss_of_verify():
         capture_output=True, text=True, check=True,
     )
     rc, measured = map(int, out.stdout.split())
-    total = float(re.search(r"~([0-9.]+) MiB in all", out.stderr)[1]) * 2**20
     assert rc == 0
+    return measured, float(re.search(r"~([0-9.]+) MiB in all", out.stderr)[1]) * 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+@pytest.mark.parametrize("n", [15, 17])
+def test_preflight_total_matches_measured_rss_of_verify(n):
+    measured, total = _measured_and_printed("verify", n)
+    assert 0.75 * total < measured < 1.25 * total
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_preflight_total_matches_measured_rss_of_gdd():
+    # the GDD artifact is most of it: ~16.3 of the ~29.3 MiB printed
+    measured, total = _measured_and_printed("gdd", 15)
     assert 0.75 * total < measured < 1.25 * total
 
 

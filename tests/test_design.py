@@ -6,6 +6,7 @@ at desk scale (n <= 9), for the family and for orbits cut short so that
 their runs wrap.
 """
 
+import os
 import random
 
 import numpy as np
@@ -13,18 +14,25 @@ import pytest
 
 from qdf import (
     Block,
+    Design,
     DifferenceFamily,
     Orbit,
     build_family,
+    build_relative_family,
     check_qanalog,
     check_simple,
+    desarguesian_spread,
     develop,
+    full_family,
     materialize,
     pair_coverage_counts,
+    stabilizer_of,
     verify_2design,
+    verify_gdd,
 )
-from qdf import design
+from qdf import cli, design
 from qdf.blocks import canonical_orbit_label, is_subspace_block
+from qdf.serialize import gdd_to_dict
 from qdf.design import counter_shape
 from oracles import cached_field, materialized_pair_counts
 
@@ -57,6 +65,76 @@ def test_develop_counts_n3_degenerate():
     assert d.block_count() == 7
 
 
+def _scaled_and_permuted(f, fam, seed):
+    """fam with every row scaled by one unit and put out of slot order."""
+    rng = random.Random(seed)
+    t = rng.randrange(2, f.order)
+    rows = [rng.sample([f.mul(t, e) for e in b.elements], 7) for b in fam.base_blocks]
+    return DifferenceFamily(f, rows, fam.lambda_claim)
+
+
+def _kstar_cosets(f, whole):
+    """Rows of the K*-cosets {g^(a + k v/7)}, a < v/7, each with its last
+    member g^(a + 6v/7) moved to g^(a + 6v/7 + 1) unless `whole`: five of
+    the row's sorted logs then equal those of its translate by v/7."""
+    m = (f.order - 1) // 7
+    logs = np.arange(m)[:, None] + m * np.arange(7)
+    if not whole:
+        logs[:, 6] += 1
+    return DifferenceFamily(f, f.exp2[logs], 7)
+
+
+@pytest.mark.parametrize(
+    "name,n,fixed",
+    [
+        ("build", 3, 1), ("build", 5, 0), ("build", 7, 0), ("build", 9, 1), ("build", 15, 1),
+        ("full", 5, 0), ("full", 9, 6),
+        ("relative", 9, 0), ("relative", 15, 0),
+        ("scaled", 9, 1), ("scaled", 15, 1),
+        ("cosets", 9, 73), ("near-cosets", 9, 0), ("near-cosets", 15, 0),
+    ],
+)
+def test_array_development_matches_scalar_stabilizers(name, n, fixed):
+    f = cached_field(n)
+    fam = {
+        "build": build_family,
+        "full": full_family,
+        "relative": lambda f: build_relative_family(build_family(f)),
+        "scaled": lambda f: _scaled_and_permuted(f, build_family(f), n),
+        "cosets": lambda f: _kstar_cosets(f, whole=True),
+        "near-cosets": lambda f: _kstar_cosets(f, whole=False),
+    }[name](f)
+    d = develop(fam)
+    orders = [stabilizer_of(f, b).order for b in fam.base_blocks]
+    assert d.replication.tolist() == orders
+    assert d.length.tolist() == [(f.order - 1) // o for o in orders]
+    assert orders.count(7) == fixed
+    assert (d.slots == fam.slots).all() and d.lambda_claim == fam.lambda_claim
+
+
+def test_verify_and_gdd_paths_build_no_orbit_objects(monkeypatch):
+    f = cached_field(9)
+    fam = build_family(f)
+    d = develop(fam)
+    for check in (verify_2design, check_qanalog, check_simple, Design.block_count):
+        check(d)
+    assert "orbits" not in d.__dict__ and "base_blocks" not in fam.__dict__
+    rel = develop(build_relative_family(fam))
+    spread = desarguesian_spread(f)
+    verify_gdd(spread, rel)
+    gdd_to_dict(spread, rel)
+    assert "orbits" not in rel.__dict__
+    # the same through the CLI, with the object routes disabled
+
+    def refuse(self):
+        raise AssertionError("per-orbit objects built")
+
+    monkeypatch.setattr(Design, "orbits", property(refuse))
+    monkeypatch.setattr(DifferenceFamily, "base_blocks", property(refuse))
+    for command in ("verify", "gdd"):
+        assert cli.main([command, "--n", "9", "--out", os.devnull]) == 0
+
+
 # n = 17: flat counter keys row * v + column pass 2^31
 @pytest.mark.parametrize("n", [5, 7, 9, 17])
 def test_verify_2design_passes(n):
@@ -68,13 +146,25 @@ def test_verify_2design_passes(n):
     assert d.block_count() * 42 == 7 * d.v * (d.v - 1)
 
 
-def _full_counter(f, orbits):
+def _design(f, orbits):
+    """The array design over f of a sequence of Orbits, with index 7."""
+    orbits = tuple(orbits)
+    return Design(
+        f,
+        np.array([o.rep.elements for o in orbits], dtype=np.int32).reshape(-1, 7),
+        np.array([o.length for o in orbits], dtype=np.int64),
+        np.array([o.replication for o in orbits], dtype=np.int64),
+        lambda_claim=7,
+    )
+
+
+def _full_counter(f, d):
     """The whole pair counter, rebuilt from the steps of the kernel, which
     must tile every row: each starts where the one before it stops."""
     v = f.order - 1
     counts = np.zeros(counter_shape(v), dtype=np.int64)
     expected_start = np.zeros(counter_shape(v)[0], dtype=np.int64)
-    for r, a, b, c in zip(*(x.tolist() for x in design._steps(f, orbits))):
+    for r, a, b, c in zip(*(x.tolist() for x in design._steps(f, d))):
         assert a == expected_start[r] < b <= v
         counts[r, a:b] = c
         expected_start[r] = b
@@ -100,7 +190,7 @@ def test_pair_counts_match_materialized_counter(n, modulus):
 
 
 def _assert_counter_matches_oracle(f, d):
-    counts = _full_counter(f, d.orbits)
+    counts = _full_counter(f, d)
     assert counts.shape == counter_shape(d.v)
     oracle = materialized_pair_counts(materialize(d))
     got = {_pair_at(f, r, c): int(counts[r, c]) for r, c in np.ndindex(counts.shape)}
@@ -142,9 +232,7 @@ def test_counts_past_uint8_are_exact():
     f = cached_field(5)
     d = develop(build_family(f))
     o = d.orbits[0]
-    d2 = type(d)(
-        ctx=f, orbits=d.orbits + (Orbit(o.rep, o.length, 256),), v=d.v, k=7, lambda_claim=7
-    )
+    d2 = _design(f, d.orbits + (Orbit(o.rep, o.length, 256),))
     rep = verify_2design(d2)
     assert not rep.passed
     assert (rep.pair_coverage_min, rep.pair_coverage_max) == (263, 775)
@@ -164,7 +252,7 @@ def test_verification_invariant_under_orbit_representatives():
         t = rng.randrange(2, f.order)
         els = tuple(f.mul(t, e) for e in o.rep.elements)
         scaled_orbits.append(Orbit(Block(els, seed=els[1]), o.length, o.replication))
-    d2 = type(d)(ctx=f, orbits=tuple(scaled_orbits), v=d.v, k=d.k, lambda_claim=7)
+    d2 = _design(f, tuple(scaled_orbits))
     r1, r2 = verify_2design(d), verify_2design(d2)
     assert (r1.passed, r1.pair_coverage_min, r1.pair_coverage_max) == (
         r2.passed,
@@ -202,13 +290,7 @@ def test_check_qanalog():
     d = develop(build_family(f))
     assert check_qanalog(d)
     bad_els = tuple(d.orbits[0].rep.elements[:-1]) + (d.orbits[0].rep.elements[-1] ^ 2,)
-    bad = type(d)(
-        ctx=f,
-        orbits=(Orbit(Block(bad_els, seed=bad_els[1]), f.order - 1, 1),) + d.orbits[1:],
-        v=d.v,
-        k=7,
-        lambda_claim=7,
-    )
+    bad = _design(f, (Orbit(Block(bad_els, seed=bad_els[1]), f.order - 1, 1),) + d.orbits[1:])
     assert not check_qanalog(bad)
 
 
@@ -267,7 +349,7 @@ def _wrapped_runs(f, orbits):
 def test_wrapping_runs_match_materialized_counter(n, modulus):
     f = cached_field(n, modulus)
     d = develop(build_family(f))
-    d = type(d)(ctx=f, orbits=_partial_orbits(f, n), v=d.v, k=7, lambda_claim=7)
+    d = _design(f, _partial_orbits(f, n))
     assert _wrapped_runs(f, d.orbits) > 0
     _assert_counter_matches_oracle(f, d)
 
@@ -300,9 +382,9 @@ def test_small_bands_match_materialized_counter(n, modulus):
     d = develop(build_family(f))
     bands = _small_bands(f, d.orbits)
     assert len(bands) > len(d.orbits) or n == 3
-    banded = type(d)(ctx=f, orbits=bands, v=d.v, k=7, lambda_claim=7)
+    banded = _design(f, bands)
     assert sorted(map(sorted, materialize(banded))) == sorted(map(sorted, materialize(d)))
-    counts = _full_counter(f, bands)
+    counts = _full_counter(f, banded)
     oracle = materialized_pair_counts(materialize(d))
     got = {_pair_at(f, r, c): int(counts[r, c]) for r, c in np.ndindex(counts.shape)}
     assert got == {p: oracle[p] for p in got}
@@ -316,11 +398,9 @@ def _designs_n9():
     o = d.orbits[0]
     return f, {
         "family": d,
-        "dropped": type(d)(ctx=f, orbits=d.orbits[1:], v=d.v, k=7, lambda_claim=7),
-        "partial": type(d)(ctx=f, orbits=_partial_orbits(f, 1), v=d.v, k=7, lambda_claim=7),
-        "past-uint8": type(d)(
-            ctx=f, orbits=d.orbits + (Orbit(o.rep, o.length, 256),), v=d.v, k=7, lambda_claim=7
-        ),
+        "dropped": _design(f, d.orbits[1:]),
+        "partial": _design(f, _partial_orbits(f, 1)),
+        "past-uint8": _design(f, d.orbits + (Orbit(o.rep, o.length, 256),)),
     }
 
 
@@ -328,9 +408,9 @@ def _designs_n9():
 def test_exact_extremes_match_full_counter(name):
     f, designs = _designs_n9()
     d = designs[name]
-    ext = pair_coverage_counts(f, d.orbits)
+    ext = pair_coverage_counts(f, d)
     assert ext.dtype == np.int64 and ext.shape == (2, counter_shape(d.v)[0])
-    counts = _full_counter(f, d.orbits)
+    counts = _full_counter(f, d)
     assert (ext == [counts.min(axis=1), counts.max(axis=1)]).all()
     rep = verify_2design(d)
     assert (rep.pair_coverage_min, rep.pair_coverage_max) == (counts.min(), counts.max())
@@ -373,20 +453,16 @@ def test_array_orbit_checks_match_scalar_checks(n):
         # design repeats blocks
         t = rng.randrange(2, f.order)
         els = tuple(rng.sample([f.mul(t, e) for e in o.rep.elements], 7))
-        twice = type(d)(
-            ctx=f, orbits=d.orbits + (Orbit(Block(els, els[1]), o.length, 1),),
-            v=d.v, k=7, lambda_claim=7,
-        )
+        twice = _design(f, d.orbits + (Orbit(Block(els, els[1]), o.length, 1),))
         assert check_simple(twice) is _scalar_simple(twice) is False
         # one element perturbed, staying nonzero: the representative is no subspace
         k = rng.randrange(7)
         flip = rng.choice([1 << b for b in range(n) if 1 << b != o.rep.elements[k]])
         bad_els = tuple(e ^ flip if i == k else e for i, e in enumerate(o.rep.elements))
-        bad = type(d)(
-            ctx=f,
-            orbits=tuple(Orbit(Block(bad_els, bad_els[1]), o.length, o.replication)
-                         if p is o else p for p in d.orbits),
-            v=d.v, k=7, lambda_claim=7,
+        bad = _design(
+            f,
+            tuple(Orbit(Block(bad_els, bad_els[1]), o.length, o.replication)
+                  if p is o else p for p in d.orbits),
         )
         assert check_qanalog(bad) is _scalar_qanalog(bad) is False
         assert check_simple(bad) is _scalar_simple(bad)
@@ -394,19 +470,16 @@ def test_array_orbit_checks_match_scalar_checks(n):
     for o in d.orbits:
         t = rng.randrange(2, f.order)
         els = tuple(rng.sample([f.mul(t, e) for e in o.rep.elements], 7))
-        pair = type(d)(
-            ctx=f, orbits=(Orbit(o.rep, o.length, 1), Orbit(Block(els, els[1]), o.length, 1)),
-            v=d.v, k=7, lambda_claim=7,
-        )
+        pair = _design(f, (Orbit(o.rep, o.length, 1), Orbit(Block(els, els[1]), o.length, 1)))
         assert check_simple(pair) is _scalar_simple(pair) is False
 
 
 def test_dropped_block_offenders_match_full_uint32_recount():
     f = cached_field(11)
     d = develop(build_family(f))
-    crippled = type(d)(ctx=f, orbits=d.orbits[1:], v=d.v, k=7, lambda_claim=7)
+    crippled = _design(f, d.orbits[1:])
     rep = verify_2design(crippled)
-    counts = _full_counter(f, crippled.orbits)
+    counts = _full_counter(f, crippled)
     r, c = np.nonzero(counts != 7)
     pairs = sorted((_pair_at(f, int(i), int(j)), int(counts[i, j])) for i, j in zip(r, c))
     assert not rep.passed
@@ -420,7 +493,7 @@ def test_dropped_block_report_pinned_n15():
     # this kernel replaced: pins the offender order above n = 11
     f = cached_field(15)
     d = develop(build_family(f))
-    rep = verify_2design(type(d)(ctx=f, orbits=d.orbits[1:], v=d.v, k=7, lambda_claim=7))
+    rep = verify_2design(_design(f, d.orbits[1:]))
     assert not rep.passed
     assert (rep.pair_coverage_min, rep.pair_coverage_max) == (4, 7)
     assert rep.offending_pairs == (
