@@ -3,20 +3,27 @@
 Field elements are plain ints in [0, 2^n): bit i is the coefficient of
 z^i in the polynomial basis, so addition is XOR and the elements 0 and 1
 are the ints 0 and 1.  A GF2n instance fixes the degree and the
-irreducible modulus and precomputes exp/log/trace/sqrt tables once, after
-which every scalar operation is a table lookup.  Instances are immutable
-(lazy caches aside) and safe to share across threads.
+irreducible modulus and precomputes one int32 ndarray table per map:
+exp, log, trace and sqrt (half-trace on first use).  The array code reads
+the ndarrays; the scalar methods look up memoryviews of the same buffers,
+whose items are Python ints.  Instances are immutable (lazy caches aside)
+and safe to share across threads; they hold memoryviews, so they do not
+pickle.
 
 Multiplicative structure: exp/log tables are built on the smallest
 generator of the cyclic group GF(2^n)*, the first g with g^((2^n-1)/p) != 1
 for every prime p dividing 2^n - 1.  The exp table is filled as arrays, a
 block of powers at a time; the doubled exp table makes mul/div/inv
-modulo-free.
+modulo-free.  Trace, sqrt and half-trace are GF(2)-linear, as is x -> c*x,
+so each table is built from its images of the basis z^i by doubling
+(_linear_table); those images come from the n Frobenius images of each z^i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import xor
 
 import numpy as np
 
@@ -29,31 +36,17 @@ from .errors import (
     ZeroInverseError,
 )
 
-# Above this degree the scalar tables stay as numpy arrays instead of
-# python lists; everything still works, just with more lookup overhead.
-_LIST_TABLE_MAX_N = 16
-
-# A python list entry: its 8-byte slot plus the int object it points at
-# (28 bytes, rounded up to 32 by the allocator).
-_LIST_ENTRY_BYTES = 8 + 32
-
 
 def table_bytes(n: int) -> int:
     """Peak bytes of the tables GF2n(n) builds, for preflight estimates.
 
-    Eight int32 words per element at the peak: exp2 (two words), logs,
-    the squaring, trace and sqrt tables and two temporaries; for
-    n <= _LIST_TABLE_MAX_N the list copies of exp2 (two entries per
-    element), logs and sqrt follow, and that of the {0, 1}-valued trace,
-    whose ints are shared.  Within 5 % of the peak RSS growth measured
-    for n = 15..21; at n = 13 about a fifth of the list copies land in
-    heap pages already resident, so the growth reads lower.
+    Five int32 words per element, reached when the last table is built:
+    exp2 (two words), logs, traces and sqrt; the linear tables are filled
+    in place, and the half-trace adds a sixth word on first use.  The
+    fresh-process peak RSS growth reads ~0.1 MiB above it: 0.71 MiB at
+    n = 15, 2.62 at n = 17, 10.1 at n = 19 and 40.1 at n = 21.
     """
-    q = 1 << n
-    peak = 8 * q * 4
-    if n <= _LIST_TABLE_MAX_N:
-        peak += 4 * q * _LIST_ENTRY_BYTES + 8 * q
-    return peak
+    return 5 * 4 * (1 << n)
 
 
 def poly_degree(p: int) -> int:
@@ -127,20 +120,27 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-def _times_table(c: int, m: int) -> np.ndarray:
-    """t[x] = c * x modulo m for every x of degree below deg(m), as int32.
+def _linear_table(images) -> np.ndarray:
+    """The table of the GF(2)-linear map sending z^i to images[i], over
+    all 2^len(images) elements, as int32: t[x + 2^i] = t[x] ^ images[i]
+    for x < 2^i, one doubling per basis image."""
+    t = np.zeros(1 << len(images), dtype=np.int32)
+    for i, image in enumerate(images):
+        np.bitwise_xor(t[: 1 << i], image, out=t[1 << i : 2 << i])
+    return t
 
-    Multiplying by c is GF(2)-linear, so the table doubles once per
-    basis image z^i * c: t[x + 2^i] = t[x] ^ z^i * c for x < 2^i.
-    """
+
+def _times_table(c: int, m: int) -> np.ndarray:
+    """t[x] = c * x modulo m for every x of degree below deg(m), as int32;
+    the basis images z^i * c come by shift-and-reduce."""
     n = poly_degree(m)
-    t = np.zeros(1, dtype=np.int32)
+    images = []
     for _ in range(n):
-        t = np.concatenate([t, t ^ c])
+        images.append(c)
         c <<= 1
         if c >> n:
             c ^= m
-    return t
+    return _linear_table(images)
 
 
 def _exp_table(g: int, m: int) -> np.ndarray:
@@ -245,12 +245,11 @@ class GF2n:
 
         self._build_tables()
         self._subfields: dict[int, list[int]] = {}
-        self._halftrace = None
 
     # -- table construction -------------------------------------------------
 
     def _build_tables(self) -> None:
-        q, mod = self.order, self.modulus
+        q, mod, n = self.order, self.modulus, self.n
         m = q - 1
         # g generates F* iff g^(m/p) != 1 for every prime p dividing m
         cofactors = [m // p for p in _prime_factors(m)]
@@ -258,36 +257,27 @@ class GF2n:
             x for x in range(2, q) if all(poly_powmod(x, c, mod) != 1 for c in cofactors)
         )
 
-        exp2 = _exp_table(g, mod)
         self.generator = g
-        self.exp2 = exp2
-        self.logs = log_table(exp2[:m], q)
+        self.exp2 = _exp_table(g, mod)
+        self.logs = log_table(self.exp2[:m], q)
+        self._exp = memoryview(self.exp2)
+        self._log = memoryview(self.logs)
 
-        # Frobenius permutation x -> x^2, then trace and sqrt tables
-        sq = np.zeros(q, dtype=np.int32)
-        sq[1:] = exp2[2 * self.logs[1:]]
-        acc = np.arange(q, dtype=np.int32)
-        cur = acc.copy()
-        for _ in range(self.n - 1):
-            cur = sq[cur]
-            acc ^= cur
-        if acc.max() > 1:  # pragma: no cover - guards table construction
+        # frob[i][j] = (z^i)^(2^j): the trace sums a row, sqrt is its last
+        # entry and the half-trace sums its even entries
+        frob = []
+        for i in range(n):
+            walk = [1 << i]
+            for _ in range(n - 1):
+                walk.append(self.sqr(walk[-1]))
+            frob.append(walk)
+        traces = [reduce(xor, walk) for walk in frob]
+        if max(traces) > 1:  # pragma: no cover - guards table construction
             raise AssertionError("trace is not {0,1}-valued; tables corrupt")
-        sqrt = np.empty(q, dtype=np.int32)
-        sqrt[sq] = np.arange(q, dtype=np.int32)
-
-        self._sq_np = sq
-        self.traces = acc
-        if self.n <= _LIST_TABLE_MAX_N:
-            self._exp = self.exp2.tolist()
-            self._log = self.logs.tolist()
-            self._trace = acc.tolist()
-            self._sqrt = sqrt.tolist()
-        else:
-            self._exp = self.exp2
-            self._log = self.logs
-            self._trace = acc
-            self._sqrt = sqrt
+        self.traces = _linear_table(traces)
+        self._trace = memoryview(self.traces)
+        self._sqrt = memoryview(_linear_table([walk[-1] for walk in frob]))
+        self._half_trace_images = [reduce(xor, walk[::2]) for walk in frob]
 
     # -- scalar arithmetic ---------------------------------------------------
 
@@ -326,23 +316,16 @@ class GF2n:
         """Absolute trace sum(a^(2^i), i < n), valued in {0, 1}."""
         return self._trace[a]
 
+    @cached_property
+    def _half_trace(self) -> memoryview:
+        return memoryview(_linear_table(self._half_trace_images))
+
     def half_trace(self, u: int) -> int:
         """H(u) = sum(u^(4^i), i <= (n-1)/2), defined for odd n.
 
         Whenever trace(u) = 0, H(u) solves y^2 + y = u.
         """
-        ht = self._halftrace
-        if ht is None:
-            q = self.order
-            sq = self._sq_np
-            acc = np.arange(q, dtype=np.int32)
-            cur = acc.copy()
-            for _ in range((self.n - 1) // 2):
-                cur = sq[sq[cur]]
-                acc = acc ^ cur
-            ht = acc.tolist() if self.n <= _LIST_TABLE_MAX_N else acc
-            self._halftrace = ht
-        return ht[u]
+        return self._half_trace[u]
 
     def solve_quadratic(self, a: int, b: int, c: int) -> QuadraticOutcome:
         """Distinct roots of a*x^2 + b*x + c = 0 in this field.
@@ -380,11 +363,9 @@ class GF2n:
             raise NotADivisorError(f"{d} does not divide {self.n}")
         cached = self._subfields.get(d)
         if cached is None:
-            x = np.arange(self.order, dtype=np.int32)
-            cur = x
-            for _ in range(d):
-                cur = self._sq_np[cur]
-            cached = np.flatnonzero(cur == x).tolist()
+            # the units of GF(2^d) are the subgroup of order 2^d - 1
+            m = self.order - 1
+            cached = [0, *sorted(self._exp[: m : m // ((1 << d) - 1)])]
             self._subfields[d] = cached
         return list(cached)
 

@@ -5,11 +5,16 @@ schoolbook shift-and-xor, inverses are found by exhaustive search,
 irreducibility comes from enumerating products of lower-degree
 polynomials, the exp/log tables come from a scalar power walk, and pair
 coverage is counted from materialized block sets.  The hexagon oracle
-walks hexagon_of seed by seed.
+walks hexagon_of seed by seed.  The Frobenius oracle takes exp/log tables
+as given (checked against the power walk) and derives trace, sqrt and
+half-trace element by element from the squaring permutation, not from
+basis images.
 """
 
 from collections import Counter
 from functools import lru_cache
+
+import numpy as np
 
 from qdf import GF2n, hexagon_of
 
@@ -109,6 +114,28 @@ def power_walk(n: int, modulus: int) -> tuple[int, list[int], list[int]]:
             if v == 1:
                 return g, exp, log
     raise AssertionError("no generator found")
+
+
+def frobenius_tables(exp2, logs, n: int) -> dict[str, np.ndarray]:
+    """Squaring, trace, sqrt and half-trace tables of GF(2^n) by whole-field
+    passes of the squaring permutation sq[x] = exp2[2 log x]: the trace is
+    x ^ sq(x) ^ ... over n - 1 passes, the half-trace the same over
+    (n - 1)/2 double passes, and sqrt the inverse permutation of sq."""
+    q = 1 << n
+    x = np.arange(q, dtype=np.int64)
+    sq = np.zeros(q, dtype=np.int64)
+    sq[1:] = exp2[2 * logs[1:].astype(np.int64)]
+    trace, cur = x.copy(), x
+    for _ in range(n - 1):
+        cur = sq[cur]
+        trace ^= cur
+    half_trace, cur = x.copy(), x
+    for _ in range((n - 1) // 2):
+        cur = sq[sq[cur]]
+        half_trace ^= cur
+    sqrt = np.empty(q, dtype=np.int64)
+    sqrt[sq] = x
+    return {"sq": sq, "trace": trace, "sqrt": sqrt, "half_trace": half_trace}
 
 
 def hexagons_by_scan(ctx) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Field arithmetic tests against independent schoolbook oracles."""
 
+import json
 import random
 
 import numpy as np
@@ -13,6 +14,8 @@ from qdf import (
     QdfError,
     ReduciblePolynomialError,
     ZeroInverseError,
+    block_of,
+    hexagon_of,
     is_irreducible,
     make_field,
     smallest_irreducible,
@@ -22,6 +25,7 @@ from qdf.gf2n import log_table
 from oracles import (
     brute_inverse,
     cached_field,
+    frobenius_tables,
     power_walk,
     schoolbook_mul,
     smallest_irreducible_by_products,
@@ -197,6 +201,44 @@ def test_sqrt_roundtrip_exhaustive(n):
     for x in range(f.order):
         assert f.sqr(f.sqrt(x)) == x
         assert f.sqrt(f.sqr(x)) == x
+
+
+@pytest.mark.parametrize("n", [15, 17, 19])
+def test_linear_tables_match_frobenius_oracle(n):
+    f = GF2n(n)
+    q = f.order
+    want = frobenius_tables(f.exp2, f.logs, n)
+    assert np.array_equal(f.traces, want["trace"])
+    assert np.array_equal(np.fromiter(map(f.sqrt, range(q)), np.int64, q), want["sqrt"])
+    h = np.fromiter(map(f.half_trace, range(q)), np.int64, q)
+    assert np.array_equal(h, want["half_trace"])
+    # H(u)^2 + H(u) = u for every trace-0 u
+    sq, x = want["sq"], np.arange(q)
+    zero = want["trace"] == 0
+    assert np.array_equal((sq[h] ^ h)[zero], x[zero])
+    # subfield(d) is the fixed points of d squarings
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        cur = x
+        for _ in range(d):
+            cur = sq[cur]
+        assert f.subfield(d) == np.flatnonzero(cur == x).tolist()
+
+
+@pytest.mark.parametrize("n", [17, 19])
+def test_scalar_api_returns_python_ints(n):
+    f = cached_field(n)
+    a, b = 6, 11
+    u = next(x for x in range(2, f.order) if f.trace(x) == 0)
+    values = [
+        f.mul(a, b), f.sqr(a), f.inv(a), f.div(a, b),
+        f.sqrt(a), f.trace(a), f.half_trace(u), f.half_trace(a),
+    ]
+    for coeffs in ((1, 1, u), (0, b, a), (a, 0, b)):
+        values += f.solve_quadratic(*coeffs).roots
+    values += block_of(f, a).elements + hexagon_of(f, a).vertices
+    assert all(type(v) is int for v in values), [type(v) for v in values]
+    assert f.solve_quadratic(1, 1, u).count == 2
+    json.dumps(block_of(f, a).elements)
 
 
 def test_solve_quadratic_examples():
