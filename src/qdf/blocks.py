@@ -88,24 +88,32 @@ def hexagon_of(ctx: GF2n, x: int) -> Hexagon:
     return Hexagon((x, v1, v2, v3, v4, v5))
 
 
+# Seeds per chunk of hexagon_rows; bounds its temporaries.
+_HEXAGON_CHUNK = 1 << 14
+
+
 def hexagon_rows(ctx: GF2n) -> np.ndarray:
     """The hexagons of F* \\ {1} as a ((2^n - 2)/6, 6) int32 array.
 
     Row k is hexagon_of(r) for the k-th smallest canonical representative
-    r, in the same vertex order.  The six vertices of every seed are
-    taken at once, with the moves v -> v+1 and v -> 1/v as table lookups;
-    a seed is a representative when it is the minimum of its row.
+    r, in the same vertex order.  The seeds are walked in chunks of
+    _HEXAGON_CHUNK: the six vertices of every seed of a chunk are taken at
+    once, with the moves v -> v+1 and v -> 1/v as table lookups, and a
+    seed is a representative when it is the minimum of its row.
     """
     m = ctx.order - 1
-    x = np.arange(2, ctx.order, dtype=np.int32)
-    v1 = x ^ 1
-    v2 = ctx.exp2[m - ctx.logs[v1]]
-    v3 = v2 ^ 1
-    v4 = ctx.exp2[m - ctx.logs[v3]]
-    v5 = v4 ^ 1
-    walk = (x, v1, v2, v3, v4, v5)
-    rep = x < reduce(np.minimum, walk[1:])  # the six vertices are distinct
-    return np.stack([v[rep] for v in walk], axis=1)
+    parts = []
+    for lo in range(2, ctx.order, _HEXAGON_CHUNK):
+        x = np.arange(lo, min(lo + _HEXAGON_CHUNK, ctx.order), dtype=np.int32)
+        v1 = x ^ 1
+        v2 = ctx.exp2[m - ctx.logs[v1]]
+        v3 = v2 ^ 1
+        v4 = ctx.exp2[m - ctx.logs[v3]]
+        v5 = v4 ^ 1
+        walk = (x, v1, v2, v3, v4, v5)
+        rep = x < reduce(np.minimum, walk[1:])  # the six vertices are distinct
+        parts.append(np.stack([v[rep] for v in walk], axis=1))
+    return np.concatenate(parts)
 
 
 def hexagon_partition(ctx: GF2n) -> list[Hexagon]:

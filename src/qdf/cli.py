@@ -9,6 +9,7 @@ missing --force, ...), reported as a one-line JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterable
@@ -23,16 +24,21 @@ from .design import (
     verify_2design,
 )
 from .errors import QdfError
-from .family import build_family, certificate_table, multiplicity_profile
-from .gdd import build_relative_family, desarguesian_spread, verify_gdd, verify_relative
+from .family import build_family, certificate_table, multiplicity_profile, profile_bytes
+from .gdd import (
+    build_relative_family,
+    desarguesian_spread,
+    spread_bytes,
+    verify_gdd,
+    verify_relative,
+)
 from .gf2n import GF2n, table_bytes
 from .serialize import (
     certificates_json_chunks,
     family_from_dict,
-    family_to_json,
-    gdd_json_bytes,
-    gdd_to_dict,
-    profile_to_csv,
+    family_json_chunks,
+    gdd_json_chunks,
+    profile_csv_chunks,
     report_to_dict,
     to_json_bytes,
 )
@@ -78,14 +84,19 @@ def _make_ctx(args) -> GF2n:
             f"warning: n={n} is desk-scale-plus; expect "
             f"~{table_bytes(n) / 2**20:.1f} MiB of field tables"
         )
-        if args.command in ("verify", "gdd"):
-            orbits = ((1 << n) - 2) // 6  # at most (2^n - 2)/6 base blocks
+        orbits = ((1 << n) - 2) // 6  # at most (2^n - 2)/6 base blocks
+        parts = []
+        if args.command == "construct":
+            # the (orbits, 7) int32 slots and the profile's histograms
+            parts = [("the family", 7 * 4 * orbits), ("the profile", profile_bytes(n))]
+        elif args.command in ("verify", "gdd"):
             parts = [
                 ("the development", develop_bytes(orbits)),
                 ("pair counts", pair_count_bytes(orbits)),
             ]
             if args.command == "gdd":
-                parts.append(("the GDD artifact", gdd_json_bytes(orbits, ((1 << n) - 1) // 7)))
+                parts.append(("the spread", spread_bytes(((1 << n) - 1) // 7)))
+        if parts:
             terms = [f"~{size / 2**20:.1f} MiB for {what}" for what, size in parts]
             total = table_bytes(n) + sum(size for _, size in parts)
             warning += (
@@ -111,7 +122,7 @@ def _cmd_construct(args) -> int:
     ctx = _make_ctx(args)
     fam = build_family(ctx, system=args.seed_system)
     ok = multiplicity_profile(fam).is_constant(fam.lambda_claim)
-    _emit(args, family_to_json(fam))
+    _emit(args, family_json_chunks(fam))
     return 0 if ok else 1
 
 
@@ -154,10 +165,11 @@ def _cmd_gdd(args) -> int:
     spread = desarguesian_spread(ctx)
     design = develop(relative)
     gdd_report = verify_gdd(spread, design)
-    out = gdd_to_dict(spread, design)
-    out["relative_profile"] = report_to_dict(rel_report, ctx.n)
-    out["report"] = report_to_dict(gdd_report, ctx.n)
-    _emit(args, to_json_bytes(out))
+    reports = {
+        "relative_profile": report_to_dict(rel_report, ctx.n),
+        "report": report_to_dict(gdd_report, ctx.n),
+    }
+    _emit(args, gdd_json_chunks(spread, design, reports))
     print(f"gdd n={ctx.n}: {gdd_report.timing:.2f}s", file=sys.stderr)
     return 0 if (rel_report.passed and gdd_report.passed) else 1
 
@@ -168,9 +180,9 @@ def _cmd_export(args) -> int:
     if "blocks" in data:
         fam = family_from_dict(data)
         if args.format == "csv":
-            _emit(args, profile_to_csv(multiplicity_profile(fam), fam.ctx.n).encode("ascii"))
+            _emit(args, profile_csv_chunks(multiplicity_profile(fam), fam.ctx.n))
         else:
-            _emit(args, family_to_json(fam))
+            _emit(args, family_json_chunks(fam))
         return 0
     if "orbits" in data:
         if args.format == "csv":
@@ -213,8 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: parse_args keeps no state between calls, and
+# building the parser costs more than parsing with it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except QdfError as exc:

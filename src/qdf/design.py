@@ -128,14 +128,14 @@ def counter_shape(v: int) -> tuple[int, int]:
 
 def develop_bytes(orbits: int) -> int:
     """Resident bytes that building and developing a family of `orbits`
-    base blocks adds, for preflight estimates: 64 per orbit (its 28-byte
+    base blocks adds, for preflight estimates: 80 per orbit (its 28-byte
     slot row, 16 bytes of length and replication, and what the
     construction leaves resident per block) over 2 MiB of heap the
     construction leaves resident at any n.  Fitted to the VmHWM growth
-    of `verify` in fresh processes: 13.3, 24.8, 92.7 and 365.7 MiB at
-    n = 15, 17, 19 and 21 against preflight totals of 13.0, 24.8, 93.3
-    and 367.3 MiB."""
-    return 2 * 2**20 + 64 * orbits
+    of `verify` in fresh processes: 7.3, 22.6, 85.7 and 344.4 MiB at
+    n = 15, 17, 19 and 21 against preflight totals of 7.3, 23.2, 86.7
+    and 340.7 MiB."""
+    return 2 * 2**20 + 80 * orbits
 
 
 def pair_count_bytes(orbits: int) -> int:

@@ -3,10 +3,10 @@
 Field elements are plain ints in [0, 2^n): bit i is the coefficient of
 z^i in the polynomial basis, so addition is XOR and the elements 0 and 1
 are the ints 0 and 1.  A GF2n instance fixes the degree and the
-irreducible modulus and precomputes one int32 ndarray table per map:
-exp, log, trace and sqrt (half-trace on first use).  The array code reads
-the ndarrays; the scalar methods look up memoryviews of the same buffers,
-whose items are Python ints.  Instances are immutable (lazy caches aside)
+irreducible modulus and keeps one int32 ndarray table per map: exp and
+log are built at once, trace, sqrt and half-trace on first use.  The
+array code reads the ndarrays; the scalar methods look up memoryviews of
+the same buffers, whose items are Python ints.  Instances are immutable (lazy caches aside)
 and safe to share across threads; they hold memoryviews, so they do not
 pickle.
 
@@ -40,13 +40,14 @@ from .errors import (
 def table_bytes(n: int) -> int:
     """Peak bytes of the tables GF2n(n) builds, for preflight estimates.
 
-    Five int32 words per element, reached when the last table is built:
-    exp2 (two words), logs, traces and sqrt; the linear tables are filled
-    in place, and the half-trace adds a sixth word on first use.  The
-    fresh-process peak RSS growth reads ~0.1 MiB above it: 0.71 MiB at
-    n = 15, 2.62 at n = 17, 10.1 at n = 19 and 40.1 at n = 21.
+    Four int32 words per element, reached while the exp table is filled:
+    exp2 (two words) and the two x -> c*x tables of _exp_table; logs
+    (one word) takes the place of those.  Each linear table built on
+    first use adds one word over exp2 and logs, so the trace table that
+    `certify` reads stays within this peak; sqrt and the half-trace, one
+    word each, are read by scalar calls only.
     """
-    return 5 * 4 * (1 << n)
+    return 4 * 4 * (1 << n)
 
 
 def poly_degree(p: int) -> int:
@@ -271,13 +272,24 @@ class GF2n:
             for _ in range(n - 1):
                 walk.append(self.sqr(walk[-1]))
             frob.append(walk)
-        traces = [reduce(xor, walk) for walk in frob]
-        if max(traces) > 1:  # pragma: no cover - guards table construction
+        self._trace_images = [reduce(xor, walk) for walk in frob]
+        if max(self._trace_images) > 1:  # pragma: no cover - guards table construction
             raise AssertionError("trace is not {0,1}-valued; tables corrupt")
-        self.traces = _linear_table(traces)
-        self._trace = memoryview(self.traces)
-        self._sqrt = memoryview(_linear_table([walk[-1] for walk in frob]))
+        self._sqrt_images = [walk[-1] for walk in frob]
         self._half_trace_images = [reduce(xor, walk[::2]) for walk in frob]
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """The absolute trace of every element, as an int32 table."""
+        return _linear_table(self._trace_images)
+
+    @cached_property
+    def _trace(self) -> memoryview:
+        return memoryview(self.traces)
+
+    @cached_property
+    def _sqrt(self) -> memoryview:
+        return memoryview(_linear_table(self._sqrt_images))
 
     # -- scalar arithmetic ---------------------------------------------------
 

@@ -62,29 +62,52 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
-def family_to_json(fam: DifferenceFamily) -> bytes:
-    """{"n", "modulus", "lambda", "blocks": [[7 hex strings], ...]} as JSON.
+# Rows per chunk of the streamed writers (block and groop rows, gdd
+# orbits, certificates, CSV lines); bounds their memory.
+_ROW_CHUNK = 1 << 12
 
-    Every block row has the same length, so the rows are one byte
-    template tiled with numpy and its digit fields filled from the slots:
-    byte for byte what to_json_bytes gives for the same dict.
+
+def _hex_rows_json_chunks(rows, n: int) -> Iterator[bytes]:
+    """The list json.dumps(indent=2) writes, as the value of a top-level
+    key, for the 7-element rows of `rows` (an (N, 7) int array or a
+    sequence of 7-tuples): each row a list of 7 hex strings.
+
+    Every row has the same length, so a chunk of _ROW_CHUNK rows is one
+    byte template tiled with numpy and its digit fields filled in.
     """
-    n = fam.ctx.n
+    if not len(rows):
+        yield b"[]"
+        return
     w = hex_width(n)
     row = "    " + _json_list([f'      "{"#" * w}"'] * 7, "    ") + ",\n"
     template = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
     digits = np.flatnonzero(template == ord("#")).reshape(7, w)
-    rows = np.tile(template, (len(fam.slots), 1))
-    for j in range(w):
-        rows[:, digits[:, j]] = _HEX_DIGITS[fam.slots >> 4 * (w - 1 - j) & 15]
-    head = (
-        f'{{\n  "n": {n},\n  "modulus": {fam.ctx.modulus},\n'
+    yield b"[\n"
+    for lo in range(0, len(rows), _ROW_CHUNK):
+        part = np.asarray(rows[lo : lo + _ROW_CHUNK])
+        out = np.tile(template, (len(part), 1))
+        for j in range(w):
+            out[:, digits[:, j]] = _HEX_DIGITS[part >> 4 * (w - 1 - j) & 15]
+        # the last row takes no comma
+        yield out.ravel()[: -2 if lo + _ROW_CHUNK >= len(rows) else None].tobytes()
+    yield b"\n  ]"
+
+
+def family_json_chunks(fam: DifferenceFamily) -> Iterator[bytes]:
+    """{"n", "modulus", "lambda", "blocks": [[7 hex strings], ...]} as JSON,
+    in chunks of at most _ROW_CHUNK block rows: byte for byte what
+    to_json_bytes gives for the same dict."""
+    yield (
+        f'{{\n  "n": {fam.ctx.n},\n  "modulus": {fam.ctx.modulus},\n'
         f'  "lambda": {fam.lambda_claim},\n  "blocks": '
     ).encode("ascii")
-    if not len(rows):
-        return head + b"[]\n}\n"
-    # the last row takes no comma
-    return b"".join((head, b"[\n", rows.ravel()[:-2], b"\n  ]\n}\n"))
+    yield from _hex_rows_json_chunks(fam.slots, fam.ctx.n)
+    yield b"\n}\n"
+
+
+def family_to_json(fam: DifferenceFamily) -> bytes:
+    """The whole family JSON of family_json_chunks as one bytes."""
+    return b"".join(family_json_chunks(fam))
 
 
 def family_from_dict(d: dict) -> DifferenceFamily:
@@ -126,15 +149,6 @@ def _orbit_dicts(d: Design) -> list[dict]:
     ]
 
 
-def gdd_json_bytes(orbits: int, groops: int) -> int:
-    """Peak bytes of writing the gdd artifact of `orbits` orbits over
-    `groops` groops, for preflight estimates: the dicts of gdd_to_dict,
-    the chunks json.dumps(indent=2) joins, its string and the encoded
-    copy.  Measured with tracemalloc at n = 9 and 15: 1,973 and 2,073
-    bytes per orbit, 1,192 and 1,189 per groop."""
-    return 2100 * orbits + 1200 * groops
-
-
 def design_to_dict(d: Design) -> dict:
     return {
         "n": d.ctx.n,
@@ -156,6 +170,51 @@ def gdd_to_dict(spread: Spread, design: Design) -> dict:
         "spread": [_block_hex(g, n) for g in spread.groops],
         "orbits": _orbit_dicts(design),
     }
+
+
+def _orbit_rows_json_chunks(d: Design) -> Iterator[bytes]:
+    """The "orbits" list of design_to_dict as json.dumps(indent=2) writes
+    it as the value of a top-level key, in chunks of _ROW_CHUNK orbits."""
+    if not len(d.slots):
+        yield b"[]"
+        return
+    orbit = (
+        '    {\n      "rep": '
+        + _json_list([f'        "%0{hex_width(d.ctx.n)}x"'] * 7, "      ")
+        + ',\n      "length": %d,\n      "replication": %d\n    }'
+    )
+    yield b"[\n"
+    for lo in range(0, len(d.slots), _ROW_CHUNK):
+        part = slice(lo, lo + _ROW_CHUNK)
+        rows = ",\n".join(
+            orbit % (*rep, length, replication)
+            for rep, length, replication in zip(
+                d.slots[part].tolist(), d.length[part].tolist(), d.replication[part].tolist()
+            )
+        )
+        yield (rows if lo == 0 else ",\n" + rows).encode("ascii")
+    yield b"\n  ]"
+
+
+def gdd_json_chunks(spread: Spread, design: Design, reports: dict) -> Iterator[bytes]:
+    """gdd_to_dict(spread, design), followed by the keys of `reports`, as
+    JSON in chunks of at most _ROW_CHUNK groops or orbits: byte for byte
+    what to_json_bytes gives for that dict.  The groops are rows of one
+    byte template like the family's blocks; each value of `reports` is
+    small and goes through json.dumps."""
+    n = spread.ctx.n
+    yield (
+        f'{{\n  "n": {n},\n  "modulus": {spread.ctx.modulus},\n  "g": 3,\n'
+        f'  "lambda": {design.lambda_claim},\n  "spread": '
+    ).encode("ascii")
+    yield from _hex_rows_json_chunks(spread.groops, n)
+    yield b',\n  "orbits": '
+    yield from _orbit_rows_json_chunks(design)
+    for key, value in reports.items():
+        # one level deeper than json.dumps puts it: two more spaces a line
+        text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        yield f",\n  {json.dumps(key)}: {text}".encode("ascii")
+    yield b"\n}\n"
 
 
 # -- reports, certificates, profiles --------------------------------------------
@@ -181,14 +240,10 @@ def report_to_dict(r: VerificationReport, n: int) -> dict:
     return out
 
 
-# Certificates per chunk of certificates_json_chunks; bounds its memory.
-_CERT_CHUNK = 1 << 12
-
-
 def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes]:
     """The certify report {"n", "modulus", "r_min", "r_max", "all_matched",
     "certificates": [{"t", "r", "matching_ok", "solvable"}, ...]} as JSON,
-    in chunks of at most _CERT_CHUNK certificates.
+    in chunks of at most _ROW_CHUNK certificates.
 
     Written like to_json_bytes would write that dict; each distinct
     solvable list (at most 2^9 of them) is rendered once.
@@ -215,8 +270,8 @@ def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes
         f'  "all_matched": {_JSON_BOOL[bool(tab.matching_ok.all())]},\n'
         f'  "certificates": ['
     ).encode("ascii")
-    for lo in range(0, len(keys), _CERT_CHUNK):
-        part = slice(lo, lo + _CERT_CHUNK)
+    for lo in range(0, len(keys), _ROW_CHUNK):
+        part = slice(lo, lo + _ROW_CHUNK)
         rows = ",\n".join(
             cert % (t, r, _JSON_BOOL[ok], solvable[key])
             for t, r, ok, key in zip(
@@ -236,8 +291,17 @@ def certificates_to_json(ctx: GF2n, tab: CertificateTable) -> bytes:
     return b"".join(certificates_json_chunks(ctx, tab))
 
 
+def profile_csv_chunks(p: MultiplicityProfile, n: int) -> Iterator[bytes]:
+    """The profile as CSV: a `t_hex,count` header and one line per t in
+    F* minus {1}, in chunks of at most _ROW_CHUNK lines."""
+    line = f"%0{hex_width(n)}x,%d\n"
+    yield b"t_hex,count\n"
+    for lo in range(2, p.order, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, p.order)
+        lines = [line % tc for tc in zip(range(lo, hi), p.counts[lo:hi].tolist())]
+        yield "".join(lines).encode("ascii")
+
+
 def profile_to_csv(p: MultiplicityProfile, n: int) -> str:
-    lines = ["t_hex,count"]
-    for t in range(2, p.order):
-        lines.append(f"{element_hex(t, n)},{p.count_of(t)}")
-    return "\n".join(lines) + "\n"
+    """The whole CSV of profile_csv_chunks as one str."""
+    return b"".join(profile_csv_chunks(p, n)).decode("ascii")

@@ -200,3 +200,14 @@ def test_hexagon_rows_match_hexagon_of_scan(n, modulus):
     assert rows.dtype == np.int32 and rows.shape == (len(expected), 6)
     assert [tuple(r) for r in rows.tolist()] == expected
     assert [h.vertices for h in hexagon_partition(f)] == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("n", [3, 7, 9])
+def test_chunked_hexagon_rows_match_hexagon_of_scan(monkeypatch, n, chunk):
+    from qdf import blocks
+
+    monkeypatch.setattr(blocks, "_HEXAGON_CHUNK", chunk)
+    rows = hexagon_rows(cached_field(n))
+    assert rows.dtype == np.int32
+    assert [tuple(r) for r in rows.tolist()] == hexagons_by_scan(cached_field(n))

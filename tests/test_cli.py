@@ -1,5 +1,7 @@
 """CLI behavior: artifacts, exit codes, determinism, error JSON."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -67,12 +69,12 @@ def test_preflight_estimate_matches_counter(capsys):
     )
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
-    # table_bytes(15) = 20 * 2^15 = 655,360 bytes (0.63 MiB); for 5461
-    # orbits, develop_bytes = 2 * 2^20 + 64 * 5461 = 2,446,656 (2.33 MiB)
+    # table_bytes(15) = 16 * 2^15 = 524,288 bytes (0.50 MiB); for 5461
+    # orbits, develop_bytes = 2 * 2^20 + 80 * 5461 = 2,534,032 (2.42 MiB)
     # and pair_count_bytes = 40 * 21 * 5461 = 4,587,240 (4.37 MiB):
-    # 7,689,256 bytes (7.33 MiB) in all
-    assert "~0.6 MiB of field tables" in warning
-    assert "~2.3 MiB for the development and ~4.4 MiB for pair counts" in warning
+    # 7,645,560 bytes (7.29 MiB) in all
+    assert "~0.5 MiB of field tables" in warning
+    assert "~2.4 MiB for the development and ~4.4 MiB for pair counts" in warning
     assert "~7.3 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
@@ -82,16 +84,26 @@ def test_preflight_counts_no_pairs_without_pair_counting(capsys, command):
     code, _, stderr = run_cli(capsys, command, "--n", "15", "--force", "--modulus", "0x8000")
     assert code == 2
     warning = stderr.strip().split("\n")[0]
-    assert "~0.6 MiB of field tables" in warning
+    assert "~0.5 MiB of field tables" in warning
     assert "pair counts" not in warning
+
+
+def test_preflight_of_construct_counts_family_and_profile(capsys):
+    code, _, stderr = run_cli(capsys, "construct", "--n", "15", "--force", "--modulus", "0x8000")
+    assert code == 2
+    warning = stderr.strip().split("\n")[0]
+    # 28 * 5461 = 152,908 bytes of slots; 16 * 2^15 + 2 * 2^20 = 2,621,440
+    # for the profile; with the tables 3,298,636 bytes (3.15 MiB) in all
+    assert "~0.1 MiB for the family and ~2.5 MiB for the profile" in warning
+    assert "~3.1 MiB in all" in warning
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 @pytest.mark.parametrize("n", [15, 17, 19])
 def test_preflight_table_estimate_matches_measured_rss(n):
     # peak RSS growth of building GF2n(n) in a fresh process, against the
-    # figure the preflight prints; ~0.1 MiB of it is not the tables, the
-    # most at n = 15 (0.71 MiB measured against 0.63).
+    # figure the preflight prints; ~0.05 MiB of it is not the tables, the
+    # most at n = 15 (0.55 MiB measured against 0.50).
     # VmHWM, unlike ru_maxrss, does not carry the parent's peak over exec.
     probe = (
         "import re, qdf;"
@@ -136,9 +148,64 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 def test_preflight_total_matches_measured_rss_of_gdd():
-    # the GDD artifact is most of it: ~16.3 of the ~29.3 MiB printed
+    # the artifact is written in chunks after the pair counts are freed;
+    # the spread's groop tuples are ~1.6 of the ~8.9 MiB printed
     measured, total = _measured_and_printed("gdd", 15)
     assert 0.75 * total < measured < 1.25 * total
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_preflight_total_matches_measured_rss_of_construct():
+    # the tables, the slots and the profile's two histograms; the 9.75 MB
+    # family JSON is written in chunks of rows and adds no copy of itself
+    measured, total = _measured_and_printed("construct", 19)
+    assert 0.75 * total < measured < 1.25 * total
+
+
+# (argv, exit code) of commands run in one process, in this order: every
+# subcommand, with bad arguments (argparse exits 2) and a QdfError between.
+_SESSION = [
+    (["construct", "--n", "5"], 0),
+    (["verify", "--n", "5", "--format", "xml"], 2),
+    (["certify", "--n", "3"], 0),
+    (["construct"], 2),
+    (["gdd", "--n", "3"], 0),
+    (["verify", "--n", "5", "--seed-system", "max"], 0),
+    (["bogus"], 2),
+    (["construct", "--n", "4"], 2),
+    (["export", "{fam}", "--format", "csv"], 0),
+    (["construct", "--n", "7", "--modulus", "0x89"], 0),
+]
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _untimed(stderr):
+    return re.sub(r": [0-9.]+s$", ": <t>s", stderr, flags=re.M)
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path):
+    # main reuses one parser; each call must behave as in a new process
+    fam = tmp_path / "fam.json"
+    main(["construct", "--n", "5", "--out", str(fam)])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv, want in _SESSION:
+        argv = [str(fam) if a == "{fam}" else a for a in argv]
+        code, out, err = _in_process(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qdf.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert code == fresh.returncode == want, argv
+        assert out == fresh.stdout, argv
+        assert _untimed(err) == _untimed(fresh.stderr), argv
 
 
 def test_verify_small_field(capsys):

@@ -266,6 +266,23 @@ def test_profile_independent_of_histogram_chunking(monkeypatch, chunk):
     assert multiplicity_profile(fam).counts.tolist() == whole.tolist()
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_chunked_profile_matches_delta_counter(monkeypatch, n, chunk):
+    # odd chunk sizes leave a short last chunk; the fold of t onto v - t
+    # is checked at every t, including the mutants' uneven counts
+    from qdf import family
+
+    monkeypatch.setattr(family, "_PROFILE_BLOCKS", chunk)
+    f = cached_field(n)
+    fams = [build_family(f), *_mutants(build_family(f))]
+    if n <= 7:
+        fams.append(full_family(f))
+    for fam in fams:
+        counts = _delta_counts(fam)
+        assert multiplicity_profile(fam).counts.tolist() == [counts[t] for t in range(f.order)]
+
+
 @pytest.mark.parametrize("n,modulus", FIELDS)
 def test_certificate_table_matches_solve_quadratic(n, modulus):
     # every t and all 18 forms against the scalar trace criterion

@@ -224,6 +224,20 @@ def test_linear_tables_match_frobenius_oracle(n):
         assert f.subfield(d) == np.flatnonzero(cur == x).tolist()
 
 
+@pytest.mark.parametrize("n", [3, 9, 13])
+def test_trace_and_sqrt_tables_built_on_first_use(n):
+    # a fresh instance: cached_field's may already have built them
+    f = GF2n(n)
+    assert not {"traces", "_trace", "_sqrt", "_half_trace"} & set(vars(f))
+    want = frobenius_tables(f.exp2, f.logs, n)
+    q = f.order
+    assert np.array_equal(np.fromiter(map(f.trace, range(q)), np.int64, q), want["trace"])
+    assert "_trace" in vars(f) and "_sqrt" not in vars(f)
+    assert f.traces.dtype == np.int32 and np.array_equal(f.traces, want["trace"])
+    assert np.array_equal(np.fromiter(map(f.sqrt, range(q)), np.int64, q), want["sqrt"])
+    assert "_sqrt" in vars(f) and "_half_trace" not in vars(f)
+
+
 @pytest.mark.parametrize("n", [17, 19])
 def test_scalar_api_returns_python_ints(n):
     f = cached_field(n)

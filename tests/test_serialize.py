@@ -20,6 +20,8 @@ from qdf import (
     hexagon_of,
     multiplicity_profile,
     verify_2design,
+    verify_gdd,
+    verify_relative,
 )
 from qdf.family import EQUATION_FORMS
 from qdf.serialize import (
@@ -28,10 +30,13 @@ from qdf.serialize import (
     design_to_dict,
     element_hex,
     family_from_dict,
+    family_json_chunks,
     family_to_json,
+    gdd_json_chunks,
     gdd_to_dict,
     hex_width,
     hexagon_to_list,
+    profile_csv_chunks,
     profile_to_csv,
     report_to_dict,
     to_json_bytes,
@@ -161,6 +166,88 @@ def test_family_writer_matches_json_dumps(n, modulus):
         assert family_to_json(fam) == _json_dumps(family_dict(fam))
 
 
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("n,modulus", [(3, None), (7, 0x89), (9, None)])
+def test_family_json_chunks_independent_of_chunking(monkeypatch, n, modulus, chunk):
+    from qdf import serialize
+
+    f = cached_field(n, modulus)
+    for fam in (build_family(f), full_family(f), DifferenceFamily(f, (), lambda_claim=7)):
+        monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk or max(1, len(fam.slots)))
+        chunks = list(family_json_chunks(fam))
+        assert all(type(c) is bytes for c in chunks)
+        assert b"".join(chunks) == family_to_json(fam) == _json_dumps(family_dict(fam))
+
+
+def _gdd_oracle(spread, design, reports):
+    out = gdd_to_dict(spread, design)
+    out.update(reports)
+    return to_json_bytes(out)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("n", [3, 9, 15])
+def test_gdd_writer_matches_to_json_bytes(monkeypatch, n, chunk):
+    from qdf import serialize
+
+    monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk)
+    f = cached_field(n)
+    rel = build_relative_family(build_family(f))
+    spread, design = desarguesian_spread(f), develop(rel)
+    reports = {
+        "relative_profile": report_to_dict(verify_relative(rel), n),
+        "report": report_to_dict(verify_gdd(spread, design), n),
+    }
+    assert b"".join(gdd_json_chunks(spread, design, reports)) == _gdd_oracle(spread, design, reports)
+
+
+def test_gdd_writer_on_failing_reports_and_odd_orbits():
+    # offenders, notes, no orbits at all, and lengths and replications of
+    # several widths render as json.dumps would
+    f = cached_field(9)
+    spread = desarguesian_spread(f)
+    design = develop(build_relative_family(build_family(f)))
+    odd = type(design)(
+        f, design.slots[:5], np.array([1, 10, 511, 73, 12345]), np.array([7, 1, 22, 3, 1]), 9
+    )
+    empty = type(design)(f, design.slots[:0], design.length[:0], design.replication[:0], 7)
+    bad = verify_2design(develop(DifferenceFamily(f, build_family(f).slots[1:], 7)))
+    reports = {
+        "report": report_to_dict(bad, 9),
+        "extra": {"notes": "degenerate: \"quoted\"", "list": [], "nested": {"a": [1, {"b": None}]}},
+    }
+    assert not bad.passed and bad.offending_pairs
+    for d in (odd, empty):
+        for r in (reports, {}):
+            assert b"".join(gdd_json_chunks(spread, d, r)) == _gdd_oracle(spread, d, r)
+
+
+def _csv_oracle(p, n):
+    lines = ["t_hex,count"]
+    for t in range(2, p.order):
+        lines.append(f"{element_hex(t, n)},{p.count_of(t)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
+def test_profile_csv_matches_line_by_line_writer(monkeypatch, n):
+    from qdf import serialize
+
+    f = cached_field(n)
+    fam = build_family(f)
+    profiles = [multiplicity_profile(fam)]
+    if n <= 9:
+        # uneven counts of several widths
+        profiles.append(multiplicity_profile(DifferenceFamily(f, fam.slots[::2], 7)))
+        profiles.append(multiplicity_profile(full_family(f)))
+    for chunk in (3, 4096):
+        monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk)
+        for p in profiles:
+            want = _csv_oracle(p, n)
+            assert profile_to_csv(p, n) == want
+            assert b"".join(profile_csv_chunks(p, n)) == want.encode("ascii")
+
+
 def _certify_oracle(f, tab):
     pairs = list(EQUATION_FORMS)
     rows = [
@@ -198,7 +285,7 @@ def test_certify_writer_independent_of_chunking(monkeypatch, chunk):
     f = cached_field(9)
     tab = certificate_table(f, f.seeds())
     whole = certificates_to_json(f, tab)
-    monkeypatch.setattr(serialize, "_CERT_CHUNK", chunk)
+    monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk)
     chunks = list(serialize.certificates_json_chunks(f, tab))
     assert len(chunks) == 2 + 2 * -(-len(tab.ts) // chunk)
     assert b"".join(chunks) == whole == _certify_oracle(f, tab)
