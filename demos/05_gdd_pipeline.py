@@ -24,7 +24,7 @@ f = make_field(9)
 spread = desarguesian_spread(f)
 print(f"spread: {len(spread.groops)} groops of size 7 "
       f"(= {(f.order - 1)} units / 7)")
-print("first groop:", spread.groops[0])
+print("first groop:", spread.groops[0].tolist())
 
 family = build_family(f)
 relative = build_relative_family(family)

@@ -24,7 +24,13 @@ from .design import (
     verify_2design,
 )
 from .errors import QdfError
-from .family import build_family, certificate_table, multiplicity_profile, profile_bytes
+from .family import (
+    build_family,
+    certificate_bytes,
+    certificate_table,
+    multiplicity_profile,
+    profile_bytes,
+)
 from .gdd import (
     build_relative_family,
     desarguesian_spread,
@@ -47,28 +53,27 @@ DEFAULT_N_CEILING = 13
 HARD_N_CEILING = 25
 
 
-def _add_common(p: argparse.ArgumentParser, with_n: bool = True) -> None:
-    if with_n:
-        p.add_argument("--n", type=int, required=True, help="extension degree (odd)")
-        p.add_argument(
-            "--modulus",
-            type=lambda s: int(s, 0),
-            default=None,
-            help="irreducible modulus bitmask (default: lexicographically smallest)",
-        )
-        p.add_argument(
-            "--force",
-            action="store_true",
-            help=f"allow n > {DEFAULT_N_CEILING} (hard ceiling {HARD_N_CEILING})",
-        )
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+def _add_field_options(p: argparse.ArgumentParser, seed_system: bool = True) -> None:
+    p.add_argument("--n", type=int, required=True, help="extension degree (odd)")
     p.add_argument(
-        "--seed-system",
-        choices=["min", "max"],
-        default="min",
-        help="hexagon representative choice (developments are identical)",
+        "--modulus",
+        type=lambda s: int(s, 0),
+        default=None,
+        help="irreducible modulus bitmask (default: lexicographically smallest)",
     )
+    p.add_argument(
+        "--force",
+        action="store_true",
+        help=f"allow n > {DEFAULT_N_CEILING} (hard ceiling {HARD_N_CEILING})",
+    )
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    if seed_system:
+        p.add_argument(
+            "--seed-system",
+            choices=["min", "max"],
+            default="min",
+            help="hexagon representative choice (developments are identical)",
+        )
 
 
 def _make_ctx(args) -> GF2n:
@@ -80,35 +85,32 @@ def _make_ctx(args) -> GF2n:
             f"n={n} exceeds the default ceiling {DEFAULT_N_CEILING}; pass --force"
         )
     if n > DEFAULT_N_CEILING:
-        warning = (
-            f"warning: n={n} is desk-scale-plus; expect "
-            f"~{table_bytes(n) / 2**20:.1f} MiB of field tables"
-        )
         orbits = ((1 << n) - 2) // 6  # at most (2^n - 2)/6 base blocks
-        parts = []
+        parts = [("of field tables", table_bytes(n))]
         if args.command == "construct":
             # the (orbits, 7) int32 slots and the profile's histograms
-            parts = [("the family", 7 * 4 * orbits), ("the profile", profile_bytes(n))]
-        elif args.command in ("verify", "gdd"):
-            parts = [
-                ("the development", develop_bytes(orbits)),
-                ("pair counts", pair_count_bytes(orbits)),
+            parts += [("for the family", 7 * 4 * orbits), ("for the profile", profile_bytes(n))]
+        elif args.command == "certify":
+            parts.append(("for the certificates", certificate_bytes(n)))
+        else:
+            parts += [
+                ("for the development", develop_bytes(orbits)),
+                ("for pair counts", pair_count_bytes(orbits)),
             ]
             if args.command == "gdd":
-                parts.append(("the spread", spread_bytes(((1 << n) - 1) // 7)))
-        if parts:
-            terms = [f"~{size / 2**20:.1f} MiB for {what}" for what, size in parts]
-            total = table_bytes(n) + sum(size for _, size in parts)
-            warning += (
-                f", {', '.join(terms[:-1])} and {terms[-1]}, ~{total / 2**20:.1f} MiB in all"
-            )
-        print(warning, file=sys.stderr)
+                parts.append(("for the spread", spread_bytes(((1 << n) - 1) // 7)))
+        terms = [f"~{size / 2**20:.1f} MiB {what}" for what, size in parts]
+        total = sum(size for _, size in parts)
+        print(
+            f"warning: n={n} is desk-scale-plus; expect {', '.join(terms[:-1])} "
+            f"and {terms[-1]}, ~{total / 2**20:.1f} MiB in all",
+            file=sys.stderr,
+        )
     return GF2n(n, args.modulus)
 
 
-def _emit(args, data: bytes | Iterable[bytes]) -> None:
-    """Write an artifact, whole or as an iterable of chunks, to --out or stdout."""
-    chunks = (data,) if isinstance(data, bytes) else data
+def _emit(args, chunks: Iterable[bytes]) -> None:
+    """Write an artifact, as an iterable of byte chunks, to --out or stdout."""
     if args.out:
         with open(args.out, "wb") as fh:
             for chunk in chunks:
@@ -144,7 +146,7 @@ def _cmd_verify(args) -> int:
         "simple": check_simple(design),
     }
     out.update(report_to_dict(report, ctx.n))
-    _emit(args, to_json_bytes(out))
+    _emit(args, (to_json_bytes(out),))
     print(f"verify n={ctx.n}: {report.timing:.2f}s", file=sys.stderr)
     return 0 if (report.passed and profile_ok and out["qanalog"]) else 1
 
@@ -187,7 +189,7 @@ def _cmd_export(args) -> int:
     if "orbits" in data:
         if args.format == "csv":
             raise QdfError("designs have no CSV form; use --format json")
-        _emit(args, to_json_bytes(data))
+        _emit(args, (to_json_bytes(data),))
         return 0
     raise QdfError("unrecognized input file: expected a family or design JSON")
 
@@ -202,24 +204,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the index-7 family and write it as JSON")
-    _add_common(p)
+    _add_field_options(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="develop the family and exhaustively pair-count")
-    _add_common(p)
+    _add_field_options(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("certify", help="per-t solvability certificates for all t")
-    _add_common(p)
+    _add_field_options(p, seed_system=False)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("gdd", help="relative family, spread and GDD checks (n = 3 mod 6)")
-    _add_common(p)
+    _add_field_options(p)
     p.set_defaults(func=_cmd_gdd)
 
     p = sub.add_parser("export", help="convert stored families/designs between formats")
     p.add_argument("input", help="family or design JSON file")
-    _add_common(p, with_n=False)
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_export)
 
     return parser

@@ -300,6 +300,18 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
     return CertificateTable(ts, solvable)
 
 
+def certificate_bytes(n: int) -> int:
+    """Bytes `certify` adds over the field tables at its peak, for
+    preflight estimates: 80 per t (the table's int64 ts and r, its 18
+    solvable flags and matching_ok, with the certify writer's per-t
+    keys, inverse index and tail column) and 11 MiB for the writer's
+    chunks of rendered text and the heap they leave behind.  With the
+    tables, `certify` grows VmHWM by 13.8, 18.8, 53.8 and 211.3 MiB at
+    n = 15, 17, 19 and 21 in fresh processes, against preflight totals
+    of 14.0, 23.0, 59.0 and 203.0 MiB."""
+    return 80 * (1 << n) + 11 * 2**20
+
+
 def equation_certificate(ctx: GF2n, t: int) -> EquationCertificate:
     """The certificate_table row of a single t, with its coefficients.
 

@@ -28,13 +28,14 @@ from .family import DifferenceFamily, multiplicity_profile
 from .gf2n import GF2n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spread:
     """Partition of F* into cosets of K*; with 0 added each coset is a
-    3-dimensional subspace (the Desarguesian spread)."""
+    3-dimensional subspace (the Desarguesian spread).  Row i of the
+    (G, 7) int32 `groops` is groop i, sorted."""
 
     ctx: GF2n
-    groops: tuple[tuple[int, ...], ...]
+    groops: np.ndarray
     point_groop: np.ndarray  # element encoding -> groop index (, -1 for 0)
 
     def groop_of(self, point: int) -> int:
@@ -43,10 +44,9 @@ class Spread:
 
 def spread_bytes(groops: int) -> int:
     """Resident bytes of the Spread of `groops` groops, for preflight
-    estimates: its groops as tuples of 7 Python ints (~330 bytes each,
-    read only by the gdd writer) and 28 bytes of point_groop per groop.
-    Measured with tracemalloc: 354 bytes per groop at n = 15."""
-    return 360 * groops
+    estimates: 28 bytes of int32 groop row and 28 bytes of point_groop
+    (7 points) per groop."""
+    return 56 * groops
 
 
 def _require_subfield(ctx: GF2n) -> list[int]:
@@ -72,8 +72,7 @@ def desarguesian_spread(ctx: GF2n) -> Spread:
     cosets = cosets[np.argsort(cosets[:, 0])]
     point_groop = np.full(ctx.order, -1, dtype=np.int32)
     point_groop[cosets] = np.arange(m, dtype=np.int32)[:, None]
-    groops = tuple(zip(*cosets.T.tolist()))  # from the 7 columns: no list per groop
-    return Spread(ctx=ctx, groops=groops, point_groop=point_groop)
+    return Spread(ctx=ctx, groops=cosets, point_groop=point_groop)
 
 
 def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
-from .blocks import Block, block_of, block_slots
+from .blocks import block_of, block_slots
 from .design import Design, VerificationReport
 from .errors import MalformedFamilyError
 from .family import EQUATION_FORMS, CertificateTable, DifferenceFamily, MultiplicityProfile
@@ -34,22 +35,8 @@ def element_hex(v: int, n: int) -> str:
     return format(int(v), f"0{hex_width(n)}x")
 
 
-def _block_hex(elements, n: int) -> list[str]:
-    return [element_hex(e, n) for e in elements]
-
-
 def to_json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode("ascii")
-
-
-# -- blocks and hexagons --------------------------------------------------------
-
-def block_to_dict(b: Block, n: int) -> dict:
-    return {"elements": _block_hex(b.elements, n), "seed": element_hex(b.seed, n)}
-
-
-def hexagon_to_list(h, n: int) -> list[str]:
-    return _block_hex(h.vertices, n)
 
 
 # -- difference families ------------------------------------------------------
@@ -62,15 +49,25 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
-# Rows per chunk of the streamed writers (block and groop rows, gdd
-# orbits, certificates, CSV lines); bounds their memory.
+# Rows per chunk of the streamed writers (block and groop rows, orbits,
+# certificates, CSV lines); bounds their memory.
 _ROW_CHUNK = 1 << 12
 
 
-def _hex_rows_json_chunks(rows, n: int) -> Iterator[bytes]:
+def _template_rows(template: str, sep: str, *columns) -> Iterator[bytes]:
+    """`template % row` for each row of the equal-length arrays `columns`,
+    joined by `sep`, in chunks of _ROW_CHUNK rows; every chunk but the
+    first starts with `sep`."""
+    for lo in range(0, len(columns[0]), _ROW_CHUNK):
+        rows = zip(*(c[lo : lo + _ROW_CHUNK].tolist() for c in columns))
+        lines = chain([""] if lo else [], (template % row for row in rows))
+        yield sep.join(lines).encode("ascii")
+
+
+def _hex_rows_json_chunks(rows: np.ndarray, n: int) -> Iterator[bytes]:
     """The list json.dumps(indent=2) writes, as the value of a top-level
-    key, for the 7-element rows of `rows` (an (N, 7) int array or a
-    sequence of 7-tuples): each row a list of 7 hex strings.
+    key, for the rows of the (N, 7) int array `rows`: each row a list of
+    7 hex strings.
 
     Every row has the same length, so a chunk of _ROW_CHUNK rows is one
     byte template tiled with numpy and its digit fields filled in.
@@ -84,7 +81,7 @@ def _hex_rows_json_chunks(rows, n: int) -> Iterator[bytes]:
     digits = np.flatnonzero(template == ord("#")).reshape(7, w)
     yield b"[\n"
     for lo in range(0, len(rows), _ROW_CHUNK):
-        part = np.asarray(rows[lo : lo + _ROW_CHUNK])
+        part = rows[lo : lo + _ROW_CHUNK]
         out = np.tile(template, (len(part), 1))
         for j in range(w):
             out[:, digits[:, j]] = _HEX_DIGITS[part >> 4 * (w - 1 - j) & 15]
@@ -103,11 +100,6 @@ def family_json_chunks(fam: DifferenceFamily) -> Iterator[bytes]:
     ).encode("ascii")
     yield from _hex_rows_json_chunks(fam.slots, fam.ctx.n)
     yield b"\n}\n"
-
-
-def family_to_json(fam: DifferenceFamily) -> bytes:
-    """The whole family JSON of family_json_chunks as one bytes."""
-    return b"".join(family_json_chunks(fam))
 
 
 def family_from_dict(d: dict) -> DifferenceFamily:
@@ -142,39 +134,10 @@ def family_from_dict(d: dict) -> DifferenceFamily:
 
 # -- designs and spreads --------------------------------------------------------
 
-def _orbit_dicts(d: Design) -> list[dict]:
-    return [
-        {"rep": _block_hex(rep, d.ctx.n), "length": length, "replication": replication}
-        for rep, length, replication in d.orbit_rows()
-    ]
-
-
-def design_to_dict(d: Design) -> dict:
-    return {
-        "n": d.ctx.n,
-        "modulus": d.ctx.modulus,
-        "v": d.v,
-        "k": d.k,
-        "lambda": d.lambda_claim,
-        "orbits": _orbit_dicts(d),
-    }
-
-
-def gdd_to_dict(spread: Spread, design: Design) -> dict:
-    n = spread.ctx.n
-    return {
-        "n": n,
-        "modulus": spread.ctx.modulus,
-        "g": 3,
-        "lambda": design.lambda_claim,
-        "spread": [_block_hex(g, n) for g in spread.groops],
-        "orbits": _orbit_dicts(design),
-    }
-
-
 def _orbit_rows_json_chunks(d: Design) -> Iterator[bytes]:
-    """The "orbits" list of design_to_dict as json.dumps(indent=2) writes
-    it as the value of a top-level key, in chunks of _ROW_CHUNK orbits."""
+    """The "orbits" list [{"rep": [7 hex strings], "length", "replication"},
+    ...] as json.dumps(indent=2) writes it as the value of a top-level
+    key, in chunks of _ROW_CHUNK orbits."""
     if not len(d.slots):
         yield b"[]"
         return
@@ -184,24 +147,29 @@ def _orbit_rows_json_chunks(d: Design) -> Iterator[bytes]:
         + ',\n      "length": %d,\n      "replication": %d\n    }'
     )
     yield b"[\n"
-    for lo in range(0, len(d.slots), _ROW_CHUNK):
-        part = slice(lo, lo + _ROW_CHUNK)
-        rows = ",\n".join(
-            orbit % (*rep, length, replication)
-            for rep, length, replication in zip(
-                d.slots[part].tolist(), d.length[part].tolist(), d.replication[part].tolist()
-            )
-        )
-        yield (rows if lo == 0 else ",\n" + rows).encode("ascii")
+    yield from _template_rows(orbit, ",\n", *d.slots.T, d.length, d.replication)
     yield b"\n  ]"
 
 
+def design_json_chunks(d: Design) -> Iterator[bytes]:
+    """{"n", "modulus", "v", "k", "lambda", "orbits"} of a developed design
+    as JSON, in chunks of at most _ROW_CHUNK orbits: byte for byte what
+    to_json_bytes gives for that dict.  `export` accepts the file."""
+    yield (
+        f'{{\n  "n": {d.ctx.n},\n  "modulus": {d.ctx.modulus},\n  "v": {d.v},\n'
+        f'  "k": {d.k},\n  "lambda": {d.lambda_claim},\n  "orbits": '
+    ).encode("ascii")
+    yield from _orbit_rows_json_chunks(d)
+    yield b"\n}\n"
+
+
 def gdd_json_chunks(spread: Spread, design: Design, reports: dict) -> Iterator[bytes]:
-    """gdd_to_dict(spread, design), followed by the keys of `reports`, as
-    JSON in chunks of at most _ROW_CHUNK groops or orbits: byte for byte
-    what to_json_bytes gives for that dict.  The groops are rows of one
-    byte template like the family's blocks; each value of `reports` is
-    small and goes through json.dumps."""
+    """{"n", "modulus", "g", "lambda", "spread": [[7 hex strings], ...],
+    "orbits"} followed by the keys of `reports`, as JSON in chunks of at
+    most _ROW_CHUNK groops or orbits: byte for byte what to_json_bytes
+    gives for that dict.  The groops are rows of one byte template like
+    the family's blocks, the orbits those of design_json_chunks; each
+    value of `reports` is small and goes through json.dumps."""
     n = spread.ctx.n
     yield (
         f'{{\n  "n": {n},\n  "modulus": {spread.ctx.modulus},\n  "g": 3,\n'
@@ -245,63 +213,44 @@ def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes
     "certificates": [{"t", "r", "matching_ok", "solvable"}, ...]} as JSON,
     in chunks of at most _ROW_CHUNK certificates.
 
-    Written like to_json_bytes would write that dict; each distinct
-    solvable list (at most 2^9 of them) is rendered once.
+    Written like to_json_bytes would write that dict.  r, matching_ok and
+    solvable depend only on the set of solvable equations (at most 2^9
+    distinct ones), so that tail of a certificate is rendered once per
+    set, from the first row holding it.
     """
     pairs = list(EQUATION_FORMS)
-    keys = np.zeros(len(tab.ts), dtype=np.int64)  # bit c: equation c solvable
+    keys = np.zeros(len(tab.ts), dtype=np.int32)  # bit c: equation c solvable
     for c in range(len(pairs)):
         keys[tab.solvable[:, c]] |= 1 << c
-    solvable = {}
-    for key in np.unique(keys).tolist():
+    distinct, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    del keys
+    tails = np.empty(len(distinct), dtype=object)
+    for k, (key, r, ok) in enumerate(
+        zip(distinct.tolist(), tab.r[first].tolist(), tab.matching_ok[first].tolist())
+    ):
         items = [
             f"        [\n          {i},\n          {j}\n        ]"
             for c, (i, j) in enumerate(pairs)
             if key >> c & 1
         ]
-        solvable[key] = _json_list(items, "      ")
-    cert = (
-        f'    {{\n      "t": "%0{hex_width(ctx.n)}x",\n      "r": %d,\n'
-        f'      "matching_ok": %s,\n      "solvable": %s\n    }}'
-    )
+        tails[k] = (
+            f'"r": {r},\n      "matching_ok": {_JSON_BOOL[ok]},\n'
+            f'      "solvable": {_json_list(items, "      ")}\n    }}'
+        )
     yield (
         f'{{\n  "n": {ctx.n},\n  "modulus": {ctx.modulus},\n'
         f'  "r_min": {int(tab.r.min())},\n  "r_max": {int(tab.r.max())},\n'
         f'  "all_matched": {_JSON_BOOL[bool(tab.matching_ok.all())]},\n'
-        f'  "certificates": ['
+        f'  "certificates": [\n'
     ).encode("ascii")
-    for lo in range(0, len(keys), _ROW_CHUNK):
-        part = slice(lo, lo + _ROW_CHUNK)
-        rows = ",\n".join(
-            cert % (t, r, _JSON_BOOL[ok], solvable[key])
-            for t, r, ok, key in zip(
-                tab.ts[part].tolist(),
-                tab.r[part].tolist(),
-                tab.matching_ok[part].tolist(),
-                keys[part].tolist(),
-            )
-        )
-        yield b"\n" if lo == 0 else b",\n"
-        yield rows.encode("ascii")
+    cert = f'    {{\n      "t": "%0{hex_width(ctx.n)}x",\n      %s'
+    yield from _template_rows(cert, ",\n", tab.ts, tails[which])
     yield b"\n  ]\n}\n"
-
-
-def certificates_to_json(ctx: GF2n, tab: CertificateTable) -> bytes:
-    """The whole certify report of certificates_json_chunks as one bytes."""
-    return b"".join(certificates_json_chunks(ctx, tab))
 
 
 def profile_csv_chunks(p: MultiplicityProfile, n: int) -> Iterator[bytes]:
     """The profile as CSV: a `t_hex,count` header and one line per t in
     F* minus {1}, in chunks of at most _ROW_CHUNK lines."""
-    line = f"%0{hex_width(n)}x,%d\n"
     yield b"t_hex,count\n"
-    for lo in range(2, p.order, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, p.order)
-        lines = [line % tc for tc in zip(range(lo, hi), p.counts[lo:hi].tolist())]
-        yield "".join(lines).encode("ascii")
-
-
-def profile_to_csv(p: MultiplicityProfile, n: int) -> str:
-    """The whole CSV of profile_csv_chunks as one str."""
-    return b"".join(profile_csv_chunks(p, n)).decode("ascii")
+    ts = np.arange(2, p.order, dtype=np.int32)
+    yield from _template_rows(f"%0{hex_width(n)}x,%d\n", "", ts, p.counts[2:])

@@ -179,6 +179,39 @@ def family_dict(fam) -> dict:
     }
 
 
+def _orbit_dicts(d) -> list[dict]:
+    return [
+        {"rep": [_hex(e, d.ctx.n) for e in rep], "length": length, "replication": replication}
+        for rep, length, replication in d.orbit_rows()
+    ]
+
+
+def design_dict(d) -> dict:
+    """The design file of a developed design as a plain dict."""
+    return {
+        "n": d.ctx.n,
+        "modulus": d.ctx.modulus,
+        "v": d.v,
+        "k": d.k,
+        "lambda": d.lambda_claim,
+        "orbits": _orbit_dicts(d),
+    }
+
+
+def gdd_dict(spread, design) -> dict:
+    """The gdd artifact of a spread and a developed relative family as a
+    plain dict, before its reports."""
+    n = spread.ctx.n
+    return {
+        "n": n,
+        "modulus": spread.ctx.modulus,
+        "g": 3,
+        "lambda": design.lambda_claim,
+        "spread": [[_hex(e, n) for e in g] for g in spread.groops.tolist()],
+        "orbits": _orbit_dicts(design),
+    }
+
+
 def certify_dict(n: int, modulus: int, rows, matched_pairs) -> dict:
     """The certify artifact as a plain dict; rows holds (t, list of the
     solvable (i, j) pairs) per certificate and matched_pairs the 9 matches."""

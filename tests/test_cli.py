@@ -149,8 +149,17 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 def test_preflight_total_matches_measured_rss_of_gdd():
     # the artifact is written in chunks after the pair counts are freed;
-    # the spread's groop tuples are ~1.6 of the ~8.9 MiB printed
+    # the spread's two int32 arrays are ~0.3 of the ~7.5 MiB printed
     measured, total = _measured_and_printed("gdd", 15)
+    assert 0.75 * total < measured < 1.25 * total
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+@pytest.mark.parametrize("n", [15, 19])
+def test_preflight_total_matches_measured_rss_of_certify(n):
+    # the certificate table, the writer's per-t columns and its chunks of
+    # text; the 270 MB report at n = 19 is never held whole
+    measured, total = _measured_and_printed("certify", n)
     assert 0.75 * total < measured < 1.25 * total
 
 
@@ -206,6 +215,28 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path):
         assert code == fresh.returncode == want, argv
         assert out == fresh.stdout, argv
         assert _untimed(err) == _untimed(fresh.stderr), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--n", "3", "--format", "csv"],
+        ["verify", "--n", "3", "--format", "json"],
+        ["certify", "--n", "3", "--format", "json"],
+        ["gdd", "--n", "3", "--format", "json"],
+        ["certify", "--n", "3", "--seed-system", "max"],
+        ["export", "{fam}", "--seed-system", "max"],
+    ],
+)
+def test_options_are_accepted_only_where_they_are_read(capsys, tmp_path, argv):
+    # --format only changes export and --seed-system only the commands
+    # that build a family; elsewhere argparse rejects them
+    fam = tmp_path / "fam.json"
+    main(["construct", "--n", "3", "--out", str(fam)])
+    with pytest.raises(SystemExit) as exc:
+        main([str(fam) if a == "{fam}" else a for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_small_field(capsys):
@@ -279,11 +310,11 @@ def test_export_family_to_csv_and_json(capsys, tmp_path):
 
 def test_export_design_json_only(capsys, tmp_path):
     from qdf import build_family, develop
-    from qdf.serialize import design_to_dict, to_json_bytes
+    from qdf.serialize import design_json_chunks
     from oracles import cached_field
 
     design_file = tmp_path / "design.json"
-    design_file.write_bytes(to_json_bytes(design_to_dict(develop(build_family(cached_field(5))))))
+    design_file.write_bytes(b"".join(design_json_chunks(develop(build_family(cached_field(5))))))
     code, stdout, _ = run_cli(capsys, "export", str(design_file), "--format", "json")
     assert code == 0 and json.loads(stdout)["v"] == 31
     code, _, stderr = run_cli(capsys, "export", str(design_file), "--format", "csv")

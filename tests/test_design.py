@@ -32,7 +32,7 @@ from qdf import (
 )
 from qdf import cli, design
 from qdf.blocks import canonical_orbit_label, is_subspace_block
-from qdf.serialize import gdd_to_dict
+from qdf.serialize import gdd_json_chunks
 from qdf.design import counter_shape
 from oracles import cached_field, materialized_pair_counts
 
@@ -122,7 +122,7 @@ def test_verify_and_gdd_paths_build_no_orbit_objects(monkeypatch):
     rel = develop(build_relative_family(fam))
     spread = desarguesian_spread(f)
     verify_gdd(spread, rel)
-    gdd_to_dict(spread, rel)
+    b"".join(gdd_json_chunks(spread, rel, {}))
     assert "orbits" not in rel.__dict__
     # the same through the CLI, with the object routes disabled
 

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qdf import (
@@ -18,6 +19,7 @@ from qdf import (
     verify_gdd,
     verify_relative,
 )
+from qdf.gdd import spread_bytes
 from oracles import cached_field, materialized_pair_counts
 
 
@@ -48,7 +50,11 @@ def test_spread_groops_are_kstar_cosets():
                 for p in coset:
                     point_groop[p] = len(groops)
                 groops.append(coset)
-        assert sp.groops == tuple(groops)
+        assert sp.groops.dtype == np.int32 and sp.groops.shape == (len(groops), 7)
+        assert sp.groops.tolist() == [list(g) for g in groops]
+        # the preflight's spread term is these two arrays (point_groop
+        # also holds the -1 of 0)
+        assert sp.groops.nbytes + sp.point_groop.nbytes == spread_bytes(len(groops)) + 4
         assert sp.point_groop.tolist() == point_groop
 
 

@@ -10,14 +10,12 @@ from qdf import (
     CertificateTable,
     DifferenceFamily,
     ForbiddenSeedError,
-    block_of,
     build_family,
     build_relative_family,
     certificate_table,
     desarguesian_spread,
     develop,
     full_family,
-    hexagon_of,
     multiplicity_profile,
     verify_2design,
     verify_gdd,
@@ -25,23 +23,18 @@ from qdf import (
 )
 from qdf.family import EQUATION_FORMS
 from qdf.serialize import (
-    block_to_dict,
-    certificates_to_json,
-    design_to_dict,
+    certificates_json_chunks,
+    design_json_chunks,
     element_hex,
     family_from_dict,
     family_json_chunks,
-    family_to_json,
     gdd_json_chunks,
-    gdd_to_dict,
     hex_width,
-    hexagon_to_list,
     profile_csv_chunks,
-    profile_to_csv,
     report_to_dict,
     to_json_bytes,
 )
-from oracles import cached_field, certify_dict, family_dict
+from oracles import cached_field, certify_dict, design_dict, family_dict, gdd_dict
 
 # (n, modulus): n = 3..11 with the default modulus, and a second one at n = 7
 FIELDS = [(3, None), (5, None), (7, None), (7, 0x89), (9, None), (11, None)]
@@ -55,21 +48,10 @@ def test_hex_width_and_padding():
     assert element_hex(0x1abc, 13) == "1abc"
 
 
-def test_block_and_hexagon_serialization():
-    f = cached_field(9)
-    b = block_of(f, 300)
-    d = block_to_dict(b, 9)
-    assert d["seed"] == "12c"
-    assert len(d["elements"]) == 7 and d["elements"][1] == "12c"
-    assert all(len(s) == 3 for s in d["elements"])
-    h = hexagon_to_list(hexagon_of(f, 300), 9)
-    assert len(h) == 6 and h[0] == "12c" and h[1] == "12d"
-
-
 def test_family_round_trip():
     f = cached_field(5)
     fam = build_family(f)
-    d = json.loads(family_to_json(fam))
+    d = json.loads(b"".join(family_json_chunks(fam)))
     assert list(d.keys()) == ["n", "modulus", "lambda", "blocks"]
     assert d["n"] == 5 and d["modulus"] == f.modulus and d["lambda"] == 7
     assert len(d["blocks"]) == 5 and all(len(row) == 7 for row in d["blocks"])
@@ -81,7 +63,7 @@ def test_family_round_trip():
 
 def test_family_from_dict_rejects_malformed_blocks():
     f = cached_field(5)
-    d = json.loads(family_to_json(build_family(f)))
+    d = json.loads(b"".join(family_json_chunks(build_family(f))))
     short = {**d, "blocks": [d["blocks"][0][:6]]}
     with pytest.raises(ValueError):
         family_from_dict(short)
@@ -92,7 +74,7 @@ def test_family_from_dict_rejects_malformed_blocks():
 
 def test_family_from_dict_checks_every_row_and_names_the_first_bad_one():
     f = cached_field(7)
-    d = json.loads(family_to_json(build_family(f)))
+    d = json.loads(b"".join(family_json_chunks(build_family(f))))
     back = family_from_dict(d)
     assert back.slots.dtype == np.int32
     assert back.slots.tolist() == build_family(f).slots.tolist()
@@ -115,14 +97,14 @@ def test_design_and_gdd_dict_shapes():
     f = cached_field(9)
     fam = build_family(f)
     design = develop(fam)
-    dd = design_to_dict(design)
+    dd = json.loads(b"".join(design_json_chunks(design)))
     assert list(dd.keys()) == ["n", "modulus", "v", "k", "lambda", "orbits"]
     assert dd["v"] == 511 and dd["k"] == 7
     reps = {(o["length"], o["replication"]) for o in dd["orbits"]}
     assert (73, 7) in reps and (511, 1) in reps
 
     rf = build_relative_family(fam)
-    gd = gdd_to_dict(desarguesian_spread(f), develop(rf))
+    gd = json.loads(b"".join(gdd_json_chunks(desarguesian_spread(f), develop(rf), {})))
     assert list(gd.keys()) == ["n", "modulus", "g", "lambda", "spread", "orbits"]
     assert gd["g"] == 3 and len(gd["spread"]) == 73 and len(gd["orbits"]) == 84
 
@@ -138,7 +120,7 @@ def test_report_dict_contains_no_timing():
 
 def test_profile_csv_shape():
     f = cached_field(3)
-    csv = profile_to_csv(multiplicity_profile(build_family(f)), 3)
+    csv = b"".join(profile_csv_chunks(multiplicity_profile(build_family(f)), 3)).decode("ascii")
     lines = csv.strip().split("\n")
     assert lines[0] == "t_hex,count"
     assert lines[1:] == [f"{t:x},7" for t in range(2, 8)]
@@ -147,8 +129,9 @@ def test_profile_csv_shape():
 def test_json_bytes_deterministic():
     f = cached_field(5)
     fam = build_family(f)
-    assert family_to_json(fam) == family_to_json(build_family(cached_field(5)))
-    assert family_to_json(fam).endswith(b"\n")
+    whole = b"".join(family_json_chunks(fam))
+    assert whole == b"".join(family_json_chunks(build_family(cached_field(5))))
+    assert whole.endswith(b"\n")
 
 
 def _json_dumps(obj) -> bytes:
@@ -163,7 +146,7 @@ def test_family_writer_matches_json_dumps(n, modulus):
         fams.append(full_family(f))
     fams.append(DifferenceFamily(f, (), lambda_claim=7))  # no blocks: "blocks": []
     for fam in fams:
-        assert family_to_json(fam) == _json_dumps(family_dict(fam))
+        assert b"".join(family_json_chunks(fam)) == _json_dumps(family_dict(fam))
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None])
@@ -176,11 +159,11 @@ def test_family_json_chunks_independent_of_chunking(monkeypatch, n, modulus, chu
         monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk or max(1, len(fam.slots)))
         chunks = list(family_json_chunks(fam))
         assert all(type(c) is bytes for c in chunks)
-        assert b"".join(chunks) == family_to_json(fam) == _json_dumps(family_dict(fam))
+        assert b"".join(chunks) == _json_dumps(family_dict(fam))
 
 
 def _gdd_oracle(spread, design, reports):
-    out = gdd_to_dict(spread, design)
+    out = gdd_dict(spread, design)
     out.update(reports)
     return to_json_bytes(out)
 
@@ -207,10 +190,7 @@ def test_gdd_writer_on_failing_reports_and_odd_orbits():
     f = cached_field(9)
     spread = desarguesian_spread(f)
     design = develop(build_relative_family(build_family(f)))
-    odd = type(design)(
-        f, design.slots[:5], np.array([1, 10, 511, 73, 12345]), np.array([7, 1, 22, 3, 1]), 9
-    )
-    empty = type(design)(f, design.slots[:0], design.length[:0], design.replication[:0], 7)
+    odd, empty = _odd_and_empty_designs(f, design)
     bad = verify_2design(develop(DifferenceFamily(f, build_family(f).slots[1:], 7)))
     reports = {
         "report": report_to_dict(bad, 9),
@@ -220,6 +200,42 @@ def test_gdd_writer_on_failing_reports_and_odd_orbits():
     for d in (odd, empty):
         for r in (reports, {}):
             assert b"".join(gdd_json_chunks(spread, d, r)) == _gdd_oracle(spread, d, r)
+
+
+def _odd_and_empty_designs(f, design):
+    odd = type(design)(
+        f, design.slots[:5], np.array([1, 10, 511, 73, 12345]), np.array([7, 1, 22, 3, 1]), 9
+    )
+    empty = type(design)(f, design.slots[:0], design.length[:0], design.replication[:0], 7)
+    return odd, empty
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_design_writer_matches_json_dumps(monkeypatch, chunk):
+    from qdf import serialize
+
+    designs = [develop(build_family(cached_field(n))) for n in (3, 9, 15)]
+    f = cached_field(9)
+    designs += _odd_and_empty_designs(f, develop(build_relative_family(build_family(f))))
+    for d in designs:
+        monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk or max(1, len(d.slots)))
+        assert b"".join(design_json_chunks(d)) == _json_dumps(design_dict(d))
+
+
+def test_every_writer_yields_only_bytes():
+    f = cached_field(9)
+    fam = build_family(f)
+    rel = build_relative_family(fam)
+    spread, design = desarguesian_spread(f), develop(rel)
+    writers = [
+        family_json_chunks(fam),
+        design_json_chunks(develop(fam)),
+        gdd_json_chunks(spread, design, {"report": report_to_dict(verify_gdd(spread, design), 9)}),
+        certificates_json_chunks(f, certificate_table(f, f.seeds())),
+        profile_csv_chunks(multiplicity_profile(fam), 9),
+    ]
+    for chunks in writers:
+        assert all(type(c) is bytes for c in chunks)
 
 
 def _csv_oracle(p, n):
@@ -244,7 +260,6 @@ def test_profile_csv_matches_line_by_line_writer(monkeypatch, n):
         monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk)
         for p in profiles:
             want = _csv_oracle(p, n)
-            assert profile_to_csv(p, n) == want
             assert b"".join(profile_csv_chunks(p, n)) == want.encode("ascii")
 
 
@@ -261,7 +276,7 @@ def _certify_oracle(f, tab):
 def test_certify_writer_matches_json_dumps(n, modulus):
     f = cached_field(n, modulus)
     tab = certificate_table(f, f.seeds())
-    assert certificates_to_json(f, tab) == _certify_oracle(f, tab)
+    assert b"".join(certificates_json_chunks(f, tab)) == _certify_oracle(f, tab)
 
 
 def test_certify_writer_on_failing_patterns():
@@ -274,7 +289,7 @@ def test_certify_writer_on_failing_patterns():
     solvable[1] = True
     solvable[2, 1:] = False
     tab = CertificateTable(np.arange(2, 42), solvable)
-    assert certificates_to_json(f, tab) == _certify_oracle(f, tab)
+    assert b"".join(certificates_json_chunks(f, tab)) == _certify_oracle(f, tab)
     assert tab.r.min() == 0 and not tab.matching_ok.all()
 
 
@@ -284,8 +299,10 @@ def test_certify_writer_independent_of_chunking(monkeypatch, chunk):
 
     f = cached_field(9)
     tab = certificate_table(f, f.seeds())
-    whole = certificates_to_json(f, tab)
+    whole = b"".join(certificates_json_chunks(f, tab))
     monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk)
     chunks = list(serialize.certificates_json_chunks(f, tab))
-    assert len(chunks) == 2 + 2 * -(-len(tab.ts) // chunk)
+    # the header, one chunk per `chunk` certificates, each with the
+    # separator before it, and the footer
+    assert len(chunks) == 2 + -(-len(tab.ts) // chunk)
     assert b"".join(chunks) == whole == _certify_oracle(f, tab)
