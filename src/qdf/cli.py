@@ -23,7 +23,7 @@ from .design import (
     pair_count_bytes,
     verify_2design,
 )
-from .errors import QdfError
+from .errors import MalformedFamilyError, QdfError
 from .family import (
     build_family,
     certificate_bytes,
@@ -76,10 +76,14 @@ def _add_field_options(p: argparse.ArgumentParser, seed_system: bool = True) -> 
         )
 
 
-def _make_ctx(args) -> GF2n:
-    n = args.n
+def _check_hard_ceiling(n: int) -> None:
     if n > HARD_N_CEILING:
         raise QdfError(f"n={n} exceeds the supported ceiling {HARD_N_CEILING}")
+
+
+def _make_ctx(args) -> GF2n:
+    n = args.n
+    _check_hard_ceiling(n)
     if n > DEFAULT_N_CEILING and not args.force:
         raise QdfError(
             f"n={n} exceeds the default ceiling {DEFAULT_N_CEILING}; pass --force"
@@ -177,9 +181,19 @@ def _cmd_gdd(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    with open(args.input, "r", encoding="ascii") as fh:
-        data = json.load(fh)
+    try:
+        with open(args.input, "r", encoding="ascii") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise QdfError(f"cannot read {args.input} as JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise QdfError("unrecognized input file: expected a family or design JSON object")
     if "blocks" in data:
+        if not all(type(data.get(k)) is int for k in ("n", "modulus", "lambda")):
+            raise MalformedFamilyError("a family needs integer n, modulus and lambda")
+        if not isinstance(data["blocks"], list):
+            raise MalformedFamilyError("a family's blocks must be a list of rows")
+        _check_hard_ceiling(data["n"])  # before the field's tables are built
         fam = family_from_dict(data)
         if args.format == "csv":
             _emit(args, profile_csv_chunks(multiplicity_profile(fam), fam.ctx.n))

@@ -15,15 +15,20 @@ cyclic run of columns of a single row, which at most three +-w
 difference events describe.  A row of the counter is therefore a step
 function of the column: the count of the pair at column a is the sum of
 the weights of the row's events at columns <= a, and it changes only at
-an event.  The kernel sorts all events by (row, column) once and sums
-them cumulatively in int64; between two consecutive event columns of a
-row no event adds or removes anything, so the running sum of the row
-there is the exact count of every pair in those columns; before a row's
-first event the count is 0.  No full-size counter is held (it would be
-8 GiB of one-byte counters at n = 17), yet every pair's count is
-determined and compared: the check is exhaustive, never sampled.  The
-sums are exact 64-bit integers, not counts modulo a small range, so no
-extra argument is needed to show that a pass is not a wrap-around.
+an event.  The kernel, pair_coverage_counts, sorts all events by
+(row, column) once and sums them cumulatively in int64; between two
+consecutive event columns of a row no event adds or removes anything, so
+the running sum of the row there is the exact count of every pair in
+those columns; before a row's first event the count is 0.  Its result is
+these steps, one (row, start, stop, count) table, and check_pair_coverage
+reads every verdict from it: a row group's range is the least and
+greatest count of the group's steps, and only the steps whose count is
+wrong are expanded into offending pairs.  No full-size counter is held
+(it would be 8 GiB of one-byte counters at n = 17), yet every pair's
+count is determined and compared: the check is exhaustive, never
+sampled.  The sums are exact 64-bit integers, not counts modulo a small
+range, so no extra argument is needed to show that a pass is not a
+wrap-around.
 """
 
 from __future__ import annotations
@@ -141,8 +146,9 @@ def develop_bytes(orbits: int) -> int:
 def pair_count_bytes(orbits: int) -> int:
     """Bytes the pair count allocates at its peak for `orbits` full-length
     orbits: 40 per run, 21 runs per orbit.  The peak is the cumulative sum
-    in _steps, with one event per run: the event keys and weights, their
-    sort order, the sorted weights and their sums, 8 bytes each."""
+    in pair_coverage_counts, with one event per run: the event keys and
+    weights, their sort order, the sorted weights and their sums, 8 bytes
+    each."""
     return 40 * len(PAIR_I) * orbits
 
 
@@ -181,12 +187,12 @@ def _events(ctx: GF2n, d: Design) -> tuple[np.ndarray, np.ndarray]:
     return keys, weights
 
 
-def _steps(ctx: GF2n, d: Design):
-    """Every step of the pair counter: arrays (row, start, stop, count),
-    ordered by row and then start, such that the pairs at columns
-    start..stop-1 of that row of counter_shape(v) are each counted
-    exactly `count` times.  The steps of a row partition its v columns,
-    and every row has at least one.
+def pair_coverage_counts(ctx: GF2n, d: Design) -> np.ndarray:
+    """Every step of the pair counter, as a (4, S) int64 array whose rows
+    are (row, start, stop, count): the steps are ordered by row and then
+    start, and the pairs at columns start..stop-1 of that row of
+    counter_shape(v) are each counted exactly `count` times.  The steps of a row partition its
+    v columns, and every row has at least one.
 
     The events are sorted by key and summed cumulatively in int64; the
     sum after the last event at a column, less the sum before the row's
@@ -206,7 +212,7 @@ def _steps(ctx: GF2n, d: Design):
     row, start = np.divmod(keys[last], v)
     count = count[last]
     del keys, last
-    head = _heads(row)
+    head = np.flatnonzero(np.diff(row, prepend=row[:1] - 1))  # each row's first step
     # rebase each row on the sum before its first event
     count -= np.repeat(np.where(head > 0, count[head - 1], 0), np.diff(head, append=len(row)))
     stop = np.empty_like(start)
@@ -217,44 +223,22 @@ def _steps(ctx: GF2n, d: Design):
     opening[row[head]] = start[head]
     zero = np.flatnonzero(opening)
     at = np.searchsorted(row, zero)
-    return (
-        np.insert(row, at, zero),
-        np.insert(start, at, 0),
-        np.insert(stop, at, opening[zero]),
-        np.insert(count, at, 0),
-    )
+    steps = np.stack([row, start, stop, count])
+    del row, start, stop, count
+    none = np.zeros_like(zero)
+    return np.insert(steps, at, [zero, none, opening[zero], none], axis=1)
 
 
-def _heads(row: np.ndarray) -> np.ndarray:
-    """Indices of the first entry of each run of equal values in `row`."""
-    return np.flatnonzero(np.diff(row, prepend=row[:1] - 1))
-
-
-def pair_coverage_counts(ctx: GF2n, d: Design) -> np.ndarray:
-    """Per-row extremes of the exact pair coverage counts: a (2, rows)
-    int64 array holding the minimum and the maximum over the columns of
-    each row of counter_shape(v), read off the steps of _steps."""
-    row, _, _, count = _steps(ctx, d)
-    head = _heads(row)
-    return np.stack([np.minimum.reduceat(count, head), np.maximum.reduceat(count, head)])
-
-
-def _first_offenders(ctx: GF2n, d: Design, groups, limit: int = 10) -> tuple:
-    """The first `limit` pairs whose exact count differs from their group's,
-    as ((u, w), count) with encodings u < w, ordered by u, then group,
-    then w.  Only the steps whose count is wrong are expanded, pair by
-    pair, at most _OFFENDER_CHUNK pairs at a time."""
-    q, ng = ctx.order, len(groups)
-    rows = counter_shape(q - 1)[0]
-    group = np.zeros(rows, dtype=np.int64)
-    expect = np.zeros(rows, dtype=np.int64)
-    for g, (mask, lam) in enumerate(groups):
-        group[mask], expect[mask] = g, lam
-    row, start, stop, count = _steps(ctx, d)
-    bad = count != expect[row]
-    row, count, size = row[bad], count[bad], stop[bad] - start[bad]
-    ends = np.cumsum(size)  # pairs in the bad steps up to each one's end
-    origin = ends - size - start[bad]  # pair index minus column, per step
+def _first_offenders(ctx: GF2n, steps: np.ndarray, group: np.ndarray, ng: int, limit=10) -> tuple:
+    """The first `limit` pairs of the given wrong steps, as ((u, w), count)
+    with encodings u < w, ordered by u, then group, then w; `group` maps
+    each row to its group, of `ng`.  The steps are expanded pair by pair,
+    at most _OFFENDER_CHUNK pairs at a time."""
+    q = ctx.order
+    row, start, stop, count = steps
+    size = stop - start
+    ends = np.cumsum(size)  # pairs in the steps up to each one's end
+    origin = ends - size - start  # pair index minus column, per step
     total = int(ends[-1]) if ends.size else 0
     keys = np.empty(0, dtype=np.int64)
     found = np.empty(0, dtype=np.int64)
@@ -281,13 +265,18 @@ def check_pair_coverage(ctx: GF2n, d: Design, groups) -> tuple:
     groups is a sequence of (row mask, expected count) whose masks
     partition the rows of counter_shape(v).  Returns the exact (min, max)
     count of each group (None for a group without rows) and the first ten
-    offenders, looked up only when a group's range shows one.
+    offenders, all read from one step table of pair_coverage_counts.
     """
-    lo, hi = pair_coverage_counts(ctx, d)
-    ranges = [(int(lo[m].min()), int(hi[m].max())) if m.any() else None for m, _ in groups]
-    if all(r is None or r == (lam, lam) for r, (_, lam) in zip(ranges, groups)):
-        return ranges, ()
-    return ranges, _first_offenders(ctx, d, groups)
+    steps = pair_coverage_counts(ctx, d)
+    row, count = steps[0], steps[3]
+    rows = counter_shape(d.v)[0]
+    group = np.zeros(rows, dtype=np.int64)
+    expect = np.zeros(rows, dtype=np.int64)
+    for g, (mask, lam) in enumerate(groups):
+        group[mask], expect[mask] = g, lam
+    in_group = [count[mask[row]] for mask, _ in groups]
+    ranges = [(int(c.min()), int(c.max())) if c.size else None for c in in_group]
+    return ranges, _first_offenders(ctx, steps[:, count != expect[row]], group, len(groups))
 
 
 def verify_2design(d: Design) -> VerificationReport:

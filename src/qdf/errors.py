@@ -43,4 +43,5 @@ class WrongResidueError(QdfError):
 
 
 class MalformedFamilyError(QdfError):
-    """A family file's block row is not 7 hex elements in canonical slot order."""
+    """A family file's n, modulus or lambda is not an integer, its blocks are
+    not a list, or a block row is not 7 hex elements in canonical slot order."""

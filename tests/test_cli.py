@@ -353,3 +353,52 @@ def test_export_malformed_family_exits_2_naming_the_row(capsys, tmp_path, defect
     err = json.loads(stderr)
     assert err["error"] == "MalformedFamily"
     assert str(bad) in err["message"]
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ('{"n": 5, "modulus": 37, "lambda": 7, "blocks": [["01"', "Qdf"),
+        ("\"my blocks\"", "Qdf"),
+        ('{"blocks": []}', "MalformedFamily"),
+        ('{"n": 5, "modulus": 37, "blocks": []}', "MalformedFamily"),
+        ('{"n": "5", "modulus": 37, "lambda": 7, "blocks": []}', "MalformedFamily"),
+        ('{"n": 5.0, "modulus": 37, "lambda": 7, "blocks": []}', "MalformedFamily"),
+        ('{"n": 5, "modulus": 37, "lambda": true, "blocks": []}', "MalformedFamily"),
+        ('{"n": 5, "modulus": 37, "lambda": 7, "blocks": 3}', "MalformedFamily"),
+    ],
+    ids=["truncated", "string", "no-header", "no-lambda", "n-string", "n-float",
+         "lambda-bool", "blocks-int"],
+)
+def test_export_malformed_input_exits_2(capsys, tmp_path, text, error):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, stdout, stderr = run_cli(capsys, "export", str(bad))
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr)["error"] == error
+
+
+def test_export_unreadable_input_exits_2(capsys, tmp_path):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"n": 5, "note": "café"}'.encode("latin-1"))
+    for path in (tmp_path / "missing.json", latin):
+        code, stdout, stderr = run_cli(capsys, "export", str(path))
+        assert code == 2 and stdout == ""
+        assert json.loads(stderr)["error"] == "Qdf"
+
+
+def test_export_applies_the_hard_ceiling_only(capsys, tmp_path, monkeypatch):
+    from qdf import cli
+
+    fam = tmp_path / "fam.json"
+    run_cli(capsys, "construct", "--n", "11", "--out", str(fam))
+    # the default ceiling is not applied: stored families above it export
+    monkeypatch.setattr(cli, "DEFAULT_N_CEILING", 9)
+    code, stdout, _ = run_cli(capsys, "export", str(fam))
+    assert code == 0 and stdout.encode() == fam.read_bytes()
+    # the hard ceiling is, before family_from_dict builds the field
+    monkeypatch.setattr(cli, "HARD_N_CEILING", 9)
+    monkeypatch.setattr(cli, "family_from_dict", None)  # fails if it is reached
+    code, stdout, stderr = run_cli(capsys, "export", str(fam))
+    assert code == 2 and stdout == ""
+    assert "ceiling 9" in json.loads(stderr)["message"]

@@ -164,7 +164,7 @@ def _full_counter(f, d):
     v = f.order - 1
     counts = np.zeros(counter_shape(v), dtype=np.int64)
     expected_start = np.zeros(counter_shape(v)[0], dtype=np.int64)
-    for r, a, b, c in zip(*(x.tolist() for x in design._steps(f, d))):
+    for r, a, b, c in zip(*(x.tolist() for x in pair_coverage_counts(f, d))):
         assert a == expected_start[r] < b <= v
         counts[r, a:b] = c
         expected_start[r] = b
@@ -408,16 +408,37 @@ def _designs_n9():
 def test_exact_extremes_match_full_counter(name):
     f, designs = _designs_n9()
     d = designs[name]
-    ext = pair_coverage_counts(f, d)
-    assert ext.dtype == np.int64 and ext.shape == (2, counter_shape(d.v)[0])
+    steps = pair_coverage_counts(f, d)
+    assert steps.dtype == np.int64 and steps.shape[0] == 4
+    row, count = steps[0], steps[3]
+    rows = counter_shape(d.v)[0]
+    lo, hi = np.full(rows, np.iinfo(np.int64).max), np.full(rows, np.iinfo(np.int64).min)
+    np.minimum.at(lo, row, count)
+    np.maximum.at(hi, row, count)
     counts = _full_counter(f, d)
-    assert (ext == [counts.min(axis=1), counts.max(axis=1)]).all()
+    assert (lo == counts.min(axis=1)).all() and (hi == counts.max(axis=1)).all()
     rep = verify_2design(d)
     assert (rep.pair_coverage_min, rep.pair_coverage_max) == (counts.min(), counts.max())
     assert rep.passed is (name == "family")
     r, c = np.nonzero(counts != 7)
     pairs = sorted((_pair_at(f, int(i), int(j)), int(counts[i, j])) for i, j in zip(r, c))
     assert rep.offending_pairs == tuple(pairs[:10])
+
+
+@pytest.mark.parametrize("name", ["dropped", "partial"])
+def test_failing_check_builds_its_events_once(monkeypatch, name):
+    # the ranges and the offenders are read from one step table
+    f, designs = _designs_n9()
+    calls = []
+    events = design._events
+
+    def counted(*args):
+        calls.append(1)
+        return events(*args)
+
+    monkeypatch.setattr(design, "_events", counted)
+    assert not verify_2design(designs[name]).passed
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["dropped", "partial", "past-uint8"])
