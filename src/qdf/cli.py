@@ -99,7 +99,7 @@ def _make_ctx(args) -> GF2n:
         else:
             parts += [
                 ("for the development", develop_bytes(orbits)),
-                ("for pair counts", pair_count_bytes(orbits)),
+                ("for pair counts", pair_count_bytes(n)),
             ]
             if args.command == "gdd":
                 parts.append(("for the spread", spread_bytes(((1 << n) - 1) // 7)))
@@ -201,6 +201,12 @@ def _cmd_export(args) -> int:
             _emit(args, family_json_chunks(fam))
         return 0
     if "orbits" in data:
+        keys = ["n", "modulus", "v", "k", "lambda", "orbits"]
+        if list(data) != keys or not all(type(data[key]) is int for key in keys[:5]):
+            raise QdfError(f"a design has exactly the keys {keys}, the first five integers")
+        _check_hard_ceiling(data["n"])  # before 2^n is computed
+        if data["v"] != 2 ** data["n"] - 1 or data["k"] != 7 or type(data["orbits"]) is not list:
+            raise QdfError("a design needs v = 2^n - 1, k = 7 and a list of orbits")
         if args.format == "csv":
             raise QdfError("designs have no CSV form; use --format json")
         _emit(args, (to_json_bytes(data),))

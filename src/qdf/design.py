@@ -11,24 +11,24 @@ number of developed blocks containing both.  Pairs are indexed by log
 coordinates: {g^a, g^(a+d)} sits at row d-1, column a of a
 ((v-1)/2, v) counter.  Developing an orbit shifts every log by the same
 amount, so each (orbit, slot pair) adds its orbit's replication w to one
-cyclic run of columns of a single row, which at most three +-w
-difference events describe.  A row of the counter is therefore a step
-function of the column: the count of the pair at column a is the sum of
-the weights of the row's events at columns <= a, and it changes only at
-an event.  The kernel, pair_coverage_counts, sorts all events by
-(row, column) once and sums them cumulatively in int64; between two
-consecutive event columns of a row no event adds or removes anything, so
-the running sum of the row there is the exact count of every pair in
-those columns; before a row's first event the count is 0.  Its result is
-these steps, one (row, start, stop, count) table, and check_pair_coverage
-reads every verdict from it: a row group's range is the least and
-greatest count of the group's steps, and only the steps whose count is
-wrong are expanded into offending pairs.  No full-size counter is held
-(it would be 8 GiB of one-byte counters at n = 17), yet every pair's
-count is determined and compared: the check is exhaustive, never
-sampled.  The sums are exact 64-bit integers, not counts modulo a small
-range, so no extra argument is needed to show that a pass is not a
-wrap-around.
+cyclic run of columns of a single row: +w at its first column and -w at
+the column past its last, mod v, and w to the row's base (its count at
+column 0) if the run reaches column v - 1.  So every row's events sum to
+0, and a whole-row run, whose two events cancel, is its base alone.  A
+row of the counter is a step function of the column a, its base plus
+the weights of its events at columns <= a.  The kernel,
+pair_coverage_counts, sorts all events by (row, column) once and sums
+them cumulatively in int64: after the events at a column, the sum plus
+the row's base is the exact count of every pair up to the row's next
+event column.  Its result is these steps, one (row, start, stop, count)
+table, and check_pair_coverage reads every verdict from it: a row
+group's range is the least and greatest count of the group's steps, and
+only the steps whose count is wrong are expanded into offending pairs.
+No full-size counter is held (it would be 8 GiB of one-byte counters at
+n = 17), yet every pair's count is determined and compared: the check is
+exhaustive, never sampled.  The sums are exact 64-bit integers, not
+counts modulo a small range, so no extra argument is needed to show that
+a pass is not a wrap-around.
 """
 
 from __future__ import annotations
@@ -135,56 +135,61 @@ def develop_bytes(orbits: int) -> int:
     """Resident bytes that building and developing a family of `orbits`
     base blocks adds, for preflight estimates: 80 per orbit (its 28-byte
     slot row, 16 bytes of length and replication, and what the
-    construction leaves resident per block) over 2 MiB of heap the
-    construction leaves resident at any n.  Fitted to the VmHWM growth
-    of `verify` in fresh processes: 7.3, 22.6, 85.7 and 344.4 MiB at
-    n = 15, 17, 19 and 21 against preflight totals of 7.3, 23.2, 86.7
-    and 340.7 MiB."""
-    return 2 * 2**20 + 80 * orbits
+    construction leaves resident per block) over 1.75 MiB of heap the
+    construction leaves resident at any n.  Fitted, with pair_count_bytes,
+    to the VmHWM growth of `verify` in fresh processes: 4.0-4.2, 12.8,
+    49.0 and 200.2 MiB at n = 15, 17, 19 and 21 against preflight totals
+    of 4.9, 14.2, 51.4 and 200.4 MiB."""
+    return 7 * 2**18 + 80 * orbits
 
 
-def pair_count_bytes(orbits: int) -> int:
-    """Bytes the pair count allocates at its peak for `orbits` full-length
-    orbits: 40 per run, 21 runs per orbit.  The peak is the cumulative sum
-    in pair_coverage_counts, with one event per run: the event keys and
-    weights, their sort order, the sorted weights and their sums, 8 bytes
-    each."""
-    return 40 * len(PAIR_I) * orbits
+def pair_count_bytes(n: int) -> int:
+    """Bytes the pair count of the family over GF(2^n) allocates at its
+    peak, for preflight estimates: 140 per row (its base and base step,
+    and the index arrays np.insert places them with), and 128 (two events
+    and their steps) for each of the 21 runs of K*'s orbit, the only one
+    shorter than v, when 3 | n.  The 1.2 MiB of _events' chunks, and
+    check_simple's 420 per orbit (~140 per row), peak apart and lower."""
+    return 140 * counter_shape((1 << n) - 1)[0] + 128 * 21 * (n % 3 == 0)
 
 
-def _events(ctx: GF2n, d: Design) -> tuple[np.ndarray, np.ndarray]:
+# Orbits per chunk of _events; bounds its (orbits, 21) temporaries.
+_EVENT_ORBITS = 1 << 10
+
+
+def _events(ctx: GF2n, d: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Difference events of every (orbit, slot pair) run, unsorted: their
-    flat keys row * v + column and their int64 weights.
+    flat keys row * v + column and their int64 weights, and the int64
+    base of each row, its count at column 0 before any event.
 
     Developing slot pair (i, j) of an orbit shifts both logs together, so
-    it covers one cyclic run of `length` columns in a single row: +w at its
-    first column and -w past its last, w being the orbit's replication.  A
-    run past column v - 1 wraps: it also adds +w at column 0 and -w past
-    its end there.  A run over all v columns starts at column 0; a run
-    that ends at column v - 1 needs no -w.
+    it covers one cyclic run of `length` columns in a single row, w times
+    each, w being the orbit's replication.  A run is +w at its first
+    column and -w at the column past its last, mod v, and a run that
+    reaches column v - 1 adds w to its row's base.  The events of every
+    row therefore sum to 0.  A run over all v columns would put both its
+    events on one key, where they cancel, so it is its base alone.
     """
     v = ctx.order - 1
     rows = counter_shape(v)[0]
-    logs = ctx.logs[d.slots]
-    li, lj = logs[:, PAIR_I], logs[:, PAIR_J]  # (N, 21): one run per orbit and slot pair
-    gap = (lj - li) % v
-    low = gap <= rows
-    row0 = np.where(low, gap - 1, v - gap - 1).astype(np.int64) * v  # key of the row's column 0
-    length = d.length.reshape(-1, 1)
-    first = np.where(length < v, np.where(low, li, lj), 0)
-    del li, lj, gap, low
-    stop = first + length  # the column past the run, unwrapped
-    inside, wraps = stop < v, stop > v
-    keys = np.concatenate([
-        (row0 + first).ravel(),
-        row0[inside] + stop[inside],
-        row0[wraps],
-        row0[wraps] + (stop[wraps] - v),
-    ])
-    del row0, first, stop
-    w = np.broadcast_to(d.replication.reshape(-1, 1), inside.shape)
-    weights = np.concatenate([w.ravel(), -w[inside], w[wraps], -w[wraps]])
-    return keys, weights
+    base = np.zeros(rows, dtype=np.int64)
+    keys, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo in range(0, len(d.slots), _EVENT_ORBITS):
+        logs = ctx.logs[d.slots[lo : lo + _EVENT_ORBITS]]
+        li, lj = logs[:, PAIR_I], logs[:, PAIR_J]  # (C, 21): one run per orbit and slot pair
+        gap = (lj - li) % v
+        low = gap <= rows
+        row = np.where(low, gap - 1, v - gap - 1).astype(np.int64)
+        first = np.where(low, li, lj)
+        length = d.length[lo : lo + _EVENT_ORBITS, None]
+        stop = first + length  # the column past the run, unwrapped
+        w = np.broadcast_to(d.replication[lo : lo + _EVENT_ORBITS, None], row.shape)
+        np.add.at(base, row[stop >= v], w[stop >= v])
+        part = np.broadcast_to(length < v, row.shape)
+        row0 = row[part] * v  # key of the row's column 0
+        keys += [row0 + first[part], row0 + stop[part] % v]
+        weights += [w[part], -w[part]]
+    return np.concatenate(keys), np.concatenate(weights), base
 
 
 def pair_coverage_counts(ctx: GF2n, d: Design) -> np.ndarray:
@@ -194,39 +199,34 @@ def pair_coverage_counts(ctx: GF2n, d: Design) -> np.ndarray:
     counter_shape(v) are each counted exactly `count` times.  The steps of a row partition its
     v columns, and every row has at least one.
 
-    The events are sorted by key and summed cumulatively in int64; the
-    sum after the last event at a column, less the sum before the row's
-    first event, is the count from that column up to the row's next
-    event column (or its end).  The columns before a row's first event,
-    or a row without events, are counted 0.
+    The events are sorted by key and summed cumulatively in int64.  Each
+    row's events sum to 0, so the sum after the last event at a column,
+    plus the row's base, is the count from that column up to the row's
+    next event column (or its end).  The columns before a row's first
+    event, or a row without events, are counted the row's base.
     """
     v = ctx.order - 1
-    rows = counter_shape(v)[0]
-    keys, weights = _events(ctx, d)
+    keys, weights, base = _events(ctx, d)
     order = np.argsort(keys)
     count = np.cumsum(weights[order])
-    del weights
     keys = keys[order]
-    del order
+    del weights, order
     last = np.flatnonzero(np.diff(keys, append=keys[-1:] + 1))  # the last event at each key
     row, start = np.divmod(keys[last], v)
-    count = count[last]
+    count = count[last] + base[row]
     del keys, last
     head = np.flatnonzero(np.diff(row, prepend=row[:1] - 1))  # each row's first step
-    # rebase each row on the sum before its first event
-    count -= np.repeat(np.where(head > 0, count[head - 1], 0), np.diff(head, append=len(row)))
     stop = np.empty_like(start)
     stop[:-1] = start[1:]
     stop[head - 1] = v  # each row's last step; head[0] - 1 is the very last
-    # the zero step before each row's first event, and of each row without events
-    opening = np.full(rows, v, dtype=np.int64)
+    # the base step before each row's first event, and of each row without events
+    opening = np.full(len(base), v, dtype=np.int64)
     opening[row[head]] = start[head]
-    zero = np.flatnonzero(opening)
-    at = np.searchsorted(row, zero)
+    lead = np.flatnonzero(opening)
+    at = np.searchsorted(row, lead)
     steps = np.stack([row, start, stop, count])
     del row, start, stop, count
-    none = np.zeros_like(zero)
-    return np.insert(steps, at, [zero, none, opening[zero], none], axis=1)
+    return np.insert(steps, at, [lead, np.zeros_like(lead), opening[lead], base[lead]], axis=1)
 
 
 def _first_offenders(ctx: GF2n, steps: np.ndarray, group: np.ndarray, ng: int, limit=10) -> tuple:
@@ -319,7 +319,7 @@ def check_simple(d: Design) -> bool:
 
     Scaling by g^c translates a block's logs by c, so the lexicographically
     smallest of its 7 sorted translates that contain 0 labels the orbit;
-    the labels of all representatives are found at once and counted.
+    the labels of all representatives are found at once and sorted.
     """
     if (d.replication != 1).any():
         return False
@@ -331,7 +331,7 @@ def check_simple(d: Design) -> bool:
         col = np.where(smallest, translates[:, :, p], d.v)
         smallest &= col == col.min(axis=1, keepdims=True)
     labels = translates[np.arange(len(logs)), smallest.argmax(axis=1)]
-    return len(set(map(tuple, labels.tolist()))) == len(labels)
+    return bool(np.diff(labels[np.lexsort(labels.T)], axis=0).any(axis=1).all())
 
 
 def materialize(d: Design) -> list[frozenset[int]]:

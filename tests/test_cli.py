@@ -70,12 +70,13 @@ def test_preflight_estimate_matches_counter(capsys):
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
     # table_bytes(15) = 16 * 2^15 = 524,288 bytes (0.50 MiB); for 5461
-    # orbits, develop_bytes = 2 * 2^20 + 80 * 5461 = 2,534,032 (2.42 MiB)
-    # and pair_count_bytes = 40 * 21 * 5461 = 4,587,240 (4.37 MiB):
-    # 7,645,560 bytes (7.29 MiB) in all
+    # orbits, develop_bytes = 7 * 2^18 + 80 * 5461 = 2,271,888 (2.17 MiB);
+    # for 16383 rows and the 21 runs of K*'s orbit, pair_count_bytes =
+    # 140 * 16383 + 128 * 21 = 2,296,308 (2.19 MiB): 5,092,484 bytes
+    # (4.86 MiB) in all
     assert "~0.5 MiB of field tables" in warning
-    assert "~2.4 MiB for the development and ~4.4 MiB for pair counts" in warning
-    assert "~7.3 MiB in all" in warning
+    assert "~2.2 MiB for the development and ~2.2 MiB for pair counts" in warning
+    assert "~4.9 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
 
@@ -140,7 +141,7 @@ def _measured_and_printed(command, n):
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
-@pytest.mark.parametrize("n", [15, 17])
+@pytest.mark.parametrize("n", [15, 17, 21])
 def test_preflight_total_matches_measured_rss_of_verify(n):
     measured, total = _measured_and_printed("verify", n)
     assert 0.75 * total < measured < 1.25 * total
@@ -149,7 +150,7 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 def test_preflight_total_matches_measured_rss_of_gdd():
     # the artifact is written in chunks after the pair counts are freed;
-    # the spread's two int32 arrays are ~0.3 of the ~7.5 MiB printed
+    # the spread's two int32 arrays are ~0.25 of the ~5.1 MiB printed
     measured, total = _measured_and_printed("gdd", 15)
     assert 0.75 * total < measured < 1.25 * total
 
@@ -319,6 +320,43 @@ def test_export_design_json_only(capsys, tmp_path):
     assert code == 0 and json.loads(stdout)["v"] == 31
     code, _, stderr = run_cli(capsys, "export", str(design_file), "--format", "csv")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "defect",
+    ["bogus", ("v", 1), ("v", -1), ("k", -1), ("n", 1), ("n", 10**6), "reordered",
+     "lambda-bool", "orbits-dict"],
+    ids=["bogus", "v+1", "v-1", "k-1", "n+1", "n-huge", "reordered", "lambda-bool", "orbits-dict"],
+)
+def test_export_rejects_what_is_not_a_design(capsys, tmp_path, defect):
+    from qdf import build_family, develop
+    from qdf.serialize import design_json_chunks
+    from oracles import cached_field
+
+    data = json.loads(b"".join(design_json_chunks(develop(build_family(cached_field(5))))))
+    if defect == "bogus":
+        data = {"orbits": 3, "junk": [1]}
+    elif defect == "reordered":
+        data = {"modulus": data.pop("modulus"), **data}
+    elif defect == "lambda-bool":
+        data["lambda"] = True
+    elif defect == "orbits-dict":
+        data["orbits"] = {}
+    else:
+        data[defect[0]] += defect[1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, stdout, stderr = run_cli(capsys, "export", str(bad))
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr)["error"] == "Qdf"
+
+
+def test_export_rejects_a_gdd_artifact(capsys, tmp_path):
+    gdd = tmp_path / "gdd.json"
+    assert run_cli(capsys, "gdd", "--n", "3", "--out", str(gdd))[0] == 0
+    code, stdout, stderr = run_cli(capsys, "export", str(gdd))
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr)["error"] == "Qdf"
 
 
 def test_export_unrecognized_input(capsys, tmp_path):

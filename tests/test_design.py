@@ -8,9 +8,11 @@ their runs wrap.
 
 import os
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qdf import (
     Block,
@@ -263,8 +265,6 @@ def test_verification_invariant_under_orbit_representatives():
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_scaling_permutes_block_multiset(n):
-    from collections import Counter
-
     f = cached_field(n)
     blocks = Counter(materialize(develop(build_family(f))))
     rng = random.Random(99)
@@ -450,6 +450,67 @@ def test_offenders_independent_of_chunk_size(monkeypatch, name):
     monkeypatch.setattr(design, "_OFFENDER_CHUNK", 7)
     assert verify_2design(d).offending_pairs == whole
     assert len(whole) == 10
+
+
+@pytest.mark.parametrize("n,events", [(3, 42), (5, 0), (7, 0), (9, 42), (11, 0), (13, 0), (15, 42)])
+def test_only_short_runs_make_events(n, events):
+    # a run over all v columns is its row's base alone; the only orbit
+    # shorter than v is K*'s, when 3 | n, with two events for each of
+    # its 21 runs
+    f = cached_field(n)
+    keys, weights, base = design._events(f, develop(build_family(f)))
+    v = f.order - 1
+    assert len(keys) == len(weights) == events
+    assert (base == 7).all() and len(base) == counter_shape(v)[0]
+    # the events of every row sum to 0
+    row_sums = np.zeros(len(base), dtype=np.int64)
+    np.add.at(row_sums, keys // v, weights)
+    assert not row_sums.any()
+
+
+@pytest.mark.parametrize("name", ["family", "dropped", "partial", "past-uint8", "banded"])
+def test_steps_independent_of_event_chunk(monkeypatch, name):
+    f, designs = _designs_n9()
+    d = designs[name] if name in designs else _design(f, _small_bands(f, designs["partial"].orbits))
+    whole = pair_coverage_counts(f, d)
+    for chunk in (1, 3):
+        monkeypatch.setattr(design, "_EVENT_ORBITS", chunk)
+        assert np.array_equal(pair_coverage_counts(f, d), whole)
+
+
+@st.composite
+def _cut_orbits(draw, n):
+    """Orbits of the n = 5 or 7 family cut at random: each starts at a
+    random block of its orbit and runs for 1..v blocks, replicated
+    1..300 times; some stop exactly at column v - 1 in one row, or run
+    for v - 1 or all v columns."""
+    f = cached_field(n)
+    v = f.order - 1
+    orbits = []
+    for o in draw(st.lists(st.sampled_from(develop(build_family(f)).orbits), min_size=1, max_size=5)):
+        s = draw(st.integers(0, v - 1))
+        rep = Block(tuple(f.mul(int(f.exp2[s]), e) for e in o.rep.elements), o.rep.seed)
+        # the first column of one of its runs: the smaller log, or the
+        # larger one when the pair's gap exceeds (v - 1) / 2
+        li, lj = sorted(int(f.logs[e]) for e in draw(st.permutations(rep.elements))[:2])
+        first = li if lj - li <= v // 2 else lj
+        length = draw(st.one_of(st.integers(1, v), st.sampled_from([v - first, v - 1, v])))
+        orbits.append(Orbit(rep, length, draw(st.integers(1, 300))))
+    return f, orbits
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@given(data=st.data())
+def test_cut_orbits_match_materialized_counter(n, data):
+    f, orbits = data.draw(_cut_orbits(n))
+    counts = _full_counter(f, _design(f, orbits))
+    oracle = Counter()
+    for o in orbits:
+        for pair, c in materialized_pair_counts(materialize(_design(f, [Orbit(o.rep, o.length, 1)]))).items():
+            oracle[pair] += c * o.replication
+    got = {_pair_at(f, r, c): int(counts[r, c]) for r, c in np.ndindex(counts.shape)}
+    assert got == {p: oracle[p] for p in got}
+    assert set(oracle) <= set(got)
 
 
 def _scalar_simple(d):
