@@ -97,12 +97,17 @@ def _make_ctx(args) -> GF2n:
         elif args.command == "certify":
             parts.append(("for the certificates", certificate_bytes(n)))
         else:
-            parts += [
-                ("for the development", develop_bytes(orbits)),
-                ("for pair counts", pair_count_bytes(n)),
-            ]
-            if args.command == "gdd":
-                parts.append(("for the spread", spread_bytes(((1 << n) - 1) // 7)))
+            # the stages after the development run one at a time: the pair
+            # count, check_qanalog (281 B per orbit), check_simple (303; it stops
+            # at once on K*'s orbit, when 3 | n) and gdd's writer (~3 MiB of chunks)
+            simple = args.command == "gdd" or n % 3
+            stage = max(pair_count_bytes(n), (303 if simple else 281) * orbits)
+            parts.append(("for the development", develop_bytes(orbits)))
+            if args.command == "gdd":  # its relative family is a second slot array
+                rest = 28 * orbits + spread_bytes(((1 << n) - 1) // 7)
+                parts.append(("for the relative family and the spread", rest))
+                stage = max(stage, 3 * 2**20)
+            parts.append(("for the largest stage", stage))
         terms = [f"~{size / 2**20:.1f} MiB {what}" for what, size in parts]
         total = sum(size for _, size in parts)
         print(

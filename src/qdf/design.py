@@ -17,11 +17,12 @@ column 0) if the run reaches column v - 1.  So every row's events sum to
 0, and a whole-row run, whose two events cancel, is its base alone.  A
 row of the counter is a step function of the column a, its base plus
 the weights of its events at columns <= a.  The kernel,
-pair_coverage_counts, sorts all events by (row, column) once and sums
-them cumulatively in int64: after the events at a column, the sum plus
-the row's base is the exact count of every pair up to the row's next
-event column.  Its result is these steps, one (row, start, stop, count)
-table, and check_pair_coverage reads every verdict from it: a row
+pair_coverage_counts, opens each row with a zero-weight key at column 0,
+sorts these keys and all events by (row, column) once and sums them
+cumulatively in int64: after the last key at a column, the sum plus the
+row's base counts every pair exactly up to the row's next key.  Its
+result is these steps, one (row, start, stop, count) table, and
+check_pair_coverage reads every verdict from it: a row
 group's range is the least and greatest count of the group's steps, and
 only the steps whose count is wrong are expanded into offending pairs.
 No full-size counter is held (it would be 8 GiB of one-byte counters at
@@ -135,22 +136,20 @@ def develop_bytes(orbits: int) -> int:
     """Resident bytes that building and developing a family of `orbits`
     base blocks adds, for preflight estimates: 80 per orbit (its 28-byte
     slot row, 16 bytes of length and replication, and what the
-    construction leaves resident per block) over 1.75 MiB of heap the
-    construction leaves resident at any n.  Fitted, with pair_count_bytes,
-    to the VmHWM growth of `verify` in fresh processes: 4.0-4.2, 12.8,
-    49.0 and 200.2 MiB at n = 15, 17, 19 and 21 against preflight totals
-    of 4.9, 14.2, 51.4 and 200.4 MiB."""
-    return 7 * 2**18 + 80 * orbits
+    construction leaves resident per block) over 1 MiB of heap.  Fitted,
+    with the preflight's largest stage, to the VmHWM growth of `verify`
+    in fresh processes: 3.1, 10.7, 37.8 and 151.8 MiB at n = 15, 17, 19
+    and 21 against preflight totals of 3.4, 11.0, 40.9 and 153.3 MiB."""
+    return 2**20 + 80 * orbits
 
 
 def pair_count_bytes(n: int) -> int:
     """Bytes the pair count of the family over GF(2^n) allocates at its
-    peak, for preflight estimates: 140 per row (its base and base step,
-    and the index arrays np.insert places them with), and 128 (two events
-    and their steps) for each of the 21 runs of K*'s orbit, the only one
-    shorter than v, when 3 | n.  The 1.2 MiB of _events' chunks, and
-    check_simple's 420 per orbit (~140 per row), peak apart and lower."""
-    return 140 * counter_shape((1 << n) - 1)[0] + 128 * 21 * (n % 3 == 0)
+    peak, for preflight estimates: 72 per row (64 measured: the step
+    table's four columns and its stacked copy), and 128 (two events and
+    their steps) for each of the 21 runs of K*'s orbit, the only one
+    shorter than v, when 3 | n."""
+    return 72 * counter_shape((1 << n) - 1)[0] + 128 * 21 * (n % 3 == 0)
 
 
 # Orbits per chunk of _events; bounds its (orbits, 21) temporaries.
@@ -196,37 +195,30 @@ def pair_coverage_counts(ctx: GF2n, d: Design) -> np.ndarray:
     """Every step of the pair counter, as a (4, S) int64 array whose rows
     are (row, start, stop, count): the steps are ordered by row and then
     start, and the pairs at columns start..stop-1 of that row of
-    counter_shape(v) are each counted exactly `count` times.  The steps of a row partition its
-    v columns, and every row has at least one.
+    counter_shape(v) are each counted exactly `count` times.  The steps
+    of a row partition its v columns, and every row has at least one.
 
-    The events are sorted by key and summed cumulatively in int64.  Each
-    row's events sum to 0, so the sum after the last event at a column,
-    plus the row's base, is the count from that column up to the row's
-    next event column (or its end).  The columns before a row's first
-    event, or a row without events, are counted the row's base.
+    Every row opens with a zero-weight key at its column 0, sorted with
+    the events and summed cumulatively in int64.  Each row's events sum to
+    0, so the sum after the last key at a column, plus the row's base, is
+    the count up to the row's next key, or to v if the next key opens a row.
     """
     v = ctx.order - 1
     keys, weights, base = _events(ctx, d)
-    order = np.argsort(keys)
-    count = np.cumsum(weights[order])
+    # the row keys are in order, so the stable sort merges them in cheaply
+    keys = np.concatenate([np.arange(len(base), dtype=np.int64) * v, keys])
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
+    count = np.concatenate([np.zeros_like(base), weights])[order]
     del weights, order
-    last = np.flatnonzero(np.diff(keys, append=keys[-1:] + 1))  # the last event at each key
+    last = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))  # the last key at each column
     row, start = np.divmod(keys[last], v)
-    count = count[last] + base[row]
-    del keys, last
-    head = np.flatnonzero(np.diff(row, prepend=row[:1] - 1))  # each row's first step
-    stop = np.empty_like(start)
-    stop[:-1] = start[1:]
-    stop[head - 1] = v  # each row's last step; head[0] - 1 is the very last
-    # the base step before each row's first event, and of each row without events
-    opening = np.full(len(base), v, dtype=np.int64)
-    opening[row[head]] = start[head]
-    lead = np.flatnonzero(opening)
-    at = np.searchsorted(row, lead)
-    steps = np.stack([row, start, stop, count])
-    del row, start, stop, count
-    return np.insert(steps, at, [lead, np.zeros_like(lead), opening[lead], base[lead]], axis=1)
+    del keys
+    count = np.cumsum(count, out=count)[last] + base[row]
+    del last, base
+    # a step stops where the next starts, or at v where the next opens a row
+    stop = np.append(np.where(start[1:] > 0, start[1:], v), v)
+    return np.stack([row, start, stop, count])
 
 
 def _first_offenders(ctx: GF2n, steps: np.ndarray, group: np.ndarray, ng: int, limit=10) -> tuple:
@@ -325,12 +317,15 @@ def check_simple(d: Design) -> bool:
         return False
     logs = d.ctx.logs[d.slots]
     # translates[b, k] is block b's log set translated by -logs[b, k], sorted
-    translates = np.sort((logs[:, None, :] - logs[:, :, None]) % d.v, axis=2)
+    translates = logs[:, None, :] - logs[:, :, None]
+    translates %= d.v
+    translates.sort(axis=2)
     smallest = np.ones(translates.shape[:2], dtype=bool)
     for p in range(1, 7):
         col = np.where(smallest, translates[:, :, p], d.v)
         smallest &= col == col.min(axis=1, keepdims=True)
     labels = translates[np.arange(len(logs)), smallest.argmax(axis=1)]
+    del translates  # before the lexsort's copies of the labels
     return bool(np.diff(labels[np.lexsort(labels.T)], axis=0).any(axis=1).all())
 
 

@@ -70,13 +70,14 @@ def test_preflight_estimate_matches_counter(capsys):
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
     # table_bytes(15) = 16 * 2^15 = 524,288 bytes (0.50 MiB); for 5461
-    # orbits, develop_bytes = 7 * 2^18 + 80 * 5461 = 2,271,888 (2.17 MiB);
-    # for 16383 rows and the 21 runs of K*'s orbit, pair_count_bytes =
-    # 140 * 16383 + 128 * 21 = 2,296,308 (2.19 MiB): 5,092,484 bytes
-    # (4.86 MiB) in all
+    # orbits, develop_bytes = 2^20 + 80 * 5461 = 1,485,456 (1.42 MiB);
+    # the largest stage is the larger of pair_count_bytes, for 16383 rows
+    # and the 21 runs of K*'s orbit 72 * 16383 + 128 * 21 = 1,182,264, and
+    # check_qanalog's 281 * 5461 = 1,534,541 (1.46 MiB; check_simple stops
+    # at K*'s orbit): 3,544,285 bytes (3.38 MiB) in all
     assert "~0.5 MiB of field tables" in warning
-    assert "~2.2 MiB for the development and ~2.2 MiB for pair counts" in warning
-    assert "~4.9 MiB in all" in warning
+    assert "~1.4 MiB for the development and ~1.5 MiB for the largest stage" in warning
+    assert "~3.4 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
 
@@ -86,7 +87,7 @@ def test_preflight_counts_no_pairs_without_pair_counting(capsys, command):
     assert code == 2
     warning = stderr.strip().split("\n")[0]
     assert "~0.5 MiB of field tables" in warning
-    assert "pair counts" not in warning
+    assert "largest stage" not in warning
 
 
 def test_preflight_of_construct_counts_family_and_profile(capsys):
@@ -148,10 +149,11 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
-def test_preflight_total_matches_measured_rss_of_gdd():
-    # the artifact is written in chunks after the pair counts are freed;
-    # the spread's two int32 arrays are ~0.25 of the ~5.1 MiB printed
-    measured, total = _measured_and_printed("gdd", 15)
+@pytest.mark.parametrize("n", [15, 21])
+def test_preflight_total_matches_measured_rss_of_gdd(n):
+    # the largest stage is the writer's chunks at n = 15 (~3 of the
+    # ~5.3 MiB printed) and check_simple's translates at n = 21
+    measured, total = _measured_and_printed("gdd", n)
     assert 0.75 * total < measured < 1.25 * total
 
 

@@ -8,6 +8,7 @@ their runs wrap.
 
 import os
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -466,6 +467,20 @@ def test_only_short_runs_make_events(n, events):
     row_sums = np.zeros(len(base), dtype=np.int64)
     np.add.at(row_sums, keys // v, weights)
     assert not row_sums.any()
+
+
+def test_kernel_peak_within_its_preflight_term():
+    # the step table's four columns and their stacked copy, ~64 B per row
+    # at n = 17, against the 72 B per row that pair_count_bytes charges
+    f = cached_field(17)
+    d = develop(build_family(f))
+    tracemalloc.start()
+    try:
+        pair_coverage_counts(f, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= design.pair_count_bytes(17) == 72 * counter_shape(d.v)[0]
 
 
 @pytest.mark.parametrize("name", ["family", "dropped", "partial", "past-uint8", "banded"])
