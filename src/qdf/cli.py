@@ -97,15 +97,12 @@ def _make_ctx(args) -> GF2n:
         elif args.command == "certify":
             parts.append(("for the certificates", certificate_bytes(n)))
         else:
-            # the stages after the development run one at a time: the pair
-            # count, check_qanalog (281 B per orbit), check_simple (303; it stops
-            # at once on K*'s orbit, when 3 | n) and gdd's writer (~3 MiB of chunks)
-            simple = args.command == "gdd" or n % 3
-            stage = max(pair_count_bytes(n), (303 if simple else 281) * orbits)
+            # the stages after the development run one at a time, and none
+            # peaks above the pair count but gdd's writer (~3 MiB of chunks)
+            stage = pair_count_bytes(n)
             parts.append(("for the development", develop_bytes(orbits)))
-            if args.command == "gdd":  # its relative family is a second slot array
-                rest = 28 * orbits + spread_bytes(((1 << n) - 1) // 7)
-                parts.append(("for the relative family and the spread", rest))
+            if args.command == "gdd":
+                parts.append(("for the spread", spread_bytes(((1 << n) - 1) // 7)))
                 stage = max(stage, 3 * 2**20)
             parts.append(("for the largest stage", stage))
         terms = [f"~{size / 2**20:.1f} MiB {what}" for what, size in parts]
@@ -170,8 +167,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_gdd(args) -> int:
     ctx = _make_ctx(args)
-    fam = build_family(ctx, system=args.seed_system)
-    relative = build_relative_family(fam)
+    # the family's slots are freed once the relative family has its copy
+    relative = build_relative_family(build_family(ctx, system=args.seed_system))
     rel_report = verify_relative(relative)
     spread = desarguesian_spread(ctx)
     design = develop(relative)

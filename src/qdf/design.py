@@ -138,8 +138,8 @@ def develop_bytes(orbits: int) -> int:
     slot row, 16 bytes of length and replication, and what the
     construction leaves resident per block) over 1 MiB of heap.  Fitted,
     with the preflight's largest stage, to the VmHWM growth of `verify`
-    in fresh processes: 3.1, 10.7, 37.8 and 151.8 MiB at n = 15, 17, 19
-    and 21 against preflight totals of 3.4, 11.0, 40.9 and 153.3 MiB."""
+    in fresh processes: 3.1, 9.3, 33.5 and 136-144 MiB at n = 15, 17, 19
+    and 21 against preflight totals of 3.0, 9.2, 33.7 and 131.7 MiB."""
     return 2**20 + 80 * orbits
 
 
@@ -148,7 +148,9 @@ def pair_count_bytes(n: int) -> int:
     peak, for preflight estimates: 72 per row (64 measured: the step
     table's four columns and its stacked copy), and 128 (two events and
     their steps) for each of the 21 runs of K*'s orbit, the only one
-    shorter than v, when 3 | n."""
+    shorter than v, when 3 | n.  It bounds every stage after the
+    development: check_qanalog and check_simple peak at ~84 and ~149 B
+    per orbit, against its own ~216 B per orbit (three rows each)."""
     return 72 * counter_shape((1 << n) - 1)[0] + 128 * 21 * (n % 3 == 0)
 
 
@@ -293,15 +295,15 @@ def check_qanalog(d: Design) -> bool:
     """Whether every developed block, with 0 added, is add-closed.
 
     One representative per orbit suffices: t*S is a subspace whenever S
-    is, because scaling is GF(2)-linear.  Seven distinct nonzero elements
-    span a subspace with 0 iff the sum of each of their 21 pairs is one
-    of them; all representatives are checked at once.
+    is, because scaling is GF(2)-linear.  In a subspace the two smallest
+    nonzero elements s0 < s1 sum to the third (s1 has the higher top bit,
+    and s0 + s1 is the one other element with it), so a sorted row s is
+    one iff s0 > 0 and s is the sorted span of s0, s1 and s3.
     """
     s = np.sort(d.slots, axis=1)
-    distinct = (s[:, 0] > 0) & (np.diff(s, axis=1) > 0).all(axis=1)
-    sums = d.slots[:, PAIR_I] ^ d.slots[:, PAIR_J]
-    closed = (sums[:, :, None] == d.slots[:, None, :]).any(axis=2).all(axis=1)
-    return bool((distinct & closed).all())
+    a, b, c = s[:, 0], s[:, 1], s[:, 3]
+    span = np.sort(np.stack([a, b, a ^ b, c, c ^ a, c ^ b, c ^ a ^ b], axis=1), axis=1)
+    return bool((a > 0).all() and (span == s).all())
 
 
 def check_simple(d: Design) -> bool:
@@ -311,21 +313,20 @@ def check_simple(d: Design) -> bool:
 
     Scaling by g^c translates a block's logs by c, so the lexicographically
     smallest of its 7 sorted translates that contain 0 labels the orbit;
-    the labels of all representatives are found at once and sorted.
+    all labels are kept as a running minimum over the translates, and sorted.
     """
     if (d.replication != 1).any():
         return False
     logs = d.ctx.logs[d.slots]
-    # translates[b, k] is block b's log set translated by -logs[b, k], sorted
-    translates = logs[:, None, :] - logs[:, :, None]
-    translates %= d.v
-    translates.sort(axis=2)
-    smallest = np.ones(translates.shape[:2], dtype=bool)
-    for p in range(1, 7):
-        col = np.where(smallest, translates[:, :, p], d.v)
-        smallest &= col == col.min(axis=1, keepdims=True)
-    labels = translates[np.arange(len(logs)), smallest.argmax(axis=1)]
-    del translates  # before the lexsort's copies of the labels
+    labels = np.full_like(logs, d.v)
+    for k in range(7):
+        # every block's log set translated by -logs[:, k], sorted
+        t = logs - logs[:, k, None]
+        t %= d.v
+        t.sort(axis=1)
+        first = (t != labels).argmax(axis=1)[:, None]  # 0 where they are equal
+        smaller = np.take_along_axis(t, first, 1) < np.take_along_axis(labels, first, 1)
+        np.copyto(labels, t, where=smaller)
     return bool(np.diff(labels[np.lexsort(labels.T)], axis=0).any(axis=1).all())
 
 

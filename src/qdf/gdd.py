@@ -144,8 +144,7 @@ def verify_gdd(spread: Spread, design: Design) -> VerificationReport:
     t0 = time.perf_counter()
     ctx, lam = design.ctx, design.lambda_claim
 
-    groops = np.sort(spread.point_groop[design.slots], axis=1)
-    meet_ok = bool((np.diff(groops, axis=1) > 0).all())
+    meet_ok = bool((np.diff(np.sort(spread.point_groop[design.slots], axis=1), axis=1) > 0).all())
 
     # g^a and g^(a+d) share a coset of K* = <g^(v/7)> iff v/7 divides d
     rows = counter_shape(design.v)[0]

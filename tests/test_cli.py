@@ -71,13 +71,12 @@ def test_preflight_estimate_matches_counter(capsys):
     warning, error = stderr.strip().split("\n")
     # table_bytes(15) = 16 * 2^15 = 524,288 bytes (0.50 MiB); for 5461
     # orbits, develop_bytes = 2^20 + 80 * 5461 = 1,485,456 (1.42 MiB);
-    # the largest stage is the larger of pair_count_bytes, for 16383 rows
-    # and the 21 runs of K*'s orbit 72 * 16383 + 128 * 21 = 1,182,264, and
-    # check_qanalog's 281 * 5461 = 1,534,541 (1.46 MiB; check_simple stops
-    # at K*'s orbit): 3,544,285 bytes (3.38 MiB) in all
+    # the largest stage is the pair count, pair_count_bytes for 16383 rows
+    # and the 21 runs of K*'s orbit, 72 * 16383 + 128 * 21 = 1,182,264
+    # (1.13 MiB): 3,192,008 bytes (3.04 MiB) in all
     assert "~0.5 MiB of field tables" in warning
-    assert "~1.4 MiB for the development and ~1.5 MiB for the largest stage" in warning
-    assert "~3.4 MiB in all" in warning
+    assert "~1.4 MiB for the development and ~1.1 MiB for the largest stage" in warning
+    assert "~3.0 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
 
@@ -152,7 +151,7 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 @pytest.mark.parametrize("n", [15, 21])
 def test_preflight_total_matches_measured_rss_of_gdd(n):
     # the largest stage is the writer's chunks at n = 15 (~3 of the
-    # ~5.3 MiB printed) and check_simple's translates at n = 21
+    # ~5.2 MiB printed) and the pair count at n = 21
     measured, total = _measured_and_printed("gdd", n)
     assert 0.75 * total < measured < 1.25 * total
 

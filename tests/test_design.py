@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdf import (
     Block,
@@ -483,6 +483,23 @@ def test_kernel_peak_within_its_preflight_term():
     assert peak <= design.pair_count_bytes(17) == 72 * counter_shape(d.v)[0]
 
 
+def test_orbit_checks_peak_within_the_pair_count_term():
+    # check_qanalog holds a few (N, 7) arrays (~84 B per orbit) and
+    # check_simple its labels, one translate and the lexsort's copies
+    # (~149 B), against the 72 B per row, 3 rows per orbit, that the
+    # preflight charges for the largest stage after the development
+    f = cached_field(17)
+    d = develop(build_family(f))
+    for check in (check_qanalog, check_simple):
+        tracemalloc.start()
+        try:
+            assert check(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= design.pair_count_bytes(17), check.__name__
+
+
 @pytest.mark.parametrize("name", ["family", "dropped", "partial", "past-uint8", "banded"])
 def test_steps_independent_of_event_chunk(monkeypatch, name):
     f, designs = _designs_n9()
@@ -538,7 +555,7 @@ def _scalar_qanalog(d):
     return all(is_subspace_block(d.ctx, o.rep.elements) for o in d.orbits)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
 def test_array_orbit_checks_match_scalar_checks(n):
     f = cached_field(n)
     d = develop(build_family(f))
@@ -569,6 +586,39 @@ def test_array_orbit_checks_match_scalar_checks(n):
         els = tuple(rng.sample([f.mul(t, e) for e in o.rep.elements], 7))
         pair = _design(f, (Orbit(o.rep, o.length, 1), Orbit(Block(els, els[1]), o.length, 1)))
         assert check_simple(pair) is _scalar_simple(pair) is False
+
+
+@st.composite
+def _seven_elements(draw):
+    """A field of degree 3..9 and 7 of its elements: a random 7-set of
+    nonzero elements, the nonzero span of three independent elements in
+    random order, or that span with one element changed (to any element,
+    0 and the span's others included)."""
+    f = cached_field(draw(st.sampled_from([3, 5, 7, 9])))
+    q = f.order
+    kind = draw(st.sampled_from(["random", "span", "changed"]))
+    if kind == "random":
+        return f, draw(st.lists(st.integers(1, q - 1), min_size=7, max_size=7, unique=True))
+    a, b, c = draw(
+        st.lists(st.integers(1, q - 1), min_size=3, max_size=3, unique=True)
+        .filter(lambda x: x[2] != x[0] ^ x[1])
+    )
+    els = list(draw(st.permutations([a, b, a ^ b, c, c ^ a, c ^ b, c ^ a ^ b])))
+    if kind == "changed":
+        k = draw(st.integers(0, 6))
+        els[k] = draw(st.integers(0, q - 1).filter(lambda e: e != els[k]))
+    return f, els
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_seven_elements())
+@example((cached_field(3), [0, 1, 1, 2, 2, 3, 3]))  # the sorted span of s0 = 0, s1 and s3
+def test_qanalog_of_one_row_matches_scalar_subspace_test(case):
+    # subspaces pass, and the random sets and changed spans that fail
+    # include rows with 0, with a repeated element, and with s2 != s0 + s1
+    f, els = case
+    d = Design(f, np.array([els], dtype=np.int32), np.array([f.order - 1]), np.ones(1, dtype=np.int64), 7)
+    assert check_qanalog(d) is is_subspace_block(f, els)
 
 
 def test_dropped_block_offenders_match_full_uint32_recount():
