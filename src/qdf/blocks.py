@@ -14,7 +14,6 @@ in the 2-regular graph on F* \\ {1} whose moves are v -> v+1 and v -> 1/v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -88,31 +87,29 @@ def hexagon_of(ctx: GF2n, x: int) -> Hexagon:
     return Hexagon((x, v1, v2, v3, v4, v5))
 
 
-# Seeds per chunk of hexagon_rows; bounds its temporaries.
-_HEXAGON_CHUNK = 1 << 14
+# Seed pairs (x, x+1) per chunk of hexagon_rows; bounds its temporaries.
+_HEXAGON_CHUNK = 1 << 13
 
 
 def hexagon_rows(ctx: GF2n) -> np.ndarray:
     """The hexagons of F* \\ {1} as a ((2^n - 2)/6, 6) int32 array.
 
     Row k is hexagon_of(r) for the k-th smallest canonical representative
-    r, in the same vertex order.  The seeds are walked in chunks of
-    _HEXAGON_CHUNK: the six vertices of every seed of a chunk are taken at
-    once, with the moves v -> v+1 and v -> 1/v as table lookups, and a
-    seed is a representative when it is the minimum of its row.
+    r, in the same vertex order: the pairs (x, x+1), (1/(x+1), 1/(x+1) + 1)
+    and (1/x + 1, 1/x).  Each pair is {y, y ^ 1}, so an even x is the
+    representative when it is below the even member of the other two.
+    The elements are walked _HEXAGON_CHUNK pairs at a time, with one
+    inverse lookup each.
     """
     m = ctx.order - 1
     parts = []
-    for lo in range(2, ctx.order, _HEXAGON_CHUNK):
-        x = np.arange(lo, min(lo + _HEXAGON_CHUNK, ctx.order), dtype=np.int32)
-        v1 = x ^ 1
-        v2 = ctx.exp2[m - ctx.logs[v1]]
-        v3 = v2 ^ 1
-        v4 = ctx.exp2[m - ctx.logs[v3]]
-        v5 = v4 ^ 1
-        walk = (x, v1, v2, v3, v4, v5)
-        rep = x < reduce(np.minimum, walk[1:])  # the six vertices are distinct
-        parts.append(np.stack([v[rep] for v in walk], axis=1))
+    for lo in range(2, ctx.order, 2 * _HEXAGON_CHUNK):
+        hi = min(lo + 2 * _HEXAGON_CHUNK, ctx.order)
+        inv = ctx.exp2[m - ctx.logs[lo:hi]]
+        x, ix, ix1 = np.arange(lo, hi, 2, dtype=np.int32), inv[0::2], inv[1::2]
+        rep = x < (np.minimum(ix, ix1) & ~1)  # the three pairs are distinct
+        x, ix, ix1 = x[rep], ix[rep], ix1[rep]
+        parts.append(np.stack([x, x | 1, ix1, ix1 ^ 1, ix ^ 1, ix], axis=1))
     return np.concatenate(parts)
 
 

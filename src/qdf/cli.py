@@ -92,7 +92,7 @@ def _make_ctx(args) -> GF2n:
         orbits = ((1 << n) - 2) // 6  # at most (2^n - 2)/6 base blocks
         parts = [("of field tables", table_bytes(n))]
         if args.command == "construct":
-            # the (orbits, 7) int32 slots and the profile's histograms
+            # the (orbits, 7) int32 slots and the profile's histogram and counts
             parts += [("for the family", 7 * 4 * orbits), ("for the profile", profile_bytes(n))]
         elif args.command == "certify":
             parts.append(("for the certificates", certificate_bytes(n)))

@@ -107,43 +107,44 @@ def delta_table(ctx: GF2n, x: int):
 
 
 # Blocks per chunk of multiplicity_profile; bounds its temporaries.
-_PROFILE_BLOCKS = 1 << 14
+_PROFILE_BLOCKS = 1 << 12
 
 
 def profile_bytes(n: int) -> int:
     """Bytes multiplicity_profile adds over its family at its peak, for
-    preflight estimates: two int64 histograms over the field, one by log
-    and one by encoding, and 2 MiB for its chunk temporaries (up to ~4
-    MiB, partly in heap the family's construction has freed).  With the
-    tables and the slots, `construct` grows VmHWM by 2.4, 6.9, 18.3 and
-    77.7 MiB at n = 15, 17, 19 and 21 in fresh processes (74 to 89 MiB
-    at n = 21, with the heap layout), against preflight totals of 3.1,
-    6.6, 20.3 and 75.3 MiB."""
-    return 2 * 8 * (1 << n) + 2 * 2**20
+    preflight estimates: the int32 histogram over half the field and the
+    int32 counts over the field, 6 B per element, and 364 B per block of
+    a chunk (the chunk's logs, its three (blocks, 21) int32 arrays and
+    the previous chunk's differences), ~1.4 MiB.  With the tables and
+    the slots, `construct` grows VmHWM by 2.1, 4.6, 13.3, 53.6 and 208.5
+    MiB at n = 15, 17, 19, 21 and 23 in fresh processes, against
+    preflight totals of 2.3, 4.8, 14.8, 54.8 and 214.8 MiB."""
+    return 6 * (1 << n) + 364 * _PROFILE_BLOCKS
 
 
 def multiplicity_profile(fam) -> MultiplicityProfile:
     """Exact m(t) for every t, by direct accumulation over base blocks.
 
-    b_i/b_j = g^(log b_i - log b_j), so the histogram of the 42 slot log
-    differences mod v = 2^n - 1 of every block, mapped to encodings
-    through exp2, is the multiset union of the blocks' delta lists.  The
-    21 differences with i < j are gathered a chunk of blocks at a time
-    and added into the histogram; the other 21 are their negatives,
-    counted by folding the histogram at t and v - t onto each other.
+    b_i/b_j = g^(log b_i - log b_j), so the 42 slot log differences of
+    every block, mapped to encodings through exp2, are the blocks' delta
+    lists.  A difference d (i < j) and its negative (j > i) share the
+    fold min(|d|, v - |d|), v = 2^n - 1, so the 21 with i < j are folded
+    a chunk of blocks at a time into one int32 histogram over half the
+    field; fold f counts g^f and g^(v - f), fold 0 counts 1 twice.
     """
     ctx = fam.ctx
     v = ctx.order - 1
-    hist = np.zeros(v, dtype=np.int64)
+    hist = np.zeros(v // 2 + 1, dtype=np.int32)
     for lo in range(0, len(fam.slots), _PROFILE_BLOCKS):
         logs = ctx.logs[fam.slots[lo : lo + _PROFILE_BLOCKS]]
-        np.add.at(hist, ((logs[:, PAIR_I] - logs[:, PAIR_J]) % v).ravel(), 1)
-    hist[0] *= 2
-    low, high = hist[1 : v // 2 + 1], hist[: v // 2 : -1]  # t and v - t
-    low += high
-    high[:] = low
-    counts = np.zeros(ctx.order, dtype=np.int64)
-    counts[ctx.exp2[:v]] = hist
+        d = logs[:, PAIR_I] - logs[:, PAIR_J]
+        np.abs(d, out=d)
+        np.minimum(d, v - d, out=d)
+        np.add.at(hist, d.ravel(), np.int32(1))  # an int32 one takes no casting path
+    counts = np.zeros(ctx.order, dtype=np.int32)
+    counts[1] = 2 * hist[0]
+    counts[ctx.exp2[1 : v // 2 + 1]] = hist[1:]  # g^f
+    counts[ctx.exp2[v - 1 : v // 2 : -1]] = hist[1:]  # g^(v - f)
     return MultiplicityProfile(counts, ctx.order)
 
 
@@ -262,8 +263,9 @@ class CertificateTable:
     """Solvability of the 18 quadratic quotient equations at many t.
 
     solvable[k, c] says whether equation c (in EQUATION_FORMS order) has
-    two roots at t = ts[k]; r is the number of solvable equations per t
-    and matching_ok whether each of the 9 matches has exactly one.
+    two roots at t = ts[k] (int32 from certificate_table); r is the
+    number of solvable equations per t (uint8) and matching_ok whether
+    each of the 9 matches has exactly one.
     """
 
     ts: np.ndarray
@@ -273,7 +275,7 @@ class CertificateTable:
 
     def __post_init__(self) -> None:
         s = self.solvable
-        object.__setattr__(self, "r", s.sum(axis=1))
+        object.__setattr__(self, "r", s.sum(axis=1, dtype=np.uint8))
         object.__setattr__(
             self, "matching_ok", (s[:, _MATCH_LEFT] != s[:, _MATCH_RIGHT]).all(axis=1)
         )
@@ -284,32 +286,38 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
 
     Every coefficient is 1, t or t+1, all nonzero for t outside {0, 1},
     so each equation has 0 or 2 roots, two exactly when Tr(a*c/b^2) = 0
-    (the criterion of GF2n.solve_quadratic); log(a*c/b^2) is
-    log a + log c - 2 log b mod 2^n - 1.
+    (the criterion of GF2n.solve_quadratic).  log(a*c/b^2) is
+    log a + log c - 2 log b, in (-2v, 2v) for v = 2^n - 1; shifted by 2v
+    and folded below 2v, it indexes the doubled exp table.
     """
-    ts = np.asarray(ts, dtype=np.int64).reshape(-1)
-    if ts.size and ts.min() < 2:
-        bad = int(ts[ts < 2][0])
-        raise DegenerateTError(f"certificate requires t outside {{0, 1}}, got {bad}")
-    v = ctx.order - 1
-    logs = {"1": 0, "t": ctx.logs[ts].astype(np.int64), "t1": ctx.logs[ts ^ 1].astype(np.int64)}
-    solvable = np.empty((ts.size, len(EQUATION_FORMS)), dtype=bool)
+    ts = np.arange(ts.start, ts.stop, ts.step) if isinstance(ts, range) else np.asarray(ts)
+    ts = ts.reshape(-1)
+    bad = (ts < 2) | (ts >= ctx.order)
+    if bad.any():
+        raise DegenerateTError(
+            f"certificate requires 2 <= t < 2^{ctx.n}, got {int(ts[np.argmax(bad)])}"
+        )
+    ts = ts.astype(np.int32)
+    v2 = np.int32(2 * (ctx.order - 1))
+    logs = {"1": 0, "t": ctx.logs[ts], "t1": ctx.logs[ts ^ 1]}
+    solvable = np.empty((len(EQUATION_FORMS), ts.size), dtype=bool)  # one row per form
     for c, (fa, fb, fc) in enumerate(EQUATION_FORMS.values()):
-        u = ctx.exp2[(logs[fa] + logs[fc] - 2 * logs[fb]) % v]
-        solvable[:, c] = ctx.traces[u] == 0
-    return CertificateTable(ts, solvable)
+        k = logs[fa] + logs[fc] - 2 * logs[fb] + v2
+        k -= (k >= v2) * v2
+        solvable[c] = ctx.traces[ctx.exp2[k]] == 0
+    return CertificateTable(ts, solvable.T)
 
 
 def certificate_bytes(n: int) -> int:
     """Bytes `certify` adds over the field tables at its peak, for
-    preflight estimates: 80 per t (the table's int64 ts and r, its 18
-    solvable flags and matching_ok, with the certify writer's per-t
-    keys, inverse index and tail column) and 11 MiB for the writer's
-    chunks of rendered text and the heap they leave behind.  With the
-    tables, `certify` grows VmHWM by 13.8, 18.8, 53.8 and 211.3 MiB at
-    n = 15, 17, 19 and 21 in fresh processes, against preflight totals
-    of 14.0, 23.0, 59.0 and 203.0 MiB."""
-    return 80 * (1 << n) + 11 * 2**20
+    preflight estimates: 64 per t (63 under tracemalloc: the table's 24,
+    its int32 ts, solvable flags, uint8 r and matching_ok, and what its
+    construction holds beside them; the writer's keys and index stay
+    under that) and 8 MiB for the writer's chunks and the heap they
+    leave.  With the tables, `certify` grows VmHWM by 11.0, 19.2, 44.1
+    and 173.1 MiB at n = 15, 17, 19 and 21 in fresh processes, against
+    preflight totals of 10.5, 18.0, 48.0 and 168.0 MiB."""
+    return 64 * (1 << n) + 8 * 2**20
 
 
 def equation_certificate(ctx: GF2n, t: int) -> EquationCertificate:

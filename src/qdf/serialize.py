@@ -64,6 +64,16 @@ def _template_rows(template: str, sep: str, *columns) -> Iterator[bytes]:
         yield sep.join(lines).encode("ascii")
 
 
+def _fill_hex(out: np.ndarray, digits: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Fill the byte rows of `out` in place: field k of each row, at the
+    columns digits[k] of `out`, gets the zero-padded lowercase hex digits
+    of column k of the same row of the (R, k) int array `values`."""
+    w = digits.shape[1]
+    for j in range(w):
+        out[:, digits[:, j]] = _HEX_DIGITS[values >> 4 * (w - 1 - j) & 15]
+    return out
+
+
 def _hex_rows_json_chunks(rows: np.ndarray, n: int) -> Iterator[bytes]:
     """The list json.dumps(indent=2) writes, as the value of a top-level
     key, for the rows of the (N, 7) int array `rows`: each row a list of
@@ -82,9 +92,7 @@ def _hex_rows_json_chunks(rows: np.ndarray, n: int) -> Iterator[bytes]:
     yield b"[\n"
     for lo in range(0, len(rows), _ROW_CHUNK):
         part = rows[lo : lo + _ROW_CHUNK]
-        out = np.tile(template, (len(part), 1))
-        for j in range(w):
-            out[:, digits[:, j]] = _HEX_DIGITS[part >> 4 * (w - 1 - j) & 15]
+        out = _fill_hex(np.tile(template, (len(part), 1)), digits, part)
         # the last row takes no comma
         yield out.ravel()[: -2 if lo + _ROW_CHUNK >= len(rows) else None].tobytes()
     yield b"\n  ]"
@@ -215,36 +223,48 @@ def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes
 
     Written like to_json_bytes would write that dict.  r, matching_ok and
     solvable depend only on the set of solvable equations (at most 2^9
-    distinct ones), so that tail of a certificate is rendered once per
-    set, from the first row holding it.
+    distinct ones), so a certificate is rendered once per set, from the
+    first row holding it, as a byte row: the "t" prefix with "#" for its
+    hex digits, then the tail, zero-padded to the longest.  A chunk
+    gathers its rows, fills in the digits of t and, when the tails
+    differ in length, drops the padding by one mask.
     """
     pairs = list(EQUATION_FORMS)
     keys = np.zeros(len(tab.ts), dtype=np.int32)  # bit c: equation c solvable
     for c in range(len(pairs)):
-        keys[tab.solvable[:, c]] |= 1 << c
-    distinct, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        keys |= np.left_shift(tab.solvable[:, c], c, dtype=np.int32)
+    first, which = np.unique(keys, return_index=True, return_inverse=True)[1:]
     del keys
-    tails = np.empty(len(distinct), dtype=object)
-    for k, (key, r, ok) in enumerate(
-        zip(distinct.tolist(), tab.r[first].tolist(), tab.matching_ok[first].tolist())
+    prefix = f'    {{\n      "t": "{"#" * hex_width(ctx.n)}",\n      '
+    rows = []
+    for solvable, r, ok in zip(
+        tab.solvable[first].tolist(), tab.r[first].tolist(), tab.matching_ok[first].tolist()
     ):
         items = [
             f"        [\n          {i},\n          {j}\n        ]"
-            for c, (i, j) in enumerate(pairs)
-            if key >> c & 1
+            for (i, j), s in zip(pairs, solvable)
+            if s
         ]
-        tails[k] = (
-            f'"r": {r},\n      "matching_ok": {_JSON_BOOL[ok]},\n'
-            f'      "solvable": {_json_list(items, "      ")}\n    }}'
+        rows.append(
+            f'{prefix}"r": {r},\n      "matching_ok": {_JSON_BOOL[ok]},\n'
+            f'      "solvable": {_json_list(items, "      ")}\n    }},\n'.encode("ascii")
         )
+    lengths = np.array([len(row) for row in rows])
+    rows = np.array(rows).view(np.uint8).reshape(len(rows), -1)
+    keep = np.arange(rows.shape[1]) < lengths[:, None] if lengths.min() < rows.shape[1] else None
+    digits = np.flatnonzero(rows[0] == ord("#")).reshape(1, -1)
     yield (
         f'{{\n  "n": {ctx.n},\n  "modulus": {ctx.modulus},\n'
         f'  "r_min": {int(tab.r.min())},\n  "r_max": {int(tab.r.max())},\n'
         f'  "all_matched": {_JSON_BOOL[bool(tab.matching_ok.all())]},\n'
         f'  "certificates": [\n'
     ).encode("ascii")
-    cert = f'    {{\n      "t": "%0{hex_width(ctx.n)}x",\n      %s'
-    yield from _template_rows(cert, ",\n", tab.ts, tails[which])
+    for lo in range(0, len(tab.ts), _ROW_CHUNK):
+        part = which[lo : lo + _ROW_CHUNK]
+        out = _fill_hex(rows[part], digits, tab.ts[lo : lo + _ROW_CHUNK, None])
+        out = out.ravel() if keep is None else out[keep[part]]
+        # the last certificate takes no comma
+        yield out[: -2 if lo + _ROW_CHUNK >= len(tab.ts) else None].tobytes()
     yield b"\n  ]\n}\n"
 
 

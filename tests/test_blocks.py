@@ -202,7 +202,7 @@ def test_hexagon_rows_match_hexagon_of_scan(n, modulus):
     assert [h.vertices for h in hexagon_partition(f)] == expected
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("chunk", [1, 5, 64])  # seed pairs per chunk
 @pytest.mark.parametrize("n", [3, 7, 9])
 def test_chunked_hexagon_rows_match_hexagon_of_scan(monkeypatch, n, chunk):
     from qdf import blocks

@@ -3,8 +3,8 @@
 Replays the `tiny` and `sweep-small` command sets of `perfbench/` (every
 command at n <= 9: construct, export to JSON and CSV, verify, certify and
 gdd), the `build-19` set (construct at n = 19, certify at n = 15) and the
-`verify-13` set (verify at n = 13) for seeds 0 and 1 through
-`qdf.cli.main`, and compares each exit code and
+`verify-13` set (verify at n = 13) for seeds 0 and 1 (build-19 for
+seeds 0 to 7) through `qdf.cli.main`, and compares each exit code and
 artifact sha256 with `perfbench/reference.json`.  The files under
 `perfbench/` are only read.
 """
@@ -33,8 +33,16 @@ def reference():
     return json.loads((PERFBENCH / "reference.json").read_text(encoding="ascii"))
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("workload", ["tiny", "sweep-small", "build-19", "verify-13"])
+# build-19 (construct at n = 19, certify at n = 15) runs on eight moduli:
+# its hexagons, profile and certificates read each field's own tables
+_CASES = [
+    (workload, seed)
+    for workload, seeds in (("tiny", 2), ("sweep-small", 2), ("build-19", 8), ("verify-13", 2))
+    for seed in range(seeds)
+]
+
+
+@pytest.mark.parametrize("workload,seed", _CASES)
 def test_artifacts_match_reference_digests(workload, seed, reference, tmp_path, capsys):
     paths = {}
     for cid, argv in _workloads().command_set(workload, seed):

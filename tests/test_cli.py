@@ -93,10 +93,12 @@ def test_preflight_of_construct_counts_family_and_profile(capsys):
     code, _, stderr = run_cli(capsys, "construct", "--n", "15", "--force", "--modulus", "0x8000")
     assert code == 2
     warning = stderr.strip().split("\n")[0]
-    # 28 * 5461 = 152,908 bytes of slots; 16 * 2^15 + 2 * 2^20 = 2,621,440
-    # for the profile; with the tables 3,298,636 bytes (3.15 MiB) in all
-    assert "~0.1 MiB for the family and ~2.5 MiB for the profile" in warning
-    assert "~3.1 MiB in all" in warning
+    # 28 * 5461 = 152,908 bytes of slots; 6 * 2^15 + 364 * 4096 =
+    # 1,687,552 for the profile (its half-field histogram, its counts and
+    # a chunk of 4096 blocks); with the tables 2,364,748 bytes (2.26 MiB)
+    # in all
+    assert "~0.1 MiB for the family and ~1.6 MiB for the profile" in warning
+    assert "~2.3 MiB in all" in warning
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
@@ -157,19 +159,22 @@ def test_preflight_total_matches_measured_rss_of_gdd(n):
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
-@pytest.mark.parametrize("n", [15, 19])
+@pytest.mark.parametrize("n", [15, 19, 21])
 def test_preflight_total_matches_measured_rss_of_certify(n):
-    # the certificate table, the writer's per-t columns and its chunks of
-    # text; the 270 MB report at n = 19 is never held whole
+    # the certificate table, the writer's per-t keys and index and its
+    # chunks of byte rows; the 270 MB report at n = 19 (1.08 GB at n = 21)
+    # is never held whole
     measured, total = _measured_and_printed("certify", n)
     assert 0.75 * total < measured < 1.25 * total
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
-def test_preflight_total_matches_measured_rss_of_construct():
-    # the tables, the slots and the profile's two histograms; the 9.75 MB
-    # family JSON is written in chunks of rows and adds no copy of itself
-    measured, total = _measured_and_printed("construct", 19)
+@pytest.mark.parametrize("n", [19, 21])
+def test_preflight_total_matches_measured_rss_of_construct(n):
+    # the tables, the slots and the profile's histogram and counts; the
+    # 9.75 MB family JSON at n = 19 is written in chunks of rows and adds
+    # no copy of itself
+    measured, total = _measured_and_printed("construct", n)
     assert 0.75 * total < measured < 1.25 * total
 
 

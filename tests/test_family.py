@@ -6,9 +6,11 @@ the certificate's 24 + 2*r(t) prediction.
 """
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qdf import (
     DegenerateTError,
@@ -24,6 +26,8 @@ from qdf import (
     equation_certificate,
     full_family,
     hexagon_partition,
+    hexagon_rows,
+    is_irreducible,
     multiplicity_profile,
     pair_equation,
     pair_solution_count,
@@ -136,6 +140,17 @@ def test_certificate_rejects_degenerate_t():
     for t in (0, 1):
         with pytest.raises(DegenerateTError):
             equation_certificate(f, t)
+
+
+def test_certificate_rejects_t_outside_the_field():
+    # the first t outside 2 <= t < 2^n is named, and the ts are checked
+    # before they are narrowed to int32 (2^32 + 3 would wrap to 3)
+    f = cached_field(5)
+    for ts, bad in (([2, 40], 40), ([3, 32, 1], 32), ([-1], -1), ([2**32 + 3], 2**32 + 3)):
+        with pytest.raises(DegenerateTError, match=f"got {bad}$"):
+            certificate_table(f, ts)
+    with pytest.raises(DegenerateTError, match="got 32$"):
+        equation_certificate(f, 32)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
@@ -281,6 +296,32 @@ def test_chunked_profile_matches_delta_counter(monkeypatch, n, chunk):
     for fam in fams:
         counts = _delta_counts(fam)
         assert multiplicity_profile(fam).counts.tolist() == [counts[t] for t in range(f.order)]
+
+
+# Every irreducible modulus of each odd degree 3..11.
+_MODULI = {
+    n: [p for p in range((1 << n) | 1, 1 << (n + 1), 2) if is_irreducible(p)]
+    for n in range(3, 12, 2)
+}
+
+
+@given(st.data(), st.sampled_from(sorted(_MODULI)), st.integers(1, 1 << 10), st.integers(1, 1 << 10))
+def test_hexagons_and_profile_match_oracles_at_random_moduli(data, n, hexagon_chunk, profile_chunk):
+    # chunks of seed pairs and of blocks, down to one of each
+    from qdf import blocks, family
+
+    f = cached_field(n, data.draw(st.sampled_from(_MODULI[n]), label="modulus"))
+    with mock.patch.object(blocks, "_HEXAGON_CHUNK", hexagon_chunk), mock.patch.object(
+        family, "_PROFILE_BLOCKS", profile_chunk
+    ):
+        assert [tuple(r) for r in hexagon_rows(f).tolist()] == hexagons_by_scan(f)
+        fam = build_family(f)
+        # rows of random units, repeats allowed, put quotients at t = 1
+        row = st.lists(st.integers(1, f.order - 1), min_size=7, max_size=7)
+        rows = DifferenceFamily(f, data.draw(st.lists(row, max_size=5), label="rows"), 7)
+        for fam in (fam, *_mutants(fam), rows):
+            counts = _delta_counts(fam)
+            assert multiplicity_profile(fam).counts.tolist() == [counts[t] for t in range(f.order)]
 
 
 @pytest.mark.parametrize("n,modulus", FIELDS)

@@ -302,7 +302,7 @@ def test_certify_writer_independent_of_chunking(monkeypatch, chunk):
     whole = b"".join(certificates_json_chunks(f, tab))
     monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk)
     chunks = list(serialize.certificates_json_chunks(f, tab))
-    # the header, one chunk per `chunk` certificates, each with the
-    # separator before it, and the footer
+    # the header, one chunk per `chunk` certificates, each but the last
+    # ending with the separator, and the footer
     assert len(chunks) == 2 + -(-len(tab.ts) // chunk)
     assert b"".join(chunks) == whole == _certify_oracle(f, tab)
