@@ -101,17 +101,20 @@ def test_preflight_of_construct_counts_family_and_profile(capsys):
     assert "~2.3 MiB in all" in warning
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 @pytest.mark.parametrize("n", [15, 17, 19])
 def test_preflight_table_estimate_matches_measured_rss(n):
-    # peak RSS growth of building GF2n(n) in a fresh process, against the
-    # figure the preflight prints; ~0.05 MiB of it is not the tables, the
-    # most at n = 15 (0.55 MiB measured against 0.50).
-    # VmHWM, unlike ru_maxrss, does not carry the parent's peak over exec.
+    # peak bytes that building GF2n(n) holds in a fresh process, against
+    # the figure the preflight prints.  Every table is written in full, so
+    # these bytes are resident; tracemalloc counts them exactly, numpy
+    # reporting its array buffers to it.  ~0.07 MiB of the peak is not the
+    # tables but numpy's index buffer for the log scatter, the most at
+    # n = 15 (0.57 MiB against 0.50).  VmHWM cannot resolve 0.5 MiB: the
+    # first calls into numpy map ~0.25 MiB of its code, the tables reuse
+    # heap the imports freed, and the high-water mark is taken from per-CPU
+    # RSS counters that lag by ~0.15 MiB.
     probe = (
-        "import re, qdf;"
-        "hwm = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1]);"
-        f"r0 = hwm(); qdf.GF2n({n}); print((hwm() - r0) * 1024)"
+        "import tracemalloc, qdf;"
+        f"tracemalloc.start(); qdf.GF2n({n}); print(tracemalloc.get_traced_memory()[1])"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
