@@ -139,7 +139,7 @@ def develop_bytes(orbits: int) -> int:
     construction leaves resident per block) over 1 MiB of heap.  Fitted,
     with the preflight's largest stage, to the VmHWM growth of `verify`
     in fresh processes: 3.1, 9.3, 33.5 and 136-144 MiB at n = 15, 17, 19
-    and 21 against preflight totals of 3.0, 9.2, 33.7 and 131.7 MiB."""
+    and 21 against preflight totals of 3.1, 9.2, 33.7 and 131.7 MiB."""
     return 2**20 + 80 * orbits
 
 

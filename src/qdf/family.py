@@ -290,8 +290,7 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
     log a + log c - 2 log b, in (-2v, 2v) for v = 2^n - 1; shifted by 2v
     and folded below 2v, it indexes the doubled exp table.
     """
-    ts = np.arange(ts.start, ts.stop, ts.step) if isinstance(ts, range) else np.asarray(ts)
-    ts = ts.reshape(-1)
+    ts = np.asarray(ts).reshape(-1)
     bad = (ts < 2) | (ts >= ctx.order)
     if bad.any():
         raise DegenerateTError(
@@ -316,7 +315,7 @@ def certificate_bytes(n: int) -> int:
     under that) and 8 MiB for the writer's chunks and the heap they
     leave.  With the tables, `certify` grows VmHWM by 11.0, 19.2, 44.1
     and 173.1 MiB at n = 15, 17, 19 and 21 in fresh processes, against
-    preflight totals of 10.5, 18.0, 48.0 and 168.0 MiB."""
+    preflight totals of 10.6, 18.1, 48.1 and 168.1 MiB."""
     return 64 * (1 << n) + 8 * 2**20
 
 

@@ -40,14 +40,16 @@ from .errors import (
 def table_bytes(n: int) -> int:
     """Peak bytes of the tables GF2n(n) builds, for preflight estimates.
 
-    Four int32 words per element, reached while the exp table is filled:
-    exp2 (two words) and the two x -> c*x tables of _exp_table; logs
-    (one word) takes the place of those.  Each linear table built on
-    first use adds one word over exp2 and logs, so the trace table that
-    `certify` reads stays within this peak; sqrt and the half-trace, one
-    word each, are read by scalar calls only.
+    Four int32 words per element, reached twice: while the exp table is
+    filled (exp2, two words, and the two x -> c*x tables of _exp_table)
+    and while log_table scatters (exp2, logs and its arange), where
+    numpy adds a 64 KiB buffer of 8,192 indices cast to intp.  Each
+    linear table built on first use adds one word over exp2 and logs,
+    so the trace table that `certify` reads stays within this peak;
+    sqrt and the half-trace, one word each, are read by scalar calls
+    only.
     """
-    return 4 * 4 * (1 << n)
+    return 4 * 4 * (1 << n) + 8192 * 8
 
 
 def poly_degree(p: int) -> int:

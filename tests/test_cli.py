@@ -69,14 +69,14 @@ def test_preflight_estimate_matches_counter(capsys):
     )
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
-    # table_bytes(15) = 16 * 2^15 = 524,288 bytes (0.50 MiB); for 5461
-    # orbits, develop_bytes = 2^20 + 80 * 5461 = 1,485,456 (1.42 MiB);
-    # the largest stage is the pair count, pair_count_bytes for 16383 rows
-    # and the 21 runs of K*'s orbit, 72 * 16383 + 128 * 21 = 1,182,264
-    # (1.13 MiB): 3,192,008 bytes (3.04 MiB) in all
-    assert "~0.5 MiB of field tables" in warning
+    # table_bytes(15) = 16 * 2^15 + 8 * 8192 = 589,824 bytes (0.56 MiB);
+    # for 5461 orbits, develop_bytes = 2^20 + 80 * 5461 = 1,485,456
+    # (1.42 MiB); the largest stage is the pair count, pair_count_bytes
+    # for 16383 rows and the 21 runs of K*'s orbit, 72 * 16383 + 128 * 21
+    # = 1,182,264 (1.13 MiB): 3,257,544 bytes (3.11 MiB) in all
+    assert "~0.6 MiB of field tables" in warning
     assert "~1.4 MiB for the development and ~1.1 MiB for the largest stage" in warning
-    assert "~3.0 MiB in all" in warning
+    assert "~3.1 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
 
@@ -85,7 +85,7 @@ def test_preflight_counts_no_pairs_without_pair_counting(capsys, command):
     code, _, stderr = run_cli(capsys, command, "--n", "15", "--force", "--modulus", "0x8000")
     assert code == 2
     warning = stderr.strip().split("\n")[0]
-    assert "~0.5 MiB of field tables" in warning
+    assert "~0.6 MiB of field tables" in warning
     assert "largest stage" not in warning
 
 
@@ -95,26 +95,23 @@ def test_preflight_of_construct_counts_family_and_profile(capsys):
     warning = stderr.strip().split("\n")[0]
     # 28 * 5461 = 152,908 bytes of slots; 6 * 2^15 + 364 * 4096 =
     # 1,687,552 for the profile (its half-field histogram, its counts and
-    # a chunk of 4096 blocks); with the tables 2,364,748 bytes (2.26 MiB)
+    # a chunk of 4096 blocks); with the tables 2,430,284 bytes (2.32 MiB)
     # in all
     assert "~0.1 MiB for the family and ~1.6 MiB for the profile" in warning
     assert "~2.3 MiB in all" in warning
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 @pytest.mark.parametrize("n", [15, 17, 19])
 def test_preflight_table_estimate_matches_measured_rss(n):
-    # peak bytes that building GF2n(n) holds in a fresh process, against
-    # the figure the preflight prints.  Every table is written in full, so
-    # these bytes are resident; tracemalloc counts them exactly, numpy
-    # reporting its array buffers to it.  ~0.07 MiB of the peak is not the
-    # tables but numpy's index buffer for the log scatter, the most at
-    # n = 15 (0.57 MiB against 0.50).  VmHWM cannot resolve 0.5 MiB: the
-    # first calls into numpy map ~0.25 MiB of its code, the tables reuse
-    # heap the imports freed, and the high-water mark is taken from per-CPU
-    # RSS counters that lag by ~0.15 MiB.
+    # peak RSS growth of building GF2n(n) in a fresh process, against the
+    # figure the preflight prints, which counts the log scatter's 64 KiB
+    # index buffer beside the tables (0.56 MiB at n = 15).
+    # VmHWM, unlike ru_maxrss, does not carry the parent's peak over exec.
     probe = (
-        "import tracemalloc, qdf;"
-        f"tracemalloc.start(); qdf.GF2n({n}); print(tracemalloc.get_traced_memory()[1])"
+        "import re, qdf;"
+        "hwm = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1]);"
+        f"r0 = hwm(); qdf.GF2n({n}); print((hwm() - r0) * 1024)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
