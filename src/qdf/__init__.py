@@ -33,7 +33,6 @@ from .blocks import (
     StabilizerReport,
     block_of,
     block_slots,
-    canonical_orbit_label,
     hexagon_of,
     hexagon_partition,
     hexagon_rows,
@@ -67,7 +66,6 @@ from .design import (
     check_qanalog,
     check_simple,
     develop,
-    materialize,
     pair_coverage_counts,
     verify_2design,
 )
@@ -99,7 +97,6 @@ __all__ = [
     "is_subspace_block",
     "stabilizer_of",
     "same_orbit",
-    "canonical_orbit_label",
     "DifferenceFamily",
     "MultiplicityProfile",
     "EquationCertificate",
@@ -124,7 +121,6 @@ __all__ = [
     "verify_2design",
     "check_qanalog",
     "check_simple",
-    "materialize",
     "pair_coverage_counts",
     "Spread",
     "build_relative_family",

@@ -184,14 +184,3 @@ def same_orbit(ctx: GF2n, x: int, y: int) -> bool:
             f"orbit search and hexagon criterion disagree for x={x}, y={y}"
         )
     return direct
-
-
-def canonical_orbit_label(ctx: GF2n, b: Block) -> tuple[int, ...]:
-    """A scaling-invariant label: the minimum over e in B of sorted(B/e).
-
-    Two blocks lie in the same multiplicative orbit iff their labels are
-    equal, which turns pairwise orbit-distinctness checks into a set-size
-    check.
-    """
-    els = b.elements
-    return min(tuple(sorted(ctx.div(e, d) for e in els)) for d in els)

@@ -8,28 +8,28 @@ would be feasible but wasteful (about 11.2M blocks at n = 13).
 
 verify_2design counts, for every unordered pair of distinct points, the
 number of developed blocks containing both.  Pairs are indexed by log
-coordinates: {g^a, g^(a+d)} sits at row d-1, column a of a
-((v-1)/2, v) counter.  Developing an orbit shifts every log by the same
-amount, so each (orbit, slot pair) adds its orbit's replication w to one
-cyclic run of columns of a single row: +w at its first column and -w at
-the column past its last, mod v, and w to the row's base (its count at
-column 0) if the run reaches column v - 1.  So every row's events sum to
-0, and a whole-row run, whose two events cancel, is its base alone.  A
-row of the counter is a step function of the column a, its base plus
-the weights of its events at columns <= a.  The kernel,
-pair_coverage_counts, opens each row with a zero-weight key at column 0,
-sorts these keys and all events by (row, column) once and sums them
-cumulatively in int64: after the last key at a column, the sum plus the
-row's base counts every pair exactly up to the row's next key.  Its
-result is these steps, one (row, start, stop, count) table, and
-check_pair_coverage reads every verdict from it: a row
-group's range is the least and greatest count of the group's steps, and
-only the steps whose count is wrong are expanded into offending pairs.
-No full-size counter is held (it would be 8 GiB of one-byte counters at
-n = 17), yet every pair's count is determined and compared: the check is
-exhaustive, never sampled.  The sums are exact 64-bit integers, not
-counts modulo a small range, so no extra argument is needed to show that
-a pass is not a wrap-around.
+coordinates: {g^a, g^(a+d)} sits at row d-1, column a of a ((v-1)/2, v)
+counter.  Developing an orbit shifts every log by the same amount, so
+each (orbit, slot pair) adds its orbit's replication w to one cyclic run
+of columns of a single row.  A run of an orbit of length v covers its
+whole row, so _events only adds w to the row's base (its count at column
+0).  A run of a shorter orbit is +w at its first column and -w at the
+column past its last, mod v, and w to the base if it reaches column
+v - 1.  So every row's events sum to 0.  A row of the counter is a step
+function of the column a, its base plus the weights of its events at
+columns <= a.  The kernel, pair_coverage_counts, opens each row with a
+zero-weight key at column 0, sorts these keys and all events by
+(row, column) once and sums them cumulatively in int64: after the last
+key at a column, the sum plus the row's base counts every pair exactly
+up to the row's next key.  Its result is these steps, one (row, start,
+stop, count) table, and check_pair_coverage reads every verdict from it:
+a row group's range is the least and greatest count of the group's
+steps, and only the steps whose count is wrong are expanded into
+offending pairs.  No full-size counter is held (it would be 8 GiB of
+one-byte counters at n = 17), yet every pair's count is determined and
+compared: the check is exhaustive, never sampled.  The sums are exact
+64-bit integers, not counts modulo a small range, so no extra argument
+is needed to show that a pass is not a wrap-around.
 """
 
 from __future__ import annotations
@@ -149,8 +149,9 @@ def pair_count_bytes(n: int) -> int:
     table's four columns and its stacked copy), and 128 (two events and
     their steps) for each of the 21 runs of K*'s orbit, the only one
     shorter than v, when 3 | n.  It bounds every stage after the
-    development: check_qanalog and check_simple peak at ~84 and ~149 B
-    per orbit, against its own ~216 B per orbit (three rows each)."""
+    development: under tracemalloc at n = 17 and 19, check_qanalog and
+    check_simple peak at ~84 and ~95 B per orbit, against its own ~216 B
+    per orbit (three rows each), of which _events takes under 20 B."""
     return 72 * counter_shape((1 << n) - 1)[0] + 128 * 21 * (n % 3 == 0)
 
 
@@ -165,31 +166,39 @@ def _events(ctx: GF2n, d: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Developing slot pair (i, j) of an orbit shifts both logs together, so
     it covers one cyclic run of `length` columns in a single row, w times
-    each, w being the orbit's replication.  A run is +w at its first
-    column and -w at the column past its last, mod v, and a run that
-    reaches column v - 1 adds w to its row's base.  The events of every
-    row therefore sum to 0.  A run over all v columns would put both its
-    events on one key, where they cancel, so it is its base alone.
+    each, w being the orbit's replication.  A run of an orbit of length v
+    covers its whole row, min(|d|, v - |d|) - 1 for the log difference
+    d = lj - li, and only adds w to its base.  A run of a shorter orbit is
+    +w at its first column and -w at the column past its last, mod v, and
+    a run that reaches column v - 1 adds w to its row's base, so the
+    events of every row sum to 0.
     """
     v = ctx.order - 1
     rows = counter_shape(v)[0]
     base = np.zeros(rows, dtype=np.int64)
-    keys, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    whole = d.replication * (d.length >= v)  # 0 for the orbits shorter than v
     for lo in range(0, len(d.slots), _EVENT_ORBITS):
         logs = ctx.logs[d.slots[lo : lo + _EVENT_ORBITS]]
+        row = np.abs(logs[:, PAIR_J] - logs[:, PAIR_I])  # (C, 21): one run per orbit and slot pair
+        row = np.minimum(row, v - row) - 1
+        # a contiguous intp index and contiguous weights keep np.add.at fast
+        np.add.at(base, row.astype(np.intp).ravel(), np.repeat(whole[lo : lo + _EVENT_ORBITS], 21))
+    keys, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    short = np.flatnonzero(d.length < v)
+    for lo in range(0, len(short), _EVENT_ORBITS):
+        part = short[lo : lo + _EVENT_ORBITS]
+        logs = ctx.logs[d.slots[part]]
         li, lj = logs[:, PAIR_I], logs[:, PAIR_J]  # (C, 21): one run per orbit and slot pair
         gap = (lj - li) % v
         low = gap <= rows
         row = np.where(low, gap - 1, v - gap - 1).astype(np.int64)
         first = np.where(low, li, lj)
-        length = d.length[lo : lo + _EVENT_ORBITS, None]
-        stop = first + length  # the column past the run, unwrapped
-        w = np.broadcast_to(d.replication[lo : lo + _EVENT_ORBITS, None], row.shape)
+        stop = first + d.length[part, None]  # the column past the run, unwrapped
+        w = np.broadcast_to(d.replication[part, None], row.shape)
         np.add.at(base, row[stop >= v], w[stop >= v])
-        part = np.broadcast_to(length < v, row.shape)
-        row0 = row[part] * v  # key of the row's column 0
-        keys += [row0 + first[part], row0 + stop[part] % v]
-        weights += [w[part], -w[part]]
+        row *= v  # key of the row's column 0
+        keys += [(row + first).ravel(), (row + stop % v).ravel()]
+        weights += [w.ravel(), -w.ravel()]
     return np.concatenate(keys), np.concatenate(weights), base
 
 
@@ -306,41 +315,50 @@ def check_qanalog(d: Design) -> bool:
     return bool((a > 0).all() and (span == s).all())
 
 
+def _gap_hash(gaps: np.ndarray) -> np.ndarray:
+    """A rotation-invariant hash of each row of (N, 7) cyclic gaps, built a
+    column at a time: the wrapping int64 sum over k of a multiply-shift
+    mix of the ordered pair (gap k, gap k + 1), which a mirror reverses.
+    Only int64 operands and no xor: either would run numpy code that no
+    other stage runs, ~0.1 MiB more peak RSS over many small commands."""
+    h = np.zeros(len(gaps), dtype=np.int64)
+    for k in range(7):
+        x = gaps[:, k].astype(np.int64) * -7046029254386353131
+        x += gaps[:, k - 6].astype(np.int64) * -4658895280553007687
+        x += x >> 31
+        x *= x >> 29
+        h += x
+    return h
+
+
 def check_simple(d: Design) -> bool:
     """Whether the developed design has no repeated blocks: every orbit
     has trivial stabilizer and orbit representatives are pairwise
     inequivalent under scaling.
 
-    Scaling by g^c translates a block's logs by c, so the lexicographically
-    smallest of its 7 sorted translates that contain 0 labels the orbit;
-    all labels are kept as a running minimum over the translates, and sorted.
+    Scaling by g^c translates a block's logs by c, which rotates the
+    cyclic sequence of the 7 gaps between its sorted logs (they sum to
+    v): two blocks share an orbit iff their gap sequences are rotations
+    of each other, and then their _gap_hash is equal.  Only the rows in a
+    group of equal hashes are labelled by their least rotation and
+    compared in full, after one np.lexsort, so the check is exact.
     """
     if (d.replication != 1).any():
         return False
-    logs = d.ctx.logs[d.slots]
-    labels = np.full_like(logs, d.v)
-    for k in range(7):
-        # every block's log set translated by -logs[:, k], sorted
-        t = logs - logs[:, k, None]
-        t %= d.v
-        t.sort(axis=1)
-        first = (t != labels).argmax(axis=1)[:, None]  # 0 where they are equal
-        smaller = np.take_along_axis(t, first, 1) < np.take_along_axis(labels, first, 1)
-        np.copyto(labels, t, where=smaller)
+    logs = np.sort(d.ctx.logs[d.slots], axis=1)
+    gaps = np.diff(logs, axis=1, append=logs[:, :1] + d.v)
+    h = _gap_hash(gaps)
+    order = np.argsort(h, kind="stable")
+    same = np.diff(h[order]) == 0
+    if not same.any():
+        return True
+    grouped = np.append(same, False) | np.append(False, same)
+    g = np.tile(gaps[order[grouped]], 2)  # every rotation is a window of 7
+    labels = g[:, :7].copy()
+    for k in range(1, 7):
+        r = g[:, k : k + 7]
+        first = (r != labels).argmax(axis=1)[:, None]  # 0 where they are equal
+        smaller = np.take_along_axis(r, first, 1) < np.take_along_axis(labels, first, 1)
+        np.copyto(labels, r, where=smaller)
     return bool(np.diff(labels[np.lexsort(labels.T)], axis=0).any(axis=1).all())
 
-
-def materialize(d: Design) -> list[frozenset[int]]:
-    """Every developed block as a frozenset, with multiplicity.
-
-    Intended for desk-scale cross-checks (n <= 9); the orbit-compressed
-    representation is authoritative above that.
-    """
-    exp2, logs = d.ctx.exp2, d.ctx.logs
-    out = []
-    for rep, length, replication in d.orbit_rows():
-        base_logs = [int(logs[e]) for e in rep]
-        for s in range(length):
-            blk = frozenset(int(exp2[l + s]) for l in base_logs)
-            out.extend([blk] * replication)
-    return out

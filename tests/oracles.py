@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here touches the package's exp/log tables: multiplication is
-schoolbook shift-and-xor, inverses are found by exhaustive search,
-irreducibility comes from enumerating products of lower-degree
-polynomials, the exp/log tables come from a scalar power walk, and pair
-coverage is counted from materialized block sets.  The hexagon oracle
-walks hexagon_of seed by seed.  The Frobenius oracle takes exp/log tables
-as given (checked against the power walk) and derives trace, sqrt and
-half-trace element by element from the squaring permutation, not from
-basis images.
+Nothing here touches the package's exp/log tables, except the three
+oracles named last: multiplication is schoolbook shift-and-xor, inverses
+are found by exhaustive search, irreducibility comes from enumerating
+products of lower-degree polynomials, the exp/log tables come from a
+scalar power walk, and pair coverage is counted from materialized block
+sets.  The hexagon oracle walks hexagon_of seed by seed.  The orbit
+label divides scalar by scalar with the field's `div`, and materialize
+develops blocks with the field's tables.  The Frobenius oracle takes
+exp/log tables as given (checked against the power walk) and derives
+trace, sqrt and half-trace element by element from the squaring
+permutation, not from basis images.
 """
 
 from collections import Counter
@@ -148,6 +150,31 @@ def hexagons_by_scan(ctx) -> list[tuple[int, ...]]:
             h = hexagon_of(ctx, x).vertices
             seen.update(h)
             out.append(h)
+    return out
+
+
+def canonical_orbit_label(ctx, b) -> tuple[int, ...]:
+    """A scaling-invariant label: the minimum over e in B of sorted(B/e).
+
+    Two blocks lie in the same multiplicative orbit iff their labels are
+    equal, which turns pairwise orbit-distinctness checks into a set-size
+    check.
+    """
+    els = b.elements
+    return min(tuple(sorted(ctx.div(e, d) for e in els)) for d in els)
+
+
+def materialize(d) -> list[frozenset[int]]:
+    """Every developed block of a Design as a frozenset, with
+    multiplicity, walked with the field's exp/log tables; for desk-scale
+    cross-checks (n <= 9)."""
+    exp2, logs = d.ctx.exp2, d.ctx.logs
+    out = []
+    for rep, length, replication in d.orbit_rows():
+        base_logs = [int(logs[e]) for e in rep]
+        for s in range(length):
+            blk = frozenset(int(exp2[l + s]) for l in base_logs)
+            out.extend([blk] * replication)
     return out
 
 

@@ -22,12 +22,11 @@ from qdf import (
     equation_certificate,
     full_family,
     hexagon_of,
-    materialize,
     multiplicity_profile,
     same_orbit,
     verify_2design,
 )
-from oracles import cached_field
+from oracles import cached_field, materialize
 
 
 def _report(num: int, ok: bool, msg: str) -> None:

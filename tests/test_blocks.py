@@ -8,7 +8,6 @@ import pytest
 from qdf import (
     ForbiddenSeedError,
     block_of,
-    canonical_orbit_label,
     delta,
     hexagon_of,
     hexagon_partition,
@@ -17,7 +16,7 @@ from qdf import (
     same_orbit,
     stabilizer_of,
 )
-from oracles import cached_field, hexagons_by_scan
+from oracles import cached_field, canonical_orbit_label, hexagons_by_scan
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])

@@ -101,21 +101,33 @@ def test_preflight_of_construct_counts_family_and_profile(capsys):
     assert "~2.3 MiB in all" in warning
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 @pytest.mark.parametrize("n", [15, 17, 19])
 def test_preflight_table_estimate_matches_measured_rss(n):
-    # peak RSS growth of building GF2n(n) in a fresh process, against the
-    # figure the preflight prints, which counts the log scatter's 64 KiB
-    # index buffer beside the tables (0.56 MiB at n = 15).
-    # VmHWM, unlike ru_maxrss, does not carry the parent's peak over exec.
+    # peak anonymous RSS growth of building GF2n(n) in a fresh process,
+    # against the figure the preflight prints (0.56 MiB at n = 15).  It
+    # reads 524, 2,060 and 8,204 KiB at n = 15, 17 and 19: the four
+    # table words per element, not the log scatter's 64 KiB index
+    # buffer, which lives within one numpy call.
+    # - GF2n(5) first imports and warms up everything the build runs.
+    # - glibc's MALLOC_MMAP_THRESHOLD_ puts every array of 4 KiB or more
+    #   in fresh pages, so no table reuses heap that the import left free.
+    # - RssAnon (statm's resident minus shared pages) is read at every
+    #   call and return while GF2n(n) runs.  VmHWM, the peak the kernel
+    #   records lazily, read 420-584 KiB at n = 15 on a 2-vCPU host even
+    #   with fresh pages; this reading gave the same figure every run.
     probe = (
-        "import re, qdf;"
-        "hwm = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1]);"
-        f"r0 = hwm(); qdf.GF2n({n}); print((hwm() - r0) * 1024)"
+        "import os, sys, qdf;"
+        "fd = os.open('/proc/self/statm', os.O_RDONLY);"
+        "anon = lambda: (lambda f: int(f[1]) - int(f[2]))(os.pread(fd, 128, 0).split());"
+        "qdf.GF2n(5); r0 = anon(); peak = [r0];"
+        "sys.setprofile(lambda *_: peak.append(max(peak.pop(), anon())));"
+        f"qdf.GF2n({n}); sys.setprofile(None);"
+        "print((peak[0] - r0) * os.sysconf('SC_PAGESIZE'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "MALLOC_MMAP_THRESHOLD_": "4096"},
         capture_output=True, text=True, check=True,
     )
     measured = int(out.stdout)
@@ -140,6 +152,27 @@ def _measured_and_printed(command, n):
     rc, measured = map(int, out.stdout.split())
     assert rc == 0
     return measured, float(re.search(r"~([0-9.]+) MiB in all", out.stderr)[1]) * 2**20
+
+
+def test_commands_do_not_import_numpy_ma():
+    # numpy 2 imports numpy.ma lazily, on first use by some functions (a
+    # bare np.unique among them).  With numpy 2.4 that import took 9-16 ms
+    # and 1.6 MiB of peak RSS in a fresh process, more than the whole
+    # first verify --n 13 takes.  numpy 1.x imports it with numpy itself.
+    probe = (
+        "import os, sys, qdf.cli;"
+        "before = 'numpy.ma' in sys.modules;"
+        "codes = [qdf.cli.main([c, '--n', n, '--out', os.devnull])"
+        " for c, n in [('verify', '13'), ('gdd', '9'), ('certify', '9')]];"
+        "print(codes == [0, 0, 0], before, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, check=True,
+    )
+    ok, before, after = out.stdout.split()
+    assert ok == "True" and after == before
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")

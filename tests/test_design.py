@@ -27,17 +27,16 @@ from qdf import (
     desarguesian_spread,
     develop,
     full_family,
-    materialize,
     pair_coverage_counts,
     stabilizer_of,
     verify_2design,
     verify_gdd,
 )
 from qdf import cli, design
-from qdf.blocks import canonical_orbit_label, is_subspace_block
+from qdf.blocks import is_subspace_block
 from qdf.serialize import gdd_json_chunks
 from qdf.design import counter_shape
-from oracles import cached_field, materialized_pair_counts
+from oracles import cached_field, canonical_orbit_label, materialize, materialized_pair_counts
 
 
 def test_develop_counts_n5():
@@ -485,9 +484,10 @@ def test_kernel_peak_within_its_preflight_term():
 
 def test_orbit_checks_peak_within_the_pair_count_term():
     # check_qanalog holds a few (N, 7) arrays (~84 B per orbit) and
-    # check_simple its labels, one translate and the lexsort's copies
-    # (~149 B), against the 72 B per row, 3 rows per orbit, that the
-    # preflight charges for the largest stage after the development
+    # check_simple its sorted logs while np.diff builds the gaps from a
+    # copy with one more column (~95 B), against the 72 B per row, 3 rows
+    # per orbit, that the preflight charges for the largest stage after
+    # the development
     f = cached_field(17)
     d = develop(build_family(f))
     for check in (check_qanalog, check_simple):
@@ -586,6 +586,51 @@ def test_array_orbit_checks_match_scalar_checks(n):
         els = tuple(rng.sample([f.mul(t, e) for e in o.rep.elements], 7))
         pair = _design(f, (Orbit(o.rep, o.length, 1), Orbit(Block(els, els[1]), o.length, 1)))
         assert check_simple(pair) is _scalar_simple(pair) is False
+
+
+@st.composite
+def _orbit_rows(draw):
+    """A design of up to 14 rows at a degree 3..13: distinct orbits of the
+    family, each as its representative, next to its mirror image (every
+    element inverted, which reverses its gap sequence) or replaced by a
+    scaled mirror image, and then 0, 1 or 2 scaled copies of these rows
+    (repeats).  Every row is in a random slot order and keeps its
+    orbit's replication, so K*'s orbit repeats its blocks when 3 | n."""
+    n = draw(st.sampled_from([3, 5, 7, 9, 11, 13]))
+    f = cached_field(n)
+    orbits = develop(build_family(f)).orbits
+    scale = lambda t, els: [f.mul(t, e) for e in els]
+    units = st.integers(1, f.order - 1)
+    rows = []
+    for i in draw(st.lists(st.integers(0, len(orbits) - 1), min_size=1, max_size=6, unique=True)):
+        els, w = orbits[i].rep.elements, orbits[i].replication
+        mirror = [f.inv(e) for e in els]
+        kind = draw(st.sampled_from(["alone", "mirror", "scaled mirror"]))
+        rows += {
+            "alone": [(els, w)],
+            "mirror": [(els, w), (mirror, w)],
+            "scaled mirror": [(scale(draw(units), mirror), w)],
+        }[kind]
+    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        rows.append((scale(draw(units), rows[k][0]), rows[k][1]))
+    v = f.order - 1
+    shuffled = []
+    for els, w in rows:
+        els = tuple(draw(st.permutations(els)))
+        shuffled.append(Orbit(Block(els, els[1]), v // w, w))
+    return _design(f, shuffled)
+
+
+@settings(max_examples=60)
+@given(_orbit_rows())
+def test_check_simple_matches_scalar_labels(d):
+    # with the real hash, and with a constant one that sends every row
+    # through the least rotations and the lexsort
+    expected = _scalar_simple(d)
+    assert check_simple(d) is expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design, "_gap_hash", lambda gaps: np.zeros(len(gaps), dtype=np.int64))
+        assert check_simple(d) is expected
 
 
 @st.composite

@@ -15,12 +15,11 @@ from qdf import (
     develop,
     develop_and_verify_gdd,
     is_subspace_block,
-    materialize,
     verify_gdd,
     verify_relative,
 )
 from qdf.gdd import spread_bytes
-from oracles import cached_field, materialized_pair_counts
+from oracles import cached_field, materialize, materialized_pair_counts
 
 
 @pytest.mark.parametrize("n,groops", [(3, 1), (9, 73)])
