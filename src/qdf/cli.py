@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from collections.abc import Iterable
@@ -48,6 +49,10 @@ from .serialize import (
     report_to_dict,
     to_json_bytes,
 )
+
+# The imported objects live as long as the process; frozen, they cost no
+# collection a scan (1-1.5 ms a pass, which `verify --n 13` may pay).
+gc.freeze()
 
 DEFAULT_N_CEILING = 13
 HARD_N_CEILING = 25
@@ -98,13 +103,12 @@ def _make_ctx(args) -> GF2n:
             parts.append(("for the certificates", certificate_bytes(n)))
         else:
             # the stages after the development run one at a time, and none
-            # peaks above the pair count but gdd's writer (~3 MiB of chunks)
-            stage = pair_count_bytes(n)
+            # peaks above the pair count, writers included (gdd grows VmHWM
+            # by 3.8 and 149.5 MiB at n = 15 and 21; printed: 3.4 and 147.7)
             parts.append(("for the development", develop_bytes(orbits)))
             if args.command == "gdd":
                 parts.append(("for the spread", spread_bytes(((1 << n) - 1) // 7)))
-                stage = max(stage, 3 * 2**20)
-            parts.append(("for the largest stage", stage))
+            parts.append(("for the largest stage", pair_count_bytes(n)))
         terms = [f"~{size / 2**20:.1f} MiB {what}" for what, size in parts]
         total = sum(size for _, size in parts)
         print(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from itertools import chain
 
 import numpy as np
 
@@ -54,48 +53,52 @@ def _json_list(items: list[str], indent: str) -> str:
 _ROW_CHUNK = 1 << 12
 
 
-def _template_rows(template: str, sep: str, *columns) -> Iterator[bytes]:
-    """`template % row` for each row of the equal-length arrays `columns`,
-    joined by `sep`, in chunks of _ROW_CHUNK rows; every chunk but the
-    first starts with `sep`."""
-    for lo in range(0, len(columns[0]), _ROW_CHUNK):
-        rows = zip(*(c[lo : lo + _ROW_CHUNK].tolist() for c in columns))
-        lines = chain([""] if lo else [], (template % row for row in rows))
-        yield sep.join(lines).encode("ascii")
-
-
-def _fill_hex(out: np.ndarray, digits: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Fill the byte rows of `out` in place: field k of each row, at the
-    columns digits[k] of `out`, gets the zero-padded lowercase hex digits
-    of column k of the same row of the (R, k) int array `values`."""
+def _rows_chunks(
+    head: str, tails: list[str], which: np.ndarray, values: np.ndarray, sep: str
+) -> Iterator[bytes]:
+    """Byte rows joined by `sep`, in chunks of _ROW_CHUNK rows; every chunk
+    but the last ends with `sep`.  Row k is `head`, its runs of "#" (one
+    per column of the (N, c) int array `values`, or one for an (N,) array)
+    filled with the zero-padded lowercase hex digits of values[k], then
+    tails[which[k]].  Each distinct tail is rendered once, after the head,
+    as a byte row zero-padded to the longest; a chunk gathers its rows,
+    fills in the digits and drops any padding by one mask."""
+    rows = [(head + tail + sep).encode("ascii") for tail in tails]
+    lengths = np.array([len(row) for row in rows])
+    rows = np.array(rows).view(np.uint8).reshape(len(rows), -1)
+    keep = np.arange(rows.shape[1]) < lengths[:, None] if lengths.min() < rows.shape[1] else None
+    values = values.reshape(len(values), -1)
+    digits = np.flatnonzero(rows[0, : len(head)] == ord("#")).reshape(values.shape[1], -1)
     w = digits.shape[1]
-    for j in range(w):
-        out[:, digits[:, j]] = _HEX_DIGITS[values >> 4 * (w - 1 - j) & 15]
-    return out
+    for lo in range(0, len(values), _ROW_CHUNK):
+        part = which[lo : lo + _ROW_CHUNK]
+        # take() gathers rows several times faster than fancy indexing
+        out, vals = rows.take(part, axis=0), values[lo : lo + _ROW_CHUNK]
+        for j in range(w):
+            out[:, digits[:, j]] = _HEX_DIGITS[vals >> 4 * (w - 1 - j) & 15]
+        out = out.ravel() if keep is None else out[keep.take(part, axis=0)]
+        yield out[: len(out) - len(sep) if lo + _ROW_CHUNK >= len(values) else None].tobytes()
+
+
+def _json_rows_chunks(
+    head: str, tails: list[str], which: np.ndarray, values: np.ndarray
+) -> Iterator[bytes]:
+    """The rows of _rows_chunks as the items of the list json.dumps(indent=2)
+    writes as the value of a top-level key."""
+    if not len(values):
+        yield b"[]"
+        return
+    yield b"[\n"
+    yield from _rows_chunks(head, tails, which, values, ",\n")
+    yield b"\n  ]"
 
 
 def _hex_rows_json_chunks(rows: np.ndarray, n: int) -> Iterator[bytes]:
     """The list json.dumps(indent=2) writes, as the value of a top-level
     key, for the rows of the (N, 7) int array `rows`: each row a list of
-    7 hex strings.
-
-    Every row has the same length, so a chunk of _ROW_CHUNK rows is one
-    byte template tiled with numpy and its digit fields filled in.
-    """
-    if not len(rows):
-        yield b"[]"
-        return
-    w = hex_width(n)
-    row = "    " + _json_list([f'      "{"#" * w}"'] * 7, "    ") + ",\n"
-    template = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
-    digits = np.flatnonzero(template == ord("#")).reshape(7, w)
-    yield b"[\n"
-    for lo in range(0, len(rows), _ROW_CHUNK):
-        part = rows[lo : lo + _ROW_CHUNK]
-        out = _fill_hex(np.tile(template, (len(part), 1)), digits, part)
-        # the last row takes no comma
-        yield out.ravel()[: -2 if lo + _ROW_CHUNK >= len(rows) else None].tobytes()
-    yield b"\n  ]"
+    7 hex strings."""
+    head = "    " + _json_list([f'      "{"#" * hex_width(n)}"'] * 7, "    ")
+    return _json_rows_chunks(head, [""], np.zeros(len(rows), dtype=np.uint8), rows)
 
 
 def family_json_chunks(fam: DifferenceFamily) -> Iterator[bytes]:
@@ -145,18 +148,20 @@ def family_from_dict(d: dict) -> DifferenceFamily:
 def _orbit_rows_json_chunks(d: Design) -> Iterator[bytes]:
     """The "orbits" list [{"rep": [7 hex strings], "length", "replication"},
     ...] as json.dumps(indent=2) writes it as the value of a top-level
-    key, in chunks of _ROW_CHUNK orbits."""
-    if not len(d.slots):
-        yield b"[]"
-        return
-    orbit = (
+    key, with one tail per distinct (length, replication)."""
+    # one key per (length, replication): a replication is below the radix
+    key = d.length * (int(d.replication.max(initial=0)) + 1) + d.replication
+    first, which = np.unique(key, return_index=True, return_inverse=True)[1:]
+    head = (
         '    {\n      "rep": '
-        + _json_list([f'        "%0{hex_width(d.ctx.n)}x"'] * 7, "      ")
-        + ',\n      "length": %d,\n      "replication": %d\n    }'
+        + _json_list([f'        "{"#" * hex_width(d.ctx.n)}"'] * 7, "      ")
+        + ',\n      "length": '
     )
-    yield b"[\n"
-    yield from _template_rows(orbit, ",\n", *d.slots.T, d.length, d.replication)
-    yield b"\n  ]"
+    tails = [
+        f'{m},\n      "replication": {r}\n    }}'
+        for m, r in zip(d.length[first].tolist(), d.replication[first].tolist())
+    ]
+    return _json_rows_chunks(head, tails, which, d.slots)
 
 
 def design_json_chunks(d: Design) -> Iterator[bytes]:
@@ -219,24 +224,17 @@ def report_to_dict(r: VerificationReport, n: int) -> dict:
 def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes]:
     """The certify report {"n", "modulus", "r_min", "r_max", "all_matched",
     "certificates": [{"t", "r", "matching_ok", "solvable"}, ...]} as JSON,
-    in chunks of at most _ROW_CHUNK certificates.
-
-    Written like to_json_bytes would write that dict.  r, matching_ok and
-    solvable depend only on the set of solvable equations (at most 2^9
-    distinct ones), so a certificate is rendered once per set, from the
-    first row holding it, as a byte row: the "t" prefix with "#" for its
-    hex digits, then the tail, zero-padded to the longest.  A chunk
-    gathers its rows, fills in the digits of t and, when the tails
-    differ in length, drops the padding by one mask.
-    """
+    in chunks of at most _ROW_CHUNK certificates: byte for byte what
+    to_json_bytes gives for that dict.  r, matching_ok and solvable depend
+    only on the set of solvable equations (at most 2^9 distinct ones), so
+    each set's tail is rendered once, from the first row holding it."""
     pairs = list(EQUATION_FORMS)
     keys = np.zeros(len(tab.ts), dtype=np.int32)  # bit c: equation c solvable
     for c in range(len(pairs)):
         keys |= np.left_shift(tab.solvable[:, c], c, dtype=np.int32)
     first, which = np.unique(keys, return_index=True, return_inverse=True)[1:]
     del keys
-    prefix = f'    {{\n      "t": "{"#" * hex_width(ctx.n)}",\n      '
-    rows = []
+    tails = []
     for solvable, r, ok in zip(
         tab.solvable[first].tolist(), tab.r[first].tolist(), tab.matching_ok[first].tolist()
     ):
@@ -245,32 +243,27 @@ def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes
             for (i, j), s in zip(pairs, solvable)
             if s
         ]
-        rows.append(
-            f'{prefix}"r": {r},\n      "matching_ok": {_JSON_BOOL[ok]},\n'
-            f'      "solvable": {_json_list(items, "      ")}\n    }},\n'.encode("ascii")
+        tails.append(
+            f'"r": {r},\n      "matching_ok": {_JSON_BOOL[ok]},\n'
+            f'      "solvable": {_json_list(items, "      ")}\n    }}'
         )
-    lengths = np.array([len(row) for row in rows])
-    rows = np.array(rows).view(np.uint8).reshape(len(rows), -1)
-    keep = np.arange(rows.shape[1]) < lengths[:, None] if lengths.min() < rows.shape[1] else None
-    digits = np.flatnonzero(rows[0] == ord("#")).reshape(1, -1)
     yield (
         f'{{\n  "n": {ctx.n},\n  "modulus": {ctx.modulus},\n'
         f'  "r_min": {int(tab.r.min())},\n  "r_max": {int(tab.r.max())},\n'
         f'  "all_matched": {_JSON_BOOL[bool(tab.matching_ok.all())]},\n'
         f'  "certificates": [\n'
     ).encode("ascii")
-    for lo in range(0, len(tab.ts), _ROW_CHUNK):
-        part = which[lo : lo + _ROW_CHUNK]
-        out = _fill_hex(rows[part], digits, tab.ts[lo : lo + _ROW_CHUNK, None])
-        out = out.ravel() if keep is None else out[keep[part]]
-        # the last certificate takes no comma
-        yield out[: -2 if lo + _ROW_CHUNK >= len(tab.ts) else None].tobytes()
+    head = f'    {{\n      "t": "{"#" * hex_width(ctx.n)}",\n      '
+    yield from _rows_chunks(head, tails, which, tab.ts, ",\n")
     yield b"\n  ]\n}\n"
 
 
 def profile_csv_chunks(p: MultiplicityProfile, n: int) -> Iterator[bytes]:
     """The profile as CSV: a `t_hex,count` header and one line per t in
-    F* minus {1}, in chunks of at most _ROW_CHUNK lines."""
+    F* minus {1}, in chunks of at most _ROW_CHUNK lines, with one tail
+    per distinct count."""
     yield b"t_hex,count\n"
+    counts, which = np.unique(p.counts[2:], return_inverse=True)
+    tails = [f"{c}\n" for c in counts.tolist()]
     ts = np.arange(2, p.order, dtype=np.int32)
-    yield from _template_rows(f"%0{hex_width(n)}x,%d\n", "", ts, p.counts[2:])
+    yield from _rows_chunks("#" * hex_width(n) + ",", tails, which, ts, "")

@@ -154,17 +154,27 @@ def _measured_and_printed(command, n):
     return measured, float(re.search(r"~([0-9.]+) MiB in all", out.stderr)[1]) * 2**20
 
 
-def test_commands_do_not_import_numpy_ma():
+def test_commands_do_not_import_numpy_ma(tmp_path):
     # numpy 2 imports numpy.ma lazily, on first use by some functions (a
-    # bare np.unique among them).  With numpy 2.4 that import took 9-16 ms
-    # and 1.6 MiB of peak RSS in a fresh process, more than the whole
-    # first verify --n 13 takes.  numpy 1.x imports it with numpy itself.
+    # bare np.unique among them; its return_index and return_inverse forms,
+    # which the orbit, certificate and CSV writers call, do not).  With
+    # numpy 2.4 that import took 9-16 ms and 1.6 MiB of peak RSS in a fresh
+    # process, more than the whole first verify --n 13 takes.  numpy 1.x
+    # imports it with numpy itself.
+    family = str(tmp_path / "family.json")
+    commands = [
+        ["verify", "--n", "13", "--out", os.devnull],
+        ["gdd", "--n", "9", "--out", os.devnull],
+        ["certify", "--n", "9", "--out", os.devnull],
+        ["construct", "--n", "9", "--out", family],
+        ["export", family, "--format", "csv", "--out", os.devnull],
+        ["export", family, "--format", "json", "--out", os.devnull],
+    ]
     probe = (
-        "import os, sys, qdf.cli;"
+        "import sys, qdf.cli;"
         "before = 'numpy.ma' in sys.modules;"
-        "codes = [qdf.cli.main([c, '--n', n, '--out', os.devnull])"
-        " for c, n in [('verify', '13'), ('gdd', '9'), ('certify', '9')]];"
-        "print(codes == [0, 0, 0], before, 'numpy.ma' in sys.modules)"
+        f"codes = [qdf.cli.main(a) for a in {commands!r}];"
+        "print(codes == [0] * len(codes), before, 'numpy.ma' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -185,8 +195,9 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 @pytest.mark.parametrize("n", [15, 21])
 def test_preflight_total_matches_measured_rss_of_gdd(n):
-    # the largest stage is the writer's chunks at n = 15 (~3 of the
-    # ~5.2 MiB printed) and the pair count at n = 21
+    # the largest stage is the pair count, the writer's chunks included:
+    # VmHWM grows by 3.8 and 149.5 MiB at n = 15 and 21, against printed
+    # totals of 3.4 and 147.7 MiB
     measured, total = _measured_and_printed("gdd", n)
     assert 0.75 * total < measured < 1.25 * total
 
