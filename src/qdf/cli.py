@@ -17,6 +17,7 @@ from collections.abc import Iterable
 
 from . import __version__
 from .design import (
+    Design,
     check_qanalog,
     check_simple,
     develop,
@@ -24,7 +25,7 @@ from .design import (
     pair_count_bytes,
     verify_2design,
 )
-from .errors import MalformedFamilyError, QdfError
+from .errors import QdfError
 from .family import (
     build_family,
     certificate_bytes,
@@ -42,10 +43,11 @@ from .gdd import (
 from .gf2n import GF2n, table_bytes
 from .serialize import (
     certificates_json_chunks,
-    family_from_dict,
+    design_json_chunks,
     family_json_chunks,
     gdd_json_chunks,
     profile_csv_chunks,
+    read_artifact,
     report_to_dict,
     to_json_bytes,
 )
@@ -58,11 +60,17 @@ DEFAULT_N_CEILING = 13
 HARD_N_CEILING = 25
 
 
+def modulus(text: str) -> int:
+    """--modulus in any base int() reads with base 0 (0x89, 0b1111, 137);
+    argparse names a bad value after this function."""
+    return int(text, 0)
+
+
 def _add_field_options(p: argparse.ArgumentParser, seed_system: bool = True) -> None:
     p.add_argument("--n", type=int, required=True, help="extension degree (odd)")
     p.add_argument(
         "--modulus",
-        type=lambda s: int(s, 0),
+        type=modulus,
         default=None,
         help="irreducible modulus bitmask (default: lexicographically smallest)",
     )
@@ -122,7 +130,11 @@ def _make_ctx(args) -> GF2n:
 def _emit(args, chunks: Iterable[bytes]) -> None:
     """Write an artifact, as an iterable of byte chunks, to --out or stdout."""
     if args.out:
-        with open(args.out, "wb") as fh:
+        try:
+            fh = open(args.out, "wb")
+        except OSError as exc:
+            raise QdfError(f"cannot write {args.out}: {exc.strerror}") from None
+        with fh:
             for chunk in chunks:
                 fh.write(chunk)
     else:
@@ -188,36 +200,21 @@ def _cmd_gdd(args) -> int:
 
 def _cmd_export(args) -> int:
     try:
-        with open(args.input, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise QdfError(f"cannot read {args.input} as JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise QdfError("unrecognized input file: expected a family or design JSON object")
-    if "blocks" in data:
-        if not all(type(data.get(k)) is int for k in ("n", "modulus", "lambda")):
-            raise MalformedFamilyError("a family needs integer n, modulus and lambda")
-        if not isinstance(data["blocks"], list):
-            raise MalformedFamilyError("a family's blocks must be a list of rows")
-        _check_hard_ceiling(data["n"])  # before the field's tables are built
-        fam = family_from_dict(data)
-        if args.format == "csv":
-            _emit(args, profile_csv_chunks(multiplicity_profile(fam), fam.ctx.n))
-        else:
-            _emit(args, family_json_chunks(fam))
-        return 0
-    if "orbits" in data:
-        keys = ["n", "modulus", "v", "k", "lambda", "orbits"]
-        if list(data) != keys or not all(type(data[key]) is int for key in keys[:5]):
-            raise QdfError(f"a design has exactly the keys {keys}, the first five integers")
-        _check_hard_ceiling(data["n"])  # before 2^n is computed
-        if data["v"] != 2 ** data["n"] - 1 or data["k"] != 7 or type(data["orbits"]) is not list:
-            raise QdfError("a design needs v = 2^n - 1, k = 7 and a list of orbits")
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise QdfError(f"cannot read {args.input}: {exc.strerror}") from None
+    artifact = read_artifact(data, _check_hard_ceiling)
+    del data  # not held while the output is built
+    if isinstance(artifact, Design):
         if args.format == "csv":
             raise QdfError("designs have no CSV form; use --format json")
-        _emit(args, (to_json_bytes(data),))
-        return 0
-    raise QdfError("unrecognized input file: expected a family or design JSON")
+        _emit(args, design_json_chunks(artifact))
+    elif args.format == "csv":
+        _emit(args, profile_csv_chunks(multiplicity_profile(artifact), artifact.ctx.n))
+    else:
+        _emit(args, family_json_chunks(artifact))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

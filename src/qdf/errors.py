@@ -43,5 +43,4 @@ class WrongResidueError(QdfError):
 
 
 class MalformedFamilyError(QdfError):
-    """A family file's n, modulus or lambda is not an integer, its blocks are
-    not a list, or a block row is not 7 hex elements in canonical slot order."""
+    """A family file is not what family_json_chunks writes of its rows' seeds."""

@@ -9,13 +9,15 @@ identical inputs always produce identical artifacts.
 from __future__ import annotations
 
 import json
+import os
+import re
 from collections.abc import Iterator
 
 import numpy as np
 
-from .blocks import block_of, block_slots
-from .design import Design, VerificationReport
-from .errors import MalformedFamilyError
+from .blocks import block_slots
+from .design import Design, VerificationReport, develop
+from .errors import ForbiddenSeedError, MalformedFamilyError, QdfError
 from .family import EQUATION_FORMS, CertificateTable, DifferenceFamily, MultiplicityProfile
 from .gdd import Spread
 from .gf2n import GF2n
@@ -93,86 +95,63 @@ def _json_rows_chunks(
     yield b"\n  ]"
 
 
-def _hex_rows_json_chunks(rows: np.ndarray, n: int) -> Iterator[bytes]:
-    """The list json.dumps(indent=2) writes, as the value of a top-level
-    key, for the rows of the (N, 7) int array `rows`: each row a list of
-    7 hex strings."""
-    head = "    " + _json_list([f'      "{"#" * hex_width(n)}"'] * 7, "    ")
-    return _json_rows_chunks(head, [""], np.zeros(len(rows), dtype=np.uint8), rows)
+def _json_head(fields: dict, key: str) -> bytes:
+    """The start of a top-level JSON object as json.dumps(indent=2) writes
+    it: the int items of `fields`, then `key`, its value to follow."""
+    items = "".join(f'  "{name}": {value},\n' for name, value in fields.items())
+    return f'{{\n{items}  "{key}": '.encode("ascii")
+
+
+def _block_head(n: int) -> str:
+    """The head of a block or groop row: a list of 7 hex strings."""
+    return "    " + _json_list([f'      "{"#" * hex_width(n)}"'] * 7, "    ")
+
+
+def _block_rows(rows: np.ndarray, n: int) -> tuple:
+    """The head, tails, which and values of _rows_chunks for the rows of
+    the (N, 7) int array `rows`, each a list of 7 hex strings."""
+    return _block_head(n), [""], np.zeros(len(rows), dtype=np.uint8), rows
 
 
 def family_json_chunks(fam: DifferenceFamily) -> Iterator[bytes]:
     """{"n", "modulus", "lambda", "blocks": [[7 hex strings], ...]} as JSON,
     in chunks of at most _ROW_CHUNK block rows: byte for byte what
-    to_json_bytes gives for the same dict."""
-    yield (
-        f'{{\n  "n": {fam.ctx.n},\n  "modulus": {fam.ctx.modulus},\n'
-        f'  "lambda": {fam.lambda_claim},\n  "blocks": '
-    ).encode("ascii")
-    yield from _hex_rows_json_chunks(fam.slots, fam.ctx.n)
+    to_json_bytes gives for the same dict.  read_artifact reads it back."""
+    fields = {"n": fam.ctx.n, "modulus": fam.ctx.modulus, "lambda": fam.lambda_claim}
+    yield _json_head(fields, "blocks")
+    yield from _json_rows_chunks(*_block_rows(fam.slots, fam.ctx.n))
     yield b"\n}\n"
-
-
-def family_from_dict(d: dict) -> DifferenceFamily:
-    """The family of a construct artifact.  Rows must be in canonical slot
-    order, (1, x, x^2, x+1, x^2+1, x^2+x, x^2+x+1) for the seed x in slot
-    1; all rows are checked at once and the first bad one is named in a
-    MalformedFamilyError (ForbiddenSeedError for a seed outside F* \\ {1})."""
-    ctx = GF2n(int(d["n"]), int(d["modulus"]))
-    rows = d["blocks"]
-    parsed = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != 7 or not all(isinstance(s, str) for s in row):
-            raise MalformedFamilyError(f"block row {row} is not a list of exactly 7 hex strings")
-        try:
-            parsed.append([int(s, 16) for s in row])
-        except ValueError:
-            raise MalformedFamilyError(f"block row {row} has an element that is not hex") from None
-    # an element outside the field becomes -1, which no canonical row holds
-    slots = np.array([[e if 0 <= e < ctx.order else -1 for e in r] for r in parsed], dtype=np.int64)
-    slots = slots.reshape(-1, 7)
-    seeds = slots[:, 1]
-    valid = (seeds >= 2) & (seeds < ctx.order)
-    bad = ~valid | (block_slots(ctx, np.where(valid, seeds, 2)) != slots).any(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        block_of(ctx, parsed[k][1])  # a seed outside F* minus {1} raises here
-        if (slots[k] < 0).any():
-            raise MalformedFamilyError(f"block row {rows[k]} has an element outside GF(2^{ctx.n})")
-        raise MalformedFamilyError(f"block row {rows[k]} is not in canonical slot order")
-    return DifferenceFamily(ctx, slots, lambda_claim=int(d["lambda"]))
 
 
 # -- designs and spreads --------------------------------------------------------
 
-def _orbit_rows_json_chunks(d: Design) -> Iterator[bytes]:
-    """The "orbits" list [{"rep": [7 hex strings], "length", "replication"},
-    ...] as json.dumps(indent=2) writes it as the value of a top-level
-    key, with one tail per distinct (length, replication)."""
+def _orbit_head(n: int) -> str:
+    """The head of an orbit row, up to its length."""
+    rep = _json_list([f'        "{"#" * hex_width(n)}"'] * 7, "      ")
+    return f'    {{\n      "rep": {rep},\n      "length": '
+
+
+def _orbit_rows(d: Design) -> tuple:
+    """The head, tails, which and values of _rows_chunks for the orbits
+    {"rep": [7 hex strings], "length", "replication"} of d, with one tail
+    per distinct (length, replication)."""
     # one key per (length, replication): a replication is below the radix
     key = d.length * (int(d.replication.max(initial=0)) + 1) + d.replication
     first, which = np.unique(key, return_index=True, return_inverse=True)[1:]
-    head = (
-        '    {\n      "rep": '
-        + _json_list([f'        "{"#" * hex_width(d.ctx.n)}"'] * 7, "      ")
-        + ',\n      "length": '
-    )
     tails = [
         f'{m},\n      "replication": {r}\n    }}'
         for m, r in zip(d.length[first].tolist(), d.replication[first].tolist())
     ]
-    return _json_rows_chunks(head, tails, which, d.slots)
+    return _orbit_head(d.ctx.n), tails, which, d.slots
 
 
 def design_json_chunks(d: Design) -> Iterator[bytes]:
     """{"n", "modulus", "v", "k", "lambda", "orbits"} of a developed design
     as JSON, in chunks of at most _ROW_CHUNK orbits: byte for byte what
-    to_json_bytes gives for that dict.  `export` accepts the file."""
-    yield (
-        f'{{\n  "n": {d.ctx.n},\n  "modulus": {d.ctx.modulus},\n  "v": {d.v},\n'
-        f'  "k": {d.k},\n  "lambda": {d.lambda_claim},\n  "orbits": '
-    ).encode("ascii")
-    yield from _orbit_rows_json_chunks(d)
+    to_json_bytes gives for that dict.  read_artifact reads it back."""
+    fields = {"n": d.ctx.n, "modulus": d.ctx.modulus, "v": d.v, "k": d.k, "lambda": d.lambda_claim}
+    yield _json_head(fields, "orbits")
+    yield from _json_rows_chunks(*_orbit_rows(d))
     yield b"\n}\n"
 
 
@@ -184,18 +163,111 @@ def gdd_json_chunks(spread: Spread, design: Design, reports: dict) -> Iterator[b
     the family's blocks, the orbits those of design_json_chunks; each
     value of `reports` is small and goes through json.dumps."""
     n = spread.ctx.n
-    yield (
-        f'{{\n  "n": {n},\n  "modulus": {spread.ctx.modulus},\n  "g": 3,\n'
-        f'  "lambda": {design.lambda_claim},\n  "spread": '
-    ).encode("ascii")
-    yield from _hex_rows_json_chunks(spread.groops, n)
+    fields = {"n": n, "modulus": spread.ctx.modulus, "g": 3, "lambda": design.lambda_claim}
+    yield _json_head(fields, "spread")
+    yield from _json_rows_chunks(*_block_rows(spread.groops, n))
     yield b',\n  "orbits": '
-    yield from _orbit_rows_json_chunks(design)
+    yield from _json_rows_chunks(*_orbit_rows(design))
     for key, value in reports.items():
         # one level deeper than json.dumps puts it: two more spaces a line
         text = json.dumps(value, indent=2).replace("\n", "\n  ")
         yield f",\n  {json.dumps(key)}: {text}".encode("ascii")
     yield b"\n}\n"
+
+
+# -- reading families and designs back ----------------------------------------
+
+# -1 for a byte that is not a lowercase hex digit
+_HEX_VALUES = np.full(256, -1, dtype=np.int64)
+_HEX_VALUES[_HEX_DIGITS] = np.arange(16)
+
+
+def _first_difference(data: bytes, chunks: Iterator[bytes]) -> int | None:
+    """The offset of the first byte at which `data` and the joined chunks
+    differ, or None where they are equal."""
+    at = 0
+    for chunk in chunks:
+        if memoryview(data)[at : at + len(chunk)] != chunk:
+            return at + len(os.path.commonprefix([chunk, data[at : at + len(chunk)]]))
+        at += len(chunk)
+    return None if at == len(data) else at
+
+
+def _row_seeds(buf: np.ndarray, lo: int, head: str, opener: str) -> tuple:
+    """The rows of the list whose "[" is buf[lo], each laid out as `head`
+    and opened by the byte `opener`, which appears nowhere else in the
+    list: the offset of each row, its seed (the value of its hex digits
+    where head's second element has its "#"s, negative where one is not
+    hex), and the offset in a row of the seed's first digit."""
+    # 64 KiB at a time: once freed, a byte mask as large as the file left
+    # ~2 MiB more of heap resident at n = 17
+    hits = [
+        np.flatnonzero(buf[i : i + 2**16] == ord(opener)) + i
+        for i in range(lo + 1, len(buf), 2**16)
+    ]
+    starts = np.concatenate([np.zeros(0, dtype=np.intp), *hits]) - head.index(opener)
+    digits = [i for i, c in enumerate(head) if c == "#"]
+    seed_at = digits[len(digits) // 7 : 2 * len(digits) // 7]
+    seeds = np.zeros(len(starts), dtype=np.int64)
+    for at in (starts + i for i in seed_at):  # a digit past the end is not hex
+        seeds = seeds << 4 | np.where(at < len(buf), _HEX_VALUES[buf.take(at, mode="clip")], -1)
+    return starts, seeds, seed_at[0]
+
+
+def read_artifact(data: bytes, check_n) -> DifferenceFamily | Design:
+    """The family of a file family_json_chunks wrote (one with a "blocks"
+    key), or the design of one design_json_chunks wrote of a development
+    (one with an "orbits" key); `check_n` may refuse its n, by raising a
+    QdfError, before the field is built.  The file must be the writer's
+    rendering of the blocks of its rows' slot-1 seeds, developed for a
+    design.  Otherwise the first bad row is named, by index and text, in
+    a MalformedFamilyError for a family (ForbiddenSeedError if its seed
+    lies outside F* minus {1}) or a QdfError for a design."""
+    family = b'"blocks"' in data
+    if not family and b'"orbits"' not in data:
+        raise QdfError("unrecognized input file: expected a family or design JSON")
+    key, what = ("blocks", "block row") if family else ("orbits", "orbit")
+    error = MalformedFamilyError if family else QdfError
+    names = ("n", "modulus", "lambda") if family else ("n", "modulus", "v", "k", "lambda")
+    h = data.find(f'"{key}": '.encode("ascii")) + len(key) + 4
+    ints = re.findall(rb"-?\d{1,30}", data[:h])
+    fields = dict(zip(names, map(int, ints)))
+    if len(ints) != len(names) or data[:h] != _json_head(fields, key):
+        raise error(f"the header is not that of a {'family' if family else 'design'} file")
+    n = fields["n"]
+    check_n(n)
+    if not family and (fields["v"], fields["k"]) != (2**n - 1, Design.k):
+        raise error(f"a design over GF(2^{n}) has v = {2**n - 1} and k = {Design.k}")
+
+    head, opener = (_block_head(n), "[") if family else (_orbit_head(n), "{")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    starts, seeds, _ = _row_seeds(buf, h, head, opener)
+    ctx = GF2n(n, fields["modulus"])
+    valid = (seeds >= 2) & (seeds < ctx.order)
+    obj = DifferenceFamily(ctx, block_slots(ctx, np.where(valid, seeds, 2)), fields["lambda"])
+    obj = obj if family else develop(obj)
+    del starts, seeds, valid  # 0.7 MiB of the peak at n = 17; a bad file reads them again
+    x = _first_difference(data, (family_json_chunks if family else design_json_chunks)(obj))
+    if x is None:
+        return obj
+    starts, seeds, seed_at = _row_seeds(buf, h, head, opener)
+    if not len(starts):
+        raise error(f"the {key} list is not in the writer's layout")
+
+    # the rows before the first bad one are the writer's, byte for byte, so
+    # the writer's row widths say where it starts
+    _, tails, which, _ = _block_rows(obj.slots, n) if family else _orbit_rows(obj)
+    width = len(head) + 2 + np.array([len(t) for t in tails])[which]
+    row_at = h + 2 + np.cumsum(width) - width
+    k = max(0, int(np.searchsorted(row_at, x, "right")) - 1)
+    after = starts[starts > row_at[k]]
+    text = data[row_at[k] : after[0] - 2 if len(after) else len(data)].removesuffix(b"\n  ]\n}\n")
+    text = text[: 1 << 10].decode("ascii", "backslashreplace")
+    # the row is the writer's up to its seed, which is hex but no seed
+    seed = int(seeds[k])
+    if family and x >= row_at[k] + seed_at and seed >= 0 and seed not in range(2, ctx.order):
+        raise ForbiddenSeedError(f"{what} {k} has seed {seed:#x}, outside F* minus {{1}}:\n{text}")
+    raise error(f"{what} {k} is not the writer's row for its seed:\n{text}")
 
 
 # -- reports, certificates, profiles --------------------------------------------
@@ -263,7 +335,11 @@ def profile_csv_chunks(p: MultiplicityProfile, n: int) -> Iterator[bytes]:
     F* minus {1}, in chunks of at most _ROW_CHUNK lines, with one tail
     per distinct count."""
     yield b"t_hex,count\n"
-    counts, which = np.unique(p.counts[2:], return_inverse=True)
-    tails = [f"{c}\n" for c in counts.tolist()]
+    live = p.counts[2:]
+    # counts are small: which[t] ranks count m(t) among the distinct ones
+    # without np.unique's sort (its int64 temporaries are 4 MiB at n = 17)
+    seen = np.bincount(live) > 0
+    which = (np.cumsum(seen) - 1).astype(np.int32)[live]
+    tails = [f"{c}\n" for c in np.flatnonzero(seen).tolist()]
     ts = np.arange(2, p.order, dtype=np.int32)
     yield from _rows_chunks("#" * hex_width(n) + ",", tails, which, ts, "")

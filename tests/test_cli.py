@@ -7,11 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
+from qdf import build_family, develop
 from qdf.cli import main
 from qdf.gf2n import table_bytes
+from qdf.serialize import design_json_chunks, family_json_chunks, hex_width, to_json_bytes
+from oracles import cached_field
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +52,11 @@ def test_construct_reducible_modulus_exits_2(capsys):
     code, _, stderr = run_cli(capsys, "construct", "--n", "3", "--modulus", "0b1111")
     assert code == 2
     assert json.loads(stderr.strip())["error"] == "ReduciblePolynomial"
+    # argparse names the converter of a value it cannot read
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--n", "3", "--modulus", "abc"])
+    assert exc.value.code == 2
+    assert "argument --modulus: invalid modulus value: 'abc'" in capsys.readouterr().err
 
 
 def test_ceiling_requires_force(capsys):
@@ -220,6 +229,30 @@ def test_preflight_total_matches_measured_rss_of_construct(n):
     # no copy of itself
     measured, total = _measured_and_printed("construct", n)
     assert 0.75 * total < measured < 1.25 * total
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_export_csv_of_the_n17_family_holds_little_beyond_the_file(tmp_path):
+    # VmHWM growth of `export --format csv` of the 2.6 MB family in a fresh
+    # process: the file, the field's tables (2.1 MiB), the slots and the
+    # writer's chunks compared with the file, then the profile.  It reads
+    # 7.0 MiB; through json.load and a loop per row it was 25.8 MiB.
+    fam = tmp_path / "fam17.json"
+    assert main(["construct", "--n", "17", "--force", "--out", str(fam)]) == 0
+    probe = (
+        "import os, re, qdf.cli;"
+        "hwm = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1]);"
+        "r0 = hwm();"
+        f"rc = qdf.cli.main(['export', {str(fam)!r}, '--format', 'csv', '--out', os.devnull]);"
+        "print(rc, (hwm() - r0) * 1024)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, check=True,
+    )
+    rc, measured = map(int, out.stdout.split())
+    assert rc == 0 and measured < 8 * 2**20
 
 
 # (argv, exit code) of commands run in one process, in this order: every
@@ -395,7 +428,7 @@ def test_export_rejects_what_is_not_a_design(capsys, tmp_path, defect):
     else:
         data[defect[0]] += defect[1]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    bad.write_bytes(to_json_bytes(data))
     code, stdout, stderr = run_cli(capsys, "export", str(bad))
     assert code == 2 and stdout == ""
     assert json.loads(stderr)["error"] == "Qdf"
@@ -435,18 +468,20 @@ def test_export_malformed_family_exits_2_naming_the_row(capsys, tmp_path, defect
         "outside-field": row[:3] + ["20"] + row[4:],
     }[defect]
     data["blocks"][2] = bad
-    fam.write_text(json.dumps(data))
+    fam.write_bytes(to_json_bytes(data))
     code, stdout, stderr = run_cli(capsys, "export", str(fam))
     assert code == 2 and stdout == ""
     err = json.loads(stderr)
     assert err["error"] == "MalformedFamily"
-    assert str(bad) in err["message"]
+    # the row's index, then its text as it stands in the file
+    assert err["message"].startswith("block row 2 ")
+    assert err["message"].endswith(":\n" + textwrap.indent(json.dumps(bad, indent=2), "    "))
 
 
 @pytest.mark.parametrize(
     "text,error",
     [
-        ('{"n": 5, "modulus": 37, "lambda": 7, "blocks": [["01"', "Qdf"),
+        ('{"n": 5, "modulus": 37, "lambda": 7, "blocks": [["01"', "MalformedFamily"),
         ("\"my blocks\"", "Qdf"),
         ('{"blocks": []}', "MalformedFamily"),
         ('{"n": 5, "modulus": 37, "blocks": []}', "MalformedFamily"),
@@ -476,7 +511,7 @@ def test_export_unreadable_input_exits_2(capsys, tmp_path):
 
 
 def test_export_applies_the_hard_ceiling_only(capsys, tmp_path, monkeypatch):
-    from qdf import cli
+    from qdf import cli, serialize
 
     fam = tmp_path / "fam.json"
     run_cli(capsys, "construct", "--n", "11", "--out", str(fam))
@@ -484,9 +519,120 @@ def test_export_applies_the_hard_ceiling_only(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "DEFAULT_N_CEILING", 9)
     code, stdout, _ = run_cli(capsys, "export", str(fam))
     assert code == 0 and stdout.encode() == fam.read_bytes()
-    # the hard ceiling is, before family_from_dict builds the field
+    # the hard ceiling is, before the reader builds the field
     monkeypatch.setattr(cli, "HARD_N_CEILING", 9)
-    monkeypatch.setattr(cli, "family_from_dict", None)  # fails if it is reached
-    code, stdout, stderr = run_cli(capsys, "export", str(fam))
+    monkeypatch.setattr(serialize, "GF2n", None)  # fails if it is reached
+    design = tmp_path / "design.json"
+    design.write_bytes(_artifact("design", 11))
+    for path in (fam, design):
+        code, stdout, stderr = run_cli(capsys, "export", str(path))
+        assert code == 2 and stdout == ""
+        assert "ceiling 9" in json.loads(stderr)["message"]
+
+
+def _artifact(kind, n):
+    fam = build_family(cached_field(n))
+    chunks = family_json_chunks(fam) if kind == "family" else design_json_chunks(develop(fam))
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_export_writes_back_the_bytes_it_reads(capsys, tmp_path, n):
+    fam, design = tmp_path / "fam.json", tmp_path / "design.json"
+    assert run_cli(capsys, "construct", "--n", str(n), "--out", str(fam))[0] == 0
+    design.write_bytes(_artifact("design", n))
+    for path in (fam, design):
+        code, stdout, _ = run_cli(capsys, "export", str(path))
+        assert code == 0 and stdout.encode() == path.read_bytes()
+
+
+def _export_rejects(capsys, path, error):
+    """Run export on path; it must exit 2, print nothing on stdout and
+    return the error line's message."""
+    code, stdout, stderr = run_cli(capsys, "export", str(path))
     assert code == 2 and stdout == ""
-    assert "ceiling 9" in json.loads(stderr)["message"]
+    err = json.loads(stderr)
+    assert err["error"] == error
+    return err["message"]
+
+
+@pytest.mark.parametrize("n", [5, 9])
+@pytest.mark.parametrize("kind", ["family", "design"])
+def test_export_names_the_row_with_a_changed_digit_or_cut(capsys, tmp_path, kind, n):
+    data = _artifact(kind, n)
+    what, error = ("block row", "MalformedFamily") if kind == "family" else ("orbit", "Qdf")
+    element = rb'\n {%d}"[0-9a-f]' % (6 if kind == "family" else 8)  # its first digit
+    rows = [m.start() for m in re.finditer(rb"\n    [\[{]\n", data)]
+    bad = tmp_path / "bad.json"
+    for k, at in enumerate(rows):
+        # one hex digit of row k, a different one in each row, changed
+        first = [m.end() - 1 for m in re.finditer(element, data[at:])][:7]
+        i = at + first[k % 7] + k % hex_width(n)
+        bad.write_bytes(data[:i] + b"%x" % (int(data[i : i + 1], 16) ^ 1) + data[i + 1 :])
+        assert _export_rejects(capsys, bad, error).startswith(f"{what} {k} ")
+        # the file cut within row k
+        bad.write_bytes(data[: at + 20])
+        message = _export_rejects(capsys, bad, error)
+        assert message.startswith(f"{what} {k} is not the writer's row for its seed:\n")
+        assert message.endswith(data[at + 1 : at + 20].decode())
+    bad.write_bytes(data[:-1])
+    assert _export_rejects(capsys, bad, error).startswith(f"{what} {len(rows) - 1} ")
+
+
+@pytest.mark.parametrize("n", [5, 9])
+@pytest.mark.parametrize("kind", ["family", "design"])
+def test_export_rejects_the_compact_layout(capsys, tmp_path, kind, n):
+    # the same object in json.dumps's compact layout is refused: whole, at
+    # its header, and with only the rows compact, at the first row
+    data = _artifact(kind, n)
+    key = b'"blocks": ' if kind == "family" else b'"orbits": '
+    what, error = ("block row", "MalformedFamily") if kind == "family" else ("orbit", "Qdf")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(json.loads(data)))
+    assert "header" in _export_rejects(capsys, bad, error)
+    h = data.index(key) + len(key)
+    rows = json.loads(data)[key.decode()[1:-3]]
+    bad.write_bytes(data[:h] + json.dumps(rows).encode() + b"\n}\n")
+    message = _export_rejects(capsys, bad, error)
+    assert message.startswith(f"{what} 0 is not the writer's row for its seed")
+
+
+@pytest.mark.parametrize(
+    "orbits", [[1, "x", None], [{"rep": ["1"] * 7}]], ids=["junk", "no-length"]
+)
+def test_export_rejects_orbits_that_are_not_the_writers(capsys, tmp_path, orbits):
+    data = json.loads(_artifact("design", 5))
+    data["orbits"] = orbits
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(to_json_bytes(data))
+    _export_rejects(capsys, bad, "Qdf")
+
+
+def test_export_in_place_and_rejected_input_write_nothing_else(capsys, tmp_path):
+    # the reader is done with the input before --out is opened, so export
+    # may overwrite its own input
+    fam = tmp_path / "fam.json"
+    data = _artifact("family", 7)
+    fam.write_bytes(data)
+    assert run_cli(capsys, "export", str(fam), "--out", str(fam))[:2] == (0, "")
+    assert fam.read_bytes() == data
+    # an input export rejects creates no --out file
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_bytes(data[: len(data) // 2])
+    for fmt in ("json", "csv"):
+        assert run_cli(capsys, "export", str(bad), "--format", fmt, "--out", str(out))[0] == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["construct", "--n", "3"], ["export", "{fam}"]], ids=["construct", "export"]
+)
+def test_unwritable_out_exits_2_naming_the_path(capsys, tmp_path, argv):
+    fam = tmp_path / "fam.json"
+    fam.write_bytes(_artifact("family", 3))
+    out = tmp_path / "missing" / "x.json"
+    argv = [str(fam) if a == "{fam}" else a for a in argv]
+    code, stdout, stderr = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "Qdf" and str(out) in err["message"]

@@ -1,6 +1,8 @@
 """Format tests: hex conventions, round-trips, deterministic bytes."""
 
 import json
+import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from qdf import (
     CertificateTable,
     DifferenceFamily,
     ForbiddenSeedError,
+    MalformedFamilyError,
+    QdfError,
     build_family,
     build_relative_family,
     certificate_table,
@@ -26,11 +30,11 @@ from qdf.serialize import (
     certificates_json_chunks,
     design_json_chunks,
     element_hex,
-    family_from_dict,
     family_json_chunks,
     gdd_json_chunks,
     hex_width,
     profile_csv_chunks,
+    read_artifact,
     report_to_dict,
     to_json_bytes,
 )
@@ -48,49 +52,102 @@ def test_hex_width_and_padding():
     assert element_hex(0x1abc, 13) == "1abc"
 
 
+def _no_ceiling(n):
+    pass
+
+
+def _read(data):
+    return read_artifact(data, _no_ceiling)
+
+
 def test_family_round_trip():
     f = cached_field(5)
     fam = build_family(f)
-    d = json.loads(b"".join(family_json_chunks(fam)))
+    data = b"".join(family_json_chunks(fam))
+    d = json.loads(data)
     assert list(d.keys()) == ["n", "modulus", "lambda", "blocks"]
     assert d["n"] == 5 and d["modulus"] == f.modulus and d["lambda"] == 7
     assert len(d["blocks"]) == 5 and all(len(row) == 7 for row in d["blocks"])
-    back = family_from_dict(d)
+    back = _read(data)
     assert back.ctx == f
     assert back.lambda_claim == 7
     assert [b.elements for b in back.base_blocks] == [b.elements for b in fam.base_blocks]
 
 
-def test_family_from_dict_rejects_malformed_blocks():
+def _row_text(row) -> str:
+    """A block row's text in a file as json.dumps(indent=2) lays it out."""
+    return textwrap.indent(json.dumps(row, indent=2), "    ")
+
+
+NOT_THE_WRITERS = "is not the writer's row for its seed"
+
+
+def test_read_artifact_rejects_malformed_blocks():
     f = cached_field(5)
     d = json.loads(b"".join(family_json_chunks(build_family(f))))
     short = {**d, "blocks": [d["blocks"][0][:6]]}
-    with pytest.raises(ValueError):
-        family_from_dict(short)
+    with pytest.raises(MalformedFamilyError, match=f"block row 0 {NOT_THE_WRITERS}"):
+        _read(to_json_bytes(short))
     shuffled = {**d, "blocks": [list(reversed(d["blocks"][0]))]}
-    with pytest.raises(ValueError):
-        family_from_dict(shuffled)
+    with pytest.raises(MalformedFamilyError, match=f"block row 0 {NOT_THE_WRITERS}"):
+        _read(to_json_bytes(shuffled))
 
 
-def test_family_from_dict_checks_every_row_and_names_the_first_bad_one():
+def test_read_artifact_checks_every_row_and_names_the_first_bad_one():
     f = cached_field(7)
     d = json.loads(b"".join(family_json_chunks(build_family(f))))
-    back = family_from_dict(d)
+    back = _read(to_json_bytes(d))
     assert back.slots.dtype == np.int32
     assert back.slots.tolist() == build_family(f).slots.tolist()
     rows = [list(r) for r in d["blocks"]]
     rows[3][4], rows[3][5] = rows[3][5], rows[3][4]
     rows[9] = list(reversed(rows[9]))
-    with pytest.raises(ValueError) as exc:
-        family_from_dict({**d, "blocks": rows})
-    assert str(exc.value) == f"block row {rows[3]} is not in canonical slot order"
-    # a seed outside F* minus {1} is named by block_of's check
+    with pytest.raises(MalformedFamilyError) as exc:
+        _read(to_json_bytes({**d, "blocks": rows}))
+    assert str(exc.value) == f"block row 3 {NOT_THE_WRITERS}:\n{_row_text(rows[3])}"
+    # a seed outside F* minus {1} is a ForbiddenSeedError
     rows[2][1] = "01"
-    with pytest.raises(ForbiddenSeedError):
-        family_from_dict({**d, "blocks": rows})
+    with pytest.raises(ForbiddenSeedError, match="block row 2 has seed 0x1"):
+        _read(to_json_bytes({**d, "blocks": rows}))
     rows[2][1] = "ff"
-    with pytest.raises(ForbiddenSeedError):
-        family_from_dict({**d, "blocks": rows})
+    with pytest.raises(ForbiddenSeedError, match="block row 2 has seed 0xff"):
+        _read(to_json_bytes({**d, "blocks": rows}))
+
+
+def test_read_artifact_needs_the_writers_layout():
+    # json.dumps without indent holds the same family; the reader takes
+    # only the writer's bytes
+    d = json.loads(b"".join(family_json_chunks(build_family(cached_field(5)))))
+    with pytest.raises(MalformedFamilyError, match="header"):
+        _read(json.dumps(d).encode("ascii"))
+    with pytest.raises(QdfError, match="unrecognized"):
+        _read(b'{"n": 5}')
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_every_changed_byte_of_the_blocks_is_rejected(n):
+    # the blocks of a family file admit no other bytes: any one byte of the
+    # list replaced by a digit, a space or a row opener fails a rule
+    data = b"".join(family_json_chunks(build_family(cached_field(n))))
+    lo = data.index(b"[")
+    for at in range(lo, len(data) - 3):
+        for byte in b"0f [":
+            if byte != data[at]:
+                with pytest.raises(QdfError):
+                    _read(data[:at] + bytes([byte]) + data[at + 1 :])
+
+
+def test_every_cut_after_the_key_is_malformed():
+    # a cut within a seed's digits is a truncated file, not a forbidden seed
+    fam = build_family(cached_field(5))
+    for data, error in (
+        (b"".join(family_json_chunks(fam)), MalformedFamilyError),
+        (b"".join(design_json_chunks(develop(fam))), QdfError),
+    ):
+        for cut in range(data.index(b"[") - 2, len(data)):
+            with pytest.raises(QdfError) as exc:
+                _read(data[:cut])
+            assert type(exc.value) is error
 
 
 def test_design_and_gdd_dict_shapes():
@@ -225,6 +282,46 @@ def test_design_writer_matches_json_dumps(monkeypatch, chunk):
     for d in designs:
         monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk or max(1, len(d.slots)))
         assert b"".join(design_json_chunks(d)) == _json_dumps(design_dict(d))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_read_artifact_inverts_the_writers(monkeypatch, chunk):
+    from qdf import serialize
+
+    f = cached_field(9)
+    fams = [build_family(cached_field(n)) for n in (3, 9, 15)] + [full_family(cached_field(5))]
+    fams.append(DifferenceFamily(f, (), lambda_claim=-3))
+    relative = develop(build_relative_family(build_family(f)))
+    designs = [develop(fam) for fam in fams[:3]] + [relative, develop(fams[-1])]
+    for fam in fams:
+        monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk or max(1, len(fam.slots)))
+        back = _read(b"".join(family_json_chunks(fam)))
+        assert type(back) is DifferenceFamily and back.ctx == fam.ctx
+        assert back.lambda_claim == fam.lambda_claim and back.slots.tolist() == fam.slots.tolist()
+    for d in designs:
+        monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk or max(1, len(d.slots)))
+        back = _read(b"".join(design_json_chunks(d)))
+        assert type(back) is type(d) and back.ctx == d.ctx and back.lambda_claim == d.lambda_claim
+        assert back.slots.dtype == np.int32 and back.slots.tolist() == d.slots.tolist()
+        assert back.length.tolist() == list(d.length)
+        assert back.replication.tolist() == list(d.replication)
+    # a design is read as the development of its reps: orbits of another
+    # length or replication are not
+    odd = _odd_and_empty_designs(f, relative)[0]
+    with pytest.raises(QdfError, match=f"^orbit 0 {NOT_THE_WRITERS}"):
+        _read(b"".join(design_json_chunks(odd)))
+
+
+def test_every_changed_rep_digit_of_a_design_is_rejected():
+    d = develop(build_family(cached_field(5)))
+    data = b"".join(design_json_chunks(d))
+    reps = re.finditer(rb'\n        "([0-9a-f]+)"', data)
+    digits = [at for m in reps for at in range(*m.span(1))]
+    assert len(digits) == 7 * 2 * len(d.slots)
+    for i, at in enumerate(digits):
+        changed = data[:at] + b"%x" % (int(data[at : at + 1], 16) ^ 1) + data[at + 1 :]
+        with pytest.raises(QdfError, match=f"^orbit {i // 14} {NOT_THE_WRITERS}"):
+            _read(changed)
 
 
 def test_every_writer_yields_only_bytes():
