@@ -12,6 +12,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
 from collections.abc import Iterable
 
@@ -138,8 +139,16 @@ def _emit(args, chunks: Iterable[bytes]) -> None:
             for chunk in chunks:
                 fh.write(chunk)
     else:
-        for chunk in chunks:
-            sys.stdout.write(chunk.decode("ascii"))
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk.decode("ascii"))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the interpreter flushes stdout again at exit: let that go nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise QdfError("cannot write stdout: its reader has closed it") from None
 
 
 def _cmd_construct(args) -> int:
@@ -176,9 +185,8 @@ def _cmd_verify(args) -> int:
 def _cmd_certify(args) -> int:
     ctx = _make_ctx(args)
     tab = certificate_table(ctx, ctx.seeds())
-    ok = bool((tab.r == 9).all() and tab.matching_ok.all())
     _emit(args, certificates_json_chunks(ctx, tab))
-    return 0 if ok else 1
+    return 0 if all(r == 9 and ok for _, r, ok in tab.decoded[0]) else 1
 
 
 def _cmd_gdd(args) -> int:

@@ -11,16 +11,17 @@ Two independent routes compute the multiplicity m(t):
     as one histogram of the slot log differences of each block (the
     production verifier and the oracle);
   * certificate_table: solvability of the 18 genuinely quadratic quotient
-    equations at every t, read off the trace table, plus the 24
-    degenerate ones, which predicts m(t) = 24 + 2*r(t) for the all-seeds
-    family.
+    equations at every t, read off the trace table as one int32 key per
+    t (bit c: equation c has two roots), plus the 24 degenerate ones,
+    which predicts m(t) = 24 + 2*r(t) for the all-seeds family; r(t) and
+    the matching are decoded from each distinct key.
 
 Keeping both routes alive catches transcription slips in either one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -230,14 +231,6 @@ ALL_ORDERED_PAIRS = tuple((i, j) for i in range(1, 8) for j in range(1, 8) if i 
 SINGLE_SOLUTION_PAIRS = tuple(p for p in ALL_ORDERED_PAIRS if p not in QUADRATIC_PAIRS)
 
 
-# The two columns of each match in a certificate table, whose columns
-# follow EQUATION_FORMS.
-_COLUMN = {p: k for k, p in enumerate(EQUATION_FORMS)}
-_MATCH_LEFT, _MATCH_RIGHT = np.array(
-    [(_COLUMN[p], _COLUMN[q]) for p, q in MATCHED_PAIRS]
-).T
-
-
 @dataclass(frozen=True)
 class EquationEntry:
     i: int
@@ -258,27 +251,33 @@ class EquationCertificate:
     matching_ok: bool
 
 
+def decode_key(key: int) -> tuple[tuple[tuple[int, int], ...], int, bool]:
+    """(solvable pairs, r, matching_ok) of a certificate key: the pairs of
+    its set bits in EQUATION_FORMS order, their number, and whether each
+    of the 9 matches holds exactly one of them."""
+    solvable = tuple(p for c, p in enumerate(EQUATION_FORMS) if key >> c & 1)
+    s = set(solvable)
+    return solvable, len(solvable), all((p in s) != (q in s) for p, q in MATCHED_PAIRS)
+
+
 @dataclass(frozen=True)
 class CertificateTable:
     """Solvability of the 18 quadratic quotient equations at many t.
 
-    solvable[k, c] says whether equation c (in EQUATION_FORMS order) has
-    two roots at t = ts[k] (int32 from certificate_table); r is the
-    number of solvable equations per t (uint8) and matching_ok whether
-    each of the 9 matches has exactly one.
+    Bit c of the int32 keys[k] is set when equation c (in EQUATION_FORMS
+    order) has two roots at t = ts[k] (int32 from certificate_table).
     """
 
     ts: np.ndarray
-    solvable: np.ndarray
-    r: np.ndarray = field(init=False)
-    matching_ok: np.ndarray = field(init=False)
+    keys: np.ndarray
 
-    def __post_init__(self) -> None:
-        s = self.solvable
-        object.__setattr__(self, "r", s.sum(axis=1, dtype=np.uint8))
-        object.__setattr__(
-            self, "matching_ok", (s[:, _MATCH_LEFT] != s[:, _MATCH_RIGHT]).all(axis=1)
-        )
+    @cached_property
+    def decoded(self) -> tuple[list[tuple], np.ndarray]:
+        """decode_key of each distinct key, in increasing order (at most
+        2^9 when every match holds one solvable equation), and the index
+        of each t's key among them."""
+        keys, which = np.unique(self.keys, return_inverse=True)
+        return [decode_key(k) for k in keys.tolist()], which
 
 
 def certificate_table(ctx: GF2n, ts) -> CertificateTable:
@@ -299,24 +298,24 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
     ts = ts.astype(np.int32)
     v2 = np.int32(2 * (ctx.order - 1))
     logs = {"1": 0, "t": ctx.logs[ts], "t1": ctx.logs[ts ^ 1]}
-    solvable = np.empty((len(EQUATION_FORMS), ts.size), dtype=bool)  # one row per form
+    keys = np.zeros(ts.size, dtype=np.int32)
     for c, (fa, fb, fc) in enumerate(EQUATION_FORMS.values()):
         k = logs[fa] + logs[fc] - 2 * logs[fb] + v2
         k -= (k >= v2) * v2
-        solvable[c] = ctx.traces[ctx.exp2[k]] == 0
-    return CertificateTable(ts, solvable.T)
+        keys |= np.left_shift(ctx.traces[ctx.exp2[k]] == 0, c, dtype=np.int32)
+    return CertificateTable(ts, keys)
 
 
 def certificate_bytes(n: int) -> int:
     """Bytes `certify` adds over the field tables at its peak, for
-    preflight estimates: 64 per t (63 under tracemalloc: the table's 24,
-    its int32 ts, solvable flags, uint8 r and matching_ok, and what its
-    construction holds beside them; the writer's keys and index stay
-    under that) and 8 MiB for the writer's chunks and the heap they
-    leave.  With the tables, `certify` grows VmHWM by 11.0, 19.2, 44.1
-    and 173.1 MiB at n = 15, 17, 19 and 21 in fresh processes, against
-    preflight totals of 10.6, 18.1, 48.1 and 168.1 MiB."""
-    return 64 * (1 << n) + 8 * 2**20
+    preflight estimates: 44 per t (48 under tracemalloc at n = 19: the
+    table's int32 ts and keys, and np.unique's copy, argsort, sorted copy
+    and inverse index of the keys while the table decodes them) and
+    8 MiB for the writer's chunks and the heap they leave.  With the
+    tables, `certify` grows VmHWM by 11.2, 17.7, 33.2 and 128.3 MiB at
+    n = 15, 17, 19 and 21 in fresh processes, against preflight totals
+    of 9.9, 15.6, 38.1 and 128.1 MiB."""
+    return 44 * (1 << n) + 8 * 2**20
 
 
 def equation_certificate(ctx: GF2n, t: int) -> EquationCertificate:
@@ -326,12 +325,12 @@ def equation_certificate(ctx: GF2n, t: int) -> EquationCertificate:
     0 or 2; r is the number of solvable ones and matching_ok says whether
     each of the 9 matches contains exactly one solvable equation.
     """
-    tab = certificate_table(ctx, [t])
+    ((solvable, r, matching_ok),), _ = certificate_table(ctx, [t]).decoded
     entries = tuple(
-        EquationEntry(i, j, _FORMS[fa](t), _FORMS[fb](t), _FORMS[fc](t), 2 if ok else 0)
-        for ((i, j), (fa, fb, fc)), ok in zip(EQUATION_FORMS.items(), tab.solvable[0].tolist())
+        EquationEntry(i, j, _FORMS[fa](t), _FORMS[fb](t), _FORMS[fc](t), 2 * ((i, j) in solvable))
+        for (i, j), (fa, fb, fc) in EQUATION_FORMS.items()
     )
-    return EquationCertificate(t, entries, int(tab.r[0]), bool(tab.matching_ok[0]))
+    return EquationCertificate(t, entries, r, matching_ok)
 
 
 def predicted_multiplicity(ctx: GF2n, t: int) -> int:

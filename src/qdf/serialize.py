@@ -18,12 +18,10 @@ import numpy as np
 from .blocks import block_slots
 from .design import Design, VerificationReport, develop
 from .errors import ForbiddenSeedError, MalformedFamilyError, QdfError
-from .family import EQUATION_FORMS, CertificateTable, DifferenceFamily, MultiplicityProfile
+from .family import CertificateTable, DifferenceFamily, MultiplicityProfile
 from .gdd import Spread
 from .gf2n import GF2n
 
-
-_JSON_BOOL = {False: "false", True: "true"}
 
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
@@ -97,8 +95,8 @@ def _json_rows_chunks(
 
 def _json_head(fields: dict, key: str) -> bytes:
     """The start of a top-level JSON object as json.dumps(indent=2) writes
-    it: the int items of `fields`, then `key`, its value to follow."""
-    items = "".join(f'  "{name}": {value},\n' for name, value in fields.items())
+    it: the scalar items of `fields`, then `key`, its value to follow."""
+    items = "".join(f'  "{name}": {json.dumps(value)},\n' for name, value in fields.items())
     return f'{{\n{items}  "{key}": '.encode("ascii")
 
 
@@ -297,37 +295,28 @@ def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes
     """The certify report {"n", "modulus", "r_min", "r_max", "all_matched",
     "certificates": [{"t", "r", "matching_ok", "solvable"}, ...]} as JSON,
     in chunks of at most _ROW_CHUNK certificates: byte for byte what
-    to_json_bytes gives for that dict.  r, matching_ok and solvable depend
-    only on the set of solvable equations (at most 2^9 distinct ones), so
-    each set's tail is rendered once, from the first row holding it."""
-    pairs = list(EQUATION_FORMS)
-    keys = np.zeros(len(tab.ts), dtype=np.int32)  # bit c: equation c solvable
-    for c in range(len(pairs)):
-        keys |= np.left_shift(tab.solvable[:, c], c, dtype=np.int32)
-    first, which = np.unique(keys, return_index=True, return_inverse=True)[1:]
-    del keys
+    to_json_bytes gives for that dict.  The header and each row's tail
+    come from the table's decoded keys, each rendered once."""
+    decoded, which = tab.decoded
+    rs = [r for _, r, _ in decoded]
+    fields = {
+        "n": ctx.n,
+        "modulus": ctx.modulus,
+        "r_min": min(rs),
+        "r_max": max(rs),
+        "all_matched": all(ok for _, _, ok in decoded),
+    }
     tails = []
-    for solvable, r, ok in zip(
-        tab.solvable[first].tolist(), tab.r[first].tolist(), tab.matching_ok[first].tolist()
-    ):
-        items = [
-            f"        [\n          {i},\n          {j}\n        ]"
-            for (i, j), s in zip(pairs, solvable)
-            if s
-        ]
+    for pairs, r, ok in decoded:
+        items = [f"        [\n          {i},\n          {j}\n        ]" for i, j in pairs]
         tails.append(
-            f'"r": {r},\n      "matching_ok": {_JSON_BOOL[ok]},\n'
+            f'"r": {r},\n      "matching_ok": {json.dumps(ok)},\n'
             f'      "solvable": {_json_list(items, "      ")}\n    }}'
         )
-    yield (
-        f'{{\n  "n": {ctx.n},\n  "modulus": {ctx.modulus},\n'
-        f'  "r_min": {int(tab.r.min())},\n  "r_max": {int(tab.r.max())},\n'
-        f'  "all_matched": {_JSON_BOOL[bool(tab.matching_ok.all())]},\n'
-        f'  "certificates": [\n'
-    ).encode("ascii")
     head = f'    {{\n      "t": "{"#" * hex_width(ctx.n)}",\n      '
-    yield from _rows_chunks(head, tails, which, tab.ts, ",\n")
-    yield b"\n  ]\n}\n"
+    yield _json_head(fields, "certificates")
+    yield from _json_rows_chunks(head, tails, which, tab.ts)
+    yield b"\n}\n"
 
 
 def profile_csv_chunks(p: MultiplicityProfile, n: int) -> Iterator[bytes]:

@@ -214,9 +214,9 @@ def test_preflight_total_matches_measured_rss_of_gdd(n):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 @pytest.mark.parametrize("n", [15, 19, 21])
 def test_preflight_total_matches_measured_rss_of_certify(n):
-    # the certificate table, the writer's per-t keys and index and its
-    # chunks of byte rows; the 270 MB report at n = 19 (1.08 GB at n = 21)
-    # is never held whole
+    # the table's ts and keys, np.unique's decoding of the keys and the
+    # writer's chunks of byte rows; the 270 MB report at n = 19 (1.08 GB
+    # at n = 21) is never held whole
     measured, total = _measured_and_printed("certify", n)
     assert 0.75 * total < measured < 1.25 * total
 
@@ -354,6 +354,30 @@ def test_certify_n5(capsys):
     for cert in data["certificates"]:
         assert cert["r"] == 9 and cert["matching_ok"]
         assert len(cert["solvable"]) == 9
+
+
+def test_certify_exits_1_on_a_failing_certificate(capsys, monkeypatch):
+    # one t loses one solvable equation: the exit code and the header read
+    # the same decoded sets as that row
+    from qdf import cli
+    from qdf.family import CertificateTable, certificate_table
+
+    def one_bit_cleared(ctx, ts):
+        tab = certificate_table(ctx, ts)
+        keys = tab.keys.copy()
+        keys[5] &= keys[5] - 1  # its lowest set bit: the first solvable pair
+        return CertificateTable(tab.ts, keys)
+
+    _, want, _ = run_cli(capsys, "certify", "--n", "5")
+    monkeypatch.setattr(cli, "certificate_table", one_bit_cleared)
+    code, stdout, _ = run_cli(capsys, "certify", "--n", "5")
+    assert code == 1
+    data, good = json.loads(stdout), json.loads(want)
+    assert data["r_min"] == 8 and data["r_max"] == 9 and data["all_matched"] is False
+    certs, goods = data["certificates"], good["certificates"]
+    assert [k for k, (a, b) in enumerate(zip(certs, goods)) if a != b] == [5]
+    cert, was = certs[5], goods[5]
+    assert cert == {**was, "r": 8, "matching_ok": False, "solvable": was["solvable"][1:]}
 
 
 def test_gdd_n9(capsys):
@@ -636,3 +660,22 @@ def test_unwritable_out_exits_2_naming_the_path(capsys, tmp_path, argv):
     assert code == 2 and stdout == ""
     err = json.loads(stderr)
     assert err["error"] == "Qdf" and str(out) in err["message"]
+
+
+def test_closed_stdout_exits_2_with_one_error_line():
+    # certify --n 13 writes ~4.2 MB, far past a pipe's buffer, so it is
+    # still writing when its reader goes away after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qdf.cli", "certify", "--n", "13"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    with proc.stderr:
+        stderr = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    [line] = stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "Qdf" and "stdout" in err["message"]

@@ -337,13 +337,8 @@ def test_certificate_table_matches_solve_quadratic(n, modulus):
         ]
         for t in f.seeds()
     ]
-    assert tab.solvable.tolist() == expected
-    assert tab.r.tolist() == [sum(row) for row in expected]
-    columns = list(EQUATION_FORMS)
-    assert tab.matching_ok.tolist() == [
-        all(row[columns.index(p)] != row[columns.index(q)] for p, q in MATCHED_PAIRS)
-        for row in expected
-    ]
+    assert tab.keys.dtype == np.int32
+    assert tab.keys.tolist() == [sum(ok << c for c, ok in enumerate(row)) for row in expected]
     for t in list(f.seeds())[:: max(1, f.order // 64)]:
         cert = equation_certificate(f, t)
         assert [e.count == 2 for e in cert.equations] == expected[t - 2]

@@ -366,10 +366,10 @@ def test_profile_csv_matches_line_by_line_writer(monkeypatch, n):
 
 
 def _certify_oracle(f, tab):
-    pairs = list(EQUATION_FORMS)
+    # bit c of a key is equation c, in EQUATION_FORMS order
     rows = [
-        (t, [p for p, ok in zip(pairs, row) if ok])
-        for t, row in zip(tab.ts.tolist(), tab.solvable.tolist())
+        (t, [p for c, p in enumerate(EQUATION_FORMS) if key >> c & 1])
+        for t, key in zip(tab.ts.tolist(), tab.keys.tolist())
     ]
     return _json_dumps(certify_dict(f.n, f.modulus, rows, MATCHED_PAIRS))
 
@@ -390,9 +390,12 @@ def test_certify_writer_on_failing_patterns():
     solvable[0] = False
     solvable[1] = True
     solvable[2, 1:] = False
-    tab = CertificateTable(np.arange(2, 42), solvable)
-    assert b"".join(certificates_json_chunks(f, tab)) == _certify_oracle(f, tab)
-    assert tab.r.min() == 0 and not tab.matching_ok.all()
+    keys = (solvable << np.arange(18)).sum(axis=1, dtype=np.int32)
+    tab = CertificateTable(np.arange(2, 42), keys)
+    want = _certify_oracle(f, tab)
+    assert b"".join(certificates_json_chunks(f, tab)) == want
+    head = json.loads(want)
+    assert head["r_min"] == 0 and head["r_max"] == 18 and not head["all_matched"]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
@@ -404,7 +407,7 @@ def test_certify_writer_independent_of_chunking(monkeypatch, chunk):
     whole = b"".join(certificates_json_chunks(f, tab))
     monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk)
     chunks = list(serialize.certificates_json_chunks(f, tab))
-    # the header, one chunk per `chunk` certificates, each but the last
-    # ending with the separator, and the footer
-    assert len(chunks) == 2 + -(-len(tab.ts) // chunk)
+    # the header, the list's "[", one chunk per `chunk` certificates, each
+    # but the last ending with the separator, the list's "]" and the footer
+    assert len(chunks) == 4 + -(-len(tab.ts) // chunk)
     assert b"".join(chunks) == whole == _certify_oracle(f, tab)
