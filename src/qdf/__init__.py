@@ -35,6 +35,7 @@ from .blocks import (
     block_slots,
     hexagon_of,
     hexagon_partition,
+    hexagon_reps,
     hexagon_rows,
     is_subspace_block,
     same_orbit,
@@ -93,6 +94,7 @@ __all__ = [
     "block_slots",
     "hexagon_of",
     "hexagon_partition",
+    "hexagon_reps",
     "hexagon_rows",
     "is_subspace_block",
     "stabilizer_of",

@@ -87,30 +87,56 @@ def hexagon_of(ctx: GF2n, x: int) -> Hexagon:
     return Hexagon((x, v1, v2, v3, v4, v5))
 
 
-# Seed pairs (x, x+1) per chunk of hexagon_rows; bounds its temporaries.
+# Seed pairs (x, x+1) per chunk of hexagon_reps; bounds its temporaries.
 _HEXAGON_CHUNK = 1 << 13
+
+
+def _inverses(ctx: GF2n, x: np.ndarray) -> np.ndarray:
+    """1/x for every unit of the int array x, as int32."""
+    return ctx.exp2[ctx.order - 1 - ctx.logs[x]]
+
+
+def hexagon_reps(ctx: GF2n) -> np.ndarray:
+    """The canonical representatives of the hexagons of F* \\ {1}, in
+    increasing order, as a (2^n - 2)/6 int32 array.
+
+    The hexagon of x is the pairs (x, x+1), (1/(x+1), 1/(x+1) + 1) and
+    (1/x + 1, 1/x).  Each pair is {y, y ^ 1}, so an even x is the
+    representative when it is below the even member of the other two.
+    The elements are walked _HEXAGON_CHUNK pairs at a time, with one
+    inverse lookup each.
+    """
+    # filled in place: a list of parts and its concatenation left ~5 MiB
+    # more resident through `construct --n 23`
+    reps = np.empty((ctx.order - 2) // 6, dtype=np.int32)
+    k = 0
+    for lo in range(2, ctx.order, 2 * _HEXAGON_CHUNK):
+        hi = min(lo + 2 * _HEXAGON_CHUNK, ctx.order)
+        inv = ctx.exp2[ctx.order - 1 - ctx.logs[lo:hi]]
+        x = np.arange(lo, hi, 2, dtype=np.int32)
+        x = x[x < (np.minimum(inv[0::2], inv[1::2]) & ~1)]  # the pairs are distinct
+        reps[k : k + len(x)] = x
+        k += len(x)
+    return reps
 
 
 def hexagon_rows(ctx: GF2n) -> np.ndarray:
     """The hexagons of F* \\ {1} as a ((2^n - 2)/6, 6) int32 array.
 
-    Row k is hexagon_of(r) for the k-th smallest canonical representative
-    r, in the same vertex order: the pairs (x, x+1), (1/(x+1), 1/(x+1) + 1)
-    and (1/x + 1, 1/x).  Each pair is {y, y ^ 1}, so an even x is the
-    representative when it is below the even member of the other two.
-    The elements are walked _HEXAGON_CHUNK pairs at a time, with one
-    inverse lookup each.
+    Row k is hexagon_of(r) for the k-th representative r of
+    hexagon_reps, in the same vertex order, from the inverses of r and
+    r + 1.
     """
-    m = ctx.order - 1
-    parts = []
-    for lo in range(2, ctx.order, 2 * _HEXAGON_CHUNK):
-        hi = min(lo + 2 * _HEXAGON_CHUNK, ctx.order)
-        inv = ctx.exp2[m - ctx.logs[lo:hi]]
-        x, ix, ix1 = np.arange(lo, hi, 2, dtype=np.int32), inv[0::2], inv[1::2]
-        rep = x < (np.minimum(ix, ix1) & ~1)  # the three pairs are distinct
-        x, ix, ix1 = x[rep], ix[rep], ix1[rep]
-        parts.append(np.stack([x, x | 1, ix1, ix1 ^ 1, ix ^ 1, ix], axis=1))
-    return np.concatenate(parts)
+    x = hexagon_reps(ctx)
+    ix, ix1 = _inverses(ctx, x), _inverses(ctx, x ^ 1)
+    return np.stack([x, x | 1, ix1, ix1 ^ 1, ix ^ 1, ix], axis=1)
+
+
+def max_vertices(ctx: GF2n, reps: np.ndarray) -> np.ndarray:
+    """The largest vertex of the hexagon of each representative r of
+    hexagon_reps: max(1/r, 1/(r + 1)) | 1, the odd member of the larger
+    of the two pairs above r's own."""
+    return np.maximum(_inverses(ctx, reps), _inverses(ctx, reps ^ 1)) | 1
 
 
 def hexagon_partition(ctx: GF2n) -> list[Hexagon]:
@@ -124,12 +150,19 @@ def hexagon_partition(ctx: GF2n) -> list[Hexagon]:
 
 def block_slots(ctx: GF2n, seeds) -> np.ndarray:
     """The blocks of the given seeds as an (N, 7) int32 array, one row
-    per seed in the slot order of block_of."""
+    per seed in the slot order of block_of, filled column by column."""
     x = np.asarray(seeds, dtype=np.int32).reshape(-1)
     if x.size and (x.min() < 2 or x.max() >= ctx.order):
         _check_seed(int(x[(x < 2) | (x >= ctx.order)][0]), ctx)
-    x2 = ctx.exp2[2 * ctx.logs[x]]
-    return np.stack([np.ones_like(x), x, x2, x ^ 1, x2 ^ 1, x2 ^ x, x2 ^ x ^ 1], axis=1)
+    out = np.empty((len(x), 7), dtype=np.int32)
+    out[:, 0] = 1
+    out[:, 1] = x
+    out[:, 2] = ctx.exp2[2 * ctx.logs[x]]
+    np.bitwise_xor(x, 1, out=out[:, 3])
+    np.bitwise_xor(out[:, 2], 1, out=out[:, 4])
+    np.bitwise_xor(out[:, 2], x, out=out[:, 5])
+    np.bitwise_xor(out[:, 5], 1, out=out[:, 6])
+    return out
 
 
 def is_subspace_block(ctx: GF2n, s) -> bool:

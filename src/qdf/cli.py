@@ -106,14 +106,14 @@ def _make_ctx(args) -> GF2n:
         orbits = ((1 << n) - 2) // 6  # at most (2^n - 2)/6 base blocks
         parts = [("of field tables", table_bytes(n))]
         if args.command == "construct":
-            # the (orbits, 7) int32 slots and the profile's histogram and counts
+            # the (orbits, 7) int32 slots and the profile's folded histogram
             parts += [("for the family", 7 * 4 * orbits), ("for the profile", profile_bytes(n))]
         elif args.command == "certify":
             parts.append(("for the certificates", certificate_bytes(n)))
         else:
             # the stages after the development run one at a time, and none
             # peaks above the pair count, writers included (gdd grows VmHWM
-            # by 3.8 and 149.5 MiB at n = 15 and 21; printed: 3.4 and 147.7)
+            # by 3.3 and 146.4 MiB at n = 15 and 21; printed: 3.4 and 139.9)
             parts.append(("for the development", develop_bytes(orbits)))
             if args.command == "gdd":
                 parts.append(("for the spread", spread_bytes(((1 << n) - 1) // 7)))

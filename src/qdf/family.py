@@ -26,7 +26,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import PAIR_I, PAIR_J, SLOT_MASKS, Block, block_of, block_slots, hexagon_rows
+from .blocks import (
+    PAIR_I,
+    PAIR_J,
+    SLOT_MASKS,
+    Block,
+    block_of,
+    block_slots,
+    hexagon_reps,
+    max_vertices,
+)
 from .errors import DegenerateTError
 from .gf2n import GF2n, poly_divmod, poly_gcd
 
@@ -60,17 +69,34 @@ class DifferenceFamily:
 
 @dataclass(frozen=True)
 class MultiplicityProfile:
-    """Exact quotient multiplicities indexed by element encoding."""
+    """Exact quotient multiplicities, held folded: hist[f] counts each of
+    g^f and g^(v - f), v = 2^n - 1, for 1 <= f <= v // 2, and hist[0]
+    counts 1 twice (g the field's generator)."""
 
-    counts: np.ndarray
-    order: int
+    ctx: GF2n
+    hist: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.ctx.order
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """m(t) indexed by element encoding, as int32, built on first use."""
+        exp2, v = self.ctx.exp2, self.ctx.order - 1
+        counts = np.zeros(self.ctx.order, dtype=np.int32)
+        counts[1] = 2 * self.hist[0]
+        counts[exp2[1 : v // 2 + 1]] = self.hist[1:]  # g^f
+        counts[exp2[v - 1 : v // 2 : -1]] = self.hist[1:]  # g^(v - f)
+        return counts
 
     def count_of(self, t: int) -> int:
         return int(self.counts[t])
 
     def extremes(self) -> tuple[int, int]:
-        """(min, max) of m(t) over the valid range t not in {0, 1}."""
-        live = self.counts[2:]
+        """(min, max) of m(t) over the valid range t not in {0, 1}: every
+        such t is g^f or g^(v - f) for one fold 1 <= f <= v // 2."""
+        live = self.hist[1:]
         return int(live.min()), int(live.max())
 
     def is_constant(self, value: int) -> bool:
@@ -78,7 +104,7 @@ class MultiplicityProfile:
         return mn == value and mx == value
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        return 2 * int(self.hist.sum())
 
 
 def delta(ctx: GF2n, b: Block) -> list[int]:
@@ -113,14 +139,14 @@ _PROFILE_BLOCKS = 1 << 12
 
 def profile_bytes(n: int) -> int:
     """Bytes multiplicity_profile adds over its family at its peak, for
-    preflight estimates: the int32 histogram over half the field and the
-    int32 counts over the field, 6 B per element, and 364 B per block of
-    a chunk (the chunk's logs, its three (blocks, 21) int32 arrays and
-    the previous chunk's differences), ~1.4 MiB.  With the tables and
-    the slots, `construct` grows VmHWM by 2.1, 4.6, 13.3, 53.6 and 208.5
-    MiB at n = 15, 17, 19, 21 and 23 in fresh processes, against
-    preflight totals of 2.3, 4.8, 14.8, 54.8 and 214.8 MiB."""
-    return 6 * (1 << n) + 364 * _PROFILE_BLOCKS
+    preflight estimates: the int32 histogram over half the field, 2 B per
+    element, and 196 B per block of a chunk (its (7, blocks) logs and
+    two (21, blocks) int32 arrays), ~0.8 MiB.  The counts by element
+    encoding, 4 B per element more, are built only when read.  With the
+    tables and the slots, `construct` grows VmHWM by 1.8, 3.7, 10.7, 38.4
+    and 155.1 MiB at n = 15, 17, 19, 21 and 23 in fresh processes,
+    against preflight totals of 1.5, 3.3, 10.3, 38.3 and 150.3 MiB."""
+    return 2 * (1 << n) + 196 * _PROFILE_BLOCKS
 
 
 def multiplicity_profile(fam) -> MultiplicityProfile:
@@ -131,22 +157,23 @@ def multiplicity_profile(fam) -> MultiplicityProfile:
     lists.  A difference d (i < j) and its negative (j > i) share the
     fold min(|d|, v - |d|), v = 2^n - 1, so the 21 with i < j are folded
     a chunk of blocks at a time into one int32 histogram over half the
-    field; fold f counts g^f and g^(v - f), fold 0 counts 1 twice.
+    field; fold f counts g^f and g^(v - f), fold 0 counts 1 twice.  A
+    chunk's logs are read as (7, blocks), so each pair's differences are
+    one contiguous row.
     """
     ctx = fam.ctx
     v = ctx.order - 1
     hist = np.zeros(v // 2 + 1, dtype=np.int32)
     for lo in range(0, len(fam.slots), _PROFILE_BLOCKS):
-        logs = ctx.logs[fam.slots[lo : lo + _PROFILE_BLOCKS]]
-        d = logs[:, PAIR_I] - logs[:, PAIR_J]
+        # take() lays the (7, blocks) logs out C-ordered; [] keeps the
+        # transpose's order, which would leave each pair's row strided
+        logs = ctx.logs.take(fam.slots[lo : lo + _PROFILE_BLOCKS].T)
+        d = logs[PAIR_I]
+        d -= logs[PAIR_J]
         np.abs(d, out=d)
         np.minimum(d, v - d, out=d)
         np.add.at(hist, d.ravel(), np.int32(1))  # an int32 one takes no casting path
-    counts = np.zeros(ctx.order, dtype=np.int32)
-    counts[1] = 2 * hist[0]
-    counts[ctx.exp2[1 : v // 2 + 1]] = hist[1:]  # g^f
-    counts[ctx.exp2[v - 1 : v // 2 : -1]] = hist[1:]  # g^(v - f)
-    return MultiplicityProfile(counts, ctx.order)
+    return MultiplicityProfile(ctx, hist)
 
 
 # -- quotient equations -------------------------------------------------------
@@ -308,14 +335,16 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
 
 def certificate_bytes(n: int) -> int:
     """Bytes `certify` adds over the field tables at its peak, for
-    preflight estimates: 44 per t (48 under tracemalloc at n = 19: the
-    table's int32 ts and keys, and np.unique's copy, argsort, sorted copy
-    and inverse index of the keys while the table decodes them) and
-    8 MiB for the writer's chunks and the heap they leave.  With the
-    tables, `certify` grows VmHWM by 11.2, 17.7, 33.2 and 128.3 MiB at
-    n = 15, 17, 19 and 21 in fresh processes, against preflight totals
-    of 9.9, 15.6, 38.1 and 128.1 MiB."""
-    return 44 * (1 << n) + 8 * 2**20
+    preflight estimates: 4 per element for the trace table, which
+    certificate_table builds on first use; 44 per t (48 under
+    tracemalloc at n = 19: the table's int32 ts and keys, and
+    np.unique's copy, argsort, sorted copy and inverse index of the keys
+    while the table decodes them); and 2 MiB for the writer's chunks of
+    256 KiB and the heap they leave.
+    With the tables, `certify` grows VmHWM by 4.2, 9.7, 31.2 and 120.3
+    MiB at n = 15, 17, 19 and 21 in fresh processes, against preflight
+    totals of 4.1, 9.7, 32.2 and 122.2 MiB."""
+    return (4 + 44) * (1 << n) + 2 * 2**20
 
 
 def equation_certificate(ctx: GF2n, t: int) -> EquationCertificate:
@@ -347,12 +376,11 @@ def build_family(ctx: GF2n, system: str = "min") -> DifferenceFamily:
     the canonical (smallest-encoding) vertex, "max" the largest.  The
     developed design does not depend on this choice.
     """
-    if system == "min":
-        seeds = hexagon_rows(ctx)[:, 0]
-    elif system == "max":
-        seeds = hexagon_rows(ctx).max(axis=1)
-    else:
+    if system not in ("min", "max"):
         raise ValueError(f"unknown representative system {system!r}")
+    seeds = hexagon_reps(ctx)
+    if system == "max":
+        seeds = max_vertices(ctx, seeds)
     return DifferenceFamily(ctx, block_slots(ctx, seeds), lambda_claim=7)
 
 

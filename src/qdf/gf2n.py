@@ -40,16 +40,16 @@ from .errors import (
 def table_bytes(n: int) -> int:
     """Peak bytes of the tables GF2n(n) builds, for preflight estimates.
 
-    Four int32 words per element, reached twice: while the exp table is
-    filled (exp2, two words, and the two x -> c*x tables of _exp_table)
-    and while log_table scatters (exp2, logs and its arange), where
-    numpy adds a 64 KiB buffer of 8,192 indices cast to intp.  Each
-    linear table built on first use adds one word over exp2 and logs,
-    so the trace table that `certify` reads stays within this peak;
-    sqrt and the half-trace, one word each, are read by scalar calls
-    only.
+    Three int32 words per element, the tables the field keeps: exp2, two
+    words, and logs.  The exp table's fill stays within them, its
+    x -> c*x tables in pages of exp2 not yet written, and log_table
+    scatters _LOG_CHUNK logs at a time, adding one chunk of int32 values
+    and numpy's 64 KiB buffer of 8,192 indices cast to intp.  Each linear
+    table built on first use adds one word: certificate_bytes counts the
+    trace table that `certify` reads; sqrt and the half-trace are read by
+    scalar calls only.
     """
-    return 4 * 4 * (1 << n) + 8192 * 8
+    return 3 * 4 * (1 << n) + 4 * _LOG_CHUNK + 8192 * 8
 
 
 def poly_degree(p: int) -> int:
@@ -171,15 +171,21 @@ def _exp_table(g: int, m: int) -> np.ndarray:
     return exp2
 
 
+# Logs per chunk of log_table's scatter; bounds its int32 values.
+_LOG_CHUNK = 1 << 15
+
+
 def log_table(exp: np.ndarray, order: int) -> np.ndarray:
     """Discrete logs from the exp table of a field of `order` elements,
-    with -1 at 0.
+    with -1 at 0, scattered _LOG_CHUNK at a time.
 
     Raises unless exp is a permutation of the units, i.e. unless every
     nonzero element gets exactly one log.
     """
     logs = np.full(order, -1, dtype=np.int32)
-    logs[exp] = np.arange(len(exp), dtype=np.int32)
+    for lo in range(0, len(exp), _LOG_CHUNK):
+        hi = min(lo + _LOG_CHUNK, len(exp))
+        logs[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
     if len(exp) != order - 1 or logs[1:].min() < 0:
         raise AssertionError("exp table is not a permutation of the units; tables corrupt")
     return logs

@@ -48,21 +48,22 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
-# Rows per chunk of the streamed writers (block and groop rows, orbits,
-# certificates, CSV lines); bounds their memory.
-_ROW_CHUNK = 1 << 12
+# Bytes per chunk of the streamed writers (block and groop rows, orbits,
+# certificates, CSV lines), to within one row; bounds their memory.
+_CHUNK_BYTES = 1 << 18
 
 
 def _rows_chunks(
     head: str, tails: list[str], which: np.ndarray, values: np.ndarray, sep: str
 ) -> Iterator[bytes]:
-    """Byte rows joined by `sep`, in chunks of _ROW_CHUNK rows; every chunk
-    but the last ends with `sep`.  Row k is `head`, its runs of "#" (one
-    per column of the (N, c) int array `values`, or one for an (N,) array)
-    filled with the zero-padded lowercase hex digits of values[k], then
-    tails[which[k]].  Each distinct tail is rendered once, after the head,
-    as a byte row zero-padded to the longest; a chunk gathers its rows,
-    fills in the digits and drops any padding by one mask."""
+    """Byte rows joined by `sep`, in chunks of as many rows as fit in
+    _CHUNK_BYTES, one at least; every chunk but the last ends with `sep`.
+    Row k is `head`, its runs of "#" (one per column of the (N, c) int
+    array `values`, or one for an (N,) array) filled with the zero-padded
+    lowercase hex digits of values[k], then tails[which[k]].  Each
+    distinct tail is rendered once, after the head, as a byte row
+    zero-padded to the longest; a chunk gathers its rows, fills in the
+    digits and drops any padding by one mask."""
     rows = [(head + tail + sep).encode("ascii") for tail in tails]
     lengths = np.array([len(row) for row in rows])
     rows = np.array(rows).view(np.uint8).reshape(len(rows), -1)
@@ -70,14 +71,15 @@ def _rows_chunks(
     values = values.reshape(len(values), -1)
     digits = np.flatnonzero(rows[0, : len(head)] == ord("#")).reshape(values.shape[1], -1)
     w = digits.shape[1]
-    for lo in range(0, len(values), _ROW_CHUNK):
-        part = which[lo : lo + _ROW_CHUNK]
+    step = max(1, _CHUNK_BYTES // rows.shape[1])
+    for lo in range(0, len(values), step):
+        part = which[lo : lo + step]
         # take() gathers rows several times faster than fancy indexing
-        out, vals = rows.take(part, axis=0), values[lo : lo + _ROW_CHUNK]
+        out, vals = rows.take(part, axis=0), values[lo : lo + step]
         for j in range(w):
             out[:, digits[:, j]] = _HEX_DIGITS[vals >> 4 * (w - 1 - j) & 15]
         out = out.ravel() if keep is None else out[keep.take(part, axis=0)]
-        yield out[: len(out) - len(sep) if lo + _ROW_CHUNK >= len(values) else None].tobytes()
+        yield out[: len(out) - len(sep) if lo + step >= len(values) else None].tobytes()
 
 
 def _json_rows_chunks(
@@ -113,8 +115,9 @@ def _block_rows(rows: np.ndarray, n: int) -> tuple:
 
 def family_json_chunks(fam: DifferenceFamily) -> Iterator[bytes]:
     """{"n", "modulus", "lambda", "blocks": [[7 hex strings], ...]} as JSON,
-    in chunks of at most _ROW_CHUNK block rows: byte for byte what
-    to_json_bytes gives for the same dict.  read_artifact reads it back."""
+    in chunks of at most _CHUNK_BYTES, or of one block row: byte for byte
+    what to_json_bytes gives for the same dict.  read_artifact reads it
+    back."""
     fields = {"n": fam.ctx.n, "modulus": fam.ctx.modulus, "lambda": fam.lambda_claim}
     yield _json_head(fields, "blocks")
     yield from _json_rows_chunks(*_block_rows(fam.slots, fam.ctx.n))
@@ -145,8 +148,9 @@ def _orbit_rows(d: Design) -> tuple:
 
 def design_json_chunks(d: Design) -> Iterator[bytes]:
     """{"n", "modulus", "v", "k", "lambda", "orbits"} of a developed design
-    as JSON, in chunks of at most _ROW_CHUNK orbits: byte for byte what
-    to_json_bytes gives for that dict.  read_artifact reads it back."""
+    as JSON, in chunks of at most _CHUNK_BYTES, or of one orbit: byte for
+    byte what to_json_bytes gives for that dict.  read_artifact reads it
+    back."""
     fields = {"n": d.ctx.n, "modulus": d.ctx.modulus, "v": d.v, "k": d.k, "lambda": d.lambda_claim}
     yield _json_head(fields, "orbits")
     yield from _json_rows_chunks(*_orbit_rows(d))
@@ -156,10 +160,11 @@ def design_json_chunks(d: Design) -> Iterator[bytes]:
 def gdd_json_chunks(spread: Spread, design: Design, reports: dict) -> Iterator[bytes]:
     """{"n", "modulus", "g", "lambda", "spread": [[7 hex strings], ...],
     "orbits"} followed by the keys of `reports`, as JSON in chunks of at
-    most _ROW_CHUNK groops or orbits: byte for byte what to_json_bytes
-    gives for that dict.  The groops are rows of one byte template like
-    the family's blocks, the orbits those of design_json_chunks; each
-    value of `reports` is small and goes through json.dumps."""
+    most _CHUNK_BYTES, or of one groop or orbit: byte for byte what
+    to_json_bytes gives for that dict.  The groops are rows of one byte
+    template like the family's blocks, the orbits those of
+    design_json_chunks; each value of `reports` is small and goes through
+    json.dumps."""
     n = spread.ctx.n
     fields = {"n": n, "modulus": spread.ctx.modulus, "g": 3, "lambda": design.lambda_claim}
     yield _json_head(fields, "spread")
@@ -294,8 +299,8 @@ def report_to_dict(r: VerificationReport, n: int) -> dict:
 def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes]:
     """The certify report {"n", "modulus", "r_min", "r_max", "all_matched",
     "certificates": [{"t", "r", "matching_ok", "solvable"}, ...]} as JSON,
-    in chunks of at most _ROW_CHUNK certificates: byte for byte what
-    to_json_bytes gives for that dict.  The header and each row's tail
+    in chunks of at most _CHUNK_BYTES, or of one certificate: byte for byte
+    what to_json_bytes gives for that dict.  The header and each row's tail
     come from the table's decoded keys, each rendered once."""
     decoded, which = tab.decoded
     rs = [r for _, r, _ in decoded]
@@ -321,8 +326,8 @@ def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes
 
 def profile_csv_chunks(p: MultiplicityProfile, n: int) -> Iterator[bytes]:
     """The profile as CSV: a `t_hex,count` header and one line per t in
-    F* minus {1}, in chunks of at most _ROW_CHUNK lines, with one tail
-    per distinct count."""
+    F* minus {1}, in chunks of at most _CHUNK_BYTES, with one tail per
+    distinct count."""
     yield b"t_hex,count\n"
     live = p.counts[2:]
     # counts are small: which[t] ranks count m(t) among the distinct ones

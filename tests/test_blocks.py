@@ -8,9 +8,11 @@ import pytest
 from qdf import (
     ForbiddenSeedError,
     block_of,
+    build_family,
     delta,
     hexagon_of,
     hexagon_partition,
+    hexagon_reps,
     hexagon_rows,
     is_subspace_block,
     same_orbit,
@@ -201,12 +203,19 @@ def test_hexagon_rows_match_hexagon_of_scan(n, modulus):
     assert [h.vertices for h in hexagon_partition(f)] == expected
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 64])  # seed pairs per chunk
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 64])  # seed pairs per chunk
 @pytest.mark.parametrize("n", [3, 7, 9])
 def test_chunked_hexagon_rows_match_hexagon_of_scan(monkeypatch, n, chunk):
+    # the one walk gives the representatives; the rows and the largest
+    # vertices, which --seed-system max seeds, are derived from them
     from qdf import blocks
 
     monkeypatch.setattr(blocks, "_HEXAGON_CHUNK", chunk)
-    rows = hexagon_rows(cached_field(n))
+    f = cached_field(n)
+    expected = hexagons_by_scan(f)
+    reps = hexagon_reps(f)
+    assert reps.dtype == np.int32 and reps.tolist() == [min(h) for h in expected]
+    rows = hexagon_rows(f)
     assert rows.dtype == np.int32
-    assert [tuple(r) for r in rows.tolist()] == hexagons_by_scan(cached_field(n))
+    assert [tuple(r) for r in rows.tolist()] == expected
+    assert build_family(f, system="max").slots[:, 1].tolist() == [max(h) for h in expected]

@@ -78,7 +78,9 @@ def test_preflight_estimate_matches_counter(capsys):
     )
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
-    # table_bytes(15) = 16 * 2^15 + 8 * 8192 = 589,824 bytes (0.56 MiB);
+    # table_bytes(15) = 12 * 2^15 + 4 * 2^15 + 8 * 8192 = 589,824 bytes
+    # (0.56 MiB: the three table words, a chunk of 2^15 logs and numpy's
+    # index buffer);
     # for 5461 orbits, develop_bytes = 2^20 + 80 * 5461 = 1,485,456
     # (1.42 MiB); the largest stage is the pair count, pair_count_bytes
     # for 16383 rows and the 21 runs of K*'s orbit, 72 * 16383 + 128 * 21
@@ -102,12 +104,11 @@ def test_preflight_of_construct_counts_family_and_profile(capsys):
     code, _, stderr = run_cli(capsys, "construct", "--n", "15", "--force", "--modulus", "0x8000")
     assert code == 2
     warning = stderr.strip().split("\n")[0]
-    # 28 * 5461 = 152,908 bytes of slots; 6 * 2^15 + 364 * 4096 =
-    # 1,687,552 for the profile (its half-field histogram, its counts and
-    # a chunk of 4096 blocks); with the tables 2,430,284 bytes (2.32 MiB)
-    # in all
-    assert "~0.1 MiB for the family and ~1.6 MiB for the profile" in warning
-    assert "~2.3 MiB in all" in warning
+    # 28 * 5461 = 152,908 bytes of slots; 2 * 2^15 + 196 * 4096 = 868,352
+    # for the profile (its half-field histogram and a chunk of 4096
+    # blocks); with the tables 1,611,084 bytes (1.54 MiB) in all
+    assert "~0.1 MiB for the family and ~0.8 MiB for the profile" in warning
+    assert "~1.5 MiB in all" in warning
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
@@ -115,9 +116,10 @@ def test_preflight_of_construct_counts_family_and_profile(capsys):
 def test_preflight_table_estimate_matches_measured_rss(n):
     # peak anonymous RSS growth of building GF2n(n) in a fresh process,
     # against the figure the preflight prints (0.56 MiB at n = 15).  It
-    # reads 524, 2,060 and 8,204 KiB at n = 15, 17 and 19: the four
-    # table words per element, not the log scatter's 64 KiB index
-    # buffer, which lives within one numpy call.
+    # reads 524, 1,676 and 6,284 KiB at n = 15, 17 and 19, against 576,
+    # 1,728 and 6,336: the three table words per element and a chunk of
+    # 2^15 logs, not the log scatter's 64 KiB index buffer, which lives
+    # within one numpy call.
     # - GF2n(5) first imports and warms up everything the build runs.
     # - glibc's MALLOC_MMAP_THRESHOLD_ puts every array of 4 KiB or more
     #   in fresh pages, so no table reuses heap that the import left free.
@@ -205,8 +207,8 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 @pytest.mark.parametrize("n", [15, 21])
 def test_preflight_total_matches_measured_rss_of_gdd(n):
     # the largest stage is the pair count, the writer's chunks included:
-    # VmHWM grows by 3.8 and 149.5 MiB at n = 15 and 21, against printed
-    # totals of 3.4 and 147.7 MiB
+    # VmHWM grows by 3.3 and 146.4 MiB at n = 15 and 21, against printed
+    # totals of 3.4 and 139.9 MiB
     measured, total = _measured_and_printed("gdd", n)
     assert 0.75 * total < measured < 1.25 * total
 
@@ -215,8 +217,8 @@ def test_preflight_total_matches_measured_rss_of_gdd(n):
 @pytest.mark.parametrize("n", [15, 19, 21])
 def test_preflight_total_matches_measured_rss_of_certify(n):
     # the table's ts and keys, np.unique's decoding of the keys and the
-    # writer's chunks of byte rows; the 270 MB report at n = 19 (1.08 GB
-    # at n = 21) is never held whole
+    # writer's 256 KiB chunks of byte rows; the 270 MB report at n = 19
+    # (1.08 GB at n = 21) is never held whole
     measured, total = _measured_and_printed("certify", n)
     assert 0.75 * total < measured < 1.25 * total
 
@@ -224,9 +226,9 @@ def test_preflight_total_matches_measured_rss_of_certify(n):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 @pytest.mark.parametrize("n", [19, 21])
 def test_preflight_total_matches_measured_rss_of_construct(n):
-    # the tables, the slots and the profile's histogram and counts; the
-    # 9.75 MB family JSON at n = 19 is written in chunks of rows and adds
-    # no copy of itself
+    # the tables, the slots and the profile's folded histogram; the
+    # 9.75 MB family JSON at n = 19 is written in 256 KiB chunks of rows
+    # and adds no copy of itself
     measured, total = _measured_and_printed("construct", n)
     assert 0.75 * total < measured < 1.25 * total
 

@@ -324,6 +324,54 @@ def test_hexagons_and_profile_match_oracles_at_random_moduli(data, n, hexagon_ch
             assert multiplicity_profile(fam).counts.tolist() == [counts[t] for t in range(f.order)]
 
 
+@given(st.data(), st.sampled_from([5, 7, 9, 11]))
+def test_folded_profile_matches_counts_and_delta_on_mutated_families(data, n):
+    # one slot changed to any unit, a block dropped or a block duplicated,
+    # in the family or, at n = 9, the relative family: extremes() and
+    # is_constant read off the folded histogram agree with the counts by
+    # encoding and with a Counter over delta, and the CSV and the relative
+    # report render what the Counter says
+    from qdf import build_relative_family, verify_relative
+    from qdf.serialize import profile_csv_chunks, report_to_dict
+
+    f = cached_field(n, data.draw(st.sampled_from(_MODULI[n]), label="modulus"))
+    fam = build_family(f)
+    if n % 6 == 3:
+        fam = build_relative_family(fam)
+    slots = fam.slots.copy()
+    k = data.draw(st.integers(0, len(slots) - 1), label="block")
+    mutation = data.draw(st.sampled_from(["slot", "drop", "duplicate"]), label="mutation")
+    if mutation == "slot":
+        slots[k, data.draw(st.integers(0, 6), label="slot")] = data.draw(
+            st.integers(1, f.order - 1), label="unit"
+        )
+    elif mutation == "drop":
+        slots = np.delete(slots, k, axis=0)
+    else:
+        slots = np.insert(slots, k, slots[k], axis=0)
+    mutant = DifferenceFamily(f, slots, fam.lambda_claim, fam.forbidden)
+    counts = _delta_counts(mutant)
+    live = [counts[t] for t in f.seeds()]
+    profile = multiplicity_profile(mutant)
+    assert profile.counts[2:].tolist() == live
+    assert profile.extremes() == (min(live), max(live))
+    for value in {0, 7, min(live), max(live)}:
+        assert profile.is_constant(value) == (min(live) == max(live) == value)
+    csv = "".join(f"{t:0{(n + 3) // 4}x},{c}\n" for t, c in zip(f.seeds(), live))
+    assert b"".join(profile_csv_chunks(profile, n)) == ("t_hex,count\n" + csv).encode("ascii")
+    if mutant.forbidden:
+        want = {t: 0 if t in mutant.forbidden else 7 for t in f.seeds()}
+        offenders = [(t, counts[t]) for t in f.seeds() if counts[t] != want[t]][:10]
+        outside = [counts[t] for t in f.seeds() if t not in mutant.forbidden]
+        report = report_to_dict(verify_relative(mutant), n)
+        assert report == {
+            "pass": not offenders and min(outside) == max(outside) == 7,
+            "pair_coverage_min": min(outside),
+            "pair_coverage_max": max(outside),
+            "offending_pairs": [{"t": f"{t:0{(n + 3) // 4}x}", "count": c} for t, c in offenders],
+        }
+
+
 @pytest.mark.parametrize("n,modulus", FIELDS)
 def test_certificate_table_matches_solve_quadratic(n, modulus):
     # every t and all 18 forms against the scalar trace criterion

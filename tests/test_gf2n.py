@@ -385,3 +385,24 @@ def test_corrupted_exp_table_is_rejected(monkeypatch):
     monkeypatch.setattr(gf2n, "_times_table", lambda c, m: times_table(c, m) & ~1)
     with pytest.raises(AssertionError, match="permutation"):
         GF2n(7)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+def test_chunked_log_scatter_matches_one_shot(monkeypatch, chunk):
+    # logs scattered `chunk` at a time equal one scatter of all of them,
+    # directly and through the field's build, and an exp table corrupted
+    # only in a later chunk than the first is still rejected
+    f = cached_field(7)
+    exp = f.exp2[: f.order - 1]
+    one_shot = np.full(f.order, -1, dtype=np.int32)
+    one_shot[exp] = np.arange(f.order - 1, dtype=np.int32)
+    monkeypatch.setattr(gf2n, "_LOG_CHUNK", chunk)
+    assert log_table(exp, f.order).tolist() == one_shot.tolist() == f.logs.tolist()
+    assert GF2n(7).logs.tolist() == one_shot.tolist()
+    repeated = exp.copy()
+    repeated[-1] = repeated[-2]  # one unit twice, another never
+    with_zero = exp.copy()
+    with_zero[-1] = 0
+    for bad in (repeated, with_zero):
+        with pytest.raises(AssertionError, match="permutation"):
+            log_table(bad, f.order)

@@ -206,14 +206,25 @@ def test_family_writer_matches_json_dumps(n, modulus):
         assert b"".join(family_json_chunks(fam)) == _json_dumps(family_dict(fam))
 
 
+def _rows_per_chunk(monkeypatch, rows, *row_lists):
+    """Set the writers' _CHUNK_BYTES to `rows` times the widest row of the
+    given lists (each the head and tails that _rows_chunks renders), its
+    two-byte JSON separator included, so that a chunk of the widest list
+    holds `rows` rows; for `rows` None, one chunk holds them all."""
+    from qdf import serialize
+
+    width = max(len(head) + max(map(len, tails), default=0) + 2 for head, tails, *_ in row_lists)
+    monkeypatch.setattr(serialize, "_CHUNK_BYTES", rows * width if rows else 1 << 40)
+
+
 @pytest.mark.parametrize("chunk", [1, 3, None])
 @pytest.mark.parametrize("n,modulus", [(3, None), (7, 0x89), (9, None)])
 def test_family_json_chunks_independent_of_chunking(monkeypatch, n, modulus, chunk):
-    from qdf import serialize
+    from qdf.serialize import _block_rows
 
     f = cached_field(n, modulus)
     for fam in (build_family(f), full_family(f), DifferenceFamily(f, (), lambda_claim=7)):
-        monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk or max(1, len(fam.slots)))
+        _rows_per_chunk(monkeypatch, chunk, _block_rows(fam.slots, n))
         chunks = list(family_json_chunks(fam))
         assert all(type(c) is bytes for c in chunks)
         assert b"".join(chunks) == _json_dumps(family_dict(fam))
@@ -228,12 +239,12 @@ def _gdd_oracle(spread, design, reports):
 @pytest.mark.parametrize("chunk", [1, 3, 4096])
 @pytest.mark.parametrize("n", [3, 9, 15])
 def test_gdd_writer_matches_to_json_bytes(monkeypatch, n, chunk):
-    from qdf import serialize
+    from qdf.serialize import _block_rows, _orbit_rows
 
-    monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk)
     f = cached_field(n)
     rel = build_relative_family(build_family(f))
     spread, design = desarguesian_spread(f), develop(rel)
+    _rows_per_chunk(monkeypatch, chunk, _block_rows(spread.groops, n), _orbit_rows(design))
     reports = {
         "relative_profile": report_to_dict(verify_relative(rel), n),
         "report": report_to_dict(verify_gdd(spread, design), n),
@@ -274,19 +285,19 @@ def _odd_and_empty_designs(f, design):
 
 @pytest.mark.parametrize("chunk", [1, 3, None])
 def test_design_writer_matches_json_dumps(monkeypatch, chunk):
-    from qdf import serialize
+    from qdf.serialize import _orbit_rows
 
     designs = [develop(build_family(cached_field(n))) for n in (3, 9, 15)]
     f = cached_field(9)
     designs += _odd_and_empty_designs(f, develop(build_relative_family(build_family(f))))
     for d in designs:
-        monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk or max(1, len(d.slots)))
+        _rows_per_chunk(monkeypatch, chunk, _orbit_rows(d))
         assert b"".join(design_json_chunks(d)) == _json_dumps(design_dict(d))
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None])
 def test_read_artifact_inverts_the_writers(monkeypatch, chunk):
-    from qdf import serialize
+    from qdf.serialize import _block_rows, _orbit_rows
 
     f = cached_field(9)
     fams = [build_family(cached_field(n)) for n in (3, 9, 15)] + [full_family(cached_field(5))]
@@ -294,12 +305,12 @@ def test_read_artifact_inverts_the_writers(monkeypatch, chunk):
     relative = develop(build_relative_family(build_family(f)))
     designs = [develop(fam) for fam in fams[:3]] + [relative, develop(fams[-1])]
     for fam in fams:
-        monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk or max(1, len(fam.slots)))
+        _rows_per_chunk(monkeypatch, chunk, _block_rows(fam.slots, fam.ctx.n))
         back = _read(b"".join(family_json_chunks(fam)))
         assert type(back) is DifferenceFamily and back.ctx == fam.ctx
         assert back.lambda_claim == fam.lambda_claim and back.slots.tolist() == fam.slots.tolist()
     for d in designs:
-        monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk or max(1, len(d.slots)))
+        _rows_per_chunk(monkeypatch, chunk, _orbit_rows(d))
         back = _read(b"".join(design_json_chunks(d)))
         assert type(back) is type(d) and back.ctx == d.ctx and back.lambda_claim == d.lambda_claim
         assert back.slots.dtype == np.int32 and back.slots.tolist() == d.slots.tolist()
@@ -358,8 +369,8 @@ def test_profile_csv_matches_line_by_line_writer(monkeypatch, n):
         # uneven counts of several widths
         profiles.append(multiplicity_profile(DifferenceFamily(f, fam.slots[::2], 7)))
         profiles.append(multiplicity_profile(full_family(f)))
-    for chunk in (3, 4096):
-        monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk)
+    for chunk in (30, 1 << 18):
+        monkeypatch.setattr(serialize, "_CHUNK_BYTES", chunk)
         for p in profiles:
             want = _csv_oracle(p, n)
             assert b"".join(profile_csv_chunks(p, n)) == want.encode("ascii")
@@ -405,9 +416,43 @@ def test_certify_writer_independent_of_chunking(monkeypatch, chunk):
     f = cached_field(9)
     tab = certificate_table(f, f.seeds())
     whole = b"".join(certificates_json_chunks(f, tab))
-    monkeypatch.setattr(serialize, "_ROW_CHUNK", chunk)
+    monkeypatch.setattr(serialize, "_CHUNK_BYTES", 1)
+    # every certificate row at n = 9 is as long as the first, its separator
+    # included: the chunk after the header and the list's "["
+    width = len(list(certificates_json_chunks(f, tab))[2])
+    monkeypatch.setattr(serialize, "_CHUNK_BYTES", chunk * width)
     chunks = list(serialize.certificates_json_chunks(f, tab))
     # the header, the list's "[", one chunk per `chunk` certificates, each
     # but the last ending with the separator, the list's "]" and the footer
     assert len(chunks) == 4 + -(-len(tab.ts) // chunk)
     assert b"".join(chunks) == whole == _certify_oracle(f, tab)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 200, 4096, 1 << 18])
+def test_writer_chunks_hold_the_byte_bound_and_one_row(monkeypatch, chunk):
+    # at 1 byte every row is a chunk of its own, at 2^40 all rows are one
+    # chunk, and at any bound no chunk is longer than it and one row
+    from qdf import serialize
+
+    f = cached_field(9)
+    fam = build_family(f)
+    tab = certificate_table(f, f.seeds())
+    writers = [
+        (family_json_chunks, (fam,), len(fam.slots)),
+        (design_json_chunks, (develop(fam),), len(fam.slots)),
+        (certificates_json_chunks, (f, tab), len(tab.ts)),
+        (profile_csv_chunks, (multiplicity_profile(full_family(f)), 9), f.order - 2),
+    ]
+    for writer, args, rows in writers:
+        monkeypatch.setattr(serialize, "_CHUNK_BYTES", 1)
+        one_row_each = list(writer(*args))
+        monkeypatch.setattr(serialize, "_CHUNK_BYTES", 1 << 40)
+        one_chunk = list(writer(*args))
+        monkeypatch.setattr(serialize, "_CHUNK_BYTES", chunk)
+        chunks = list(writer(*args))
+        # the pieces before the rows (a header, the list's "[") and after
+        head, tail = (1, 0) if writer is profile_csv_chunks else (2, 2)
+        assert len(one_row_each) == head + rows + tail and len(one_chunk) == head + 1 + tail
+        assert b"".join(one_row_each) == b"".join(one_chunk) == b"".join(chunks)
+        longest = max(map(len, one_row_each[head : len(one_row_each) - tail]))
+        assert max(map(len, chunks[head : len(chunks) - tail])) <= chunk + longest
