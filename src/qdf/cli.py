@@ -23,6 +23,7 @@ from .design import (
     check_simple,
     develop,
     develop_bytes,
+    orbit_check_bytes,
     pair_count_bytes,
     verify_2design,
 )
@@ -111,13 +112,15 @@ def _make_ctx(args) -> GF2n:
         elif args.command == "certify":
             parts.append(("for the certificates", certificate_bytes(n)))
         else:
-            # the stages after the development run one at a time, and none
-            # peaks above the pair count, writers included (gdd grows VmHWM
-            # by 3.3 and 146.4 MiB at n = 15 and 21; printed: 3.4 and 139.9)
+            # the stages after the development run one at a time: the pair
+            # count, the orbit checks and, for gdd, the writer's 256 KiB
+            # chunks, ~1 MiB with the heap they leave
             parts.append(("for the development", develop_bytes(orbits)))
+            largest = max(pair_count_bytes(n), orbit_check_bytes(orbits))
             if args.command == "gdd":
                 parts.append(("for the spread", spread_bytes(((1 << n) - 1) // 7)))
-            parts.append(("for the largest stage", pair_count_bytes(n)))
+                largest = max(largest, 2**20)
+            parts.append(("for the largest stage", largest))
         terms = [f"~{size / 2**20:.1f} MiB {what}" for what, size in parts]
         total = sum(size for _, size in parts)
         print(
@@ -162,8 +165,9 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     ctx = _make_ctx(args)
     fam = build_family(ctx, system=args.seed_system)
-    profile_ok = multiplicity_profile(fam).is_constant(fam.lambda_claim)
-    design = develop(fam)
+    profile = multiplicity_profile(fam)
+    profile_ok = profile.is_constant(fam.lambda_claim)
+    design = develop(fam, profile)
     report = verify_2design(design)
     out = {
         "n": ctx.n,
@@ -193,9 +197,10 @@ def _cmd_gdd(args) -> int:
     ctx = _make_ctx(args)
     # the family's slots are freed once the relative family has its copy
     relative = build_relative_family(build_family(ctx, system=args.seed_system))
-    rel_report = verify_relative(relative)
+    profile = multiplicity_profile(relative)
+    rel_report = verify_relative(relative, profile)
     spread = desarguesian_spread(ctx)
-    design = develop(relative)
+    design = develop(relative, profile)
     gdd_report = verify_gdd(spread, design)
     reports = {
         "relative_profile": report_to_dict(rel_report, ctx.n),

@@ -6,30 +6,23 @@ array of orbit representatives, and each orbit's length (2^n - 1)/|stab|
 and replication factor |stab|.  Materializing every developed block
 would be feasible but wasteful (about 11.2M blocks at n = 13).
 
-verify_2design counts, for every unordered pair of distinct points, the
-number of developed blocks containing both.  Pairs are indexed by log
-coordinates: {g^a, g^(a+d)} sits at row d-1, column a of a ((v-1)/2, v)
-counter.  Developing an orbit shifts every log by the same amount, so
-each (orbit, slot pair) adds its orbit's replication w to one cyclic run
-of columns of a single row.  A run of an orbit of length v covers its
-whole row, so _events only adds w to the row's base (its count at column
-0).  A run of a shorter orbit is +w at its first column and -w at the
-column past its last, mod v, and w to the base if it reaches column
-v - 1.  So every row's events sum to 0.  A row of the counter is a step
-function of the column a, its base plus the weights of its events at
-columns <= a.  The kernel, pair_coverage_counts, opens each row with a
-zero-weight key at column 0, sorts these keys and all events by
-(row, column) once and sums them cumulatively in int64: after the last
-key at a column, the sum plus the row's base counts every pair exactly
-up to the row's next key.  Its result is these steps, one (row, start,
-stop, count) table, and check_pair_coverage reads every verdict from it:
-a row group's range is the least and greatest count of the group's
-steps, and only the steps whose count is wrong are expanded into
-offending pairs.  No full-size counter is held (it would be 8 GiB of
-one-byte counters at n = 17), yet every pair's count is determined and
-compared: the check is exhaustive, never sampled.  The sums are exact
-64-bit integers, not counts modulo a small range, so no extra argument
-is needed to show that a pass is not a wrap-around.
+verify_2design counts, for every pair of points, the developed blocks
+containing both.  The pair {g^a, g^(a+f)} sits at fold f, column a, for
+1 <= f <= (v-1)/2; fold 0 pairs a point with itself, in a block that
+repeats it.  Developing an orbit shifts all its logs together, so each
+(orbit, slot pair) adds the orbit's replication w to a cyclic run of
+columns of one fold, and an orbit of length v covers whole folds: the
+difference method's lemma.  The design's fold, the slot log differences
+of its full-length orbits folded into one histogram weighted by w (the
+profile's routine), therefore counts every pair exactly where no shorter
+orbit reaches; for a developed family it is the profile's histogram,
+less K*'s differences when 3 | n, so each design is folded once.  The
+runs of shorter orbits are events that the kernel, pair_coverage_counts,
+sorts and sums into steps over the folds they reach.  Every verdict is
+read off the fold and the steps, and only wrong folds and steps are
+expanded into offending pairs.  No full-size counter is held (8 GiB of
+one-byte counters at n = 17), yet every pair's count is determined
+exactly, as an integer with no wrap-around: the check is exhaustive.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import PAIR_I, PAIR_J, Block
-from .family import DifferenceFamily
+from .family import DifferenceFamily, MultiplicityProfile, fold_differences
 from .gf2n import GF2n
 
 
@@ -83,6 +76,12 @@ class Design:
         # perfbench's tracer counts the kernel's incidences over its orbits
         return iter(self.orbits)
 
+    @cached_property
+    def fold(self) -> np.ndarray:
+        """hist[f]: how often the orbits of full length v cover every pair
+        {g^a, g^(a+f)}, once per slot pair of log difference +-f, w times."""
+        return fold_differences(self.ctx, self.slots, self.replication * (self.length >= self.v))
+
     def block_count(self) -> int:
         """Total number of developed blocks, with multiplicity."""
         return int((self.length * self.replication).sum())
@@ -90,11 +89,9 @@ class Design:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of an exhaustive coverage check.
-
-    passed holds iff pair_coverage_min == pair_coverage_max == the claimed
-    index; offending_pairs carries a bounded sample of violations as
-    ((payload, count)) tuples.  checks collects named sub-checks where a
+    """Outcome of an exhaustive coverage check: passed holds iff every count
+    is as claimed; offending_pairs carries a bounded sample of violations
+    as ((payload, count)) tuples.  checks collects named sub-checks where a
     verification consists of several (the GDD case).
     """
 
@@ -107,17 +104,25 @@ class VerificationReport:
     notes: str = ""
 
 
-def develop(fam: DifferenceFamily) -> Design:
+def develop(fam: DifferenceFamily, profile: MultiplicityProfile | None = None) -> Design:
     """Orbit-compressed development of a (relative) difference family.  A
     block's stabilizer is trivial or, only when 3 | n, K* = <g^(v/7)>,
-    which fixes it iff +v/7 fixes its log set."""
+    which fixes it iff +v/7 fixes its log set.  Given the family's
+    profile, the fold is read off it: every full-length orbit of a
+    development has replication 1, so it is the profile's histogram less
+    the differences of the shorter orbits."""
     ctx = fam.ctx
     v = ctx.order - 1
     replication = np.ones(len(fam.slots), dtype=np.int64)
     if ctx.n % 3 == 0:
         logs = np.sort(ctx.logs[fam.slots], axis=1)
         replication[(logs == np.sort((logs + v // 7) % v, axis=1)).all(axis=1)] = 7
-    return Design(ctx, fam.slots, v // replication, replication, fam.lambda_claim)
+    d = Design(ctx, fam.slots, v // replication, replication, fam.lambda_claim)
+    if profile is not None:
+        short = fam.slots[replication > 1]
+        fold = profile.hist - fold_differences(ctx, short) if len(short) else profile.hist
+        object.__setattr__(d, "fold", fold)
+    return d
 
 
 # -- pair counting kernel -----------------------------------------------------
@@ -126,119 +131,93 @@ def develop(fam: DifferenceFamily) -> Design:
 _OFFENDER_CHUNK = 1 << 16
 
 
-def counter_shape(v: int) -> tuple[int, int]:
-    """Shape of the pair counter over the v = 2^n - 1 points: the pair
-    {g^a, g^(a+d)}, 1 <= d <= (v-1)/2, sits at row d-1, column a."""
-    return (v - 1) // 2, v
-
-
 def develop_bytes(orbits: int) -> int:
     """Resident bytes that building and developing a family of `orbits`
     base blocks adds, for preflight estimates: 80 per orbit (its 28-byte
     slot row, 16 bytes of length and replication, and what the
-    construction leaves resident per block) over 1 MiB of heap.  Fitted,
+    construction leaves resident per block) over 0.5 MiB of heap.  Fitted,
     with the preflight's largest stage, to the VmHWM growth of `verify`
-    in fresh processes: 3.1, 9.3, 33.5 and 136-144 MiB at n = 15, 17, 19
-    and 21 against preflight totals of 3.1, 9.2, 33.7 and 131.7 MiB."""
-    return 2**20 + 80 * orbits
+    in fresh processes: 1.9, 5.3, 21.5, 82.5 and 298.7 MiB at n = 15 to
+    23 against preflight totals of 2.0, 5.9, 21.4, 83.4 and 331.4 MiB."""
+    return 2**19 + 80 * orbits
 
 
 def pair_count_bytes(n: int) -> int:
-    """Bytes the pair count of the family over GF(2^n) allocates at its
-    peak, for preflight estimates: 72 per row (64 measured: the step
-    table's four columns and its stacked copy), and 128 (two events and
-    their steps) for each of the 21 runs of K*'s orbit, the only one
-    shorter than v, when 3 | n.  It bounds every stage after the
-    development: under tracemalloc at n = 17 and 19, check_qanalog and
-    check_simple peak at ~84 and ~95 B per orbit, against its own ~216 B
-    per orbit (three rows each), of which _events takes under 20 B."""
-    return 72 * counter_shape((1 << n) - 1)[0] + 128 * 21 * (n % 3 == 0)
+    """Bytes the pair count over GF(2^n) allocates at its peak, its fold
+    the profile's, for preflight estimates: a boolean mask of the folds
+    that must be lam and their int32 copy, 2.5 B per element (2.64, 2.51
+    and 2.50 under tracemalloc at n = 15, 17 and 19), and 16 KiB for K*'s
+    steps and the report."""
+    return 5 * (1 << n) // 2 + 2**14
+
+
+def orbit_check_bytes(orbits: int) -> int:
+    """Peak bytes of check_qanalog or check_simple, for preflight estimates:
+    96 per orbit (~84 and ~95 under tracemalloc at n = 17 and 19)."""
+    return 96 * orbits
 
 
 # Orbits per chunk of _events; bounds its (orbits, 21) temporaries.
 _EVENT_ORBITS = 1 << 10
 
 
-def _events(ctx: GF2n, d: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Difference events of every (orbit, slot pair) run, unsorted: their
-    flat keys row * v + column and their int64 weights, and the int64
-    base of each row, its count at column 0 before any event.
-
-    Developing slot pair (i, j) of an orbit shifts both logs together, so
-    it covers one cyclic run of `length` columns in a single row, w times
-    each, w being the orbit's replication.  A run of an orbit of length v
-    covers its whole row, min(|d|, v - |d|) - 1 for the log difference
-    d = lj - li, and only adds w to its base.  A run of a shorter orbit is
-    +w at its first column and -w at the column past its last, mod v, and
-    a run that reaches column v - 1 adds w to its row's base, so the
-    events of every row sum to 0.
-    """
+def _events(ctx: GF2n, d: Design) -> tuple[np.ndarray, np.ndarray]:
+    """Events of every run of the orbits shorter than v, unsorted: int64
+    keys fold * (v + 1) + column and int64 weights.  Slot pair (i, j) of an
+    orbit of length m and replication w covers m cyclic columns of the
+    fold of lj - li, w times: a run from column s is +w at s and -w at
+    min(s + m, v), and one that passes column v - 1 is also +w at column 0
+    and -w at s + m - v.  The events of every fold sum to 0."""
     v = ctx.order - 1
-    rows = counter_shape(v)[0]
-    base = np.zeros(rows, dtype=np.int64)
-    whole = d.replication * (d.length >= v)  # 0 for the orbits shorter than v
-    for lo in range(0, len(d.slots), _EVENT_ORBITS):
-        logs = ctx.logs[d.slots[lo : lo + _EVENT_ORBITS]]
-        row = np.abs(logs[:, PAIR_J] - logs[:, PAIR_I])  # (C, 21): one run per orbit and slot pair
-        row = np.minimum(row, v - row) - 1
-        # a contiguous intp index and contiguous weights keep np.add.at fast
-        np.add.at(base, row.astype(np.intp).ravel(), np.repeat(whole[lo : lo + _EVENT_ORBITS], 21))
     keys, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     short = np.flatnonzero(d.length < v)
     for lo in range(0, len(short), _EVENT_ORBITS):
         part = short[lo : lo + _EVENT_ORBITS]
-        logs = ctx.logs[d.slots[part]]
+        logs = ctx.logs[d.slots[part]].astype(np.int64)
         li, lj = logs[:, PAIR_I], logs[:, PAIR_J]  # (C, 21): one run per orbit and slot pair
         gap = (lj - li) % v
-        low = gap <= rows
-        row = np.where(low, gap - 1, v - gap - 1).astype(np.int64)
+        low = gap <= v // 2
+        base = np.where(low, gap, v - gap) * (v + 1)  # key of the fold's column 0
         first = np.where(low, li, lj)
         stop = first + d.length[part, None]  # the column past the run, unwrapped
-        w = np.broadcast_to(d.replication[part, None], row.shape)
-        np.add.at(base, row[stop >= v], w[stop >= v])
-        row *= v  # key of the row's column 0
-        keys += [(row + first).ravel(), (row + stop % v).ravel()]
-        weights += [w.ravel(), -w.ravel()]
-    return np.concatenate(keys), np.concatenate(weights), base
+        w = np.broadcast_to(d.replication[part, None], base.shape)
+        wraps = stop > v
+        keys += [(base + first).ravel(), (base + np.minimum(stop, v)).ravel()]
+        keys += [base[wraps], (base + stop - v)[wraps]]
+        weights += [w.ravel(), -w.ravel(), w[wraps], -w[wraps]]
+    return np.concatenate(keys), np.concatenate(weights)
 
 
 def pair_coverage_counts(ctx: GF2n, d: Design) -> np.ndarray:
-    """Every step of the pair counter, as a (4, S) int64 array whose rows
-    are (row, start, stop, count): the steps are ordered by row and then
-    start, and the pairs at columns start..stop-1 of that row of
-    counter_shape(v) are each counted exactly `count` times.  The steps
-    of a row partition its v columns, and every row has at least one.
-
-    Every row opens with a zero-weight key at its column 0, sorted with
-    the events and summed cumulatively in int64.  Each row's events sum to
-    0, so the sum after the last key at a column, plus the row's base, is
-    the count up to the row's next key, or to v if the next key opens a row.
-    """
+    """The steps of the pair count in the folds that orbits shorter than v
+    reach: a (4, S) int64 array of rows (fold, start, stop, count), by
+    fold, then start, each pair {g^a, g^(a+fold)}, start <= a < stop,
+    covered `count` times; a fold's steps partition its v columns.  Every
+    pair of every other fold f is covered d.fold[f] times.  The events,
+    each with a zero-weight key at its fold's column 0, are sorted once
+    and summed in int64, and the sum of each fold's events is 0."""
     v = ctx.order - 1
-    keys, weights, base = _events(ctx, d)
-    # the row keys are in order, so the stable sort merges them in cheaply
-    keys = np.concatenate([np.arange(len(base), dtype=np.int64) * v, keys])
-    order = np.argsort(keys, kind="stable")
+    keys, weights = _events(ctx, d)
+    if not keys.size:
+        return np.empty((4, 0), dtype=np.int64)
+    keys = np.concatenate([keys - keys % (v + 1), keys])
+    order = np.argsort(keys, kind="stable")  # the sort check_simple runs too
     keys = keys[order]
-    count = np.concatenate([np.zeros_like(base), weights])[order]
-    del weights, order
+    count = np.cumsum(np.concatenate([np.zeros_like(weights), weights])[order])
     last = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))  # the last key at each column
-    row, start = np.divmod(keys[last], v)
-    del keys
-    count = np.cumsum(count, out=count)[last] + base[row]
-    del last, base
-    # a step stops where the next starts, or at v where the next opens a row
+    opens = last[keys[last] % (v + 1) < v]  # a key at column v, past every pair, opens no step
+    fold, start = np.divmod(keys[opens], v + 1)
     stop = np.append(np.where(start[1:] > 0, start[1:], v), v)
-    return np.stack([row, start, stop, count])
+    return np.stack([fold, start, stop, count[opens] + d.fold[fold]])
 
 
-def _first_offenders(ctx: GF2n, steps: np.ndarray, group: np.ndarray, ng: int, limit=10) -> tuple:
+def _first_offenders(ctx: GF2n, steps: np.ndarray, m: int, limit=10) -> tuple:
     """The first `limit` pairs of the given wrong steps, as ((u, w), count)
-    with encodings u < w, ordered by u, then group, then w; `group` maps
-    each row to its group, of `ng`.  The steps are expanded pair by pair,
-    at most _OFFENDER_CHUNK pairs at a time."""
+    with encodings u <= w, ordered by u, then by whether m does not divide
+    the fold, then w.  The steps are expanded pair by pair, at most
+    _OFFENDER_CHUNK pairs at a time."""
     q = ctx.order
-    row, start, stop, count = steps
+    fold, start, stop, count = steps
     size = stop - start
     ends = np.cumsum(size)  # pairs in the steps up to each one's end
     origin = ends - size - start  # pair index minus column, per step
@@ -248,49 +227,70 @@ def _first_offenders(ctx: GF2n, steps: np.ndarray, group: np.ndarray, ng: int, l
     for p0 in range(0, total, _OFFENDER_CHUNK):
         p = np.arange(p0, min(p0 + _OFFENDER_CHUNK, total))
         s = np.searchsorted(ends, p, side="right")
-        c, r = p - origin[s], row[s]
+        c, f = p - origin[s], fold[s]
         x = ctx.exp2[c].astype(np.int64)
-        y = ctx.exp2[c + r + 1].astype(np.int64)
-        keys = np.concatenate([keys, (np.minimum(x, y) * ng + group[r]) * q + np.maximum(x, y)])
+        y = ctx.exp2[c + f].astype(np.int64)
+        keys = np.concatenate([keys, (np.minimum(x, y) * 2 + (f % m != 0)) * q + np.maximum(x, y)])
         found = np.concatenate([found, count[s]])
         if len(keys) > limit:
             top = np.argpartition(keys, limit - 1)[:limit]
             keys, found = keys[top], found[top]
     top = np.argsort(keys)
     return tuple(
-        ((k // q // ng, k % q), c) for k, c in zip(keys[top].tolist(), found[top].tolist())
+        ((k // q // 2, k % q), c) for k, c in zip(keys[top].tolist(), found[top].tolist())
     )
 
 
-def check_pair_coverage(ctx: GF2n, d: Design, groups) -> tuple:
-    """Exact pair coverage against the expected count of each row group.
+def _widen(r: tuple[int, int] | None, values: np.ndarray) -> tuple[int, int] | None:
+    """The range r, (min, max) or None, widened to hold all values."""
+    ends = [*(r or ()), *((int(values.min()), int(values.max())) if values.size else ())]
+    return (min(ends), max(ends)) if ends else None
 
-    groups is a sequence of (row mask, expected count) whose masks
-    partition the rows of counter_shape(v).  Returns the exact (min, max)
-    count of each group (None for a group without rows) and the first ten
-    offenders, all read from one step table of pair_coverage_counts.
-    """
+
+def fold_verdicts(hist: np.ndarray, m: int, lam: int, skip) -> tuple[list, np.ndarray]:
+    """Verdicts on a histogram by fold whose multiples of m must be 0 and
+    whose other folds must be lam, the folds in `skip` left out: the
+    exact (min, max) of each of these two groups (None for a group left
+    without folds) and the wrong folds, in increasing order."""
+    keep = np.ones(len(hist), dtype=bool)
+    keep[skip] = False
+    zero = np.arange(0, len(hist), m)
+    zero = zero[keep[zero]]
+    keep[::m] = False
+    ranges = [_widen(None, hist[zero]), _widen(None, hist[keep])]
+    wrong = hist != lam
+    wrong &= keep
+    wrong[zero] = hist[zero] != 0
+    return ranges, np.flatnonzero(wrong)
+
+
+def check_pair_coverage(ctx: GF2n, d: Design, m: int, lam: int) -> tuple:
+    """Exact pair coverage: every pair {g^a, g^(a+f)} is covered lam times,
+    except in the folds f that m divides, which must be covered 0 times:
+    fold 0, a point with itself, and, for a GDD with m = v/7, the pairs
+    within a groop.  Returns the exact (min, max) count of those and of
+    the other folds (None without folds), read off d.fold and the steps
+    of pair_coverage_counts, and the first ten offenders of the wrong
+    folds, each a single step, and of the wrong steps."""
     steps = pair_coverage_counts(ctx, d)
-    row, count = steps[0], steps[3]
-    rows = counter_shape(d.v)[0]
-    group = np.zeros(rows, dtype=np.int64)
-    expect = np.zeros(rows, dtype=np.int64)
-    for g, (mask, lam) in enumerate(groups):
-        group[mask], expect[mask] = g, lam
-    in_group = [count[mask[row]] for mask, _ in groups]
-    ranges = [(int(c.min()), int(c.max())) if c.size else None for c in in_group]
-    return ranges, _first_offenders(ctx, steps[:, count != expect[row]], group, len(groups))
+    fold, count = steps[0], steps[3]
+    at_zero = fold % m == 0
+    ranges, bad = fold_verdicts(d.fold, m, lam, fold)
+    ranges = [_widen(ranges[0], count[at_zero]), _widen(ranges[1], count[~at_zero])]
+    wrong = steps[:, count != np.where(at_zero, 0, lam)]
+    if bad.size:
+        wrong = np.concatenate([[bad, 0 * bad, d.v + 0 * bad, d.fold[bad]], wrong], axis=1)
+    return ranges, _first_offenders(ctx, wrong, m) if wrong.size else ()
 
 
 def verify_2design(d: Design) -> VerificationReport:
-    """Exhaustively check that every point pair lies in exactly
-    lambda_claim developed blocks."""
+    """Exhaustively check that every pair of distinct points lies in
+    exactly lambda_claim developed blocks, and no block repeats a point."""
     t0 = time.perf_counter()
     lam = d.lambda_claim
-    every_row = np.ones(counter_shape(d.v)[0], dtype=bool)
-    [(mn, mx)], offenders = check_pair_coverage(d.ctx, d, [(every_row, lam)])
+    (repeated, (mn, mx)), offenders = check_pair_coverage(d.ctx, d, d.v, lam)
     return VerificationReport(
-        passed=(mn == lam and mx == lam),
+        passed=(mn == lam and mx == lam and repeated == (0, 0)),
         pair_coverage_min=mn,
         pair_coverage_max=mx,
         offending_pairs=offenders,

@@ -8,15 +8,16 @@ times in the union of the quotient lists of its base blocks.
 Two independent routes compute the multiplicity m(t):
 
   * multiplicity_profile: brute-force accumulation over every base block,
-    as one histogram of the slot log differences of each block (the
-    production verifier and the oracle);
+    one histogram of the folded slot log differences (fold_differences,
+    which also counts every pair of a design's full-length orbits);
   * certificate_table: solvability of the 18 genuinely quadratic quotient
     equations at every t, read off the trace table as one int32 key per
     t (bit c: equation c has two roots), plus the 24 degenerate ones,
     which predicts m(t) = 24 + 2*r(t) for the all-seeds family; r(t) and
     the matching are decoded from each distinct key.
 
-Keeping both routes alive catches transcription slips in either one.
+Keeping both routes alive catches transcription slips in either one,
+and in the fold that the profile and the pair count share.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def delta_table(ctx: GF2n, x: int):
     ]
 
 
-# Blocks per chunk of multiplicity_profile; bounds its temporaries.
+# Blocks per chunk of fold_differences; bounds its temporaries.
 _PROFILE_BLOCKS = 1 << 12
 
 
@@ -149,31 +150,37 @@ def profile_bytes(n: int) -> int:
     return 2 * (1 << n) + 196 * _PROFILE_BLOCKS
 
 
-def multiplicity_profile(fam) -> MultiplicityProfile:
-    """Exact m(t) for every t, by direct accumulation over base blocks.
-
-    b_i/b_j = g^(log b_i - log b_j), so the 42 slot log differences of
-    every block, mapped to encodings through exp2, are the blocks' delta
-    lists.  A difference d (i < j) and its negative (j > i) share the
-    fold min(|d|, v - |d|), v = 2^n - 1, so the 21 with i < j are folded
-    a chunk of blocks at a time into one int32 histogram over half the
-    field; fold f counts g^f and g^(v - f), fold 0 counts 1 twice.  A
-    chunk's logs are read as (7, blocks), so each pair's differences are
-    one contiguous row.
-    """
-    ctx = fam.ctx
+def fold_differences(ctx: GF2n, slots: np.ndarray, weight=None) -> np.ndarray:
+    """Exact histogram of the folded slot log differences of the rows of
+    `slots`, each row weighted by weight[row] (1 if weight is None): a
+    difference d = log b_i - log b_j and its negative share the fold
+    min(|d|, v - |d|), so hist[f] counts the quotients g^f and g^(v - f),
+    1 <= f <= v // 2, and hist[0] the quotient 1 of a repeated element.
+    A chunk reads its logs as (7, rows), each pair's differences one row;
+    the bins are int32 when all weights sum below 2^31 / 21, else int64."""
     v = ctx.order - 1
-    hist = np.zeros(v // 2 + 1, dtype=np.int32)
-    for lo in range(0, len(fam.slots), _PROFILE_BLOCKS):
-        # take() lays the (7, blocks) logs out C-ordered; [] keeps the
+    total = 21 * (len(slots) if weight is None else int(weight.sum()))
+    hist = np.zeros(v // 2 + 1, dtype=np.int32 if total < 2**31 else np.int64)
+    one = hist.dtype.type(1)  # a scalar of the histogram's type takes no casting path
+    for lo in range(0, len(slots), _PROFILE_BLOCKS):
+        rows = slice(lo, lo + _PROFILE_BLOCKS)
+        # take() lays the (7, rows) logs out C-ordered; [] keeps the
         # transpose's order, which would leave each pair's row strided
-        logs = ctx.logs.take(fam.slots[lo : lo + _PROFILE_BLOCKS].T)
+        logs = ctx.logs.take(slots[rows].T)
         d = logs[PAIR_I]
         d -= logs[PAIR_J]
         np.abs(d, out=d)
         np.minimum(d, v - d, out=d)
-        np.add.at(hist, d.ravel(), np.int32(1))  # an int32 one takes no casting path
-    return MultiplicityProfile(ctx, hist)
+        w = one if weight is None else np.tile(weight[rows].astype(hist.dtype), 21)
+        np.add.at(hist, d.ravel(), w)
+    return hist
+
+
+def multiplicity_profile(fam) -> MultiplicityProfile:
+    """Exact m(t) for every t, by direct accumulation over base blocks:
+    b_i/b_j = g^(log b_i - log b_j), so the folded slot log differences
+    of every block, each counted once, are its delta list."""
+    return MultiplicityProfile(fam.ctx, fold_differences(fam.ctx, fam.slots))
 
 
 # -- quotient equations -------------------------------------------------------

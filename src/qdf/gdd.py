@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (
-    Design,
-    VerificationReport,
-    check_pair_coverage,
-    check_simple,
-    counter_shape,
-    develop,
-)
+from .design import Design, VerificationReport, check_pair_coverage, check_simple, develop
+from .design import fold_verdicts
 from .errors import WrongResidueError
 from .family import DifferenceFamily, multiplicity_profile
 from .gf2n import GF2n
@@ -96,25 +90,25 @@ def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
     )
 
 
-def verify_relative(fam: DifferenceFamily) -> VerificationReport:
+def verify_relative(fam: DifferenceFamily, profile=None) -> VerificationReport:
     """Quotient profile check: multiplicity 0 on G minus {1} and lambda
-    everywhere outside G, read off multiplicity_profile through a mask of
-    the forbidden subgroup."""
+    everywhere outside G, read off the family's MultiplicityProfile (built
+    when not given).  Every t outside {0, 1} is g^f or g^(v - f) for one
+    fold f of its histogram, and G = <g^m>, m = v/|G|, holds both iff m | f."""
     t0 = time.perf_counter()
-    lam = fam.lambda_claim
-    counts = multiplicity_profile(fam).counts[2:]
-    forbidden = np.zeros(fam.ctx.order, dtype=bool)
-    forbidden[list(fam.forbidden)] = True
-    forbidden = forbidden[2:]
-    bad = np.flatnonzero(counts != np.where(forbidden, 0, lam))[:10]
-    offenders = tuple(zip((bad + 2).tolist(), counts[bad].tolist()))
-    outside = counts[~forbidden]
-    notes = ""
-    if outside.size:
-        mn, mx = int(outside.min()), int(outside.max())
-    else:
-        mn = mx = lam
-        notes = "degenerate: no points outside the forbidden subgroup"
+    ctx, lam = fam.ctx, fam.lambda_claim
+    v = ctx.order - 1
+    m = v // max(len(fam.forbidden), 1)  # an ordinary family avoids {1}
+    if fam.forbidden | {1} != frozenset(ctx.exp2[:v:m].tolist()):
+        raise ValueError("the forbidden set is not a subgroup of the units")
+    hist = (profile or multiplicity_profile(fam)).hist
+    (_, outside), bad = fold_verdicts(hist, m, lam, [0])  # t = 1 is not checked
+    ts = np.concatenate([ctx.exp2[bad], ctx.exp2[v - bad]])
+    ts = sorted((np.partition(ts, 9)[:10] if ts.size > 10 else ts).tolist())
+    logs = ctx.logs[ts]
+    offenders = tuple(zip(ts, hist[np.minimum(logs, v - logs)].tolist()))
+    mn, mx = outside or (lam, lam)
+    notes = "" if outside else "degenerate: no points outside the forbidden subgroup"
     return VerificationReport(
         passed=not offenders and mn == lam and mx == lam,
         pair_coverage_min=mn,
@@ -146,22 +140,15 @@ def verify_gdd(spread: Spread, design: Design) -> VerificationReport:
 
     meet_ok = bool((np.diff(np.sort(spread.point_groop[design.slots], axis=1), axis=1) > 0).all())
 
-    # g^a and g^(a+d) share a coset of K* = <g^(v/7)> iff v/7 divides d
-    rows = counter_shape(design.v)[0]
-    within = np.arange(1, rows + 1) % (design.v // 7) == 0
-    (within_range, cross_range), offenders = check_pair_coverage(
-        ctx, design, [(within, 0), (~within, lam)]
-    )
+    # g^a and g^(a+f) share a coset of K* = <g^(v/7)> iff v/7 divides f
+    (within_range, cross_range), offenders = check_pair_coverage(ctx, design, design.v // 7, lam)
 
-    notes = ""
-    if cross_range is None:
-        cross_range = (lam, lam)
-        notes = "degenerate: single groop, no cross-groop pairs"
-    cross_min, cross_max = cross_range
+    cross_min, cross_max = cross_range or (lam, lam)
+    notes = "" if cross_range else "degenerate: single groop, no cross-groop pairs"
     checks = {
         "block_groop_meet": meet_ok,
         "cross_pair_coverage": cross_min == lam and cross_max == lam,
-        "within_pair_coverage": within_range is None or within_range[1] == 0,
+        "within_pair_coverage": within_range[1] == 0,
         "simple": check_simple(design),
     }
     return VerificationReport(

@@ -81,13 +81,14 @@ def test_preflight_estimate_matches_counter(capsys):
     # table_bytes(15) = 12 * 2^15 + 4 * 2^15 + 8 * 8192 = 589,824 bytes
     # (0.56 MiB: the three table words, a chunk of 2^15 logs and numpy's
     # index buffer);
-    # for 5461 orbits, develop_bytes = 2^20 + 80 * 5461 = 1,485,456
-    # (1.42 MiB); the largest stage is the pair count, pair_count_bytes
-    # for 16383 rows and the 21 runs of K*'s orbit, 72 * 16383 + 128 * 21
-    # = 1,182,264 (1.13 MiB): 3,257,544 bytes (3.11 MiB) in all
+    # for 5461 orbits, develop_bytes = 2^19 + 80 * 5461 = 961,168
+    # (0.92 MiB); the largest stage is the orbit checks,
+    # orbit_check_bytes = 96 * 5461 = 524,256 (0.50 MiB), above the pair
+    # count's pair_count_bytes = 5 * 2^14 + 2^14 = 98,304: 2,075,248 bytes
+    # (1.98 MiB) in all
     assert "~0.6 MiB of field tables" in warning
-    assert "~1.4 MiB for the development and ~1.1 MiB for the largest stage" in warning
-    assert "~3.1 MiB in all" in warning
+    assert "~0.9 MiB for the development and ~0.5 MiB for the largest stage" in warning
+    assert "~2.0 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
 
@@ -206,9 +207,9 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 @pytest.mark.parametrize("n", [15, 21])
 def test_preflight_total_matches_measured_rss_of_gdd(n):
-    # the largest stage is the pair count, the writer's chunks included:
-    # VmHWM grows by 3.3 and 146.4 MiB at n = 15 and 21, against printed
-    # totals of 3.4 and 139.9 MiB
+    # the largest stage is the writer's chunks at n = 15 and the orbit
+    # checks at n = 21: VmHWM grows by 2.8-3.0 and 93.8 MiB, against
+    # printed totals of 2.7 and 99.4 MiB
     measured, total = _measured_and_printed("gdd", n)
     assert 0.75 * total < measured < 1.25 * total
 

@@ -111,6 +111,17 @@ def test_verify_relative_fails_with_subfield_block_present():
     assert any(t in kstar and c == 7 for t, c in bad.items())
 
 
+def test_verify_relative_reads_the_forbidden_subgroup():
+    # an ordinary family avoids only 1 and passes; a forbidden set that is
+    # no subgroup cannot be read off the folds, and is refused
+    f = cached_field(9)
+    fam = build_family(f)
+    rep = verify_relative(fam)
+    assert rep.passed and rep.pair_coverage_min == rep.pair_coverage_max == 7
+    with pytest.raises(ValueError):
+        verify_relative(DifferenceFamily(f, fam.slots, 7, forbidden=frozenset({2, 3})))
+
+
 def test_verify_relative_vacuous_n3():
     rf = build_relative_family(build_family(cached_field(3)))
     rep = verify_relative(rf)
