@@ -6,9 +6,10 @@ Elements are plain ints; bit i is the coefficient of z^i.  Addition is
 XOR, multiplication reduces modulo a fixed irreducible polynomial.
 """
 
-from qdf import make_field
+from qdf import GF2n
+from qdf.reference import solve_quadratic
 
-f = make_field(9)
+f = GF2n(9)
 print(f"field: {f}  (modulus found by exhaustive search)")
 
 a, b = 0b101010111, 0b011000101
@@ -23,13 +24,13 @@ print(f"trace(1) = {f.trace(1)}, trace(a) = {f.trace(a)}")
 # quadratic equations: a*x^2 + b*x + c = 0 has 0 or 2 roots when b != 0,
 # decided by the trace of a*c/b^2, and exactly one root when b == 0
 eq = (1, a, b)
-out = f.solve_quadratic(*eq)
+out = solve_quadratic(f, *eq)
 print(f"x^2 + a*x + b: {out.count} roots {[hex(r) for r in out.roots]}")
 for x in out.roots:
     assert f.sqr(x) ^ f.mul(a, x) ^ b == 0
 
 print(f"x^2 + x + 1 over odd-degree fields is never solvable:",
-      f.solve_quadratic(1, 1, 1).count == 0)
+      solve_quadratic(f, 1, 1, 1).count == 0)
 
 # GF(8) sits inside GF(2^9) because 3 divides 9
 sub = f.subfield(3)

@@ -9,17 +9,16 @@ hexagons: the components of the graph whose moves are x -> x+1 and
 x -> 1/x.
 """
 
-from qdf import (
+from qdf import GF2n, hexagon_rows
+from qdf.reference import (
     block_of,
     hexagon_of,
-    hexagon_partition,
     is_subspace_block,
-    make_field,
     same_orbit,
     stabilizer_of,
 )
 
-f = make_field(5)
+f = GF2n(5)
 x = 9
 b = block_of(f, x)
 print(f"block of x={x}: {b.elements}")
@@ -28,22 +27,23 @@ print("same point set as the block of x+1:",
       b.as_set() == block_of(f, x ^ 1).as_set())
 
 h = hexagon_of(f, x)
-print(f"hexagon of {x}: {h.vertices} (canonical representative {h.canonical_rep})")
+print(f"hexagon of {x}: {h} (canonical representative {min(h)})")
 
-hexes = hexagon_partition(f)
+# the same walk for every hexagon at once, as one array row each
+hexes = hexagon_rows(f).tolist()
 print(f"n=5: {len(hexes)} hexagons partition the {f.order - 2} seeds")
 for hx in hexes:
-    print("  ", hx.vertices)
+    print("  ", tuple(hx))
 
 # seeds in one hexagon give the same orbit; across hexagons they never do
 print("orbit(x) == orbit(1/x):", same_orbit(f, x, f.inv(x)))
 print("orbit(first hexagon) == orbit(second hexagon):",
-      same_orbit(f, hexes[0].canonical_rep, hexes[1].canonical_rep))
+      same_orbit(f, min(hexes[0]), min(hexes[1])))
 
 # stabilizers are trivial unless the block is the order-8 subfield
-f9 = make_field(9)
+f9 = GF2n(9)
 kstar = [t for t in f9.subfield(3) if t]
-ordinary = stabilizer_of(f9, block_of(f9, 2))
-special = stabilizer_of(f9, block_of(f9, kstar[1]))
-print(f"n=9 stabilizer orders: ordinary block {ordinary.order}, "
-      f"subfield block {special.order}")
+ordinary = stabilizer_of(f9, block_of(f9, 2).elements)
+special = stabilizer_of(f9, block_of(f9, kstar[1]).elements)
+print(f"n=9 stabilizer orders: ordinary block {len(ordinary)}, "
+      f"subfield block {len(special)}")

@@ -10,17 +10,10 @@ equations per t, 24 are degenerate with a single solution each, and the
 solvable member, so m(t) = 24 + 2*9.
 """
 
-from qdf import (
-    MATCHED_PAIRS,
-    build_family,
-    equation_certificate,
-    full_family,
-    make_field,
-    multiplicity_profile,
-    predicted_multiplicity,
-)
+from qdf import GF2n, MATCHED_PAIRS, build_family, full_family, multiplicity_profile
+from qdf.reference import equation_certificate, predicted_multiplicity
 
-f = make_field(7)
+f = GF2n(7)
 
 fam_all = full_family(f)
 prof_all = multiplicity_profile(fam_all)
@@ -43,4 +36,4 @@ for left, right in MATCHED_PAIRS:
 print("\ncertificate prediction 24 + 2*r(t) vs brute-force profile:")
 for t in (2, 3, 87, 100):
     print(f"  t={t}: predicted {predicted_multiplicity(f, t)}, "
-          f"counted {prof_all.count_of(t)}")
+          f"counted {prof_all.counts[t]}")

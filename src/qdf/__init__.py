@@ -12,6 +12,12 @@ divisible design over the Desarguesian 3-spread.
 The verification side re-derives every claimed property by brute force:
 multiplicity profiles, exhaustive pair coverage, orbit/stabilizer
 structure, spread partitions and trace-based solvability certificates.
+
+Everything here works on arrays.  The paper's scalar definitions (the
+block and hexagon of one seed, its quotient list, the quadratic solver
+and the per-t certificate) are in `qdf.reference`, which this package
+does not import: the tests compare the arrays against it, and the demos
+use it to follow the paper.
 """
 
 from .errors import (
@@ -26,39 +32,17 @@ from .errors import (
     WrongResidueError,
     ZeroInverseError,
 )
-from .gf2n import GF2n, QuadraticOutcome, is_irreducible, make_field, smallest_irreducible
-from .blocks import (
-    Block,
-    Hexagon,
-    StabilizerReport,
-    block_of,
-    block_slots,
-    hexagon_of,
-    hexagon_partition,
-    hexagon_reps,
-    hexagon_rows,
-    is_subspace_block,
-    same_orbit,
-    stabilizer_of,
-)
+from .gf2n import GF2n, is_irreducible, smallest_irreducible
+from .blocks import block_slots, hexagon_reps, hexagon_rows
 from .family import (
     DifferenceFamily,
     CertificateTable,
-    EquationCertificate,
     MultiplicityProfile,
     MATCHED_PAIRS,
-    QUADRATIC_PAIRS,
-    SINGLE_SOLUTION_PAIRS,
     build_family,
     certificate_table,
-    delta,
-    delta_table,
-    equation_certificate,
     full_family,
     multiplicity_profile,
-    pair_equation,
-    pair_solution_count,
-    predicted_multiplicity,
 )
 from .design import (
     Design,
@@ -74,7 +58,6 @@ from .gdd import (
     Spread,
     build_relative_family,
     desarguesian_spread,
-    develop_and_verify_gdd,
     verify_gdd,
     verify_relative,
 )
@@ -83,37 +66,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF2n",
-    "make_field",
-    "QuadraticOutcome",
     "is_irreducible",
     "smallest_irreducible",
-    "Block",
-    "Hexagon",
-    "StabilizerReport",
-    "block_of",
     "block_slots",
-    "hexagon_of",
-    "hexagon_partition",
     "hexagon_reps",
     "hexagon_rows",
-    "is_subspace_block",
-    "stabilizer_of",
-    "same_orbit",
     "DifferenceFamily",
     "MultiplicityProfile",
-    "EquationCertificate",
     "CertificateTable",
     "MATCHED_PAIRS",
-    "QUADRATIC_PAIRS",
-    "SINGLE_SOLUTION_PAIRS",
-    "delta",
-    "delta_table",
     "multiplicity_profile",
-    "equation_certificate",
     "certificate_table",
-    "pair_equation",
-    "pair_solution_count",
-    "predicted_multiplicity",
     "build_family",
     "full_family",
     "Design",
@@ -128,7 +91,6 @@ __all__ = [
     "build_relative_family",
     "desarguesian_spread",
     "verify_relative",
-    "develop_and_verify_gdd",
     "verify_gdd",
     "QdfError",
     "EvenDegreeError",

@@ -1,4 +1,4 @@
-"""Blocks, hexagons, stabilizers and orbit relations.
+"""Blocks and hexagons, as arrays.
 
 A block is the 7-element point set of a 3-dimensional GF(2)-subspace of
 the field, generated by a seed x outside {0, 1}:
@@ -9,11 +9,11 @@ The ordering above is fixed because the quotient table in `family` is
 indexed by block position.  Scaling a block by a unit walks it around an
 orbit; the orbit of B_x is described combinatorially by the hexagon of x
 in the 2-regular graph on F* \\ {1} whose moves are v -> v+1 and v -> 1/v.
+The scalar definitions (block_of, hexagon_of, stabilizer_of, same_orbit)
+are in `qdf.reference`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,63 +28,9 @@ SLOT_MASKS = (0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
 PAIR_I, PAIR_J = np.array([(i, j) for i in range(7) for j in range(i + 1, 7)]).T
 
 
-@dataclass(frozen=True)
-class Block:
-    """Ordered 7-tuple of nonzero elements spanning, with 0, a 3-dim subspace."""
-
-    elements: tuple[int, ...]
-    seed: int
-
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
-
-@dataclass(frozen=True)
-class Hexagon:
-    """One connected component of the seed graph, in cyclic walk order."""
-
-    vertices: tuple[int, ...]
-    canonical_rep: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "canonical_rep", min(self.vertices))
-
-
-@dataclass(frozen=True)
-class StabilizerReport:
-    """Multiplicative stabilizer of a block: its order and all its elements."""
-
-    order: int
-    generators: tuple[int, ...]
-
-
 def _check_seed(x: int, ctx: GF2n) -> None:
     if x in (0, 1) or not 0 <= x < ctx.order:
         raise ForbiddenSeedError(f"seed must lie in F* minus {{1}}, got {x}")
-
-
-def block_of(ctx: GF2n, x: int) -> Block:
-    """The block seeded by x; 3-dimensional for every odd n since
-    1, x, x^2 can only be dependent when x^2 + x + 1 = 0, impossible here."""
-    _check_seed(x, ctx)
-    x2 = ctx.sqr(x)
-    return Block((1, x, x2, x ^ 1, x2 ^ 1, x2 ^ x, x2 ^ x ^ 1), seed=x)
-
-
-def hexagon_of(ctx: GF2n, x: int) -> Hexagon:
-    """The hexagon through x, walked by alternating the moves +1 and 1/v.
-
-    Vertex order: (x, x+1, 1/(x+1), x/(x+1), (x+1)/x, 1/x); one more
-    inversion returns to x.  All six vertices are distinct and avoid
-    {0, 1} for odd n.
-    """
-    _check_seed(x, ctx)
-    v1 = x ^ 1
-    v2 = ctx.inv(v1)
-    v3 = v2 ^ 1
-    v4 = ctx.inv(v3)
-    v5 = v4 ^ 1
-    return Hexagon((x, v1, v2, v3, v4, v5))
 
 
 # Seed pairs (x, x+1) per chunk of hexagon_reps; bounds its temporaries.
@@ -139,15 +85,6 @@ def max_vertices(ctx: GF2n, reps: np.ndarray) -> np.ndarray:
     return np.maximum(_inverses(ctx, reps), _inverses(ctx, reps ^ 1)) | 1
 
 
-def hexagon_partition(ctx: GF2n) -> list[Hexagon]:
-    """Partition of F* \\ {1} into (2^n - 2)/6 hexagons.
-
-    Listed by increasing canonical representative, so the list of
-    canonical_reps is the default representative system.
-    """
-    return [Hexagon(tuple(row)) for row in hexagon_rows(ctx).tolist()]
-
-
 def block_slots(ctx: GF2n, seeds) -> np.ndarray:
     """The blocks of the given seeds as an (N, 7) int32 array, one row
     per seed in the slot order of block_of, filled column by column."""
@@ -163,57 +100,3 @@ def block_slots(ctx: GF2n, seeds) -> np.ndarray:
     np.bitwise_xor(out[:, 2], x, out=out[:, 5])
     np.bitwise_xor(out[:, 5], 1, out=out[:, 6])
     return out
-
-
-def is_subspace_block(ctx: GF2n, s) -> bool:
-    """True iff s is a 7-set of nonzero elements with s + {0} add-closed."""
-    pts = set(s)
-    if len(pts) != 7 or 0 in pts:
-        return False
-    full = pts | {0}
-    return all(a ^ b in full for a in pts for b in pts)
-
-
-def stabilizer_of(ctx: GF2n, b: Block) -> StabilizerReport:
-    """All t with t*B = B as sets.
-
-    The stabilizer order divides gcd(2^n - 1, 7), so candidates are the
-    solutions of t^7 = 1: the nonzero elements of the order-8 subfield
-    when 3 | n, just {1} otherwise.  develop finds the same orders for
-    all base blocks at once by an array test; this is the scalar route.
-    """
-    if ctx.n % 3 == 0:
-        candidates = [t for t in ctx.subfield(3) if t]
-    else:
-        candidates = [1]
-    bs = b.as_set()
-    members = tuple(
-        t for t in candidates if t == 1 or frozenset(ctx.mul(t, e) for e in bs) == bs
-    )
-    return StabilizerReport(order=len(members), generators=members)
-
-
-def _scaled_equal(ctx: GF2n, t: int, src: frozenset[int], dst: frozenset[int]) -> bool:
-    for e in src:
-        if ctx.mul(t, e) not in dst:
-            return False
-    return True
-
-
-def same_orbit(ctx: GF2n, x: int, y: int) -> bool:
-    """Whether B_y = t*B_x for some unit t.
-
-    Decided by direct search: 1 is in every block, so any such t equals
-    t*1 and must itself lie in B_y, leaving 7 candidates to try.  The
-    hexagon criterion (y a vertex of the hexagon of x) is evaluated as
-    well and cross-checked; the two characterizations provably agree.
-    """
-    bx = block_of(ctx, x).as_set()
-    by = block_of(ctx, y).as_set()
-    direct = any(_scaled_equal(ctx, t, bx, by) for t in by)
-    via_hexagon = y in hexagon_of(ctx, x).vertices
-    if direct != via_hexagon:  # pragma: no cover - provably impossible
-        raise AssertionError(
-            f"orbit search and hexagon criterion disagree for x={x}, y={y}"
-        )
-    return direct

@@ -33,16 +33,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import PAIR_I, PAIR_J, Block
+from .blocks import PAIR_I, PAIR_J
 from .family import DifferenceFamily, MultiplicityProfile, fold_differences
 from .gf2n import GF2n
 
 
 @dataclass(frozen=True)
 class Orbit:
-    """One developed base block: `length` blocks, each repeated `replication` times."""
+    """One developed base block, the 7-tuple `rep`: `length` blocks, each
+    repeated `replication` times."""
 
-    rep: Block
+    rep: tuple[int, ...]
     length: int
     replication: int
 
@@ -70,10 +71,11 @@ class Design:
 
     @cached_property
     def orbits(self) -> tuple[Orbit, ...]:
-        return tuple(Orbit(Block(tuple(r), seed=r[1]), m, w) for r, m, w in self.orbit_rows())
+        return tuple(Orbit(tuple(r), m, w) for r, m, w in self.orbit_rows())
 
     def __iter__(self):
-        # perfbench's tracer counts the kernel's incidences over its orbits
+        # perfbench/spans.py iterates the design for the traced kernel
+        # counts; this goes once that tracer takes them from block_count()
         return iter(self.orbits)
 
     @cached_property

@@ -17,7 +17,10 @@ Two independent routes compute the multiplicity m(t):
     the matching are decoded from each distinct key.
 
 Keeping both routes alive catches transcription slips in either one,
-and in the fold that the profile and the pair count share.
+and in the fold that the profile and the pair count share.  The scalar
+definitions they are checked against (delta, pair_equation and a
+certificate built from one quadratic solve per equation) are in
+`qdf.reference`.
 """
 
 from __future__ import annotations
@@ -27,18 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import (
-    PAIR_I,
-    PAIR_J,
-    SLOT_MASKS,
-    Block,
-    block_of,
-    block_slots,
-    hexagon_reps,
-    max_vertices,
-)
+from .blocks import PAIR_I, PAIR_J, block_slots, hexagon_reps, max_vertices
 from .errors import DegenerateTError
-from .gf2n import GF2n, poly_divmod, poly_gcd
+from .gf2n import GF2n
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +41,8 @@ class DifferenceFamily:
     families and holds the avoided subgroup for relative ones.
 
     The base blocks are the rows of the (N, 7) int32 array `slots`, each
-    in the slot order of block_of; they may also be given as a sequence
-    of Blocks or of 7-element rows.
+    in the slot order of block_slots; they may also be given as a
+    sequence of 7-element rows.
     """
 
     ctx: GF2n
@@ -57,15 +51,7 @@ class DifferenceFamily:
     forbidden: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        rows = self.slots
-        if not isinstance(rows, np.ndarray):
-            rows = [getattr(b, "elements", b) for b in rows]
-        object.__setattr__(self, "slots", np.asarray(rows, dtype=np.int32).reshape(-1, 7))
-
-    @cached_property
-    def base_blocks(self) -> tuple[Block, ...]:
-        """The rows of slots as Blocks; slot 1 is the seed."""
-        return tuple(Block(tuple(row), seed=row[1]) for row in self.slots.tolist())
+        object.__setattr__(self, "slots", np.asarray(self.slots, dtype=np.int32).reshape(-1, 7))
 
 
 @dataclass(frozen=True)
@@ -91,9 +77,6 @@ class MultiplicityProfile:
         counts[exp2[v - 1 : v // 2 : -1]] = self.hist[1:]  # g^(v - f)
         return counts
 
-    def count_of(self, t: int) -> int:
-        return int(self.counts[t])
-
     def extremes(self) -> tuple[int, int]:
         """(min, max) of m(t) over the valid range t not in {0, 1}: every
         such t is g^f or g^(v - f) for one fold 1 <= f <= v // 2."""
@@ -106,32 +89,6 @@ class MultiplicityProfile:
 
     def total(self) -> int:
         return 2 * int(self.hist.sum())
-
-
-def delta(ctx: GF2n, b: Block) -> list[int]:
-    """The 42 ordered-pair quotients b_i/b_j, i != j, as a multiset."""
-    els = b.elements
-    div = ctx.div
-    out = []
-    for i in range(7):
-        ei = els[i]
-        for j in range(7):
-            if i != j:
-                out.append(div(ei, els[j]))
-    return out
-
-
-def delta_table(ctx: GF2n, x: int):
-    """7x7 quotient table of B_x in block order; diagonal entries are None.
-
-    Entry (i, j) is b_i/b_j, e.g. (2, 1) = x, (2, 4) = x/(x+1) and
-    (6, 1) = x^2 + x.  Flattening off-diagonal entries reproduces delta.
-    """
-    els = block_of(ctx, x).elements
-    return [
-        [ctx.div(els[i], els[j]) if i != j else None for j in range(7)]
-        for i in range(7)
-    ]
 
 
 # Blocks per chunk of fold_differences; bounds its temporaries.
@@ -185,46 +142,10 @@ def multiplicity_profile(fam) -> MultiplicityProfile:
 
 # -- quotient equations -------------------------------------------------------
 
-def _reduced_fraction(i: int, j: int) -> tuple[int, int]:
-    """Slot quotient b_i/b_j as a reduced fraction of GF(2)[z] masks."""
-    num, den = SLOT_MASKS[i - 1], SLOT_MASKS[j - 1]
-    g = poly_gcd(num, den)
-    return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
-
-
-def pair_equation(ctx: GF2n, i: int, j: int, t: int) -> tuple[int, int, int]:
-    """Coefficients (a, b, c) of the cleared equation b_i(x) = t * b_j(x).
-
-    Derived mechanically from the slot polynomials with common factors
-    cancelled, so no hand-copied coefficient can go stale.  Each
-    coefficient is num_bit XOR t*den_bit with bits in {0, 1}.
-    """
-    num, den = _reduced_fraction(i, j)
-
-    def coeff(k: int) -> int:
-        v = (num >> k) & 1
-        if (den >> k) & 1:
-            v ^= t
-        return v
-
-    return coeff(2), coeff(1), coeff(0)
-
-
-def pair_solution_count(ctx: GF2n, i: int, j: int, t: int) -> int:
-    """Number of x in the field with b_i(x)/b_j(x) = t (t not in {0, 1})."""
-    a, b, c = pair_equation(ctx, i, j, t)
-    if a == 0 and b == 0:
-        # reduced slots are never equal for i != j, so c = 1 ^ t != 0
-        return 0
-    return ctx.solve_quadratic(a, b, c).count
-
-
-# The 18 ordered pairs whose quotient equation is genuinely quadratic
-# (nonzero x and x^2 coefficients), grouped so that within each match
-# exactly one equation is solvable for every t.  Coefficient tags give
-# the verbatim closed forms; 't1' stands for t+1.
-_FORMS = {"1": lambda t: 1, "t": lambda t: t, "t1": lambda t: t ^ 1}
-
+# The 18 ordered pairs (i, j) of slots, counted from 1, whose quotient
+# equation b_i(x) = t * b_j(x) is genuinely quadratic (nonzero x and x^2
+# coefficients), grouped so that within each match exactly one equation
+# is solvable for every t.  Each coefficient is 1, t or t+1 ('t1').
 EQUATION_FORMS: dict[tuple[int, int], tuple[str, str, str]] = {
     (6, 1): ("1", "1", "t"),
     (7, 1): ("1", "1", "t1"),
@@ -246,8 +167,6 @@ EQUATION_FORMS: dict[tuple[int, int], tuple[str, str, str]] = {
     (5, 7): ("t1", "t", "t1"),
 }
 
-QUADRATIC_PAIRS = frozenset(EQUATION_FORMS)
-
 MATCHED_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
     ((6, 1), (7, 1)),
     ((1, 6), (1, 7)),
@@ -259,30 +178,6 @@ MATCHED_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
     ((7, 6), (6, 7)),
     ((3, 4), (5, 7)),
 )
-
-ALL_ORDERED_PAIRS = tuple((i, j) for i in range(1, 8) for j in range(1, 8) if i != j)
-
-SINGLE_SOLUTION_PAIRS = tuple(p for p in ALL_ORDERED_PAIRS if p not in QUADRATIC_PAIRS)
-
-
-@dataclass(frozen=True)
-class EquationEntry:
-    i: int
-    j: int
-    a: int
-    b: int
-    c: int
-    count: int
-
-
-@dataclass(frozen=True)
-class EquationCertificate:
-    """Solvability record of the 18 quadratic quotient equations at one t."""
-
-    t: int
-    equations: tuple[EquationEntry, ...]
-    r: int
-    matching_ok: bool
 
 
 def decode_key(key: int) -> tuple[tuple[tuple[int, int], ...], int, bool]:
@@ -319,7 +214,7 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
 
     Every coefficient is 1, t or t+1, all nonzero for t outside {0, 1},
     so each equation has 0 or 2 roots, two exactly when Tr(a*c/b^2) = 0
-    (the criterion of GF2n.solve_quadratic).  log(a*c/b^2) is
+    (the criterion of reference.solve_quadratic).  log(a*c/b^2) is
     log a + log c - 2 log b, in (-2v, 2v) for v = 2^n - 1; shifted by 2v
     and folded below 2v, it indexes the doubled exp table.
     """
@@ -352,26 +247,6 @@ def certificate_bytes(n: int) -> int:
     MiB at n = 15, 17, 19 and 21 in fresh processes, against preflight
     totals of 4.1, 9.7, 32.2 and 122.2 MiB."""
     return (4 + 44) * (1 << n) + 2 * 2**20
-
-
-def equation_certificate(ctx: GF2n, t: int) -> EquationCertificate:
-    """The certificate_table row of a single t, with its coefficients.
-
-    Every equation here has a nonzero linear coefficient, so each count is
-    0 or 2; r is the number of solvable ones and matching_ok says whether
-    each of the 9 matches contains exactly one solvable equation.
-    """
-    ((solvable, r, matching_ok),), _ = certificate_table(ctx, [t]).decoded
-    entries = tuple(
-        EquationEntry(i, j, _FORMS[fa](t), _FORMS[fb](t), _FORMS[fc](t), 2 * ((i, j) in solvable))
-        for (i, j), (fa, fb, fc) in EQUATION_FORMS.items()
-    )
-    return EquationCertificate(t, entries, r, matching_ok)
-
-
-def predicted_multiplicity(ctx: GF2n, t: int) -> int:
-    """m(t) for the all-seeds family via the certificate: 24 + 2*r(t)."""
-    return 24 + 2 * equation_certificate(ctx, t).r
 
 
 # -- family constructors ------------------------------------------------------

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, VerificationReport, check_pair_coverage, check_simple, develop
-from .design import fold_verdicts
+from .design import Design, VerificationReport, check_pair_coverage, check_simple, fold_verdicts
 from .errors import WrongResidueError
 from .family import DifferenceFamily, multiplicity_profile
 from .gf2n import GF2n
@@ -30,10 +29,7 @@ class Spread:
 
     ctx: GF2n
     groops: np.ndarray
-    point_groop: np.ndarray  # element encoding -> groop index (, -1 for 0)
-
-    def groop_of(self, point: int) -> int:
-        return int(self.point_groop[point])
+    point_groop: np.ndarray  # element encoding -> groop index (-1 for 0)
 
 
 def spread_bytes(groops: int) -> int:
@@ -117,11 +113,6 @@ def verify_relative(fam: DifferenceFamily, profile=None) -> VerificationReport:
         timing=time.perf_counter() - t0,
         notes=notes,
     )
-
-
-def develop_and_verify_gdd(fam: DifferenceFamily) -> VerificationReport:
-    """Develop the relative family against the spread and verify_gdd."""
-    return verify_gdd(desarguesian_spread(fam.ctx), develop(fam))
 
 
 def verify_gdd(spread: Spread, design: Design) -> VerificationReport:

@@ -4,31 +4,31 @@ Field elements are plain ints in [0, 2^n): bit i is the coefficient of
 z^i in the polynomial basis, so addition is XOR and the elements 0 and 1
 are the ints 0 and 1.  A GF2n instance fixes the degree and the
 irreducible modulus and keeps one int32 ndarray table per map: exp and
-log are built at once, trace, sqrt and half-trace on first use.  The
-array code reads the ndarrays; the scalar methods look up memoryviews of
-the same buffers, whose items are Python ints.  Instances are immutable (lazy caches aside)
-and safe to share across threads; they hold memoryviews, so they do not
-pickle.
+log are built at once, trace on first use.  The array code reads the
+ndarrays; the scalar accessors mul, sqr, inv, div and trace look up
+memoryviews of the same buffers, whose items are Python ints.  The
+square root, the half-trace and the quadratic solver are scalar
+definitions in `qdf.reference`, built from the same Frobenius images.
+Instances are immutable (lazy caches aside) and safe to share across
+threads; they hold memoryviews, so they do not pickle.
 
 Multiplicative structure: exp/log tables are built on the smallest
 generator of the cyclic group GF(2^n)*, the first g with g^((2^n-1)/p) != 1
 for every prime p dividing 2^n - 1.  The exp table is filled as arrays, a
 block of powers at a time; the doubled exp table makes mul/div/inv
-modulo-free.  Trace, sqrt and half-trace are GF(2)-linear, as is x -> c*x,
-so each table is built from its images of the basis z^i by doubling
-(_linear_table); those images come from the n Frobenius images of each z^i.
+modulo-free.  The trace is GF(2)-linear, as is x -> c*x, so each table
+is built from its images of the basis z^i by doubling (_linear_table);
+the trace's images come from the n Frobenius images of each z^i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import xor
 
 import numpy as np
 
 from .errors import (
-    AllZeroCoefficientsError,
     EvenDegreeError,
     NotADivisorError,
     QdfError,
@@ -46,8 +46,8 @@ def table_bytes(n: int) -> int:
     scatters _LOG_CHUNK logs at a time, adding one chunk of int32 values
     and numpy's 64 KiB buffer of 8,192 indices cast to intp.  Each linear
     table built on first use adds one word: certificate_bytes counts the
-    trace table that `certify` reads; sqrt and the half-trace are read by
-    scalar calls only.
+    trace table that `certify` reads; the sqrt and half-trace tables of
+    `qdf.reference` are read by tests and demos only.
     """
     return 3 * 4 * (1 << n) + 4 * _LOG_CHUNK + 8192 * 8
 
@@ -64,25 +64,6 @@ def poly_mod(a: int, m: int) -> int:
     while da >= dm:
         a ^= m << (da - dm)
         da = poly_degree(a)
-    return a
-
-
-def poly_divmod(a: int, m: int) -> tuple[int, int]:
-    """Carry-less quotient and remainder of a by m (m != 0)."""
-    dm = poly_degree(m)
-    q = 0
-    da = poly_degree(a)
-    while da >= dm:
-        q |= 1 << (da - dm)
-        a ^= m << (da - dm)
-        da = poly_degree(a)
-    return q, a
-
-
-def poly_gcd(a: int, b: int) -> int:
-    """Greatest common divisor in GF(2)[z]."""
-    while b:
-        a, b = b, poly_mod(a, b)
     return a
 
 
@@ -196,9 +177,9 @@ def is_irreducible(p: int) -> bool:
 
     Adequate for the supported degree range (n <= 25); no factor tables.
     """
-    d = poly_degree(p)
-    if d <= 0:
+    if p < 2:
         return False
+    d = poly_degree(p)
     for q in range(2, 1 << (d // 2 + 1)):
         if poly_mod(p, q) == 0:
             return False
@@ -215,12 +196,17 @@ def smallest_irreducible(n: int) -> int:
     raise AssertionError(f"no irreducible polynomial of degree {n} found")
 
 
-@dataclass(frozen=True)
-class QuadraticOutcome:
-    """Distinct solutions of a quadratic (or degenerate) equation."""
-
-    count: int
-    roots: tuple[int, ...]
+def _frobenius_walks(ctx: GF2n) -> list[list[int]]:
+    """walks[i][j] = (z^i)^(2^j) for i, j < n, by repeated squaring: the
+    trace of z^i sums walk i, its square root is the walk's last entry
+    and its half-trace the sum of its even entries."""
+    walks = []
+    for i in range(ctx.n):
+        walk = [1 << i]
+        for _ in range(ctx.n - 1):
+            walk.append(ctx.sqr(walk[-1]))
+        walks.append(walk)
+    return walks
 
 
 class GF2n:
@@ -242,6 +228,8 @@ class GF2n:
         if modulus is None:
             modulus = smallest_irreducible(n)
         else:
+            if modulus < 0:
+                raise QdfError(f"modulus {modulus:#x} is negative")
             if poly_degree(modulus) != n:
                 raise QdfError(
                     f"modulus {modulus:#x} has degree {poly_degree(modulus)}, expected {n}"
@@ -258,7 +246,7 @@ class GF2n:
     # -- table construction -------------------------------------------------
 
     def _build_tables(self) -> None:
-        q, mod, n = self.order, self.modulus, self.n
+        q, mod = self.order, self.modulus
         m = q - 1
         # g generates F* iff g^(m/p) != 1 for every prime p dividing m
         cofactors = [m // p for p in _prime_factors(m)]
@@ -272,19 +260,9 @@ class GF2n:
         self._exp = memoryview(self.exp2)
         self._log = memoryview(self.logs)
 
-        # frob[i][j] = (z^i)^(2^j): the trace sums a row, sqrt is its last
-        # entry and the half-trace sums its even entries
-        frob = []
-        for i in range(n):
-            walk = [1 << i]
-            for _ in range(n - 1):
-                walk.append(self.sqr(walk[-1]))
-            frob.append(walk)
-        self._trace_images = [reduce(xor, walk) for walk in frob]
+        self._trace_images = [reduce(xor, walk) for walk in _frobenius_walks(self)]
         if max(self._trace_images) > 1:  # pragma: no cover - guards table construction
             raise AssertionError("trace is not {0,1}-valued; tables corrupt")
-        self._sqrt_images = [walk[-1] for walk in frob]
-        self._half_trace_images = [reduce(xor, walk[::2]) for walk in frob]
 
     @cached_property
     def traces(self) -> np.ndarray:
@@ -295,16 +273,7 @@ class GF2n:
     def _trace(self) -> memoryview:
         return memoryview(self.traces)
 
-    @cached_property
-    def _sqrt(self) -> memoryview:
-        return memoryview(_linear_table(self._sqrt_images))
-
     # -- scalar arithmetic ---------------------------------------------------
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Characteristic-2 addition: XOR of coordinate vectors."""
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -328,54 +297,11 @@ class GF2n:
             return 0
         return self._exp[self._log[a] - self._log[b] + self.order - 1]
 
-    def sqrt(self, a: int) -> int:
-        """The unique square root, x -> x^(2^(n-1)); squaring is a bijection."""
-        return self._sqrt[a]
-
     def trace(self, a: int) -> int:
         """Absolute trace sum(a^(2^i), i < n), valued in {0, 1}."""
         return self._trace[a]
 
-    @cached_property
-    def _half_trace(self) -> memoryview:
-        return memoryview(_linear_table(self._half_trace_images))
-
-    def half_trace(self, u: int) -> int:
-        """H(u) = sum(u^(4^i), i <= (n-1)/2), defined for odd n.
-
-        Whenever trace(u) = 0, H(u) solves y^2 + y = u.
-        """
-        return self._half_trace[u]
-
-    def solve_quadratic(self, a: int, b: int, c: int) -> QuadraticOutcome:
-        """Distinct roots of a*x^2 + b*x + c = 0 in this field.
-
-        Cases, following the solvability criterion Tr(ac/b^2):
-          * a = b = 0, c = 0: rejected (identically-zero equation);
-            with c != 0 the constant equation has no roots.
-          * a = 0, b != 0: linear, one root c/b.
-          * b = 0, a != 0: one root sqrt(c/a).
-          * otherwise: zero or two roots; two exactly when trace(a*c/b^2)
-            is 0, obtained from the half-trace of u = a*c/b^2 through the
-            substitution x = (b/a)*y.
-        """
-        if a == 0 and b == 0:
-            if c == 0:
-                raise AllZeroCoefficientsError("0 = 0 is not a quadratic equation")
-            return QuadraticOutcome(0, ())
-        if a == 0:
-            return QuadraticOutcome(1, (self.div(c, b),))
-        if b == 0:
-            return QuadraticOutcome(1, (self.sqrt(self.div(c, a)),))
-        u = self.div(self.mul(a, c), self.sqr(b))
-        if self._trace[u]:
-            return QuadraticOutcome(0, ())
-        s = self.div(b, a)
-        r0 = self.mul(s, self.half_trace(u))
-        r1 = r0 ^ s
-        return QuadraticOutcome(2, (r0, r1) if r0 < r1 else (r1, r0))
-
-    # -- subfields and element ranges -----------------------------------------
+    # -- subfields and seeds --------------------------------------------------
 
     def subfield(self, d: int) -> list[int]:
         """The 2^d elements fixed by x -> x^(2^d), sorted; requires d | n."""
@@ -388,12 +314,6 @@ class GF2n:
             cached = [0, *sorted(self._exp[: m : m // ((1 << d) - 1)])]
             self._subfields[d] = cached
         return list(cached)
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
 
     def seeds(self) -> range:
         """All valid block/hexagon seeds: the units other than 1."""
@@ -410,7 +330,3 @@ class GF2n:
     def __repr__(self) -> str:
         return f"GF2n(n={self.n}, modulus={self.modulus:#x})"
 
-
-def make_field(n: int, modulus: int | None = None) -> GF2n:
-    """Construct GF(2^n) for odd n >= 3; see GF2n."""
-    return GF2n(n, modulus)

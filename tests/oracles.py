@@ -18,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from qdf import GF2n, hexagon_of
+from qdf import GF2n
+from qdf.reference import hexagon_of
 
 
 @lru_cache(maxsize=None)
@@ -147,20 +148,20 @@ def hexagons_by_scan(ctx) -> list[tuple[int, ...]]:
     out = []
     for x in ctx.seeds():
         if x not in seen:
-            h = hexagon_of(ctx, x).vertices
+            h = hexagon_of(ctx, x)
             seen.update(h)
             out.append(h)
     return out
 
 
-def canonical_orbit_label(ctx, b) -> tuple[int, ...]:
-    """A scaling-invariant label: the minimum over e in B of sorted(B/e).
+def canonical_orbit_label(ctx, els) -> tuple[int, ...]:
+    """A scaling-invariant label of the block B with elements els: the
+    minimum over e in B of sorted(B/e).
 
     Two blocks lie in the same multiplicative orbit iff their labels are
     equal, which turns pairwise orbit-distinctness checks into a set-size
     check.
     """
-    els = b.elements
     return min(tuple(sorted(ctx.div(e, d) for e in els)) for d in els)
 
 
@@ -202,7 +203,7 @@ def family_dict(fam) -> dict:
         "n": n,
         "modulus": fam.ctx.modulus,
         "lambda": fam.lambda_claim,
-        "blocks": [[_hex(e, n) for e in b.elements] for b in fam.base_blocks],
+        "blocks": [[_hex(e, n) for e in row] for row in fam.slots.tolist()],
     }
 
 

@@ -5,15 +5,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qdf import (
-    ForbiddenSeedError,
+from qdf import ForbiddenSeedError, build_family, hexagon_reps, hexagon_rows
+from qdf.reference import (
     block_of,
-    build_family,
     delta,
     hexagon_of,
-    hexagon_partition,
-    hexagon_reps,
-    hexagon_rows,
     is_subspace_block,
     same_orbit,
     stabilizer_of,
@@ -67,11 +63,9 @@ def test_block_n3_is_whole_multiplicative_group():
 def test_hexagon_walk_structure(n):
     f = cached_field(n)
     for x in f.seeds():
-        h = hexagon_of(f, x)
-        vs = h.vertices
+        vs = hexagon_of(f, x)
         assert len(set(vs)) == 6
         assert all(v not in (0, 1) for v in vs)
-        assert h.canonical_rep == min(vs)
         # cyclic walk alternates the moves v -> v+1 and v -> 1/v
         for k in range(6):
             nxt = vs[(k + 1) % 6]
@@ -82,26 +76,26 @@ def test_hexagon_walk_structure(n):
 def test_hexagon_of_inverse_is_same_component(n):
     f = cached_field(n)
     for x in f.seeds():
-        vs = set(hexagon_of(f, x).vertices)
-        assert set(hexagon_of(f, f.inv(x)).vertices) == vs
+        vs = set(hexagon_of(f, x))
+        assert set(hexagon_of(f, f.inv(x))) == vs
         for y in vs:
-            assert set(hexagon_of(f, y).vertices) == vs
+            assert set(hexagon_of(f, y)) == vs
 
 
 def test_hexagon_n3_is_all_seeds():
     f = cached_field(3)
-    assert set(hexagon_of(f, 2).vertices) == set(range(2, 8))
+    assert set(hexagon_of(f, 2)) == set(range(2, 8))
 
 
 @pytest.mark.parametrize("n,count", [(3, 1), (5, 5), (7, 21), (9, 85), (11, 341)])
 def test_hexagon_partition_counts_and_cover(n, count):
     f = cached_field(n)
-    hexes = hexagon_partition(f)
+    hexes = hexagon_rows(f).tolist()
     assert len(hexes) == count == (f.order - 2) // 6
-    seen = [v for h in hexes for v in h.vertices]
+    seen = [v for h in hexes for v in h]
     assert len(seen) == len(set(seen)) == f.order - 2
-    reps = [h.canonical_rep for h in hexes]
-    assert reps == sorted(reps)
+    reps = [min(h) for h in hexes]
+    assert reps == sorted(reps) == hexagon_reps(f).tolist()
 
 
 def test_is_subspace_block_rejects_non_subspaces():
@@ -131,8 +125,7 @@ def test_subfield_star_is_subspace_inside_n9():
 def test_stabilizers_trivial_when_no_order8_subfield(n):
     f = cached_field(n)
     for x in f.seeds():
-        rep = stabilizer_of(f, block_of(f, x))
-        assert rep.order == 1 and rep.generators == (1,)
+        assert stabilizer_of(f, block_of(f, x).elements) == (1,)
 
 
 def test_stabilizers_n9_subfield_block():
@@ -141,14 +134,14 @@ def test_stabilizers_n9_subfield_block():
     seen_orders = set()
     for x in f.seeds():
         b = block_of(f, x)
-        rep = stabilizer_of(f, b)
-        assert 7 % rep.order == 0
-        seen_orders.add(rep.order)
+        stab = stabilizer_of(f, b.elements)
+        assert 7 % len(stab) == 0
+        seen_orders.add(len(stab))
         if b.as_set() == kstar:
-            assert rep.order == 7
-            assert frozenset(rep.generators) == kstar
+            assert len(stab) == 7
+            assert frozenset(stab) == kstar
         else:
-            assert rep.order == 1
+            assert stab == (1,)
     assert seen_orders == {1, 7}
 
 
@@ -168,7 +161,7 @@ def test_same_orbit_shift_and_inverse():
 def test_orbit_iff_hexagon_exhaustive(n):
     f = cached_field(n)
     seeds = list(f.seeds())
-    hex_sets = {x: frozenset(hexagon_of(f, x).vertices) for x in seeds}
+    hex_sets = {x: frozenset(hexagon_of(f, x)) for x in seeds}
     for i, x in enumerate(seeds):
         for y in seeds[i + 1 :]:
             assert same_orbit(f, x, y) == (y in hex_sets[x])
@@ -178,7 +171,7 @@ def test_orbit_iff_hexagon_exhaustive(n):
 def test_canonical_orbit_label_characterizes_orbits(n):
     f = cached_field(n)
     seeds = list(f.seeds())
-    labels = {x: canonical_orbit_label(f, block_of(f, x)) for x in seeds}
+    labels = {x: canonical_orbit_label(f, block_of(f, x).elements) for x in seeds}
     for i, x in enumerate(seeds):
         for y in seeds[i + 1 :]:
             assert (labels[x] == labels[y]) == same_orbit(f, x, y)
@@ -187,10 +180,10 @@ def test_canonical_orbit_label_characterizes_orbits(n):
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_hexagon_mates_have_equal_difference_lists(n):
     f = cached_field(n)
-    for h in hexagon_partition(f):
-        base = Counter(delta(f, block_of(f, h.canonical_rep)))
-        for y in h.vertices:
-            assert Counter(delta(f, block_of(f, y))) == base
+    for h in hexagons_by_scan(f):
+        base = Counter(delta(f, block_of(f, min(h)).elements))
+        for y in h:
+            assert Counter(delta(f, block_of(f, y).elements)) == base
 
 
 @pytest.mark.parametrize("n,modulus", [(3, None), (5, None), (7, None), (7, 0x89), (9, None), (11, None)])
@@ -200,7 +193,6 @@ def test_hexagon_rows_match_hexagon_of_scan(n, modulus):
     rows = hexagon_rows(f)
     assert rows.dtype == np.int32 and rows.shape == (len(expected), 6)
     assert [tuple(r) for r in rows.tolist()] == expected
-    assert [h.vertices for h in hexagon_partition(f)] == expected
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 64])  # seed pairs per chunk

@@ -52,6 +52,12 @@ def test_construct_reducible_modulus_exits_2(capsys):
     code, _, stderr = run_cli(capsys, "construct", "--n", "3", "--modulus", "0b1111")
     assert code == 2
     assert json.loads(stderr.strip())["error"] == "ReduciblePolynomial"
+    # a negative modulus once hung (-9, -0x89) or failed with a traceback (-11)
+    for n, text in (("3", "-9"), ("3", "-11"), ("7", "-0x89")):
+        code, stdout, stderr = run_cli(capsys, "construct", "--n", n, f"--modulus={text}")
+        assert code == 2 and stdout == ""
+        message = f"modulus {int(text, 0):#x} is negative"
+        assert json.loads(stderr) == {"error": "Qdf", "message": message}
     # argparse names the converter of a value it cannot read
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--n", "3", "--modulus", "abc"])
@@ -182,19 +188,21 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
         ["export", family, "--format", "csv", "--out", os.devnull],
         ["export", family, "--format", "json", "--out", os.devnull],
     ]
+    # nor does any of them import the scalar definitions of qdf.reference
     probe = (
         "import sys, qdf.cli;"
         "before = 'numpy.ma' in sys.modules;"
         f"codes = [qdf.cli.main(a) for a in {commands!r}];"
-        "print(codes == [0] * len(codes), before, 'numpy.ma' in sys.modules)"
+        "print(codes == [0] * len(codes), before, 'numpy.ma' in sys.modules,"
+        " 'qdf.reference' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         capture_output=True, text=True, check=True,
     )
-    ok, before, after = out.stdout.split()
-    assert ok == "True" and after == before
+    ok, before, after, reference = out.stdout.split()
+    assert ok == "True" and after == before and reference == "False"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")

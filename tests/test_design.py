@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qdf import (
-    Block,
     Design,
     DifferenceFamily,
     Orbit,
@@ -30,12 +29,11 @@ from qdf import (
     full_family,
     multiplicity_profile,
     pair_coverage_counts,
-    stabilizer_of,
     verify_2design,
     verify_gdd,
 )
 from qdf import cli, design, family
-from qdf.blocks import is_subspace_block
+from qdf.reference import is_subspace_block, stabilizer_of
 from qdf.serialize import gdd_json_chunks
 from oracles import cached_field, canonical_orbit_label, materialize, materialized_pair_counts
 
@@ -56,7 +54,7 @@ def test_develop_counts_n9_subfield_orbit():
     special = [o for o in d.orbits if o.replication > 1]
     assert len(special) == 1
     orb = special[0]
-    assert orb.rep.as_set() == kstar
+    assert frozenset(orb.rep) == kstar
     assert orb.length == 73 and orb.replication == 7
     assert d.block_count() == 85 * 511
 
@@ -72,7 +70,7 @@ def _scaled_and_permuted(f, fam, seed):
     """fam with every row scaled by one unit and put out of slot order."""
     rng = random.Random(seed)
     t = rng.randrange(2, f.order)
-    rows = [rng.sample([f.mul(t, e) for e in b.elements], 7) for b in fam.base_blocks]
+    rows = [rng.sample([f.mul(t, e) for e in row], 7) for row in fam.slots.tolist()]
     return DifferenceFamily(f, rows, fam.lambda_claim)
 
 
@@ -108,7 +106,7 @@ def test_array_development_matches_scalar_stabilizers(name, n, fixed):
         "near-cosets": lambda f: _kstar_cosets(f, whole=False),
     }[name](f)
     d = develop(fam)
-    orders = [stabilizer_of(f, b).order for b in fam.base_blocks]
+    orders = [len(stabilizer_of(f, row)) for row in fam.slots.tolist()]
     assert d.replication.tolist() == orders
     assert d.length.tolist() == [(f.order - 1) // o for o in orders]
     assert orders.count(7) == fixed
@@ -121,7 +119,7 @@ def test_verify_and_gdd_paths_build_no_orbit_objects(monkeypatch):
     d = develop(fam)
     for check in (verify_2design, check_qanalog, check_simple, Design.block_count):
         check(d)
-    assert "orbits" not in d.__dict__ and "base_blocks" not in fam.__dict__
+    assert "orbits" not in d.__dict__
     rel = develop(build_relative_family(fam))
     spread = desarguesian_spread(f)
     verify_gdd(spread, rel)
@@ -133,7 +131,6 @@ def test_verify_and_gdd_paths_build_no_orbit_objects(monkeypatch):
         raise AssertionError("per-orbit objects built")
 
     monkeypatch.setattr(Design, "orbits", property(refuse))
-    monkeypatch.setattr(DifferenceFamily, "base_blocks", property(refuse))
     for command in ("verify", "gdd"):
         assert cli.main([command, "--n", "9", "--out", os.devnull]) == 0
 
@@ -154,7 +151,7 @@ def _design(f, orbits):
     orbits = tuple(orbits)
     return Design(
         f,
-        np.array([o.rep.elements for o in orbits], dtype=np.int32).reshape(-1, 7),
+        np.array([o.rep for o in orbits], dtype=np.int32).reshape(-1, 7),
         np.array([o.length for o in orbits], dtype=np.int64),
         np.array([o.replication for o in orbits], dtype=np.int64),
         lambda_claim=7,
@@ -220,7 +217,7 @@ def test_materialize_counts_and_multiplicity():
 def test_deleted_base_block_fails_verification():
     f = cached_field(5)
     fam = build_family(f)
-    crippled = DifferenceFamily(f, fam.base_blocks[1:], lambda_claim=7)
+    crippled = DifferenceFamily(f, fam.slots[1:], lambda_claim=7)
     rep = verify_2design(develop(crippled))
     assert not rep.passed
     assert rep.pair_coverage_min < 7
@@ -260,8 +257,8 @@ def test_verification_invariant_under_orbit_representatives():
     scaled_orbits = []
     for o in d.orbits:
         t = rng.randrange(2, f.order)
-        els = tuple(f.mul(t, e) for e in o.rep.elements)
-        scaled_orbits.append(Orbit(Block(els, seed=els[1]), o.length, o.replication))
+        els = tuple(f.mul(t, e) for e in o.rep)
+        scaled_orbits.append(Orbit(els, o.length, o.replication))
     d2 = _design(f, tuple(scaled_orbits))
     r1, r2 = verify_2design(d), verify_2design(d2)
     assert (r1.passed, r1.pair_coverage_min, r1.pair_coverage_max) == (
@@ -297,8 +294,8 @@ def test_check_qanalog():
     f = cached_field(7)
     d = develop(build_family(f))
     assert check_qanalog(d)
-    bad_els = tuple(d.orbits[0].rep.elements[:-1]) + (d.orbits[0].rep.elements[-1] ^ 2,)
-    bad = _design(f, (Orbit(Block(bad_els, seed=bad_els[1]), f.order - 1, 1),) + d.orbits[1:])
+    bad_els = d.orbits[0].rep[:-1] + (d.orbits[0].rep[-1] ^ 2,)
+    bad = _design(f, (Orbit(bad_els, f.order - 1, 1),) + d.orbits[1:])
     assert not check_qanalog(bad)
 
 
@@ -338,7 +335,7 @@ def _wrapped_runs(f, orbits):
     v = f.order - 1
     wrapped = 0
     for o in orbits:
-        logs = [int(f.logs[e]) for e in o.rep.elements]
+        logs = [int(f.logs[e]) for e in o.rep]
         for i in range(7):
             for j in range(i + 1, 7):
                 d = (logs[j] - logs[i]) % v
@@ -367,7 +364,7 @@ def _small_bands(f, orbits, width=3):
     exp2 = f.exp2
     return tuple(
         Orbit(
-            Block(tuple(f.mul(int(exp2[s]), e) for e in o.rep.elements), o.rep.seed),
+            tuple(f.mul(int(exp2[s]), e) for e in o.rep),
             min(width, o.length - s),
             o.replication,
         )
@@ -559,10 +556,10 @@ def _cut_orbits(draw, n):
     orbits = []
     for o in draw(st.lists(st.sampled_from(d.orbits), min_size=1, max_size=5)):
         s = draw(st.integers(0, v - 1))
-        rep = Block(tuple(f.mul(int(f.exp2[s]), e) for e in o.rep.elements), o.rep.seed)
+        rep = tuple(f.mul(int(f.exp2[s]), e) for e in o.rep)
         # the first column of one of its runs: the smaller log, or the
         # larger one when the pair's gap exceeds (v - 1) / 2
-        li, lj = sorted(int(f.logs[e]) for e in draw(st.permutations(rep.elements))[:2])
+        li, lj = sorted(int(f.logs[e]) for e in draw(st.permutations(rep))[:2])
         first = li if lj - li <= v // 2 else lj
         lengths = [v, o.length, v - first, v - 1]
         length = draw(st.one_of(st.integers(1, v), st.sampled_from(lengths)))
@@ -646,7 +643,7 @@ def _scalar_simple(d):
 
 
 def _scalar_qanalog(d):
-    return all(is_subspace_block(d.ctx, o.rep.elements) for o in d.orbits)
+    return all(is_subspace_block(d.ctx, o.rep) for o in d.orbits)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
@@ -660,25 +657,24 @@ def test_array_orbit_checks_match_scalar_checks(n):
         # an orbit again, as a scaled copy in another slot order: the
         # design repeats blocks
         t = rng.randrange(2, f.order)
-        els = tuple(rng.sample([f.mul(t, e) for e in o.rep.elements], 7))
-        twice = _design(f, d.orbits + (Orbit(Block(els, els[1]), o.length, 1),))
+        els = tuple(rng.sample([f.mul(t, e) for e in o.rep], 7))
+        twice = _design(f, d.orbits + (Orbit(els, o.length, 1),))
         assert check_simple(twice) is _scalar_simple(twice) is False
         # one element perturbed, staying nonzero: the representative is no subspace
         k = rng.randrange(7)
-        flip = rng.choice([1 << b for b in range(n) if 1 << b != o.rep.elements[k]])
-        bad_els = tuple(e ^ flip if i == k else e for i, e in enumerate(o.rep.elements))
+        flip = rng.choice([1 << b for b in range(n) if 1 << b != o.rep[k]])
+        bad_els = tuple(e ^ flip if i == k else e for i, e in enumerate(o.rep))
         bad = _design(
             f,
-            tuple(Orbit(Block(bad_els, bad_els[1]), o.length, o.replication)
-                  if p is o else p for p in d.orbits),
+            tuple(Orbit(bad_els, o.length, o.replication) if p is o else p for p in d.orbits),
         )
         assert check_qanalog(bad) is _scalar_qanalog(bad) is False
         assert check_simple(bad) is _scalar_simple(bad)
     # every orbit next to a scaled copy of itself in another slot order
     for o in d.orbits:
         t = rng.randrange(2, f.order)
-        els = tuple(rng.sample([f.mul(t, e) for e in o.rep.elements], 7))
-        pair = _design(f, (Orbit(o.rep, o.length, 1), Orbit(Block(els, els[1]), o.length, 1)))
+        els = tuple(rng.sample([f.mul(t, e) for e in o.rep], 7))
+        pair = _design(f, (Orbit(o.rep, o.length, 1), Orbit(els, o.length, 1)))
         assert check_simple(pair) is _scalar_simple(pair) is False
 
 
@@ -697,7 +693,7 @@ def _orbit_rows(draw):
     units = st.integers(1, f.order - 1)
     rows = []
     for i in draw(st.lists(st.integers(0, len(orbits) - 1), min_size=1, max_size=6, unique=True)):
-        els, w = orbits[i].rep.elements, orbits[i].replication
+        els, w = orbits[i].rep, orbits[i].replication
         mirror = [f.inv(e) for e in els]
         kind = draw(st.sampled_from(["alone", "mirror", "scaled mirror"]))
         rows += {
@@ -711,7 +707,7 @@ def _orbit_rows(draw):
     shuffled = []
     for els, w in rows:
         els = tuple(draw(st.permutations(els)))
-        shuffled.append(Orbit(Block(els, els[1]), v // w, w))
+        shuffled.append(Orbit(els, v // w, w))
     return _design(f, shuffled)
 
 

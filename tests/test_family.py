@@ -16,24 +16,27 @@ from qdf import (
     DegenerateTError,
     DifferenceFamily,
     MATCHED_PAIRS,
-    QUADRATIC_PAIRS,
-    SINGLE_SOLUTION_PAIRS,
-    block_of,
     build_family,
     certificate_table,
-    delta,
-    delta_table,
-    equation_certificate,
     full_family,
-    hexagon_partition,
     hexagon_rows,
     is_irreducible,
     multiplicity_profile,
+)
+from qdf.family import EQUATION_FORMS
+from qdf.reference import (
+    _FORMS,
+    QUADRATIC_PAIRS,
+    SINGLE_SOLUTION_PAIRS,
+    block_of,
+    delta,
+    delta_table,
+    equation_certificate,
     pair_equation,
     pair_solution_count,
     predicted_multiplicity,
+    solve_quadratic,
 )
-from qdf.family import EQUATION_FORMS, _FORMS
 from oracles import cached_field, hexagons_by_scan
 
 # (n, modulus): n = 3..11 with the default modulus, and a second one at n = 7
@@ -53,7 +56,7 @@ EXPECTED_I_SET = frozenset(
 def test_delta_shape_and_symmetry(n):
     f = cached_field(n)
     for x in list(f.seeds())[:64]:
-        d = delta(f, block_of(f, x))
+        d = delta(f, block_of(f, x).elements)
         assert len(d) == 42
         assert 1 not in d and 0 not in d
         c = Counter(d)
@@ -63,7 +66,7 @@ def test_delta_shape_and_symmetry(n):
 
 def test_delta_of_subfield_block_n3():
     f = cached_field(3)
-    c = Counter(delta(f, block_of(f, 2)))
+    c = Counter(delta(f, block_of(f, 2).elements))
     assert c == {t: 7 for t in range(2, 8)}
 
 
@@ -78,13 +81,13 @@ def test_delta_table_closed_forms(n):
         assert tab[1][3] == f.div(x, x ^ 1)
         assert all(tab[i][i] is None for i in range(7))
         flat = [tab[i][j] for i in range(7) for j in range(7) if i != j]
-        assert Counter(flat) == Counter(delta(f, block_of(f, x)))
+        assert Counter(flat) == Counter(delta(f, block_of(f, x).elements))
 
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_delta_table_matches_reduced_fractions(n):
     # every entry equals the evaluated reduced fraction of slot polynomials
-    from qdf.family import _reduced_fraction
+    from qdf.reference import _reduced_fraction
 
     f = cached_field(n)
 
@@ -182,7 +185,7 @@ def test_multiplicity_three_routes_agree(n):
     f = cached_field(n)
     profile = multiplicity_profile(full_family(f))
     for t in f.seeds():
-        brute = profile.count_of(t)
+        brute = profile.counts[t]
         by_equations = sum(
             pair_solution_count(f, i, j, t)
             for i in range(1, 8)
@@ -198,14 +201,14 @@ def test_full_family_profile_constant_42(n):
     fam = full_family(f)
     prof = multiplicity_profile(fam)
     assert prof.is_constant(42)
-    assert prof.total() == len(fam.base_blocks) * 42
+    assert prof.total() == len(fam.slots) * 42
 
 
 @pytest.mark.parametrize("n,blocks", [(3, 1), (5, 5), (7, 21), (9, 85)])
 def test_reduced_family_profile_constant_7(n, blocks):
     f = cached_field(n)
     fam = build_family(f)
-    assert len(fam.base_blocks) == blocks
+    assert len(fam.slots) == blocks
     assert fam.lambda_claim == 7
     prof = multiplicity_profile(fam)
     assert prof.is_constant(7)
@@ -214,43 +217,43 @@ def test_reduced_family_profile_constant_7(n, blocks):
 
 
 def test_build_family_n13_block_count():
-    assert len(build_family(cached_field(13)).base_blocks) == 1365
+    assert len(build_family(cached_field(13)).slots) == 1365
 
 
 def test_family_n9_contains_exactly_one_subfield_block():
     f = cached_field(9)
     kstar = frozenset(t for t in f.subfield(3) if t)
     fam = build_family(f)
-    assert sum(1 for b in fam.base_blocks if b.as_set() == kstar) == 1
+    assert sum(1 for row in fam.slots.tolist() if set(row) == kstar) == 1
 
 
 def test_representative_systems_differ_but_cover_same_hexagons():
     f = cached_field(7)
     fam_min = build_family(f, system="min")
     fam_max = build_family(f, system="max")
-    assert [b.seed for b in fam_min.base_blocks] != [b.seed for b in fam_max.base_blocks]
-    hexes = hexagon_partition(f)
-    for bmin, bmax, h in zip(fam_min.base_blocks, fam_max.base_blocks, hexes):
-        assert bmin.seed == h.canonical_rep == min(h.vertices)
-        assert bmax.seed == max(h.vertices)
+    seeds_min, seeds_max = fam_min.slots[:, 1].tolist(), fam_max.slots[:, 1].tolist()
+    assert seeds_min != seeds_max
+    for smin, smax, h in zip(seeds_min, seeds_max, hexagons_by_scan(f)):
+        assert smin == min(h)
+        assert smax == max(h)
     with pytest.raises(ValueError):
         build_family(f, system="median")
 
 
 def _delta_counts(fam) -> Counter:
     counts = Counter()
-    for b in fam.base_blocks:
-        counts.update(delta(fam.ctx, b))
+    for row in fam.slots.tolist():
+        counts.update(delta(fam.ctx, row))
     return counts
 
 
 def _mutants(fam):
     """The family with its middle block dropped, and with it duplicated."""
-    blocks = fam.base_blocks
+    blocks = fam.slots
     k = len(blocks) // 2
     return [
-        DifferenceFamily(fam.ctx, blocks[:k] + blocks[k + 1 :], fam.lambda_claim),
-        DifferenceFamily(fam.ctx, blocks + blocks[k : k + 1], fam.lambda_claim),
+        DifferenceFamily(fam.ctx, np.delete(blocks, k, axis=0), fam.lambda_claim),
+        DifferenceFamily(fam.ctx, np.concatenate([blocks, blocks[k : k + 1]]), fam.lambda_claim),
     ]
 
 
@@ -266,7 +269,7 @@ def test_profile_matches_delta_counter(n, modulus):
     for fam in _mutants(good[0]):
         profile = multiplicity_profile(fam)
         counts = _delta_counts(fam)
-        offending = [t for t in f.seeds() if profile.count_of(t) != 7]
+        offending = [t for t in f.seeds() if profile.counts[t] != 7]
         assert offending and offending == [t for t in f.seeds() if counts[t] != 7]
         assert not profile.is_constant(7)
 
@@ -374,22 +377,27 @@ def test_folded_profile_matches_counts_and_delta_on_mutated_families(data, n):
 
 @pytest.mark.parametrize("n,modulus", FIELDS)
 def test_certificate_table_matches_solve_quadratic(n, modulus):
-    # every t and all 18 forms against the scalar trace criterion
+    # every t and all 18 forms against the scalar trace criterion, and the
+    # decoded table against the certificate built equation by equation,
+    # at every t for n <= 9
     f = cached_field(n, modulus)
     tab = certificate_table(f, f.seeds())
     assert tab.ts.tolist() == list(f.seeds())
     expected = [
         [
-            f.solve_quadratic(_FORMS[fa](t), _FORMS[fb](t), _FORMS[fc](t)).count == 2
+            solve_quadratic(f, _FORMS[fa](t), _FORMS[fb](t), _FORMS[fc](t)).count == 2
             for fa, fb, fc in EQUATION_FORMS.values()
         ]
         for t in f.seeds()
     ]
     assert tab.keys.dtype == np.int32
     assert tab.keys.tolist() == [sum(ok << c for c, ok in enumerate(row)) for row in expected]
-    for t in list(f.seeds())[:: max(1, f.order // 64)]:
+    decoded, which = tab.decoded
+    for t in list(f.seeds())[:: 1 if n <= 9 else f.order // 64]:
         cert = equation_certificate(f, t)
         assert [e.count == 2 for e in cert.equations] == expected[t - 2]
+        solvable = tuple((e.i, e.j) for e in cert.equations if e.count)
+        assert decoded[which[t - 2]] == (solvable, cert.r, cert.matching_ok)
 
 
 @pytest.mark.parametrize("n,modulus", FIELDS)
@@ -401,7 +409,6 @@ def test_family_slots_match_block_of(n, modulus):
         expected = [block_of(f, pick(h)) for h in hexes]
         assert fam.slots.dtype == np.int32
         assert fam.slots.tolist() == [list(b.elements) for b in expected]
-        assert fam.base_blocks == tuple(expected)
     if n <= 9:
         fam = full_family(f)
         assert fam.slots.tolist() == [list(block_of(f, x).elements) for x in f.seeds()]

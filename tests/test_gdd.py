@@ -10,15 +10,13 @@ from qdf import (
     WrongResidueError,
     build_family,
     build_relative_family,
-    delta,
     desarguesian_spread,
     develop,
-    develop_and_verify_gdd,
-    is_subspace_block,
     verify_gdd,
     verify_relative,
 )
 from qdf.gdd import spread_bytes
+from qdf.reference import delta, is_subspace_block
 from oracles import cached_field, materialize, materialized_pair_counts
 
 
@@ -32,8 +30,8 @@ def test_spread_partitions_units(n, groops):
     for idx, g in enumerate(sp.groops):
         assert len(g) == 7
         assert is_subspace_block(f, g)
-        assert all(sp.groop_of(p) == idx for p in g)
-    assert sp.groop_of(0) == -1
+        assert all(sp.point_groop[p] == idx for p in g)
+    assert sp.point_groop[0] == -1
 
 
 def test_spread_groops_are_kstar_cosets():
@@ -67,12 +65,12 @@ def test_spread_requires_divisibility():
 def test_build_relative_family_n9():
     f = cached_field(9)
     rf = build_relative_family(build_family(f))
-    assert len(rf.base_blocks) == 84
+    assert len(rf.slots) == 84
     assert len(rf.forbidden) == 7
     assert rf.lambda_claim == 7
     kstar = frozenset(t for t in f.subfield(3) if t)
     assert rf.forbidden == kstar
-    assert all(b.as_set() != kstar for b in rf.base_blocks)
+    assert all(set(row) != kstar for row in rf.slots.tolist())
 
 
 def test_build_relative_family_wrong_residue():
@@ -82,7 +80,7 @@ def test_build_relative_family_wrong_residue():
 
 def test_build_relative_family_n3_degenerate():
     rf = build_relative_family(build_family(cached_field(3)))
-    assert rf.base_blocks == ()
+    assert rf.slots.shape == (0, 7)
     assert len(rf.forbidden) == 7
 
 
@@ -94,8 +92,8 @@ def test_verify_relative_passes_n9():
     assert rep.pair_coverage_min == rep.pair_coverage_max == 7
     # direct recount: nothing inside K* minus {1}, exactly 7 outside
     counts = Counter()
-    for b in rf.base_blocks:
-        counts.update(delta(f, b))
+    for row in rf.slots.tolist():
+        counts.update(delta(f, row))
     for t in f.seeds():
         assert counts[t] == (0 if t in rf.forbidden else 7)
 
@@ -104,7 +102,7 @@ def test_verify_relative_fails_with_subfield_block_present():
     f = cached_field(9)
     fam = build_family(f)
     kstar = frozenset(t for t in f.subfield(3) if t)
-    bogus = DifferenceFamily(f, fam.base_blocks, 7, forbidden=kstar)
+    bogus = DifferenceFamily(f, fam.slots, 7, forbidden=kstar)
     rep = verify_relative(bogus)
     assert not rep.passed
     bad = dict(rep.offending_pairs)
@@ -132,7 +130,7 @@ def test_verify_relative_vacuous_n3():
 def test_gdd_n9_all_checks_pass():
     f = cached_field(9)
     rf = build_relative_family(build_family(f))
-    rep = develop_and_verify_gdd(rf)
+    rep = verify_gdd(desarguesian_spread(f), develop(rf))
     assert rep.passed
     assert rep.checks == {
         "block_groop_meet": True,
@@ -155,7 +153,7 @@ def test_gdd_n9_against_materialized_counts():
     for u in range(1, f.order - 1):
         for v in range(u + 1, f.order):
             c = counts[(u, v)]
-            if sp.groop_of(u) == sp.groop_of(v):
+            if sp.point_groop[u] == sp.point_groop[v]:
                 assert c == 0
                 checked_within += 1
             else:
@@ -163,7 +161,7 @@ def test_gdd_n9_against_materialized_counts():
     assert checked_within == 73 * 21
     # every block meets every groop at most once
     for blk in blocks[:511]:
-        assert len({sp.groop_of(p) for p in blk}) == 7
+        assert len({sp.point_groop[p] for p in blk}) == 7
 
 
 def test_gdd_orbit_representatives_are_subspaces():
@@ -171,7 +169,7 @@ def test_gdd_orbit_representatives_are_subspaces():
     f = cached_field(9)
     rf = build_relative_family(build_family(f))
     for orbit in develop(rf).orbits:
-        assert is_subspace_block(f, orbit.rep.elements)
+        assert is_subspace_block(f, orbit.rep)
 
 
 def test_gdd_counting_identity_n9():
@@ -182,8 +180,9 @@ def test_gdd_counting_identity_n9():
 
 
 def test_gdd_n3_degenerate_pass():
-    rf = build_relative_family(build_family(cached_field(3)))
-    rep = develop_and_verify_gdd(rf)
+    f = cached_field(3)
+    rf = build_relative_family(build_family(f))
+    rep = verify_gdd(desarguesian_spread(f), develop(rf))
     assert rep.passed
     assert "degenerate" in rep.notes
     assert rep.checks is not None and all(rep.checks.values())
@@ -194,8 +193,8 @@ def test_gdd_detects_within_groop_coverage():
     f = cached_field(9)
     fam = build_family(f)
     kstar = frozenset(t for t in f.subfield(3) if t)
-    bogus = DifferenceFamily(f, fam.base_blocks, 7, forbidden=kstar)
-    rep = develop_and_verify_gdd(bogus)
+    bogus = DifferenceFamily(f, fam.slots, 7, forbidden=kstar)
+    rep = verify_gdd(desarguesian_spread(f), develop(bogus))
     assert not rep.passed
     assert rep.checks is not None
     assert not rep.checks["within_pair_coverage"]
@@ -211,8 +210,8 @@ def test_gdd_detects_within_groop_coverage():
 def test_gdd_detects_missing_cross_coverage():
     f = cached_field(9)
     rf = build_relative_family(build_family(f))
-    bad = DifferenceFamily(f, rf.base_blocks[1:], 7, forbidden=rf.forbidden)
-    rep = develop_and_verify_gdd(bad)
+    bad = DifferenceFamily(f, rf.slots[1:], 7, forbidden=rf.forbidden)
+    rep = verify_gdd(desarguesian_spread(f), develop(bad))
     assert not rep.passed
     assert not rep.checks["cross_pair_coverage"]
     assert rep.checks["within_pair_coverage"] and rep.checks["simple"]
@@ -228,9 +227,9 @@ def test_gdd_offenders_list_within_groop_pairs_first():
     f = cached_field(9)
     fam = build_family(f)
     rf = build_relative_family(fam)
-    kblock = tuple(b for b in fam.base_blocks if b.as_set() == rf.forbidden)
-    both = DifferenceFamily(f, rf.base_blocks[1:] + kblock, 7, forbidden=rf.forbidden)
-    rep = develop_and_verify_gdd(both)
+    kblock = [row for row in fam.slots.tolist() if set(row) == rf.forbidden]
+    both = DifferenceFamily(f, rf.slots[1:].tolist() + kblock, 7, forbidden=rf.forbidden)
+    rep = verify_gdd(desarguesian_spread(f), develop(both))
     assert not rep.checks["within_pair_coverage"]
     assert not rep.checks["cross_pair_coverage"]
     assert rep.offending_pairs == (
@@ -243,8 +242,8 @@ def _relative_by_delta(rf):
     """(min, max outside the forbidden subgroup, first ten offenders) of a
     relative family, from a Counter over delta: the reference route."""
     counts = Counter()
-    for b in rf.base_blocks:
-        counts.update(delta(rf.ctx, b))
+    for row in rf.slots.tolist():
+        counts.update(delta(rf.ctx, row))
     outside = [counts[t] for t in rf.ctx.seeds() if t not in rf.forbidden]
     offenders = [
         (t, counts[t])
@@ -261,12 +260,13 @@ def test_verify_relative_matches_delta_counter(variant):
     f = cached_field(9)
     fam = build_family(f)
     rf = build_relative_family(fam)
+    rows = rf.slots.tolist()
     blocks, lam = {
-        "relative": (rf.base_blocks, 7),
-        "doubled": (rf.base_blocks * 2, 14),
-        "dropped": (rf.base_blocks[:40] + rf.base_blocks[41:], 7),
-        "duplicated": (rf.base_blocks + rf.base_blocks[40:41], 7),
-        "with_subfield": (fam.base_blocks, 7),
+        "relative": (rows, 7),
+        "doubled": (rows * 2, 14),
+        "dropped": (rows[:40] + rows[41:], 7),
+        "duplicated": (rows + rows[40:41], 7),
+        "with_subfield": (fam.slots, 7),
     }[variant]
     mutant = DifferenceFamily(f, blocks, lam, forbidden=rf.forbidden)
     rep = verify_relative(mutant)
@@ -275,14 +275,3 @@ def test_verify_relative_matches_delta_counter(variant):
     assert rep.offending_pairs == offenders
     assert rep.passed == (variant in ("relative", "doubled")) == (not offenders)
 
-
-def test_verify_gdd_on_prebuilt_spread_and_design():
-    # the CLI builds the spread and the development once and passes them in
-    f = cached_field(9)
-    rf = build_relative_family(build_family(f))
-    rep = verify_gdd(desarguesian_spread(f), develop(rf))
-    ref = develop_and_verify_gdd(rf)
-    assert rep.passed and rep.checks == ref.checks
-    assert (rep.pair_coverage_min, rep.pair_coverage_max, rep.offending_pairs) == (
-        ref.pair_coverage_min, ref.pair_coverage_max, ref.offending_pairs
-    )

@@ -71,7 +71,7 @@ def test_family_round_trip():
     back = _read(data)
     assert back.ctx == f
     assert back.lambda_claim == 7
-    assert [b.elements for b in back.base_blocks] == [b.elements for b in fam.base_blocks]
+    assert back.slots.tolist() == fam.slots.tolist()
 
 
 def _row_text(row) -> str:
@@ -354,7 +354,7 @@ def test_every_writer_yields_only_bytes():
 def _csv_oracle(p, n):
     lines = ["t_hex,count"]
     for t in range(2, p.order):
-        lines.append(f"{element_hex(t, n)},{p.count_of(t)}")
+        lines.append(f"{element_hex(t, n)},{p.counts[t]}")
     return "\n".join(lines) + "\n"
 
 
