@@ -42,9 +42,10 @@ from .gdd import (
     verify_gdd,
     verify_relative,
 )
-from .gf2n import GF2n, table_bytes
+from .gf2n import GF2n, smallest_irreducible, table_bytes
 from .serialize import (
     certificates_json_chunks,
+    certificates_json_size,
     design_json_chunks,
     family_json_chunks,
     gdd_json_chunks,
@@ -123,9 +124,13 @@ def _make_ctx(args) -> GF2n:
             parts.append(("for the largest stage", largest))
         terms = [f"~{size / 2**20:.1f} MiB {what}" for what, size in parts]
         total = sum(size for _, size in parts)
+        end = f"~{total / 2**20:.1f} MiB in all"
+        if args.command == "certify":
+            m = smallest_irreducible(n) if args.modulus is None else args.modulus
+            end += f", for a report of {certificates_json_size(n, m):,} bytes"
         print(
             f"warning: n={n} is desk-scale-plus; expect {', '.join(terms[:-1])} "
-            f"and {terms[-1]}, ~{total / 2**20:.1f} MiB in all",
+            f"and {terms[-1]}, {end}",
             file=sys.stderr,
         )
     return GF2n(n, args.modulus)

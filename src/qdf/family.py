@@ -11,8 +11,8 @@ Two independent routes compute the multiplicity m(t):
     one histogram of the folded slot log differences (fold_differences,
     which also counts every pair of a design's full-length orbits);
   * certificate_table: solvability of the 18 genuinely quadratic quotient
-    equations at every t, read off the trace table as one int32 key per
-    t (bit c: equation c has two roots), plus the 24 degenerate ones,
+    equations at every t, read off a table of 1 - Tr(g^k) as one int32
+    key per t (bit c: equation c has two roots), plus the 24 degenerate ones,
     which predicts m(t) = 24 + 2*r(t) for the all-seeds family; r(t) and
     the matching are decoded from each distinct key.
 
@@ -205,8 +205,15 @@ class CertificateTable:
         """decode_key of each distinct key, in increasing order (at most
         2^9 when every match holds one solvable equation), and the index
         of each t's key among them."""
-        keys, which = np.unique(self.keys, return_inverse=True)
-        return [decode_key(k) for k in keys.tolist()], which
+        # a sort and a search peak at 12 B per t; np.unique's inverse, 33
+        keys = np.sort(self.keys)
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        return [decode_key(k) for k in keys.tolist()], np.searchsorted(keys, self.keys)
+
+
+# ts per chunk of certificate_table, and exp-table entries per chunk of
+# its 1 - Tr table; bounds their temporaries.
+_KEY_CHUNK = 1 << 16
 
 
 def certificate_table(ctx: GF2n, ts) -> CertificateTable:
@@ -216,9 +223,12 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
     so each equation has 0 or 2 roots, two exactly when Tr(a*c/b^2) = 0
     (the criterion of reference.solve_quadratic).  log(a*c/b^2) is
     log a + log c - 2 log b, in (-2v, 2v) for v = 2^n - 1; shifted by 2v
-    and folded below 2v, it indexes the doubled exp table.
+    and folded below 2v, it indexes a table of 1 - Tr(g^k): one gather
+    per equation.
     """
-    ts = np.asarray(ts).reshape(-1)
+    # a range becomes an array without a Python int per t (~48 B each)
+    ts = np.arange(ts.start, ts.stop, ts.step) if isinstance(ts, range) else np.asarray(ts)
+    ts = ts.reshape(-1)
     bad = (ts < 2) | (ts >= ctx.order)
     if bad.any():
         raise DegenerateTError(
@@ -226,27 +236,38 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
         )
     ts = ts.astype(np.int32)
     v2 = np.int32(2 * (ctx.order - 1))
-    logs = {"1": 0, "t": ctx.logs[ts], "t1": ctx.logs[ts ^ 1]}
+    # solvable[k] = 1 - Tr(g^k) for 0 <= k < 2v: Tr is GF(2)-linear, so
+    # Tr(x) is the parity of x & mask, bit i of mask the trace of z^i,
+    # folded to bit 0 by XOR shifts over every bit of an int32
+    mask = sum(bit << i for i, bit in enumerate(ctx._trace_images))
+    solvable = np.empty(len(ctx.exp2), dtype=np.uint8)
+    for lo in range(0, len(solvable), _KEY_CHUNK):
+        x = ctx.exp2[lo : lo + _KEY_CHUNK] & mask
+        for s in (16, 8, 4, 2, 1):
+            x ^= x >> s
+        solvable[lo : lo + _KEY_CHUNK] = ~x & 1
     keys = np.zeros(ts.size, dtype=np.int32)
-    for c, (fa, fb, fc) in enumerate(EQUATION_FORMS.values()):
-        k = logs[fa] + logs[fc] - 2 * logs[fb] + v2
-        k -= (k >= v2) * v2
-        keys |= np.left_shift(ctx.traces[ctx.exp2[k]] == 0, c, dtype=np.int32)
+    for lo in range(0, ts.size, _KEY_CHUNK):
+        part = ts[lo : lo + _KEY_CHUNK]
+        logs = {"1": 0, "t": ctx.logs[part], "t1": ctx.logs[part ^ 1]}
+        for c, (fa, fb, fc) in enumerate(EQUATION_FORMS.values()):
+            k = logs[fa] + logs[fc] - 2 * logs[fb] + v2
+            k -= (k >= v2) * v2
+            keys[lo : lo + _KEY_CHUNK] |= np.left_shift(solvable.take(k), c, dtype=np.int32)
     return CertificateTable(ts, keys)
 
 
 def certificate_bytes(n: int) -> int:
     """Bytes `certify` adds over the field tables at its peak, for
-    preflight estimates: 4 per element for the trace table, which
-    certificate_table builds on first use; 44 per t (48 under
-    tracemalloc at n = 19: the table's int32 ts and keys, and
-    np.unique's copy, argsort, sorted copy and inverse index of the keys
-    while the table decodes them); and 2 MiB for the writer's chunks of
-    256 KiB and the heap they leave.
-    With the tables, `certify` grows VmHWM by 4.2, 9.7, 31.2 and 120.3
+    preflight estimates: 16 per t while the writer runs (the table's
+    int32 ts and keys and the intp index of each t's key among the
+    decoded ones), ~4 more of heap that the freed temporaries leave (the
+    table's chunks and the 1 - Tr table, 2 B per element, among them),
+    and 1.5 MiB for the writer's chunks of 256 KiB.
+    With the tables, `certify` grows VmHWM by 2.5, 6.1, 16.9 and 63.3
     MiB at n = 15, 17, 19 and 21 in fresh processes, against preflight
-    totals of 4.1, 9.7, 32.2 and 122.2 MiB."""
-    return (4 + 44) * (1 << n) + 2 * 2**20
+    totals of 2.7, 5.7, 17.7 and 65.7 MiB."""
+    return 20 * (1 << n) + 3 * 2**19
 
 
 # -- family constructors ------------------------------------------------------

@@ -45,9 +45,11 @@ def table_bytes(n: int) -> int:
     x -> c*x tables in pages of exp2 not yet written, and log_table
     scatters _LOG_CHUNK logs at a time, adding one chunk of int32 values
     and numpy's 64 KiB buffer of 8,192 indices cast to intp.  Each linear
-    table built on first use adds one word: certificate_bytes counts the
-    trace table that `certify` reads; the sqrt and half-trace tables of
-    `qdf.reference` are read by tests and demos only.
+    table built on first use adds one word.  `certify` builds none: it
+    takes each trace as the parity of x & M, M the mask of the basis
+    elements of trace 1.  The trace table serves the scalar trace(), and
+    the sqrt and half-trace tables of `qdf.reference` serve tests and
+    demos only.
     """
     return 3 * 4 * (1 << n) + 4 * _LOG_CHUNK + 8192 * 8
 

@@ -18,12 +18,16 @@ import numpy as np
 from .blocks import block_slots
 from .design import Design, VerificationReport, develop
 from .errors import ForbiddenSeedError, MalformedFamilyError, QdfError
-from .family import CertificateTable, DifferenceFamily, MultiplicityProfile
+from .family import MATCHED_PAIRS, CertificateTable, DifferenceFamily, MultiplicityProfile
 from .gdd import Spread
 from .gf2n import GF2n
 
 
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# _HEX_PAIRS[b], read as its two bytes in memory, is the two hex digits of
+# the byte value b, high digit first, whatever the host's byte order; built
+# without numpy, whose loops it would run nowhere else (~0.3 MiB of RSS)
+_HEX_PAIRS = np.frombuffer("".join(f"{b:02x}" for b in range(256)).encode("ascii"), np.uint16)
 
 
 def hex_width(n: int) -> int:
@@ -53,31 +57,44 @@ def _json_list(items: list[str], indent: str) -> str:
 _CHUNK_BYTES = 1 << 18
 
 
+def _fill_hex(out: np.ndarray, vals: np.ndarray, at: int, stride: int, w: int) -> None:
+    """Write the w zero-padded lowercase hex digits of each vals[r, c] at
+    out[r, at + c * stride :], two at a time from the lowest byte of the
+    values, through one strided (rows, columns) view per byte."""
+    idx = np.empty(vals.shape, dtype=np.intp)  # take() copies any other index type to intp
+    for j in range(w - 2, -2, -2):  # j = -1: an odd width's leading digit, alone
+        np.right_shift(vals, 4 * (w - 2 - j), out=idx)
+        idx &= 255
+        table = _HEX_PAIRS if j >= 0 else _HEX_DIGITS
+        view = np.ndarray(vals.shape, table.dtype, out, at + max(j, 0), (out.shape[1], stride))
+        view[...] = table.take(idx)
+
+
 def _rows_chunks(
     head: str, tails: list[str], which: np.ndarray, values: np.ndarray, sep: str
 ) -> Iterator[bytes]:
     """Byte rows joined by `sep`, in chunks of as many rows as fit in
     _CHUNK_BYTES, one at least; every chunk but the last ends with `sep`.
-    Row k is `head`, its runs of "#" (one per column of the (N, c) int
-    array `values`, or one for an (N,) array) filled with the zero-padded
-    lowercase hex digits of values[k], then tails[which[k]].  Each
-    distinct tail is rendered once, after the head, as a byte row
-    zero-padded to the longest; a chunk gathers its rows, fills in the
-    digits and drops any padding by one mask."""
+    Row k is `head`, its equally spaced runs of "#" (one per column of
+    the (N, c) int array `values`, or one for an (N,) array) filled with
+    the zero-padded lowercase hex digits of values[k], then
+    tails[which[k]].  Each distinct tail is rendered once, after the
+    head, as a byte row zero-padded to the longest; a chunk gathers its
+    rows, fills in the digits and drops any padding by one mask."""
     rows = [(head + tail + sep).encode("ascii") for tail in tails]
     lengths = np.array([len(row) for row in rows])
     rows = np.array(rows).view(np.uint8).reshape(len(rows), -1)
     keep = np.arange(rows.shape[1]) < lengths[:, None] if lengths.min() < rows.shape[1] else None
     values = values.reshape(len(values), -1)
-    digits = np.flatnonzero(rows[0, : len(head)] == ord("#")).reshape(values.shape[1], -1)
-    w = digits.shape[1]
+    runs = np.flatnonzero(rows[0, : len(head)] == ord("#")).reshape(values.shape[1], -1)
+    at, w = int(runs[0, 0]), runs.shape[1]
+    stride = int(runs[-1, 0] - at) // max(1, len(runs) - 1)
     step = max(1, _CHUNK_BYTES // rows.shape[1])
     for lo in range(0, len(values), step):
         part = which[lo : lo + step]
         # take() gathers rows several times faster than fancy indexing
-        out, vals = rows.take(part, axis=0), values[lo : lo + step]
-        for j in range(w):
-            out[:, digits[:, j]] = _HEX_DIGITS[vals >> 4 * (w - 1 - j) & 15]
+        out = rows.take(part, axis=0)
+        _fill_hex(out, values[lo : lo + step], at, stride, w)
         out = out.ravel() if keep is None else out[keep.take(part, axis=0)]
         yield out[: len(out) - len(sep) if lo + step >= len(values) else None].tobytes()
 
@@ -296,17 +313,14 @@ def report_to_dict(r: VerificationReport, n: int) -> dict:
     return out
 
 
-def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes]:
-    """The certify report {"n", "modulus", "r_min", "r_max", "all_matched",
-    "certificates": [{"t", "r", "matching_ok", "solvable"}, ...]} as JSON,
-    in chunks of at most _CHUNK_BYTES, or of one certificate: byte for byte
-    what to_json_bytes gives for that dict.  The header and each row's tail
-    come from the table's decoded keys, each rendered once."""
-    decoded, which = tab.decoded
+def _certificate_parts(n: int, modulus: int, decoded: list) -> tuple[bytes, str, list[str]]:
+    """The header, and the head and tails of _rows_chunks, of a certify
+    report over GF(2^n) whose distinct keys decode to `decoded`, one tail
+    per (solvable pairs, r, matching_ok)."""
     rs = [r for _, r, _ in decoded]
     fields = {
-        "n": ctx.n,
-        "modulus": ctx.modulus,
+        "n": n,
+        "modulus": modulus,
         "r_min": min(rs),
         "r_max": max(rs),
         "all_matched": all(ok for _, _, ok in decoded),
@@ -318,10 +332,32 @@ def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes
             f'"r": {r},\n      "matching_ok": {json.dumps(ok)},\n'
             f'      "solvable": {_json_list(items, "      ")}\n    }}'
         )
-    head = f'    {{\n      "t": "{"#" * hex_width(ctx.n)}",\n      '
-    yield _json_head(fields, "certificates")
+    head = f'    {{\n      "t": "{"#" * hex_width(n)}",\n      '
+    return _json_head(fields, "certificates"), head, tails
+
+
+def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes]:
+    """The certify report {"n", "modulus", "r_min", "r_max", "all_matched",
+    "certificates": [{"t", "r", "matching_ok", "solvable"}, ...]} as JSON,
+    in chunks of at most _CHUNK_BYTES, or of one certificate: byte for byte
+    what to_json_bytes gives for that dict.  The header and each row's tail
+    come from the table's decoded keys, each rendered once."""
+    decoded, which = tab.decoded
+    header, head, tails = _certificate_parts(ctx.n, ctx.modulus, decoded)
+    yield header
     yield from _json_rows_chunks(head, tails, which, tab.ts)
     yield b"\n}\n"
+
+
+def certificates_json_size(n: int, modulus: int) -> int:
+    """The bytes certificates_json_chunks writes over GF(2^n) when every
+    certificate holds (r = 9, one solvable equation per match), so that
+    every row has one width: the header, 2^n - 2 rows, the 2-byte
+    separator after all but the last, and the 9 bytes that open and
+    close the list and the object."""
+    matched = [([p for p, _ in MATCHED_PAIRS], 9, True)]
+    header, head, (tail,) = _certificate_parts(n, modulus, matched)
+    return len(header) + ((1 << n) - 2) * (len(head + tail) + 2) + 7
 
 
 def profile_csv_chunks(p: MultiplicityProfile, n: int) -> Iterator[bytes]:

@@ -118,6 +118,16 @@ def test_preflight_of_construct_counts_family_and_profile(capsys):
     assert "~1.5 MiB in all" in warning
 
 
+def test_preflight_of_certify_names_the_report_size(capsys, tmp_path):
+    # the report's size, its header and 2^15 - 2 rows of the all-matched
+    # width, is printed before the field is built and is what is written
+    out = tmp_path / "c15.json"
+    code, _, stderr = run_cli(capsys, "certify", "--n", "15", "--force", "--out", str(out))
+    assert code == 0
+    size = re.search(r"~[0-9.]+ MiB in all, for a report of ([0-9,]+) bytes$", stderr.strip())
+    assert int(size[1].replace(",", "")) == out.stat().st_size == 16_841_833
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 @pytest.mark.parametrize("n", [15, 17, 19])
 def test_preflight_table_estimate_matches_measured_rss(n):

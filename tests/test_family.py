@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from qdf import (
     DegenerateTError,
     DifferenceFamily,
+    GF2n,
     MATCHED_PAIRS,
     build_family,
     certificate_table,
@@ -149,7 +150,10 @@ def test_certificate_rejects_t_outside_the_field():
     # the first t outside 2 <= t < 2^n is named, and the ts are checked
     # before they are narrowed to int32 (2^32 + 3 would wrap to 3)
     f = cached_field(5)
-    for ts, bad in (([2, 40], 40), ([3, 32, 1], 32), ([-1], -1), ([2**32 + 3], 2**32 + 3)):
+    for ts, bad in (
+        ([2, 40], 40), ([3, 32, 1], 32), ([-1], -1), ([2**32 + 3], 2**32 + 3),
+        (range(2, 33), 32), (range(4, -1, -1), 1),
+    ):
         with pytest.raises(DegenerateTError, match=f"got {bad}$"):
             certificate_table(f, ts)
     with pytest.raises(DegenerateTError, match="got 32$"):
@@ -398,6 +402,29 @@ def test_certificate_table_matches_solve_quadratic(n, modulus):
         assert [e.count == 2 for e in cert.equations] == expected[t - 2]
         solvable = tuple((e.i, e.j) for e in cert.equations if e.count)
         assert decoded[which[t - 2]] == (solvable, cert.r, cert.matching_ok)
+
+
+@pytest.mark.parametrize("chunk", [5, 1 << 16])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_certificate_keys_match_equation_certificate_at_every_t(monkeypatch, n, chunk):
+    # chunks of 5 ts, and of 5 entries of the 1 - Tr table, leave a short
+    # last chunk of each
+    from qdf import family
+
+    monkeypatch.setattr(family, "_KEY_CHUNK", chunk)
+    f = cached_field(n)
+    tab = certificate_table(f, f.seeds())
+    for t, key in zip(tab.ts.tolist(), tab.keys.tolist()):
+        cert = equation_certificate(f, t)
+        assert key == sum((e.count == 2) << c for c, e in enumerate(cert.equations))
+
+
+def test_certificate_table_builds_no_trace_table():
+    # a fresh field: the table reads the trace off the basis images, so the
+    # int32 trace table stays unbuilt, for the scalar trace() alone
+    f = GF2n(9)
+    certificate_table(f, f.seeds())
+    assert not {"traces", "_trace"} & set(vars(f))
 
 
 @pytest.mark.parametrize("n,modulus", FIELDS)

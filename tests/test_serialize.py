@@ -230,6 +230,34 @@ def test_family_json_chunks_independent_of_chunking(monkeypatch, n, modulus, chu
         assert b"".join(chunks) == _json_dumps(family_dict(fam))
 
 
+@pytest.mark.parametrize("chunk", [1, 3, "default"])
+@pytest.mark.parametrize("columns", [1, 7])
+@pytest.mark.parametrize("n", range(17, 26))
+def test_rows_chunks_writes_hex_widths_5_to_7(monkeypatch, n, columns, chunk):
+    # the writers render hex widths 5-7 only past the tier-1 fields: here
+    # synthetic values below 2^n, 0, 1 and 2^n - 1 among them, go through
+    # the block head (7 columns) or the CSV head (1), with two tails of
+    # different widths, against format()
+    from qdf.serialize import _block_head, _rows_chunks
+
+    w = hex_width(n)
+    head = _block_head(n) if columns == 7 else "#" * w + ","
+    tails, sep = ["", "tail"], ",\n"
+    values = np.random.default_rng(n).integers(0, 2**n, (40, columns), dtype=np.int32)
+    values[0], values[1], values[2] = 0, 1, 2**n - 1
+    which = np.arange(len(values)) % 2
+    if chunk != "default":
+        _rows_per_chunk(monkeypatch, chunk, (head, tails))
+    chunks = list(_rows_chunks(head, tails, which, values.squeeze(), sep))
+    parts = head.split("#" * w)
+    want = [
+        "".join(p + format(v, f"0{w}x") for p, v in zip(parts, row)) + parts[-1] + tails[k]
+        for row, k in zip(values.tolist(), which.tolist())
+    ]
+    assert b"".join(chunks).decode("ascii") == sep.join(want)
+    assert len(chunks) == (1 if chunk == "default" else -(-len(values) // chunk))
+
+
 def _gdd_oracle(spread, design, reports):
     out = gdd_dict(spread, design)
     out.update(reports)
