@@ -85,12 +85,21 @@ def max_vertices(ctx: GF2n, reps: np.ndarray) -> np.ndarray:
     return np.maximum(_inverses(ctx, reps), _inverses(ctx, reps ^ 1)) | 1
 
 
+def int_array(xs) -> np.ndarray:
+    """The ints xs as a flat ndarray; a range becomes np.arange, without
+    the Python int per item (~48 B each) that np.asarray makes of it."""
+    if isinstance(xs, range):
+        return np.arange(xs.start, xs.stop, xs.step)
+    return np.asarray(xs).reshape(-1)
+
+
 def block_slots(ctx: GF2n, seeds) -> np.ndarray:
     """The blocks of the given seeds as an (N, 7) int32 array, one row
     per seed in the slot order of block_of, filled column by column."""
-    x = np.asarray(seeds, dtype=np.int32).reshape(-1)
+    x = int_array(seeds)
     if x.size and (x.min() < 2 or x.max() >= ctx.order):
         _check_seed(int(x[(x < 2) | (x >= ctx.order)][0]), ctx)
+    x = x.astype(np.int32, copy=False)
     out = np.empty((len(x), 7), dtype=np.int32)
     out[:, 0] = 1
     out[:, 1] = x

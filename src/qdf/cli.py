@@ -44,9 +44,9 @@ from .gdd import (
 )
 from .gf2n import GF2n, smallest_irreducible, table_bytes
 from .serialize import (
+    _CHUNK_BYTES,
     certificates_json_chunks,
     certificates_json_size,
-    design_json_chunks,
     family_json_chunks,
     gdd_json_chunks,
     profile_csv_chunks,
@@ -223,15 +223,14 @@ def _cmd_export(args) -> int:
     except OSError as exc:
         raise QdfError(f"cannot read {args.input}: {exc.strerror}") from None
     artifact = read_artifact(data, _check_hard_ceiling)
-    del data  # not held while the output is built
-    if isinstance(artifact, Design):
-        if args.format == "csv":
-            raise QdfError("designs have no CSV form; use --format json")
-        _emit(args, design_json_chunks(artifact))
-    elif args.format == "csv":
-        _emit(args, profile_csv_chunks(multiplicity_profile(artifact), artifact.ctx.n))
+    if args.format == "json":
+        # read_artifact accepts only the bytes its writer renders: write them back
+        _emit(args, (data[i : i + _CHUNK_BYTES] for i in range(0, len(data), _CHUNK_BYTES)))
+    elif isinstance(artifact, Design):
+        raise QdfError("designs have no CSV form; use --format json")
     else:
-        _emit(args, family_json_chunks(artifact))
+        del data  # not held while the output is built
+        _emit(args, profile_csv_chunks(multiplicity_profile(artifact), artifact.ctx.n))
     return 0
 
 

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import PAIR_I, PAIR_J, block_slots, hexagon_reps, max_vertices
+from .blocks import PAIR_I, PAIR_J, block_slots, hexagon_reps, int_array, max_vertices
 from .errors import DegenerateTError
 from .gf2n import GF2n
 
@@ -203,17 +203,26 @@ class CertificateTable:
     @cached_property
     def decoded(self) -> tuple[list[tuple], np.ndarray]:
         """decode_key of each distinct key, in increasing order (at most
-        2^9 when every match holds one solvable equation), and the index
-        of each t's key among them."""
-        # a sort and a search peak at 12 B per t; np.unique's inverse, 33
-        keys = np.sort(self.keys)
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        return [decode_key(k) for k in keys.tolist()], np.searchsorted(keys, self.keys)
+        2^9 when every match holds one solvable equation), and the int32
+        index of each t's key among them."""
+        keys, which = rank(self.keys)
+        return [decode_key(k) for k in keys.tolist()], which
 
 
-# ts per chunk of certificate_table, and exp-table entries per chunk of
-# its 1 - Tr table; bounds their temporaries.
+# ts per chunk of certificate_table, exp-table entries per chunk of its
+# 1 - Tr table and values per search of rank; bounds their temporaries.
 _KEY_CHUNK = 1 << 16
+
+
+def rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a 1-d array and the int32 index of each
+    among them, searched _KEY_CHUNK values at a time: no intp index outlives its chunk."""
+    distinct = np.sort(values)
+    distinct = np.concatenate((distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]]))
+    which = np.empty(len(values), dtype=np.int32)
+    for lo in range(0, len(values), _KEY_CHUNK):
+        which[lo : lo + _KEY_CHUNK] = np.searchsorted(distinct, values[lo : lo + _KEY_CHUNK])
+    return distinct, which
 
 
 def certificate_table(ctx: GF2n, ts) -> CertificateTable:
@@ -226,9 +235,9 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
     and folded below 2v, it indexes a table of 1 - Tr(g^k): one gather
     per equation.
     """
-    # a range becomes an array without a Python int per t (~48 B each)
-    ts = np.arange(ts.start, ts.stop, ts.step) if isinstance(ts, range) else np.asarray(ts)
-    ts = ts.reshape(-1)
+    ts = int_array(ts)
+    if not ts.size:
+        raise DegenerateTError("certificate requires at least one t")
     bad = (ts < 2) | (ts >= ctx.order)
     if bad.any():
         raise DegenerateTError(
@@ -236,13 +245,11 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
         )
     ts = ts.astype(np.int32)
     v2 = np.int32(2 * (ctx.order - 1))
-    # solvable[k] = 1 - Tr(g^k) for 0 <= k < 2v: Tr is GF(2)-linear, so
-    # Tr(x) is the parity of x & mask, bit i of mask the trace of z^i,
-    # folded to bit 0 by XOR shifts over every bit of an int32
-    mask = sum(bit << i for i, bit in enumerate(ctx._trace_images))
+    # solvable[k] = 1 - Tr(g^k) for 0 <= k < 2v: Tr(x) is the parity of
+    # x & trace_mask, folded to bit 0 by XOR shifts over every bit of an int32
     solvable = np.empty(len(ctx.exp2), dtype=np.uint8)
     for lo in range(0, len(solvable), _KEY_CHUNK):
-        x = ctx.exp2[lo : lo + _KEY_CHUNK] & mask
+        x = ctx.exp2[lo : lo + _KEY_CHUNK] & ctx.trace_mask
         for s in (16, 8, 4, 2, 1):
             x ^= x >> s
         solvable[lo : lo + _KEY_CHUNK] = ~x & 1
@@ -259,15 +266,15 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
 
 def certificate_bytes(n: int) -> int:
     """Bytes `certify` adds over the field tables at its peak, for
-    preflight estimates: 16 per t while the writer runs (the table's
-    int32 ts and keys and the intp index of each t's key among the
+    preflight estimates: 12 per t while the writer runs (the table's
+    int32 ts and keys and the int32 index of each t's key among the
     decoded ones), ~4 more of heap that the freed temporaries leave (the
-    table's chunks and the 1 - Tr table, 2 B per element, among them),
+    table's chunks, the sorted keys and the 1 - Tr table among them),
     and 1.5 MiB for the writer's chunks of 256 KiB.
-    With the tables, `certify` grows VmHWM by 2.5, 6.1, 16.9 and 63.3
+    With the tables, `certify` grows VmHWM by 2.5, 6.4, 15.4 and 55.8
     MiB at n = 15, 17, 19 and 21 in fresh processes, against preflight
-    totals of 2.7, 5.7, 17.7 and 65.7 MiB."""
-    return 20 * (1 << n) + 3 * 2**19
+    totals of 2.6, 5.2, 15.7 and 57.7 MiB."""
+    return 16 * (1 << n) + 3 * 2**19
 
 
 # -- family constructors ------------------------------------------------------

@@ -3,12 +3,12 @@
 Field elements are plain ints in [0, 2^n): bit i is the coefficient of
 z^i in the polynomial basis, so addition is XOR and the elements 0 and 1
 are the ints 0 and 1.  A GF2n instance fixes the degree and the
-irreducible modulus and keeps one int32 ndarray table per map: exp and
-log are built at once, trace on first use.  The array code reads the
-ndarrays; the scalar accessors mul, sqr, inv, div and trace look up
-memoryviews of the same buffers, whose items are Python ints.  The
-square root, the half-trace and the quadratic solver are scalar
-definitions in `qdf.reference`, built from the same Frobenius images.
+irreducible modulus and keeps two int32 ndarrays, exp and log, and the
+int trace_mask, bit i the trace of z^i.  The array code reads the
+ndarrays; the scalar accessors mul, sqr, inv and div look up memoryviews
+of the same buffers, whose items are Python ints, and trace(a) is the
+parity of a & trace_mask.  The square root, the half-trace and the
+quadratic solver are scalar definitions in `qdf.reference`.
 Instances are immutable (lazy caches aside) and safe to share across
 threads; they hold memoryviews, so they do not pickle.
 
@@ -16,14 +16,14 @@ Multiplicative structure: exp/log tables are built on the smallest
 generator of the cyclic group GF(2^n)*, the first g with g^((2^n-1)/p) != 1
 for every prime p dividing 2^n - 1.  The exp table is filled as arrays, a
 block of powers at a time; the doubled exp table makes mul/div/inv
-modulo-free.  The trace is GF(2)-linear, as is x -> c*x, so each table
-is built from its images of the basis z^i by doubling (_linear_table);
-the trace's images come from the n Frobenius images of each z^i.
+modulo-free.  x -> c*x is GF(2)-linear, so its table is built from its
+images of the basis z^i by doubling (_linear_table); the trace of z^i
+sums the n Frobenius images of z^i.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import reduce
 from operator import xor
 
 import numpy as np
@@ -44,12 +44,8 @@ def table_bytes(n: int) -> int:
     words, and logs.  The exp table's fill stays within them, its
     x -> c*x tables in pages of exp2 not yet written, and log_table
     scatters _LOG_CHUNK logs at a time, adding one chunk of int32 values
-    and numpy's 64 KiB buffer of 8,192 indices cast to intp.  Each linear
-    table built on first use adds one word.  `certify` builds none: it
-    takes each trace as the parity of x & M, M the mask of the basis
-    elements of trace 1.  The trace table serves the scalar trace(), and
-    the sqrt and half-trace tables of `qdf.reference` serve tests and
-    demos only.
+    and numpy's 64 KiB buffer of 8,192 indices cast to intp.  The sqrt
+    and half-trace tables of `qdf.reference` serve tests and demos only.
     """
     return 3 * 4 * (1 << n) + 4 * _LOG_CHUNK + 8192 * 8
 
@@ -262,18 +258,10 @@ class GF2n:
         self._exp = memoryview(self.exp2)
         self._log = memoryview(self.logs)
 
-        self._trace_images = [reduce(xor, walk) for walk in _frobenius_walks(self)]
-        if max(self._trace_images) > 1:  # pragma: no cover - guards table construction
+        images = [reduce(xor, walk) for walk in _frobenius_walks(self)]
+        if max(images) > 1:  # pragma: no cover - guards table construction
             raise AssertionError("trace is not {0,1}-valued; tables corrupt")
-
-    @cached_property
-    def traces(self) -> np.ndarray:
-        """The absolute trace of every element, as an int32 table."""
-        return _linear_table(self._trace_images)
-
-    @cached_property
-    def _trace(self) -> memoryview:
-        return memoryview(self.traces)
+        self.trace_mask = sum(bit << i for i, bit in enumerate(images))
 
     # -- scalar arithmetic ---------------------------------------------------
 
@@ -301,7 +289,7 @@ class GF2n:
 
     def trace(self, a: int) -> int:
         """Absolute trace sum(a^(2^i), i < n), valued in {0, 1}."""
-        return self._trace[a]
+        return (int(a) & self.trace_mask).bit_count() & 1
 
     # -- subfields and seeds --------------------------------------------------
 

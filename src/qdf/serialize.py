@@ -18,7 +18,7 @@ import numpy as np
 from .blocks import block_slots
 from .design import Design, VerificationReport, develop
 from .errors import ForbiddenSeedError, MalformedFamilyError, QdfError
-from .family import MATCHED_PAIRS, CertificateTable, DifferenceFamily, MultiplicityProfile
+from .family import MATCHED_PAIRS, CertificateTable, DifferenceFamily, MultiplicityProfile, rank
 from .gdd import Spread
 from .gf2n import GF2n
 
@@ -154,11 +154,11 @@ def _orbit_rows(d: Design) -> tuple:
     {"rep": [7 hex strings], "length", "replication"} of d, with one tail
     per distinct (length, replication)."""
     # one key per (length, replication): a replication is below the radix
-    key = d.length * (int(d.replication.max(initial=0)) + 1) + d.replication
-    first, which = np.unique(key, return_index=True, return_inverse=True)[1:]
+    radix = int(d.replication.max(initial=0)) + 1
+    keys, which = rank(d.length * radix + d.replication)
     tails = [
         f'{m},\n      "replication": {r}\n    }}'
-        for m, r in zip(d.length[first].tolist(), d.replication[first].tolist())
+        for m, r in (divmod(key, radix) for key in keys.tolist())
     ]
     return _orbit_head(d.ctx.n), tails, which, d.slots
 
@@ -365,11 +365,7 @@ def profile_csv_chunks(p: MultiplicityProfile, n: int) -> Iterator[bytes]:
     F* minus {1}, in chunks of at most _CHUNK_BYTES, with one tail per
     distinct count."""
     yield b"t_hex,count\n"
-    live = p.counts[2:]
-    # counts are small: which[t] ranks count m(t) among the distinct ones
-    # without np.unique's sort (its int64 temporaries are 4 MiB at n = 17)
-    seen = np.bincount(live) > 0
-    which = (np.cumsum(seen) - 1).astype(np.int32)[live]
-    tails = [f"{c}\n" for c in np.flatnonzero(seen).tolist()]
+    counts, which = rank(p.counts[2:])
+    tails = [f"{c}\n" for c in counts.tolist()]
     ts = np.arange(2, p.order, dtype=np.int32)
     yield from _rows_chunks("#" * hex_width(n) + ",", tails, which, ts, "")

@@ -591,6 +591,38 @@ def test_export_writes_back_the_bytes_it_reads(capsys, tmp_path, n):
         assert code == 0 and stdout.encode() == path.read_bytes()
 
 
+@pytest.mark.parametrize("kind,n", [("family", 5), ("family", 17), ("design", 9)])
+def test_export_json_renders_once_and_writes_back_the_input(capsys, tmp_path, monkeypatch, kind, n):
+    # read_artifact renders the file once to check it; export writes back
+    # the bytes that check accepted, to a file and, in chunks, to stdout.
+    # Every family and design render goes through _json_rows_chunks once.
+    from qdf import cli, serialize
+
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_bytes(_artifact(kind, n))
+    calls, reading = [], []
+    rows_chunks, read = serialize._json_rows_chunks, serialize.read_artifact
+
+    def counted(*args):
+        calls.append(bool(reading))
+        return rows_chunks(*args)
+
+    def read_artifact(data, check_n):
+        reading.append(True)
+        try:
+            return read(data, check_n)
+        finally:
+            reading.pop()
+
+    monkeypatch.setattr(serialize, "_json_rows_chunks", counted)
+    monkeypatch.setattr(cli, "read_artifact", read_artifact)
+    for argv in (["--out", str(out)], []):
+        calls.clear()
+        code, stdout, _ = run_cli(capsys, "export", str(path), "--format", "json", *argv)
+        assert code == 0 and calls == [True]
+        assert (stdout.encode() if not argv else out.read_bytes()) == path.read_bytes()
+
+
 def _export_rejects(capsys, path, error):
     """Run export on path; it must exit 2, print nothing on stdout and
     return the error line's message."""

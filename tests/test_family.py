@@ -15,15 +15,16 @@ from hypothesis import given, strategies as st
 from qdf import (
     DegenerateTError,
     DifferenceFamily,
-    GF2n,
     MATCHED_PAIRS,
     build_family,
     certificate_table,
+    develop,
     full_family,
     hexagon_rows,
     is_irreducible,
     multiplicity_profile,
 )
+from qdf.blocks import block_slots
 from qdf.family import EQUATION_FORMS
 from qdf.reference import (
     _FORMS,
@@ -158,6 +159,63 @@ def test_certificate_rejects_t_outside_the_field():
             certificate_table(f, ts)
     with pytest.raises(DegenerateTError, match="got 32$"):
         equation_certificate(f, 32)
+
+
+def test_certificate_rejects_no_t():
+    # an empty table has no keys to decode and no report to write
+    f = cached_field(5)
+    for ts in ([], range(2, 2), np.zeros(0, dtype=np.int32)):
+        with pytest.raises(DegenerateTError, match="at least one t$"):
+            certificate_table(f, ts)
+
+
+def _orbit_keys():
+    d = develop(build_family(cached_field(9)))
+    return d.length * (int(d.replication.max()) + 1) + d.replication
+
+
+_RANK_INPUTS = {
+    "empty": lambda: np.zeros(0, dtype=np.int64),
+    "one": lambda: np.array([7], dtype=np.int32),
+    "equal": lambda: np.full(10, 42, dtype=np.int32),
+    "keys": lambda: np.concatenate(
+        ([2**18 - 1, 0], np.random.default_rng(24).integers(0, 2**18, 500))
+    ).astype(np.int32),
+    "orbits": _orbit_keys,
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("name", list(_RANK_INPUTS))
+def test_rank_matches_np_unique(monkeypatch, name, chunk):
+    from qdf import family
+
+    if chunk is not None:
+        monkeypatch.setattr(family, "_KEY_CHUNK", chunk)
+    values = _RANK_INPUTS[name]()
+    distinct, which = family.rank(values)
+    want, inverse = np.unique(values, return_inverse=True)
+    assert distinct.dtype == values.dtype and np.array_equal(distinct, want)
+    assert which.dtype == np.int32 and np.array_equal(which, inverse.reshape(-1))
+
+
+def test_block_slots_of_a_range_peaks_no_higher_than_of_an_array():
+    # a range becomes np.arange, not a Python int per seed first, so it
+    # peaks where an int32 array made by the caller does; the 1 KiB allows
+    # for Python objects
+    import tracemalloc
+
+    f = cached_field(15)
+
+    def peak(seeds):
+        tracemalloc.start()
+        try:
+            block_slots(f, seeds())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(f.seeds) <= peak(lambda: np.arange(2, f.order, dtype=np.int32)) + 2**10
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
@@ -417,14 +475,6 @@ def test_certificate_keys_match_equation_certificate_at_every_t(monkeypatch, n, 
     for t, key in zip(tab.ts.tolist(), tab.keys.tolist()):
         cert = equation_certificate(f, t)
         assert key == sum((e.count == 2) << c for c, e in enumerate(cert.equations))
-
-
-def test_certificate_table_builds_no_trace_table():
-    # a fresh field: the table reads the trace off the basis images, so the
-    # int32 trace table stays unbuilt, for the scalar trace() alone
-    f = GF2n(9)
-    certificate_table(f, f.seeds())
-    assert not {"traces", "_trace"} & set(vars(f))
 
 
 @pytest.mark.parametrize("n,modulus", FIELDS)

@@ -166,6 +166,16 @@ def test_trace_matches_power_sum_oracle(n):
         assert f.trace(x) == trace_by_power_sum(x, n, f.modulus)
 
 
+@pytest.mark.parametrize("n,modulus", [(7, 0x91), (9, 0x217)])
+def test_trace_is_the_parity_of_a_mask_of_three_bits(n, modulus):
+    # the default moduli give trace masks of at most two bits, which do not
+    # tell the parity of a & trace_mask from other functions of its bits
+    f = GF2n(n, modulus)
+    assert bin(f.trace_mask).count("1") >= 3
+    for x in range(f.order):
+        assert f.trace(x) == trace_by_power_sum(x, n, modulus)
+
+
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
 def test_trace_identities_exhaustive(n):
     f = cached_field(n)
@@ -204,7 +214,8 @@ def test_linear_tables_match_frobenius_oracle(n):
     f = GF2n(n)
     q = f.order
     want = frobenius_tables(f.exp2, f.logs, n)
-    assert np.array_equal(f.traces, want["trace"])
+    assert f.trace_mask == sum(int(want["trace"][1 << i]) << i for i in range(n))
+    assert np.array_equal(np.fromiter(map(f.trace, range(q)), np.int64, q), want["trace"])
     assert np.array_equal(np.fromiter((sqrt(f, x) for x in range(q)), np.int64, q), want["sqrt"])
     h = np.fromiter((half_trace(f, u) for u in range(q)), np.int64, q)
     assert np.array_equal(h, want["half_trace"])
@@ -222,15 +233,14 @@ def test_linear_tables_match_frobenius_oracle(n):
 
 @pytest.mark.parametrize("n", [3, 9, 13])
 def test_trace_and_sqrt_tables_built_on_first_use(n):
-    # a fresh instance: cached_field's may already have built them; the
-    # field keeps no sqrt or half-trace table, which qdf.reference builds
+    # the field keeps its trace as one int, bit i the trace of z^i, and no
+    # sqrt or half-trace table, which qdf.reference builds on first use
     f = GF2n(n)
-    assert not {"traces", "_trace"} & set(vars(f))
     want = frobenius_tables(f.exp2, f.logs, n)
     q = f.order
+    assert type(f.trace_mask) is int
+    assert f.trace_mask == sum(int(want["trace"][1 << i]) << i for i in range(n))
     assert np.array_equal(np.fromiter(map(f.trace, range(q)), np.int64, q), want["trace"])
-    assert "_trace" in vars(f)
-    assert f.traces.dtype == np.int32 and np.array_equal(f.traces, want["trace"])
     assert np.array_equal(np.fromiter((sqrt(f, x) for x in range(q)), np.int64, q), want["sqrt"])
     assert not {"sqrt", "half_trace", "solve_quadratic"} & set(dir(f))
 
