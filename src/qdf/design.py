@@ -30,6 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,12 +90,16 @@ class Design:
         return int((self.length * self.replication).sum())
 
 
+PairOffender = NamedTuple("PairOffender", [("pair", tuple[int, int]), ("count", int)])
+QuotientOffender = NamedTuple("QuotientOffender", [("t", int), ("count", int)])
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of an exhaustive coverage check: passed holds iff every count
-    is as claimed; offending_pairs carries a bounded sample of violations
-    as ((payload, count)) tuples.  checks collects named sub-checks where a
-    verification consists of several (the GDD case).
+    is as claimed; offending_pairs carries a bounded sample of violations,
+    each a PairOffender or a QuotientOffender.  checks collects named
+    sub-checks where a verification consists of several (the GDD case).
     """
 
     passed: bool
@@ -109,16 +114,15 @@ class VerificationReport:
 def develop(fam: DifferenceFamily, profile: MultiplicityProfile | None = None) -> Design:
     """Orbit-compressed development of a (relative) difference family.  A
     block's stabilizer is trivial or, only when 3 | n, K* = <g^(v/7)>,
-    which fixes it iff +v/7 fixes its log set.  Given the family's
-    profile, the fold is read off it: every full-length orbit of a
-    development has replication 1, so it is the profile's histogram less
-    the differences of the shorter orbits."""
+    which fixes it iff +v/7 fixes its log set: iff its 7 cyclic gaps all
+    equal v/7.  Given the family's profile, the fold is read off it:
+    every full-length orbit of a development has replication 1, so it is
+    the profile's histogram less the differences of the shorter orbits."""
     ctx = fam.ctx
     v = ctx.order - 1
     replication = np.ones(len(fam.slots), dtype=np.int64)
     if ctx.n % 3 == 0:
-        logs = np.sort(ctx.logs[fam.slots], axis=1)
-        replication[(logs == np.sort((logs + v // 7) % v, axis=1)).all(axis=1)] = 7
+        replication[(_cyclic_gaps(ctx, fam.slots) == v // 7).all(axis=1)] = 7
     d = Design(ctx, fam.slots, v // replication, replication, fam.lambda_claim)
     if profile is not None:
         short = fam.slots[replication > 1]
@@ -214,10 +218,10 @@ def pair_coverage_counts(ctx: GF2n, d: Design) -> np.ndarray:
 
 
 def _first_offenders(ctx: GF2n, steps: np.ndarray, m: int, limit=10) -> tuple:
-    """The first `limit` pairs of the given wrong steps, as ((u, w), count)
-    with encodings u <= w, ordered by u, then by whether m does not divide
-    the fold, then w.  The steps are expanded pair by pair, at most
-    _OFFENDER_CHUNK pairs at a time."""
+    """The first `limit` pairs of the given wrong steps, as PairOffenders
+    ((u, w), count) with encodings u <= w, ordered by u, then by whether m
+    does not divide the fold, then w.  The steps are expanded pair by
+    pair, at most _OFFENDER_CHUNK pairs at a time."""
     q = ctx.order
     fold, start, stop, count = steps
     size = stop - start
@@ -238,9 +242,8 @@ def _first_offenders(ctx: GF2n, steps: np.ndarray, m: int, limit=10) -> tuple:
             top = np.argpartition(keys, limit - 1)[:limit]
             keys, found = keys[top], found[top]
     top = np.argsort(keys)
-    return tuple(
-        ((k // q // 2, k % q), c) for k, c in zip(keys[top].tolist(), found[top].tolist())
-    )
+    pairs = [(k // q // 2, k % q) for k in keys[top].tolist()]
+    return tuple(map(PairOffender, pairs, found[top].tolist()))
 
 
 def _widen(r: tuple[int, int] | None, values: np.ndarray) -> tuple[int, int] | None:
@@ -249,40 +252,41 @@ def _widen(r: tuple[int, int] | None, values: np.ndarray) -> tuple[int, int] | N
     return (min(ends), max(ends)) if ends else None
 
 
-def fold_verdicts(hist: np.ndarray, m: int, lam: int, skip) -> tuple[list, np.ndarray]:
+def fold_verdicts(hist: np.ndarray, m: int, lam: int, skip) -> tuple:
     """Verdicts on a histogram by fold whose multiples of m must be 0 and
     whose other folds must be lam, the folds in `skip` left out: the
-    exact (min, max) of each of these two groups (None for a group left
-    without folds) and the wrong folds, in increasing order."""
+    exact (min, max) of the lam folds (None without any), whether every
+    fold that m divides is 0, and the wrong folds, in increasing order."""
     keep = np.ones(len(hist), dtype=bool)
     keep[skip] = False
     zero = np.arange(0, len(hist), m)
     zero = zero[keep[zero]]
     keep[::m] = False
-    ranges = [_widen(None, hist[zero]), _widen(None, hist[keep])]
+    lam_range = _widen(None, hist[keep])
     wrong = hist != lam
     wrong &= keep
     wrong[zero] = hist[zero] != 0
-    return ranges, np.flatnonzero(wrong)
+    return lam_range, not wrong[zero].any(), np.flatnonzero(wrong)
 
 
 def check_pair_coverage(ctx: GF2n, d: Design, m: int, lam: int) -> tuple:
     """Exact pair coverage: every pair {g^a, g^(a+f)} is covered lam times,
     except in the folds f that m divides, which must be covered 0 times:
     fold 0, a point with itself, and, for a GDD with m = v/7, the pairs
-    within a groop.  Returns the exact (min, max) count of those and of
-    the other folds (None without folds), read off d.fold and the steps
-    of pair_coverage_counts, and the first ten offenders of the wrong
-    folds, each a single step, and of the wrong steps."""
+    within a groop.  Returns fold_verdicts' exact (min, max) of the lam
+    folds and whether every fold that m divides is 0, read off d.fold and
+    the steps of pair_coverage_counts, and the first ten offenders of the
+    wrong folds, each a single step, and of the wrong steps."""
     steps = pair_coverage_counts(ctx, d)
     fold, count = steps[0], steps[3]
     at_zero = fold % m == 0
-    ranges, bad = fold_verdicts(d.fold, m, lam, fold)
-    ranges = [_widen(ranges[0], count[at_zero]), _widen(ranges[1], count[~at_zero])]
+    lam_range, zero_ok, bad = fold_verdicts(d.fold, m, lam, fold)
+    lam_range = _widen(lam_range, count[~at_zero])
     wrong = steps[:, count != np.where(at_zero, 0, lam)]
     if bad.size:
         wrong = np.concatenate([[bad, 0 * bad, d.v + 0 * bad, d.fold[bad]], wrong], axis=1)
-    return ranges, _first_offenders(ctx, wrong, m) if wrong.size else ()
+    zero_ok = zero_ok and not count[at_zero].any()
+    return lam_range, zero_ok, _first_offenders(ctx, wrong, m) if wrong.size else ()
 
 
 def verify_2design(d: Design) -> VerificationReport:
@@ -290,9 +294,9 @@ def verify_2design(d: Design) -> VerificationReport:
     exactly lambda_claim developed blocks, and no block repeats a point."""
     t0 = time.perf_counter()
     lam = d.lambda_claim
-    (repeated, (mn, mx)), offenders = check_pair_coverage(d.ctx, d, d.v, lam)
+    (mn, mx), zero_ok, offenders = check_pair_coverage(d.ctx, d, d.v, lam)
     return VerificationReport(
-        passed=(mn == lam and mx == lam and repeated == (0, 0)),
+        passed=(mn == lam and mx == lam and zero_ok),
         pair_coverage_min=mn,
         pair_coverage_max=mx,
         offending_pairs=offenders,
@@ -315,6 +319,12 @@ def check_qanalog(d: Design) -> bool:
     a, b, c = s[:, 0], s[:, 1], s[:, 3]
     span = np.sort(np.stack([a, b, a ^ b, c, c ^ a, c ^ b, c ^ a ^ b], axis=1), axis=1)
     return bool((a > 0).all() and (span == s).all())
+
+
+def _cyclic_gaps(ctx: GF2n, slots: np.ndarray) -> np.ndarray:
+    """The 7 cyclic gaps between each row's sorted logs, summing to v."""
+    logs = np.sort(ctx.logs[slots], axis=1)
+    return np.diff(logs, axis=1, append=logs[:, :1] + (ctx.order - 1))
 
 
 def _gap_hash(gaps: np.ndarray) -> np.ndarray:
@@ -347,8 +357,7 @@ def check_simple(d: Design) -> bool:
     """
     if (d.replication != 1).any():
         return False
-    logs = np.sort(d.ctx.logs[d.slots], axis=1)
-    gaps = np.diff(logs, axis=1, append=logs[:, :1] + d.v)
+    gaps = _cyclic_gaps(d.ctx, d.slots)
     h = _gap_hash(gaps)
     order = np.argsort(h, kind="stable")
     same = np.diff(h[order]) == 0

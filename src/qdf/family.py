@@ -63,10 +63,6 @@ class MultiplicityProfile:
     ctx: GF2n
     hist: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return self.ctx.order
-
     @cached_property
     def counts(self) -> np.ndarray:
         """m(t) indexed by element encoding, as int32, built on first use."""

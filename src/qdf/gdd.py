@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, VerificationReport, check_pair_coverage, check_simple, fold_verdicts
+from .design import Design, QuotientOffender, VerificationReport
+from .design import check_pair_coverage, check_simple, fold_verdicts
 from .errors import WrongResidueError
 from .family import DifferenceFamily, multiplicity_profile
 from .gf2n import GF2n
@@ -98,15 +99,15 @@ def verify_relative(fam: DifferenceFamily, profile=None) -> VerificationReport:
     if fam.forbidden | {1} != frozenset(ctx.exp2[:v:m].tolist()):
         raise ValueError("the forbidden set is not a subgroup of the units")
     hist = (profile or multiplicity_profile(fam)).hist
-    (_, outside), bad = fold_verdicts(hist, m, lam, [0])  # t = 1 is not checked
-    ts = np.concatenate([ctx.exp2[bad], ctx.exp2[v - bad]])
-    ts = sorted((np.partition(ts, 9)[:10] if ts.size > 10 else ts).tolist())
-    logs = ctx.logs[ts]
-    offenders = tuple(zip(ts, hist[np.minimum(logs, v - logs)].tolist()))
+    outside, zero_ok, bad = fold_verdicts(hist, m, lam, [0])  # t = 1 is not checked
+    ts = np.concatenate([ctx.exp2[bad], ctx.exp2[v - bad]])  # g^f and g^(v - f), hist[f] each
+    first = np.argsort(ts)[:10]
+    counts = np.concatenate([hist[bad], hist[bad]])[first]
+    offenders = tuple(map(QuotientOffender, ts[first].tolist(), counts.tolist()))
     mn, mx = outside or (lam, lam)
     notes = "" if outside else "degenerate: no points outside the forbidden subgroup"
     return VerificationReport(
-        passed=not offenders and mn == lam and mx == lam,
+        passed=zero_ok and mn == lam and mx == lam,
         pair_coverage_min=mn,
         pair_coverage_max=mx,
         offending_pairs=offenders,
@@ -132,14 +133,14 @@ def verify_gdd(spread: Spread, design: Design) -> VerificationReport:
     meet_ok = bool((np.diff(np.sort(spread.point_groop[design.slots], axis=1), axis=1) > 0).all())
 
     # g^a and g^(a+f) share a coset of K* = <g^(v/7)> iff v/7 divides f
-    (within_range, cross_range), offenders = check_pair_coverage(ctx, design, design.v // 7, lam)
+    cross_range, within_ok, offenders = check_pair_coverage(ctx, design, design.v // 7, lam)
 
     cross_min, cross_max = cross_range or (lam, lam)
     notes = "" if cross_range else "degenerate: single groop, no cross-groop pairs"
     checks = {
         "block_groop_meet": meet_ok,
         "cross_pair_coverage": cross_min == lam and cross_max == lam,
-        "within_pair_coverage": within_range[1] == 0,
+        "within_pair_coverage": within_ok,
         "simple": check_simple(design),
     }
     return VerificationReport(

@@ -9,8 +9,8 @@ ndarrays; the scalar accessors mul, sqr, inv and div look up memoryviews
 of the same buffers, whose items are Python ints, and trace(a) is the
 parity of a & trace_mask.  The square root, the half-trace and the
 quadratic solver are scalar definitions in `qdf.reference`.
-Instances are immutable (lazy caches aside) and safe to share across
-threads; they hold memoryviews, so they do not pickle.
+Instances are immutable and safe to share across threads; they hold
+memoryviews, so they do not pickle.
 
 Multiplicative structure: exp/log tables are built on the smallest
 generator of the cyclic group GF(2^n)*, the first g with g^((2^n-1)/p) != 1
@@ -239,7 +239,6 @@ class GF2n:
         self.order = 1 << n
 
         self._build_tables()
-        self._subfields: dict[int, list[int]] = {}
 
     # -- table construction -------------------------------------------------
 
@@ -297,13 +296,9 @@ class GF2n:
         """The 2^d elements fixed by x -> x^(2^d), sorted; requires d | n."""
         if d <= 0 or self.n % d != 0:
             raise NotADivisorError(f"{d} does not divide {self.n}")
-        cached = self._subfields.get(d)
-        if cached is None:
-            # the units of GF(2^d) are the subgroup of order 2^d - 1
-            m = self.order - 1
-            cached = [0, *sorted(self._exp[: m : m // ((1 << d) - 1)])]
-            self._subfields[d] = cached
-        return list(cached)
+        # the units of GF(2^d) are the subgroup of order 2^d - 1
+        m = self.order - 1
+        return [0, *sorted(self._exp[: m : m // ((1 << d) - 1)])]
 
     def seeds(self) -> range:
         """All valid block/hexagon seeds: the units other than 1."""

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .blocks import block_slots
-from .design import Design, VerificationReport, develop
+from .design import Design, PairOffender, VerificationReport, develop
 from .errors import ForbiddenSeedError, MalformedFamilyError, QdfError
 from .family import MATCHED_PAIRS, CertificateTable, DifferenceFamily, MultiplicityProfile, rank
 from .gdd import Spread
@@ -298,12 +298,10 @@ def report_to_dict(r: VerificationReport, n: int) -> dict:
         "pair_coverage_min": r.pair_coverage_min,
         "pair_coverage_max": r.pair_coverage_max,
         "offending_pairs": [
-            {"pair": [element_hex(u, n), element_hex(v, n)], "count": c}
-            for (u, v), c in r.offending_pairs
-        ]
-        if r.offending_pairs and isinstance(r.offending_pairs[0][0], tuple)
-        else [
-            {"t": element_hex(t, n), "count": c} for t, c in r.offending_pairs
+            {"pair": [element_hex(u, n) for u in o.pair], "count": o.count}
+            if isinstance(o, PairOffender)
+            else {"t": element_hex(o.t, n), "count": o.count}
+            for o in r.offending_pairs
         ],
     }
     if r.checks is not None:
@@ -367,5 +365,5 @@ def profile_csv_chunks(p: MultiplicityProfile, n: int) -> Iterator[bytes]:
     yield b"t_hex,count\n"
     counts, which = rank(p.counts[2:])
     tails = [f"{c}\n" for c in counts.tolist()]
-    ts = np.arange(2, p.order, dtype=np.int32)
+    ts = np.arange(2, p.ctx.order, dtype=np.int32)
     yield from _rows_chunks("#" * hex_width(n) + ",", tails, which, ts, "")

@@ -184,11 +184,11 @@ def _measured_and_printed(command, n):
 
 def test_commands_do_not_import_numpy_ma(tmp_path):
     # numpy 2 imports numpy.ma lazily, on first use by some functions (a
-    # bare np.unique among them; its return_index and return_inverse forms,
-    # which the orbit, certificate and CSV writers call, do not).  With
-    # numpy 2.4 that import took 9-16 ms and 1.6 MiB of peak RSS in a fresh
-    # process, more than the whole first verify --n 13 takes.  numpy 1.x
-    # imports it with numpy itself.
+    # bare np.unique among them; the orbit, certificate and CSV writers
+    # rank their row kinds with family.rank, a sort and a search, and no
+    # command calls np.unique).  With numpy 2.4 that import took 9-16 ms
+    # and 1.6 MiB of peak RSS in a fresh process, more than the whole
+    # first verify --n 13 takes.  numpy 1.x imports it with numpy itself.
     family = str(tmp_path / "family.json")
     commands = [
         ["verify", "--n", "13", "--out", os.devnull],

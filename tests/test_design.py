@@ -85,6 +85,25 @@ def _kstar_cosets(f, whole):
     return DifferenceFamily(f, f.exp2[logs], 7)
 
 
+def _one_changed(f, rows, seed):
+    """The rows with one element each, at a random slot, changed to a
+    random other unit."""
+    rng = random.Random(seed)
+    rows = rows.copy()
+    for row in rows:
+        k = rng.randrange(7)
+        t = rng.randrange(1, f.order - 1)
+        row[k] = t + (t >= row[k])
+    return DifferenceFamily(f, rows, 7)
+
+
+def _repeated_point(fam):
+    """fam with slot 6 of every row set to its slot 5."""
+    rows = fam.slots.copy()
+    rows[:, 6] = rows[:, 5]
+    return DifferenceFamily(fam.ctx, rows, fam.lambda_claim)
+
+
 @pytest.mark.parametrize(
     "name,n,fixed",
     [
@@ -93,6 +112,8 @@ def _kstar_cosets(f, whole):
         ("relative", 9, 0), ("relative", 15, 0),
         ("scaled", 9, 1), ("scaled", 15, 1),
         ("cosets", 9, 73), ("near-cosets", 9, 0), ("near-cosets", 15, 0),
+        ("changed", 3, 0), ("changed", 9, 0), ("changed", 15, 0),
+        ("repeated", 3, 0), ("repeated", 9, 0), ("repeated", 15, 0),
     ],
 )
 def test_array_development_matches_scalar_stabilizers(name, n, fixed):
@@ -104,6 +125,12 @@ def test_array_development_matches_scalar_stabilizers(name, n, fixed):
         "scaled": lambda f: _scaled_and_permuted(f, build_family(f), n),
         "cosets": lambda f: _kstar_cosets(f, whole=True),
         "near-cosets": lambda f: _kstar_cosets(f, whole=False),
+        # the family's rows and every K*-coset, each with one element changed
+        "changed": lambda f: _one_changed(
+            f, np.concatenate([build_family(f).slots, _kstar_cosets(f, whole=True).slots]), n
+        ),
+        # K*-cosets that repeat a point: six distinct elements, gaps 0 and 2v/7
+        "repeated": lambda f: _repeated_point(_kstar_cosets(f, whole=True)),
     }[name](f)
     d = develop(fam)
     orders = [len(stabilizer_of(f, row)) for row in fam.slots.tolist()]

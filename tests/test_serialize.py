@@ -1,5 +1,6 @@
 """Format tests: hex conventions, round-trips, deterministic bytes."""
 
+import hashlib
 import json
 import re
 import textwrap
@@ -10,6 +11,7 @@ import pytest
 from qdf import (
     MATCHED_PAIRS,
     CertificateTable,
+    Design,
     DifferenceFamily,
     ForbiddenSeedError,
     MalformedFamilyError,
@@ -25,6 +27,7 @@ from qdf import (
     verify_gdd,
     verify_relative,
 )
+from qdf.design import PairOffender, QuotientOffender
 from qdf.family import EQUATION_FORMS
 from qdf.serialize import (
     certificates_json_chunks,
@@ -173,6 +176,77 @@ def test_report_dict_contains_no_timing():
     assert d["pass"] is True
     assert "timing" not in d
     assert d["pair_coverage_min"] == d["pair_coverage_max"] == 7
+
+
+def _verifier_reports():
+    """(report, n) by name: the failing designs of the verifier tests (a
+    dropped block, a repeated point, the subfield block kept), by report
+    kind, and passing ones, whose offender lists are empty."""
+    f3, f5, f9 = cached_field(3), cached_field(5), cached_field(9)
+    d5 = develop(build_family(f5))
+    repeated = d5.slots.copy()
+    repeated[0, 6] = repeated[0, 5]
+    fam9 = build_family(f9)
+    rel = build_relative_family(fam9)
+    spread = desarguesian_spread(f9)
+    kept = DifferenceFamily(f9, fam9.slots, 7, forbidden=rel.forbidden)
+    dropped = DifferenceFamily(f9, rel.slots[1:], 7, forbidden=rel.forbidden)
+    pair = {
+        "dropped": (verify_2design(develop(DifferenceFamily(f5, d5.slots[1:], 7))), 5),
+        "repeated": (verify_2design(Design(f5, repeated, d5.length, d5.replication, 7)), 5),
+        "gdd-dropped": (verify_gdd(spread, develop(dropped)), 9),
+        "gdd-kept": (verify_gdd(spread, develop(kept)), 9),
+    }
+    quotient = {
+        "relative-dropped": (verify_relative(dropped), 9),
+        "relative-kept": (verify_relative(kept), 9),
+    }
+    passing = {
+        "design-pass": (verify_2design(d5), 5),
+        "gdd-pass": (verify_gdd(spread, develop(rel)), 9),
+        "relative-pass": (verify_relative(rel), 9),
+        "relative-n3": (verify_relative(build_relative_family(build_family(f3))), 3),
+    }
+    return pair, quotient, passing
+
+
+def test_offenders_are_typed_where_found():
+    pair, quotient, _ = _verifier_reports()
+    for reports, kind in ((pair, PairOffender), (quotient, QuotientOffender)):
+        for rep, _ in reports.values():
+            assert not rep.passed and rep.offending_pairs
+            assert all(type(o) is kind for o in rep.offending_pairs)
+
+
+def test_report_dict_bytes_of_each_offender_kind():
+    # sha256 of json.dumps(report_to_dict(...)), recorded before offenders
+    # were typed, when report_to_dict told the kinds apart by their shape
+    digests = {
+        "dropped": "e724b2376552a87e639b55cda2ca1f052418273312e84cebcf2388aae9ad7697",
+        "repeated": "3a19cde2423edf2ddfe58ca4cb3fe8ffea52fe2ab9f51c2763e178ec1b844b23",
+        "gdd-dropped": "2a3d29ae66a4aa9d2015fc64cceadef04800cc68065f64984751006242c1b99d",
+        "gdd-kept": "9aae81259621a7dab3830fafd6a7fde7a2a2a2bc0bef41838670f8e441203530",
+        "relative-dropped": "7b61dcd7f80fbb49c8586bafd3d53d8c43fb0cb1026c5538f696b85d39595e90",
+        "relative-kept": "75de49e6e5e2b940a569d8821b9975446c55e8c52ed0c5de3d3171e7fb476685",
+        "design-pass": "1e7057d49eb2f6a26f9ab45dbdb843cb62bdd38710235ded956e1e77bfe9fbce",
+        "gdd-pass": "ef0462ba0f3cc63ad399ef2e254ad557b09bec3d9d676eb88684fc89c3fa88de",
+        "relative-pass": "1e7057d49eb2f6a26f9ab45dbdb843cb62bdd38710235ded956e1e77bfe9fbce",
+        "relative-n3": "e3cb85e50ac2aa8bfc29410119591fa4d802d1b81019fadf95a6fc5d8e1307a9",
+    }
+    pair, quotient, passing = _verifier_reports()
+    reports = {**pair, **quotient, **passing}
+    assert reports.keys() == digests.keys()
+    for name, (rep, n) in reports.items():
+        d = report_to_dict(rep, n)
+        assert hashlib.sha256(json.dumps(d).encode()).hexdigest() == digests[name], name
+    assert report_to_dict(pair["dropped"][0], 5)["offending_pairs"][0] == {
+        "pair": ["01", "02"],
+        "count": 4,
+    }
+    assert report_to_dict(quotient["relative-dropped"][0], 9)["offending_pairs"][0] == {
+        "t": "002",
+        "count": 4,
+    }
 
 
 def test_profile_csv_shape():
@@ -381,7 +455,7 @@ def test_every_writer_yields_only_bytes():
 
 def _csv_oracle(p, n):
     lines = ["t_hex,count"]
-    for t in range(2, p.order):
+    for t in range(2, p.ctx.order):
         lines.append(f"{element_hex(t, n)},{p.counts[t]}")
     return "\n".join(lines) + "\n"
 
