@@ -87,9 +87,11 @@ def max_vertices(ctx: GF2n, reps: np.ndarray) -> np.ndarray:
 
 def int_array(xs) -> np.ndarray:
     """The ints xs as a flat ndarray; a range becomes np.arange, without
-    the Python int per item (~48 B each) that np.asarray makes of it."""
+    the Python int per item (~48 B each) that np.asarray makes of it, and
+    int32 when its ends fit, as field elements do: no int64 copy to cast."""
     if isinstance(xs, range):
-        return np.arange(xs.start, xs.stop, xs.step)
+        small = max(abs(xs.start), abs(xs.stop)) < 2**31
+        return np.arange(xs.start, xs.stop, xs.step, dtype=np.int32 if small else np.int64)
     return np.asarray(xs).reshape(-1)
 
 

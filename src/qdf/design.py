@@ -80,6 +80,11 @@ class Design:
         return iter(self.orbits)
 
     @cached_property
+    def scan(self) -> OrbitScan:
+        """What the orbit checks read of the rows, from one orbit_scan."""
+        return orbit_scan(self.ctx, self.slots)
+
+    @cached_property
     def fold(self) -> np.ndarray:
         """hist[f]: how often the orbits of full length v cover every pair
         {g^a, g^(a+f)}, once per slot pair of log difference +-f, w times."""
@@ -112,20 +117,20 @@ class VerificationReport:
 
 
 def develop(fam: DifferenceFamily, profile: MultiplicityProfile | None = None) -> Design:
-    """Orbit-compressed development of a (relative) difference family.  A
-    block's stabilizer is trivial or, only when 3 | n, K* = <g^(v/7)>,
-    which fixes it iff +v/7 fixes its log set: iff its 7 cyclic gaps all
-    equal v/7.  Given the family's profile, the fold is read off it:
-    every full-length orbit of a development has replication 1, so it is
-    the profile's histogram less the differences of the shorter orbits."""
+    """Orbit-compressed development of a (relative) difference family,
+    each orbit's stabilizer read off the family's orbit_scan, which the
+    design keeps for its orbit checks.  Given the family's profile, the
+    fold is read off it: every full-length orbit of a development has
+    replication 1, so it is the profile's histogram less the differences
+    of the shorter orbits."""
     ctx = fam.ctx
-    v = ctx.order - 1
+    scan = orbit_scan(ctx, fam.slots)
     replication = np.ones(len(fam.slots), dtype=np.int64)
-    if ctx.n % 3 == 0:
-        replication[(_cyclic_gaps(ctx, fam.slots) == v // 7).all(axis=1)] = 7
-    d = Design(ctx, fam.slots, v // replication, replication, fam.lambda_claim)
+    replication[scan.kstar] = 7
+    d = Design(ctx, fam.slots, (ctx.order - 1) // replication, replication, fam.lambda_claim)
+    object.__setattr__(d, "scan", scan)
     if profile is not None:
-        short = fam.slots[replication > 1]
+        short = fam.slots[scan.kstar]
         fold = profile.hist - fold_differences(ctx, short) if len(short) else profile.hist
         object.__setattr__(d, "fold", fold)
     return d
@@ -139,13 +144,14 @@ _OFFENDER_CHUNK = 1 << 16
 
 def develop_bytes(orbits: int) -> int:
     """Resident bytes that building and developing a family of `orbits`
-    base blocks adds, for preflight estimates: 80 per orbit (its 28-byte
-    slot row, 16 bytes of length and replication, and what the
-    construction leaves resident per block) over 0.5 MiB of heap.  Fitted,
-    with the preflight's largest stage, to the VmHWM growth of `verify`
-    in fresh processes: 1.9, 5.3, 21.5, 82.5 and 298.7 MiB at n = 15 to
-    23 against preflight totals of 2.0, 5.9, 21.4, 83.4 and 331.4 MiB."""
-    return 2**19 + 80 * orbits
+    base blocks adds, for preflight estimates: 72 per orbit (its 28-byte
+    slot row, 16 bytes of length and replication, 9 of its orbit_scan,
+    and what the construction leaves resident per block) and one scan
+    chunk's temporaries, 190-250 B per row under tracemalloc.  Fitted,
+    with the pair count, to the VmHWM growth of `verify` in fresh
+    processes: 1.7, 4.0, 13.4, 57.5 and 203.5 MiB at n = 15 to 23
+    against preflight totals of 1.8, 4.3, 14.2, 54.0 and 213.0 MiB."""
+    return 200 * _SCAN_ROWS + 72 * orbits
 
 
 def pair_count_bytes(n: int) -> int:
@@ -155,12 +161,6 @@ def pair_count_bytes(n: int) -> int:
     and 2.50 under tracemalloc at n = 15, 17 and 19), and 16 KiB for K*'s
     steps and the report."""
     return 5 * (1 << n) // 2 + 2**14
-
-
-def orbit_check_bytes(orbits: int) -> int:
-    """Peak bytes of check_qanalog or check_simple, for preflight estimates:
-    96 per orbit (~84 and ~95 under tracemalloc at n = 17 and 19)."""
-    return 96 * orbits
 
 
 # Orbits per chunk of _events; bounds its (orbits, 21) temporaries.
@@ -306,24 +306,57 @@ def verify_2design(d: Design) -> VerificationReport:
 
 # -- structural checks --------------------------------------------------------
 
+class OrbitScan(NamedTuple):
+    kstar: np.ndarray  # bool per row: K* fixes it
+    hashes: np.ndarray  # int64 per row: its _gap_hash
+    subspaces: bool  # every row is a subspace minus 0
+    meets: bool  # every row meets each coset of K* at most once
+
+
+# Rows per chunk of orbit_scan; bounds its (rows, 7) temporaries.
+_SCAN_ROWS = 1 << 12
+
+
+def orbit_scan(ctx: GF2n, slots: np.ndarray) -> OrbitScan:
+    """The per-orbit claims of the rows of `slots`, _SCAN_ROWS rows at a
+    time; a row stands for its orbit, as scaling is GF(2)-linear and
+    permutes the cosets of K*.  A sorted row s is a subspace iff s0 > 0
+    and s is the sorted span of s0, s1 and s3: a subspace's two smallest
+    nonzero elements sum to the third (s1 has the higher top bit, and
+    s0 + s1 is the one other element with it).  A block's stabilizer is
+    trivial or, only when 3 | n, K* = <g^(v/7)>, which fixes it iff its 7
+    cyclic gaps all equal v/7.  g^a and g^b share a coset of K* iff
+    a = b (mod v/7): when 3 | n, a row meets each coset at most once iff
+    its logs mod v/7 are distinct, and 0, in no coset, reads -1."""
+    m = (ctx.order - 1) // 7
+    kstar = np.zeros(len(slots), dtype=bool)
+    hashes = np.empty(len(slots), dtype=np.int64)
+    subspaces = meets = True
+    for lo in range(0, len(slots), _SCAN_ROWS):
+        rows = slice(lo, lo + _SCAN_ROWS)
+        s = np.sort(slots[rows], axis=1)
+        a, b, c = s[:, 0], s[:, 1], s[:, 3]
+        span = np.sort(np.stack([a, b, a ^ b, c, c ^ a, c ^ b, c ^ a ^ b], axis=1), axis=1)
+        subspaces = subspaces and bool((a > 0).all() and (span == s).all())
+        logs = ctx.logs.take(s)
+        gaps = _cyclic_gaps(ctx, logs)
+        hashes[rows] = _gap_hash(gaps)
+        if ctx.n % 3 == 0:
+            kstar[rows] = (gaps == m).all(axis=1)
+            np.putmask(logs, logs >= 0, logs % m)  # each log by its coset; 0's -1 stays
+            logs.sort(axis=1)
+            meets = meets and bool((logs[:, 1:] > logs[:, :-1]).all())
+    return OrbitScan(kstar, hashes, subspaces, meets)
+
+
 def check_qanalog(d: Design) -> bool:
-    """Whether every developed block, with 0 added, is add-closed.
-
-    One representative per orbit suffices: t*S is a subspace whenever S
-    is, because scaling is GF(2)-linear.  In a subspace the two smallest
-    nonzero elements s0 < s1 sum to the third (s1 has the higher top bit,
-    and s0 + s1 is the one other element with it), so a sorted row s is
-    one iff s0 > 0 and s is the sorted span of s0, s1 and s3.
-    """
-    s = np.sort(d.slots, axis=1)
-    a, b, c = s[:, 0], s[:, 1], s[:, 3]
-    span = np.sort(np.stack([a, b, a ^ b, c, c ^ a, c ^ b, c ^ a ^ b], axis=1), axis=1)
-    return bool((a > 0).all() and (span == s).all())
+    """Whether every developed block, with 0 added, is add-closed (orbit_scan)."""
+    return d.scan.subspaces
 
 
-def _cyclic_gaps(ctx: GF2n, slots: np.ndarray) -> np.ndarray:
+def _cyclic_gaps(ctx: GF2n, logs: np.ndarray) -> np.ndarray:
     """The 7 cyclic gaps between each row's sorted logs, summing to v."""
-    logs = np.sort(ctx.logs[slots], axis=1)
+    logs = np.sort(logs, axis=1)
     return np.diff(logs, axis=1, append=logs[:, :1] + (ctx.order - 1))
 
 
@@ -351,20 +384,20 @@ def check_simple(d: Design) -> bool:
     Scaling by g^c translates a block's logs by c, which rotates the
     cyclic sequence of the 7 gaps between its sorted logs (they sum to
     v): two blocks share an orbit iff their gap sequences are rotations
-    of each other, and then their _gap_hash is equal.  Only the rows in a
-    group of equal hashes are labelled by their least rotation and
-    compared in full, after one np.lexsort, so the check is exact.
+    of each other, and then their _gap_hash (from orbit_scan) is equal.
+    Only if two are equal are the rows of a group of equal hashes labelled
+    by least rotation and compared in full, after one np.lexsort: exact.
     """
     if (d.replication != 1).any():
         return False
-    gaps = _cyclic_gaps(d.ctx, d.slots)
-    h = _gap_hash(gaps)
-    order = np.argsort(h, kind="stable")
-    same = np.diff(h[order]) == 0
+    same = np.sort(d.scan.hashes)
+    same = same[1:] == same[:-1]
     if not same.any():
         return True
+    order = np.argsort(d.scan.hashes, kind="stable")
     grouped = np.append(same, False) | np.append(False, same)
-    g = np.tile(gaps[order[grouped]], 2)  # every rotation is a window of 7
+    logs = d.ctx.logs[d.slots[order[grouped]]]
+    g = np.tile(_cyclic_gaps(d.ctx, logs), 2)  # every rotation is a window of 7
     labels = g[:, :7].copy()
     for k in range(1, 7):
         r = g[:, k : k + 7]
@@ -372,4 +405,3 @@ def check_simple(d: Design) -> bool:
         smaller = np.take_along_axis(r, first, 1) < np.take_along_axis(labels, first, 1)
         np.copyto(labels, r, where=smaller)
     return bool(np.diff(labels[np.lexsort(labels.T)], axis=0).any(axis=1).all())
-

@@ -239,7 +239,7 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
         raise DegenerateTError(
             f"certificate requires 2 <= t < 2^{ctx.n}, got {int(ts[np.argmax(bad)])}"
         )
-    ts = ts.astype(np.int32)
+    ts = ts.astype(np.int32, copy=False)
     v2 = np.int32(2 * (ctx.order - 1))
     # solvable[k] = 1 - Tr(g^k) for 0 <= k < 2v: Tr(x) is the parity of
     # x & trace_mask, folded to bit 0 by XOR shifts over every bit of an int32
@@ -262,15 +262,15 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
 
 def certificate_bytes(n: int) -> int:
     """Bytes `certify` adds over the field tables at its peak, for
-    preflight estimates: 12 per t while the writer runs (the table's
-    int32 ts and keys and the int32 index of each t's key among the
-    decoded ones), ~4 more of heap that the freed temporaries leave (the
-    table's chunks, the sorted keys and the 1 - Tr table among them),
-    and 1.5 MiB for the writer's chunks of 256 KiB.
-    With the tables, `certify` grows VmHWM by 2.5, 6.4, 15.4 and 55.8
-    MiB at n = 15, 17, 19 and 21 in fresh processes, against preflight
-    totals of 2.6, 5.2, 15.7 and 57.7 MiB."""
-    return 16 * (1 << n) + 3 * 2**19
+    preflight estimates: 16 per t (the table's int32 ts and keys, the
+    int32 index of each t's key among the decoded ones, and the heap that
+    rank's sort of the keys leaves), and one chunk's temporaries, ~35 B
+    per t of a chunk of _KEY_CHUNK ts under tracemalloc, which glibc
+    keeps in its heap once freed and the writer's 256 KiB chunks reuse.
+    With the tables, `certify` grows VmHWM by 2.4-2.5, 6.1-6.2, 15.0-15.2
+    and 55.8-55.9 MiB at n = 15, 17, 19 and 21 in fresh processes,
+    against preflight totals of 2.2, 5.9, 16.4 and 58.4 MiB."""
+    return 16 * (1 << n) + 35 * min(1 << n, _KEY_CHUNK)
 
 
 # -- family constructors ------------------------------------------------------

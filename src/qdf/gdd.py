@@ -26,44 +26,33 @@ from .gf2n import GF2n
 class Spread:
     """Partition of F* into cosets of K*; with 0 added each coset is a
     3-dimensional subspace (the Desarguesian spread).  Row i of the
-    (G, 7) int32 `groops` is groop i, sorted."""
+    (G, 7) int32 `groops` is groop i, sorted.  No membership table is
+    kept: g^a and g^b share a groop iff a = b (mod G)."""
 
     ctx: GF2n
     groops: np.ndarray
-    point_groop: np.ndarray  # element encoding -> groop index (-1 for 0)
 
 
 def spread_bytes(groops: int) -> int:
     """Resident bytes of the Spread of `groops` groops, for preflight
-    estimates: 28 bytes of int32 groop row and 28 bytes of point_groop
-    (7 points) per groop."""
-    return 56 * groops
-
-
-def _require_subfield(ctx: GF2n) -> list[int]:
-    if ctx.n % 3 != 0:
-        raise WrongResidueError(
-            f"no order-8 subfield in GF(2^{ctx.n}); need n = 3 (mod 6)"
-        )
-    return [t for t in ctx.subfield(3) if t]
+    estimates: its int32 groop rows, 28 bytes per groop."""
+    return 28 * groops
 
 
 def desarguesian_spread(ctx: GF2n) -> Spread:
     """The (2^n - 1)/7 multiplicative cosets of K*, each sorted, ordered by
-    smallest member; membership lookups go through a point -> groop index
-    table rather than any discrete-log computation.
+    smallest member; GF(2^n) has the order-8 subfield K only when 3 | n.
 
     K* is the subgroup of order 7 of the cyclic group F* = <g>, so it is
     <g^(v/7)> and the coset of g^a, {g^(a + k v/7)}, depends only on
     a mod v/7: the exp table lists every coset at once.
     """
-    _require_subfield(ctx)
+    if ctx.n % 3 != 0:
+        raise WrongResidueError(f"no order-8 subfield in GF(2^{ctx.n}); need n = 3 (mod 6)")
     m = (ctx.order - 1) // 7
     cosets = np.sort(ctx.exp2[np.arange(m)[:, None] + m * np.arange(7)], axis=1)
     cosets = cosets[np.argsort(cosets[:, 0])]
-    point_groop = np.full(ctx.order, -1, dtype=np.int32)
-    point_groop[cosets] = np.arange(m, dtype=np.int32)[:, None]
-    return Spread(ctx=ctx, groops=cosets, point_groop=point_groop)
+    return Spread(ctx=ctx, groops=cosets)
 
 
 def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
@@ -78,12 +67,13 @@ def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
         raise WrongResidueError(
             f"relative family needs n = 3 (mod 6), got n={ctx.n}"
         )
-    kstar = _require_subfield(ctx)
+    v = ctx.order - 1
+    kstar = np.sort(ctx.exp2[: v : v // 7])
     is_kstar = (np.sort(fam.slots, axis=1) == kstar).all(axis=1)
     if is_kstar.sum() != 1:
         raise ValueError("family does not contain exactly one subfield block")
     return DifferenceFamily(
-        ctx, fam.slots[~is_kstar], fam.lambda_claim, forbidden=frozenset(kstar)
+        ctx, fam.slots[~is_kstar], fam.lambda_claim, forbidden=frozenset(kstar.tolist())
     )
 
 
@@ -121,8 +111,8 @@ def verify_gdd(spread: Spread, design: Design) -> VerificationReport:
     family over the spread:
 
       a. every developed block meets every groop in at most one point --
-         checked once per orbit representative, since scaling permutes
-         the groops;
+         read off the design's orbit_scan, once per orbit representative,
+         since scaling permutes the groops, the classes of logs mod v/7;
       b. every cross-groop point pair lies in exactly lambda blocks;
       c. every within-groop point pair lies in no block at all;
       d. simplicity: trivial stabilizers and pairwise distinct orbits.
@@ -130,15 +120,13 @@ def verify_gdd(spread: Spread, design: Design) -> VerificationReport:
     t0 = time.perf_counter()
     ctx, lam = design.ctx, design.lambda_claim
 
-    meet_ok = bool((np.diff(np.sort(spread.point_groop[design.slots], axis=1), axis=1) > 0).all())
-
     # g^a and g^(a+f) share a coset of K* = <g^(v/7)> iff v/7 divides f
     cross_range, within_ok, offenders = check_pair_coverage(ctx, design, design.v // 7, lam)
 
     cross_min, cross_max = cross_range or (lam, lam)
     notes = "" if cross_range else "degenerate: single groop, no cross-groop pairs"
     checks = {
-        "block_groop_meet": meet_ok,
+        "block_groop_meet": design.scan.meets,
         "cross_pair_coverage": cross_min == lam and cross_max == lam,
         "within_pair_coverage": within_ok,
         "simple": check_simple(design),

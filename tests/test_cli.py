@@ -87,14 +87,13 @@ def test_preflight_estimate_matches_counter(capsys):
     # table_bytes(15) = 12 * 2^15 + 4 * 2^15 + 8 * 8192 = 589,824 bytes
     # (0.56 MiB: the three table words, a chunk of 2^15 logs and numpy's
     # index buffer);
-    # for 5461 orbits, develop_bytes = 2^19 + 80 * 5461 = 961,168
-    # (0.92 MiB); the largest stage is the orbit checks,
-    # orbit_check_bytes = 96 * 5461 = 524,256 (0.50 MiB), above the pair
-    # count's pair_count_bytes = 5 * 2^14 + 2^14 = 98,304: 2,075,248 bytes
-    # (1.98 MiB) in all
+    # for 5461 orbits, develop_bytes = 200 * 4096 + 72 * 5461 = 1,212,392
+    # (1.16 MiB: a scan chunk and the orbits); the largest stage is the
+    # pair count, pair_count_bytes = 5 * 2^14 + 2^14 = 98,304 (0.09 MiB):
+    # 1,900,520 bytes (1.81 MiB) in all
     assert "~0.6 MiB of field tables" in warning
-    assert "~0.9 MiB for the development and ~0.5 MiB for the largest stage" in warning
-    assert "~2.0 MiB in all" in warning
+    assert "~1.2 MiB for the development and ~0.1 MiB for the largest stage" in warning
+    assert "~1.8 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
 
@@ -225,19 +224,20 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 @pytest.mark.parametrize("n", [15, 21])
 def test_preflight_total_matches_measured_rss_of_gdd(n):
-    # the largest stage is the writer's chunks at n = 15 and the orbit
-    # checks at n = 21: VmHWM grows by 2.8-3.0 and 93.8 MiB, against
-    # printed totals of 2.7 and 99.4 MiB
+    # the largest stage is the writer's chunks at n = 15 and the pair
+    # count at n = 21: VmHWM grows by 2.9 and 64.4 MiB, against printed
+    # totals of 2.8 and 62.0 MiB
     measured, total = _measured_and_printed("gdd", n)
     assert 0.75 * total < measured < 1.25 * total
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
-@pytest.mark.parametrize("n", [15, 19, 21])
+@pytest.mark.parametrize("n", [15, 17, 19, 21])
 def test_preflight_total_matches_measured_rss_of_certify(n):
-    # the table's ts and keys, np.unique's decoding of the keys and the
-    # writer's 256 KiB chunks of byte rows; the 270 MB report at n = 19
-    # (1.08 GB at n = 21) is never held whole
+    # the table's ts and keys, the decoding of the keys, a chunk's
+    # temporaries left in the heap and the writer's 256 KiB chunks of byte
+    # rows; the 270 MB report at n = 19 (1.08 GB at n = 21) is never held
+    # whole
     measured, total = _measured_and_printed("certify", n)
     assert 0.75 * total < measured < 1.25 * total
 

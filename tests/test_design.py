@@ -489,6 +489,65 @@ def test_commands_fold_their_design_once(monkeypatch, command, n, rows):
     assert calls == rows
 
 
+@pytest.mark.parametrize(
+    "command,n,rows",
+    [("verify", 9, [85]), ("verify", 13, [1365]), ("gdd", 9, [84])],
+    ids=["verify-9", "verify-13", "gdd-9"],
+)
+def test_commands_scan_their_design_once(monkeypatch, command, n, rows):
+    # develop's one orbit_scan serves the stabilizers and every orbit check
+    calls = []
+    scan = design.orbit_scan
+
+    def counted(ctx, slots):
+        calls.append(len(slots))
+        return scan(ctx, slots)
+
+    monkeypatch.setattr(design, "orbit_scan", counted)
+    assert cli.main([command, "--n", str(n), "--out", os.devnull]) == 0
+    assert calls == rows
+
+
+def _last_row_in_a_met_groop(fam):
+    """The slots of fam with slot 0 of the last row moved into the coset
+    of K* of its slot 1: that row alone is no subspace, and meets a
+    groop twice."""
+    f, slots = fam.ctx, fam.slots.copy()
+    slots[-1, 0] = f.exp2[f.logs[slots[-1, 1]] + (f.order - 1) // 7]
+    return slots
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["family", "dropped", "partial", "past-uint8", "relative", "cosets", "last-row", "family-15"],
+)
+def test_scan_independent_of_chunk_size(monkeypatch, name):
+    # the flags, hashes and verdicts of rows split into chunks of 1, 3 and
+    # 7 rows; the n = 15 family is two chunks of the default size.  Every
+    # family holds K*, which meets one groop 7 times.
+    if name == "family-15":
+        f = cached_field(15)
+        slots = build_family(f).slots
+        assert design._SCAN_ROWS < len(slots) <= 2 * design._SCAN_ROWS
+    else:
+        f, designs = _designs_n9()
+        relative = build_relative_family(build_family(f))
+        slots = {
+            "relative": relative.slots,
+            "cosets": _kstar_cosets(f, whole=True).slots,
+            "last-row": _last_row_in_a_met_groop(relative),
+        }.get(name, designs.get(name, designs["family"]).slots)
+    whole = design.orbit_scan(f, slots)
+    assert (whole.subspaces, whole.meets) == {
+        "relative": (True, True), "last-row": (False, False)
+    }.get(name, (True, False))
+    for chunk in (1, 3, 7):
+        monkeypatch.setattr(design, "_SCAN_ROWS", chunk)
+        part = design.orbit_scan(f, slots)
+        assert np.array_equal(part.kstar, whole.kstar) and np.array_equal(part.hashes, whole.hashes)
+        assert (part.subspaces, part.meets) == (whole.subspaces, whole.meets)
+
+
 @pytest.mark.parametrize("name", ["dropped", "partial", "past-uint8"])
 def test_offenders_independent_of_chunk_size(monkeypatch, name):
     # chunks of 7 pairs: many steps split between chunks
@@ -541,15 +600,12 @@ def test_kernel_peak_within_its_preflight_term():
 
 
 def test_orbit_checks_peak_within_the_pair_count_term():
-    # check_qanalog holds a few (N, 7) arrays (~84 B per orbit) and
-    # check_simple its sorted logs while np.diff builds the gaps from a
-    # copy with one more column (~95 B), within the term the preflight
-    # charges for the largest stage after the development: the larger of
-    # the pair count's and the orbit checks' 96 B per orbit
+    # the orbit checks read the development's orbit_scan: check_qanalog
+    # holds nothing, and check_simple a sorted copy of the hashes and a
+    # boolean compare (9 B per orbit), within the term the preflight
+    # charges for the largest stage after the development, the pair count's
     f = cached_field(17)
     d = develop(build_family(f))
-    term = max(design.pair_count_bytes(17), design.orbit_check_bytes(len(d.slots)))
-    assert term == 96 * len(d.slots)
     for check in (check_qanalog, check_simple):
         tracemalloc.start()
         try:
@@ -557,7 +613,7 @@ def test_orbit_checks_peak_within_the_pair_count_term():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= term, check.__name__
+        assert peak <= design.pair_count_bytes(17), check.__name__
 
 
 @pytest.mark.parametrize("name", ["family", "dropped", "partial", "past-uint8", "banded"])
@@ -748,6 +804,18 @@ def test_check_simple_matches_scalar_labels(d):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(design, "_gap_hash", lambda gaps: np.zeros(len(gaps), dtype=np.int64))
         assert check_simple(d) is expected
+
+
+@settings(max_examples=30)
+@given(_orbit_rows())
+def test_check_simple_labels_every_row_when_all_hashes_are_equal(d):
+    # the constant hash in place before the design's orbit_scan runs: every
+    # row is in one group of equal hashes and is labelled exactly
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design, "_gap_hash", lambda gaps: np.zeros(len(gaps), dtype=np.int64))
+        fresh = Design(d.ctx, d.slots, d.length, d.replication, d.lambda_claim)
+        assert not fresh.scan.hashes.any()
+        assert check_simple(fresh) is _scalar_simple(d)
 
 
 @st.composite

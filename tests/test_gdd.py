@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdf import (
+    Design,
     DifferenceFamily,
     WrongResidueError,
     build_family,
@@ -20,6 +21,11 @@ from qdf.reference import delta, is_subspace_block
 from oracles import cached_field, materialize, materialized_pair_counts
 
 
+def _groop_of(sp):
+    """Element encoding -> index of its groop in sp.groops; 0 is in none."""
+    return {p: i for i, g in enumerate(sp.groops.tolist()) for p in g}
+
+
 @pytest.mark.parametrize("n,groops", [(3, 1), (9, 73)])
 def test_spread_partitions_units(n, groops):
     f = cached_field(n)
@@ -27,11 +33,13 @@ def test_spread_partitions_units(n, groops):
     assert len(sp.groops) == groops == (f.order - 1) // 7
     covered = [p for g in sp.groops for p in g]
     assert sorted(covered) == list(range(1, f.order))
-    for idx, g in enumerate(sp.groops):
+    # g^a and g^b share a groop iff a = b (mod v/7): the meet check's reading
+    m = (f.order - 1) // 7
+    for g in sp.groops:
         assert len(g) == 7
         assert is_subspace_block(f, g)
-        assert all(sp.point_groop[p] == idx for p in g)
-    assert sp.point_groop[0] == -1
+        assert len({int(f.logs[p]) % m for p in g}) == 1
+    assert len({int(f.logs[g[0]]) % m for g in sp.groops}) == groops
 
 
 def test_spread_groops_are_kstar_cosets():
@@ -49,10 +57,11 @@ def test_spread_groops_are_kstar_cosets():
                 groops.append(coset)
         assert sp.groops.dtype == np.int32 and sp.groops.shape == (len(groops), 7)
         assert sp.groops.tolist() == [list(g) for g in groops]
-        # the preflight's spread term is these two arrays (point_groop
-        # also holds the -1 of 0)
-        assert sp.groops.nbytes + sp.point_groop.nbytes == spread_bytes(len(groops)) + 4
-        assert sp.point_groop.tolist() == point_groop
+        # the preflight's spread term is this one array
+        assert sp.groops.nbytes == spread_bytes(len(groops))
+        # every groop is one class of the logs mod v/7
+        m = (f.order - 1) // 7
+        assert len({(point_groop[e], int(f.logs[e]) % m) for e in range(1, f.order)}) == m
 
 
 def test_spread_requires_divisibility():
@@ -149,11 +158,12 @@ def test_gdd_n9_against_materialized_counts():
     blocks = materialize(develop(rf))
     assert len(blocks) == 42_924
     counts = materialized_pair_counts(blocks)
+    groop_of = _groop_of(sp)
     checked_within = 0
     for u in range(1, f.order - 1):
         for v in range(u + 1, f.order):
             c = counts[(u, v)]
-            if sp.point_groop[u] == sp.point_groop[v]:
+            if groop_of[u] == groop_of[v]:
                 assert c == 0
                 checked_within += 1
             else:
@@ -161,7 +171,30 @@ def test_gdd_n9_against_materialized_counts():
     assert checked_within == 73 * 21
     # every block meets every groop at most once
     for blk in blocks[:511]:
-        assert len({sp.point_groop[p] for p in blk}) == 7
+        assert len({groop_of[p] for p in blk}) == 7
+
+
+def test_block_groop_meet_puts_0_in_no_groop():
+    # 0 has no log (logs[0] = -1), and -1 mod 73 = 72 is the class of
+    # g^72: a row holding 0 beside g^72 meets every groop at most once.
+    # Each verdict is read off the groops, 0 as -1, as the point -> groop
+    # table read it, so a row that repeats 0 fails as it did.
+    f = cached_field(9)
+    sp = desarguesian_spread(f)
+    groop_of = _groop_of(sp)
+    g = [int(x) for x in f.exp2[:511]]
+    rows = {
+        "0 beside g^72": [0, g[72], g[1], g[2], g[3], g[4], g[5]],
+        "0 twice": [0, 0, g[1], g[2], g[3], g[4], g[5]],
+        "g^1 and g^74": [g[1], g[74], g[2], g[3], g[4], g[5], g[6]],
+        "seven groops": [g[72], g[1], g[2], g[3], g[4], g[5], g[6]],
+    }
+    for name, row in rows.items():
+        meets = [groop_of.get(p, -1) for p in row]
+        expected = len(set(meets)) == 7
+        d = Design(f, np.array([row], dtype=np.int32), np.array([511]), np.ones(1, dtype=np.int64), 7)
+        assert verify_gdd(sp, d).checks["block_groop_meet"] is expected, name
+        assert expected is (name in ("0 beside g^72", "seven groops")), name
 
 
 def test_gdd_orbit_representatives_are_subspaces():
