@@ -21,10 +21,10 @@ from qdf import (
 
 f = GF2n(9)
 
-spread = desarguesian_spread(f)
-print(f"spread: {len(spread.groops)} groops of size 7 "
+groops = desarguesian_spread(f)
+print(f"spread: {len(groops)} groops of size 7 "
       f"(= {(f.order - 1)} units / 7)")
-print("first groop:", spread.groops[0].tolist())
+print("first groop:", groops[0].tolist())
 
 family = build_family(f)
 relative = build_relative_family(family)
@@ -36,7 +36,7 @@ print(f"quotient profile: pass={profile.passed} "
       f"(0 inside K*, {profile.pair_coverage_min} outside)")
 
 design = develop(relative)
-report = verify_gdd(spread, design)
+report = verify_gdd(design)
 print(f"\ndeveloped blocks: {design.block_count()}")
 print(f"GDD checks ({report.timing:.2f}s):")
 for name, ok in report.checks.items():

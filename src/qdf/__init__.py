@@ -55,7 +55,6 @@ from .design import (
     verify_2design,
 )
 from .gdd import (
-    Spread,
     build_relative_family,
     desarguesian_spread,
     verify_gdd,
@@ -87,7 +86,6 @@ __all__ = [
     "check_qanalog",
     "check_simple",
     "pair_coverage_counts",
-    "Spread",
     "build_relative_family",
     "desarguesian_spread",
     "verify_relative",

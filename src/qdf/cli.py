@@ -37,6 +37,7 @@ from .family import (
 )
 from .gdd import (
     build_relative_family,
+    check_residue,
     desarguesian_spread,
     spread_bytes,
     verify_gdd,
@@ -199,19 +200,20 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_gdd(args) -> int:
+    check_residue(args.n)  # before the preflight and the tables
     ctx = _make_ctx(args)
     # the family's slots are freed once the relative family has its copy
     relative = build_relative_family(build_family(ctx, system=args.seed_system))
     profile = multiplicity_profile(relative)
     rel_report = verify_relative(relative, profile)
-    spread = desarguesian_spread(ctx)
+    groops = desarguesian_spread(ctx)
     design = develop(relative, profile)
-    gdd_report = verify_gdd(spread, design)
+    gdd_report = verify_gdd(design)
     reports = {
         "relative_profile": report_to_dict(rel_report, ctx.n),
         "report": report_to_dict(gdd_report, ctx.n),
     }
-    _emit(args, gdd_json_chunks(spread, design, reports))
+    _emit(args, gdd_json_chunks(groops, design, reports))
     print(f"gdd n={ctx.n}: {time.perf_counter() - args.start:.2f}s", file=sys.stderr)
     return 0 if (rel_report.passed and gdd_report.passed) else 1
 

@@ -138,7 +138,9 @@ def develop(fam: DifferenceFamily, profile: MultiplicityProfile | None = None) -
 
 # -- pair counting kernel -----------------------------------------------------
 
-# Pairs expanded per chunk while looking for offenders; bounds its memory.
+# Offenders a report names, the first ones, and pairs expanded per chunk
+# while looking for them, which bounds that search's memory.
+MAX_OFFENDERS = 10
 _OFFENDER_CHUNK = 1 << 16
 
 
@@ -167,14 +169,14 @@ def pair_count_bytes(n: int) -> int:
 _EVENT_ORBITS = 1 << 10
 
 
-def _events(ctx: GF2n, d: Design) -> tuple[np.ndarray, np.ndarray]:
+def _events(d: Design) -> tuple[np.ndarray, np.ndarray]:
     """Events of every run of the orbits shorter than v, unsorted: int64
     keys fold * (v + 1) + column and int64 weights.  Slot pair (i, j) of an
     orbit of length m and replication w covers m cyclic columns of the
     fold of lj - li, w times: a run from column s is +w at s and -w at
     min(s + m, v), and one that passes column v - 1 is also +w at column 0
     and -w at s + m - v.  The events of every fold sum to 0."""
-    v = ctx.order - 1
+    ctx, v = d.ctx, d.v
     keys, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     short = np.flatnonzero(d.length < v)
     for lo in range(0, len(short), _EVENT_ORBITS):
@@ -203,7 +205,7 @@ def pair_coverage_counts(ctx: GF2n, d: Design) -> np.ndarray:
     each with a zero-weight key at its fold's column 0, are sorted once
     and summed in int64, and the sum of each fold's events is 0."""
     v = ctx.order - 1
-    keys, weights = _events(ctx, d)
+    keys, weights = _events(d)
     if not keys.size:
         return np.empty((4, 0), dtype=np.int64)
     keys = np.concatenate([keys - keys % (v + 1), keys])
@@ -217,8 +219,8 @@ def pair_coverage_counts(ctx: GF2n, d: Design) -> np.ndarray:
     return np.stack([fold, start, stop, count[opens] + d.fold[fold]])
 
 
-def _first_offenders(ctx: GF2n, steps: np.ndarray, m: int, limit=10) -> tuple:
-    """The first `limit` pairs of the given wrong steps, as PairOffenders
+def _first_offenders(ctx: GF2n, steps: np.ndarray, m: int) -> tuple:
+    """The first MAX_OFFENDERS pairs of the given wrong steps, as PairOffenders
     ((u, w), count) with encodings u <= w, ordered by u, then by whether m
     does not divide the fold, then w.  The steps are expanded pair by
     pair, at most _OFFENDER_CHUNK pairs at a time."""
@@ -238,8 +240,8 @@ def _first_offenders(ctx: GF2n, steps: np.ndarray, m: int, limit=10) -> tuple:
         y = ctx.exp2[c + f].astype(np.int64)
         keys = np.concatenate([keys, (np.minimum(x, y) * 2 + (f % m != 0)) * q + np.maximum(x, y)])
         found = np.concatenate([found, count[s]])
-        if len(keys) > limit:
-            top = np.argpartition(keys, limit - 1)[:limit]
+        if len(keys) > MAX_OFFENDERS:
+            top = np.argpartition(keys, MAX_OFFENDERS - 1)[:MAX_OFFENDERS]
             keys, found = keys[top], found[top]
     top = np.argsort(keys)
     pairs = [(k // q // 2, k % q) for k in keys[top].tolist()]
@@ -269,24 +271,24 @@ def fold_verdicts(hist: np.ndarray, m: int, lam: int, skip) -> tuple:
     return lam_range, not wrong[zero].any(), np.flatnonzero(wrong)
 
 
-def check_pair_coverage(ctx: GF2n, d: Design, m: int, lam: int) -> tuple:
-    """Exact pair coverage: every pair {g^a, g^(a+f)} is covered lam times,
-    except in the folds f that m divides, which must be covered 0 times:
-    fold 0, a point with itself, and, for a GDD with m = v/7, the pairs
-    within a groop.  Returns fold_verdicts' exact (min, max) of the lam
-    folds and whether every fold that m divides is 0, read off d.fold and
-    the steps of pair_coverage_counts, and the first ten offenders of the
-    wrong folds, each a single step, and of the wrong steps."""
-    steps = pair_coverage_counts(ctx, d)
+def check_pair_coverage(d: Design, m: int) -> tuple:
+    """Exact pair coverage: every pair {g^a, g^(a+f)} is covered
+    d.lambda_claim times, except in the folds f that m divides, which must
+    be covered 0 times: fold 0, a point with itself, and, for a GDD with
+    m = v/7, the pairs within a groop.  Returns fold_verdicts' exact
+    (min, max) of the lambda folds and whether every fold that m divides is
+    0, read off d.fold and the steps of pair_coverage_counts, and the first
+    offenders of the wrong folds, each a single step, and of the wrong steps."""
+    steps = pair_coverage_counts(d.ctx, d)
     fold, count = steps[0], steps[3]
     at_zero = fold % m == 0
-    lam_range, zero_ok, bad = fold_verdicts(d.fold, m, lam, fold)
+    lam_range, zero_ok, bad = fold_verdicts(d.fold, m, d.lambda_claim, fold)
     lam_range = _widen(lam_range, count[~at_zero])
-    wrong = steps[:, count != np.where(at_zero, 0, lam)]
+    wrong = steps[:, count != np.where(at_zero, 0, d.lambda_claim)]
     if bad.size:
         wrong = np.concatenate([[bad, 0 * bad, d.v + 0 * bad, d.fold[bad]], wrong], axis=1)
     zero_ok = zero_ok and not count[at_zero].any()
-    return lam_range, zero_ok, _first_offenders(ctx, wrong, m) if wrong.size else ()
+    return lam_range, zero_ok, _first_offenders(d.ctx, wrong, m) if wrong.size else ()
 
 
 def verify_2design(d: Design) -> VerificationReport:
@@ -294,7 +296,7 @@ def verify_2design(d: Design) -> VerificationReport:
     exactly lambda_claim developed blocks, and no block repeats a point."""
     t0 = time.perf_counter()
     lam = d.lambda_claim
-    (mn, mx), zero_ok, offenders = check_pair_coverage(d.ctx, d, d.v, lam)
+    (mn, mx), zero_ok, offenders = check_pair_coverage(d, d.v)
     return VerificationReport(
         passed=(mn == lam and mx == lam and zero_ok),
         pair_coverage_min=mn,

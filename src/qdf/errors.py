@@ -39,7 +39,7 @@ class DegenerateTError(QdfError):
 
 
 class WrongResidueError(QdfError):
-    """Operation requires n divisible by 3 (equivalently n = 3 mod 6 for odd n)."""
+    """The GDD needs n = 3 (mod 6); gdd.check_residue states the rule."""
 
 
 class MalformedFamilyError(QdfError):

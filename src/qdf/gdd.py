@@ -5,54 +5,50 @@ base block of the index-7 family equals K*.  Removing it leaves a family
 whose quotient list avoids K* entirely and covers everything else exactly
 7 times; its development, together with the spread of multiplicative
 cosets of K*, is a cyclic simple group divisible design with block size
-7, groop size 7 and index 7.
+7, groop size 7 and index 7.  check_residue states the n = 3 (mod 6) rule.
+g^a and g^b share a coset of K* iff a = b (mod v/7), so verify_gdd takes
+only the design; desarguesian_spread's groop rows are for the writer.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, QuotientOffender, VerificationReport
+from .design import MAX_OFFENDERS, Design, QuotientOffender, VerificationReport
 from .design import check_pair_coverage, check_simple, fold_verdicts
 from .errors import WrongResidueError
 from .family import DifferenceFamily, multiplicity_profile
 from .gf2n import GF2n
 
 
-@dataclass(frozen=True, eq=False)
-class Spread:
-    """Partition of F* into cosets of K*; with 0 added each coset is a
-    3-dimensional subspace (the Desarguesian spread).  Row i of the
-    (G, 7) int32 `groops` is groop i, sorted.  No membership table is
-    kept: g^a and g^b share a groop iff a = b (mod G)."""
-
-    ctx: GF2n
-    groops: np.ndarray
+def check_residue(n: int) -> None:
+    """The GDD needs the order-8 subfield K, in GF(2^n) iff 3 | n, and n
+    odd: n = 3 (mod 6)."""
+    if n % 6 != 3:
+        raise WrongResidueError(f"the GDD needs n = 3 (mod 6), got n={n}")
 
 
 def spread_bytes(groops: int) -> int:
-    """Resident bytes of the Spread of `groops` groops, for preflight
-    estimates: its int32 groop rows, 28 bytes per groop."""
+    """Resident bytes of the spread's `groops` groop rows, for preflight
+    estimates: int32, 28 bytes per groop."""
     return 28 * groops
 
 
-def desarguesian_spread(ctx: GF2n) -> Spread:
-    """The (2^n - 1)/7 multiplicative cosets of K*, each sorted, ordered by
-    smallest member; GF(2^n) has the order-8 subfield K only when 3 | n.
+def desarguesian_spread(ctx: GF2n) -> np.ndarray:
+    """The groops of the Desarguesian spread, the (2^n - 1)/7 cosets of K*,
+    as (G, 7) int32 rows of sorted members, ordered by smallest member;
+    with 0 added each is a 3-dimensional subspace.
 
     K* is the subgroup of order 7 of the cyclic group F* = <g>, so it is
     <g^(v/7)> and the coset of g^a, {g^(a + k v/7)}, depends only on
     a mod v/7: the exp table lists every coset at once.
     """
-    if ctx.n % 3 != 0:
-        raise WrongResidueError(f"no order-8 subfield in GF(2^{ctx.n}); need n = 3 (mod 6)")
+    check_residue(ctx.n)
     m = (ctx.order - 1) // 7
     cosets = np.sort(ctx.exp2[np.arange(m)[:, None] + m * np.arange(7)], axis=1)
-    cosets = cosets[np.argsort(cosets[:, 0])]
-    return Spread(ctx=ctx, groops=cosets)
+    return cosets[np.argsort(cosets[:, 0])]
 
 
 def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
@@ -63,10 +59,7 @@ def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
     relative family over a single groop; that is reported, not rejected.
     """
     ctx = fam.ctx
-    if ctx.n % 6 != 3:
-        raise WrongResidueError(
-            f"relative family needs n = 3 (mod 6), got n={ctx.n}"
-        )
+    check_residue(ctx.n)
     v = ctx.order - 1
     kstar = np.sort(ctx.exp2[: v : v // 7])
     is_kstar = (np.sort(fam.slots, axis=1) == kstar).all(axis=1)
@@ -91,7 +84,7 @@ def verify_relative(fam: DifferenceFamily, profile=None) -> VerificationReport:
     hist = (profile or multiplicity_profile(fam)).hist
     outside, zero_ok, bad = fold_verdicts(hist, m, lam, [0])  # t = 1 is not checked
     ts = np.concatenate([ctx.exp2[bad], ctx.exp2[v - bad]])  # g^f and g^(v - f), hist[f] each
-    first = np.argsort(ts)[:10]
+    first = np.argsort(ts)[:MAX_OFFENDERS]
     counts = np.concatenate([hist[bad], hist[bad]])[first]
     offenders = tuple(map(QuotientOffender, ts[first].tolist(), counts.tolist()))
     mn, mx = outside or (lam, lam)
@@ -106,9 +99,9 @@ def verify_relative(fam: DifferenceFamily, profile=None) -> VerificationReport:
     )
 
 
-def verify_gdd(spread: Spread, design: Design) -> VerificationReport:
+def verify_gdd(design: Design) -> VerificationReport:
     """Exhaustively check the four GDD properties of a developed relative
-    family over the spread:
+    family over the spread, whose groops are the classes of logs mod v/7:
 
       a. every developed block meets every groop in at most one point --
          read off the design's orbit_scan, once per orbit representative,
@@ -118,10 +111,10 @@ def verify_gdd(spread: Spread, design: Design) -> VerificationReport:
       d. simplicity: trivial stabilizers and pairwise distinct orbits.
     """
     t0 = time.perf_counter()
-    ctx, lam = design.ctx, design.lambda_claim
+    lam = design.lambda_claim
 
     # g^a and g^(a+f) share a coset of K* = <g^(v/7)> iff v/7 divides f
-    cross_range, within_ok, offenders = check_pair_coverage(ctx, design, design.v // 7, lam)
+    cross_range, within_ok, offenders = check_pair_coverage(design, design.v // 7)
 
     cross_min, cross_max = cross_range or (lam, lam)
     notes = "" if cross_range else "degenerate: single groop, no cross-groop pairs"

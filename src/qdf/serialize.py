@@ -19,7 +19,6 @@ from .blocks import block_slots
 from .design import Design, PairOffender, VerificationReport, develop
 from .errors import ForbiddenSeedError, MalformedFamilyError, QdfError
 from .family import MATCHED_PAIRS, CertificateTable, DifferenceFamily, MultiplicityProfile, rank
-from .gdd import Spread
 from .gf2n import GF2n
 
 
@@ -174,18 +173,18 @@ def design_json_chunks(d: Design) -> Iterator[bytes]:
     yield b"\n}\n"
 
 
-def gdd_json_chunks(spread: Spread, design: Design, reports: dict) -> Iterator[bytes]:
+def gdd_json_chunks(groops: np.ndarray, design: Design, reports: dict) -> Iterator[bytes]:
     """{"n", "modulus", "g", "lambda", "spread": [[7 hex strings], ...],
-    "orbits"} followed by the keys of `reports`, as JSON in chunks of at
-    most _CHUNK_BYTES, or of one groop or orbit: byte for byte what
-    to_json_bytes gives for that dict.  The groops are rows of one byte
-    template like the family's blocks, the orbits those of
-    design_json_chunks; each value of `reports` is small and goes through
-    json.dumps."""
-    n = spread.ctx.n
-    fields = {"n": n, "modulus": spread.ctx.modulus, "g": 3, "lambda": design.lambda_claim}
+    "orbits"} of the (G, 7) groop rows and the design, followed by the
+    keys of `reports`, as JSON in chunks of at most _CHUNK_BYTES, or of one
+    groop or orbit: byte for byte what to_json_bytes gives for that dict.
+    The groops are rows of one byte template like the family's blocks, the
+    orbits those of design_json_chunks; each value of `reports` is small
+    and goes through json.dumps."""
+    ctx = design.ctx
+    fields = {"n": ctx.n, "modulus": ctx.modulus, "g": 3, "lambda": design.lambda_claim}
     yield _json_head(fields, "spread")
-    yield from _json_rows_chunks(*_block_rows(spread.groops, n))
+    yield from _json_rows_chunks(*_block_rows(groops, ctx.n))
     yield b',\n  "orbits": '
     yield from _json_rows_chunks(*_orbit_rows(design))
     for key, value in reports.items():

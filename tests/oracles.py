@@ -226,16 +226,16 @@ def design_dict(d) -> dict:
     }
 
 
-def gdd_dict(spread, design) -> dict:
-    """The gdd artifact of a spread and a developed relative family as a
-    plain dict, before its reports."""
-    n = spread.ctx.n
+def gdd_dict(groops, design) -> dict:
+    """The gdd artifact of the spread's groop rows and a developed relative
+    family as a plain dict, before its reports."""
+    n = design.ctx.n
     return {
         "n": n,
-        "modulus": spread.ctx.modulus,
+        "modulus": design.ctx.modulus,
         "g": 3,
         "lambda": design.lambda_claim,
-        "spread": [[_hex(e, n) for e in g] for g in spread.groops.tolist()],
+        "spread": [[_hex(e, n) for e in g] for g in groops.tolist()],
         "orbits": _orbit_dicts(design),
     }
 

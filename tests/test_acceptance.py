@@ -143,9 +143,9 @@ def test_criterion_07_gdd_at_n9():
     t0 = time.perf_counter()
     spread = desarguesian_spread(f)
     relative = build_relative_family(build_family(f))
-    rep = verify_gdd(spread, develop(relative))
+    rep = verify_gdd(develop(relative))
     elapsed = time.perf_counter() - t0
-    ok = len(spread.groops) == 73
+    ok = len(spread) == 73
     ok &= rep.passed and rep.checks is not None and all(rep.checks.values())
     ok &= elapsed < 60.0
     _report(7, ok, f"n=9 GDD: 73 groops, all four checks pass ({elapsed:.2f}s)")

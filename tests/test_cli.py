@@ -417,10 +417,20 @@ def test_gdd_n9(capsys):
     assert data["relative_profile"]["pass"] is True
 
 
-def test_gdd_wrong_residue(capsys):
-    code, _, stderr = run_cli(capsys, "gdd", "--n", "5")
-    assert code == 2
-    assert json.loads(stderr.strip())["error"] == "WrongResidue"
+def test_gdd_wrong_residue(capsys, monkeypatch):
+    # checked before the preflight and the field: the one error line is
+    # all the command does, for odd, even and too small n alike
+    from qdf import cli
+
+    def no_field(*args):
+        raise AssertionError("the field was built")
+
+    monkeypatch.setattr(cli, "GF2n", no_field)
+    for n in (["5"], ["23", "--force"], ["4"], ["1"]):
+        code, stdout, stderr = run_cli(capsys, "gdd", "--n", *n)
+        assert code == 2 and stdout == ""
+        assert stderr.count("\n") == 1 and "warning:" not in stderr
+        assert json.loads(stderr)["error"] == "WrongResidue"
 
 
 def test_export_family_to_csv_and_json(capsys, tmp_path):

@@ -148,9 +148,8 @@ def test_verify_and_gdd_paths_build_no_orbit_objects(monkeypatch):
         check(d)
     assert "orbits" not in d.__dict__
     rel = develop(build_relative_family(fam))
-    spread = desarguesian_spread(f)
-    verify_gdd(spread, rel)
-    b"".join(gdd_json_chunks(spread, rel, {}))
+    verify_gdd(rel)
+    b"".join(gdd_json_chunks(desarguesian_spread(f), rel, {}))
     assert "orbits" not in rel.__dict__
     # the same through the CLI, with the object routes disabled
 
@@ -567,7 +566,7 @@ def test_only_short_runs_make_events(n, events):
     f = cached_field(n)
     fam = build_family(f)
     d = develop(fam)
-    keys, weights = design._events(f, d)
+    keys, weights = design._events(d)
     # the fold read off the profile is the fold of the design
     assert np.array_equal(develop(fam, multiplicity_profile(fam)).fold, d.fold)
     v = f.order - 1
@@ -716,7 +715,7 @@ def test_repeated_point_fails_and_is_named(n):
     else:
         # fold 0 is one of the steps, and a GDD's within-groop pairs hold it
         assert 0 in pair_coverage_counts(f, bad)[0]
-        assert not verify_gdd(desarguesian_spread(f), bad).checks["within_pair_coverage"]
+        assert not verify_gdd(bad).checks["within_pair_coverage"]
 
 
 def _scalar_simple(d):

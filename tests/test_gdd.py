@@ -22,24 +22,24 @@ from oracles import cached_field, materialize, materialized_pair_counts
 
 
 def _groop_of(sp):
-    """Element encoding -> index of its groop in sp.groops; 0 is in none."""
-    return {p: i for i, g in enumerate(sp.groops.tolist()) for p in g}
+    """Element encoding -> index of its groop in the rows sp; 0 is in none."""
+    return {p: i for i, g in enumerate(sp.tolist()) for p in g}
 
 
 @pytest.mark.parametrize("n,groops", [(3, 1), (9, 73)])
 def test_spread_partitions_units(n, groops):
     f = cached_field(n)
     sp = desarguesian_spread(f)
-    assert len(sp.groops) == groops == (f.order - 1) // 7
-    covered = [p for g in sp.groops for p in g]
+    assert len(sp) == groops == (f.order - 1) // 7
+    covered = [p for g in sp for p in g]
     assert sorted(covered) == list(range(1, f.order))
     # g^a and g^b share a groop iff a = b (mod v/7): the meet check's reading
     m = (f.order - 1) // 7
-    for g in sp.groops:
+    for g in sp:
         assert len(g) == 7
         assert is_subspace_block(f, g)
         assert len({int(f.logs[p]) % m for p in g}) == 1
-    assert len({int(f.logs[g[0]]) % m for g in sp.groops}) == groops
+    assert len({int(f.logs[g[0]]) % m for g in sp}) == groops
 
 
 def test_spread_groops_are_kstar_cosets():
@@ -55,10 +55,10 @@ def test_spread_groops_are_kstar_cosets():
                 for p in coset:
                     point_groop[p] = len(groops)
                 groops.append(coset)
-        assert sp.groops.dtype == np.int32 and sp.groops.shape == (len(groops), 7)
-        assert sp.groops.tolist() == [list(g) for g in groops]
+        assert sp.dtype == np.int32 and sp.shape == (len(groops), 7)
+        assert sp.tolist() == [list(g) for g in groops]
         # the preflight's spread term is this one array
-        assert sp.groops.nbytes == spread_bytes(len(groops))
+        assert sp.nbytes == spread_bytes(len(groops))
         # every groop is one class of the logs mod v/7
         m = (f.order - 1) // 7
         assert len({(point_groop[e], int(f.logs[e]) % m) for e in range(1, f.order)}) == m
@@ -139,7 +139,7 @@ def test_verify_relative_vacuous_n3():
 def test_gdd_n9_all_checks_pass():
     f = cached_field(9)
     rf = build_relative_family(build_family(f))
-    rep = verify_gdd(desarguesian_spread(f), develop(rf))
+    rep = verify_gdd(develop(rf))
     assert rep.passed
     assert rep.checks == {
         "block_groop_meet": True,
@@ -193,7 +193,7 @@ def test_block_groop_meet_puts_0_in_no_groop():
         meets = [groop_of.get(p, -1) for p in row]
         expected = len(set(meets)) == 7
         d = Design(f, np.array([row], dtype=np.int32), np.array([511]), np.ones(1, dtype=np.int64), 7)
-        assert verify_gdd(sp, d).checks["block_groop_meet"] is expected, name
+        assert verify_gdd(d).checks["block_groop_meet"] is expected, name
         assert expected is (name in ("0 beside g^72", "seven groops")), name
 
 
@@ -215,7 +215,7 @@ def test_gdd_counting_identity_n9():
 def test_gdd_n3_degenerate_pass():
     f = cached_field(3)
     rf = build_relative_family(build_family(f))
-    rep = verify_gdd(desarguesian_spread(f), develop(rf))
+    rep = verify_gdd(develop(rf))
     assert rep.passed
     assert "degenerate" in rep.notes
     assert rep.checks is not None and all(rep.checks.values())
@@ -227,7 +227,7 @@ def test_gdd_detects_within_groop_coverage():
     fam = build_family(f)
     kstar = frozenset(t for t in f.subfield(3) if t)
     bogus = DifferenceFamily(f, fam.slots, 7, forbidden=kstar)
-    rep = verify_gdd(desarguesian_spread(f), develop(bogus))
+    rep = verify_gdd(develop(bogus))
     assert not rep.passed
     assert rep.checks is not None
     assert not rep.checks["within_pair_coverage"]
@@ -244,7 +244,7 @@ def test_gdd_detects_missing_cross_coverage():
     f = cached_field(9)
     rf = build_relative_family(build_family(f))
     bad = DifferenceFamily(f, rf.slots[1:], 7, forbidden=rf.forbidden)
-    rep = verify_gdd(desarguesian_spread(f), develop(bad))
+    rep = verify_gdd(develop(bad))
     assert not rep.passed
     assert not rep.checks["cross_pair_coverage"]
     assert rep.checks["within_pair_coverage"] and rep.checks["simple"]
@@ -262,7 +262,7 @@ def test_gdd_offenders_list_within_groop_pairs_first():
     rf = build_relative_family(fam)
     kblock = [row for row in fam.slots.tolist() if set(row) == rf.forbidden]
     both = DifferenceFamily(f, rf.slots[1:].tolist() + kblock, 7, forbidden=rf.forbidden)
-    rep = verify_gdd(desarguesian_spread(f), develop(both))
+    rep = verify_gdd(develop(both))
     assert not rep.checks["within_pair_coverage"]
     assert not rep.checks["cross_pair_coverage"]
     assert rep.offending_pairs == (

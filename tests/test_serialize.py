@@ -188,14 +188,13 @@ def _verifier_reports():
     repeated[0, 6] = repeated[0, 5]
     fam9 = build_family(f9)
     rel = build_relative_family(fam9)
-    spread = desarguesian_spread(f9)
     kept = DifferenceFamily(f9, fam9.slots, 7, forbidden=rel.forbidden)
     dropped = DifferenceFamily(f9, rel.slots[1:], 7, forbidden=rel.forbidden)
     pair = {
         "dropped": (verify_2design(develop(DifferenceFamily(f5, d5.slots[1:], 7))), 5),
         "repeated": (verify_2design(Design(f5, repeated, d5.length, d5.replication, 7)), 5),
-        "gdd-dropped": (verify_gdd(spread, develop(dropped)), 9),
-        "gdd-kept": (verify_gdd(spread, develop(kept)), 9),
+        "gdd-dropped": (verify_gdd(develop(dropped)), 9),
+        "gdd-kept": (verify_gdd(develop(kept)), 9),
     }
     quotient = {
         "relative-dropped": (verify_relative(dropped), 9),
@@ -203,7 +202,7 @@ def _verifier_reports():
     }
     passing = {
         "design-pass": (verify_2design(d5), 5),
-        "gdd-pass": (verify_gdd(spread, develop(rel)), 9),
+        "gdd-pass": (verify_gdd(develop(rel)), 9),
         "relative-pass": (verify_relative(rel), 9),
         "relative-n3": (verify_relative(build_relative_family(build_family(f3))), 3),
     }
@@ -346,10 +345,10 @@ def test_gdd_writer_matches_to_json_bytes(monkeypatch, n, chunk):
     f = cached_field(n)
     rel = build_relative_family(build_family(f))
     spread, design = desarguesian_spread(f), develop(rel)
-    _rows_per_chunk(monkeypatch, chunk, _block_rows(spread.groops, n), _orbit_rows(design))
+    _rows_per_chunk(monkeypatch, chunk, _block_rows(spread, n), _orbit_rows(design))
     reports = {
         "relative_profile": report_to_dict(verify_relative(rel), n),
-        "report": report_to_dict(verify_gdd(spread, design), n),
+        "report": report_to_dict(verify_gdd(design), n),
     }
     assert b"".join(gdd_json_chunks(spread, design, reports)) == _gdd_oracle(spread, design, reports)
 
@@ -445,7 +444,7 @@ def test_every_writer_yields_only_bytes():
     writers = [
         family_json_chunks(fam),
         design_json_chunks(develop(fam)),
-        gdd_json_chunks(spread, design, {"report": report_to_dict(verify_gdd(spread, design), 9)}),
+        gdd_json_chunks(spread, design, {"report": report_to_dict(verify_gdd(design), 9)}),
         certificates_json_chunks(f, certificate_table(f, f.seeds())),
         profile_csv_chunks(multiplicity_profile(fam), 9),
     ]
