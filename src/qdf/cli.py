@@ -19,7 +19,6 @@ from collections.abc import Iterable
 
 from . import __version__
 from .design import (
-    Design,
     check_qanalog,
     check_simple,
     develop,
@@ -224,15 +223,13 @@ def _cmd_export(args) -> int:
             data = fh.read()
     except OSError as exc:
         raise QdfError(f"cannot read {args.input}: {exc.strerror}") from None
-    artifact = read_artifact(data, _check_hard_ceiling)
+    fam = read_artifact(data, _check_hard_ceiling)
     if args.format == "json":
         # read_artifact accepts only the bytes its writer renders: write them back
         _emit(args, (data[i : i + _CHUNK_BYTES] for i in range(0, len(data), _CHUNK_BYTES)))
-    elif isinstance(artifact, Design):
-        raise QdfError("designs have no CSV form; use --format json")
     else:
         del data  # not held while the output is built
-        _emit(args, profile_csv_chunks(multiplicity_profile(artifact), artifact.ctx.n))
+        _emit(args, profile_csv_chunks(multiplicity_profile(fam), fam.ctx.n))
     return 0
 
 
@@ -261,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_options(p)
     p.set_defaults(func=_cmd_gdd)
 
-    p = sub.add_parser("export", help="convert stored families/designs between formats")
-    p.add_argument("input", help="family or design JSON file")
+    p = sub.add_parser("export", help="convert stored families between formats")
+    p.add_argument("input", help="family JSON file, as construct writes it")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_export)

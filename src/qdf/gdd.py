@@ -60,14 +60,16 @@ def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
     """
     ctx = fam.ctx
     check_residue(ctx.n)
-    v = ctx.order - 1
-    kstar = np.sort(ctx.exp2[: v : v // 7])
-    is_kstar = (np.sort(fam.slots, axis=1) == kstar).all(axis=1)
-    if is_kstar.sum() != 1:
+    m = (ctx.order - 1) // 7
+    kstar = np.sort(ctx.exp2[: 7 * m : m])
+    # a row equal to K* = <g^m> has its slot-1 element in K*: only those
+    # rows are sorted and compared with it
+    rows = np.flatnonzero(ctx.logs[fam.slots[:, 1]] % m == 0)
+    rows = rows[(np.sort(fam.slots[rows], axis=1) == kstar).all(axis=1)]
+    if len(rows) != 1:
         raise ValueError("family does not contain exactly one subfield block")
-    return DifferenceFamily(
-        ctx, fam.slots[~is_kstar], fam.lambda_claim, forbidden=frozenset(kstar.tolist())
-    )
+    rest = np.delete(fam.slots, rows, axis=0)
+    return DifferenceFamily(ctx, rest, fam.lambda_claim, forbidden=frozenset(kstar.tolist()))
 
 
 def verify_relative(fam: DifferenceFamily, profile=None) -> VerificationReport:

@@ -1,9 +1,10 @@
-"""JSON/CSV formats for families, designs, spreads, reports and profiles.
+"""JSON/CSV formats for families, GDDs, reports and profiles.
 
 All formats are byte-deterministic: fixed key order, lowercase hex
 zero-padded to ceil(n/4) digits, two-space indentation, trailing newline.
 Wall-clock timings are deliberately left out of serialized reports so
-identical inputs always produce identical artifacts.
+identical inputs always produce identical artifacts.  Of these files
+only the family file is read back, by read_artifact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .blocks import block_slots
-from .design import Design, PairOffender, VerificationReport, develop
+from .design import Design, PairOffender, VerificationReport
 from .errors import ForbiddenSeedError, MalformedFamilyError, QdfError
 from .family import MATCHED_PAIRS, CertificateTable, DifferenceFamily, MultiplicityProfile, rank
 from .gf2n import GF2n
@@ -140,7 +141,7 @@ def family_json_chunks(fam: DifferenceFamily) -> Iterator[bytes]:
     yield b"\n}\n"
 
 
-# -- designs and spreads --------------------------------------------------------
+# -- GDDs: spreads and orbits ---------------------------------------------------
 
 def _orbit_head(n: int) -> str:
     """The head of an orbit row, up to its length."""
@@ -162,25 +163,14 @@ def _orbit_rows(d: Design) -> tuple:
     return _orbit_head(d.ctx.n), tails, which, d.slots
 
 
-def design_json_chunks(d: Design) -> Iterator[bytes]:
-    """{"n", "modulus", "v", "k", "lambda", "orbits"} of a developed design
-    as JSON, in chunks of at most _CHUNK_BYTES, or of one orbit: byte for
-    byte what to_json_bytes gives for that dict.  read_artifact reads it
-    back."""
-    fields = {"n": d.ctx.n, "modulus": d.ctx.modulus, "v": d.v, "k": d.k, "lambda": d.lambda_claim}
-    yield _json_head(fields, "orbits")
-    yield from _json_rows_chunks(*_orbit_rows(d))
-    yield b"\n}\n"
-
-
 def gdd_json_chunks(groops: np.ndarray, design: Design, reports: dict) -> Iterator[bytes]:
     """{"n", "modulus", "g", "lambda", "spread": [[7 hex strings], ...],
     "orbits"} of the (G, 7) groop rows and the design, followed by the
     keys of `reports`, as JSON in chunks of at most _CHUNK_BYTES, or of one
     groop or orbit: byte for byte what to_json_bytes gives for that dict.
     The groops are rows of one byte template like the family's blocks, the
-    orbits those of design_json_chunks; each value of `reports` is small
-    and goes through json.dumps."""
+    orbits those of _orbit_rows; each value of `reports` is small and goes
+    through json.dumps."""
     ctx = design.ctx
     fields = {"n": ctx.n, "modulus": ctx.modulus, "g": 3, "lambda": design.lambda_claim}
     yield _json_head(fields, "spread")
@@ -194,7 +184,7 @@ def gdd_json_chunks(groops: np.ndarray, design: Design, reports: dict) -> Iterat
     yield b"\n}\n"
 
 
-# -- reading families and designs back ----------------------------------------
+# -- reading families back ----------------------------------------------------
 
 # -1 for a byte that is not a lowercase hex digit
 _HEX_VALUES = np.full(256, -1, dtype=np.int64)
@@ -212,19 +202,19 @@ def _first_difference(data: bytes, chunks: Iterator[bytes]) -> int | None:
     return None if at == len(data) else at
 
 
-def _row_seeds(buf: np.ndarray, lo: int, head: str, opener: str) -> tuple:
-    """The rows of the list whose "[" is buf[lo], each laid out as `head`
-    and opened by the byte `opener`, which appears nowhere else in the
-    list: the offset of each row, its seed (the value of its hex digits
-    where head's second element has its "#"s, negative where one is not
-    hex), and the offset in a row of the seed's first digit."""
+def _row_seeds(buf: np.ndarray, lo: int, n: int) -> tuple:
+    """The block rows of the list whose "[" is buf[lo], each opened by a
+    "[" that appears nowhere else in the list: the offset of each row, its
+    seed (the value of its second element's hex digits, negative where
+    one is not hex), and the offset in a row of the seed's first digit."""
+    head = _block_head(n)
     # 64 KiB at a time: once freed, a byte mask as large as the file left
     # ~2 MiB more of heap resident at n = 17
     hits = [
-        np.flatnonzero(buf[i : i + 2**16] == ord(opener)) + i
+        np.flatnonzero(buf[i : i + 2**16] == ord("[")) + i
         for i in range(lo + 1, len(buf), 2**16)
     ]
-    starts = np.concatenate([np.zeros(0, dtype=np.intp), *hits]) - head.index(opener)
+    starts = np.concatenate([np.zeros(0, dtype=np.intp), *hits]) - head.index("[")
     digits = [i for i, c in enumerate(head) if c == "#"]
     seed_at = digits[len(digits) // 7 : 2 * len(digits) // 7]
     seeds = np.zeros(len(starts), dtype=np.int64)
@@ -233,60 +223,52 @@ def _row_seeds(buf: np.ndarray, lo: int, head: str, opener: str) -> tuple:
     return starts, seeds, seed_at[0]
 
 
-def read_artifact(data: bytes, check_n) -> DifferenceFamily | Design:
-    """The family of a file family_json_chunks wrote (one with a "blocks"
-    key), or the design of one design_json_chunks wrote of a development
-    (one with an "orbits" key); `check_n` may refuse its n, by raising a
-    QdfError, before the field is built.  The file must be the writer's
-    rendering of the blocks of its rows' slot-1 seeds, developed for a
-    design.  Otherwise the first bad row is named, by index and text, in
-    a MalformedFamilyError for a family (ForbiddenSeedError if its seed
-    lies outside F* minus {1}) or a QdfError for a design."""
-    family = b'"blocks"' in data
-    if not family and b'"orbits"' not in data:
-        raise QdfError("unrecognized input file: expected a family or design JSON")
-    key, what = ("blocks", "block row") if family else ("orbits", "orbit")
-    error = MalformedFamilyError if family else QdfError
-    names = ("n", "modulus", "lambda") if family else ("n", "modulus", "v", "k", "lambda")
-    h = data.find(f'"{key}": '.encode("ascii")) + len(key) + 4
+def read_artifact(data: bytes, check_n) -> DifferenceFamily:
+    """The family of a file family_json_chunks wrote; `check_n` may refuse
+    its n, by raising a QdfError, before the field is built.  The file
+    must be the writer's rendering of the blocks of its rows' slot-1
+    seeds.  Otherwise the first bad row is named, by index and text, in a
+    MalformedFamilyError, or a ForbiddenSeedError if its seed lies outside
+    F* minus {1}.  A file with no "blocks" key, such as a gdd file, is
+    refused with a QdfError."""
+    if b'"blocks"' not in data:
+        raise QdfError("unrecognized input file: expected a family JSON")
+    h = data.find(b'"blocks": ') + len(b'"blocks": ')
     ints = re.findall(rb"-?\d{1,30}", data[:h])
-    fields = dict(zip(names, map(int, ints)))
-    if len(ints) != len(names) or data[:h] != _json_head(fields, key):
-        raise error(f"the header is not that of a {'family' if family else 'design'} file")
+    fields = dict(zip(("n", "modulus", "lambda"), map(int, ints)))
+    if len(ints) != 3 or data[:h] != _json_head(fields, "blocks"):
+        raise MalformedFamilyError("the header is not that of a family file")
     n = fields["n"]
     check_n(n)
-    if not family and (fields["v"], fields["k"]) != (2**n - 1, Design.k):
-        raise error(f"a design over GF(2^{n}) has v = {2**n - 1} and k = {Design.k}")
 
-    head, opener = (_block_head(n), "[") if family else (_orbit_head(n), "{")
     buf = np.frombuffer(data, dtype=np.uint8)
-    starts, seeds, _ = _row_seeds(buf, h, head, opener)
+    starts, seeds, _ = _row_seeds(buf, h, n)
     ctx = GF2n(n, fields["modulus"])
     valid = (seeds >= 2) & (seeds < ctx.order)
-    obj = DifferenceFamily(ctx, block_slots(ctx, np.where(valid, seeds, 2)), fields["lambda"])
-    obj = obj if family else develop(obj)
+    fam = DifferenceFamily(ctx, block_slots(ctx, np.where(valid, seeds, 2)), fields["lambda"])
     del starts, seeds, valid  # 0.7 MiB of the peak at n = 17; a bad file reads them again
-    x = _first_difference(data, (family_json_chunks if family else design_json_chunks)(obj))
+    x = _first_difference(data, family_json_chunks(fam))
     if x is None:
-        return obj
-    starts, seeds, seed_at = _row_seeds(buf, h, head, opener)
+        return fam
+    starts, seeds, seed_at = _row_seeds(buf, h, n)
     if not len(starts):
-        raise error(f"the {key} list is not in the writer's layout")
+        raise MalformedFamilyError("the blocks list is not in the writer's layout")
 
-    # the rows before the first bad one are the writer's, byte for byte, so
-    # the writer's row widths say where it starts
-    _, tails, which, _ = _block_rows(obj.slots, n) if family else _orbit_rows(obj)
-    width = len(head) + 2 + np.array([len(t) for t in tails])[which]
-    row_at = h + 2 + np.cumsum(width) - width
-    k = max(0, int(np.searchsorted(row_at, x, "right")) - 1)
-    after = starts[starts > row_at[k]]
-    text = data[row_at[k] : after[0] - 2 if len(after) else len(data)].removesuffix(b"\n  ]\n}\n")
+    # the rows before the first bad one are the writer's, byte for byte,
+    # and all the writer's rows have one width, which says where it starts
+    width = len(_block_head(n)) + 2
+    k = min(max(0, (x - h - 2) // width), len(starts) - 1)
+    row_at = h + 2 + k * width
+    after = starts[starts > row_at]
+    text = data[row_at : after[0] - 2 if len(after) else len(data)].removesuffix(b"\n  ]\n}\n")
     text = text[: 1 << 10].decode("ascii", "backslashreplace")
     # the row is the writer's up to its seed, which is hex but no seed
     seed = int(seeds[k])
-    if family and x >= row_at[k] + seed_at and seed >= 0 and seed not in range(2, ctx.order):
-        raise ForbiddenSeedError(f"{what} {k} has seed {seed:#x}, outside F* minus {{1}}:\n{text}")
-    raise error(f"{what} {k} is not the writer's row for its seed:\n{text}")
+    if x >= row_at + seed_at and seed >= 0 and seed not in range(2, ctx.order):
+        raise ForbiddenSeedError(
+            f"block row {k} has seed {seed:#x}, outside F* minus {{1}}:\n{text}"
+        )
+    raise MalformedFamilyError(f"block row {k} is not the writer's row for its seed:\n{text}")
 
 
 # -- reports, certificates, profiles --------------------------------------------

@@ -14,8 +14,8 @@ import pytest
 from qdf import build_family, develop
 from qdf.cli import main
 from qdf.gf2n import table_bytes
-from qdf.serialize import design_json_chunks, family_json_chunks, hex_width, to_json_bytes
-from oracles import cached_field
+from qdf.serialize import family_json_chunks, hex_width, to_json_bytes
+from oracles import cached_field, design_dict
 
 
 def run_cli(capsys, *argv):
@@ -225,7 +225,7 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 @pytest.mark.parametrize("n", [15, 21])
 def test_preflight_total_matches_measured_rss_of_gdd(n):
     # the largest stage is the writer's chunks at n = 15 and the pair
-    # count at n = 21: VmHWM grows by 2.9 and 64.4 MiB, against printed
+    # count at n = 21: VmHWM grows by 2.8 and 63.0 MiB, against printed
     # totals of 2.8 and 62.0 MiB
     measured, total = _measured_and_printed("gdd", n)
     assert 0.75 * total < measured < 1.25 * total
@@ -447,17 +447,20 @@ def test_export_family_to_csv_and_json(capsys, tmp_path):
     assert stdout.encode() == fam.read_bytes().decode().encode()
 
 
-def test_export_design_json_only(capsys, tmp_path):
-    from qdf import build_family, develop
-    from qdf.serialize import design_json_chunks
-    from oracles import cached_field
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_export_refuses_a_design_file_before_building_the_field(
+    capsys, tmp_path, monkeypatch, fmt
+):
+    # export reads back only the family files construct writes: a design
+    # file holds no more than the family of its orbits' seeds
+    from qdf import serialize
 
-    design_file = tmp_path / "design.json"
-    design_file.write_bytes(b"".join(design_json_chunks(develop(build_family(cached_field(5))))))
-    code, stdout, _ = run_cli(capsys, "export", str(design_file), "--format", "json")
-    assert code == 0 and json.loads(stdout)["v"] == 31
-    code, _, stderr = run_cli(capsys, "export", str(design_file), "--format", "csv")
-    assert code == 2
+    design = tmp_path / "design.json"
+    design.write_bytes(to_json_bytes(design_dict(develop(build_family(cached_field(5))))))
+    monkeypatch.setattr(serialize, "GF2n", None)  # fails if it is reached
+    code, stdout, stderr = run_cli(capsys, "export", str(design), "--format", fmt)
+    assert code == 2 and stdout == "" and stderr.count("\n") == 1
+    assert json.loads(stderr)["error"] == "Qdf"
 
 
 @pytest.mark.parametrize(
@@ -467,11 +470,7 @@ def test_export_design_json_only(capsys, tmp_path):
     ids=["bogus", "v+1", "v-1", "k-1", "n+1", "n-huge", "reordered", "lambda-bool", "orbits-dict"],
 )
 def test_export_rejects_what_is_not_a_design(capsys, tmp_path, defect):
-    from qdf import build_family, develop
-    from qdf.serialize import design_json_chunks
-    from oracles import cached_field
-
-    data = json.loads(b"".join(design_json_chunks(develop(build_family(cached_field(5))))))
+    data = design_dict(develop(build_family(cached_field(5))))
     if defect == "bogus":
         data = {"orbits": 3, "junk": [1]}
     elif defect == "reordered":
@@ -577,39 +576,33 @@ def test_export_applies_the_hard_ceiling_only(capsys, tmp_path, monkeypatch):
     # the hard ceiling is, before the reader builds the field
     monkeypatch.setattr(cli, "HARD_N_CEILING", 9)
     monkeypatch.setattr(serialize, "GF2n", None)  # fails if it is reached
-    design = tmp_path / "design.json"
-    design.write_bytes(_artifact("design", 11))
-    for path in (fam, design):
-        code, stdout, stderr = run_cli(capsys, "export", str(path))
-        assert code == 2 and stdout == ""
-        assert "ceiling 9" in json.loads(stderr)["message"]
+    code, stdout, stderr = run_cli(capsys, "export", str(fam))
+    assert code == 2 and stdout == ""
+    assert "ceiling 9" in json.loads(stderr)["message"]
 
 
-def _artifact(kind, n):
-    fam = build_family(cached_field(n))
-    chunks = family_json_chunks(fam) if kind == "family" else design_json_chunks(develop(fam))
-    return b"".join(chunks)
+def _artifact(n):
+    """The family file construct writes for --n n."""
+    return b"".join(family_json_chunks(build_family(cached_field(n))))
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
 def test_export_writes_back_the_bytes_it_reads(capsys, tmp_path, n):
-    fam, design = tmp_path / "fam.json", tmp_path / "design.json"
+    fam = tmp_path / "fam.json"
     assert run_cli(capsys, "construct", "--n", str(n), "--out", str(fam))[0] == 0
-    design.write_bytes(_artifact("design", n))
-    for path in (fam, design):
-        code, stdout, _ = run_cli(capsys, "export", str(path))
-        assert code == 0 and stdout.encode() == path.read_bytes()
+    code, stdout, _ = run_cli(capsys, "export", str(fam))
+    assert code == 0 and stdout.encode() == fam.read_bytes()
 
 
-@pytest.mark.parametrize("kind,n", [("family", 5), ("family", 17), ("design", 9)])
-def test_export_json_renders_once_and_writes_back_the_input(capsys, tmp_path, monkeypatch, kind, n):
+@pytest.mark.parametrize("n", [5, 17], ids=lambda n: f"family-{n}")
+def test_export_json_renders_once_and_writes_back_the_input(capsys, tmp_path, monkeypatch, n):
     # read_artifact renders the file once to check it; export writes back
     # the bytes that check accepted, to a file and, in chunks, to stdout.
-    # Every family and design render goes through _json_rows_chunks once.
+    # Every family render goes through _json_rows_chunks once.
     from qdf import cli, serialize
 
     path, out = tmp_path / "in.json", tmp_path / "out.json"
-    path.write_bytes(_artifact(kind, n))
+    path.write_bytes(_artifact(n))
     calls, reading = [], []
     rows_chunks, read = serialize._json_rows_chunks, serialize.read_artifact
 
@@ -643,13 +636,12 @@ def _export_rejects(capsys, path, error):
     return err["message"]
 
 
-@pytest.mark.parametrize("n", [5, 9])
-@pytest.mark.parametrize("kind", ["family", "design"])
-def test_export_names_the_row_with_a_changed_digit_or_cut(capsys, tmp_path, kind, n):
-    data = _artifact(kind, n)
-    what, error = ("block row", "MalformedFamily") if kind == "family" else ("orbit", "Qdf")
-    element = rb'\n {%d}"[0-9a-f]' % (6 if kind == "family" else 8)  # its first digit
-    rows = [m.start() for m in re.finditer(rb"\n    [\[{]\n", data)]
+@pytest.mark.parametrize("n", [5, 9], ids=lambda n: f"family-{n}")
+def test_export_names_the_row_with_a_changed_digit_or_cut(capsys, tmp_path, n):
+    data = _artifact(n)
+    what, error = "block row", "MalformedFamily"
+    element = rb'\n {6}"[0-9a-f]'  # its first digit
+    rows = [m.start() for m in re.finditer(rb"\n    \[\n", data)]
     bad = tmp_path / "bad.json"
     for k, at in enumerate(rows):
         # one hex digit of row k, a different one in each row, changed
@@ -666,29 +658,27 @@ def test_export_names_the_row_with_a_changed_digit_or_cut(capsys, tmp_path, kind
     assert _export_rejects(capsys, bad, error).startswith(f"{what} {len(rows) - 1} ")
 
 
-@pytest.mark.parametrize("n", [5, 9])
-@pytest.mark.parametrize("kind", ["family", "design"])
-def test_export_rejects_the_compact_layout(capsys, tmp_path, kind, n):
+@pytest.mark.parametrize("n", [5, 9], ids=lambda n: f"family-{n}")
+def test_export_rejects_the_compact_layout(capsys, tmp_path, n):
     # the same object in json.dumps's compact layout is refused: whole, at
     # its header, and with only the rows compact, at the first row
-    data = _artifact(kind, n)
-    key = b'"blocks": ' if kind == "family" else b'"orbits": '
-    what, error = ("block row", "MalformedFamily") if kind == "family" else ("orbit", "Qdf")
+    data = _artifact(n)
+    key = b'"blocks": '
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(json.loads(data)))
-    assert "header" in _export_rejects(capsys, bad, error)
+    assert "header" in _export_rejects(capsys, bad, "MalformedFamily")
     h = data.index(key) + len(key)
-    rows = json.loads(data)[key.decode()[1:-3]]
+    rows = json.loads(data)["blocks"]
     bad.write_bytes(data[:h] + json.dumps(rows).encode() + b"\n}\n")
-    message = _export_rejects(capsys, bad, error)
-    assert message.startswith(f"{what} 0 is not the writer's row for its seed")
+    message = _export_rejects(capsys, bad, "MalformedFamily")
+    assert message.startswith("block row 0 is not the writer's row for its seed")
 
 
 @pytest.mark.parametrize(
     "orbits", [[1, "x", None], [{"rep": ["1"] * 7}]], ids=["junk", "no-length"]
 )
 def test_export_rejects_orbits_that_are_not_the_writers(capsys, tmp_path, orbits):
-    data = json.loads(_artifact("design", 5))
+    data = design_dict(develop(build_family(cached_field(5))))
     data["orbits"] = orbits
     bad = tmp_path / "bad.json"
     bad.write_bytes(to_json_bytes(data))
@@ -699,7 +689,7 @@ def test_export_in_place_and_rejected_input_write_nothing_else(capsys, tmp_path)
     # the reader is done with the input before --out is opened, so export
     # may overwrite its own input
     fam = tmp_path / "fam.json"
-    data = _artifact("family", 7)
+    data = _artifact(7)
     fam.write_bytes(data)
     assert run_cli(capsys, "export", str(fam), "--out", str(fam))[:2] == (0, "")
     assert fam.read_bytes() == data
@@ -716,7 +706,7 @@ def test_export_in_place_and_rejected_input_write_nothing_else(capsys, tmp_path)
 )
 def test_unwritable_out_exits_2_naming_the_path(capsys, tmp_path, argv):
     fam = tmp_path / "fam.json"
-    fam.write_bytes(_artifact("family", 3))
+    fam.write_bytes(_artifact(3))
     out = tmp_path / "missing" / "x.json"
     argv = [str(fam) if a == "{fam}" else a for a in argv]
     code, stdout, stderr = run_cli(capsys, *argv, "--out", str(out))

@@ -82,6 +82,22 @@ def test_build_relative_family_n9():
     assert all(set(row) != kstar for row in rf.slots.tolist())
 
 
+def test_build_relative_family_finds_kstar_in_any_slot_order():
+    # a row whose slot 1 lies in K* is only a candidate; K* itself is
+    # found whatever the order of its slots
+    f = cached_field(9)
+    m = (f.order - 1) // 7
+    kstar = f.exp2[: 7 * m : m]
+    rows = build_family(f).slots[:3].copy()
+    rows[0, 1] = kstar[2]
+    assert set(rows[0].tolist()) != set(kstar.tolist())
+    permuted = kstar[[4, 0, 6, 2, 5, 1, 3]]
+    fam = DifferenceFamily(f, np.stack([rows[0], rows[1], permuted, rows[2]]), 7)
+    rf = build_relative_family(fam)
+    assert rf.slots.tolist() == rows.tolist()
+    assert rf.forbidden == frozenset(kstar.tolist())
+
+
 def test_build_relative_family_wrong_residue():
     with pytest.raises(WrongResidueError):
         build_relative_family(build_family(cached_field(5)))

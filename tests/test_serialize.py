@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import re
 import textwrap
 
 import numpy as np
@@ -31,7 +30,6 @@ from qdf.design import PairOffender, QuotientOffender
 from qdf.family import EQUATION_FORMS
 from qdf.serialize import (
     certificates_json_chunks,
-    design_json_chunks,
     element_hex,
     family_json_chunks,
     gdd_json_chunks,
@@ -41,7 +39,7 @@ from qdf.serialize import (
     report_to_dict,
     to_json_bytes,
 )
-from oracles import cached_field, certify_dict, design_dict, family_dict, gdd_dict
+from oracles import cached_field, certify_dict, family_dict, gdd_dict
 
 # (n, modulus): n = 3..11 with the default modulus, and a second one at n = 7
 FIELDS = [(3, None), (5, None), (7, None), (7, 0x89), (9, None), (11, None)]
@@ -142,31 +140,22 @@ def test_every_changed_byte_of_the_blocks_is_rejected(n):
 
 def test_every_cut_after_the_key_is_malformed():
     # a cut within a seed's digits is a truncated file, not a forbidden seed
-    fam = build_family(cached_field(5))
-    for data, error in (
-        (b"".join(family_json_chunks(fam)), MalformedFamilyError),
-        (b"".join(design_json_chunks(develop(fam))), QdfError),
-    ):
-        for cut in range(data.index(b"[") - 2, len(data)):
-            with pytest.raises(QdfError) as exc:
-                _read(data[:cut])
-            assert type(exc.value) is error
+    data = b"".join(family_json_chunks(build_family(cached_field(5))))
+    for cut in range(data.index(b"[") - 2, len(data)):
+        with pytest.raises(MalformedFamilyError):
+            _read(data[:cut])
 
 
 def test_design_and_gdd_dict_shapes():
+    # the design's orbits are written only inside a gdd file
     f = cached_field(9)
-    fam = build_family(f)
-    design = develop(fam)
-    dd = json.loads(b"".join(design_json_chunks(design)))
-    assert list(dd.keys()) == ["n", "modulus", "v", "k", "lambda", "orbits"]
-    assert dd["v"] == 511 and dd["k"] == 7
-    reps = {(o["length"], o["replication"]) for o in dd["orbits"]}
-    assert (73, 7) in reps and (511, 1) in reps
-
-    rf = build_relative_family(fam)
+    rf = build_relative_family(build_family(f))
     gd = json.loads(b"".join(gdd_json_chunks(desarguesian_spread(f), develop(rf), {})))
     assert list(gd.keys()) == ["n", "modulus", "g", "lambda", "spread", "orbits"]
     assert gd["g"] == 3 and len(gd["spread"]) == 73 and len(gd["orbits"]) == 84
+    assert all(list(o.keys()) == ["rep", "length", "replication"] for o in gd["orbits"])
+    reps = {(o["length"], o["replication"]) for o in gd["orbits"]}
+    assert reps == {(511, 1)}
 
 
 def test_report_dict_contains_no_timing():
@@ -385,55 +374,16 @@ def _odd_and_empty_designs(f, design):
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None])
-def test_design_writer_matches_json_dumps(monkeypatch, chunk):
-    from qdf.serialize import _orbit_rows
-
-    designs = [develop(build_family(cached_field(n))) for n in (3, 9, 15)]
-    f = cached_field(9)
-    designs += _odd_and_empty_designs(f, develop(build_relative_family(build_family(f))))
-    for d in designs:
-        _rows_per_chunk(monkeypatch, chunk, _orbit_rows(d))
-        assert b"".join(design_json_chunks(d)) == _json_dumps(design_dict(d))
-
-
-@pytest.mark.parametrize("chunk", [1, 3, None])
 def test_read_artifact_inverts_the_writers(monkeypatch, chunk):
-    from qdf.serialize import _block_rows, _orbit_rows
+    from qdf.serialize import _block_rows
 
-    f = cached_field(9)
     fams = [build_family(cached_field(n)) for n in (3, 9, 15)] + [full_family(cached_field(5))]
-    fams.append(DifferenceFamily(f, (), lambda_claim=-3))
-    relative = develop(build_relative_family(build_family(f)))
-    designs = [develop(fam) for fam in fams[:3]] + [relative, develop(fams[-1])]
+    fams.append(DifferenceFamily(cached_field(9), (), lambda_claim=-3))
     for fam in fams:
         _rows_per_chunk(monkeypatch, chunk, _block_rows(fam.slots, fam.ctx.n))
         back = _read(b"".join(family_json_chunks(fam)))
         assert type(back) is DifferenceFamily and back.ctx == fam.ctx
         assert back.lambda_claim == fam.lambda_claim and back.slots.tolist() == fam.slots.tolist()
-    for d in designs:
-        _rows_per_chunk(monkeypatch, chunk, _orbit_rows(d))
-        back = _read(b"".join(design_json_chunks(d)))
-        assert type(back) is type(d) and back.ctx == d.ctx and back.lambda_claim == d.lambda_claim
-        assert back.slots.dtype == np.int32 and back.slots.tolist() == d.slots.tolist()
-        assert back.length.tolist() == list(d.length)
-        assert back.replication.tolist() == list(d.replication)
-    # a design is read as the development of its reps: orbits of another
-    # length or replication are not
-    odd = _odd_and_empty_designs(f, relative)[0]
-    with pytest.raises(QdfError, match=f"^orbit 0 {NOT_THE_WRITERS}"):
-        _read(b"".join(design_json_chunks(odd)))
-
-
-def test_every_changed_rep_digit_of_a_design_is_rejected():
-    d = develop(build_family(cached_field(5)))
-    data = b"".join(design_json_chunks(d))
-    reps = re.finditer(rb'\n        "([0-9a-f]+)"', data)
-    digits = [at for m in reps for at in range(*m.span(1))]
-    assert len(digits) == 7 * 2 * len(d.slots)
-    for i, at in enumerate(digits):
-        changed = data[:at] + b"%x" % (int(data[at : at + 1], 16) ^ 1) + data[at + 1 :]
-        with pytest.raises(QdfError, match=f"^orbit {i // 14} {NOT_THE_WRITERS}"):
-            _read(changed)
 
 
 def test_every_writer_yields_only_bytes():
@@ -443,7 +393,6 @@ def test_every_writer_yields_only_bytes():
     spread, design = desarguesian_spread(f), develop(rel)
     writers = [
         family_json_chunks(fam),
-        design_json_chunks(develop(fam)),
         gdd_json_chunks(spread, design, {"report": report_to_dict(verify_gdd(design), 9)}),
         certificates_json_chunks(f, certificate_table(f, f.seeds())),
         profile_csv_chunks(multiplicity_profile(fam), 9),
@@ -537,12 +486,14 @@ def test_writer_chunks_hold_the_byte_bound_and_one_row(monkeypatch, chunk):
 
     f = cached_field(9)
     fam = build_family(f)
+    spread, design = desarguesian_spread(f), develop(build_relative_family(fam))
     tab = certificate_table(f, f.seeds())
+    # each writer with its rows, a count per list of them
     writers = [
-        (family_json_chunks, (fam,), len(fam.slots)),
-        (design_json_chunks, (develop(fam),), len(fam.slots)),
-        (certificates_json_chunks, (f, tab), len(tab.ts)),
-        (profile_csv_chunks, (multiplicity_profile(full_family(f)), 9), f.order - 2),
+        (family_json_chunks, (fam,), [len(fam.slots)]),
+        (gdd_json_chunks, (spread, design, {}), [len(spread), len(design.slots)]),
+        (certificates_json_chunks, (f, tab), [len(tab.ts)]),
+        (profile_csv_chunks, (multiplicity_profile(full_family(f)), 9), [f.order - 2]),
     ]
     for writer, args, rows in writers:
         monkeypatch.setattr(serialize, "_CHUNK_BYTES", 1)
@@ -551,9 +502,11 @@ def test_writer_chunks_hold_the_byte_bound_and_one_row(monkeypatch, chunk):
         one_chunk = list(writer(*args))
         monkeypatch.setattr(serialize, "_CHUNK_BYTES", chunk)
         chunks = list(writer(*args))
-        # the pieces before the rows (a header, the list's "[") and after
+        # the pieces before the rows (a header, the list's "[") and after,
+        # and the three between two lists (a "]", the next key, a "[")
         head, tail = (1, 0) if writer is profile_csv_chunks else (2, 2)
-        assert len(one_row_each) == head + rows + tail and len(one_chunk) == head + 1 + tail
+        pieces = head + tail + 3 * (len(rows) - 1)
+        assert len(one_row_each) == pieces + sum(rows) and len(one_chunk) == pieces + len(rows)
         assert b"".join(one_row_each) == b"".join(one_chunk) == b"".join(chunks)
         longest = max(map(len, one_row_each[head : len(one_row_each) - tail]))
         assert max(map(len, chunks[head : len(chunks) - tail])) <= chunk + longest
