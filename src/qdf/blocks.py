@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ForbiddenSeedError
-from .gf2n import GF2n
+from .gf2n import GF2n, wrap_log
 
 # GF(2)[z] shape of each block slot (bit k = coefficient of z^k); slot i
 # of B_x is this polynomial evaluated at x.
@@ -39,7 +39,8 @@ _HEXAGON_CHUNK = 1 << 13
 
 def _inverses(ctx: GF2n, x: np.ndarray) -> np.ndarray:
     """1/x for every unit of the int array x, as int32."""
-    return ctx.exp2[ctx.order - 1 - ctx.logs[x]]
+    v = ctx.order - 1
+    return ctx.exp[wrap_log(v - ctx.logs[x], v)]
 
 
 def hexagon_reps(ctx: GF2n) -> np.ndarray:
@@ -58,7 +59,8 @@ def hexagon_reps(ctx: GF2n) -> np.ndarray:
     k = 0
     for lo in range(2, ctx.order, 2 * _HEXAGON_CHUNK):
         hi = min(lo + 2 * _HEXAGON_CHUNK, ctx.order)
-        inv = ctx.exp2[ctx.order - 1 - ctx.logs[lo:hi]]
+        # x > 1, so 0 < log x < 2^n - 1 and the index of 1/x needs no wrap
+        inv = ctx.exp[ctx.order - 1 - ctx.logs[lo:hi]]
         x = np.arange(lo, hi, 2, dtype=np.int32)
         x = x[x < (np.minimum(inv[0::2], inv[1::2]) & ~1)]  # the pairs are distinct
         reps[k : k + len(x)] = x
@@ -105,7 +107,7 @@ def block_slots(ctx: GF2n, seeds) -> np.ndarray:
     out = np.empty((len(x), 7), dtype=np.int32)
     out[:, 0] = 1
     out[:, 1] = x
-    out[:, 2] = ctx.exp2[2 * ctx.logs[x]]
+    out[:, 2] = ctx.exp[wrap_log(2 * ctx.logs[x], ctx.order - 1)]
     np.bitwise_xor(x, 1, out=out[:, 3])
     np.bitwise_xor(out[:, 2], 1, out=out[:, 4])
     np.bitwise_xor(out[:, 2], x, out=out[:, 5])

@@ -36,7 +36,7 @@ import numpy as np
 
 from .blocks import PAIR_I, PAIR_J
 from .family import DifferenceFamily, MultiplicityProfile, fold_differences
-from .gf2n import GF2n
+from .gf2n import GF2n, wrap_log
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,8 @@ def develop_bytes(orbits: int) -> int:
     and what the construction leaves resident per block) and one scan
     chunk's temporaries, 190-250 B per row under tracemalloc.  Fitted,
     with the pair count, to the VmHWM growth of `verify` in fresh
-    processes: 1.7, 4.0, 13.4, 57.5 and 203.5 MiB at n = 15 to 23
-    against preflight totals of 1.8, 4.3, 14.2, 54.0 and 213.0 MiB."""
+    processes: 1.6, 3.7, 11.4, 47.9 and 173.3 MiB at n = 15 to 23
+    against preflight totals of 1.7, 3.8, 12.3, 46.0 and 181.0 MiB."""
     return 200 * _SCAN_ROWS + 72 * orbits
 
 
@@ -236,8 +236,8 @@ def _first_offenders(ctx: GF2n, steps: np.ndarray, m: int) -> tuple:
         p = np.arange(p0, min(p0 + _OFFENDER_CHUNK, total))
         s = np.searchsorted(ends, p, side="right")
         c, f = p - origin[s], fold[s]
-        x = ctx.exp2[c].astype(np.int64)
-        y = ctx.exp2[c + f].astype(np.int64)
+        x = ctx.exp[c].astype(np.int64)
+        y = ctx.exp[wrap_log(c + f, ctx.order - 1)].astype(np.int64)
         keys = np.concatenate([keys, (np.minimum(x, y) * 2 + (f % m != 0)) * q + np.maximum(x, y)])
         found = np.concatenate([found, count[s]])
         if len(keys) > MAX_OFFENDERS:

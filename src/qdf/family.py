@@ -32,7 +32,7 @@ import numpy as np
 
 from .blocks import PAIR_I, PAIR_J, block_slots, hexagon_reps, int_array, max_vertices
 from .errors import DegenerateTError
-from .gf2n import GF2n
+from .gf2n import GF2n, wrap_log
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +66,11 @@ class MultiplicityProfile:
     @cached_property
     def counts(self) -> np.ndarray:
         """m(t) indexed by element encoding, as int32, built on first use."""
-        exp2, v = self.ctx.exp2, self.ctx.order - 1
+        exp, v = self.ctx.exp, self.ctx.order - 1
         counts = np.zeros(self.ctx.order, dtype=np.int32)
         counts[1] = 2 * self.hist[0]
-        counts[exp2[1 : v // 2 + 1]] = self.hist[1:]  # g^f
-        counts[exp2[v - 1 : v // 2 : -1]] = self.hist[1:]  # g^(v - f)
+        counts[exp[1 : v // 2 + 1]] = self.hist[1:]  # g^f
+        counts[exp[v - 1 : v // 2 : -1]] = self.hist[1:]  # g^(v - f)
         return counts
 
     def extremes(self) -> tuple[int, int]:
@@ -97,9 +97,9 @@ def profile_bytes(n: int) -> int:
     element, and 196 B per block of a chunk (its (7, blocks) logs and
     two (21, blocks) int32 arrays), ~0.8 MiB.  The counts by element
     encoding, 4 B per element more, are built only when read.  With the
-    tables and the slots, `construct` grows VmHWM by 1.8, 3.7, 10.7, 38.4
-    and 155.1 MiB at n = 15, 17, 19, 21 and 23 in fresh processes,
-    against preflight totals of 1.5, 3.3, 10.3, 38.3 and 150.3 MiB."""
+    tables and the slots, `construct` grows VmHWM by 1.9, 3.3, 8.9, 31.7
+    and 125.0 MiB at n = 15, 17, 19, 21 and 23 in fresh processes,
+    against preflight totals of 1.4, 2.8, 8.3, 30.3 and 118.3 MiB."""
     return 2 * (1 << n) + 196 * _PROFILE_BLOCKS
 
 
@@ -221,15 +221,23 @@ def rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, which
 
 
+def quotient_log(la, lb, lc, v: int):
+    """log(a*c/b^2) in [0, v) from the logs la, lb and lc of a, b and c,
+    ints or int32 arrays in [0, v): log a + log c and 2 log b, each
+    wrapped below v, then v plus their difference, in (0, 2v), wrapped
+    once more.  Every term stays below 2v, so an int32 holds it for
+    n <= 29."""
+    return wrap_log(wrap_log(la + lc, v) + (v - wrap_log(2 * lb, v)), v)
+
+
 def certificate_table(ctx: GF2n, ts) -> CertificateTable:
     """Solve the 18 verbatim quadratic forms at every t in ts at once.
 
     Every coefficient is 1, t or t+1, all nonzero for t outside {0, 1},
     so each equation has 0 or 2 roots, two exactly when Tr(a*c/b^2) = 0
-    (the criterion of reference.solve_quadratic).  log(a*c/b^2) is
-    log a + log c - 2 log b, in (-2v, 2v) for v = 2^n - 1; shifted by 2v
-    and folded below 2v, it indexes a table of 1 - Tr(g^k): one gather
-    per equation.
+    (the criterion of reference.solve_quadratic).  quotient_log gives
+    log(a*c/b^2) below v = 2^n - 1, an index of a table of 1 - Tr(g^k):
+    one gather per equation.
     """
     ts = int_array(ts)
     if not ts.size:
@@ -240,12 +248,12 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
             f"certificate requires 2 <= t < 2^{ctx.n}, got {int(ts[np.argmax(bad)])}"
         )
     ts = ts.astype(np.int32, copy=False)
-    v2 = np.int32(2 * (ctx.order - 1))
-    # solvable[k] = 1 - Tr(g^k) for 0 <= k < 2v: Tr(x) is the parity of
+    v = ctx.order - 1
+    # solvable[k] = 1 - Tr(g^k) for 0 <= k < v: Tr(x) is the parity of
     # x & trace_mask, folded to bit 0 by XOR shifts over every bit of an int32
-    solvable = np.empty(len(ctx.exp2), dtype=np.uint8)
-    for lo in range(0, len(solvable), _KEY_CHUNK):
-        x = ctx.exp2[lo : lo + _KEY_CHUNK] & ctx.trace_mask
+    solvable = np.empty(v, dtype=np.uint8)
+    for lo in range(0, v, _KEY_CHUNK):
+        x = ctx.exp[lo : lo + _KEY_CHUNK] & ctx.trace_mask
         for s in (16, 8, 4, 2, 1):
             x ^= x >> s
         solvable[lo : lo + _KEY_CHUNK] = ~x & 1
@@ -254,23 +262,23 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
         part = ts[lo : lo + _KEY_CHUNK]
         logs = {"1": 0, "t": ctx.logs[part], "t1": ctx.logs[part ^ 1]}
         for c, (fa, fb, fc) in enumerate(EQUATION_FORMS.values()):
-            k = logs[fa] + logs[fc] - 2 * logs[fb] + v2
-            k -= (k >= v2) * v2
+            k = quotient_log(logs[fa], logs[fb], logs[fc], v)
             keys[lo : lo + _KEY_CHUNK] |= np.left_shift(solvable.take(k), c, dtype=np.int32)
     return CertificateTable(ts, keys)
 
 
 def certificate_bytes(n: int) -> int:
     """Bytes `certify` adds over the field tables at its peak, for
-    preflight estimates: 16 per t (the table's int32 ts and keys, the
+    preflight estimates: 13 per t (the table's int32 ts and keys, the
     int32 index of each t's key among the decoded ones, and the heap that
-    rank's sort of the keys leaves), and one chunk's temporaries, ~35 B
-    per t of a chunk of _KEY_CHUNK ts under tracemalloc, which glibc
-    keeps in its heap once freed and the writer's 256 KiB chunks reuse.
-    With the tables, `certify` grows VmHWM by 2.4-2.5, 6.1-6.2, 15.0-15.2
-    and 55.8-55.9 MiB at n = 15, 17, 19 and 21 in fresh processes,
-    against preflight totals of 2.2, 5.9, 16.4 and 58.4 MiB."""
-    return 16 * (1 << n) + 35 * min(1 << n, _KEY_CHUNK)
+    rank's sort of the keys leaves), one chunk's temporaries, ~35 B per t
+    of a chunk of _KEY_CHUNK ts under tracemalloc, which glibc keeps in
+    its heap once freed, and 512 KiB for the writer's 256 KiB chunk and
+    the bytes made of it, which do not fit in that heap at n = 15.  With
+    the tables, `certify` grows VmHWM by 2.3-2.5, 5.4-5.6, 12.5 and
+    43.4 MiB at n = 15, 17, 19 and 21 in fresh processes, against
+    preflight totals of 2.5, 5.5, 13.4 and 44.9 MiB."""
+    return 13 * (1 << n) + 35 * min(1 << n, _KEY_CHUNK) + 2**19
 
 
 # -- family constructors ------------------------------------------------------

@@ -47,7 +47,7 @@ def desarguesian_spread(ctx: GF2n) -> np.ndarray:
     """
     check_residue(ctx.n)
     m = (ctx.order - 1) // 7
-    cosets = np.sort(ctx.exp2[np.arange(m)[:, None] + m * np.arange(7)], axis=1)
+    cosets = np.sort(ctx.exp[np.arange(m)[:, None] + m * np.arange(7)], axis=1)
     return cosets[np.argsort(cosets[:, 0])]
 
 
@@ -61,7 +61,7 @@ def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
     ctx = fam.ctx
     check_residue(ctx.n)
     m = (ctx.order - 1) // 7
-    kstar = np.sort(ctx.exp2[: 7 * m : m])
+    kstar = np.sort(ctx.exp[: 7 * m : m])
     # a row equal to K* = <g^m> has its slot-1 element in K*: only those
     # rows are sorted and compared with it
     rows = np.flatnonzero(ctx.logs[fam.slots[:, 1]] % m == 0)
@@ -81,11 +81,11 @@ def verify_relative(fam: DifferenceFamily, profile=None) -> VerificationReport:
     ctx, lam = fam.ctx, fam.lambda_claim
     v = ctx.order - 1
     m = v // max(len(fam.forbidden), 1)  # an ordinary family avoids {1}
-    if fam.forbidden | {1} != frozenset(ctx.exp2[:v:m].tolist()):
+    if fam.forbidden | {1} != frozenset(ctx.exp[:v:m].tolist()):
         raise ValueError("the forbidden set is not a subgroup of the units")
     hist = (profile or multiplicity_profile(fam)).hist
     outside, zero_ok, bad = fold_verdicts(hist, m, lam, [0])  # t = 1 is not checked
-    ts = np.concatenate([ctx.exp2[bad], ctx.exp2[v - bad]])  # g^f and g^(v - f), hist[f] each
+    ts = np.concatenate([ctx.exp[bad], ctx.exp[v - bad]])  # g^f and g^(v - f), hist[f] each
     first = np.argsort(ts)[:MAX_OFFENDERS]
     counts = np.concatenate([hist[bad], hist[bad]])[first]
     offenders = tuple(map(QuotientOffender, ts[first].tolist(), counts.tolist()))

@@ -14,11 +14,15 @@ memoryviews, so they do not pickle.
 
 Multiplicative structure: exp/log tables are built on the smallest
 generator of the cyclic group GF(2^n)*, the first g with g^((2^n-1)/p) != 1
-for every prime p dividing 2^n - 1.  The exp table is filled as arrays, a
-block of powers at a time; the doubled exp table makes mul/div/inv
-modulo-free.  x -> c*x is GF(2)-linear, so its table is built from its
-images of the basis z^i by doubling (_linear_table); the trace of z^i
-sums the n Frobenius images of z^i.
+for every prime p dividing 2^n - 1.  The exp table holds the 2^n - 1
+powers once, doubled in length a step at a time, exp[d:2d] = g^d *
+exp[:d].  x -> c*x is GF(2)-linear, so it is applied as the XOR of two
+split tables of 2^ceil(n/2) and 2^floor(n/2) entries, on the low and
+the high bits of x, each doubled once per image of a basis element z^i
+(_split_tables).  An index of the exp table that reaches past its end,
+a sum of two logs, a doubled log or 2^n - 1 minus a log, comes back
+below it through wrap_log, one subtraction and no division.  The trace
+of z^i sums the n Frobenius images of z^i.
 """
 
 from __future__ import annotations
@@ -40,14 +44,34 @@ from .errors import (
 def table_bytes(n: int) -> int:
     """Peak bytes of the tables GF2n(n) builds, for preflight estimates.
 
-    Three int32 words per element, the tables the field keeps: exp2, two
-    words, and logs.  The exp table's fill stays within them, its
-    x -> c*x tables in pages of exp2 not yet written, and log_table
-    scatters _LOG_CHUNK logs at a time, adding one chunk of int32 values
-    and numpy's 64 KiB buffer of 8,192 indices cast to intp.  The sqrt
-    and half-trace tables of `qdf.reference` serve tests and demos only.
+    Two int32 words per element, the tables the field keeps: exp and
+    logs.  log_table scatters _LOG_CHUNK logs at a time, adding one chunk
+    of int32 values and numpy's 64 KiB buffer of 8,192 indices cast to
+    intp.  One int32 chunk of _DOUBLING_CHUNK powers stands for what the
+    exp table's build leaves in the heap: its doublings' temporaries,
+    three such chunks, are freed before the logs exist, and its split
+    tables and walk hold 2^ceil(n/2) ints or fewer.  In fresh processes,
+    with every array in fresh pages, GF2n(n) grows anonymous RSS by 396,
+    1,164 and 4,244 KiB at n = 15, 17 and 19: 8 B per element and
+    140-148 KiB.  The sqrt and half-trace tables of `qdf.reference` serve
+    tests and demos only.
     """
-    return 3 * 4 * (1 << n) + 4 * _LOG_CHUNK + 8192 * 8
+    return 2 * 4 * (1 << n) + 4 * _LOG_CHUNK + 4 * _DOUBLING_CHUNK + 8192 * 8
+
+
+def wrap_log(k, v: int):
+    """k mod v for every k in [0, 2v), with no division: k - v where
+    k >= v.  A sum of two logs, a doubled log or v minus a log, each
+    below 2v, so becomes an index of the exp table of the v units.  An
+    int gives an int; an int array is wrapped in place, in its own
+    dtype, and returned.  Read as unsigned, k - v wraps past 0 to more
+    than k when k < v, so the array's wrapped value is the smaller of k
+    and k - v: two passes, with no mask."""
+    if isinstance(k, np.ndarray):
+        u = k.view(k.dtype.str.replace("i", "u"))
+        np.minimum(u, u - v, out=u)
+        return k
+    return k - v if k >= v else k
 
 
 def poly_degree(p: int) -> int:
@@ -102,52 +126,66 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-def _linear_table(images) -> np.ndarray:
-    """The table of the GF(2)-linear map sending z^i to images[i], over
-    all 2^len(images) elements, as int32: t[x + 2^i] = t[x] ^ images[i]
-    for x < 2^i, one doubling per basis image."""
-    t = np.zeros(1 << len(images), dtype=np.int32)
-    for i, image in enumerate(images):
-        np.bitwise_xor(t[: 1 << i], image, out=t[1 << i : 2 << i])
-    return t
-
-
-def _times_table(c: int, m: int) -> np.ndarray:
-    """t[x] = c * x modulo m for every x of degree below deg(m), as int32;
-    the basis images z^i * c come by shift-and-reduce."""
+def _split_tables(c: int, m: int) -> tuple[list[int], list[int]]:
+    """The split tables lo and hi of x -> c * x modulo m, n = deg(m), as
+    int lists of 2^h and 2^(n - h) entries, h = ceil(n/2), with
+    c * x = lo[x & (2^h - 1)] ^ hi[x >> h] for every x of degree below
+    n.  Each table doubles once per basis image z^i * c, which comes by
+    shift-and-reduce: lo's for i < h, hi's for the rest."""
     n = poly_degree(m)
-    images = []
-    for _ in range(n):
-        images.append(c)
+    lo, hi = [0], [0]
+    for i in range(n):
+        t = lo if i < (n + 1) // 2 else hi
+        t += [x ^ c for x in t]
         c <<= 1
         if c >> n:
             c ^= m
-    return _linear_table(images)
+    return lo, hi
+
+
+# Powers per chunk of _exp_table's doublings; bounds their int32 temporaries.
+_DOUBLING_CHUNK = 1 << 13
+
+# Powers that _exp_table walks at least, the whole table below n = 9: a
+# step of the walk costs about 1/100 of a doubling's numpy calls.
+_WALK = 1 << 7
 
 
 def _exp_table(g: int, m: int) -> np.ndarray:
-    """The doubled exp table of g modulo m: exp2[i] = g^(i mod (2^n - 1))
-    for 0 <= i < 2(2^n - 1), n = deg(m), as int32.
+    """The exp table of g modulo m: exp[i] = g^i for 0 <= i < 2^n - 1,
+    n = deg(m), as int32.
 
-    The first K = 2^ceil(n/2) powers walk x -> g*x; then block by block
-    exp[i+K] = g^K * exp[i], one lookup in the table of x -> g^K * x per
-    block of K.
+    The first 2^ceil(n/2) powers, or _WALK if more, walk x -> g * x
+    through the split tables of g.  Then the table doubles,
+    exp[d:2d] = g^d * exp[:d], through the split tables of g^d,
+    _DOUBLING_CHUNK powers at a time; the tables of g^(2d) are those of
+    g^d applied to themselves, the map x -> g^d * x taken twice.
     """
     n = poly_degree(m)
     units = (1 << n) - 1
-    K = 1 << (n + 1) // 2
-    exp2 = np.empty(2 * units, dtype=np.int32)
-    times = _times_table(g, m)
-    v = 1
-    for i in range(K):
-        exp2[i] = v
-        v = int(times[v])
-    times = _times_table(v, m)
-    for lo in range(K, units, K):
-        hi = min(lo + K, units)
-        exp2[lo:hi] = times.take(exp2[lo - K : hi - K])
-    exp2[units:] = exp2[:units]
-    return exp2
+    h = (n + 1) // 2
+    K = 1 << h
+    lo, hi = _split_tables(g, m)
+    powers = [1]
+    for _ in range(min(max(K, _WALK), units)):
+        x = powers[-1]
+        powers.append(lo[x & (K - 1)] ^ hi[x >> h])
+    d = len(powers) - 1
+    exp = np.empty(units, dtype=np.int32)
+    exp[:d] = powers[:d]
+    if d < units:
+        lo, hi = _split_tables(powers[d], m)
+        t = np.array(lo + hi, dtype=np.int32)
+    while d < units:
+        lo, hi = t[:K], t[K:]
+        top = min(d, units - d)
+        for a in range(0, top, _DOUBLING_CHUNK):
+            x = exp[a : min(a + _DOUBLING_CHUNK, top)]
+            np.bitwise_xor(lo.take(x & (K - 1)), hi.take(x >> h), out=exp[d + a : d + a + len(x)])
+        d *= 2
+        if d < units:
+            t = np.bitwise_xor(lo.take(t & (K - 1)), hi.take(t >> h))
+    return exp
 
 
 # Logs per chunk of log_table's scatter; bounds its int32 values.
@@ -195,14 +233,19 @@ def smallest_irreducible(n: int) -> int:
 
 
 def _frobenius_walks(ctx: GF2n) -> list[list[int]]:
-    """walks[i][j] = (z^i)^(2^j) for i, j < n, by repeated squaring: the
-    trace of z^i sums walk i, its square root is the walk's last entry
-    and its half-trace the sum of its even entries."""
+    """walks[i][j] = (z^i)^(2^j) = g^(2^j k) for i, j < n, k the log of
+    z^i: doubling a log modulo 2^n - 1 rotates its n bits left, so the
+    walk reads the exp table at the n rotations of k.  The trace of z^i sums
+    walk i, its square root is the walk's last entry and its half-trace
+    the sum of its even entries."""
+    n, exp, v = ctx.n, ctx._exp, ctx.order - 1
     walks = []
-    for i in range(ctx.n):
-        walk = [1 << i]
-        for _ in range(ctx.n - 1):
-            walk.append(ctx.sqr(walk[-1]))
+    for i in range(n):
+        k = ctx._log[1 << i]
+        walk = []
+        for _ in range(n):
+            walk.append(exp[k])
+            k = (k << 1 | k >> (n - 1)) & v
         walks.append(walk)
     return walks
 
@@ -252,9 +295,9 @@ class GF2n:
         )
 
         self.generator = g
-        self.exp2 = _exp_table(g, mod)
-        self.logs = log_table(self.exp2[:m], q)
-        self._exp = memoryview(self.exp2)
+        self.exp = _exp_table(g, mod)
+        self.logs = log_table(self.exp, q)
+        self._exp = memoryview(self.exp)
         self._log = memoryview(self.logs)
 
         images = [reduce(xor, walk) for walk in _frobenius_walks(self)]
@@ -267,24 +310,24 @@ class GF2n:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self._exp[wrap_log(self._log[a] + self._log[b], self.order - 1)]
 
     def sqr(self, a: int) -> int:
         if a == 0:
             return 0
-        return self._exp[2 * self._log[a]]
+        return self._exp[wrap_log(2 * self._log[a], self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverseError("zero has no multiplicative inverse")
-        return self._exp[self.order - 1 - self._log[a]]
+        return self._exp[wrap_log(self.order - 1 - self._log[a], self.order - 1)]
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise ZeroInverseError("division by zero")
         if a == 0:
             return 0
-        return self._exp[self._log[a] - self._log[b] + self.order - 1]
+        return self._exp[wrap_log(self._log[a] - self._log[b] + self.order - 1, self.order - 1)]
 
     def trace(self, a: int) -> int:
         """Absolute trace sum(a^(2^i), i < n), valued in {0, 1}."""

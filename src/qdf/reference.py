@@ -21,12 +21,24 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor
 
+import numpy as np
+
 from .blocks import SLOT_MASKS, _check_seed
 from .errors import AllZeroCoefficientsError, DegenerateTError
 from .family import EQUATION_FORMS, MATCHED_PAIRS
-from .gf2n import GF2n, _frobenius_walks, _linear_table, poly_degree, poly_mod
+from .gf2n import GF2n, _frobenius_walks, poly_degree, poly_mod
 
 # -- square roots, half-traces and quadratics ---------------------------------
+
+
+def _linear_table(images) -> np.ndarray:
+    """The table of the GF(2)-linear map sending z^i to images[i], over
+    all 2^len(images) elements, as int32: t[x + 2^i] = t[x] ^ images[i]
+    for x < 2^i, one doubling per basis image."""
+    t = np.zeros(1 << len(images), dtype=np.int32)
+    for i, image in enumerate(images):
+        np.bitwise_xor(t[: 1 << i], image, out=t[1 << i : 2 << i])
+    return t
 
 
 @lru_cache(maxsize=16)

@@ -119,15 +119,16 @@ def power_walk(n: int, modulus: int) -> tuple[int, list[int], list[int]]:
     raise AssertionError("no generator found")
 
 
-def frobenius_tables(exp2, logs, n: int) -> dict[str, np.ndarray]:
+def frobenius_tables(exp, logs, n: int) -> dict[str, np.ndarray]:
     """Squaring, trace, sqrt and half-trace tables of GF(2^n) by whole-field
-    passes of the squaring permutation sq[x] = exp2[2 log x]: the trace is
-    x ^ sq(x) ^ ... over n - 1 passes, the half-trace the same over
-    (n - 1)/2 double passes, and sqrt the inverse permutation of sq."""
+    passes of the squaring permutation sq[x] = exp[2 log x mod (2^n - 1)]:
+    the trace is x ^ sq(x) ^ ... over n - 1 passes, the half-trace the
+    same over (n - 1)/2 double passes, and sqrt the inverse permutation
+    of sq."""
     q = 1 << n
     x = np.arange(q, dtype=np.int64)
     sq = np.zeros(q, dtype=np.int64)
-    sq[1:] = exp2[2 * logs[1:].astype(np.int64)]
+    sq[1:] = exp[2 * logs[1:].astype(np.int64) % (q - 1)]
     trace, cur = x.copy(), x
     for _ in range(n - 1):
         cur = sq[cur]
@@ -169,12 +170,12 @@ def materialize(d) -> list[frozenset[int]]:
     """Every developed block of a Design as a frozenset, with
     multiplicity, walked with the field's exp/log tables; for desk-scale
     cross-checks (n <= 9)."""
-    exp2, logs = d.ctx.exp2, d.ctx.logs
+    exp, logs, v = d.ctx.exp, d.ctx.logs, d.ctx.order - 1
     out = []
     for rep, length, replication in d.orbit_rows():
         base_logs = [int(logs[e]) for e in rep]
         for s in range(length):
-            blk = frozenset(int(exp2[l + s]) for l in base_logs)
+            blk = frozenset(int(exp[(l + s) % v]) for l in base_logs)
             out.extend([blk] * replication)
     return out
 

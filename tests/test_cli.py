@@ -84,16 +84,16 @@ def test_preflight_estimate_matches_counter(capsys):
     )
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
-    # table_bytes(15) = 12 * 2^15 + 4 * 2^15 + 8 * 8192 = 589,824 bytes
-    # (0.56 MiB: the three table words, a chunk of 2^15 logs and numpy's
-    # index buffer);
+    # table_bytes(15) = 8 * 2^15 + 4 * 2^15 + 4 * 2^13 + 8 * 8192 = 491,520
+    # bytes (0.47 MiB: the two table words, a chunk of 2^15 logs, a chunk
+    # of 2^13 doubled powers and numpy's index buffer);
     # for 5461 orbits, develop_bytes = 200 * 4096 + 72 * 5461 = 1,212,392
     # (1.16 MiB: a scan chunk and the orbits); the largest stage is the
     # pair count, pair_count_bytes = 5 * 2^14 + 2^14 = 98,304 (0.09 MiB):
-    # 1,900,520 bytes (1.81 MiB) in all
-    assert "~0.6 MiB of field tables" in warning
+    # 1,802,216 bytes (1.72 MiB) in all
+    assert "~0.5 MiB of field tables" in warning
     assert "~1.2 MiB for the development and ~0.1 MiB for the largest stage" in warning
-    assert "~1.8 MiB in all" in warning
+    assert "~1.7 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
 
@@ -102,7 +102,7 @@ def test_preflight_counts_no_pairs_without_pair_counting(capsys, command):
     code, _, stderr = run_cli(capsys, command, "--n", "15", "--force", "--modulus", "0x8000")
     assert code == 2
     warning = stderr.strip().split("\n")[0]
-    assert "~0.6 MiB of field tables" in warning
+    assert "~0.5 MiB of field tables" in warning
     assert "largest stage" not in warning
 
 
@@ -112,9 +112,9 @@ def test_preflight_of_construct_counts_family_and_profile(capsys):
     warning = stderr.strip().split("\n")[0]
     # 28 * 5461 = 152,908 bytes of slots; 2 * 2^15 + 196 * 4096 = 868,352
     # for the profile (its half-field histogram and a chunk of 4096
-    # blocks); with the tables 1,611,084 bytes (1.54 MiB) in all
+    # blocks); with the tables 1,512,780 bytes (1.44 MiB) in all
     assert "~0.1 MiB for the family and ~0.8 MiB for the profile" in warning
-    assert "~1.5 MiB in all" in warning
+    assert "~1.4 MiB in all" in warning
 
 
 def test_preflight_of_certify_names_the_report_size(capsys, tmp_path):
@@ -131,9 +131,9 @@ def test_preflight_of_certify_names_the_report_size(capsys, tmp_path):
 @pytest.mark.parametrize("n", [15, 17, 19])
 def test_preflight_table_estimate_matches_measured_rss(n):
     # peak anonymous RSS growth of building GF2n(n) in a fresh process,
-    # against the figure the preflight prints (0.56 MiB at n = 15).  It
-    # reads 524, 1,676 and 6,284 KiB at n = 15, 17 and 19, against 576,
-    # 1,728 and 6,336: the three table words per element and a chunk of
+    # against the figure the preflight prints (0.47 MiB at n = 15).  It
+    # reads 396, 1,164 and 4,244 KiB at n = 15, 17 and 19, against 480,
+    # 1,248 and 4,320: the two table words per element and a chunk of
     # 2^15 logs, not the log scatter's 64 KiB index buffer, which lives
     # within one numpy call.
     # - GF2n(5) first imports and warms up everything the build runs.
@@ -225,8 +225,8 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 @pytest.mark.parametrize("n", [15, 21])
 def test_preflight_total_matches_measured_rss_of_gdd(n):
     # the largest stage is the writer's chunks at n = 15 and the pair
-    # count at n = 21: VmHWM grows by 2.8 and 63.0 MiB, against printed
-    # totals of 2.8 and 62.0 MiB
+    # count at n = 21: VmHWM grows by 2.8-3.0 and 55.3 MiB, against
+    # printed totals of 2.7 and 54.0 MiB
     measured, total = _measured_and_printed("gdd", n)
     assert 0.75 * total < measured < 1.25 * total
 

@@ -82,7 +82,7 @@ def _kstar_cosets(f, whole):
     logs = np.arange(m)[:, None] + m * np.arange(7)
     if not whole:
         logs[:, 6] += 1
-    return DifferenceFamily(f, f.exp2[logs], 7)
+    return DifferenceFamily(f, f.exp[logs % (f.order - 1)], 7)
 
 
 def _one_changed(f, rows, seed):
@@ -202,7 +202,7 @@ def _full_counter(f, d):
 
 def _pair_at(f, fold, col):
     """The encoding pair (u, w), u < w, counted at (fold, col)."""
-    x, y = int(f.exp2[col]), int(f.exp2[col + fold])
+    x, y = int(f.exp[col]), int(f.exp[(col + fold) % (f.order - 1)])
     return min(x, y), max(x, y)
 
 
@@ -387,10 +387,9 @@ def _small_bands(f, orbits, width=3):
     """Each orbit cut into consecutive bands of `width` blocks: orbits whose
     representatives are the orbit's rep scaled by g^s, s = 0, width, ....
     One band's -w and the next one's +w fall on the same key."""
-    exp2 = f.exp2
     return tuple(
         Orbit(
-            tuple(f.mul(int(exp2[s]), e) for e in o.rep),
+            tuple(f.mul(int(f.exp[s]), e) for e in o.rep),
             min(width, o.length - s),
             o.replication,
         )
@@ -512,7 +511,7 @@ def _last_row_in_a_met_groop(fam):
     of K* of its slot 1: that row alone is no subspace, and meets a
     groop twice."""
     f, slots = fam.ctx, fam.slots.copy()
-    slots[-1, 0] = f.exp2[f.logs[slots[-1, 1]] + (f.order - 1) // 7]
+    slots[-1, 0] = f.exp[(f.logs[slots[-1, 1]] + (f.order - 1) // 7) % (f.order - 1)]
     return slots
 
 
@@ -638,7 +637,7 @@ def _cut_orbits(draw, n):
     orbits = []
     for o in draw(st.lists(st.sampled_from(d.orbits), min_size=1, max_size=5)):
         s = draw(st.integers(0, v - 1))
-        rep = tuple(f.mul(int(f.exp2[s]), e) for e in o.rep)
+        rep = tuple(f.mul(int(f.exp[s]), e) for e in o.rep)
         # the first column of one of its runs: the smaller log, or the
         # larger one when the pair's gap exceeds (v - 1) / 2
         li, lj = sorted(int(f.logs[e]) for e in draw(st.permutations(rep))[:2])

@@ -87,7 +87,7 @@ def test_build_relative_family_finds_kstar_in_any_slot_order():
     # found whatever the order of its slots
     f = cached_field(9)
     m = (f.order - 1) // 7
-    kstar = f.exp2[: 7 * m : m]
+    kstar = f.exp[: 7 * m : m]
     rows = build_family(f).slots[:3].copy()
     rows[0, 1] = kstar[2]
     assert set(rows[0].tolist()) != set(kstar.tolist())
@@ -198,7 +198,7 @@ def test_block_groop_meet_puts_0_in_no_groop():
     f = cached_field(9)
     sp = desarguesian_spread(f)
     groop_of = _groop_of(sp)
-    g = [int(x) for x in f.exp2[:511]]
+    g = [int(x) for x in f.exp[:511]]
     rows = {
         "0 beside g^72": [0, g[72], g[1], g[2], g[3], g[4], g[5]],
         "0 twice": [0, 0, g[1], g[2], g[3], g[4], g[5]],

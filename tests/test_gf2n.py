@@ -18,7 +18,9 @@ from qdf import (
     smallest_irreducible,
 )
 from qdf import gf2n
-from qdf.gf2n import log_table
+from qdf.cli import HARD_N_CEILING
+from qdf.family import quotient_log
+from qdf.gf2n import log_table, wrap_log
 from qdf.reference import block_of, half_trace, hexagon_of, solve_quadratic, sqrt
 from oracles import (
     brute_inverse,
@@ -213,7 +215,7 @@ def test_sqrt_roundtrip_exhaustive(n):
 def test_linear_tables_match_frobenius_oracle(n):
     f = GF2n(n)
     q = f.order
-    want = frobenius_tables(f.exp2, f.logs, n)
+    want = frobenius_tables(f.exp, f.logs, n)
     assert f.trace_mask == sum(int(want["trace"][1 << i]) << i for i in range(n))
     assert np.array_equal(np.fromiter(map(f.trace, range(q)), np.int64, q), want["trace"])
     assert np.array_equal(np.fromiter((sqrt(f, x) for x in range(q)), np.int64, q), want["sqrt"])
@@ -236,7 +238,7 @@ def test_trace_and_sqrt_tables_built_on_first_use(n):
     # the field keeps its trace as one int, bit i the trace of z^i, and no
     # sqrt or half-trace table, which qdf.reference builds on first use
     f = GF2n(n)
-    want = frobenius_tables(f.exp2, f.logs, n)
+    want = frobenius_tables(f.exp, f.logs, n)
     q = f.order
     assert type(f.trace_mask) is int
     assert f.trace_mask == sum(int(want["trace"][1 << i]) << i for i in range(n))
@@ -368,13 +370,13 @@ def test_tables_match_scalar_power_walk(n, modulus):
     f = GF2n(n, modulus)
     g, exp, log = power_walk(n, f.modulus)
     assert f.generator == g
-    assert f.exp2.tolist() == exp + exp
+    assert f.exp.tolist() == exp
     assert f.logs.tolist() == log
 
 
 def test_corrupted_exp_table_is_rejected(monkeypatch):
     f = cached_field(7)
-    exp = f.exp2[: f.order - 1]
+    exp = f.exp
     assert (log_table(exp, f.order) == f.logs).all()
     repeated = exp.copy()
     repeated[5] = repeated[6]  # one unit twice, another never
@@ -384,11 +386,19 @@ def test_corrupted_exp_table_is_rejected(monkeypatch):
         with pytest.raises(AssertionError, match="permutation"):
             log_table(bad, f.order)
 
-    # multiply-by-constant tables that are two-to-one repeat powers
-    times_table = gf2n._times_table
-    monkeypatch.setattr(gf2n, "_times_table", lambda c, m: times_table(c, m) & ~1)
-    with pytest.raises(AssertionError, match="permutation"):
-        GF2n(7)
+    # multiply-by-constant tables that are two-to-one repeat powers: every
+    # table at n = 7, whose walk covers the exp table, and at n = 13 only
+    # the tables of g^d that the doublings read, with g = 2's walk intact
+    assert cached_field(13).generator == 2
+    split_tables = gf2n._split_tables
+    for n, corrupt in ((7, lambda c: True), (13, lambda c: c != 2)):
+        monkeypatch.setattr(
+            gf2n,
+            "_split_tables",
+            lambda c, m: tuple([x & ~1 for x in t] if corrupt(c) else t for t in split_tables(c, m)),
+        )
+        with pytest.raises(AssertionError, match="permutation"):
+            GF2n(n)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
@@ -397,7 +407,7 @@ def test_chunked_log_scatter_matches_one_shot(monkeypatch, chunk):
     # directly and through the field's build, and an exp table corrupted
     # only in a later chunk than the first is still rejected
     f = cached_field(7)
-    exp = f.exp2[: f.order - 1]
+    exp = f.exp
     one_shot = np.full(f.order, -1, dtype=np.int32)
     one_shot[exp] = np.arange(f.order - 1, dtype=np.int32)
     monkeypatch.setattr(gf2n, "_LOG_CHUNK", chunk)
@@ -410,3 +420,56 @@ def test_chunked_log_scatter_matches_one_shot(monkeypatch, chunk):
     for bad in (repeated, with_zero):
         with pytest.raises(AssertionError, match="permutation"):
             log_table(bad, f.order)
+
+
+@pytest.mark.parametrize("walk", [None, 1])
+@pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+@pytest.mark.parametrize("n,modulus", [(7, None), (9, None), (11, 0xAE3), (13, None)])
+def test_chunked_exp_doubling_matches_power_walk(monkeypatch, n, modulus, chunk, walk):
+    # the exp table doubled `chunk` powers at a time equals the scalar
+    # power walk; with walk = 1 the walk takes only 2^ceil(n/2) powers, so
+    # n = 7, whose whole table the default walk covers, doubles too.  The
+    # generator is 7 at n = 9 and 0xae3's is not 2 either.
+    monkeypatch.setattr(gf2n, "_DOUBLING_CHUNK", chunk)
+    if walk is not None:
+        monkeypatch.setattr(gf2n, "_WALK", walk)
+    f = GF2n(n, modulus)
+    g, exp, log = power_walk(n, f.modulus)
+    assert f.generator == g
+    assert f.exp.tolist() == exp
+    assert f.logs.tolist() == log
+
+
+@pytest.mark.parametrize("n", [HARD_N_CEILING, 29])
+def test_wrapped_log_indexes_stay_in_int32_below_v(n):
+    # every exp index past v that the library forms, on int32 arrays of
+    # the extreme logs 0, 1, v - 2 and v - 1 and as Python ints, with no
+    # field built: each term stays below 2v, which int32 holds up to
+    # n = 29; the first odd n at which int32 wraps is 31, where 2 * logs
+    # reaches 2^32 - 4
+    v = (1 << n) - 1
+    ends = [0, 1, v - 2, v - 1]
+    a, b, c = (x.ravel() for x in np.meshgrid(*3 * [np.array(ends, dtype=np.int32)]))
+    folds = np.array([0, 1, v // 2 - 1, v // 2], dtype=np.int32).repeat(16)
+    cases = {
+        "mul": (a + b, lambda x, y, z, f: x + y),
+        "sqr, block_slots": (2 * a, lambda x, y, z, f: 2 * x),
+        "inv, _inverses": (v - a, lambda x, y, z, f: v - x),
+        "div": (a - b + v, lambda x, y, z, f: x - y + v),
+        "_first_offenders": (a + folds, lambda x, y, z, f: x + f),
+    }
+    rows = list(zip(*(x.tolist() for x in (a, b, c, folds))))
+    for name, (k, value) in cases.items():
+        assert k.dtype == np.int32 and 0 <= k.min() and k.max() < 2 * v, name
+        want = [value(*r) % v for r in rows]
+        got = wrap_log(k, v)
+        assert got.dtype == np.int32 and got.tolist() == want, name
+        assert [wrap_log(value(*r), v) for r in rows] == want, name
+    # the certificate key log(a*c/b^2), for every triple of extreme logs,
+    # and with the log 0 of the coefficient 1 as a Python int
+    want = [(x + z - 2 * y) % v for x, y, z, _ in rows]
+    got = quotient_log(a, b, c, v)
+    assert got.dtype == np.int32 and got.tolist() == want
+    assert [quotient_log(x, y, z, v) for x, y, z, _ in rows] == want
+    assert quotient_log(0, b, c, v).tolist() == [(z - 2 * y) % v for _, y, z, _ in rows]
+    assert quotient_log(a, 0, c, v).tolist() == [(x + z) % v for x, _, z, _ in rows]
