@@ -17,6 +17,8 @@ import sys
 import time
 from collections.abc import Iterable
 
+import numpy as np
+
 from . import __version__
 from .design import (
     check_qanalog,
@@ -28,9 +30,11 @@ from .design import (
 )
 from .errors import QdfError
 from .family import (
+    MultiplicityProfile,
     build_family,
     certificate_bytes,
     certificate_table,
+    folding,
     multiplicity_profile,
     profile_bytes,
 )
@@ -108,8 +112,9 @@ def _make_ctx(args) -> GF2n:
         orbits = ((1 << n) - 2) // 6  # at most (2^n - 2)/6 base blocks
         parts = [("of field tables", table_bytes(n))]
         if args.command == "construct":
-            # the (orbits, 7) int32 slots and the profile's folded histogram
-            parts += [("for the family", 7 * 4 * orbits), ("for the profile", profile_bytes(n))]
+            # the int32 seeds and the writer's chunk; the profile and a slot chunk
+            family = 4 * orbits + _CHUNK_BYTES
+            parts += [("for the family", family), ("for the profile", profile_bytes(n))]
         elif args.command == "certify":
             parts.append(("for the certificates", certificate_bytes(n)))
         else:
@@ -144,8 +149,7 @@ def _emit(args, chunks: Iterable[bytes]) -> None:
         except OSError as exc:
             raise QdfError(f"cannot write {args.out}: {exc.strerror}") from None
         with fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)  # lets each chunk go before it asks for the next
     else:
         try:
             for chunk in chunks:
@@ -162,9 +166,10 @@ def _emit(args, chunks: Iterable[bytes]) -> None:
 def _cmd_construct(args) -> int:
     ctx = _make_ctx(args)
     fam = build_family(ctx, system=args.seed_system)
-    ok = multiplicity_profile(fam).is_constant(fam.lambda_claim)
-    _emit(args, family_json_chunks(fam))
-    return 0 if ok else 1
+    # one pass: each slot chunk is folded (21 a block fit int32), then written
+    profile = MultiplicityProfile(ctx, np.zeros(ctx.order // 2, dtype=np.int32))
+    _emit(args, family_json_chunks(fam, folding(fam, profile.hist)))
+    return 0 if profile.is_constant(fam.lambda_claim) else 1
 
 
 def _cmd_verify(args) -> int:
@@ -201,11 +206,12 @@ def _cmd_certify(args) -> int:
 def _cmd_gdd(args) -> int:
     check_residue(args.n)  # before the preflight and the tables
     ctx = _make_ctx(args)
-    # the family's slots are freed once the relative family has its copy
+    # the family's seeds are freed once the relative family has its copy
     relative = build_relative_family(build_family(ctx, system=args.seed_system))
+    # the spread's temporaries peak before the profile and the development
+    groops = desarguesian_spread(ctx)
     profile = multiplicity_profile(relative)
     rel_report = verify_relative(relative, profile)
-    groops = desarguesian_spread(ctx)
     design = develop(relative, profile)
     gdd_report = verify_gdd(design)
     reports = {

@@ -1,10 +1,10 @@
 """Development of difference families into cyclic 2-designs and their
 exhaustive verification.
 
-Developments are stored orbit-compressed, as arrays: an (N, 7) slot
-array of orbit representatives, and each orbit's length (2^n - 1)/|stab|
-and replication factor |stab|.  Materializing every developed block
-would be feasible but wasteful (about 11.2M blocks at n = 13).
+Developments are stored orbit-compressed: the family of orbit
+representatives, and each orbit's length (2^n - 1)/|stab| and
+replication factor |stab| as arrays.  Materializing every developed
+block would be feasible but wasteful (about 11.2M blocks at n = 13).
 
 verify_2design counts, for every pair of points, the developed blocks
 containing both.  The pair {g^a, g^(a+f)} sits at fold f, column a, for
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import PAIR_I, PAIR_J
-from .family import DifferenceFamily, MultiplicityProfile, fold_differences
+from .family import _CHUNK_ROWS, DifferenceFamily, MultiplicityProfile, fold_differences
 from .gf2n import GF2n, wrap_log
 
 
@@ -51,12 +51,12 @@ class Orbit:
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """Row i of the (N, 7) int32 `slots` represents orbit i, of length
+    """Row i of the family `blocks` represents orbit i, of length
     length[i], each block repeated replication[i] times (int64 arrays).
     Iterating a design yields its `orbits`, built only when asked."""
 
     ctx: GF2n
-    slots: np.ndarray
+    blocks: DifferenceFamily
     length: np.ndarray
     replication: np.ndarray
     lambda_claim: int
@@ -68,7 +68,7 @@ class Design:
 
     def orbit_rows(self):
         """(representative, length, replication) of each orbit, as Python values."""
-        return zip(self.slots.tolist(), self.length.tolist(), self.replication.tolist())
+        return zip(self.blocks.slots.tolist(), self.length.tolist(), self.replication.tolist())
 
     @cached_property
     def orbits(self) -> tuple[Orbit, ...]:
@@ -82,13 +82,13 @@ class Design:
     @cached_property
     def scan(self) -> OrbitScan:
         """What the orbit checks read of the rows, from one orbit_scan."""
-        return orbit_scan(self.ctx, self.slots)
+        return orbit_scan(self.blocks)
 
     @cached_property
     def fold(self) -> np.ndarray:
         """hist[f]: how often the orbits of full length v cover every pair
         {g^a, g^(a+f)}, once per slot pair of log difference +-f, w times."""
-        return fold_differences(self.ctx, self.slots, self.replication * (self.length >= self.v))
+        return fold_differences(self.blocks, self.replication * (self.length >= self.v))
 
     def block_count(self) -> int:
         """Total number of developed blocks, with multiplicity."""
@@ -119,19 +119,19 @@ class VerificationReport:
 def develop(fam: DifferenceFamily, profile: MultiplicityProfile | None = None) -> Design:
     """Orbit-compressed development of a (relative) difference family,
     each orbit's stabilizer read off the family's orbit_scan, which the
-    design keeps for its orbit checks.  Given the family's profile, the
-    fold is read off it: every full-length orbit of a development has
-    replication 1, so it is the profile's histogram less the differences
-    of the shorter orbits."""
+    design keeps for its orbit checks (groop meets only for a relative
+    family).  Given the family's profile, the fold is read off it: every
+    full-length orbit of a development has replication 1, so it is the
+    profile's histogram less the differences of the shorter orbits."""
     ctx = fam.ctx
-    scan = orbit_scan(ctx, fam.slots)
-    replication = np.ones(len(fam.slots), dtype=np.int64)
+    scan = orbit_scan(fam, meets=bool(fam.forbidden), developed=True)
+    replication = np.ones(len(fam), dtype=np.int64)
     replication[scan.kstar] = 7
-    d = Design(ctx, fam.slots, (ctx.order - 1) // replication, replication, fam.lambda_claim)
+    d = Design(ctx, fam, (ctx.order - 1) // replication, replication, fam.lambda_claim)
     object.__setattr__(d, "scan", scan)
     if profile is not None:
-        short = fam.slots[scan.kstar]
-        fold = profile.hist - fold_differences(ctx, short) if len(short) else profile.hist
+        short = DifferenceFamily(ctx, fam.take(scan.kstar), fam.lambda_claim)
+        fold = profile.hist - fold_differences(short) if len(short) else profile.hist
         object.__setattr__(d, "fold", fold)
     return d
 
@@ -146,14 +146,13 @@ _OFFENDER_CHUNK = 1 << 16
 
 def develop_bytes(orbits: int) -> int:
     """Resident bytes that building and developing a family of `orbits`
-    base blocks adds, for preflight estimates: 72 per orbit (its 28-byte
-    slot row, 16 bytes of length and replication, 9 of its orbit_scan,
-    and what the construction leaves resident per block) and one scan
-    chunk's temporaries, 190-250 B per row under tracemalloc.  Fitted,
-    with the pair count, to the VmHWM growth of `verify` in fresh
-    processes: 1.6, 3.7, 11.4, 47.9 and 173.3 MiB at n = 15 to 23
-    against preflight totals of 1.7, 3.8, 12.3, 46.0 and 181.0 MiB."""
-    return 200 * _SCAN_ROWS + 72 * orbits
+    base blocks adds, for preflight estimates: 44 per orbit (its seed, 16
+    bytes of length and replication, 9 of its orbit_scan, 12 of profile
+    histogram and what else stays) and one scan chunk, ~228 B per row.
+    Fitted, with the pair count, to the VmHWM growth of `verify` in fresh
+    processes: 1.8, 3.4, 9.5, 37.3 and 139.7 MiB at n = 15 to 23 against
+    preflight totals of 1.7, 3.3, 10.0, 36.8 and 143.8 MiB."""
+    return 228 * _CHUNK_ROWS + 44 * orbits
 
 
 def pair_count_bytes(n: int) -> int:
@@ -181,7 +180,7 @@ def _events(d: Design) -> tuple[np.ndarray, np.ndarray]:
     short = np.flatnonzero(d.length < v)
     for lo in range(0, len(short), _EVENT_ORBITS):
         part = short[lo : lo + _EVENT_ORBITS]
-        logs = ctx.logs[d.slots[part]].astype(np.int64)
+        logs = ctx.logs[d.blocks.take(part)].astype(np.int64)
         li, lj = logs[:, PAIR_I], logs[:, PAIR_J]  # (C, 21): one run per orbit and slot pair
         gap = (lj - li) % v
         low = gap <= v // 2
@@ -310,19 +309,17 @@ def verify_2design(d: Design) -> VerificationReport:
 
 class OrbitScan(NamedTuple):
     kstar: np.ndarray  # bool per row: K* fixes it
-    hashes: np.ndarray  # int64 per row: its _gap_hash
+    hashes: np.ndarray | None  # int64 per row: its _gap_hash (None: not computed)
     subspaces: bool  # every row is a subspace minus 0
-    meets: bool  # every row meets each coset of K* at most once
+    meets: bool | None  # every row meets each coset of K* at most once (None: not checked)
 
 
-# Rows per chunk of orbit_scan; bounds its (rows, 7) temporaries.
-_SCAN_ROWS = 1 << 12
-
-
-def orbit_scan(ctx: GF2n, slots: np.ndarray) -> OrbitScan:
-    """The per-orbit claims of the rows of `slots`, _SCAN_ROWS rows at a
-    time; a row stands for its orbit, as scaling is GF(2)-linear and
-    permutes the cosets of K*.  A sorted row s is a subspace iff s0 > 0
+def orbit_scan(fam: DifferenceFamily, meets: bool = True, developed: bool = False) -> OrbitScan:
+    """The per-orbit claims of fam's rows, a slot chunk at a time; a row
+    stands for its orbit, as scaling is GF(2)-linear and permutes the
+    cosets of K*.  Meets is None unless asked for; hashes is None if the
+    family is `developed` and K* fixes a row, whose blocks then repeat:
+    check_simple reads none.  A sorted row s is a subspace iff s0 > 0
     and s is the sorted span of s0, s1 and s3: a subspace's two smallest
     nonzero elements sum to the third (s1 has the higher top bit, and
     s0 + s1 is the one other element with it).  A block's stabilizer is
@@ -330,24 +327,29 @@ def orbit_scan(ctx: GF2n, slots: np.ndarray) -> OrbitScan:
     cyclic gaps all equal v/7.  g^a and g^b share a coset of K* iff
     a = b (mod v/7): when 3 | n, a row meets each coset at most once iff
     its logs mod v/7 are distinct, and 0, in no coset, reads -1."""
+    ctx = fam.ctx
     m = (ctx.order - 1) // 7
-    kstar = np.zeros(len(slots), dtype=bool)
-    hashes = np.empty(len(slots), dtype=np.int64)
-    subspaces = meets = True
-    for lo in range(0, len(slots), _SCAN_ROWS):
-        rows = slice(lo, lo + _SCAN_ROWS)
-        s = np.sort(slots[rows], axis=1)
+    kstar = np.zeros(len(fam), dtype=bool)
+    hashes = np.empty(len(fam), dtype=np.int64)
+    subspaces, meets = True, True if meets else None
+    rows = slice(0, 0)
+    for slots in fam.chunks():
+        rows = slice(rows.stop, rows.stop + len(slots))
+        s = np.sort(slots, axis=1)
         a, b, c = s[:, 0], s[:, 1], s[:, 3]
         span = np.sort(np.stack([a, b, a ^ b, c, c ^ a, c ^ b, c ^ a ^ b], axis=1), axis=1)
         subspaces = subspaces and bool((a > 0).all() and (span == s).all())
         logs = ctx.logs.take(s)
         gaps = _cyclic_gaps(ctx, logs)
-        hashes[rows] = _gap_hash(gaps)
         if ctx.n % 3 == 0:
             kstar[rows] = (gaps == m).all(axis=1)
-            np.putmask(logs, logs >= 0, logs % m)  # each log by its coset; 0's -1 stays
-            logs.sort(axis=1)
-            meets = meets and bool((logs[:, 1:] > logs[:, :-1]).all())
+            hashes = None if developed and kstar[rows].any() else hashes
+            if meets:
+                np.putmask(logs, logs >= 0, logs % m)  # each log by its coset; 0's -1 stays
+                logs.sort(axis=1)
+                meets = bool((logs[:, 1:] > logs[:, :-1]).all())
+        if hashes is not None:
+            hashes[rows] = _gap_hash(gaps)
     return OrbitScan(kstar, hashes, subspaces, meets)
 
 
@@ -398,7 +400,7 @@ def check_simple(d: Design) -> bool:
         return True
     order = np.argsort(d.scan.hashes, kind="stable")
     grouped = np.append(same, False) | np.append(False, same)
-    logs = d.ctx.logs[d.slots[order[grouped]]]
+    logs = d.ctx.logs[d.blocks.take(order[grouped])]
     g = np.tile(_cyclic_gaps(d.ctx, logs), 2)  # every rotation is a window of 7
     labels = g[:, :7].copy()
     for k in range(1, 7):

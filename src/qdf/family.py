@@ -25,6 +25,7 @@ certificate built from one quadratic solve per equation) are in
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,23 +36,45 @@ from .errors import DegenerateTError
 from .gf2n import GF2n, wrap_log
 
 
+# Rows per slot chunk, what each pass over a family holds of its slots.
+_CHUNK_ROWS = 1 << 12
+
+
 @dataclass(frozen=True, eq=False)
 class DifferenceFamily:
     """Base blocks plus the claimed index; forbidden is empty for ordinary
     families and holds the avoided subgroup for relative ones.
 
-    The base blocks are the rows of the (N, 7) int32 array `slots`, each
-    in the slot order of block_slots; they may also be given as a
-    sequence of 7-element rows.
+    Block k is block_slots of the int32 seeds[k], kept as `rows` too when
+    they fit one chunk; a mutant has no seeds and holds the (N, 7) int32
+    `rows`, given as any 7-element rows.  Slot rows are read by chunks()
+    or take(); `slots` serves tests and demos.
     """
 
     ctx: GF2n
-    slots: np.ndarray
+    rows: np.ndarray | None
     lambda_claim: int
     forbidden: frozenset[int] = frozenset()
+    seeds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slots", np.asarray(self.slots, dtype=np.int32).reshape(-1, 7))
+        rows = np.asarray(self.rows, dtype=np.int32).reshape(-1, 7) if self.seeds is None else None
+        if self.seeds is not None and len(self.seeds) <= _CHUNK_ROWS:  # built once, not per pass
+            rows = block_slots(self.ctx, self.seeds)
+        object.__setattr__(self, "rows", rows)
+
+    def __len__(self) -> int:
+        return len(self.rows if self.seeds is None else self.seeds)
+
+    def take(self, index=slice(None)) -> np.ndarray:
+        """The slot rows at `index`, a slice or an int or boolean array."""
+        return block_slots(self.ctx, self.seeds[index]) if self.rows is None else self.rows[index]
+
+    slots = property(take)
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        for lo in range(0, len(self), _CHUNK_ROWS):
+            yield self.take(slice(lo, lo + _CHUNK_ROWS))
 
 
 @dataclass(frozen=True)
@@ -87,45 +110,49 @@ class MultiplicityProfile:
         return 2 * int(self.hist.sum())
 
 
-# Blocks per chunk of fold_differences; bounds its temporaries.
-_PROFILE_BLOCKS = 1 << 12
-
-
 def profile_bytes(n: int) -> int:
     """Bytes multiplicity_profile adds over its family at its peak, for
     preflight estimates: the int32 histogram over half the field, 2 B per
-    element, and 196 B per block of a chunk (its (7, blocks) logs and
-    two (21, blocks) int32 arrays), ~0.8 MiB.  The counts by element
-    encoding, 4 B per element more, are built only when read.  With the
-    tables and the slots, `construct` grows VmHWM by 1.9, 3.3, 8.9, 31.7
-    and 125.0 MiB at n = 15, 17, 19, 21 and 23 in fresh processes,
-    against preflight totals of 1.4, 2.8, 8.3, 30.3 and 118.3 MiB."""
-    return 2 * (1 << n) + 196 * _PROFILE_BLOCKS
+    element, and 224 B per row of a slot chunk (its slots, (7, rows) logs
+    and two (21, rows) int32 arrays).  The counts by element encoding,
+    4 B per element more, are built only when read.  With the tables, the
+    seeds and the writer's chunk, `construct` grows VmHWM by 1.5-1.6,
+    3.0, 7.2 and 23.3 MiB at n = 15 to 21 in fresh processes, against
+    preflight totals of 1.7, 2.7, 6.7 and 22.7 MiB."""
+    return 2 * (1 << n) + 224 * _CHUNK_ROWS
 
 
-def fold_differences(ctx: GF2n, slots: np.ndarray, weight=None) -> np.ndarray:
-    """Exact histogram of the folded slot log differences of the rows of
-    `slots`, each row weighted by weight[row] (1 if weight is None): a
-    difference d = log b_i - log b_j and its negative share the fold
-    min(|d|, v - |d|), so hist[f] counts the quotients g^f and g^(v - f),
-    1 <= f <= v // 2, and hist[0] the quotient 1 of a repeated element.
-    A chunk reads its logs as (7, rows), each pair's differences one row;
-    the bins are int32 when all weights sum below 2^31 / 21, else int64."""
-    v = ctx.order - 1
-    total = 21 * (len(slots) if weight is None else int(weight.sum()))
-    hist = np.zeros(v // 2 + 1, dtype=np.int32 if total < 2**31 else np.int64)
-    one = hist.dtype.type(1)  # a scalar of the histogram's type takes no casting path
-    for lo in range(0, len(slots), _PROFILE_BLOCKS):
-        rows = slice(lo, lo + _PROFILE_BLOCKS)
-        # take() lays the (7, rows) logs out C-ordered; [] keeps the
-        # transpose's order, which would leave each pair's row strided
-        logs = ctx.logs.take(slots[rows].T)
-        d = logs[PAIR_I]
-        d -= logs[PAIR_J]
+def folding(fam: DifferenceFamily, hist: np.ndarray, weight=None) -> Iterator[np.ndarray]:
+    """fam's slot chunks, each added as it passes to `hist`, the histogram
+    of folded slot log differences, row k weighted by weight[k] (1 if
+    weight is None): a difference d = log b_i - log b_j and its negative
+    share the fold min(|d|, v - |d|), so hist[f] counts the quotients g^f
+    and g^(v - f), 1 <= f <= v // 2, and hist[0] the quotient 1 of a
+    repeated element.  A chunk's temporaries are views of one allocation:
+    as three, glibc faulted them in afresh for each chunk (+40 % time)."""
+    v, one = fam.ctx.order - 1, hist.dtype.type(1)  # a scalar of hist's type: no cast
+    for i, rows in enumerate(fam.chunks()):
+        k, lo = len(rows), i * _CHUNK_ROWS
+        work = np.empty((49, k), dtype=np.int32)
+        logs, d, t = work[:7], work[7:28], work[28:]
+        fam.ctx.logs.take(rows.T, out=logs, mode="clip")  # "raise" would copy via a buffer
+        logs.take(PAIR_I, axis=0, out=d, mode="clip")
+        d -= logs.take(PAIR_J, axis=0, out=t, mode="clip")
         np.abs(d, out=d)
-        np.minimum(d, v - d, out=d)
-        w = one if weight is None else np.tile(weight[rows].astype(hist.dtype), 21)
+        np.minimum(d, np.subtract(v, d, out=t), out=d)
+        w = one if weight is None else np.tile(weight[lo : lo + k].astype(hist.dtype), 21)
         np.add.at(hist, d.ravel(), w)
+        del work, logs, d, t
+        yield rows
+
+
+def fold_differences(fam: DifferenceFamily, weight=None) -> np.ndarray:
+    """The exact histogram of `folding` fam, in int32 bins when all weights
+    sum below 2^31 / 21, else int64."""
+    total = 21 * (len(fam) if weight is None else int(weight.sum()))
+    hist = np.zeros(fam.ctx.order // 2, dtype=np.int32 if total < 2**31 else np.int64)
+    for _ in folding(fam, hist, weight):
+        pass
     return hist
 
 
@@ -133,7 +160,7 @@ def multiplicity_profile(fam) -> MultiplicityProfile:
     """Exact m(t) for every t, by direct accumulation over base blocks:
     b_i/b_j = g^(log b_i - log b_j), so the folded slot log differences
     of every block, each counted once, are its delta list."""
-    return MultiplicityProfile(fam.ctx, fold_differences(fam.ctx, fam.slots))
+    return MultiplicityProfile(fam.ctx, fold_differences(fam))
 
 
 # -- quotient equations -------------------------------------------------------
@@ -273,12 +300,11 @@ def certificate_bytes(n: int) -> int:
     int32 index of each t's key among the decoded ones, and the heap that
     rank's sort of the keys leaves), one chunk's temporaries, ~35 B per t
     of a chunk of _KEY_CHUNK ts under tracemalloc, which glibc keeps in
-    its heap once freed, and 512 KiB for the writer's 256 KiB chunk and
-    the bytes made of it, which do not fit in that heap at n = 15.  With
-    the tables, `certify` grows VmHWM by 2.3-2.5, 5.4-5.6, 12.5 and
-    43.4 MiB at n = 15, 17, 19 and 21 in fresh processes, against
-    preflight totals of 2.5, 5.5, 13.4 and 44.9 MiB."""
-    return 13 * (1 << n) + 35 * min(1 << n, _KEY_CHUNK) + 2**19
+    its heap once freed, and the writer's 256 KiB chunk, which does not
+    fit in that heap at n = 15.  With the tables, `certify` grows VmHWM by
+    2.0, 5.5, 12.4 and 43.5 MiB at n = 15, 17, 19 and 21 in fresh
+    processes, against preflight totals of 2.2, 5.3, 13.2 and 44.7 MiB."""
+    return 13 * (1 << n) + 35 * min(1 << n, _KEY_CHUNK) + 2**18
 
 
 # -- family constructors ------------------------------------------------------
@@ -295,9 +321,9 @@ def build_family(ctx: GF2n, system: str = "min") -> DifferenceFamily:
     seeds = hexagon_reps(ctx)
     if system == "max":
         seeds = max_vertices(ctx, seeds)
-    return DifferenceFamily(ctx, block_slots(ctx, seeds), lambda_claim=7)
+    return DifferenceFamily(ctx, None, 7, seeds=seeds)
 
 
 def full_family(ctx: GF2n) -> DifferenceFamily:
     """Every seed's block: a difference family of index 42."""
-    return DifferenceFamily(ctx, block_slots(ctx, ctx.seeds()), lambda_claim=42)
+    return DifferenceFamily(ctx, None, 42, seeds=int_array(ctx.seeds()))

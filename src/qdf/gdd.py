@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .design import MAX_OFFENDERS, Design, QuotientOffender, VerificationReport
-from .design import check_pair_coverage, check_simple, fold_verdicts
+from .design import check_pair_coverage, check_simple, fold_verdicts, orbit_scan
 from .errors import WrongResidueError
 from .family import DifferenceFamily, multiplicity_profile
 from .gf2n import GF2n
@@ -62,14 +62,17 @@ def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
     check_residue(ctx.n)
     m = (ctx.order - 1) // 7
     kstar = np.sort(ctx.exp[: 7 * m : m])
-    # a row equal to K* = <g^m> has its slot-1 element in K*: only those
-    # rows are sorted and compared with it
-    rows = np.flatnonzero(ctx.logs[fam.slots[:, 1]] % m == 0)
-    rows = rows[(np.sort(fam.slots[rows], axis=1) == kstar).all(axis=1)]
+    # a row equal to K* = <g^m> has its slot-1 element, its seed, in K*:
+    # only those rows are built, sorted and compared with it
+    seeds = fam.rows[:, 1] if fam.seeds is None else fam.seeds
+    rows = np.flatnonzero(ctx.logs[seeds] % m == 0)
+    rows = rows[(np.sort(fam.take(rows), axis=1) == kstar).all(axis=1)]
     if len(rows) != 1:
         raise ValueError("family does not contain exactly one subfield block")
-    rest = np.delete(fam.slots, rows, axis=0)
-    return DifferenceFamily(ctx, rest, fam.lambda_claim, forbidden=frozenset(kstar.tolist()))
+    lam, forbidden = fam.lambda_claim, frozenset(kstar.tolist())
+    if fam.seeds is None:
+        return DifferenceFamily(ctx, np.delete(fam.rows, rows, axis=0), lam, forbidden)
+    return DifferenceFamily(ctx, None, lam, forbidden, seeds=np.delete(fam.seeds, rows))
 
 
 def verify_relative(fam: DifferenceFamily, profile=None) -> VerificationReport:
@@ -106,8 +109,8 @@ def verify_gdd(design: Design) -> VerificationReport:
     family over the spread, whose groops are the classes of logs mod v/7:
 
       a. every developed block meets every groop in at most one point --
-         read off the design's orbit_scan, once per orbit representative,
-         since scaling permutes the groops, the classes of logs mod v/7;
+         read off the orbit_scan (again, if it has no verdict) of each
+         orbit representative, since scaling permutes the groops;
       b. every cross-groop point pair lies in exactly lambda blocks;
       c. every within-groop point pair lies in no block at all;
       d. simplicity: trivial stabilizers and pairwise distinct orbits.
@@ -120,8 +123,9 @@ def verify_gdd(design: Design) -> VerificationReport:
 
     cross_min, cross_max = cross_range or (lam, lam)
     notes = "" if cross_range else "degenerate: single groop, no cross-groop pairs"
+    meets = orbit_scan(design.blocks).meets if design.scan.meets is None else design.scan.meets
     checks = {
-        "block_groop_meet": design.scan.meets,
+        "block_groop_meet": meets,
         "cross_pair_coverage": cross_min == lam and cross_max == lam,
         "within_pair_coverage": within_ok,
         "simple": check_simple(design),

@@ -81,11 +81,9 @@ def poly_degree(p: int) -> int:
 
 def poly_mod(a: int, m: int) -> int:
     """Remainder of carry-less division of a by m (m != 0)."""
-    dm = poly_degree(m)
-    da = poly_degree(a)
-    while da >= dm:
+    dm = m.bit_length()
+    while (da := a.bit_length()) >= dm:
         a ^= m << (da - dm)
-        da = poly_degree(a)
     return a
 
 
@@ -209,17 +207,17 @@ def log_table(exp: np.ndarray, order: int) -> np.ndarray:
 
 
 def is_irreducible(p: int) -> bool:
-    """Exhaustive trial division by every polynomial of degree <= deg(p)/2.
+    """Exhaustive trial division by every polynomial of degree 1 to
+    deg(p)/2 with constant term 1: z divides p iff p has none, and then p
+    is irreducible iff it is z.
 
     Adequate for the supported degree range (n <= 25); no factor tables.
     """
     if p < 2:
         return False
-    d = poly_degree(p)
-    for q in range(2, 1 << (d // 2 + 1)):
-        if poly_mod(p, q) == 0:
-            return False
-    return True
+    if not p & 1:
+        return p == 2
+    return all(poly_mod(p, q) for q in range(3, 1 << (poly_degree(p) // 2 + 1), 2))
 
 
 def smallest_irreducible(n: int) -> int:

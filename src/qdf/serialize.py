@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .blocks import block_slots
 from .design import Design, PairOffender, VerificationReport
 from .errors import ForbiddenSeedError, MalformedFamilyError, QdfError
 from .family import MATCHED_PAIRS, CertificateTable, DifferenceFamily, MultiplicityProfile, rank
@@ -71,44 +70,48 @@ def _fill_hex(out: np.ndarray, vals: np.ndarray, at: int, stride: int, w: int) -
 
 
 def _rows_chunks(
-    head: str, tails: list[str], which: np.ndarray, values: np.ndarray, sep: str
+    head: str, tails: list[str], which: np.ndarray, chunks: Iterable[np.ndarray], sep: str
 ) -> Iterator[bytes]:
     """Byte rows joined by `sep`, in chunks of as many rows as fit in
-    _CHUNK_BYTES, one at least; every chunk but the last ends with `sep`.
-    Row k is `head`, its equally spaced runs of "#" (one per column of
-    the (N, c) int array `values`, or one for an (N,) array) filled with
-    the zero-padded lowercase hex digits of values[k], then
-    tails[which[k]].  Each distinct tail is rendered once, after the
-    head, as a byte row zero-padded to the longest; a chunk gathers its
-    rows, fills in the digits and drops any padding by one mask."""
+    _CHUNK_BYTES, one at least, none across two of `chunks`; every chunk
+    but the last ends with `sep`.  Row k is `head`, its c equally spaced
+    runs of "#" filled with the zero-padded lowercase hex digits of its
+    values, the row's of the (rows, c) int arrays `chunks` ((rows,) for
+    c = 1), then tails[which[k]].  Each distinct tail is rendered once,
+    after the head, as a byte row zero-padded to the longest; a chunk
+    gathers its rows, fills in the digits and drops any padding by one mask."""
     rows = [(head + tail + sep).encode("ascii") for tail in tails]
     lengths = np.array([len(row) for row in rows])
     rows = np.array(rows).view(np.uint8).reshape(len(rows), -1)
     keep = np.arange(rows.shape[1]) < lengths[:, None] if lengths.min() < rows.shape[1] else None
-    values = values.reshape(len(values), -1)
-    runs = np.flatnonzero(rows[0, : len(head)] == ord("#")).reshape(values.shape[1], -1)
-    at, w = int(runs[0, 0]), runs.shape[1]
-    stride = int(runs[-1, 0] - at) // max(1, len(runs) - 1)
+    runs = [m.span() for m in re.finditer("#+", head)]
+    at, w = runs[0][0], runs[0][1] - runs[0][0]
+    stride = (runs[-1][0] - at) // max(1, len(runs) - 1)
     step = max(1, _CHUNK_BYTES // rows.shape[1])
-    for lo in range(0, len(values), step):
-        part = which[lo : lo + step]
-        # take() gathers rows several times faster than fancy indexing
-        out = rows.take(part, axis=0)
-        _fill_hex(out, values[lo : lo + step], at, stride, w)
-        out = out.ravel() if keep is None else out[keep.take(part, axis=0)]
-        yield out[: len(out) - len(sep) if lo + step >= len(values) else None].tobytes()
+    done = 0
+    for values in chunks:
+        values = values.reshape(len(values), len(runs))
+        for lo in range(0, len(values), step):
+            part = which[done : done + min(step, len(values) - lo)]
+            done += len(part)
+            # take() gathers rows several times faster than fancy indexing
+            out = rows.take(part, axis=0)
+            _fill_hex(out, values[lo : lo + step], at, stride, w)
+            out = out.ravel() if keep is None else out[keep.take(part, axis=0)]
+            yield out[: len(out) - len(sep) if done == len(which) else None].tobytes()
+            del out  # not held while the next chunk of values is made
 
 
 def _json_rows_chunks(
-    head: str, tails: list[str], which: np.ndarray, values: np.ndarray
+    head: str, tails: list[str], which: np.ndarray, chunks: Iterable[np.ndarray]
 ) -> Iterator[bytes]:
     """The rows of _rows_chunks as the items of the list json.dumps(indent=2)
     writes as the value of a top-level key."""
-    if not len(values):
+    if not len(which):
         yield b"[]"
         return
     yield b"[\n"
-    yield from _rows_chunks(head, tails, which, values, ",\n")
+    yield from _rows_chunks(head, tails, which, chunks, ",\n")
     yield b"\n  ]"
 
 
@@ -124,20 +127,21 @@ def _block_head(n: int) -> str:
     return "    " + _json_list([f'      "{"#" * hex_width(n)}"'] * 7, "    ")
 
 
-def _block_rows(rows: np.ndarray, n: int) -> tuple:
-    """The head, tails, which and values of _rows_chunks for the rows of
-    the (N, 7) int array `rows`, each a list of 7 hex strings."""
-    return _block_head(n), [""], np.zeros(len(rows), dtype=np.uint8), rows
+def _block_rows(rows: np.ndarray, n: int, chunks=None) -> tuple:
+    """The head, tails, which and chunks of _rows_chunks for `rows`, each a
+    list of 7 hex strings: an (N, 7) int array, or a family in `chunks`."""
+    which = np.zeros(len(rows), dtype=np.uint8)
+    return _block_head(n), [""], which, (rows,) if chunks is None else chunks
 
 
-def family_json_chunks(fam: DifferenceFamily) -> Iterator[bytes]:
+def family_json_chunks(fam: DifferenceFamily, chunks=None) -> Iterator[bytes]:
     """{"n", "modulus", "lambda", "blocks": [[7 hex strings], ...]} as JSON,
     in chunks of at most _CHUNK_BYTES, or of one block row: byte for byte
-    what to_json_bytes gives for the same dict.  read_artifact reads it
-    back."""
+    what to_json_bytes gives for the same dict, from fam's slot chunks or
+    from `chunks`, the same rows.  read_artifact reads it back."""
     fields = {"n": fam.ctx.n, "modulus": fam.ctx.modulus, "lambda": fam.lambda_claim}
     yield _json_head(fields, "blocks")
-    yield from _json_rows_chunks(*_block_rows(fam.slots, fam.ctx.n))
+    yield from _json_rows_chunks(*_block_rows(fam, fam.ctx.n, chunks or fam.chunks()))
     yield b"\n}\n"
 
 
@@ -160,7 +164,7 @@ def _orbit_rows(d: Design) -> tuple:
         f'{m},\n      "replication": {r}\n    }}'
         for m, r in (divmod(key, radix) for key in keys.tolist())
     ]
-    return _orbit_head(d.ctx.n), tails, which, d.slots
+    return _orbit_head(d.ctx.n), tails, which, d.blocks.chunks()
 
 
 def gdd_json_chunks(groops: np.ndarray, design: Design, reports: dict) -> Iterator[bytes]:
@@ -244,9 +248,9 @@ def read_artifact(data: bytes, check_n) -> DifferenceFamily:
     buf = np.frombuffer(data, dtype=np.uint8)
     starts, seeds, _ = _row_seeds(buf, h, n)
     ctx = GF2n(n, fields["modulus"])
-    valid = (seeds >= 2) & (seeds < ctx.order)
-    fam = DifferenceFamily(ctx, block_slots(ctx, np.where(valid, seeds, 2)), fields["lambda"])
-    del starts, seeds, valid  # 0.7 MiB of the peak at n = 17; a bad file reads them again
+    seeds[(seeds < 2) | (seeds >= ctx.order)] = 2  # a valid seed; the render then differs
+    fam = DifferenceFamily(ctx, None, fields["lambda"], seeds=seeds.astype(np.int32))
+    del starts, seeds  # 0.6 MiB of the peak at n = 17; a bad file reads them again
     x = _first_difference(data, family_json_chunks(fam))
     if x is None:
         return fam
@@ -324,7 +328,7 @@ def certificates_json_chunks(ctx: GF2n, tab: CertificateTable) -> Iterator[bytes
     decoded, which = tab.decoded
     header, head, tails = _certificate_parts(ctx.n, ctx.modulus, decoded)
     yield header
-    yield from _json_rows_chunks(head, tails, which, tab.ts)
+    yield from _json_rows_chunks(head, tails, which, (tab.ts,))
     yield b"\n}\n"
 
 
@@ -347,4 +351,4 @@ def profile_csv_chunks(p: MultiplicityProfile, n: int) -> Iterator[bytes]:
     counts, which = rank(p.counts[2:])
     tails = [f"{c}\n" for c in counts.tolist()]
     ts = np.arange(2, p.ctx.order, dtype=np.int32)
-    yield from _rows_chunks("#" * hex_width(n) + ",", tails, which, ts, "")
+    yield from _rows_chunks("#" * hex_width(n) + ",", tails, which, (ts,), "")

@@ -76,6 +76,21 @@ def reducible_degree_n(n: int) -> set[int]:
     return {p for p in out if p.bit_length() - 1 == n}
 
 
+def is_irreducible_by_trial(p: int) -> bool:
+    """Trial division of p by every polynomial q of degree 1 to deg(p)/2,
+    2 <= q < 2^(deg(p)/2 + 1), the even ones included, by long division
+    one degree at a time."""
+    def degree(a: int) -> int:
+        return a.bit_length() - 1
+
+    def mod(a: int, m: int) -> int:
+        while degree(a) >= degree(m):
+            a ^= m << (degree(a) - degree(m))
+        return a
+
+    return p >= 2 and all(mod(p, q) for q in range(2, 1 << (degree(p) // 2 + 1)))
+
+
 def smallest_irreducible_by_products(n: int) -> int:
     reducible = reducible_degree_n(n)
     for p in range(1 << n, 1 << (n + 1)):

@@ -87,12 +87,12 @@ def test_preflight_estimate_matches_counter(capsys):
     # table_bytes(15) = 8 * 2^15 + 4 * 2^15 + 4 * 2^13 + 8 * 8192 = 491,520
     # bytes (0.47 MiB: the two table words, a chunk of 2^15 logs, a chunk
     # of 2^13 doubled powers and numpy's index buffer);
-    # for 5461 orbits, develop_bytes = 200 * 4096 + 72 * 5461 = 1,212,392
-    # (1.16 MiB: a scan chunk and the orbits); the largest stage is the
+    # for 5461 orbits, develop_bytes = 228 * 4096 + 44 * 5461 = 1,174,172
+    # (1.12 MiB: a scan chunk and the orbits); the largest stage is the
     # pair count, pair_count_bytes = 5 * 2^14 + 2^14 = 98,304 (0.09 MiB):
-    # 1,802,216 bytes (1.72 MiB) in all
+    # 1,763,996 bytes (1.68 MiB) in all
     assert "~0.5 MiB of field tables" in warning
-    assert "~1.2 MiB for the development and ~0.1 MiB for the largest stage" in warning
+    assert "~1.1 MiB for the development and ~0.1 MiB for the largest stage" in warning
     assert "~1.7 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
@@ -110,11 +110,13 @@ def test_preflight_of_construct_counts_family_and_profile(capsys):
     code, _, stderr = run_cli(capsys, "construct", "--n", "15", "--force", "--modulus", "0x8000")
     assert code == 2
     warning = stderr.strip().split("\n")[0]
-    # 28 * 5461 = 152,908 bytes of slots; 2 * 2^15 + 196 * 4096 = 868,352
-    # for the profile (its half-field histogram and a chunk of 4096
-    # blocks); with the tables 1,512,780 bytes (1.44 MiB) in all
-    assert "~0.1 MiB for the family and ~0.8 MiB for the profile" in warning
-    assert "~1.4 MiB in all" in warning
+    # 4 * 5461 + 2^18 = 283,988 bytes for the family (its seeds and the
+    # writer's 256 KiB chunk); 2 * 2^15 + 224 * 4096 = 983,040 for the
+    # profile (its half-field histogram and a chunk of 4096 slot rows with
+    # the fold's temporaries); with the tables 1,758,548 bytes (1.68 MiB)
+    # in all
+    assert "~0.3 MiB for the family and ~0.9 MiB for the profile" in warning
+    assert "~1.7 MiB in all" in warning
 
 
 def test_preflight_of_certify_names_the_report_size(capsys, tmp_path):
@@ -243,11 +245,13 @@ def test_preflight_total_matches_measured_rss_of_certify(n):
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
-@pytest.mark.parametrize("n", [19, 21])
+@pytest.mark.parametrize("n", [15, 17, 19, 21])
 def test_preflight_total_matches_measured_rss_of_construct(n):
-    # the tables, the slots and the profile's folded histogram; the
-    # 9.75 MB family JSON at n = 19 is written in 256 KiB chunks of rows
-    # and adds no copy of itself
+    # the tables, the seeds, one slot chunk with its fold's temporaries,
+    # and the profile's folded histogram; the 9.75 MB family JSON at
+    # n = 19 is written in 256 KiB chunks of rows and adds no copy of
+    # itself: VmHWM grows by 1.5-1.6, 3.0, 7.2 and 23.3 MiB at n = 15 to
+    # 21, against printed totals of 1.7, 2.7, 6.7 and 22.7 MiB
     measured, total = _measured_and_printed("construct", n)
     assert 0.75 * total < measured < 1.25 * total
 
@@ -732,3 +736,71 @@ def test_closed_stdout_exits_2_with_one_error_line():
     [line] = stderr.splitlines()
     err = json.loads(line)
     assert err["error"] == "Qdf" and "stdout" in err["message"]
+
+
+def _outputs(tmp_path, n, system):
+    """{command: bytes written} of construct, verify, gdd (when 3 | n)
+    and export of the constructed file to JSON and CSV, at degree n."""
+    fam = tmp_path / "family.json"
+    field = ["--n", str(n), "--seed-system", system]
+    runs = {
+        "construct": ["construct", *field],
+        "verify": ["verify", *field],
+        "gdd": ["gdd", *field] if n % 6 == 3 else None,
+        "export-json": ["export", str(fam)],
+        "export-csv": ["export", str(fam), "--format", "csv"],
+    }
+    out = {}
+    for name, argv in runs.items():
+        if argv is not None:
+            path = fam if name == "construct" else tmp_path / f"{name}.out"
+            assert main([*argv, "--out", str(path)]) == 0, name
+            out[name] = path.read_bytes()
+    return out
+
+
+_DEFAULT_OUTPUTS = {}
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("system", ["min", "max"])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_outputs_independent_of_the_seed_chunk_size(tmp_path_factory, monkeypatch, n, system, chunk):
+    # at n <= 13 the default chunk of 4096 rows holds every family whole:
+    # here the commands read the family, its development and the file
+    # export reads back in chunks of 1, 5 and 64 rows, and write the same
+    # bytes
+    from qdf import family
+
+    if (n, system) not in _DEFAULT_OUTPUTS:
+        assert (1 << n) // 6 <= family._CHUNK_ROWS
+        _DEFAULT_OUTPUTS[n, system] = _outputs(tmp_path_factory.mktemp("default"), n, system)
+    monkeypatch.setattr(family, "_CHUNK_ROWS", chunk)
+    assert _outputs(tmp_path_factory.mktemp("chunked"), n, system) == _DEFAULT_OUTPUTS[n, system]
+
+
+@pytest.mark.parametrize("n", [9, 15])
+def test_commands_never_build_every_slot_row_at_once(tmp_path, monkeypatch, n):
+    # the materializing accessors serve tests, demos and tracing only: with
+    # each of them raising, every command still runs, from seed chunks and
+    # the rows it fetches by index
+    from qdf import Design, DifferenceFamily
+
+    def refuse(self):
+        raise AssertionError("every slot row built at once")
+
+    for cls, name in ((DifferenceFamily, "slots"), (Design, "orbits")):
+        monkeypatch.setattr(cls, name, property(refuse))
+    monkeypatch.setattr(Design, "orbit_rows", refuse)
+    fam = tmp_path / "family.json"
+    field = ["--n", str(n), "--force"]
+    commands = [
+        ["construct", *field, "--out", str(fam)],
+        ["verify", *field],
+        ["certify", *field],
+        ["gdd", *field],
+        ["export", str(fam)],
+        ["export", str(fam), "--format", "csv"],
+    ]
+    for argv in commands:
+        assert main([*argv, "--out", os.devnull] if argv[0] != "construct" else argv) == 0, argv

@@ -11,6 +11,7 @@ import os
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def test_array_development_matches_scalar_stabilizers(name, n, fixed):
     assert d.replication.tolist() == orders
     assert d.length.tolist() == [(f.order - 1) // o for o in orders]
     assert orders.count(7) == fixed
-    assert (d.slots == fam.slots).all() and d.lambda_claim == fam.lambda_claim
+    assert d.blocks is fam and d.lambda_claim == fam.lambda_claim
 
 
 def test_verify_and_gdd_paths_build_no_orbit_objects(monkeypatch):
@@ -177,7 +178,7 @@ def _design(f, orbits):
     orbits = tuple(orbits)
     return Design(
         f,
-        np.array([o.rep for o in orbits], dtype=np.int32).reshape(-1, 7),
+        DifferenceFamily(f, [o.rep for o in orbits], 7),
         np.array([o.length for o in orbits], dtype=np.int64),
         np.array([o.replication for o in orbits], dtype=np.int64),
         lambda_claim=7,
@@ -477,9 +478,9 @@ def test_commands_fold_their_design_once(monkeypatch, command, n, rows):
     calls = []
     fold = family.fold_differences
 
-    def counted(ctx, slots, weight=None):
-        calls.append(len(slots))
-        return fold(ctx, slots, weight)
+    def counted(fam, weight=None):
+        calls.append(len(fam))
+        return fold(fam, weight)
 
     monkeypatch.setattr(family, "fold_differences", counted)
     monkeypatch.setattr(design, "fold_differences", counted)
@@ -497,9 +498,9 @@ def test_commands_scan_their_design_once(monkeypatch, command, n, rows):
     calls = []
     scan = design.orbit_scan
 
-    def counted(ctx, slots):
-        calls.append(len(slots))
-        return scan(ctx, slots)
+    def counted(fam, **kwargs):
+        calls.append(len(fam))
+        return scan(fam, **kwargs)
 
     monkeypatch.setattr(design, "orbit_scan", counted)
     assert cli.main([command, "--n", str(n), "--out", os.devnull]) == 0
@@ -526,7 +527,7 @@ def test_scan_independent_of_chunk_size(monkeypatch, name):
     if name == "family-15":
         f = cached_field(15)
         slots = build_family(f).slots
-        assert design._SCAN_ROWS < len(slots) <= 2 * design._SCAN_ROWS
+        assert family._CHUNK_ROWS < len(slots) <= 2 * family._CHUNK_ROWS
     else:
         f, designs = _designs_n9()
         relative = build_relative_family(build_family(f))
@@ -534,16 +535,51 @@ def test_scan_independent_of_chunk_size(monkeypatch, name):
             "relative": relative.slots,
             "cosets": _kstar_cosets(f, whole=True).slots,
             "last-row": _last_row_in_a_met_groop(relative),
-        }.get(name, designs.get(name, designs["family"]).slots)
-    whole = design.orbit_scan(f, slots)
+        }.get(name, designs.get(name, designs["family"]).blocks.slots)
+    whole = design.orbit_scan(DifferenceFamily(f, slots, 7))
     assert (whole.subspaces, whole.meets) == {
         "relative": (True, True), "last-row": (False, False)
     }.get(name, (True, False))
     for chunk in (1, 3, 7):
-        monkeypatch.setattr(design, "_SCAN_ROWS", chunk)
-        part = design.orbit_scan(f, slots)
+        monkeypatch.setattr(family, "_CHUNK_ROWS", chunk)
+        part = design.orbit_scan(DifferenceFamily(f, slots, 7))
         assert np.array_equal(part.kstar, whole.kstar) and np.array_equal(part.hashes, whole.hashes)
         assert (part.subspaces, part.meets) == (whole.subspaces, whole.meets)
+
+
+def _scan_fields(scan):
+    return scan.kstar.tolist(), None if scan.hashes is None else scan.hashes.tolist(), scan[2:]
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("system", ["min", "max"])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_seed_chunks_give_the_verdicts_of_the_materialized_rows(monkeypatch, n, system, chunk):
+    # a family held as seeds, read in chunks of 1, 5 and 64 rows, against
+    # the same rows stored whole and read as one chunk: the profile, the K*
+    # flags, the hashes, the subspace and meet verdicts of the whole scan
+    # and of develop's, and the design's fold and verdicts
+    f = cached_field(n)
+
+    def families():
+        fam = build_family(f, system=system)
+        return [fam, build_relative_family(fam)] if n % 6 == 3 else [fam]
+
+    def verdicts(fam):
+        profile = multiplicity_profile(fam)
+        d = develop(fam, profile)
+        report = replace(verify_2design(d), timing=0.0)
+        scans = [_scan_fields(design.orbit_scan(fam)), _scan_fields(d.scan)]
+        return [profile.hist.tolist(), *scans, d.fold.tolist(), check_simple(d), report]
+
+    want = [
+        verdicts(DifferenceFamily(f, fam.slots, fam.lambda_claim, fam.forbidden))
+        for fam in families()
+    ]
+    monkeypatch.setattr(family, "_CHUNK_ROWS", chunk)
+    fams = families()
+    assert all(fam.rows is None for fam in fams if len(fam) > chunk)
+    assert [verdicts(fam) for fam in fams] == want
 
 
 @pytest.mark.parametrize("name", ["dropped", "partial", "past-uint8"])
@@ -696,9 +732,9 @@ def test_repeated_point_fails_and_is_named(n):
     f = cached_field(n)
     d = develop(build_family(f))
     row = int(np.flatnonzero(d.length < d.v)[0]) if n == 9 else 0
-    slots = d.slots.copy()
+    slots = d.blocks.slots.copy()
     slots[row, 6] = slots[row, 5]
-    bad = Design(f, slots, d.length, d.replication, 7)
+    bad = Design(f, DifferenceFamily(f, slots, 7), d.length, d.replication, 7)
     counts = _full_counter(f, bad)
     assert np.array_equal(counts, _slot_pair_counter(f, bad))
     assert counts[0].sum() == bad.length[row] * bad.replication[row]
@@ -811,7 +847,7 @@ def test_check_simple_labels_every_row_when_all_hashes_are_equal(d):
     # row is in one group of equal hashes and is labelled exactly
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(design, "_gap_hash", lambda gaps: np.zeros(len(gaps), dtype=np.int64))
-        fresh = Design(d.ctx, d.slots, d.length, d.replication, d.lambda_claim)
+        fresh = Design(d.ctx, d.blocks, d.length, d.replication, d.lambda_claim)
         assert not fresh.scan.hashes.any()
         assert check_simple(fresh) is _scalar_simple(d)
 
@@ -845,7 +881,7 @@ def test_qanalog_of_one_row_matches_scalar_subspace_test(case):
     # subspaces pass, and the random sets and changed spans that fail
     # include rows with 0, with a repeated element, and with s2 != s0 + s1
     f, els = case
-    d = Design(f, np.array([els], dtype=np.int32), np.array([f.order - 1]), np.ones(1, dtype=np.int64), 7)
+    d = Design(f, DifferenceFamily(f, [els], 7), np.array([f.order - 1]), np.ones(1, dtype=np.int64), 7)
     assert check_qanalog(d) is is_subspace_block(f, els)
 
 

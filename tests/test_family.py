@@ -342,7 +342,7 @@ def test_profile_independent_of_histogram_chunking(monkeypatch, chunk):
 
     fam = full_family(cached_field(7))
     whole = multiplicity_profile(fam).counts
-    monkeypatch.setattr(family, "_PROFILE_BLOCKS", chunk)
+    monkeypatch.setattr(family, "_CHUNK_ROWS", chunk)
     assert multiplicity_profile(fam).counts.tolist() == whole.tolist()
 
 
@@ -353,7 +353,7 @@ def test_chunked_profile_matches_delta_counter(monkeypatch, n, chunk):
     # is checked at every t, including the mutants' uneven counts
     from qdf import family
 
-    monkeypatch.setattr(family, "_PROFILE_BLOCKS", chunk)
+    monkeypatch.setattr(family, "_CHUNK_ROWS", chunk)
     f = cached_field(n)
     fams = [build_family(f), *_mutants(build_family(f))]
     if n <= 7:
@@ -377,7 +377,7 @@ def test_hexagons_and_profile_match_oracles_at_random_moduli(data, n, hexagon_ch
 
     f = cached_field(n, data.draw(st.sampled_from(_MODULI[n]), label="modulus"))
     with mock.patch.object(blocks, "_HEXAGON_CHUNK", hexagon_chunk), mock.patch.object(
-        family, "_PROFILE_BLOCKS", profile_chunk
+        family, "_CHUNK_ROWS", profile_chunk
     ):
         assert [tuple(r) for r in hexagon_rows(f).tolist()] == hexagons_by_scan(f)
         fam = build_family(f)

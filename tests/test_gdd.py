@@ -208,7 +208,7 @@ def test_block_groop_meet_puts_0_in_no_groop():
     for name, row in rows.items():
         meets = [groop_of.get(p, -1) for p in row]
         expected = len(set(meets)) == 7
-        d = Design(f, np.array([row], dtype=np.int32), np.array([511]), np.ones(1, dtype=np.int64), 7)
+        d = Design(f, DifferenceFamily(f, [row], 7), np.array([511]), np.ones(1, dtype=np.int64), 7)
         assert verify_gdd(d).checks["block_groop_meet"] is expected, name
         assert expected is (name in ("0 beside g^72", "seven groops")), name
 

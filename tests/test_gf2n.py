@@ -26,6 +26,7 @@ from oracles import (
     brute_inverse,
     cached_field,
     frobenius_tables,
+    is_irreducible_by_trial,
     power_walk,
     schoolbook_mul,
     smallest_irreducible_by_products,
@@ -81,6 +82,13 @@ def test_supplied_modulus_validated():
     f = GF2n(5, 0b101001)
     assert f.modulus == 0b101001
     assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, 32))
+
+
+def test_is_irreducible_matches_trial_division_by_every_polynomial():
+    # odd divisors only, even ones skipped: every polynomial below z^14,
+    # the even and the negative among them, against dividing by each q
+    for p in range(-3, 1 << 14):
+        assert is_irreducible(p) is is_irreducible_by_trial(p), p
 
 
 def test_is_irreducible_small_cases():

@@ -173,14 +173,14 @@ def _verifier_reports():
     kind, and passing ones, whose offender lists are empty."""
     f3, f5, f9 = cached_field(3), cached_field(5), cached_field(9)
     d5 = develop(build_family(f5))
-    repeated = d5.slots.copy()
-    repeated[0, 6] = repeated[0, 5]
+    repeated = DifferenceFamily(f5, d5.blocks.slots.copy(), 7)
+    repeated.rows[0, 6] = repeated.rows[0, 5]
     fam9 = build_family(f9)
     rel = build_relative_family(fam9)
     kept = DifferenceFamily(f9, fam9.slots, 7, forbidden=rel.forbidden)
     dropped = DifferenceFamily(f9, rel.slots[1:], 7, forbidden=rel.forbidden)
     pair = {
-        "dropped": (verify_2design(develop(DifferenceFamily(f5, d5.slots[1:], 7))), 5),
+        "dropped": (verify_2design(develop(DifferenceFamily(f5, d5.blocks.slots[1:], 7))), 5),
         "repeated": (verify_2design(Design(f5, repeated, d5.length, d5.replication, 7)), 5),
         "gdd-dropped": (verify_gdd(develop(dropped)), 9),
         "gdd-kept": (verify_gdd(develop(kept)), 9),
@@ -310,7 +310,7 @@ def test_rows_chunks_writes_hex_widths_5_to_7(monkeypatch, n, columns, chunk):
     which = np.arange(len(values)) % 2
     if chunk != "default":
         _rows_per_chunk(monkeypatch, chunk, (head, tails))
-    chunks = list(_rows_chunks(head, tails, which, values.squeeze(), sep))
+    chunks = list(_rows_chunks(head, tails, which, (values.squeeze(),), sep))
     parts = head.split("#" * w)
     want = [
         "".join(p + format(v, f"0{w}x") for p, v in zip(parts, row)) + parts[-1] + tails[k]
@@ -366,10 +366,9 @@ def _odd_and_empty_designs(f, design):
     # (2, 0)) maps two of them to one tail
     length = [1, 10, 511, 73, 12345, 10, 73, 73, 16, 1, 2]
     replication = [7, 1, 22, 3, 1, 7, 1, 7, 1, 256, 0]
-    odd = type(design)(
-        f, design.slots[: len(length)], np.array(length), np.array(replication), 9
-    )
-    empty = type(design)(f, design.slots[:0], design.length[:0], design.replication[:0], 7)
+    rows = [DifferenceFamily(f, design.blocks.slots[:k], 7) for k in (len(length), 0)]
+    odd = type(design)(f, rows[0], np.array(length), np.array(replication), 9)
+    empty = type(design)(f, rows[1], design.length[:0], design.replication[:0], 7)
     return odd, empty
 
 
@@ -491,7 +490,7 @@ def test_writer_chunks_hold_the_byte_bound_and_one_row(monkeypatch, chunk):
     # each writer with its rows, a count per list of them
     writers = [
         (family_json_chunks, (fam,), [len(fam.slots)]),
-        (gdd_json_chunks, (spread, design, {}), [len(spread), len(design.slots)]),
+        (gdd_json_chunks, (spread, design, {}), [len(spread), len(design.blocks)]),
         (certificates_json_chunks, (f, tab), [len(tab.ts)]),
         (profile_csv_chunks, (multiplicity_profile(full_family(f)), 9), [f.order - 2]),
     ]
