@@ -62,6 +62,14 @@ class Design:
     lambda_claim: int
     k = 7
 
+    def __post_init__(self):
+        # the fold and the kernel's runs take an orbit of 1..v blocks, each at least once
+        v, m, w = self.v, self.length, self.replication
+        if m.min(initial=1) < 1 or m.max(initial=v) > v or w.min(initial=1) < 1:
+            row = int(np.flatnonzero((m < 1) | (m > v) | (w < 1))[0])
+            raise ValueError(f"orbit row {row} has length {m[row]} and replication {w[row]}; "
+                             f"lengths lie in 1..{v} and replications are at least 1")
+
     @property
     def v(self) -> int:
         return self.ctx.order - 1
@@ -392,8 +400,8 @@ def check_simple(d: Design) -> bool:
     Only if two are equal are the rows of a group of equal hashes labelled
     by least rotation and compared in full, after one np.lexsort: exact.
     """
-    if (d.replication != 1).any():
-        return False
+    if (d.replication != 1).any() or (d.length[d.scan.kstar] > d.v // 7).any():
+        return False  # K* fixes a row: its orbit has v/7 distinct blocks
     same = np.sort(d.scan.hashes)
     same = same[1:] == same[:-1]
     if not same.any():

@@ -115,6 +115,7 @@ def verify_gdd(design: Design) -> VerificationReport:
       c. every within-groop point pair lies in no block at all;
       d. simplicity: trivial stabilizers and pairwise distinct orbits.
     """
+    check_residue(design.ctx.n)
     t0 = time.perf_counter()
     lam = design.lambda_claim
 

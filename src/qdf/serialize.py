@@ -190,9 +190,9 @@ def gdd_json_chunks(groops: np.ndarray, design: Design, reports: dict) -> Iterat
 
 # -- reading families back ----------------------------------------------------
 
-# -1 for a byte that is not a lowercase hex digit
-_HEX_VALUES = np.full(256, -1, dtype=np.int64)
-_HEX_VALUES[_HEX_DIGITS] = np.arange(16)
+# bytes.translate's table from each lowercase hex digit to its value; any
+# other byte stays as it is, and a seed read with one renders otherwise
+_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
 def _first_difference(data: bytes, chunks: Iterator[bytes]) -> int | None:
@@ -204,27 +204,6 @@ def _first_difference(data: bytes, chunks: Iterator[bytes]) -> int | None:
             return at + len(os.path.commonprefix([chunk, data[at : at + len(chunk)]]))
         at += len(chunk)
     return None if at == len(data) else at
-
-
-def _row_seeds(buf: np.ndarray, lo: int, n: int) -> tuple:
-    """The block rows of the list whose "[" is buf[lo], each opened by a
-    "[" that appears nowhere else in the list: the offset of each row, its
-    seed (the value of its second element's hex digits, negative where
-    one is not hex), and the offset in a row of the seed's first digit."""
-    head = _block_head(n)
-    # 64 KiB at a time: once freed, a byte mask as large as the file left
-    # ~2 MiB more of heap resident at n = 17
-    hits = [
-        np.flatnonzero(buf[i : i + 2**16] == ord("[")) + i
-        for i in range(lo + 1, len(buf), 2**16)
-    ]
-    starts = np.concatenate([np.zeros(0, dtype=np.intp), *hits]) - head.index("[")
-    digits = [i for i, c in enumerate(head) if c == "#"]
-    seed_at = digits[len(digits) // 7 : 2 * len(digits) // 7]
-    seeds = np.zeros(len(starts), dtype=np.int64)
-    for at in (starts + i for i in seed_at):  # a digit past the end is not hex
-        seeds = seeds << 4 | np.where(at < len(buf), _HEX_VALUES[buf.take(at, mode="clip")], -1)
-    return starts, seeds, seed_at[0]
 
 
 def read_artifact(data: bytes, check_n) -> DifferenceFamily:
@@ -245,30 +224,42 @@ def read_artifact(data: bytes, check_n) -> DifferenceFamily:
     n = fields["n"]
     check_n(n)
 
-    buf = np.frombuffer(data, dtype=np.uint8)
-    starts, seeds, _ = _row_seeds(buf, h, n)
+    # every row the writer renders has one width: row k opens at
+    # h + 2 + k * width, its "[" 4 bytes in and its seed's w digits at seed_at
+    head, w = _block_head(n), hex_width(n)
+    width, seed_at = len(head) + 2, head.index("#", head.index(","))
+    # the rows are the slots that hold their seed in the file, up to the
+    # first whose "[" is missing: one byte gathered per slot
+    slots = (len(data) - h - 2 - seed_at - w) // width + 1
+    opens = data[h + 6 : h + 2 + slots * width : width]
+    m = len(opens) - len(opens.lstrip(b"["))
+    seeds = np.zeros(m, dtype=np.int32)
+    for at in range(h + 2 + seed_at, h + 2 + seed_at + w):  # a digit of every row at a time
+        seeds <<= 4
+        seeds |= np.frombuffer(data[at : at + m * width : width].translate(_HEX_VALUES), np.uint8)
     ctx = GF2n(n, fields["modulus"])
     seeds[(seeds < 2) | (seeds >= ctx.order)] = 2  # a valid seed; the render then differs
-    fam = DifferenceFamily(ctx, None, fields["lambda"], seeds=seeds.astype(np.int32))
-    del starts, seeds  # 0.6 MiB of the peak at n = 17; a bad file reads them again
+    fam = DifferenceFamily(ctx, None, fields["lambda"], seeds=seeds)
     x = _first_difference(data, family_json_chunks(fam))
     if x is None:
         return fam
-    starts, seeds, seed_at = _row_seeds(buf, h, n)
-    if not len(starts):
-        raise MalformedFamilyError("the blocks list is not in the writer's layout")
 
-    # the rows before the first bad one are the writer's, byte for byte,
-    # and all the writer's rows have one width, which says where it starts
-    width = len(_block_head(n)) + 2
-    k = min(max(0, (x - h - 2) // width), len(starts) - 1)
+    # the rows before x are the writer's, byte for byte.  Past the m rows,
+    # row m is named where a separator follows them and a "[" after it
+    end = h + m * width  # where the writer closes the list after m rows
+    k = min(max(0, (x - h - 2) // width), m - 1)
+    if x >= end and (data.startswith(b",\n", end) or not m) and data.find(b"[", end + 1) >= 0:
+        k = m
+    if k < 0:
+        raise MalformedFamilyError("the blocks list is not in the writer's layout")
     row_at = h + 2 + k * width
-    after = starts[starts > row_at]
-    text = data[row_at : after[0] - 2 if len(after) else len(data)].removesuffix(b"\n  ]\n}\n")
+    after = data.find(b"[", row_at + 5)  # the next row's, 6 bytes past its separator
+    text = data[row_at : after - 6 if after >= 0 else None].removesuffix(b"\n  ]\n}\n")
     text = text[: 1 << 10].decode("ascii", "backslashreplace")
-    # the row is the writer's up to its seed, which is hex but no seed
-    seed = int(seeds[k])
-    if x >= row_at + seed_at and seed >= 0 and seed not in range(2, ctx.order):
+    # the row is the writer's up to its seed, which is hex but no seed (else 2, a seed)
+    seed = data[row_at + seed_at : row_at + seed_at + w]
+    seed = int(seed, 16) if re.fullmatch(rb"[0-9a-f]+", seed) and x >= row_at + seed_at else 2
+    if seed not in range(2, ctx.order):
         raise ForbiddenSeedError(
             f"block row {k} has seed {seed:#x}, outside F* minus {{1}}:\n{text}"
         )

@@ -662,6 +662,62 @@ def test_export_names_the_row_with_a_changed_digit_or_cut(capsys, tmp_path, n):
     assert _export_rejects(capsys, bad, error).startswith(f"{what} {len(rows) - 1} ")
 
 
+@pytest.mark.parametrize("n", [3, 17], ids=lambda n: f"family-{n}")
+def test_export_names_the_changed_or_cut_row_at_hex_widths_1_and_5(capsys, tmp_path, n):
+    # the cases above at one hex digit and at five, in the first rows, a
+    # middle one and the last two of the 21,845 at n = 17
+    data = _artifact(n)
+    rows = [m.start() for m in re.finditer(rb"\n    \[\n", data)]
+    bad = tmp_path / "bad.json"
+    for k in sorted({0, 1, 6, len(rows) // 2, len(rows) - 2, len(rows) - 1} & {*range(len(rows))}):
+        at = rows[k]
+        first = [m.end() - 1 for m in re.finditer(rb'\n {6}"[0-9a-f]', data[at : at + 200])][:7]
+        i = at + first[k % 7] + k % hex_width(n)
+        bad.write_bytes(data[:i] + b"%x" % (int(data[i : i + 1], 16) ^ 1) + data[i + 1 :])
+        assert _export_rejects(capsys, bad, "MalformedFamily").startswith(f"block row {k} ")
+        bad.write_bytes(data[: at + 20])
+        message = _export_rejects(capsys, bad, "MalformedFamily")
+        assert message == f"block row {k} is not the writer's row for its seed:\n" + data[
+            at + 1 : at + 20
+        ].decode()
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 17], ids=lambda n: f"family-{n}")
+def test_export_finds_the_rows_at_the_writers_offsets(capsys, tmp_path, n):
+    # every row is where the header's end and the one row width put it:
+    # what lies past the rows, and a row that is not one, is named as it stands
+    data = _artifact(n)
+    h = data.index(b'"blocks": ') + len(b'"blocks": ')
+    rows = [m.start() + 1 for m in re.finditer(rb"\n    \[\n", data)]
+    body, end = data[:-7], data[-7:]  # end closes the list and the object
+    last, k = body[rows[-1] :], len(rows) - 1
+    bad = tmp_path / "bad.json"
+
+    def named(k, text):
+        return f"block row {k} is not the writer's row for its seed:\n{text.decode()}"
+
+    # the final byte cut, or one byte appended: the last row and what follows
+    bad.write_bytes(data[:-1])
+    assert _export_rejects(capsys, bad, "MalformedFamily") == named(k, last + end[:-1])
+    bad.write_bytes(data + b"x")
+    assert _export_rejects(capsys, bad, "MalformedFamily") == named(k, last + end + b"x")
+    # one writer row appended, and no rows at all: families that write back
+    for good in (body + b",\n" + last + end, data[:h] + b"[]\n}\n"):
+        bad.write_bytes(good)
+        code, stdout, _ = run_cli(capsys, "export", str(bad))
+        assert code == 0 and stdout.encode() == good
+    # a row replaced by a bare 5: named with it, where a row follows it
+    for k in {0, len(rows) // 2, len(rows) - 1}:
+        bad.write_bytes(data[: rows[k]] + b"5" + data[rows[k] + len(last) :])
+        message = _export_rejects(capsys, bad, "MalformedFamily")
+        if k < len(rows) - 1:
+            assert message == named(k, b"5")
+        elif k:
+            assert message == named(k - 1, data[rows[k - 1] : rows[k]] + b"5")
+        else:
+            assert message == "the blocks list is not in the writer's layout"
+
+
 @pytest.mark.parametrize("n", [5, 9], ids=lambda n: f"family-{n}")
 def test_export_rejects_the_compact_layout(capsys, tmp_path, n):
     # the same object in json.dumps's compact layout is refused: whole, at

@@ -67,6 +67,23 @@ def test_develop_counts_n3_degenerate():
     assert d.block_count() == 7
 
 
+def test_design_rejects_orbit_lengths_outside_1_to_v():
+    # an orbit of 93 = 3 * 31 blocks at n = 5 would count 217 blocks and
+    # pass verify_2design: the fold and the kernel take 1..v blocks an
+    # orbit, each at least once, and the first row outside is named
+    f = cached_field(5)
+    d = develop(build_family(f))
+    for row, length, replication in [(2, 93, 1), (0, 0, 1), (4, 31, 0), (1, 32, 7)]:
+        m, w = d.length.copy(), d.replication.copy()
+        m[row], w[row] = length, replication
+        with pytest.raises(ValueError, match=f"^orbit row {row} has length {length} and "):
+            Design(f, d.blocks, m, w, 7)
+    # the ends of the ranges are designs
+    m, w = d.length.copy(), d.replication.copy()
+    m[0], w[1] = 1, 1000
+    assert Design(f, d.blocks, m, w, 7).block_count() == 1 + 1000 * 31 + 3 * 31
+
+
 def _scaled_and_permuted(f, fam, seed):
     """fam with every row scaled by one unit and put out of slot order."""
     rng = random.Random(seed)
@@ -754,7 +771,13 @@ def test_repeated_point_fails_and_is_named(n):
 
 
 def _scalar_simple(d):
-    if any(o.replication != 1 for o in d.orbits):
+    # no developed block repeats, whatever the rows' replication says:
+    # counted in the blocks themselves at desk scale, and past it by each
+    # orbit's label and its period, v over its stabilizer's order
+    if d.ctx.n <= 9:
+        blocks = materialize(d)
+        return len(set(blocks)) == len(blocks)
+    if any(w != 1 or m > d.v // len(stabilizer_of(d.ctx, r)) for r, m, w in d.orbit_rows()):
         return False
     return len({canonical_orbit_label(d.ctx, o.rep) for o in d.orbits}) == len(d.orbits)
 
@@ -795,6 +818,22 @@ def test_array_orbit_checks_match_scalar_checks(n):
         assert check_simple(pair) is _scalar_simple(pair) is False
 
 
+def test_check_simple_reads_kstar_rows_not_their_replication():
+    # K*'s orbit at n = 9 labelled as 511 blocks once each develops the same
+    # blocks, 73 of them distinct: the same 2-design, and not simple
+    f = cached_field(9)
+    d = develop(build_family(f))
+    kstar = d.scan.kstar
+    ones = np.ones_like(d.replication)
+    relabelled = Design(f, d.blocks, np.where(kstar, d.v, d.length), ones, 7)
+    assert relabelled.block_count() == d.block_count()
+    assert verify_2design(relabelled).passed
+    assert check_simple(relabelled) is _scalar_simple(relabelled) is False
+    # as its 73 distinct blocks once each, K*'s orbit alone is simple
+    alone = Design(f, DifferenceFamily(f, d.blocks.take(kstar), 7), d.length[kstar], ones[:1], 7)
+    assert check_simple(alone) is _scalar_simple(alone) is True
+
+
 @st.composite
 def _orbit_rows(draw):
     """A design of up to 14 rows at a degree 3..13: distinct orbits of the
@@ -802,7 +841,8 @@ def _orbit_rows(draw):
     element inverted, which reverses its gap sequence) or replaced by a
     scaled mirror image, and then 0, 1 or 2 scaled copies of these rows
     (repeats).  Every row is in a random slot order and keeps its
-    orbit's replication, so K*'s orbit repeats its blocks when 3 | n."""
+    orbit's replication, or every row is labelled as v blocks once each:
+    either way K*'s orbit repeats its blocks when 3 | n."""
     n = draw(st.sampled_from([3, 5, 7, 9, 11, 13]))
     f = cached_field(n)
     orbits = develop(build_family(f)).orbits
@@ -821,10 +861,11 @@ def _orbit_rows(draw):
     for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
         rows.append((scale(draw(units), rows[k][0]), rows[k][1]))
     v = f.order - 1
+    relabelled = draw(st.booleans())
     shuffled = []
     for els, w in rows:
         els = tuple(draw(st.permutations(els)))
-        shuffled.append(Orbit(els, v // w, w))
+        shuffled.append(Orbit(els, v, 1) if relabelled else Orbit(els, v // w, w))
     return _design(f, shuffled)
 
 

@@ -103,6 +103,13 @@ def test_build_relative_family_wrong_residue():
         build_relative_family(build_family(cached_field(5)))
 
 
+@pytest.mark.parametrize("n", [5, 7])
+def test_verify_gdd_wrong_residue(n):
+    # no groops of v/7 logs exist here, so there is no report to give
+    with pytest.raises(WrongResidueError):
+        verify_gdd(develop(build_family(cached_field(n))))
+
+
 def test_build_relative_family_n3_degenerate():
     rf = build_relative_family(build_family(cached_field(3)))
     assert rf.slots.shape == (0, 7)

@@ -362,10 +362,10 @@ def test_gdd_writer_on_failing_reports_and_odd_orbits():
 
 def _odd_and_empty_designs(f, design):
     # crossing (length, replication) pairs: a key on either alone, on their
-    # sum ((10, 7), (16, 1)) or on length * 256 + replication ((1, 256),
-    # (2, 0)) maps two of them to one tail
-    length = [1, 10, 511, 73, 12345, 10, 73, 73, 16, 1, 2]
-    replication = [7, 1, 22, 3, 1, 7, 1, 7, 1, 256, 0]
+    # sum ((10, 7), (16, 1)) or on length * 256 + replication ((1, 257),
+    # (2, 1)) maps two of them to one tail; lengths lie in 1..v
+    length = [1, 10, 511, 73, 3, 10, 73, 73, 16, 1, 2]
+    replication = [7, 1, 22, 3, 12345, 7, 1, 7, 1, 257, 1]
     rows = [DifferenceFamily(f, design.blocks.slots[:k], 7) for k in (len(length), 0)]
     odd = type(design)(f, rows[0], np.array(length), np.array(replication), 9)
     empty = type(design)(f, rows[1], design.length[:0], design.replication[:0], 7)
