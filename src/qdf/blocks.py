@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ForbiddenSeedError
-from .gf2n import GF2n, wrap_log
+from .gf2n import GF2n, walk
 
 # GF(2)[z] shape of each block slot (bit k = coefficient of z^k); slot i
 # of B_x is this polynomial evaluated at x.
@@ -33,14 +33,13 @@ def _check_seed(x: int, ctx: GF2n) -> None:
         raise ForbiddenSeedError(f"seed must lie in F* minus {{1}}, got {x}")
 
 
-# Seed pairs (x, x+1) per chunk of hexagon_reps; bounds its temporaries.
+# Seed pairs (x, x+1) per chunk of hexagon_reps' reading of its flags.
 _HEXAGON_CHUNK = 1 << 13
 
 
 def _inverses(ctx: GF2n, x: np.ndarray) -> np.ndarray:
-    """1/x for every unit of the int array x, as int32."""
-    v = ctx.order - 1
-    return ctx.exp[wrap_log(v - ctx.logs[x], v)]
+    """1/x = g^(v - log x) for every unit of the int array x, as int32: exp[-log x]."""
+    return ctx.exp[-ctx.logs[x]]
 
 
 def hexagon_reps(ctx: GF2n) -> np.ndarray:
@@ -49,21 +48,24 @@ def hexagon_reps(ctx: GF2n) -> np.ndarray:
 
     The hexagon of x is the pairs (x, x+1), (1/(x+1), 1/(x+1) + 1) and
     (1/x + 1, 1/x).  Each pair is {y, y ^ 1}, so an even x is the
-    representative when it is below the even member of the other two.
-    The elements are walked _HEXAGON_CHUNK pairs at a time, with one
-    inverse lookup each.
+    representative when it is below the even member of the other two.  One
+    walk of y = g^k and 1/y = g^-k, 1 <= k <= v/2, flags each y below 1/y,
+    1 B per element; 1/y is never y ^ 1 (y^2 + y + 1 has no root, n odd),
+    so that is 1/y in a larger pair, and x is the representative iff x and
+    x + 1 are flagged, read _HEXAGON_CHUNK pairs at a time.
     """
+    flag = np.zeros(ctx.order, dtype=bool)
+    for _, x, y in walk(ctx, 1, ctx.order // 2, inverses=True):
+        flag[x] = below = x < y
+        flag[y] = ~below
     # filled in place: a list of parts and its concatenation left ~5 MiB
     # more resident through `construct --n 23`
     reps = np.empty((ctx.order - 2) // 6, dtype=np.int32)
     k = 0
-    for lo in range(2, ctx.order, 2 * _HEXAGON_CHUNK):
-        hi = min(lo + 2 * _HEXAGON_CHUNK, ctx.order)
-        # x > 1, so 0 < log x < 2^n - 1 and the index of 1/x needs no wrap
-        inv = ctx.exp[ctx.order - 1 - ctx.logs[lo:hi]]
-        x = np.arange(lo, hi, 2, dtype=np.int32)
-        x = x[x < (np.minimum(inv[0::2], inv[1::2]) & ~1)]  # the pairs are distinct
-        reps[k : k + len(x)] = x
+    for lo in range(0, ctx.order, 2 * _HEXAGON_CHUNK):
+        pairs = flag[lo : lo + 2 * _HEXAGON_CHUNK]
+        x = np.flatnonzero(pairs[0::2] & pairs[1::2])
+        reps[k : k + len(x)] = 2 * x + lo
         k += len(x)
     return reps
 
@@ -107,7 +109,8 @@ def block_slots(ctx: GF2n, seeds) -> np.ndarray:
     out = np.empty((len(x), 7), dtype=np.int32)
     out[:, 0] = 1
     out[:, 1] = x
-    out[:, 2] = ctx.exp[wrap_log(2 * ctx.logs[x], ctx.order - 1)]
+    lo, hi = ctx.squares
+    np.bitwise_xor(lo.take(x & len(lo) - 1), hi.take(x >> (ctx.n + 1) // 2), out=out[:, 2])
     np.bitwise_xor(x, 1, out=out[:, 3])
     np.bitwise_xor(out[:, 2], 1, out=out[:, 4])
     np.bitwise_xor(out[:, 2], x, out=out[:, 5])

@@ -110,7 +110,7 @@ def _make_ctx(args) -> GF2n:
         )
     if n > DEFAULT_N_CEILING:
         orbits = ((1 << n) - 2) // 6  # at most (2^n - 2)/6 base blocks
-        parts = [("of field tables", table_bytes(n))]
+        parts = [("of field tables", table_bytes(n, getattr(args, "seed_system", "min") == "max"))]
         if args.command == "construct":
             # the int32 seeds and the writer's chunk; the profile and a slot chunk
             family = 4 * orbits + _CHUNK_BYTES

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import PAIR_I, PAIR_J
-from .family import _CHUNK_ROWS, DifferenceFamily, MultiplicityProfile, fold_differences
+from .family import _CHUNK_ROWS, DifferenceFamily, MultiplicityProfile, fold_differences, folding
 from .gf2n import GF2n, wrap_log
 
 
@@ -130,7 +130,8 @@ def develop(fam: DifferenceFamily, profile: MultiplicityProfile | None = None) -
     design keeps for its orbit checks (groop meets only for a relative
     family).  Given the family's profile, the fold is read off it: every
     full-length orbit of a development has replication 1, so it is the
-    profile's histogram less the differences of the shorter orbits."""
+    profile's histogram less the differences of the shorter orbits,
+    subtracted in place: the design takes the histogram over from the profile."""
     ctx = fam.ctx
     scan = orbit_scan(fam, meets=bool(fam.forbidden), developed=True)
     replication = np.ones(len(fam), dtype=np.int64)
@@ -139,8 +140,10 @@ def develop(fam: DifferenceFamily, profile: MultiplicityProfile | None = None) -
     object.__setattr__(d, "scan", scan)
     if profile is not None:
         short = DifferenceFamily(ctx, fam.take(scan.kstar), fam.lambda_claim)
-        fold = profile.hist - fold_differences(short) if len(short) else profile.hist
-        object.__setattr__(d, "fold", fold)
+        if len(short):
+            for _ in folding(short, profile.hist, np.full(len(short), -1)):
+                pass
+        object.__setattr__(d, "fold", profile.hist)
     return d
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .blocks import PAIR_I, PAIR_J, block_slots, hexagon_reps, int_array, max_vertices
 from .errors import DegenerateTError
-from .gf2n import GF2n, wrap_log
+from .gf2n import GF2n, walk, wrap_log
 
 
 # Rows per slot chunk, what each pass over a family holds of its slots.
@@ -88,12 +88,11 @@ class MultiplicityProfile:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """m(t) indexed by element encoding, as int32, built on first use."""
-        exp, v = self.ctx.exp, self.ctx.order - 1
+        """m(t) indexed by element encoding, as int32, walked on first use."""
         counts = np.zeros(self.ctx.order, dtype=np.int32)
         counts[1] = 2 * self.hist[0]
-        counts[exp[1 : v // 2 + 1]] = self.hist[1:]  # g^f
-        counts[exp[v - 1 : v // 2 : -1]] = self.hist[1:]  # g^(v - f)
+        for f, x, y in walk(self.ctx, 1, self.ctx.order // 2, inverses=True):
+            counts[x] = counts[y] = self.hist[f : f + len(x)]
         return counts
 
     def extremes(self) -> tuple[int, int]:
@@ -232,8 +231,7 @@ class CertificateTable:
         return [decode_key(k) for k in keys.tolist()], which
 
 
-# ts per chunk of certificate_table, exp-table entries per chunk of its
-# 1 - Tr table and values per search of rank; bounds their temporaries.
+# ts per chunk of certificate_table and values per search of rank.
 _KEY_CHUNK = 1 << 16
 
 
@@ -276,14 +274,15 @@ def certificate_table(ctx: GF2n, ts) -> CertificateTable:
         )
     ts = ts.astype(np.int32, copy=False)
     v = ctx.order - 1
-    # solvable[k] = 1 - Tr(g^k) for 0 <= k < v: Tr(x) is the parity of
-    # x & trace_mask, folded to bit 0 by XOR shifts over every bit of an int32
+    # solvable[k] = 1 - Tr(g^k) for 0 <= k < v, walked: Tr(x) is the parity
+    # of x & trace_mask, folded to bit 0 by XOR shifts over every bit of an int32
     solvable = np.empty(v, dtype=np.uint8)
-    for lo in range(0, v, _KEY_CHUNK):
-        x = ctx.exp[lo : lo + _KEY_CHUNK] & ctx.trace_mask
+    x = np.empty(len(ctx._first), dtype=np.int32)
+    for lo, powers in walk(ctx, 0, v):
+        t = np.bitwise_and(powers, ctx.trace_mask, out=x[: len(powers)])
         for s in (16, 8, 4, 2, 1):
-            x ^= x >> s
-        solvable[lo : lo + _KEY_CHUNK] = ~x & 1
+            t ^= t >> s
+        solvable[lo : lo + len(t)] = np.invert(t, out=t) & 1
     keys = np.zeros(ts.size, dtype=np.int32)
     for lo in range(0, ts.size, _KEY_CHUNK):
         part = ts[lo : lo + _KEY_CHUNK]

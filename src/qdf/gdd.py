@@ -20,7 +20,7 @@ from .design import MAX_OFFENDERS, Design, QuotientOffender, VerificationReport
 from .design import check_pair_coverage, check_simple, fold_verdicts, orbit_scan
 from .errors import WrongResidueError
 from .family import DifferenceFamily, multiplicity_profile
-from .gf2n import GF2n
+from .gf2n import GF2n, walk
 
 
 def check_residue(n: int) -> None:
@@ -43,11 +43,13 @@ def desarguesian_spread(ctx: GF2n) -> np.ndarray:
 
     K* is the subgroup of order 7 of the cyclic group F* = <g>, so it is
     <g^(v/7)> and the coset of g^a, {g^(a + k v/7)}, depends only on
-    a mod v/7: the exp table lists every coset at once.
+    a mod v/7: the walk of g^k, as 7 rows of v/7, has the cosets as columns.
     """
     check_residue(ctx.n)
-    m = (ctx.order - 1) // 7
-    cosets = np.sort(ctx.exp[np.arange(m)[:, None] + m * np.arange(7)], axis=1)
+    powers = np.empty(ctx.order - 1, dtype=np.int32)
+    for k, x in walk(ctx, 0, len(powers)):
+        powers[k : k + len(x)] = x
+    cosets = np.sort(powers.reshape(7, -1).T, axis=1)
     return cosets[np.argsort(cosets[:, 0])]
 
 
@@ -61,7 +63,7 @@ def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
     ctx = fam.ctx
     check_residue(ctx.n)
     m = (ctx.order - 1) // 7
-    kstar = np.sort(ctx.exp[: 7 * m : m])
+    kstar = np.sort(np.array([ctx.power(j * m) for j in range(7)], dtype=np.int32))
     # a row equal to K* = <g^m> has its slot-1 element, its seed, in K*:
     # only those rows are built, sorted and compared with it
     seeds = fam.rows[:, 1] if fam.seeds is None else fam.seeds
@@ -84,11 +86,11 @@ def verify_relative(fam: DifferenceFamily, profile=None) -> VerificationReport:
     ctx, lam = fam.ctx, fam.lambda_claim
     v = ctx.order - 1
     m = v // max(len(fam.forbidden), 1)  # an ordinary family avoids {1}
-    if fam.forbidden | {1} != frozenset(ctx.exp[:v:m].tolist()):
+    if fam.forbidden | {1} != {ctx.power(k) for k in range(0, v, m)}:
         raise ValueError("the forbidden set is not a subgroup of the units")
     hist = (profile or multiplicity_profile(fam)).hist
     outside, zero_ok, bad = fold_verdicts(hist, m, lam, [0])  # t = 1 is not checked
-    ts = np.concatenate([ctx.exp[bad], ctx.exp[v - bad]])  # g^f and g^(v - f), hist[f] each
+    ts = np.concatenate([ctx.exp[bad], ctx.exp[v - bad]]) if bad.size else bad  # g^f, g^-f
     first = np.argsort(ts)[:MAX_OFFENDERS]
     counts = np.concatenate([hist[bad], hist[bad]])[first]
     offenders = tuple(map(QuotientOffender, ts[first].tolist(), counts.tolist()))

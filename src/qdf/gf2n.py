@@ -2,33 +2,29 @@
 
 Field elements are plain ints in [0, 2^n): bit i is the coefficient of
 z^i in the polynomial basis, so addition is XOR and the elements 0 and 1
-are the ints 0 and 1.  A GF2n instance fixes the degree and the
-irreducible modulus and keeps two int32 ndarrays, exp and log, and the
-int trace_mask, bit i the trace of z^i.  The array code reads the
-ndarrays; the scalar accessors mul, sqr, inv and div look up memoryviews
-of the same buffers, whose items are Python ints, and trace(a) is the
-parity of a & trace_mask.  The square root, the half-trace and the
-quadratic solver are scalar definitions in `qdf.reference`.
-Instances are immutable and safe to share across threads; they hold
-memoryviews, so they do not pickle.
+are the ints 0 and 1.  A GF2n instance keeps the int32 logs, 4 B per
+element, to the smallest generator g of GF(2^n)* (the first g with
+g^((2^n-1)/p) != 1 for every prime p dividing 2^n - 1), the split tables
+of x -> x^2 and the int trace_mask, bit i the trace of z^i: trace(a) is
+the parity of a & trace_mask.  x -> c*x and x -> x^2 are GF(2)-linear,
+each the XOR of two split tables of 2^ceil(n/2) and 2^floor(n/2) entries
+on the low and the high bits of x, doubled once per basis image z^i.
 
-Multiplicative structure: exp/log tables are built on the smallest
-generator of the cyclic group GF(2^n)*, the first g with g^((2^n-1)/p) != 1
-for every prime p dividing 2^n - 1.  The exp table holds the 2^n - 1
-powers once, doubled in length a step at a time, exp[d:2d] = g^d *
-exp[:d].  x -> c*x is GF(2)-linear, so it is applied as the XOR of two
-split tables of 2^ceil(n/2) and 2^floor(n/2) entries, on the low and
-the high bits of x, each doubled once per image of a basis element z^i
-(_split_tables).  An index of the exp table that reaches past its end,
-a sum of two logs, a doubled log or 2^n - 1 minus a log, comes back
-below it through wrap_log, one subtraction and no division.  The trace
-of z^i sums the n Frobenius images of z^i.
+No table of powers is kept.  `walk` yields g^k a chunk of C = 2^13
+powers at a time, each chunk the one before mapped through the split
+tables of g^C, and beside it, for the hexagons, g^-k = 1/g^k; the field
+keeps the first chunk, every power once v = 2^n - 1 fits in it.  The
+logs are scattered from one walk; `exp`, walked on first read, serves
+the scalar mul, inv and div, `qdf.reference` (the square root, the
+half-trace and the quadratic solver), tests and offenders.  wrap_log
+brings a sum of two logs or v minus a log below v with one subtraction.
+Instances are safe to share across threads; they hold memoryviews, so
+they do not pickle.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import xor
+from functools import cached_property
 
 import numpy as np
 
@@ -41,22 +37,13 @@ from .errors import (
 )
 
 
-def table_bytes(n: int) -> int:
-    """Peak bytes of the tables GF2n(n) builds, for preflight estimates.
-
-    Two int32 words per element, the tables the field keeps: exp and
-    logs.  log_table scatters _LOG_CHUNK logs at a time, adding one chunk
-    of int32 values and numpy's 64 KiB buffer of 8,192 indices cast to
-    intp.  One int32 chunk of _DOUBLING_CHUNK powers stands for what the
-    exp table's build leaves in the heap: its doublings' temporaries,
-    three such chunks, are freed before the logs exist, and its split
-    tables and walk hold 2^ceil(n/2) ints or fewer.  In fresh processes,
-    with every array in fresh pages, GF2n(n) grows anonymous RSS by 396,
-    1,164 and 4,244 KiB at n = 15, 17 and 19: 8 B per element and
-    140-148 KiB.  The sqrt and half-trace tables of `qdf.reference` serve
-    tests and demos only.
-    """
-    return 2 * 4 * (1 << n) + 4 * _LOG_CHUNK + 4 * _DOUBLING_CHUNK + 8192 * 8
+def table_bytes(n: int, exp: bool = False) -> int:
+    """Peak bytes of the field's tables and walks, for preflight estimates: per
+    element 4 B of int32 logs, 1 B of hexagon_reps' flag and, if asked, 4 B of
+    the exp table that --seed-system max reads; 36 B per power of a walk chunk
+    (the first chunk, two intp chunks, their scratch and int32 logs).  GF2n(n)
+    grows anonymous RSS by 404, 788 and 2,324 KiB at n = 15, 17 and 19."""
+    return (9 if exp else 5) * (1 << n) + 36 * _WALK_CHUNK
 
 
 def wrap_log(k, v: int):
@@ -124,86 +111,96 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-def _split_tables(c: int, m: int) -> tuple[list[int], list[int]]:
-    """The split tables lo and hi of x -> c * x modulo m, n = deg(m), as
-    int lists of 2^h and 2^(n - h) entries, h = ceil(n/2), with
-    c * x = lo[x & (2^h - 1)] ^ hi[x >> h] for every x of degree below
-    n.  Each table doubles once per basis image z^i * c, which comes by
-    shift-and-reduce: lo's for i < h, hi's for the rest."""
-    n = poly_degree(m)
-    lo, hi = [0], [0]
-    for i in range(n):
-        t = lo if i < (n + 1) // 2 else hi
-        t += [x ^ c for x in t]
-        c <<= 1
-        if c >> n:
-            c ^= m
+def _split_tables(images: list[int], dtype=np.intp) -> tuple:
+    """The split tables lo and hi, of 2^h and 2^(n - h) entries, h = ceil(n/2),
+    of the GF(2)-linear map sending z^i to images[i]: x maps to
+    lo[x & (2^h - 1)] ^ hi[x >> h].  Each doubles once per basis image."""
+    h = (len(images) + 1) // 2
+    lo, hi = np.zeros(1 << h, dtype=dtype), np.zeros(1 << len(images) - h, dtype=dtype)
+    for i, image in enumerate(images):
+        t, j = (lo, i) if i < h else (hi, i - h)
+        np.bitwise_xor(t[: 1 << j], image, out=t[1 << j : 2 << j])
     return lo, hi
 
 
-# Powers per chunk of _exp_table's doublings; bounds their int32 temporaries.
-_DOUBLING_CHUNK = 1 << 13
-
-# Powers that _exp_table walks at least, the whole table below n = 9: a
-# step of the walk costs about 1/100 of a doubling's numpy calls.
-_WALK = 1 << 7
-
-
-def _exp_table(g: int, m: int) -> np.ndarray:
-    """The exp table of g modulo m: exp[i] = g^i for 0 <= i < 2^n - 1,
-    n = deg(m), as int32.
-
-    The first 2^ceil(n/2) powers, or _WALK if more, walk x -> g * x
-    through the split tables of g.  Then the table doubles,
-    exp[d:2d] = g^d * exp[:d], through the split tables of g^d,
-    _DOUBLING_CHUNK powers at a time; the tables of g^(2d) are those of
-    g^d applied to themselves, the map x -> g^d * x taken twice.
-    """
-    n = poly_degree(m)
-    units = (1 << n) - 1
-    h = (n + 1) // 2
-    K = 1 << h
-    lo, hi = _split_tables(g, m)
-    powers = [1]
-    for _ in range(min(max(K, _WALK), units)):
-        x = powers[-1]
-        powers.append(lo[x & (K - 1)] ^ hi[x >> h])
-    d = len(powers) - 1
-    exp = np.empty(units, dtype=np.int32)
-    exp[:d] = powers[:d]
-    if d < units:
-        lo, hi = _split_tables(powers[d], m)
-        t = np.array(lo + hi, dtype=np.int32)
-    while d < units:
-        lo, hi = t[:K], t[K:]
-        top = min(d, units - d)
-        for a in range(0, top, _DOUBLING_CHUNK):
-            x = exp[a : min(a + _DOUBLING_CHUNK, top)]
-            np.bitwise_xor(lo.take(x & (K - 1)), hi.take(x >> h), out=exp[d + a : d + a + len(x)])
-        d *= 2
-        if d < units:
-            t = np.bitwise_xor(lo.take(t & (K - 1)), hi.take(t >> h))
-    return exp
+def _times(c: int, m: int, count: int = 0) -> list[int]:
+    """The basis images z^i * c modulo m, i < deg(m) or `count`, of
+    x -> c * x, by shift-and-reduce."""
+    n, images = poly_degree(m), []
+    for _ in range(count or n):
+        images.append(c)
+        c = c << 1 ^ (m if c >> (n - 1) else 0)
+    return images
 
 
-# Logs per chunk of log_table's scatter; bounds its int32 values.
-_LOG_CHUNK = 1 << 15
+def _times_chunk(c: int, m: int):
+    """x -> c * x modulo m on intp chunks through the split tables of c: the
+    returned call maps x into `out`, with `tmp` as scratch, allocating nothing."""
+    lo, hi = _split_tables(_times(c, m))
+    h = len(lo).bit_length() - 1
+
+    def times(x, out, tmp):
+        np.bitwise_and(x, len(lo) - 1, out=tmp)
+        lo.take(tmp, out=out, mode="clip")  # "raise" would copy via a buffer
+        np.right_shift(x, h, out=tmp)
+        hi.take(tmp, out=tmp, mode="clip")
+        return np.bitwise_xor(out, tmp, out=out)
+
+    return times
 
 
-def log_table(exp: np.ndarray, order: int) -> np.ndarray:
-    """Discrete logs from the exp table of a field of `order` elements,
-    with -1 at 0, scattered _LOG_CHUNK at a time.
+# Powers per chunk of a walk, and of them the most that its first chunk
+# takes one scalar multiply at a time.
+_WALK_CHUNK = 1 << 13
+_SCALAR_STEPS = 1 << 7
 
-    Raises unless exp is a permutation of the units, i.e. unless every
-    nonzero element gets exactly one log.
-    """
-    logs = np.full(order, -1, dtype=np.int32)
-    for lo in range(0, len(exp), _LOG_CHUNK):
-        hi = min(lo + _LOG_CHUNK, len(exp))
-        logs[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
-    if len(exp) != order - 1 or logs[1:].min() < 0:
-        raise AssertionError("exp table is not a permutation of the units; tables corrupt")
-    return logs
+
+def _walk(first: np.ndarray, s: int, c: int, m: int):
+    """Endless intp chunks modulo m, first * s and then each the one before
+    times c, in two buffers by turns: a chunk lasts until the next is drawn."""
+    x, y, tmp = (np.empty(len(first), dtype=np.intp) for _ in range(3))
+    times = _times_chunk(c, m)
+    if s == 1:
+        x[:] = first
+    else:
+        (times if s == c else _times_chunk(s, m))(first, x, tmp)
+    while True:
+        yield x
+        x, y = times(x, y, tmp), x
+
+
+def _first_powers(g: int, m: int, size: int) -> np.ndarray:
+    """g^k for 0 <= k < size as intp: up to _SCALAR_STEPS by scalar multiplies,
+    else walked from the first powers of an eighth of size."""
+    if size <= _SCALAR_STEPS:
+        lo, hi = (t.tolist() for t in _split_tables(_times(g, m)))
+        h, x, steps = len(lo).bit_length() - 1, 1, [1]
+        for _ in range(size - 1):
+            steps.append(x := lo[x & len(lo) - 1] ^ hi[x >> h])
+        return np.array(steps, dtype=np.intp)
+    first = _first_powers(g, m, max(_SCALAR_STEPS, size // 8))
+    s, out = len(first), np.empty(size, dtype=np.intp)
+    for k, x in zip(range(0, size, s), _walk(first, 1, poly_mulmod(int(first[-1]), g, m), m)):
+        out[k : k + s] = x[: size - k]
+    return out
+
+
+def walk(ctx: GF2n, start: int, stop: int, inverses: bool = False):
+    """(k, x) per chunk of C powers or fewer, x[i] = g^(k + i) as intp, for
+    start <= k + i < stop <= start + v, C the length of the field's first chunk;
+    with `inverses` and start >= 1, (k, x, y), y[i] = 1/x[i].  A chunk is the one
+    before times g^C; y walks beside it by g^-C from the first chunk reversed, or
+    is that chunk reversed when it holds all v powers.  It lasts until the next."""
+    first, mod, v = ctx._first, ctx.modulus, ctx.order - 1
+    size = len(first)
+    if size == v and stop <= v:
+        yield start, first[start:stop], *[first[v - start : v - stop : -1]] * inverses
+        return
+    runs = [_walk(first, ctx.power(start), ctx.power(size), mod)]
+    if inverses:  # g^-(k + i) = g^-(k + size - 1) * g^(size - 1 - i)
+        runs.append(_walk(first[::-1], ctx.power(1 - start - size), ctx.power(-size), mod))
+    for k, xs in zip(range(start, stop, size), zip(*runs)):
+        yield (k, *(x[: stop - k] for x in xs))
 
 
 def is_irreducible(p: int) -> bool:
@@ -228,24 +225,6 @@ def smallest_irreducible(n: int) -> int:
         if is_irreducible(p):
             return p
     raise AssertionError(f"no irreducible polynomial of degree {n} found")
-
-
-def _frobenius_walks(ctx: GF2n) -> list[list[int]]:
-    """walks[i][j] = (z^i)^(2^j) = g^(2^j k) for i, j < n, k the log of
-    z^i: doubling a log modulo 2^n - 1 rotates its n bits left, so the
-    walk reads the exp table at the n rotations of k.  The trace of z^i sums
-    walk i, its square root is the walk's last entry and its half-trace
-    the sum of its even entries."""
-    n, exp, v = ctx.n, ctx._exp, ctx.order - 1
-    walks = []
-    for i in range(n):
-        k = ctx._log[1 << i]
-        walk = []
-        for _ in range(n):
-            walk.append(exp[k])
-            k = (k << 1 | k >> (n - 1)) & v
-        walks.append(walk)
-    return walks
 
 
 class GF2n:
@@ -275,57 +254,74 @@ class GF2n:
                 )
             if not is_irreducible(modulus):
                 raise ReduciblePolynomialError(f"modulus {modulus:#x} factors over GF(2)")
-        self.n = n
-        self.modulus = modulus
-        self.order = 1 << n
-
-        self._build_tables()
-
-    # -- table construction -------------------------------------------------
-
-    def _build_tables(self) -> None:
-        q, mod = self.order, self.modulus
-        m = q - 1
+        self.n, self.modulus, self.order = n, modulus, 1 << n
+        m = self.order - 1
         # g generates F* iff g^(m/p) != 1 for every prime p dividing m
         cofactors = [m // p for p in _prime_factors(m)]
-        g = next(
-            x for x in range(2, q) if all(poly_powmod(x, c, mod) != 1 for c in cofactors)
+        self.generator = g = next(
+            x for x in range(2, 1 << n) if all(poly_powmod(x, c, modulus) != 1 for c in cofactors)
         )
+        # x -> x^2 is GF(2)-linear: the split tables of the images z^(2i)
+        self.squares = _split_tables(_times(1, modulus, 2 * n)[::2], np.int32)
+        self._sq = tuple(map(memoryview, self.squares))
+        # bit k of trace_mask is Tr(z^k), the power sum p_k of the modulus'
+        # roots: p_0 = n mod 2 = 1 and, by Newton's identities over GF(2) on
+        # its coefficients c_i, p_k = k c_(n-k) + sum(c_(n-j) p_(k-j), 0 < j < k)
+        c, p = [modulus >> i & 1 for i in range(n)], [1]
+        for k in range(1, n):
+            p.append((k * c[n - k] + sum(c[n - j] & p[k - j] for j in range(1, k))) & 1)
+        self.trace_mask = sum(bit << k for k, bit in enumerate(p))
 
-        self.generator = g
-        self.exp = _exp_table(g, mod)
-        self.logs = log_table(self.exp, q)
-        self._exp = memoryview(self.exp)
+        self._first = _first_powers(g, modulus, min(_WALK_CHUNK, m))
+        self._first.flags.writeable = False  # walks yield views of it
+        self.logs = np.full(self.order, -1, dtype=np.int32)
+        ks = np.arange(len(self._first), dtype=np.int32)
+        for _, x in walk(self, 0, m):
+            self.logs[x] = ks[: len(x)]
+            ks += len(x)  # the next chunk's logs
+        if self.logs[1:].min() < 0:
+            raise AssertionError("the powers of g miss a unit: not a permutation; tables corrupt")
         self._log = memoryview(self.logs)
 
-        images = [reduce(xor, walk) for walk in _frobenius_walks(self)]
-        if max(images) > 1:  # pragma: no cover - guards table construction
-            raise AssertionError("trace is not {0,1}-valued; tables corrupt")
-        self.trace_mask = sum(bit << i for i, bit in enumerate(images))
+    @cached_property
+    def exp(self) -> np.ndarray:
+        """exp[k] = g^k, 0 <= k < 2^n - 1, as int32, walked on first read."""
+        exp = np.empty(self.order - 1, dtype=np.int32)
+        for k, x in walk(self, 0, self.order - 1):
+            exp[k : k + len(x)] = x
+        return exp
+
+    def power(self, k: int) -> int:
+        """g^k for any int k: off the first chunk, or the square of g^(k // 2),
+        times g for odd k, k taken mod 2^n - 1."""
+        k %= self.order - 1
+        if k < len(self._first):
+            return int(self._first[k])
+        x = self.sqr(self.power(k >> 1))
+        return poly_mulmod(x, self.generator, self.modulus) if k & 1 else x
 
     # -- scalar arithmetic ---------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[wrap_log(self._log[a] + self._log[b], self.order - 1)]
+        return self.exp.item(wrap_log(self._log[a] + self._log[b], self.order - 1))
 
     def sqr(self, a: int) -> int:
-        if a == 0:
-            return 0
-        return self._exp[wrap_log(2 * self._log[a], self.order - 1)]
+        lo, hi = self._sq
+        return lo[a & len(lo) - 1] ^ hi[a >> (self.n + 1) // 2]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverseError("zero has no multiplicative inverse")
-        return self._exp[wrap_log(self.order - 1 - self._log[a], self.order - 1)]
+        return self.exp.item(wrap_log(self.order - 1 - self._log[a], self.order - 1))
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise ZeroInverseError("division by zero")
         if a == 0:
             return 0
-        return self._exp[wrap_log(self._log[a] - self._log[b] + self.order - 1, self.order - 1)]
+        return self.exp.item(wrap_log(self._log[a] - self._log[b] + self.order - 1, self.order - 1))
 
     def trace(self, a: int) -> int:
         """Absolute trace sum(a^(2^i), i < n), valued in {0, 1}."""
@@ -337,9 +333,8 @@ class GF2n:
         """The 2^d elements fixed by x -> x^(2^d), sorted; requires d | n."""
         if d <= 0 or self.n % d != 0:
             raise NotADivisorError(f"{d} does not divide {self.n}")
-        # the units of GF(2^d) are the subgroup of order 2^d - 1
-        m = self.order - 1
-        return [0, *sorted(self._exp[: m : m // ((1 << d) - 1)])]
+        m = self.order - 1  # GF(2^d)* is the subgroup of order 2^d - 1
+        return [0, *sorted(self.exp[: m : m // ((1 << d) - 1)].tolist())]
 
     def seeds(self) -> range:
         """All valid block/hexagon seeds: the units other than 1."""

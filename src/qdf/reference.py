@@ -21,40 +21,36 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor
 
-import numpy as np
-
 from .blocks import SLOT_MASKS, _check_seed
 from .errors import AllZeroCoefficientsError, DegenerateTError
 from .family import EQUATION_FORMS, MATCHED_PAIRS
-from .gf2n import GF2n, _frobenius_walks, poly_degree, poly_mod
+from .gf2n import GF2n, _split_tables, poly_degree, poly_mod
 
 # -- square roots, half-traces and quadratics ---------------------------------
 
 
-def _linear_table(images) -> np.ndarray:
-    """The table of the GF(2)-linear map sending z^i to images[i], over
-    all 2^len(images) elements, as int32: t[x + 2^i] = t[x] ^ images[i]
-    for x < 2^i, one doubling per basis image."""
-    t = np.zeros(1 << len(images), dtype=np.int32)
-    for i, image in enumerate(images):
-        np.bitwise_xor(t[: 1 << i], image, out=t[1 << i : 2 << i])
-    return t
+def _frobenius(ctx: GF2n, a: int, j: int) -> int:
+    """a^(2^j) of a unit a = g^k: g^(k 2^j)."""
+    return ctx.power(ctx._log[a] << j)
 
 
 @lru_cache(maxsize=16)
-def _sqrt_table(ctx: GF2n) -> memoryview:
-    # the square root of z^i is the last entry of its Frobenius walk
-    return memoryview(_linear_table([walk[-1] for walk in _frobenius_walks(ctx)]))
+def _sqrt_tables(ctx: GF2n) -> tuple:
+    images = [_frobenius(ctx, 1 << i, ctx.n - 1) for i in range(ctx.n)]
+    return tuple(t.tolist() for t in _split_tables(images))
 
 
 @lru_cache(maxsize=16)
-def _half_trace_table(ctx: GF2n) -> memoryview:
-    return memoryview(_linear_table([reduce(xor, walk[::2]) for walk in _frobenius_walks(ctx)]))
+def _half_trace_tables(ctx: GF2n) -> tuple:
+    halves = range(0, ctx.n, 2)
+    images = [reduce(xor, (_frobenius(ctx, 1 << i, j) for j in halves)) for i in range(ctx.n)]
+    return tuple(t.tolist() for t in _split_tables(images))
 
 
 def sqrt(ctx: GF2n, a: int) -> int:
     """The unique square root, a -> a^(2^(n-1)); squaring is a bijection."""
-    return _sqrt_table(ctx)[a]
+    lo, hi = _sqrt_tables(ctx)
+    return lo[a & len(lo) - 1] ^ hi[a >> (ctx.n + 1) // 2]
 
 
 def half_trace(ctx: GF2n, u: int) -> int:
@@ -62,7 +58,8 @@ def half_trace(ctx: GF2n, u: int) -> int:
 
     Whenever trace(u) = 0, H(u) solves y^2 + y = u.
     """
-    return _half_trace_table(ctx)[u]
+    lo, hi = _half_trace_tables(ctx)
+    return lo[u & len(lo) - 1] ^ hi[u >> (ctx.n + 1) // 2]
 
 
 @dataclass(frozen=True)

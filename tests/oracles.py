@@ -1,16 +1,18 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here touches the package's exp/log tables, except the three
-oracles named last: multiplication is schoolbook shift-and-xor, inverses
-are found by exhaustive search, irreducibility comes from enumerating
+Nothing here touches the package's exp/log tables, except the oracles
+named last: multiplication is schoolbook shift-and-xor, inverses are
+found by exhaustive search, irreducibility comes from enumerating
 products of lower-degree polynomials, the exp/log tables come from a
-scalar power walk, and pair coverage is counted from materialized block
-sets.  The hexagon oracle walks hexagon_of seed by seed.  The orbit
-label divides scalar by scalar with the field's `div`, and materialize
-develops blocks with the field's tables.  The Frobenius oracle takes
-exp/log tables as given (checked against the power walk) and derives
-trace, sqrt and half-trace element by element from the squaring
-permutation, not from basis images.
+scalar power walk or, as the field built them before it walked its
+powers, by doubling split tables of its own (exp_by_doubling), and pair
+coverage is counted from materialized block sets.  The hexagon oracle
+walks hexagon_of seed by seed.  The orbit label divides scalar by scalar
+with the field's `div`, materialize develops blocks with the field's
+tables, and hexagon_reps_by_gather gathers inverses from them.  The
+Frobenius oracle takes exp/log tables as given (checked against the power
+walk) and derives trace, sqrt and half-trace element by element from the
+squaring permutation, not from basis images.
 """
 
 from collections import Counter
@@ -132,6 +134,53 @@ def power_walk(n: int, modulus: int) -> tuple[int, list[int], list[int]]:
             if v == 1:
                 return g, exp, log
     raise AssertionError("no generator found")
+
+
+def _times_by_split_tables(c: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The split tables of x -> c * x modulo m, h = ceil(n/2): c * x is
+    lo[x & (2^h - 1)] ^ hi[x >> h], each table doubled once per basis image."""
+    n = m.bit_length() - 1
+    lo, hi = [0], [0]
+    for i in range(n):
+        t = lo if i < (n + 1) // 2 else hi
+        t += [x ^ c for x in t]
+        c <<= 1
+        if c >> n:
+            c ^= m
+    return np.array(lo, dtype=np.int32), np.array(hi, dtype=np.int32)
+
+
+def exp_by_doubling(g: int, m: int) -> np.ndarray:
+    """The exp table of g modulo m as int32, built as the field built it
+    before it walked its powers: 2^ceil(n/2) powers, or 128 if more, by
+    scalar multiplies, then exp[d:2d] = g^d * exp[:d], the split tables of
+    g^(2d) those of g^d applied to themselves."""
+    n = m.bit_length() - 1
+    units, h = (1 << n) - 1, (n + 1) // 2
+    lo, hi = _times_by_split_tables(g, m)
+    powers = [1]
+    for _ in range(min(max(1 << h, 128), units)):
+        powers.append(int(lo[powers[-1] & ((1 << h) - 1)] ^ hi[powers[-1] >> h]))
+    d = len(powers) - 1
+    exp = np.empty(units, dtype=np.int32)
+    exp[:d] = powers[:d]
+    lo, hi = _times_by_split_tables(powers[d], m)
+    while d < units:
+        top = min(d, units - d)
+        exp[d : d + top] = lo[exp[:top] & ((1 << h) - 1)] ^ hi[exp[:top] >> h]
+        d *= 2
+        lo, hi = lo[lo & ((1 << h) - 1)] ^ hi[lo >> h], lo[hi & ((1 << h) - 1)] ^ hi[hi >> h]
+    return exp
+
+
+def hexagon_reps_by_gather(ctx) -> np.ndarray:
+    """The hexagon representatives as the field found them before its
+    paired walk: x even with x < min(1/x, 1/(x + 1)) & ~1, each inverse
+    gathered from the exp table."""
+    inv = np.empty(ctx.order, dtype=np.int64)
+    inv[1:] = ctx.exp[(ctx.order - 1 - ctx.logs[1:]) % (ctx.order - 1)]
+    x = np.arange(2, ctx.order, 2)
+    return x[x < (np.minimum(inv[x], inv[x + 1]) & ~1)].astype(np.int32)
 
 
 def frobenius_tables(exp, logs, n: int) -> dict[str, np.ndarray]:

@@ -14,7 +14,7 @@ from qdf.reference import (
     same_orbit,
     stabilizer_of,
 )
-from oracles import cached_field, canonical_orbit_label, hexagons_by_scan
+from oracles import cached_field, canonical_orbit_label, hexagon_reps_by_gather, hexagons_by_scan
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
@@ -211,3 +211,22 @@ def test_chunked_hexagon_rows_match_hexagon_of_scan(monkeypatch, n, chunk):
     assert rows.dtype == np.int32
     assert [tuple(r) for r in rows.tolist()] == expected
     assert build_family(f, system="max").slots[:, 1].tolist() == [max(h) for h in expected]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])  # powers per walk chunk
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
+def test_paired_walk_reps_match_the_gather_oracle(monkeypatch, n, chunk):
+    # the flags of the paired walk of g^k and g^-k give the representatives
+    # of the inverse gathers, and so the seeds of both systems: the largest
+    # vertex is the odd member of the larger pair of 1/r and 1/(r + 1)
+    from qdf import gf2n
+
+    if chunk is not None:
+        monkeypatch.setattr(gf2n, "_WALK_CHUNK", chunk)
+    f = gf2n.GF2n(n)
+    reps = hexagon_reps_by_gather(f)
+    assert hexagon_reps(f).tolist() == reps.tolist()
+    inv = f.exp[(f.order - 1 - f.logs[1:]) % (f.order - 1)]
+    assert build_family(f).seeds.tolist() == reps.tolist()
+    largest = np.maximum(inv[reps - 1], inv[reps]) | 1
+    assert build_family(f, system="max").seeds.tolist() == largest.tolist()

@@ -84,14 +84,13 @@ def test_preflight_estimate_matches_counter(capsys):
     )
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
-    # table_bytes(15) = 8 * 2^15 + 4 * 2^15 + 4 * 2^13 + 8 * 8192 = 491,520
-    # bytes (0.47 MiB: the two table words, a chunk of 2^15 logs, a chunk
-    # of 2^13 doubled powers and numpy's index buffer);
+    # table_bytes(15) = 5 * 2^15 + 36 * 2^13 = 458,752 bytes (0.44 MiB:
+    # the logs, the hexagons' flag and a walk chunk's 36 B per power);
     # for 5461 orbits, develop_bytes = 228 * 4096 + 44 * 5461 = 1,174,172
     # (1.12 MiB: a scan chunk and the orbits); the largest stage is the
     # pair count, pair_count_bytes = 5 * 2^14 + 2^14 = 98,304 (0.09 MiB):
-    # 1,763,996 bytes (1.68 MiB) in all
-    assert "~0.5 MiB of field tables" in warning
+    # 1,731,228 bytes (1.65 MiB) in all
+    assert "~0.4 MiB of field tables" in warning
     assert "~1.1 MiB for the development and ~0.1 MiB for the largest stage" in warning
     assert "~1.7 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
@@ -102,7 +101,7 @@ def test_preflight_counts_no_pairs_without_pair_counting(capsys, command):
     code, _, stderr = run_cli(capsys, command, "--n", "15", "--force", "--modulus", "0x8000")
     assert code == 2
     warning = stderr.strip().split("\n")[0]
-    assert "~0.5 MiB of field tables" in warning
+    assert "~0.4 MiB of field tables" in warning
     assert "largest stage" not in warning
 
 
@@ -113,10 +112,10 @@ def test_preflight_of_construct_counts_family_and_profile(capsys):
     # 4 * 5461 + 2^18 = 283,988 bytes for the family (its seeds and the
     # writer's 256 KiB chunk); 2 * 2^15 + 224 * 4096 = 983,040 for the
     # profile (its half-field histogram and a chunk of 4096 slot rows with
-    # the fold's temporaries); with the tables 1,758,548 bytes (1.68 MiB)
+    # the fold's temporaries); with the tables 1,725,780 bytes (1.65 MiB)
     # in all
     assert "~0.3 MiB for the family and ~0.9 MiB for the profile" in warning
-    assert "~1.7 MiB in all" in warning
+    assert "~1.6 MiB in all" in warning
 
 
 def test_preflight_of_certify_names_the_report_size(capsys, tmp_path):
@@ -163,14 +162,16 @@ def test_preflight_table_estimate_matches_measured_rss(n):
     assert 0.75 * table_bytes(n) < measured < 1.25 * table_bytes(n)
 
 
-def _measured_and_printed(command, n):
+def _measured_and_printed(command, n, *options):
     """Peak RSS growth of a whole `command --n n --force` in a fresh
-    process, and the total the preflight prints for it."""
+    process, with any further options, and the total the preflight
+    prints for it."""
     probe = (
         "import os, re, qdf.cli;"
         "hwm = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1]);"
         "r0 = hwm();"
-        f"rc = qdf.cli.main(['{command}', '--n', '{n}', '--force', '--out', os.devnull]);"
+        f"rc = qdf.cli.main(['{command}', '--n', '{n}', '--force', *{list(options)!r},"
+        " '--out', os.devnull]);"
         "print(rc, (hwm() - r0) * 1024)"
     )
     out = subprocess.run(
@@ -181,6 +182,16 @@ def _measured_and_printed(command, n):
     rc, measured = map(int, out.stdout.split())
     assert rc == 0
     return measured, float(re.search(r"~([0-9.]+) MiB in all", out.stderr)[1]) * 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_preflight_counts_the_exp_table_of_the_largest_vertices(command):
+    # --seed-system max reads 1/r and 1/(r + 1) off the exp table, built
+    # on first read, 4 B per element that the printed total adds: VmHWM
+    # grows by 23.4 and 33.1 MiB at n = 21, against 24.7 and 38.9 printed
+    measured, total = _measured_and_printed(command, 21, "--seed-system", "max")
+    assert 0.75 * total < measured < 1.25 * total
 
 
 def test_commands_do_not_import_numpy_ma(tmp_path):
@@ -860,3 +871,30 @@ def test_commands_never_build_every_slot_row_at_once(tmp_path, monkeypatch, n):
     ]
     for argv in commands:
         assert main([*argv, "--out", os.devnull] if argv[0] != "construct" else argv) == 0, argv
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
+def test_commands_never_read_the_exp_table(tmp_path, monkeypatch, n):
+    # the exp table is built on first read, for the reference definitions,
+    # tests, --seed-system max and a failing check's offenders: with it
+    # raising, every command still runs, from the logs and the walks
+    from qdf import GF2n
+
+    def refuse(self):
+        raise AssertionError("the exp table read")
+
+    monkeypatch.setattr(GF2n, "exp", property(refuse))
+    fam = tmp_path / "family.json"
+    field = ["--n", str(n), "--force"]
+    commands = [
+        ["construct", *field, "--out", str(fam)],
+        ["verify", *field],
+        ["certify", *field],
+        *([["gdd", *field]] if n % 6 == 3 else []),
+        ["export", str(fam)],
+        ["export", str(fam), "--format", "csv"],
+    ]
+    for argv in commands:
+        assert main([*argv, "--out", os.devnull] if argv[0] != "construct" else argv) == 0, argv
+    with pytest.raises(AssertionError, match="the exp table read"):
+        main(["construct", *field, "--seed-system", "max", "--out", os.devnull])

@@ -493,14 +493,14 @@ def test_commands_fold_their_design_once(monkeypatch, command, n, rows):
     # design takes its fold from it, less the differences of K*'s orbit
     # when 3 | n (one short row)
     calls = []
-    fold = family.fold_differences
+    fold = family.folding
 
-    def counted(fam, weight=None):
+    def counted(fam, hist, weight=None):
         calls.append(len(fam))
-        return fold(fam, weight)
+        return fold(fam, hist, weight)
 
-    monkeypatch.setattr(family, "fold_differences", counted)
-    monkeypatch.setattr(design, "fold_differences", counted)
+    monkeypatch.setattr(family, "folding", counted)
+    monkeypatch.setattr(design, "folding", counted)
     assert cli.main([command, "--n", str(n), "--out", os.devnull]) == 0
     assert calls == rows
 
@@ -584,10 +584,11 @@ def test_seed_chunks_give_the_verdicts_of_the_materialized_rows(monkeypatch, n, 
 
     def verdicts(fam):
         profile = multiplicity_profile(fam)
+        hist = profile.hist.tolist()  # develop takes the histogram over
         d = develop(fam, profile)
         report = replace(verify_2design(d), timing=0.0)
         scans = [_scan_fields(design.orbit_scan(fam)), _scan_fields(d.scan)]
-        return [profile.hist.tolist(), *scans, d.fold.tolist(), check_simple(d), report]
+        return [hist, *scans, d.fold.tolist(), check_simple(d), report]
 
     want = [
         verdicts(DifferenceFamily(f, fam.slots, fam.lambda_claim, fam.forbidden))
@@ -630,6 +631,27 @@ def test_only_short_runs_make_events(n, events):
     fold_sums = np.zeros(v // 2 + 1, dtype=np.int64)
     np.add.at(fold_sums, keys // (v + 1), weights)
     assert not fold_sums.any()
+
+
+def test_develop_keeps_no_second_histogram():
+    # at n = 15, 3 | n: K*'s differences leave the profile's histogram in
+    # place, and the design's fold is that histogram.  What develop keeps
+    # is its int64 length and replication and the K* flags, 17 B an orbit
+    # (no hashes: K* fixes a row), with no copy of the 2^14 int32 folds
+    f = cached_field(15)
+    fam = build_family(f)
+    profile = multiplicity_profile(fam)
+    want = profile.hist.copy()
+    want[(f.order - 1) // 7 :: (f.order - 1) // 7] -= 7  # K*'s 21 pairs, at the folds m, 2m, 3m
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = develop(fam, profile)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert d.fold is profile.hist and d.fold.tolist() == want.tolist()
+    assert 17 * len(fam) <= kept < 17 * len(fam) + profile.hist.nbytes // 4
 
 
 def test_kernel_peak_within_its_preflight_term():

@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,13 +21,15 @@ from qdf import (
 from qdf import gf2n
 from qdf.cli import HARD_N_CEILING
 from qdf.family import quotient_log
-from qdf.gf2n import log_table, wrap_log
+from qdf.gf2n import poly_powmod, walk, wrap_log
 from qdf.reference import block_of, half_trace, hexagon_of, solve_quadratic, sqrt
 from oracles import (
     brute_inverse,
     cached_field,
+    exp_by_doubling,
     frobenius_tables,
     is_irreducible_by_trial,
+    mul_interleaved,
     power_walk,
     schoolbook_mul,
     smallest_irreducible_by_products,
@@ -383,69 +386,137 @@ def test_tables_match_scalar_power_walk(n, modulus):
 
 
 def test_corrupted_exp_table_is_rejected(monkeypatch):
-    f = cached_field(7)
-    exp = f.exp
-    assert (log_table(exp, f.order) == f.logs).all()
-    repeated = exp.copy()
-    repeated[5] = repeated[6]  # one unit twice, another never
-    with_zero = exp.copy()
-    with_zero[3] = 0
-    for bad in (repeated, with_zero, exp[:-1]):
-        with pytest.raises(AssertionError, match="permutation"):
-            log_table(bad, f.order)
-
-    # multiply-by-constant tables that are two-to-one repeat powers: every
-    # table at n = 7, whose walk covers the exp table, and at n = 13 only
-    # the tables of g^d that the doublings read, with g = 2's walk intact
+    # multiply-by-constant tables that are two-to-one repeat powers, so
+    # some unit gets no log: every table at n = 7, and at n = 13, with g =
+    # 2's scalar steps intact, only the tables of the powers of g that the
+    # walk steps by, and at n = 9 in chunks of 64 only the tables of g^64,
+    # which map the first chunk to every later one
     assert cached_field(13).generator == 2
-    split_tables = gf2n._split_tables
-    for n, corrupt in ((7, lambda c: True), (13, lambda c: c != 2)):
+    times = gf2n._times
+    for n, chunk, corrupt in (
+        (7, None, lambda c: True),
+        (13, None, lambda c: c != 2),
+        (9, 64, lambda c: c == cached_field(9).power(64)),
+    ):
+        if chunk:
+            monkeypatch.setattr(gf2n, "_WALK_CHUNK", chunk)
         monkeypatch.setattr(
             gf2n,
-            "_split_tables",
-            lambda c, m: tuple([x & ~1 for x in t] if corrupt(c) else t for t in split_tables(c, m)),
+            "_times",
+            lambda c, m, count=0: [x & ~1 for x in times(c, m, count)] if corrupt(c) and not count else times(c, m, count),
         )
         with pytest.raises(AssertionError, match="permutation"):
             GF2n(n)
+        monkeypatch.setattr(gf2n, "_times", times)
+        assert GF2n(n).logs.tolist() == cached_field(n).logs.tolist()
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
 def test_chunked_log_scatter_matches_one_shot(monkeypatch, chunk):
-    # logs scattered `chunk` at a time equal one scatter of all of them,
-    # directly and through the field's build, and an exp table corrupted
-    # only in a later chunk than the first is still rejected
+    # logs scattered a walk chunk of `chunk` powers at a time equal one
+    # scatter of the whole exp table, and a walk corrupted only in the
+    # tables that take one chunk to the next, past the first, is rejected
     f = cached_field(7)
-    exp = f.exp
     one_shot = np.full(f.order, -1, dtype=np.int32)
-    one_shot[exp] = np.arange(f.order - 1, dtype=np.int32)
-    monkeypatch.setattr(gf2n, "_LOG_CHUNK", chunk)
-    assert log_table(exp, f.order).tolist() == one_shot.tolist() == f.logs.tolist()
-    assert GF2n(7).logs.tolist() == one_shot.tolist()
-    repeated = exp.copy()
-    repeated[-1] = repeated[-2]  # one unit twice, another never
-    with_zero = exp.copy()
-    with_zero[-1] = 0
-    for bad in (repeated, with_zero):
-        with pytest.raises(AssertionError, match="permutation"):
-            log_table(bad, f.order)
+    one_shot[f.exp] = np.arange(f.order - 1, dtype=np.int32)
+    monkeypatch.setattr(gf2n, "_WALK_CHUNK", chunk)
+    assert GF2n(7).logs.tolist() == one_shot.tolist() == f.logs.tolist()
+    times_chunk, step = gf2n._times_chunk, f.power(chunk)
+
+    def corrupted(c, m):
+        times = times_chunk(c, m)
+        return (lambda x, out, tmp: np.bitwise_and(times(x, out, tmp), ~1, out=out)) if c == step else times
+
+    monkeypatch.setattr(gf2n, "_times_chunk", corrupted)
+    with pytest.raises(AssertionError, match="permutation"):
+        GF2n(7)
 
 
 @pytest.mark.parametrize("walk", [None, 1])
 @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
 @pytest.mark.parametrize("n,modulus", [(7, None), (9, None), (11, 0xAE3), (13, None)])
 def test_chunked_exp_doubling_matches_power_walk(monkeypatch, n, modulus, chunk, walk):
-    # the exp table doubled `chunk` powers at a time equals the scalar
-    # power walk; with walk = 1 the walk takes only 2^ceil(n/2) powers, so
-    # n = 7, whose whole table the default walk covers, doubles too.  The
-    # generator is 7 at n = 9 and 0xae3's is not 2 either.
-    monkeypatch.setattr(gf2n, "_DOUBLING_CHUNK", chunk)
+    # the powers walked `chunk` at a time, the exp table that the field
+    # builds on first read from them and the logs it scatters, equal the
+    # scalar power walk; with walk = 1 only the first power is scalar, so
+    # the first chunk too is walked, one power per step and then by
+    # eighths.  The generator is 7 at n = 9 and 0xae3's is not 2 either.
+    monkeypatch.setattr(gf2n, "_WALK_CHUNK", chunk)
     if walk is not None:
-        monkeypatch.setattr(gf2n, "_WALK", walk)
+        monkeypatch.setattr(gf2n, "_SCALAR_STEPS", walk)
     f = GF2n(n, modulus)
     g, exp, log = power_walk(n, f.modulus)
     assert f.generator == g
     assert f.exp.tolist() == exp
     assert f.logs.tolist() == log
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
+def test_walk_matches_the_doubling_oracle(monkeypatch, n, chunk):
+    # the walk in chunks of 1, 7, 64 and the default 2^13 powers, plain and
+    # paired with the inverses, against the exp table by doubling: the
+    # default chunk holds the whole table up to n = 13, the others cut it
+    if chunk is not None:
+        monkeypatch.setattr(gf2n, "_WALK_CHUNK", chunk)
+    f = GF2n(n)
+    v = f.order - 1
+    exp = exp_by_doubling(f.generator, f.modulus)
+    size = min(chunk or 1 << 13, v)
+    got = [(k, x.copy()) for k, x in walk(f, 0, v)]
+    assert [k for k, _ in got] == list(range(0, v, size))
+    assert np.concatenate([x for _, x in got]).tolist() == exp.tolist()
+    # from any start, with a last chunk cut short
+    assert np.concatenate([x.copy() for _, x in walk(f, v // 3, v // 3 + v // 2)]).tolist() == exp[v // 3 : v // 3 + v // 2].tolist()
+    pairs = [(k, x.copy(), y.copy()) for k, x, y in walk(f, 1, v // 2 + 1, inverses=True)]
+    ks = np.arange(1, v // 2 + 1)
+    assert np.concatenate([x for _, x, _ in pairs]).tolist() == exp[ks].tolist()
+    assert np.concatenate([y for _, _, y in pairs]).tolist() == exp[v - ks].tolist()
+    want = np.full(f.order, -1)
+    want[exp] = np.arange(v)
+    assert f.logs.tolist() == want.tolist() and f.exp.tolist() == exp.tolist()
+    # the trace and the squaring tables, against whole-field Frobenius passes
+    tables = frobenius_tables(exp, f.logs, n)
+    assert f.trace_mask == sum(int(tables["trace"][1 << i]) << i for i in range(n))
+    x = np.arange(f.order)
+    lo, hi = f.squares
+    assert (lo[x & len(lo) - 1] ^ hi[x >> (n + 1) // 2]).tolist() == tables["sq"].tolist()
+    assert [f.sqr(a) for a in range(f.order)] == tables["sq"].tolist()
+
+
+def _bare_field(n: int):
+    """What the walk reads of a field, with no table: its first powers, and
+    g^k by poly_powmod, for n past any field a test builds."""
+    m = smallest_irreducible(n)
+    v = (1 << n) - 1
+    g = next(x for x in range(2, 1 << n) if all(poly_powmod(x, v // p, m) != 1 for p in gf2n._prime_factors(v)))
+    first = gf2n._first_powers(g, m, gf2n._WALK_CHUNK)
+    return SimpleNamespace(order=1 << n, modulus=m, _first=first, power=lambda k: poly_powmod(g, k % v, m)), g
+
+
+def _scalar_powers(g: int, m: int, n: int, k: int, count: int) -> list[int]:
+    x, out = poly_powmod(g, k, m), []
+    for _ in range(count):
+        out.append(x)
+        x = mul_interleaved(x, g, n, m)
+    return out
+
+
+@pytest.mark.parametrize("n", [25, 29])
+def test_walk_reaches_the_last_powers_past_the_built_fields(n):
+    # the whole walk at n = 25 and 29, 4,096 and 65,536 chunks, ends at
+    # g^(v - 1): the powers of its last chunk, and those of the paired walk
+    # up to v/2, equal scalar multiplies from poly_powmod, with no table
+    ctx, g = _bare_field(n)
+    m, v = ctx.modulus, ctx.order - 1
+    for k, x in walk(ctx, 0, v):
+        pass
+    assert k == v - v % (1 << 13) and x.tolist() == _scalar_powers(g, m, n, k, v - k)
+    start = v // 2 - 3 * (1 << 13) - 5 if n == 29 else 1
+    for k, x, y in walk(ctx, start, v // 2 + 1, inverses=True):
+        pass
+    assert x.tolist() == _scalar_powers(g, m, n, k, v // 2 + 1 - k)
+    assert y.tolist() == _scalar_powers(g, m, n, v - v // 2, v // 2 + 1 - k)[::-1]
 
 
 @pytest.mark.parametrize("n", [HARD_N_CEILING, 29])
@@ -461,7 +532,7 @@ def test_wrapped_log_indexes_stay_in_int32_below_v(n):
     folds = np.array([0, 1, v // 2 - 1, v // 2], dtype=np.int32).repeat(16)
     cases = {
         "mul": (a + b, lambda x, y, z, f: x + y),
-        "sqr, block_slots": (2 * a, lambda x, y, z, f: 2 * x),
+        "2 log b": (2 * a, lambda x, y, z, f: 2 * x),
         "inv, _inverses": (v - a, lambda x, y, z, f: v - x),
         "div": (a - b + v, lambda x, y, z, f: x - y + v),
         "_first_offenders": (a + folds, lambda x, y, z, f: x + f),
