@@ -1,21 +1,27 @@
 """Command-line front end: construction, verification, certification, GDD
 pipeline and format conversion.
 
-Exit codes: 0 all requested checks passed; 1 a verification failed;
-2 precondition violation (even degree, reducible modulus, bad residue,
-missing --force, ...), reported as a one-line JSON object on stderr.
+One table, COMMANDS, names each command's handler and options, and
+parse_args reads argv through it: an option by its full name or a unique
+prefix, its value as `--opt value` or `--opt=value`.
+
+Exit codes: 0 all requested checks passed (and -h/--help, --version);
+1 a verification failed; 2 precondition or usage violation (even degree,
+reducible modulus, bad residue, missing --force, an unknown option or a
+value that cannot be read, ...), reported as a one-line JSON object on
+stderr.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import json
 import os
+import re
 import sys
 import time
 from collections.abc import Iterable
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -69,31 +75,9 @@ HARD_N_CEILING = 25
 
 def modulus(text: str) -> int:
     """--modulus in any base int() reads with base 0 (0x89, 0b1111, 137);
-    argparse names a bad value after this function."""
+    a value it cannot read is named after this function, as "invalid modulus
+    value"."""
     return int(text, 0)
-
-
-def _add_field_options(p: argparse.ArgumentParser, seed_system: bool = True) -> None:
-    p.add_argument("--n", type=int, required=True, help="extension degree (odd)")
-    p.add_argument(
-        "--modulus",
-        type=modulus,
-        default=None,
-        help="irreducible modulus bitmask (default: lexicographically smallest)",
-    )
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help=f"allow n > {DEFAULT_N_CEILING} (hard ceiling {HARD_N_CEILING})",
-    )
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    if seed_system:
-        p.add_argument(
-            "--seed-system",
-            choices=["min", "max"],
-            default="min",
-            help="hexagon representative choice (developments are identical)",
-        )
 
 
 def _check_hard_ceiling(n: int) -> None:
@@ -239,49 +223,212 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qdf",
-        description="Build and exhaustively verify difference families, cyclic "
-        "2-designs and group divisible designs over GF(2^n), n odd.",
-    )
-    parser.add_argument("--version", action="version", version=f"qdf {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command table: each command's handler, help line and options.  An
+# option maps its name to (kind, default, help).  Its kind is a converter
+# (int, modulus or str; a value the converter cannot read is named after
+# it), a tuple of choices or FLAG, an option that takes no value and sets
+# True.  A default of REQUIRED makes the option required; a name without
+# dashes is a positional, which export's input is.
+FLAG = "flag"
+REQUIRED = "required"
 
-    p = sub.add_parser("construct", help="build the index-7 family and write it as JSON")
-    _add_field_options(p)
-    p.set_defaults(func=_cmd_construct)
+_FIELD = {
+    "--n": (int, REQUIRED, "extension degree (odd)"),
+    "--modulus": (
+        modulus,
+        None,
+        "irreducible modulus bitmask (default: lexicographically smallest)",
+    ),
+    "--force": (FLAG, False, f"allow n > {DEFAULT_N_CEILING} (hard ceiling {HARD_N_CEILING})"),
+    "--out": (str, None, "output path (default: stdout)"),
+}
+_SEEDED = {
+    **_FIELD,
+    "--seed-system": (
+        ("min", "max"),
+        "min",
+        "hexagon representative choice (developments are identical)",
+    ),
+}
 
-    p = sub.add_parser("verify", help="develop the family and exhaustively pair-count")
-    _add_field_options(p)
-    p.set_defaults(func=_cmd_verify)
+COMMANDS = {
+    "construct": (_cmd_construct, "build the index-7 family and write it as JSON", _SEEDED),
+    "verify": (_cmd_verify, "develop the family and exhaustively pair-count", _SEEDED),
+    "certify": (_cmd_certify, "per-t solvability certificates for all t", _FIELD),
+    "gdd": (_cmd_gdd, "relative family, spread and GDD checks (n = 3 mod 6)", _SEEDED),
+    "export": (
+        _cmd_export,
+        "convert stored families between formats",
+        {
+            "input": (str, REQUIRED, "family JSON file, as construct writes it"),
+            "--out": _FIELD["--out"],
+            "--format": (("json", "csv"), "json", "output format"),
+        },
+    ),
+}
 
-    p = sub.add_parser("certify", help="per-t solvability certificates for all t")
-    _add_field_options(p, seed_system=False)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("gdd", help="relative family, spread and GDD checks (n = 3 mod 6)")
-    _add_field_options(p)
-    p.set_defaults(func=_cmd_gdd)
-
-    p = sub.add_parser("export", help="convert stored families between formats")
-    p.add_argument("input", help="family JSON file, as construct writes it")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_export)
-
-    return parser
+_DESCRIPTION = (
+    "Build and exhaustively verify difference families, cyclic 2-designs and\n"
+    "group divisible designs over GF(2^n), n odd."
+)
+_HELP = ("-h", "--help")
+_TOP = (*_HELP, "--version")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-# One parser per process: parse_args keeps no state between calls, and
-# building the parser costs more than parsing with it.
-_parser = functools.cache(build_parser)
+def _option(arg: str, names: Iterable[str]) -> tuple[str | None, str | None]:
+    """The option among `names` that the token `arg` gives, by its full name
+    or a unique prefix, and the value it carries after "=".  The name is
+    None for a positional (one that does not start with "-", "-" itself, a
+    negative number or text with a space), "--" for the end of the options
+    and "?" for an unknown option."""
+    if arg == "--":
+        return arg, None
+    if arg[:1] != "-" or arg == "-":
+        return None, None
+    if arg in names:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in names:
+        return head, value
+    if arg.startswith("--"):
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise QdfError(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], (value if eq else None)
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None, None
+    return "?", None
+
+
+def _value(name: str, kind, text: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise QdfError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        raise QdfError(f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
+
+
+def _usage(command: str | None = None) -> str:
+    """The text of -h/--help, from the command table."""
+    if command is None:
+        head = [f"usage: qdf [-h] [--version] {{{','.join(COMMANDS)}}} ...", "", _DESCRIPTION]
+        sections = {
+            "commands": [(name, help) for name, (_, help, _) in COMMANDS.items()],
+            "options": [("-h, --help", "show this help"), ("--version", "show the version")],
+        }
+    else:
+        _, help, options = COMMANDS[command]
+        tokens, rows = ["[-h]"], [("-h, --help", "show this help")]
+        for name, (kind, default, line) in options.items():
+            if kind is FLAG or name[0] != "-":
+                token = name
+            elif isinstance(kind, tuple):
+                token = f"{name} {{{','.join(kind)}}}"
+            else:
+                token = f"{name} {name.lstrip('-').upper()}"
+            tokens.append(token if default is REQUIRED else f"[{token}]")
+            rows.append((token, line))
+        head = [f"usage: qdf {command} {' '.join(tokens)}", "", help]
+        sections = {"options": rows}
+    for title, rows in sections.items():
+        width = max(len(left) for left, _ in rows) + 2
+        head += ["", f"{title}:", *(f"  {left:<{width}}{right}" for left, right in rows)]
+    return "\n".join(head)
+
+
+def _prints(text: str) -> SimpleNamespace:
+    """The parse of -h/--help or --version: its handler writes `text` to
+    stdout and exits 0."""
+
+    def show(args) -> int:
+        _emit(args, (f"{text}\n".encode("ascii"),))
+        return 0
+
+    return SimpleNamespace(command=None, out=None, func=show)
+
+
+def _flag(name: str, value: str | None) -> None:
+    if value is not None:
+        label = "/".join(_HELP) if name in _HELP else name
+        raise QdfError(f"argument {label}: ignored explicit argument {value!r}")
+
+
+def parse_args(argv: Iterable[str] | None = None) -> SimpleNamespace:
+    """Read argv through the command table: options by full name or unique
+    prefix, "--opt=value" or "--opt value" (a negative number is a value),
+    the last of a repeated option winning, export's input among the
+    options, only positionals after "--".  Each option left out takes its
+    default.  A usage violation raises QdfError, its message worded as
+    Python's standard parser words it; -h/--help and --version return a
+    namespace whose handler prints the help or the version."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    extras, command = [], None
+    for i, arg in enumerate(argv):
+        name, value = _option(arg, _TOP)
+        if name is None or name == "--":
+            command, argv = arg, argv[i + 1 :]
+            break
+        if name == "?":
+            extras.append(arg)
+        else:
+            _flag(name, value)
+            return _prints(_usage() if name in _HELP else f"qdf {__version__}")
+    if command is None:
+        raise QdfError("the following arguments are required: command")
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise QdfError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    func, _, options = COMMANDS[command]
+    names = [*_HELP, *(name for name in options if name[0] == "-")]
+    free = [name for name in options if name[0] != "-"]  # positionals not yet given
+    given, ended = {}, False
+    tokens = iter(argv)
+    for arg in tokens:
+        name, value = (None, None) if ended else _option(arg, names)
+        if name == "--":
+            ended = True
+        elif name is None and free:
+            name = free.pop(0)
+            given[name] = _value(name, options[name][0], arg)
+        elif name is None or name == "?":
+            extras.append(arg)
+        elif name in _HELP:
+            _flag(name, value)
+            return _prints(_usage(command))
+        elif options[name][0] is FLAG:
+            _flag(name, value)
+            given[name] = True
+        else:
+            if value is None:
+                # the next token, which must not read as an option ("--" past the end)
+                value = next(tokens, "--")
+                if _option(value, names)[0] is not None:
+                    raise QdfError(f"argument {name}: expected one argument")
+            given[name] = _value(name, options[name][0], value)
+    missing = [name for name, (_, default, _) in options.items() if default is REQUIRED]
+    missing = [name for name in missing if name not in given]
+    if missing:
+        raise QdfError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise QdfError(f"unrecognized arguments: {' '.join(extras)}")
+    args = SimpleNamespace(command=command, func=func)
+    for name, (_, default, _) in options.items():
+        setattr(args, name.lstrip("-").replace("-", "_"), given.get(name, default))
+    return args
 
 
 def main(argv=None) -> int:
     # verify and gdd print their wall time from here to the written artifact
-    args = _parser().parse_args(argv, argparse.Namespace(start=time.perf_counter()))
+    start = time.perf_counter()
     try:
+        args = parse_args(argv)
+        args.start = start
         return args.func(args)
     except QdfError as exc:
         err = {"error": type(exc).__name__.removesuffix("Error"), "message": str(exc)}

@@ -12,15 +12,19 @@ with the field's `div`, materialize develops blocks with the field's
 tables, and hexagon_reps_by_gather gathers inverses from them.  The
 Frobenius oracle takes exp/log tables as given (checked against the power
 walk) and derives trace, sqrt and half-trace element by element from the
-squaring permutation, not from basis images.
+squaring permutation, not from basis images.  The CLI's argv oracle is
+the argparse parser the CLI read its arguments with before its command
+table (build_parser).
 """
 
+import argparse
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
-from qdf import GF2n
+from qdf import GF2n, __version__
+from qdf import cli
 from qdf.reference import hexagon_of
 
 
@@ -327,3 +331,62 @@ def certify_dict(n: int, modulus: int, rows, matched_pairs) -> dict:
         "all_matched": all(c["matching_ok"] for c in certs),
         "certificates": certs,
     }
+
+
+def _add_field_options(p: argparse.ArgumentParser, seed_system: bool = True) -> None:
+    p.add_argument("--n", type=int, required=True, help="extension degree (odd)")
+    p.add_argument(
+        "--modulus",
+        type=cli.modulus,
+        default=None,
+        help="irreducible modulus bitmask (default: lexicographically smallest)",
+    )
+    p.add_argument(
+        "--force",
+        action="store_true",
+        help=f"allow n > {cli.DEFAULT_N_CEILING} (hard ceiling {cli.HARD_N_CEILING})",
+    )
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    if seed_system:
+        p.add_argument(
+            "--seed-system",
+            choices=["min", "max"],
+            default="min",
+            help="hexagon representative choice (developments are identical)",
+        )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, as the CLI once built it: the oracle of
+    cli.parse_args (each command's namespace, and which argv it rejects)."""
+    parser = argparse.ArgumentParser(
+        prog="qdf",
+        description="Build and exhaustively verify difference families, cyclic "
+        "2-designs and group divisible designs over GF(2^n), n odd.",
+    )
+    parser.add_argument("--version", action="version", version=f"qdf {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("construct", help="build the index-7 family and write it as JSON")
+    _add_field_options(p)
+    p.set_defaults(func=cli._cmd_construct)
+
+    p = sub.add_parser("verify", help="develop the family and exhaustively pair-count")
+    _add_field_options(p)
+    p.set_defaults(func=cli._cmd_verify)
+
+    p = sub.add_parser("certify", help="per-t solvability certificates for all t")
+    _add_field_options(p, seed_system=False)
+    p.set_defaults(func=cli._cmd_certify)
+
+    p = sub.add_parser("gdd", help="relative family, spread and GDD checks (n = 3 mod 6)")
+    _add_field_options(p)
+    p.set_defaults(func=cli._cmd_gdd)
+
+    p = sub.add_parser("export", help="convert stored families between formats")
+    p.add_argument("input", help="family JSON file, as construct writes it")
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(func=cli._cmd_export)
+
+    return parser

@@ -11,11 +11,11 @@ import textwrap
 
 import pytest
 
-from qdf import build_family, develop
-from qdf.cli import main
+from qdf import __version__, build_family, develop
+from qdf.cli import main, parse_args
 from qdf.gf2n import table_bytes
 from qdf.serialize import family_json_chunks, hex_width, to_json_bytes
-from oracles import cached_field, design_dict
+from oracles import build_parser, cached_field, design_dict
 
 
 def run_cli(capsys, *argv):
@@ -58,10 +58,8 @@ def test_construct_reducible_modulus_exits_2(capsys):
         assert code == 2 and stdout == ""
         message = f"modulus {int(text, 0):#x} is negative"
         assert json.loads(stderr) == {"error": "Qdf", "message": message}
-    # argparse names the converter of a value it cannot read
-    with pytest.raises(SystemExit) as exc:
-        main(["construct", "--n", "3", "--modulus", "abc"])
-    assert exc.value.code == 2
+    # a value the converter cannot read is named after the converter
+    assert main(["construct", "--n", "3", "--modulus", "abc"]) == 2
     assert "argument --modulus: invalid modulus value: 'abc'" in capsys.readouterr().err
 
 
@@ -132,11 +130,11 @@ def test_preflight_of_certify_names_the_report_size(capsys, tmp_path):
 @pytest.mark.parametrize("n", [15, 17, 19])
 def test_preflight_table_estimate_matches_measured_rss(n):
     # peak anonymous RSS growth of building GF2n(n) in a fresh process,
-    # against the figure the preflight prints (0.47 MiB at n = 15).  It
-    # reads 396, 1,164 and 4,244 KiB at n = 15, 17 and 19, against 480,
-    # 1,248 and 4,320: the two table words per element and a chunk of
-    # 2^15 logs, not the log scatter's 64 KiB index buffer, which lives
-    # within one numpy call.
+    # against table_bytes(n) (0.44 MiB at n = 15).  It reads 404, 788 and
+    # 2,324 KiB at n = 15, 17 and 19, against 448, 928 and 2,848: the
+    # 5 B per element of the int32 logs and the hexagon flag, and 36 B
+    # per power of a walk chunk, not the log scatter's index buffer, which
+    # lives within one numpy call.
     # - GF2n(5) first imports and warms up everything the build runs.
     # - glibc's MALLOC_MMAP_THRESHOLD_ puts every array of 4 KiB or more
     #   in fresh pages, so no table reuses heap that the import left free.
@@ -210,21 +208,25 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
         ["export", family, "--format", "csv", "--out", os.devnull],
         ["export", family, "--format", "json", "--out", os.devnull],
     ]
-    # nor does any of them import the scalar definitions of qdf.reference
+    # nor does any of them import the scalar definitions of qdf.reference,
+    # or argparse, whose parsers once cost a fresh verify --n 13 2-3 ms
+    # (half of it gettext importing locale)
     probe = (
         "import sys, qdf.cli;"
         "before = 'numpy.ma' in sys.modules;"
         f"codes = [qdf.cli.main(a) for a in {commands!r}];"
         "print(codes == [0] * len(codes), before, 'numpy.ma' in sys.modules,"
-        " 'qdf.reference' in sys.modules)"
+        " 'qdf.reference' in sys.modules,"
+        " any(m in sys.modules for m in ('argparse', 'gettext', 'locale')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         capture_output=True, text=True, check=True,
     )
-    ok, before, after, reference = out.stdout.split()
+    ok, before, after, reference, parser = out.stdout.split()
     assert ok == "True" and after == before and reference == "False"
+    assert parser == "False"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
@@ -292,7 +294,7 @@ def test_export_csv_of_the_n17_family_holds_little_beyond_the_file(tmp_path):
 
 
 # (argv, exit code) of commands run in one process, in this order: every
-# subcommand, with bad arguments (argparse exits 2) and a QdfError between.
+# subcommand, with bad arguments (a usage error exits 2) and a QdfError between.
 _SESSION = [
     (["construct", "--n", "5"], 0),
     (["verify", "--n", "5", "--format", "xml"], 2),
@@ -322,7 +324,7 @@ def _untimed(stderr):
 
 
 def test_repeated_main_calls_match_fresh_processes(tmp_path):
-    # main reuses one parser; each call must behave as in a new process
+    # main keeps no state between calls; each must behave as in a new process
     fam = tmp_path / "fam.json"
     main(["construct", "--n", "5", "--out", str(fam)])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -350,13 +352,77 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path):
 )
 def test_options_are_accepted_only_where_they_are_read(capsys, tmp_path, argv):
     # --format only changes export and --seed-system only the commands
-    # that build a family; elsewhere argparse rejects them
+    # that build a family; elsewhere the parser rejects them
     fam = tmp_path / "fam.json"
     main(["construct", "--n", "3", "--out", str(fam)])
-    with pytest.raises(SystemExit) as exc:
-        main([str(fam) if a == "{fam}" else a for a in argv])
-    assert exc.value.code == 2
+    assert main([str(fam) if a == "{fam}" else a for a in argv]) == 2
     assert capsys.readouterr().out == ""
+
+
+# argv the argparse oracle accepts: the parse must equal its namespace
+_ACCEPTED = [
+    ["construct", "--n=5"],
+    ["verify", "--n", "5", "--seed", "max"],
+    ["construct", "--n", "7", "--mod", "0x89"],
+    ["construct", "--n", "3", "--modulus=-9"],
+    ["construct", "--n", "3", "--modulus", "-9"],
+    ["verify", "--n", "5", "--n", "7"],
+    ["export", "--format", "csv", "fam.json"],
+    ["gdd", "--out", "g.json", "--n", "9", "--force"],
+    ["certify", "--n", "3"],
+]
+# argv it rejects: main exits 2 with the oracle's message as one JSON line
+_REJECTED = [
+    ["construct", "--n", "3", "--modulus", "-0x89"],
+    ["construct", "--n", "3", "--out"],
+    ["verify", "--n", "5", "--format", "xml"],
+    ["certify", "--n", "3", "--seed-system", "max"],
+    ["construct", "--n", "x"],
+    ["construct", "--out", "f.json"],
+    ["construct", "--n", "3", "--seed-system", "mid"],
+    ["construct", "--n", "3", "--force=yes"],
+    ["--=x"],
+    ["export"],
+    ["export", "a.json", "b.json"],
+    [],
+    ["bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", _ACCEPTED + _REJECTED)
+def test_parse_args_agrees_with_the_argparse_oracle(capsys, argv):
+    oracle_err = io.StringIO()
+    with contextlib.redirect_stderr(oracle_err):
+        try:
+            want, code = vars(build_parser().parse_args(argv)), 0
+        except SystemExit as exc:
+            want, code = None, exc.code
+    assert (want is not None) == (argv in _ACCEPTED)
+    if want is not None:
+        assert vars(parse_args(argv)) == want
+        return
+    assert code == 2
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    message = oracle_err.getvalue().splitlines()[-1].split(": error: ", 1)[1]
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "Qdf", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["--version"], f"qdf {__version__}\n"),
+        (["--vers"], f"qdf {__version__}\n"),
+        (["-h"], "usage: qdf [-h] [--version] {construct,verify,certify,gdd,export} ...\n"),
+        (["verify", "--help"], "usage: qdf verify [-h] --n N [--modulus MODULUS] [--force]"),
+        (["export", "--h"], "usage: qdf export [-h] input [--out OUT] [--format {json,csv}]\n"),
+    ],
+)
+def test_help_and_version_print_on_stdout_and_exit_0(capsys, argv, head):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(head) and err == ""
 
 
 def test_verify_small_field(capsys):
