@@ -94,7 +94,9 @@ def _make_ctx(args) -> GF2n:
         )
     if n > DEFAULT_N_CEILING:
         orbits = ((1 << n) - 2) // 6  # at most (2^n - 2)/6 base blocks
-        parts = [("of field tables", table_bytes(n, getattr(args, "seed_system", "min") == "max"))]
+        # the field's tables and, where a family is built, hexagon_reps' 1 B flag per element
+        tables = table_bytes(n, getattr(args, "seed_system", "min") == "max")
+        parts = [("of field tables", tables + (1 << n) * (args.command != "certify"))]
         if args.command == "construct":
             # the int32 seeds and the writer's chunk; the profile and a slot chunk
             family = 4 * orbits + _CHUNK_BYTES
@@ -103,14 +105,15 @@ def _make_ctx(args) -> GF2n:
             parts.append(("for the certificates", certificate_bytes(n)))
         else:
             # the stages after the development run one at a time: the pair
-            # count and, for gdd, the writer's 256 KiB chunks, ~1 MiB with
-            # the heap they leave; the orbit checks read the development's scan
+            # count, or the heap they leave however few pairs there are: for
+            # gdd the writer's 256 KiB chunks, ~1 MiB, for verify ~0.6 MiB
+            # (VmHWM grows by 1.8-2.3 MiB at n = 15, most with .pyc files).
             parts.append(("for the development", develop_bytes(orbits)))
-            largest = pair_count_bytes(n)
+            floor = 5 * 2**17
             if args.command == "gdd":
                 parts.append(("for the spread", spread_bytes(((1 << n) - 1) // 7)))
-                largest = max(largest, 2**20)
-            parts.append(("for the largest stage", largest))
+                floor = 2**20
+            parts.append(("for the largest stage", max(pair_count_bytes(n), floor)))
         terms = [f"~{size / 2**20:.1f} MiB {what}" for what, size in parts]
         total = sum(size for _, size in parts)
         end = f"~{total / 2**20:.1f} MiB in all"
@@ -129,22 +132,22 @@ def _emit(args, chunks: Iterable[bytes]) -> None:
     """Write an artifact, as an iterable of byte chunks, to --out or stdout."""
     if args.out:
         try:
-            fh = open(args.out, "wb")
+            with open(args.out, "wb") as fh:
+                fh.writelines(chunks)  # lets each chunk go before it asks for the next
         except OSError as exc:
             raise QdfError(f"cannot write {args.out}: {exc.strerror}") from None
-        with fh:
-            fh.writelines(chunks)  # lets each chunk go before it asks for the next
     else:
         try:
             for chunk in chunks:
                 sys.stdout.write(chunk.decode("ascii"))
             sys.stdout.flush()
-        except BrokenPipeError:
+        except OSError as exc:
             # the interpreter flushes stdout again at exit: let that go nowhere
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            raise QdfError("cannot write stdout: its reader has closed it") from None
+            reason = "its reader has closed it" if isinstance(exc, BrokenPipeError) else exc.strerror
+            raise QdfError(f"cannot write stdout: {reason}") from None
 
 
 def _cmd_construct(args) -> int:

@@ -12,17 +12,17 @@ containing both.  The pair {g^a, g^(a+f)} sits at fold f, column a, for
 repeats it.  Developing an orbit shifts all its logs together, so each
 (orbit, slot pair) adds the orbit's replication w to a cyclic run of
 columns of one fold, and an orbit of length v covers whole folds: the
-difference method's lemma.  The design's fold, the slot log differences
-of its full-length orbits folded into one histogram weighted by w (the
-profile's routine), therefore counts every pair exactly where no shorter
-orbit reaches; for a developed family it is the profile's histogram,
-less K*'s differences when 3 | n, so each design is folded once.  The
-runs of shorter orbits are events that the kernel, pair_coverage_counts,
-sorts and sums into steps over the folds they reach.  Every verdict is
-read off the fold and the steps, and only wrong folds and steps are
-expanded into offending pairs.  No full-size counter is held (8 GiB of
-one-byte counters at n = 17), yet every pair's count is determined
-exactly, as an integer with no wrap-around: the check is exhaustive.
+difference method's lemma.  The design's fold is its family's profile
+histogram, every row's slot log differences counted once, so each
+design is folded once, by the profile; it counts every pair exactly
+where only orbits of length v and replication 1 reach.  Every other
+orbit makes events, its runs less 1 over each whole fold it reaches,
+which the kernel, pair_coverage_counts, sorts and sums into steps over
+those folds.  Every verdict is read off the fold and the steps, and only
+wrong folds and steps are expanded into offending pairs.  No full-size
+counter is held (8 GiB of one-byte counters at n = 17), yet every
+pair's count is determined exactly, as an integer with no wrap-around:
+the check is exhaustive.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import PAIR_I, PAIR_J
-from .family import _CHUNK_ROWS, DifferenceFamily, MultiplicityProfile, fold_differences, folding
+from .family import _CHUNK_ROWS, DifferenceFamily, MultiplicityProfile, multiplicity_profile
 from .gf2n import GF2n, wrap_log
 
 
@@ -94,9 +94,9 @@ class Design:
 
     @cached_property
     def fold(self) -> np.ndarray:
-        """hist[f]: how often the orbits of full length v cover every pair
-        {g^a, g^(a+f)}, once per slot pair of log difference +-f, w times."""
-        return fold_differences(self.blocks, self.replication * (self.length >= self.v))
+        """The profile histogram of the rows, each counted once: hist[f] is
+        the count of every pair {g^a, g^(a+f)} of a fold no event reaches."""
+        return multiplicity_profile(self.blocks).hist
 
     def block_count(self) -> int:
         """Total number of developed blocks, with multiplicity."""
@@ -128,10 +128,8 @@ def develop(fam: DifferenceFamily, profile: MultiplicityProfile | None = None) -
     """Orbit-compressed development of a (relative) difference family,
     each orbit's stabilizer read off the family's orbit_scan, which the
     design keeps for its orbit checks (groop meets only for a relative
-    family).  Given the family's profile, the fold is read off it: every
-    full-length orbit of a development has replication 1, so it is the
-    profile's histogram less the differences of the shorter orbits,
-    subtracted in place: the design takes the histogram over from the profile."""
+    family).  Given the family's profile, its histogram is the design's
+    fold, shared and left untouched."""
     ctx = fam.ctx
     scan = orbit_scan(fam, meets=bool(fam.forbidden), developed=True)
     replication = np.ones(len(fam), dtype=np.int64)
@@ -139,10 +137,6 @@ def develop(fam: DifferenceFamily, profile: MultiplicityProfile | None = None) -
     d = Design(ctx, fam, (ctx.order - 1) // replication, replication, fam.lambda_claim)
     object.__setattr__(d, "scan", scan)
     if profile is not None:
-        short = DifferenceFamily(ctx, fam.take(scan.kstar), fam.lambda_claim)
-        if len(short):
-            for _ in folding(short, profile.hist, np.full(len(short), -1)):
-                pass
         object.__setattr__(d, "fold", profile.hist)
     return d
 
@@ -160,9 +154,10 @@ def develop_bytes(orbits: int) -> int:
     base blocks adds, for preflight estimates: 44 per orbit (its seed, 16
     bytes of length and replication, 9 of its orbit_scan, 12 of profile
     histogram and what else stays) and one scan chunk, ~228 B per row.
-    Fitted, with the pair count, to the VmHWM growth of `verify` in fresh
-    processes: 1.8, 3.4, 9.5, 37.3 and 139.7 MiB at n = 15 to 23 against
-    preflight totals of 1.7, 3.3, 10.0, 36.8 and 143.8 MiB."""
+    Fitted, with the largest stage, to the VmHWM growth of `verify` in
+    fresh processes: 1.9-2.3, 2.9-3.5, 7.3-7.7 and 25.5-26.6 MiB at n = 15
+    to 21 (the import compiling the sources or reading .pyc files) against
+    preflight totals of 2.2, 3.3, 8.6 and 30.9 MiB."""
     return 228 * _CHUNK_ROWS + 44 * orbits
 
 
@@ -180,17 +175,18 @@ _EVENT_ORBITS = 1 << 10
 
 
 def _events(d: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Events of every run of the orbits shorter than v, unsorted: int64
-    keys fold * (v + 1) + column and int64 weights.  Slot pair (i, j) of an
-    orbit of length m and replication w covers m cyclic columns of the
-    fold of lj - li, w times: a run from column s is +w at s and -w at
+    """Events of every orbit not of length v and replication 1, unsorted:
+    int64 keys fold * (v + 1) + column and int64 weights.  Slot pair (i, j)
+    of an orbit of length m and replication w covers m cyclic columns of
+    the fold of lj - li, w times: a run from column s is +w at s and -w at
     min(s + m, v), and one that passes column v - 1 is also +w at column 0
-    and -w at s + m - v.  The events of every fold sum to 0."""
+    and -w at s + m - v; -1 at column 0 and +1 at column v take back the
+    once that d.fold counts.  Every fold's events sum to 0, one at column 0."""
     ctx, v = d.ctx, d.v
     keys, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    short = np.flatnonzero(d.length < v)
-    for lo in range(0, len(short), _EVENT_ORBITS):
-        part = short[lo : lo + _EVENT_ORBITS]
+    odd = np.flatnonzero((d.length < v) | (d.replication != 1))
+    for lo in range(0, len(odd), _EVENT_ORBITS):
+        part = odd[lo : lo + _EVENT_ORBITS]
         logs = ctx.logs[d.blocks.take(part)].astype(np.int64)
         li, lj = logs[:, PAIR_I], logs[:, PAIR_J]  # (C, 21): one run per orbit and slot pair
         gap = (lj - li) % v
@@ -201,27 +197,27 @@ def _events(d: Design) -> tuple[np.ndarray, np.ndarray]:
         w = np.broadcast_to(d.replication[part, None], base.shape)
         wraps = stop > v
         keys += [(base + first).ravel(), (base + np.minimum(stop, v)).ravel()]
-        keys += [base[wraps], (base + stop - v)[wraps]]
-        weights += [w.ravel(), -w.ravel(), w[wraps], -w[wraps]]
+        keys += [base[wraps], (base + stop - v)[wraps], base.ravel(), (base + v).ravel()]
+        ones = np.ones(base.size, dtype=np.int64)
+        weights += [w.ravel(), -w.ravel(), w[wraps], -w[wraps], -ones, ones]
     return np.concatenate(keys), np.concatenate(weights)
 
 
 def pair_coverage_counts(ctx: GF2n, d: Design) -> np.ndarray:
-    """The steps of the pair count in the folds that orbits shorter than v
-    reach: a (4, S) int64 array of rows (fold, start, stop, count), by
-    fold, then start, each pair {g^a, g^(a+fold)}, start <= a < stop,
-    covered `count` times; a fold's steps partition its v columns.  Every
-    pair of every other fold f is covered d.fold[f] times.  The events,
-    each with a zero-weight key at its fold's column 0, are sorted once
-    and summed in int64, and the sum of each fold's events is 0."""
+    """The steps of the pair count in the folds that _events reach: a
+    (4, S) int64 array of rows (fold, start, stop, count), by fold, then
+    start, each pair {g^a, g^(a+fold)}, start <= a < stop, covered `count`
+    times; a fold's steps partition its v columns.  Every pair of every
+    other fold f is covered d.fold[f] times.  The events are sorted once
+    and summed in int64 over all folds: each fold's sum to 0, so each
+    fold's sums start from 0 at its column 0, where it has an event."""
     v = ctx.order - 1
     keys, weights = _events(d)
     if not keys.size:
         return np.empty((4, 0), dtype=np.int64)
-    keys = np.concatenate([keys - keys % (v + 1), keys])
     order = np.argsort(keys, kind="stable")  # the sort check_simple runs too
     keys = keys[order]
-    count = np.cumsum(np.concatenate([np.zeros_like(weights), weights])[order])
+    count = np.cumsum(weights[order])
     last = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))  # the last key at each column
     opens = last[keys[last] % (v + 1) < v]  # a key at column v, past every pair, opens no step
     fold, start = np.divmod(keys[opens], v + 1)

@@ -8,8 +8,8 @@ times in the union of the quotient lists of its base blocks.
 Two independent routes compute the multiplicity m(t):
 
   * multiplicity_profile: brute-force accumulation over every base block,
-    one histogram of the folded slot log differences (fold_differences,
-    which also counts every pair of a design's full-length orbits);
+    one histogram of the folded slot log differences (folding), which is
+    also the fold of the block pairs of the family's development;
   * certificate_table: solvability of the 18 genuinely quadratic quotient
     equations at every t, read off a table of 1 - Tr(g^k) as one int32
     key per t (bit c: equation c has two roots), plus the 24 degenerate ones,
@@ -121,45 +121,38 @@ def profile_bytes(n: int) -> int:
     return 2 * (1 << n) + 224 * _CHUNK_ROWS
 
 
-def folding(fam: DifferenceFamily, hist: np.ndarray, weight=None) -> Iterator[np.ndarray]:
+def folding(fam: DifferenceFamily, hist: np.ndarray) -> Iterator[np.ndarray]:
     """fam's slot chunks, each added as it passes to `hist`, the histogram
-    of folded slot log differences, row k weighted by weight[k] (1 if
-    weight is None): a difference d = log b_i - log b_j and its negative
-    share the fold min(|d|, v - |d|), so hist[f] counts the quotients g^f
-    and g^(v - f), 1 <= f <= v // 2, and hist[0] the quotient 1 of a
-    repeated element.  A chunk's temporaries are views of one allocation:
-    as three, glibc faulted them in afresh for each chunk (+40 % time)."""
+    of folded slot log differences, every row counted once: a difference
+    d = log b_i - log b_j and its negative share the fold min(|d|, v - |d|),
+    so hist[f] counts the quotients g^f and g^(v - f), 1 <= f <= v // 2,
+    and hist[0] the quotient 1 of a repeated element.  A chunk's
+    temporaries are views of one allocation: as three, glibc faulted them
+    in afresh for each chunk (+40 % time)."""
     v, one = fam.ctx.order - 1, hist.dtype.type(1)  # a scalar of hist's type: no cast
-    for i, rows in enumerate(fam.chunks()):
-        k, lo = len(rows), i * _CHUNK_ROWS
-        work = np.empty((49, k), dtype=np.int32)
+    for rows in fam.chunks():
+        work = np.empty((49, len(rows)), dtype=np.int32)
         logs, d, t = work[:7], work[7:28], work[28:]
         fam.ctx.logs.take(rows.T, out=logs, mode="clip")  # "raise" would copy via a buffer
         logs.take(PAIR_I, axis=0, out=d, mode="clip")
         d -= logs.take(PAIR_J, axis=0, out=t, mode="clip")
         np.abs(d, out=d)
         np.minimum(d, np.subtract(v, d, out=t), out=d)
-        w = one if weight is None else np.tile(weight[lo : lo + k].astype(hist.dtype), 21)
-        np.add.at(hist, d.ravel(), w)
+        np.add.at(hist, d.ravel(), one)
         del work, logs, d, t
         yield rows
-
-
-def fold_differences(fam: DifferenceFamily, weight=None) -> np.ndarray:
-    """The exact histogram of `folding` fam, in int32 bins when all weights
-    sum below 2^31 / 21, else int64."""
-    total = 21 * (len(fam) if weight is None else int(weight.sum()))
-    hist = np.zeros(fam.ctx.order // 2, dtype=np.int32 if total < 2**31 else np.int64)
-    for _ in folding(fam, hist, weight):
-        pass
-    return hist
 
 
 def multiplicity_profile(fam) -> MultiplicityProfile:
     """Exact m(t) for every t, by direct accumulation over base blocks:
     b_i/b_j = g^(log b_i - log b_j), so the folded slot log differences
-    of every block, each counted once, are its delta list."""
-    return MultiplicityProfile(fam.ctx, fold_differences(fam))
+    of every block, each counted once, are its delta list.  The bins are
+    int32 while the 21 differences a row sum below 2^31, else int64
+    (full_family from n = 27)."""
+    hist = np.zeros(fam.ctx.order // 2, dtype=np.int32 if 21 * len(fam) < 2**31 else np.int64)
+    for _ in folding(fam, hist):
+        pass
+    return MultiplicityProfile(fam.ctx, hist)
 
 
 # -- quotient equations -------------------------------------------------------
@@ -301,8 +294,9 @@ def certificate_bytes(n: int) -> int:
     of a chunk of _KEY_CHUNK ts under tracemalloc, which glibc keeps in
     its heap once freed, and the writer's 256 KiB chunk, which does not
     fit in that heap at n = 15.  With the tables, `certify` grows VmHWM by
-    2.0, 5.5, 12.4 and 43.5 MiB at n = 15, 17, 19 and 21 in fresh
-    processes, against preflight totals of 2.2, 5.3, 13.2 and 44.7 MiB."""
+    1.8-2.2, 4.6-4.7, 10.1-10.4 and 35.1-35.5 MiB at n = 15, 17, 19 and 21
+    in fresh processes (the import compiling the sources or reading .pyc
+    files), against preflight totals of 2.2, 4.8, 11.2 and 36.7 MiB."""
     return 13 * (1 << n) + 35 * min(1 << n, _KEY_CHUNK) + 2**18
 
 

@@ -39,11 +39,12 @@ from .errors import (
 
 def table_bytes(n: int, exp: bool = False) -> int:
     """Peak bytes of the field's tables and walks, for preflight estimates: per
-    element 4 B of int32 logs, 1 B of hexagon_reps' flag and, if asked, 4 B of
-    the exp table that --seed-system max reads; 36 B per power of a walk chunk
-    (the first chunk, two intp chunks, their scratch and int32 logs).  GF2n(n)
-    grows anonymous RSS by 404, 788 and 2,324 KiB at n = 15, 17 and 19."""
-    return (9 if exp else 5) * (1 << n) + 36 * _WALK_CHUNK
+    element 4 B of int32 logs and, if asked, 4 B of the exp table that
+    --seed-system max reads; 36 B per power of a walk chunk (the first chunk,
+    two intp chunks, their scratch and int32 logs).  GF2n(n) grows anonymous
+    RSS by 336-412, 736-812 and 2,272-2,372 KiB at n = 15, 17 and 19, as the
+    heap the import leaves varies, against 416, 800 and 2,336 KiB."""
+    return (8 if exp else 4) * (1 << n) + 36 * _WALK_CHUNK
 
 
 def wrap_log(k, v: int):

@@ -10,7 +10,7 @@ to follow the paper.
 This module imports the array modules, and none of them imports it.  A
 definition here never calls the array routine it is compared against:
 block_of is not block_slots, hexagon_of is not hexagon_rows, delta is
-not fold_differences, stabilizer_of is not develop, and
+not multiplicity_profile, stabilizer_of is not develop, and
 equation_certificate solves each equation with solve_quadratic rather
 than reading certificate_table.
 """

@@ -1,6 +1,7 @@
 """CLI behavior: artifacts, exit codes, determinism, error JSON."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -82,15 +83,17 @@ def test_preflight_estimate_matches_counter(capsys):
     )
     assert code == 2 and stdout == ""
     warning, error = stderr.strip().split("\n")
-    # table_bytes(15) = 5 * 2^15 + 36 * 2^13 = 458,752 bytes (0.44 MiB:
-    # the logs, the hexagons' flag and a walk chunk's 36 B per power);
+    # table_bytes(15) = 4 * 2^15 + 36 * 2^13 = 425,984 bytes (the logs and
+    # a walk chunk's 36 B per power) and the hexagons' flag, 2^15: 458,752
+    # bytes (0.44 MiB) of field tables;
     # for 5461 orbits, develop_bytes = 228 * 4096 + 44 * 5461 = 1,174,172
-    # (1.12 MiB: a scan chunk and the orbits); the largest stage is the
-    # pair count, pair_count_bytes = 5 * 2^14 + 2^14 = 98,304 (0.09 MiB):
-    # 1,731,228 bytes (1.65 MiB) in all
+    # (1.12 MiB: a scan chunk and the orbits); the largest stage is verify's
+    # floor of 5 * 2^17 = 655,360 (0.62 MiB), above the pair count's
+    # pair_count_bytes = 5 * 2^14 + 2^14 = 98,304 (0.09 MiB):
+    # 2,288,284 bytes (2.18 MiB) in all
     assert "~0.4 MiB of field tables" in warning
-    assert "~1.1 MiB for the development and ~0.1 MiB for the largest stage" in warning
-    assert "~1.7 MiB in all" in warning
+    assert "~1.1 MiB for the development and ~0.6 MiB for the largest stage" in warning
+    assert "~2.2 MiB in all" in warning
     assert json.loads(error)["error"] == "ReduciblePolynomial"
 
 
@@ -130,11 +133,11 @@ def test_preflight_of_certify_names_the_report_size(capsys, tmp_path):
 @pytest.mark.parametrize("n", [15, 17, 19])
 def test_preflight_table_estimate_matches_measured_rss(n):
     # peak anonymous RSS growth of building GF2n(n) in a fresh process,
-    # against table_bytes(n) (0.44 MiB at n = 15).  It reads 404, 788 and
-    # 2,324 KiB at n = 15, 17 and 19, against 448, 928 and 2,848: the
-    # 5 B per element of the int32 logs and the hexagon flag, and 36 B
-    # per power of a walk chunk, not the log scatter's index buffer, which
-    # lives within one numpy call.
+    # against table_bytes(n) (0.41 MiB at n = 15).  It reads 336-412,
+    # 736-812 and 2,272-2,372 KiB at n = 15, 17 and 19, as the heap the
+    # import leaves varies, against 416, 800 and 2,336: the 4 B per
+    # element of the int32 logs and 36 B per power of a walk chunk, not
+    # the log scatter's index buffer, which lives within one numpy call.
     # - GF2n(5) first imports and warms up everything the build runs.
     # - glibc's MALLOC_MMAP_THRESHOLD_ puts every array of 4 KiB or more
     #   in fresh pages, so no table reuses heap that the import left free.
@@ -869,6 +872,27 @@ def test_closed_stdout_exits_2_with_one_error_line():
     [line] = stderr.splitlines()
     err = json.loads(line)
     assert err["error"] == "Qdf" and "stdout" in err["message"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv,target",
+    [(["construct", "--n", "5", "--out", "/dev/full"], "/dev/full"), (["verify", "--n", "5"], "stdout")],
+    ids=["out", "stdout"],
+)
+def test_full_device_exits_2_with_one_error_line(argv, target):
+    # the open succeeds and the write fails (ENOSPC): one JSON line, and on
+    # stdout no "Exception ignored" from the interpreter's flush at exit
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdf.cli", *argv],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    message = f"cannot write {target}: {os.strerror(errno.ENOSPC)}"
+    assert json.loads(line) == {"error": "Qdf", "message": message}
 
 
 def _outputs(tmp_path, n, system):

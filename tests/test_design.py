@@ -450,14 +450,26 @@ def _designs_n9():
     }
 
 
+def _row_folds(f, rep):
+    """The folds min(|d|, v - |d|) of the 21 log differences of a row."""
+    v, logs = f.order - 1, [int(f.logs[x]) for x in rep]
+    return {min(abs(a - b), v - abs(a - b)) for i, a in enumerate(logs) for b in logs[i + 1 :]}
+
+
 @pytest.mark.parametrize("name", ["family", "dropped", "partial", "past-uint8"])
 def test_exact_extremes_match_full_counter(name):
     f, designs = _designs_n9()
     d = designs[name]
     steps = pair_coverage_counts(f, d)
     assert steps.dtype == np.int64 and steps.shape[0] == 4
-    # the family's steps are K*'s three folds; a partial design's reach many
-    assert (set(steps[0].tolist()) == {73, 146, 219}) is (name != "partial")
+    # the family's steps are K*'s three folds, and the replication-256
+    # row's folds join them; a partial design's reach many
+    kstar, folds = {73, 146, 219}, set(steps[0].tolist())
+    if name == "partial":
+        assert folds != kstar
+    else:
+        extra = _row_folds(f, d.orbits[-1].rep) if name == "past-uint8" else set()
+        assert folds == kstar | extra and (extra <= kstar) is (name != "past-uint8")
     counts = _full_counter(f, d)[1:]
     rep = verify_2design(d)
     assert (rep.pair_coverage_min, rep.pair_coverage_max) == (counts.min(), counts.max())
@@ -485,22 +497,21 @@ def test_failing_check_builds_its_events_once(monkeypatch, name):
 
 @pytest.mark.parametrize(
     "command,n,rows",
-    [("verify", 9, [85, 1]), ("verify", 13, [1365]), ("gdd", 9, [84])],
+    [("verify", 9, [85]), ("verify", 13, [1365]), ("gdd", 9, [84])],
     ids=["verify-9", "verify-13", "gdd-9"],
 )
 def test_commands_fold_their_design_once(monkeypatch, command, n, rows):
     # the profile's one pass over the slots serves every verdict; the
-    # design takes its fold from it, less the differences of K*'s orbit
-    # when 3 | n (one short row)
+    # design's fold is the profile's histogram, K*'s orbit when 3 | n
+    # corrected by its events, not by a second fold
     calls = []
     fold = family.folding
 
-    def counted(fam, hist, weight=None):
+    def counted(fam, hist):
         calls.append(len(fam))
-        return fold(fam, hist, weight)
+        return fold(fam, hist)
 
     monkeypatch.setattr(family, "folding", counted)
-    monkeypatch.setattr(design, "folding", counted)
     assert cli.main([command, "--n", str(n), "--out", os.devnull]) == 0
     assert calls == rows
 
@@ -611,11 +622,12 @@ def test_offenders_independent_of_chunk_size(monkeypatch, name):
     assert len(whole) == 10
 
 
-@pytest.mark.parametrize("n,events", [(3, 42), (5, 0), (7, 0), (9, 42), (11, 0), (13, 0), (15, 42)])
+@pytest.mark.parametrize("n,events", [(3, 84), (5, 0), (7, 0), (9, 84), (11, 0), (13, 0), (15, 84)])
 def test_only_short_runs_make_events(n, events):
-    # a run over all v columns is in the design's fold alone; the only
-    # orbit shorter than v is K*'s, when 3 | n, with two events for each
-    # of its 21 runs (none of which wraps)
+    # a run over all v columns, once, is in the design's fold alone; the
+    # only orbit shorter than v is K*'s, when 3 | n, with four events for
+    # each of its 21 runs (none of which wraps): +7 and -7 at its ends,
+    # and -1 and +1 at its fold's columns 0 and v
     f = cached_field(n)
     fam = build_family(f)
     d = develop(fam)
@@ -624,9 +636,8 @@ def test_only_short_runs_make_events(n, events):
     assert np.array_equal(develop(fam, multiplicity_profile(fam)).fold, d.fold)
     v = f.order - 1
     assert len(keys) == len(weights) == events
-    # the fold is 7 but at K*'s folds, the multiples of v/7 when 3 | n
-    kstar = np.arange(v // 2 + 1) % (v // 7) == 0 if n % 3 == 0 else np.arange(v // 2 + 1) == 0
-    assert (d.fold == np.where(kstar, 0, 7)).all()
+    # the fold is the profile's, 7 at every fold but fold 0, K*'s too
+    assert (d.fold == np.where(np.arange(v // 2 + 1) == 0, 0, 7)).all()
     # the events of every fold sum to 0
     fold_sums = np.zeros(v // 2 + 1, dtype=np.int64)
     np.add.at(fold_sums, keys // (v + 1), weights)
@@ -634,15 +645,14 @@ def test_only_short_runs_make_events(n, events):
 
 
 def test_develop_keeps_no_second_histogram():
-    # at n = 15, 3 | n: K*'s differences leave the profile's histogram in
-    # place, and the design's fold is that histogram.  What develop keeps
-    # is its int64 length and replication and the K* flags, 17 B an orbit
-    # (no hashes: K* fixes a row), with no copy of the 2^14 int32 folds
+    # at n = 15, 3 | n: the design's fold is the profile's histogram,
+    # untouched though K* fixes a row.  What develop keeps is its int64
+    # length and replication and the K* flags, 17 B an orbit (no hashes:
+    # K* fixes a row), with no copy of the 2^14 int32 folds
     f = cached_field(15)
     fam = build_family(f)
     profile = multiplicity_profile(fam)
     want = profile.hist.copy()
-    want[(f.order - 1) // 7 :: (f.order - 1) // 7] -= 7  # K*'s 21 pairs, at the folds m, 2m, 3m
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -652,6 +662,17 @@ def test_develop_keeps_no_second_histogram():
         tracemalloc.stop()
     assert d.fold is profile.hist and d.fold.tolist() == want.tolist()
     assert 17 * len(fam) <= kept < 17 * len(fam) + profile.hist.nbytes // 4
+
+
+@pytest.mark.parametrize("system", ["min", "max"])
+@pytest.mark.parametrize("n", [3, 9, 15])
+def test_profile_untouched_by_development_and_checks(n, system):
+    # K* fixes a row when 3 | n: its events, not the profile, correct it
+    fam = build_family(cached_field(n), system=system)
+    profile = multiplicity_profile(fam)
+    d = develop(fam, profile)
+    assert verify_2design(d).passed and check_qanalog(d) and not check_simple(d)
+    assert np.array_equal(profile.hist, multiplicity_profile(fam).hist)
 
 
 def test_kernel_peak_within_its_preflight_term():
