@@ -23,8 +23,6 @@ import time
 from collections.abc import Iterable
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import __version__
 from .design import (
     check_qanalog,
@@ -153,18 +151,15 @@ def _emit(args, chunks: Iterable[bytes]) -> None:
 def _cmd_construct(args) -> int:
     ctx = _make_ctx(args)
     fam = build_family(ctx, system=args.seed_system)
-    # one pass: each slot chunk is folded (21 a block fit int32), then written
-    profile = MultiplicityProfile(ctx, np.zeros(ctx.order // 2, dtype=np.int32))
-    _emit(args, family_json_chunks(fam, folding(fam, profile.hist)))
-    return 0 if profile.is_constant(fam.lambda_claim) else 1
+    hist, chunks = folding(fam)  # one pass: each slot chunk is folded, then written
+    _emit(args, family_json_chunks(fam, chunks))
+    return 0 if MultiplicityProfile(ctx, hist).is_constant(fam.lambda_claim) else 1
 
 
 def _cmd_verify(args) -> int:
     ctx = _make_ctx(args)
-    fam = build_family(ctx, system=args.seed_system)
-    profile = multiplicity_profile(fam)
-    profile_ok = profile.is_constant(fam.lambda_claim)
-    design = develop(fam, profile)
+    design = develop(build_family(ctx, system=args.seed_system))  # one pass folds and scans
+    profile_ok = MultiplicityProfile(ctx, design.fold).is_constant(design.lambda_claim)
     report = verify_2design(design)
     out = {
         "n": ctx.n,
@@ -195,11 +190,10 @@ def _cmd_gdd(args) -> int:
     ctx = _make_ctx(args)
     # the family's seeds are freed once the relative family has its copy
     relative = build_relative_family(build_family(ctx, system=args.seed_system))
-    # the spread's temporaries peak before the profile and the development
+    # the spread peaks before the development's one pass, whose fold the profile check reads
     groops = desarguesian_spread(ctx)
-    profile = multiplicity_profile(relative)
-    rel_report = verify_relative(relative, profile)
-    design = develop(relative, profile)
+    design = develop(relative)
+    rel_report = verify_relative(relative, design.fold)
     gdd_report = verify_gdd(design)
     reports = {
         "relative_profile": report_to_dict(rel_report, ctx.n),

@@ -13,8 +13,8 @@ repeats it.  Developing an orbit shifts all its logs together, so each
 (orbit, slot pair) adds the orbit's replication w to a cyclic run of
 columns of one fold, and an orbit of length v covers whole folds: the
 difference method's lemma.  The design's fold is its family's profile
-histogram, every row's slot log differences counted once, so each
-design is folded once, by the profile; it counts every pair exactly
+histogram, every row's slot log differences counted once, folded in
+the orbit scan's one pass over the rows; it counts every pair exactly
 where only orbits of length v and replication 1 reach.  Every other
 orbit makes events, its runs less 1 over each whole fold it reaches,
 which the kernel, pair_coverage_counts, sorts and sums into steps over
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import PAIR_I, PAIR_J
-from .family import _CHUNK_ROWS, DifferenceFamily, MultiplicityProfile, multiplicity_profile
+from .family import _CHUNK_ROWS, DifferenceFamily, folding
 from .gf2n import GF2n, wrap_log
 
 
@@ -89,14 +89,14 @@ class Design:
 
     @cached_property
     def scan(self) -> OrbitScan:
-        """What the orbit checks read of the rows, from one orbit_scan."""
+        """What the checks read of the rows, from one orbit_scan."""
         return orbit_scan(self.blocks)
 
-    @cached_property
+    @property
     def fold(self) -> np.ndarray:
-        """The profile histogram of the rows, each counted once: hist[f] is
-        the count of every pair {g^a, g^(a+f)} of a fold no event reaches."""
-        return multiplicity_profile(self.blocks).hist
+        """The scan's histogram of the rows, the family's profile: fold[f]
+        counts every pair {g^a, g^(a+f)} of a fold no event reaches."""
+        return self.scan.fold
 
     def block_count(self) -> int:
         """Total number of developed blocks, with multiplicity."""
@@ -124,20 +124,18 @@ class VerificationReport:
     notes: str = ""
 
 
-def develop(fam: DifferenceFamily, profile: MultiplicityProfile | None = None) -> Design:
-    """Orbit-compressed development of a (relative) difference family,
-    each orbit's stabilizer read off the family's orbit_scan, which the
-    design keeps for its orbit checks (groop meets only for a relative
-    family).  Given the family's profile, its histogram is the design's
-    fold, shared and left untouched."""
+def develop(fam: DifferenceFamily) -> Design:
+    """Orbit-compressed development of a (relative) difference family in
+    one pass over its rows: each orbit's stabilizer is read off the
+    family's orbit_scan, which the design keeps for its fold, the
+    family's profile histogram, and its orbit checks (groop meets only
+    for a relative family)."""
     ctx = fam.ctx
     scan = orbit_scan(fam, meets=bool(fam.forbidden), developed=True)
     replication = np.ones(len(fam), dtype=np.int64)
     replication[scan.kstar] = 7
     d = Design(ctx, fam, (ctx.order - 1) // replication, replication, fam.lambda_claim)
     object.__setattr__(d, "scan", scan)
-    if profile is not None:
-        object.__setattr__(d, "fold", profile.hist)
     return d
 
 
@@ -152,7 +150,7 @@ _OFFENDER_CHUNK = 1 << 16
 def develop_bytes(orbits: int) -> int:
     """Resident bytes that building and developing a family of `orbits`
     base blocks adds, for preflight estimates: 44 per orbit (its seed, 16
-    bytes of length and replication, 9 of its orbit_scan, 12 of profile
+    bytes of length and replication, 9 of its orbit_scan, 12 of the scan's
     histogram and what else stays) and one scan chunk, ~228 B per row.
     Fitted, with the largest stage, to the VmHWM growth of `verify` in
     fresh processes: 1.9-2.3, 2.9-3.5, 7.3-7.7 and 25.5-26.6 MiB at n = 15
@@ -163,7 +161,7 @@ def develop_bytes(orbits: int) -> int:
 
 def pair_count_bytes(n: int) -> int:
     """Bytes the pair count over GF(2^n) allocates at its peak, its fold
-    the profile's, for preflight estimates: a boolean mask of the folds
+    the scan's, for preflight estimates: a boolean mask of the folds
     that must be lam and their int32 copy, 2.5 B per element (2.64, 2.51
     and 2.50 under tracemalloc at n = 15, 17 and 19), and 16 KiB for K*'s
     steps and the report."""
@@ -319,28 +317,30 @@ class OrbitScan(NamedTuple):
     hashes: np.ndarray | None  # int64 per row: its _gap_hash (None: not computed)
     subspaces: bool  # every row is a subspace minus 0
     meets: bool | None  # every row meets each coset of K* at most once (None: not checked)
+    fold: np.ndarray  # the rows' histogram of folded slot log differences (folding)
 
 
 def orbit_scan(fam: DifferenceFamily, meets: bool = True, developed: bool = False) -> OrbitScan:
-    """The per-orbit claims of fam's rows, a slot chunk at a time; a row
-    stands for its orbit, as scaling is GF(2)-linear and permutes the
-    cosets of K*.  Meets is None unless asked for; hashes is None if the
-    family is `developed` and K* fixes a row, whose blocks then repeat:
-    check_simple reads none.  A sorted row s is a subspace iff s0 > 0
-    and s is the sorted span of s0, s1 and s3: a subspace's two smallest
-    nonzero elements sum to the third (s1 has the higher top bit, and
-    s0 + s1 is the one other element with it).  A block's stabilizer is
-    trivial or, only when 3 | n, K* = <g^(v/7)>, which fixes it iff its 7
-    cyclic gaps all equal v/7.  g^a and g^b share a coset of K* iff
-    a = b (mod v/7): when 3 | n, a row meets each coset at most once iff
-    its logs mod v/7 are distinct, and 0, in no coset, reads -1."""
+    """The per-orbit claims of fam's rows and their fold, in one pass of
+    slot chunks through folding; a row stands for its orbit, as scaling is
+    GF(2)-linear and permutes the cosets of K*.  Meets is None unless asked
+    for; hashes is None if the family is `developed` and K* fixes a row,
+    whose blocks then repeat: check_simple reads none.  A sorted row s is
+    a subspace iff s0 > 0 and s is the sorted span of s0, s1 and s3: a
+    subspace's two smallest nonzero elements sum to the third (s1 has the
+    higher top bit, and s0 + s1 is the one other element with it).  A
+    block's stabilizer is trivial or, only when 3 | n, K* = <g^(v/7)>,
+    which fixes it iff its 7 cyclic gaps all equal v/7.  g^a and g^b share
+    a coset of K* iff a = b (mod v/7): when 3 | n, a row meets each coset
+    at most once iff its logs mod v/7 are distinct; 0, in no coset, reads -1."""
     ctx = fam.ctx
     m = (ctx.order - 1) // 7
     kstar = np.zeros(len(fam), dtype=bool)
     hashes = np.empty(len(fam), dtype=np.int64)
     subspaces, meets = True, True if meets else None
     rows = slice(0, 0)
-    for slots in fam.chunks():
+    fold, chunks = folding(fam)
+    for slots in chunks:
         rows = slice(rows.stop, rows.stop + len(slots))
         s = np.sort(slots, axis=1)
         a, b, c = s[:, 0], s[:, 1], s[:, 3]
@@ -357,7 +357,8 @@ def orbit_scan(fam: DifferenceFamily, meets: bool = True, developed: bool = Fals
                 meets = bool((logs[:, 1:] > logs[:, :-1]).all())
         if hashes is not None:
             hashes[rows] = _gap_hash(gaps)
-    return OrbitScan(kstar, hashes, subspaces, meets)
+        del s, a, b, c, span, logs, gaps  # not held through the next chunk's fold
+    return OrbitScan(kstar, hashes, subspaces, meets, fold)
 
 
 def check_qanalog(d: Design) -> bool:

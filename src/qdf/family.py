@@ -8,8 +8,8 @@ times in the union of the quotient lists of its base blocks.
 Two independent routes compute the multiplicity m(t):
 
   * multiplicity_profile: brute-force accumulation over every base block,
-    one histogram of the folded slot log differences (folding), which is
-    also the fold of the block pairs of the family's development;
+    one histogram of the folded slot log differences (folding), which the
+    development's orbit scan folds as the fold of its block pairs;
   * certificate_table: solvability of the 18 genuinely quadratic quotient
     equations at every t, read off a table of 1 - Tr(g^k) as one int32
     key per t (bit c: equation c has two roots), plus the 24 degenerate ones,
@@ -45,10 +45,9 @@ class DifferenceFamily:
     """Base blocks plus the claimed index; forbidden is empty for ordinary
     families and holds the avoided subgroup for relative ones.
 
-    Block k is block_slots of the int32 seeds[k], kept as `rows` too when
-    they fit one chunk; a mutant has no seeds and holds the (N, 7) int32
-    `rows`, given as any 7-element rows.  Slot rows are read by chunks()
-    or take(); `slots` serves tests and demos.
+    It holds seeds or rows, never both: block k is block_slots of the int32
+    seeds[k], built when read (chunks(), take()), or row k of a mutant's
+    (N, 7) int32 `rows`, elements in [0, 2^n); `slots` serves tests.
     """
 
     ctx: GF2n
@@ -58,10 +57,13 @@ class DifferenceFamily:
     seeds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.int32).reshape(-1, 7) if self.seeds is None else None
-        if self.seeds is not None and len(self.seeds) <= _CHUNK_ROWS:  # built once, not per pass
-            rows = block_slots(self.ctx, self.seeds)
-        object.__setattr__(self, "rows", rows)
+        if self.seeds is None:  # a mutant's rows, checked before the int32 cast would wrap them
+            rows = np.asarray(self.rows).reshape(-1, 7)
+            bad = np.flatnonzero(((rows < 0) | (rows >= self.ctx.order)).any(axis=1))
+            if bad.size:
+                raise ValueError(f"block row {bad[0]} is {rows[bad[0]].tolist()}; "
+                                 f"its elements lie in 0..{self.ctx.order - 1}")
+            object.__setattr__(self, "rows", rows.astype(np.int32, copy=False))
 
     def __len__(self) -> int:
         return len(self.rows if self.seeds is None else self.seeds)
@@ -110,7 +112,7 @@ class MultiplicityProfile:
 
 
 def profile_bytes(n: int) -> int:
-    """Bytes multiplicity_profile adds over its family at its peak, for
+    """Bytes a pass of folding adds over its family at its peak, for
     preflight estimates: the int32 histogram over half the field, 2 B per
     element, and 224 B per row of a slot chunk (its slots, (7, rows) logs
     and two (21, rows) int32 arrays).  The counts by element encoding,
@@ -121,36 +123,39 @@ def profile_bytes(n: int) -> int:
     return 2 * (1 << n) + 224 * _CHUNK_ROWS
 
 
-def folding(fam: DifferenceFamily, hist: np.ndarray) -> Iterator[np.ndarray]:
-    """fam's slot chunks, each added as it passes to `hist`, the histogram
-    of folded slot log differences, every row counted once: a difference
-    d = log b_i - log b_j and its negative share the fold min(|d|, v - |d|),
-    so hist[f] counts the quotients g^f and g^(v - f), 1 <= f <= v // 2,
-    and hist[0] the quotient 1 of a repeated element.  A chunk's
-    temporaries are views of one allocation: as three, glibc faulted them
-    in afresh for each chunk (+40 % time)."""
-    v, one = fam.ctx.order - 1, hist.dtype.type(1)  # a scalar of hist's type: no cast
-    for rows in fam.chunks():
-        work = np.empty((49, len(rows)), dtype=np.int32)
-        logs, d, t = work[:7], work[7:28], work[28:]
-        fam.ctx.logs.take(rows.T, out=logs, mode="clip")  # "raise" would copy via a buffer
-        logs.take(PAIR_I, axis=0, out=d, mode="clip")
-        d -= logs.take(PAIR_J, axis=0, out=t, mode="clip")
-        np.abs(d, out=d)
-        np.minimum(d, np.subtract(v, d, out=t), out=d)
-        np.add.at(hist, d.ravel(), one)
-        del work, logs, d, t
-        yield rows
+def folding(fam: DifferenceFamily) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """A new histogram of folded slot log differences, int32 while the 21
+    a row sum below 2^31 (int64 for full_family from n = 27), and fam's
+    slot chunks, each added to it as it passes: d = log b_i - log b_j and
+    -d share the fold min(|d|, v - |d|), so hist[f] counts the quotients
+    g^f and g^(v - f), 1 <= f <= v // 2, and hist[0] the quotient 1 of a
+    repeated element.  A chunk's temporaries are views of one allocation:
+    as three, glibc faulted them in afresh for each chunk (+40 % time)."""
+    hist = np.zeros(fam.ctx.order // 2, dtype=np.int32 if 21 * len(fam) < 2**31 else np.int64)
+
+    def chunks():
+        v, one = fam.ctx.order - 1, hist.dtype.type(1)  # a scalar of hist's type: no cast
+        for rows in fam.chunks():
+            work = np.empty((49, len(rows)), dtype=np.int32)
+            logs, d, t = work[:7], work[7:28], work[28:]
+            fam.ctx.logs.take(rows.T, out=logs, mode="clip")  # "raise" would copy via a buffer
+            logs.take(PAIR_I, axis=0, out=d, mode="clip")
+            d -= logs.take(PAIR_J, axis=0, out=t, mode="clip")
+            np.abs(d, out=d)
+            np.minimum(d, np.subtract(v, d, out=t), out=d)
+            np.add.at(hist, d.ravel(), one)
+            del work, logs, d, t
+            yield rows
+
+    return hist, chunks()
 
 
 def multiplicity_profile(fam) -> MultiplicityProfile:
     """Exact m(t) for every t, by direct accumulation over base blocks:
     b_i/b_j = g^(log b_i - log b_j), so the folded slot log differences
-    of every block, each counted once, are its delta list.  The bins are
-    int32 while the 21 differences a row sum below 2^31, else int64
-    (full_family from n = 27)."""
-    hist = np.zeros(fam.ctx.order // 2, dtype=np.int32 if 21 * len(fam) < 2**31 else np.int64)
-    for _ in folding(fam, hist):
+    of every block, each counted once, are its delta list."""
+    hist, chunks = folding(fam)
+    for _ in chunks:
         pass
     return MultiplicityProfile(fam.ctx, hist)
 

@@ -77,18 +77,18 @@ def build_relative_family(fam: DifferenceFamily) -> DifferenceFamily:
     return DifferenceFamily(ctx, None, lam, forbidden, seeds=np.delete(fam.seeds, rows))
 
 
-def verify_relative(fam: DifferenceFamily, profile=None) -> VerificationReport:
+def verify_relative(fam: DifferenceFamily, fold=None) -> VerificationReport:
     """Quotient profile check: multiplicity 0 on G minus {1} and lambda
-    everywhere outside G, read off the family's MultiplicityProfile (built
-    when not given).  Every t outside {0, 1} is g^f or g^(v - f) for one
-    fold f of its histogram, and G = <g^m>, m = v/|G|, holds both iff m | f."""
+    everywhere outside G, read off the family's development's fold, else
+    its MultiplicityProfile.  Every t outside {0, 1} is g^f or g^(v - f) for
+    one fold f, and G = <g^m>, m = v/|G|, holds both iff m | f."""
     t0 = time.perf_counter()
     ctx, lam = fam.ctx, fam.lambda_claim
     v = ctx.order - 1
     m = v // max(len(fam.forbidden), 1)  # an ordinary family avoids {1}
     if fam.forbidden | {1} != {ctx.power(k) for k in range(0, v, m)}:
         raise ValueError("the forbidden set is not a subgroup of the units")
-    hist = (profile or multiplicity_profile(fam)).hist
+    hist = multiplicity_profile(fam).hist if fold is None else fold
     outside, zero_ok, bad = fold_verdicts(hist, m, lam, [0])  # t = 1 is not checked
     ts = np.concatenate([ctx.exp[bad], ctx.exp[v - bad]]) if bad.size else bad  # g^f, g^-f
     first = np.argsort(ts)[:MAX_OFFENDERS]

@@ -172,9 +172,9 @@ def gdd_json_chunks(groops: np.ndarray, design: Design, reports: dict) -> Iterat
     "orbits"} of the (G, 7) groop rows and the design, followed by the
     keys of `reports`, as JSON in chunks of at most _CHUNK_BYTES, or of one
     groop or orbit: byte for byte what to_json_bytes gives for that dict.
-    The groops are rows of one byte template like the family's blocks, the
-    orbits those of _orbit_rows; each value of `reports` is small and goes
-    through json.dumps."""
+    "g" is 3, the dimension of each groop plus 0 (desarguesian_spread), not
+    GF2n.generator.  Groops are rows of one byte template like a family's
+    blocks, orbits those of _orbit_rows; each report goes via json.dumps."""
     ctx = design.ctx
     fields = {"n": ctx.n, "modulus": ctx.modulus, "g": 3, "lambda": design.lambda_claim}
     yield _json_head(fields, "spread")

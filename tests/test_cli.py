@@ -12,11 +12,18 @@ import textwrap
 
 import pytest
 
+import qdf
 from qdf import __version__, build_family, develop
 from qdf.cli import main, parse_args
 from qdf.gf2n import table_bytes
 from qdf.serialize import family_json_chunks, hex_width, to_json_bytes
 from oracles import build_parser, cached_field, design_dict
+
+# The one PYTHONPATH of every fresh process: the directory that qdf is
+# imported from.  Passed the suite's whole sys.path, the RSS probes read
+# otherwise with nothing in qdf changed (GF2n(15) grew RssAnon by 404 KiB
+# with it, by 440 KiB with the source directory alone).
+QDF_ROOT = os.path.dirname(os.path.dirname(qdf.__file__))
 
 
 def run_cli(capsys, *argv):
@@ -156,7 +163,7 @@ def test_preflight_table_estimate_matches_measured_rss(n):
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "MALLOC_MMAP_THRESHOLD_": "4096"},
+        env={**os.environ, "PYTHONPATH": QDF_ROOT, "MALLOC_MMAP_THRESHOLD_": "4096"},
         capture_output=True, text=True, check=True,
     )
     measured = int(out.stdout)
@@ -177,7 +184,7 @@ def _measured_and_printed(command, n, *options):
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        env={**os.environ, "PYTHONPATH": QDF_ROOT},
         capture_output=True, text=True, check=True,
     )
     rc, measured = map(int, out.stdout.split())
@@ -224,7 +231,7 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        env={**os.environ, "PYTHONPATH": QDF_ROOT},
         capture_output=True, text=True, check=True,
     )
     ok, before, after, reference, parser = out.stdout.split()
@@ -243,8 +250,8 @@ def test_preflight_total_matches_measured_rss_of_verify(n):
 @pytest.mark.parametrize("n", [15, 21])
 def test_preflight_total_matches_measured_rss_of_gdd(n):
     # the largest stage is the writer's chunks at n = 15 and the pair
-    # count at n = 21: VmHWM grows by 2.8-3.0 and 55.3 MiB, against
-    # printed totals of 2.7 and 54.0 MiB
+    # count at n = 21: VmHWM grows by 2.7-3.0 and 37.8-38.1 MiB, against
+    # printed totals of 2.7 and 38.9 MiB
     measured, total = _measured_and_printed("gdd", n)
     assert 0.75 * total < measured < 1.25 * total
 
@@ -289,7 +296,7 @@ def test_export_csv_of_the_n17_family_holds_little_beyond_the_file(tmp_path):
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        env={**os.environ, "PYTHONPATH": QDF_ROOT},
         capture_output=True, text=True, check=True,
     )
     rc, measured = map(int, out.stdout.split())
@@ -330,7 +337,7 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path):
     # main keeps no state between calls; each must behave as in a new process
     fam = tmp_path / "fam.json"
     main(["construct", "--n", "5", "--out", str(fam)])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env = {**os.environ, "PYTHONPATH": QDF_ROOT}
     for argv, want in _SESSION:
         argv = [str(fam) if a == "{fam}" else a for a in argv]
         code, out, err = _in_process(argv)
@@ -860,7 +867,7 @@ def test_closed_stdout_exits_2_with_one_error_line():
     # still writing when its reader goes away after one line
     proc = subprocess.Popen(
         [sys.executable, "-m", "qdf.cli", "certify", "--n", "13"],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        env={**os.environ, "PYTHONPATH": QDF_ROOT},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
@@ -886,7 +893,7 @@ def test_full_device_exits_2_with_one_error_line(argv, target):
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "qdf.cli", *argv],
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            env={**os.environ, "PYTHONPATH": QDF_ROOT},
             stdout=full, stderr=subprocess.PIPE, text=True,
         )
     assert proc.returncode == 2

@@ -501,18 +501,41 @@ def test_failing_check_builds_its_events_once(monkeypatch, name):
     ids=["verify-9", "verify-13", "gdd-9"],
 )
 def test_commands_fold_their_design_once(monkeypatch, command, n, rows):
-    # the profile's one pass over the slots serves every verdict; the
-    # design's fold is the profile's histogram, K*'s orbit when 3 | n
-    # corrected by its events, not by a second fold
+    # the development's one pass over the slots folds them and serves every
+    # verdict; the design's fold is the profile's histogram, K*'s orbit
+    # when 3 | n corrected by its events, not by a second fold
     calls = []
     fold = family.folding
 
-    def counted(fam, hist):
+    def counted(fam):
         calls.append(len(fam))
-        return fold(fam, hist)
+        return fold(fam)
 
-    monkeypatch.setattr(family, "folding", counted)
+    for module in (family, design, cli):
+        monkeypatch.setattr(module, "folding", counted)
     assert cli.main([command, "--n", str(n), "--out", os.devnull]) == 0
+    assert calls == rows
+
+
+@pytest.mark.parametrize(
+    "command,rows",
+    [("verify", [4096, 1365, 1]), ("gdd", [1, 4096, 1364, 4096, 1364])],
+    ids=["verify-15", "gdd-15"],
+)
+def test_commands_build_each_slot_row_once(monkeypatch, command, rows):
+    # at n = 15 the family is two chunks of seeds: verify builds them in
+    # its development's one pass and K*'s row for its events; gdd builds
+    # the row it compares with K*, then the rows of its development's pass
+    # and of its writer's
+    calls = []
+    slots = family.block_slots
+
+    def counted(ctx, seeds):
+        calls.append(len(seeds))
+        return slots(ctx, seeds)
+
+    monkeypatch.setattr(family, "block_slots", counted)
+    assert cli.main([command, "--n", "15", "--force", "--out", os.devnull]) == 0
     assert calls == rows
 
 
@@ -576,7 +599,8 @@ def test_scan_independent_of_chunk_size(monkeypatch, name):
 
 
 def _scan_fields(scan):
-    return scan.kstar.tolist(), None if scan.hashes is None else scan.hashes.tolist(), scan[2:]
+    hashes = None if scan.hashes is None else scan.hashes.tolist()
+    return scan.kstar.tolist(), hashes, (scan.subspaces, scan.meets), scan.fold.tolist()
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 64])
@@ -585,8 +609,8 @@ def _scan_fields(scan):
 def test_seed_chunks_give_the_verdicts_of_the_materialized_rows(monkeypatch, n, system, chunk):
     # a family held as seeds, read in chunks of 1, 5 and 64 rows, against
     # the same rows stored whole and read as one chunk: the profile, the K*
-    # flags, the hashes, the subspace and meet verdicts of the whole scan
-    # and of develop's, and the design's fold and verdicts
+    # flags, the hashes, the subspace and meet verdicts and the fold of the
+    # whole scan and of develop's, and the design's fold and verdicts
     f = cached_field(n)
 
     def families():
@@ -594,9 +618,8 @@ def test_seed_chunks_give_the_verdicts_of_the_materialized_rows(monkeypatch, n, 
         return [fam, build_relative_family(fam)] if n % 6 == 3 else [fam]
 
     def verdicts(fam):
-        profile = multiplicity_profile(fam)
-        hist = profile.hist.tolist()  # develop takes the histogram over
-        d = develop(fam, profile)
+        hist = multiplicity_profile(fam).hist.tolist()
+        d = develop(fam)
         report = replace(verify_2design(d), timing=0.0)
         scans = [_scan_fields(design.orbit_scan(fam)), _scan_fields(d.scan)]
         return [hist, *scans, d.fold.tolist(), check_simple(d), report]
@@ -607,7 +630,7 @@ def test_seed_chunks_give_the_verdicts_of_the_materialized_rows(monkeypatch, n, 
     ]
     monkeypatch.setattr(family, "_CHUNK_ROWS", chunk)
     fams = families()
-    assert all(fam.rows is None for fam in fams if len(fam) > chunk)
+    assert all(fam.rows is None for fam in fams)  # seeds only, however few
     assert [verdicts(fam) for fam in fams] == want
 
 
@@ -632,8 +655,8 @@ def test_only_short_runs_make_events(n, events):
     fam = build_family(f)
     d = develop(fam)
     keys, weights = design._events(d)
-    # the fold read off the profile is the fold of the design
-    assert np.array_equal(develop(fam, multiplicity_profile(fam)).fold, d.fold)
+    # the fold read off the development's scan is the family's profile
+    assert np.array_equal(d.fold, multiplicity_profile(fam).hist)
     v = f.order - 1
     assert len(keys) == len(weights) == events
     # the fold is the profile's, 7 at every fold but fold 0, K*'s too
@@ -645,23 +668,23 @@ def test_only_short_runs_make_events(n, events):
 
 
 def test_develop_keeps_no_second_histogram():
-    # at n = 15, 3 | n: the design's fold is the profile's histogram,
-    # untouched though K* fixes a row.  What develop keeps is its int64
-    # length and replication and the K* flags, 17 B an orbit (no hashes:
-    # K* fixes a row), with no copy of the 2^14 int32 folds
+    # at n = 15, 3 | n: the design's fold is the scan's histogram, the
+    # profile's, untouched though K* fixes a row.  What develop keeps is
+    # its int64 length and replication and the K* flags, 17 B an orbit (no
+    # hashes: K* fixes a row), and one histogram of the 2^14 int32 folds
     f = cached_field(15)
     fam = build_family(f)
-    profile = multiplicity_profile(fam)
-    want = profile.hist.copy()
+    want = multiplicity_profile(fam).hist
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        d = develop(fam, profile)
+        d = develop(fam)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert d.fold is profile.hist and d.fold.tolist() == want.tolist()
-    assert 17 * len(fam) <= kept < 17 * len(fam) + profile.hist.nbytes // 4
+    assert d.fold is d.scan.fold and d.fold.tolist() == want.tolist()
+    one = 17 * len(fam) + want.nbytes
+    assert one <= kept < one + want.nbytes // 4
 
 
 @pytest.mark.parametrize("system", ["min", "max"])
@@ -669,21 +692,20 @@ def test_develop_keeps_no_second_histogram():
 def test_profile_untouched_by_development_and_checks(n, system):
     # K* fixes a row when 3 | n: its events, not the profile, correct it
     fam = build_family(cached_field(n), system=system)
-    profile = multiplicity_profile(fam)
-    d = develop(fam, profile)
+    d = develop(fam)
     assert verify_2design(d).passed and check_qanalog(d) and not check_simple(d)
-    assert np.array_equal(profile.hist, multiplicity_profile(fam).hist)
+    assert np.array_equal(d.fold, multiplicity_profile(fam).hist)
 
 
 def test_kernel_peak_within_its_preflight_term():
-    # with the fold taken from the profile, the pair count holds a
+    # with the fold taken from the scan, the pair count holds a
     # boolean mask over the folds and the int32 counts of those that must
     # be lam, ~2.5 B per element at n = 15 and 17 (K*'s steps at n = 15),
     # against the 2.5 B per element and 16 KiB that pair_count_bytes charges
     for n in (15, 17):
         f = cached_field(n)
         fam = build_family(f)
-        d = develop(fam, multiplicity_profile(fam))
+        d = develop(fam)
         tracemalloc.start()
         try:
             assert verify_2design(d).passed

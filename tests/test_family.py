@@ -289,6 +289,18 @@ def test_family_n9_contains_exactly_one_subfield_block():
     assert sum(1 for row in fam.slots.tolist() if set(row) == kstar) == 1
 
 
+@pytest.mark.parametrize("last", [2**5 + 7, -25, 2**32 + 7])
+def test_family_rejects_row_elements_outside_the_field(last):
+    # at n = 5, 39 would fold as 31 and -25 as 0 (or be read as the log
+    # of 7) through the gathers' clipped indexes, and an int64 2^32 + 7
+    # would be cast to 7: the first such row is named, and 0 stays allowed
+    f = cached_field(5)
+    rows = [[1, 2, 4, 3, 5, 6, 7], [0, 2, 4, 3, 5, 6, 31], [1, 2, 4, 3, 5, 6, last]]
+    assert len(DifferenceFamily(f, rows[:2], 7)) == 2
+    with pytest.raises(ValueError, match=rf"^block row 2 is \[1, 2, 4, 3, 5, 6, {last}\]; .* 0\.\.31$"):
+        DifferenceFamily(f, np.array(rows + rows, dtype=np.int64), 7)
+
+
 def test_representative_systems_differ_but_cover_same_hexagons():
     f = cached_field(7)
     fam_min = build_family(f, system="min")
